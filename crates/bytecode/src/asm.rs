@@ -316,14 +316,14 @@ pub fn parse_program(source: &str) -> Result<Program, AsmError> {
         }
     }
 
-    // Resolve superclasses now that all classes are known.
-    let mut program_supers = Vec::new();
+    // Resolve superclasses now that all classes are known, before any
+    // body is assembled and before `build` seals the layouts.
     for (id, sup, line) in pending_supers {
         let sup_id = *class_ids.get(&sup).ok_or(AsmError {
             line,
             reason: format!("unknown superclass `{sup}`"),
         })?;
-        program_supers.push((id, sup_id));
+        pb.set_superclass(id, sup_id);
     }
 
     // Declare all methods first so bodies can reference them.
@@ -360,18 +360,10 @@ pub fn parse_program(source: &str) -> Result<Program, AsmError> {
         pb.set_method_body(id, method);
     }
 
-    let mut program = pb.build().map_err(|e| AsmError {
+    pb.build().map_err(|e| AsmError {
         line: 0,
         reason: e.to_string(),
-    })?;
-    for (id, sup_id) in program_supers {
-        program.classes[id.index()].superclass = Some(sup_id);
-    }
-    program.check_hierarchy().map_err(|e| AsmError {
-        line: 0,
-        reason: e.to_string(),
-    })?;
-    Ok(program)
+    })
 }
 
 fn resolve_field(
@@ -731,14 +723,37 @@ mod tests {
         assert!(err.reason.contains("unknown class"));
     }
 
+    /// A subclass declared before its superclass sees the inherited
+    /// fields everywhere the sealed tables are consulted: the superclass
+    /// link must be in place before `build` resolves them.
     #[test]
     fn extends_resolves_forward() {
-        let p = parse_program("class A extends B { }\nclass B { field x int }\nmethod f 0 { ret }")
-            .unwrap();
+        let p = parse_program(
+            "class A extends B { field y ref }
+             class B { field x int }
+             method f 0 returns { new A getfield A.x retv }",
+        )
+        .unwrap();
         let a = p.class_by_name("A").unwrap();
         let b = p.class_by_name("B").unwrap();
+        let x = p.field_by_name(a, "x").unwrap();
+        let y = p.field_by_name(a, "y").unwrap();
         assert_eq!(p.class(a).superclass, Some(b));
-        assert!(p.field_by_name(a, "x").is_some());
+        assert_eq!(p.field(x).class, b);
+        assert_eq!(p.instance_fields(a), [x, y]);
+        assert_eq!(p.slot_kinds(a), [ValueKind::Int, ValueKind::Ref]);
+        assert_eq!(p.object_size(a), 16 + 2 * 8);
+        assert_eq!(p.field_slot(a, x), Some(0));
+        assert_eq!(p.field_slot(a, y), Some(1));
+        assert_eq!(p.field_slot(b, y), None);
+        assert!(p.is_subclass_of(a, b));
+        assert!(!p.is_subclass_of(b, a));
+    }
+
+    #[test]
+    fn cyclic_extends_is_an_error() {
+        let err = parse_program("class A extends B { }\nclass B extends A { }").unwrap_err();
+        assert!(err.reason.contains("cyclic"), "{}", err.reason);
     }
 
     #[test]

@@ -386,6 +386,12 @@ impl ProgramBuilder {
         ClassId::from_index(self.program.classes.len() - 1)
     }
 
+    /// Sets the superclass of a class declared before its superclass was
+    /// known (the assembler's forward `extends`).
+    pub fn set_superclass(&mut self, class: ClassId, superclass: ClassId) {
+        self.program.classes[class.index()].superclass = Some(superclass);
+    }
+
     /// Declares an instance field on `class`; returns its id.
     pub fn add_field(&mut self, class: ClassId, name: &str, kind: ValueKind) -> FieldId {
         self.program.fields.push(Field {
@@ -467,13 +473,14 @@ impl ProgramBuilder {
     }
 
     /// Finalizes the program, checking name uniqueness and hierarchy
-    /// acyclicity.
+    /// acyclicity, and resolves the per-class layout tables — the only
+    /// place they are computed, so the hierarchy must be complete here.
     ///
     /// # Errors
     ///
     /// Returns the first structural violation found.
     pub fn build(self) -> Result<Program, ProgramError> {
-        let p = self.program;
+        let mut p = self.program;
         let mut names = HashSet::new();
         for c in &p.classes {
             if !names.insert(c.name.clone()) {
@@ -514,6 +521,7 @@ impl ProgramBuilder {
             }
         }
         p.check_hierarchy()?;
+        p.seal();
         Ok(p)
     }
 }

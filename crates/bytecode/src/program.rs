@@ -181,7 +181,40 @@ impl fmt::Display for ProgramError {
 
 impl Error for ProgramError {}
 
+/// Resolved tables of one class: what an allocation or a field access
+/// needs, without walking the hierarchy.
+#[derive(Clone, Debug, Default)]
+struct ClassLayout {
+    /// Instance fields in layout order: superclass fields first, so a
+    /// field keeps its slot in every subclass.
+    fields: Vec<FieldId>,
+    /// Storage kind of each slot, aligned with `fields`.
+    kinds: Vec<ValueKind>,
+    /// The class and its superclasses, root first: `ancestors[d]` is the
+    /// ancestor at depth `d`, the class itself comes last.
+    ancestors: Vec<ClassId>,
+}
+
+/// Tables resolved from the class hierarchy, computed exactly once by
+/// [`crate::ProgramBuilder::build`]. Empty on a program that did not come
+/// out of the builder.
+#[derive(Clone, Debug, Default)]
+struct Sealed {
+    /// Indexed by [`ClassId`].
+    layouts: Vec<ClassLayout>,
+    /// Slot of each field in its declaring class and every subclass,
+    /// indexed by [`FieldId`].
+    field_slots: Vec<u32>,
+}
+
 /// A complete program: all metadata arenas plus method code.
+///
+/// The layout queries ([`Program::instance_fields`],
+/// [`Program::object_size`], [`Program::field_slot`],
+/// [`Program::is_subclass_of`]) are lookups in tables that
+/// [`crate::ProgramBuilder::build`] resolves once; they panic on a program
+/// that did not come out of the builder, and they do not follow later
+/// edits of the public arenas.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
     /// Class arena, indexed by [`ClassId`].
@@ -192,6 +225,7 @@ pub struct Program {
     pub methods: Vec<Method>,
     /// Static-variable arena, indexed by [`StaticId`].
     pub statics: Vec<StaticDecl>,
+    sealed: Sealed,
 }
 
 // The VM shares one `Arc<Program>` with background compiler threads, so
@@ -303,43 +337,89 @@ impl Program {
         )))
     }
 
+    /// Resolves the per-class tables from the hierarchy, which
+    /// [`Program::check_hierarchy`] must have accepted.
+    pub(crate) fn seal(&mut self) {
+        let layouts: Vec<ClassLayout> = (0..self.classes.len())
+            .map(|i| {
+                let mut ancestors = Vec::new();
+                let mut cur = Some(ClassId::from_index(i));
+                while let Some(c) = cur {
+                    ancestors.push(c);
+                    cur = self.class(c).superclass;
+                }
+                ancestors.reverse();
+                let fields: Vec<FieldId> = ancestors
+                    .iter()
+                    .flat_map(|&c| self.class(c).declared_fields.iter().copied())
+                    .collect();
+                let kinds = fields.iter().map(|&f| self.field(f).kind).collect();
+                ClassLayout {
+                    fields,
+                    kinds,
+                    ancestors,
+                }
+            })
+            .collect();
+        let mut field_slots = vec![0; self.fields.len()];
+        for layout in &layouts {
+            for (slot, f) in layout.fields.iter().enumerate() {
+                field_slots[f.index()] = u32::try_from(slot).expect("field slot exceeds u32");
+            }
+        }
+        self.sealed = Sealed {
+            layouts,
+            field_slots,
+        };
+    }
+
+    #[inline]
+    fn layout(&self, class: ClassId) -> &ClassLayout {
+        &self.sealed.layouts[class.index()]
+    }
+
     /// All instance fields of a class in layout order: superclass fields
     /// first, then declared fields.
-    pub fn instance_fields(&self, class: ClassId) -> Vec<FieldId> {
-        let mut chain = Vec::new();
-        let mut cur = Some(class);
-        while let Some(c) = cur {
-            chain.push(c);
-            cur = self.class(c).superclass;
-        }
-        let mut out = Vec::new();
-        for &c in chain.iter().rev() {
-            out.extend_from_slice(&self.class(c).declared_fields);
-        }
-        out
+    #[inline]
+    pub fn instance_fields(&self, class: ClassId) -> &[FieldId] {
+        &self.layout(class).fields
+    }
+
+    /// Storage kind of each slot of an instance of `class`, aligned with
+    /// [`Program::instance_fields`].
+    #[inline]
+    pub fn slot_kinds(&self, class: ClassId) -> &[ValueKind] {
+        &self.layout(class).kinds
+    }
+
+    /// Slot of `field` in an instance of `class`; `None` when `class` is
+    /// neither the field's declaring class nor one of its subclasses.
+    #[inline]
+    pub fn field_slot(&self, class: ClassId, field: FieldId) -> Option<usize> {
+        self.is_subclass_of(class, self.field(field).class)
+            .then(|| self.sealed.field_slots[field.index()] as usize)
     }
 
     /// Heap size in bytes of an instance of `class` (header + one slot per
     /// field, matching the paper's "MB per iteration" accounting).
+    #[inline]
     pub fn object_size(&self, class: ClassId) -> u64 {
-        OBJECT_HEADER_BYTES + VALUE_SLOT_BYTES * self.instance_fields(class).len() as u64
+        OBJECT_HEADER_BYTES + VALUE_SLOT_BYTES * self.layout(class).fields.len() as u64
     }
 
-    /// Heap size in bytes of an array of `len` elements.
+    /// Heap size in bytes of an array of `len` elements, saturating for
+    /// lengths no heap can hold.
     pub fn array_size(len: u64) -> u64 {
-        OBJECT_HEADER_BYTES + VALUE_SLOT_BYTES * len
+        VALUE_SLOT_BYTES
+            .saturating_mul(len)
+            .saturating_add(OBJECT_HEADER_BYTES)
     }
 
     /// Whether `class` is `ancestor` or one of its subclasses.
+    #[inline]
     pub fn is_subclass_of(&self, class: ClassId, ancestor: ClassId) -> bool {
-        let mut cur = Some(class);
-        while let Some(c) = cur {
-            if c == ancestor {
-                return true;
-            }
-            cur = self.class(c).superclass;
-        }
-        false
+        let depth = self.layout(ancestor).ancestors.len() - 1;
+        self.layout(class).ancestors.get(depth) == Some(&ancestor)
     }
 
     /// All classes that are `ancestor` or a subclass of it.
@@ -399,8 +479,12 @@ mod tests {
     #[test]
     fn instance_fields_are_layout_ordered() {
         let (p, base, derived, fa, fb) = diamond_free_program();
-        assert_eq!(p.instance_fields(base), vec![fa]);
-        assert_eq!(p.instance_fields(derived), vec![fa, fb]);
+        assert_eq!(p.instance_fields(base), [fa]);
+        assert_eq!(p.instance_fields(derived), [fa, fb]);
+        assert_eq!(p.slot_kinds(derived), [ValueKind::Int, ValueKind::Ref]);
+        assert_eq!(p.field_slot(derived, fa), Some(0));
+        assert_eq!(p.field_slot(derived, fb), Some(1));
+        assert_eq!(p.field_slot(base, fb), None);
     }
 
     #[test]
@@ -409,6 +493,7 @@ mod tests {
         assert_eq!(p.object_size(base), 16 + 8);
         assert_eq!(p.object_size(derived), 16 + 16);
         assert_eq!(Program::array_size(10), 16 + 80);
+        assert_eq!(Program::array_size(u64::MAX / 2), u64::MAX);
     }
 
     #[test]

@@ -228,12 +228,12 @@ fn evaluate_inner(
                     let bytes = program.object_size(*class);
                     env.charge(cost::alloc_cost(bytes))?;
                     env.profiler().record_alloc();
-                    let r = env.heap().alloc_instance(program, *class);
+                    let r = env.heap().try_alloc_instance(program, *class)?;
                     set(values, n, Value::Ref(r));
                 }
                 NodeKind::NewArray { kind } => {
                     let len = val(values, inputs[0])?.as_int()?;
-                    env.charge(cost::alloc_cost(Program::array_size(len.max(0) as u64)))?;
+                    env.charge(cost::array_alloc_cost(len))?;
                     env.profiler().record_alloc();
                     let r = env.heap().alloc_array(*kind, len)?;
                     set(values, n, Value::Ref(r));
@@ -395,7 +395,7 @@ fn evaluate_inner(
                         let r = match obj.shape {
                             pea_ir::AllocShape::Instance { class } => {
                                 env.charge(cost::alloc_cost(program.object_size(class)))?;
-                                env.heap().alloc_instance(program, class)
+                                env.heap().try_alloc_instance(program, class)?
                             }
                             pea_ir::AllocShape::Array { kind, length } => {
                                 env.charge(cost::alloc_cost(Program::array_size(u64::from(
@@ -412,7 +412,8 @@ fn evaluate_inner(
                         let field_ids: Vec<Option<pea_bytecode::FieldId>> = match obj.shape {
                             pea_ir::AllocShape::Instance { class } => program
                                 .instance_fields(class)
-                                .into_iter()
+                                .iter()
+                                .copied()
                                 .map(Some)
                                 .collect(),
                             pea_ir::AllocShape::Array { length, .. } => {
@@ -626,7 +627,9 @@ fn resolve_slot(
             return Ok(Value::Ref(r));
         }
         let r = match shape {
-            pea_ir::AllocShape::Instance { class } => env.heap().alloc_instance(program, *class),
+            pea_ir::AllocShape::Instance { class } => {
+                env.heap().try_alloc_instance(program, *class)?
+            }
             pea_ir::AllocShape::Array { kind, length } => {
                 env.heap().alloc_array(*kind, i64::from(*length))?
             }

@@ -19,7 +19,7 @@ use crate::pipeline::CompiledMethod;
 use pea_bytecode::{ClassId, FieldId, MethodId, Program, StaticId};
 use pea_ir::AllocShape;
 use pea_runtime::cost;
-use pea_runtime::{ObjRef, Value, VmError};
+use pea_runtime::{Heap, ObjRef, Value, VmError};
 use std::cell::RefCell;
 
 thread_local! {
@@ -202,13 +202,13 @@ fn run(
             op::NEW => {
                 charge!(u64::from(c[pc + 3]));
                 env.profiler().record_alloc();
-                let r = env.heap().alloc_instance(program, ClassId(c[pc + 2]));
+                let r = env.heap().try_alloc_instance(program, ClassId(c[pc + 2]))?;
                 regs[c[pc + 1] as usize] = Value::Ref(r);
                 pc += 4;
             }
             op::NEW_ARRAY => {
                 let len = regs[c[pc + 2] as usize].as_int()?;
-                charge!(cost::alloc_cost(Program::array_size(len.max(0) as u64)));
+                charge!(cost::array_alloc_cost(len));
                 env.profiler().record_alloc();
                 let r = env.heap().alloc_array(decode_kind(c[pc + 3]), len)?;
                 regs[c[pc + 1] as usize] = Value::Ref(r);
@@ -340,50 +340,14 @@ fn run(
                 pc += 6 + argc;
             }
             op::COMMIT => {
-                // Group materialization: allocate all objects first so
-                // cyclic field references resolve, then fill fields and
-                // re-enter monitors (paper §4).
-                let t = &art.commits[c[pc + 1] as usize];
-                let mut refs = Vec::with_capacity(t.objects.len());
-                for o in &t.objects {
-                    charge!(o.alloc_cycles);
-                    let r = match o.shape {
-                        AllocShape::Instance { class } => env.heap().alloc_instance(program, class),
-                        AllocShape::Array { kind, length } => {
-                            env.heap().alloc_array(kind, i64::from(length))?
-                        }
-                    };
-                    env.profiler().record_alloc();
-                    refs.push(r);
-                }
-                for (oi, o) in t.objects.iter().enumerate() {
-                    for (fi, (src, field)) in o.fields.iter().zip(&o.field_ids).enumerate() {
-                        let v = match *src {
-                            super::CommitFieldSrc::Reg(rg) => regs[rg as usize],
-                            super::CommitFieldSrc::SameCommit(i) => Value::Ref(refs[i as usize]),
-                        };
-                        match field {
-                            // The object is exactly its template class, so
-                            // its slot layout is the template's field
-                            // order: slot == fi.
-                            Some(f) => {
-                                let decl = program.field(*f).class;
-                                env.heap()
-                                    .put_field_at(program, refs[oi], decl, fi, *f, v)?;
-                            }
-                            None => env.heap().array_set(refs[oi], fi as i64, v)?,
-                        }
-                    }
-                    for _ in 0..o.lock_count {
-                        charge!(cost::MONITOR_OP);
-                        env.heap().monitor_enter(refs[oi]);
-                    }
-                }
-                for (oi, o) in t.objects.iter().enumerate() {
-                    if o.dst != NO_REG {
-                        regs[o.dst as usize] = Value::Ref(refs[oi]);
-                    }
-                }
+                commit(
+                    program,
+                    env,
+                    &art.commits[c[pc + 1] as usize],
+                    regs,
+                    pending,
+                    exact,
+                )?;
                 pc += 2;
             }
             op::GUARD => {
@@ -456,6 +420,69 @@ fn run(
                 )))
             }
         }
+    }
+}
+
+/// Group materialization (paper §4): allocates and fills each object of
+/// the template in turn, then re-enters monitors. Objects are numbered in
+/// allocation order and nothing else allocates in between, so member `i`
+/// is `first + i` and a cyclic reference can name a member before it
+/// exists. Out of line: the dispatch loop stays small.
+#[inline(never)]
+fn commit(
+    program: &Program,
+    env: &mut dyn EvalEnv,
+    t: &super::LinearCommit,
+    regs: &mut [Value],
+    pending: &mut u64,
+    exact: bool,
+) -> Result<(), VmError> {
+    let mut charge = |env: &mut dyn EvalEnv, cycles: u64| {
+        if exact {
+            env.charge(cycles)
+        } else {
+            *pending += cycles;
+            Ok(())
+        }
+    };
+    let mut first = 0;
+    for (i, o) in t.objects.iter().enumerate() {
+        charge(env, o.alloc_cycles)?;
+        let heap = env.heap();
+        let r = alloc_shape(program, heap, o.shape)?;
+        if i == 0 {
+            first = r.index();
+        }
+        // The object is exactly its template's shape, so the template's
+        // field order is its slot order.
+        let values = o.fields.iter().map(|src| match *src {
+            super::CommitFieldSrc::Reg(rg) => regs[rg as usize],
+            super::CommitFieldSrc::SameCommit(j) => {
+                Value::Ref(ObjRef::from_index(first + j as usize))
+            }
+        });
+        heap.init_slots(r, values)?;
+        env.profiler().record_alloc();
+        // A fresh SSA register: no field source reads it.
+        if o.dst != NO_REG {
+            regs[o.dst as usize] = Value::Ref(r);
+        }
+    }
+    for (i, o) in t.objects.iter().enumerate() {
+        for _ in 0..o.lock_count {
+            charge(env, cost::MONITOR_OP)?;
+            env.heap().monitor_enter(ObjRef::from_index(first + i));
+        }
+    }
+    Ok(())
+}
+
+/// Allocates the default-valued object of a commit or rematerialization
+/// template.
+fn alloc_shape(program: &Program, heap: &mut Heap, shape: AllocShape) -> Result<ObjRef, VmError> {
+    match shape {
+        AllocShape::Instance { class } => heap.try_alloc_instance(program, class),
+        AllocShape::Array { kind, length } => heap.alloc_array(kind, i64::from(length)),
     }
 }
 
@@ -535,21 +562,17 @@ fn resolve_slot(
         return Ok(Value::Ref(r));
     }
     let vo = &point.vobjs[vi];
-    let r = match vo.shape {
-        AllocShape::Instance { class } => env.heap().alloc_instance(program, class),
-        AllocShape::Array { kind, length } => env.heap().alloc_array(kind, i64::from(length))?,
-    };
+    let r = alloc_shape(program, env.heap(), vo.shape)?;
     env.heap().stats.rematerialized += 1;
     env.profiler().record_alloc();
     inventory.push(vo.name.clone());
     cache[vi] = Some(r);
-    for (fi, (&fsrc, field)) in vo.fields.iter().zip(&vo.field_ids).enumerate() {
-        let v = resolve_slot(program, env, point, regs, cache, inventory, fsrc)?;
-        match field {
-            Some(f) => env.heap().put_field(program, r, *f, v)?,
-            None => env.heap().array_set(r, fi as i64, v)?,
-        }
-    }
+    let values = vo
+        .fields
+        .iter()
+        .map(|&fsrc| resolve_slot(program, env, point, regs, cache, inventory, fsrc))
+        .collect::<Result<Vec<_>, _>>()?;
+    env.heap().init_slots(r, values)?;
     for _ in 0..vo.lock_count {
         env.heap().monitor_enter(r);
     }

@@ -13,7 +13,7 @@ use super::{
     arith_code, class_code, cmp_code, kind_code, op, reason_code, CommitFieldSrc, DeoptPoint,
     LinearArtifact, LinearCommit, LinearCommitObj, LinearFrame, LinearVObj, SlotSrc, NO_REG,
 };
-use pea_bytecode::{FieldId, Program};
+use pea_bytecode::{ClassId, FieldId, Program, ValueKind};
 use pea_ir::cfg::{BlockId, Cfg};
 use pea_ir::schedule::Schedule;
 use pea_ir::{AllocShape, ArithOp, Graph, NodeId, NodeKind};
@@ -327,25 +327,29 @@ impl Lowerer<'_> {
                 self.code.extend_from_slice(&arg_regs);
             }
             NodeKind::Commit { objects } => {
+                if let Some((dst, class)) = self.fresh_instance(n, &objects, &inputs) {
+                    // Materialized before any store reached it: a plain
+                    // allocation, at the same charge.
+                    let cost = self
+                        .charge_u32(cost::alloc_cost(self.program.object_size(class)), "alloc")?;
+                    self.emit(&[op::NEW, dst, class_code(class), cost]);
+                    return Ok(());
+                }
                 let mut template = Vec::with_capacity(objects.len());
                 let mut input_pos = 0usize;
                 for (oi, obj) in objects.iter().enumerate() {
-                    let (alloc_cycles, field_ids): (u64, Vec<Option<FieldId>>) = match obj.shape {
+                    let (alloc_cycles, slots) = match obj.shape {
                         AllocShape::Instance { class } => (
                             cost::alloc_cost(self.program.object_size(class)),
-                            self.program
-                                .instance_fields(class)
-                                .into_iter()
-                                .map(Some)
-                                .collect(),
+                            self.program.instance_fields(class).len(),
                         ),
                         AllocShape::Array { length, .. } => (
                             cost::alloc_cost(Program::array_size(u64::from(length))),
-                            (0..length).map(|_| None).collect(),
+                            length as usize,
                         ),
                     };
-                    let mut fields = Vec::with_capacity(field_ids.len());
-                    for _ in 0..field_ids.len() {
+                    let mut fields = Vec::with_capacity(slots);
+                    for _ in 0..slots {
                         let input = inputs[input_pos];
                         input_pos += 1;
                         let src = match self.graph.kind(input) {
@@ -364,7 +368,6 @@ impl Lowerer<'_> {
                         lock_count: obj.lock_count,
                         alloc_cycles,
                         dst,
-                        field_ids,
                         fields,
                     });
                 }
@@ -503,6 +506,33 @@ impl Lowerer<'_> {
         Ok(())
     }
 
+    /// A commit of one unlocked instance whose every field still holds its
+    /// default and whose reference is read: `(register, class)`.
+    fn fresh_instance(
+        &self,
+        commit: NodeId,
+        objects: &[pea_ir::CommitObject],
+        inputs: &[NodeId],
+    ) -> Option<(u32, ClassId)> {
+        let [object] = objects else { return None };
+        let AllocShape::Instance { class } = object.shape else {
+            return None;
+        };
+        let dst = *self.alloc_dsts.get(&(commit, 0))?;
+        let fresh = object.lock_count == 0
+            && inputs
+                .iter()
+                .zip(self.program.slot_kinds(class))
+                .all(|(&input, kind)| {
+                    matches!(
+                        (self.graph.kind(input), kind),
+                        (NodeKind::ConstInt { value: 0 }, ValueKind::Int)
+                            | (NodeKind::ConstNull, ValueKind::Ref)
+                    )
+                });
+        fresh.then_some((dst, class))
+    }
+
     /// Pre-resolves a field access to `(declaring class, slot)`. Object
     /// layouts are prefix-stable (superclass fields first), so the slot is
     /// valid for every subclass of the declaring class.
@@ -510,9 +540,7 @@ impl Lowerer<'_> {
         let declaring = self.program.field(field).class;
         let slot = self
             .program
-            .instance_fields(declaring)
-            .iter()
-            .position(|&f| f == field)
+            .field_slot(declaring, field)
             .ok_or_else(|| LowerError(format!("field {field} missing from its class")))?;
         Ok((
             class_code(declaring),
@@ -590,25 +618,14 @@ impl Lowerer<'_> {
         let idx = u32::try_from(vobjs.len())
             .map_err(|_| LowerError("virtual-object table exceeds u32".into()))?;
         vo_map.insert(id, idx);
-        let (name, field_ids): (String, Vec<Option<FieldId>>) = match shape {
-            AllocShape::Instance { class } => (
-                self.program.class(class).name.clone(),
-                self.program
-                    .instance_fields(class)
-                    .into_iter()
-                    .map(Some)
-                    .collect(),
-            ),
-            other => {
-                let len = self.graph.node(id).inputs().len();
-                (other.to_string(), (0..len).map(|_| None).collect())
-            }
+        let name = match shape {
+            AllocShape::Instance { class } => self.program.class(class).name.clone(),
+            other => other.to_string(),
         };
         vobjs.push(LinearVObj {
             shape,
             lock_count,
             name,
-            field_ids,
             fields: Vec::new(),
         });
         let field_inputs = self.graph.node(id).inputs().to_vec();

@@ -24,7 +24,7 @@ pub mod lower;
 pub use exec::execute;
 pub use lower::{lower, LowerError};
 
-use pea_bytecode::{ClassId, FieldId, MethodId};
+use pea_bytecode::{ClassId, MethodId};
 use pea_ir::AllocShape;
 
 /// Sentinel register/index meaning "absent" (e.g. a call with no result).
@@ -149,11 +149,8 @@ pub struct LinearVObj {
     /// Inventory label (class name for instances, shape for arrays) —
     /// matches graph evaluation's rematerialization inventory exactly.
     pub name: String,
-    /// Pre-resolved field ids for instances (`None` per element for
-    /// arrays), aligned with `fields`.
-    pub field_ids: Vec<Option<FieldId>>,
-    /// Field (or element) value sources, possibly cyclic through
-    /// [`SlotSrc::Virtual`].
+    /// Field (or element) value sources in layout order, possibly cyclic
+    /// through [`SlotSrc::Virtual`].
     pub fields: Vec<SlotSrc>,
 }
 
@@ -189,10 +186,7 @@ pub struct LinearCommitObj {
     /// Register receiving the materialized reference ([`NO_REG`] when the
     /// object is never read after the commit).
     pub dst: u32,
-    /// Pre-resolved field ids (instances) aligned with `fields`; `None`
-    /// entries are array elements.
-    pub field_ids: Vec<Option<FieldId>>,
-    /// Field value sources in layout order.
+    /// Field (or element) value sources in layout order.
     pub fields: Vec<CommitFieldSrc>,
 }
 

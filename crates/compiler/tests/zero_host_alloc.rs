@@ -1,0 +1,161 @@
+//! Allocation and field access reach no host allocator.
+//!
+//! The paper prices an allocation as a pointer bump. With the heap's
+//! capacity reserved up front, object and array allocation, field and
+//! element access, monitors, and a compiled loop of `new` + field stores
+//! or of commit groups on the linear tier must make **zero** calls into
+//! the host allocator — counted by the same allocator the metrics and
+//! profiler overhead tests use.
+
+use pea_bytecode::asm::parse_program;
+use pea_bytecode::{MethodId, Program, ValueKind};
+use pea_compiler::linear::execute;
+use pea_compiler::{compile, CompilerOptions, EvalEnv, EvalOutcome, OptLevel};
+use pea_runtime::{Heap, Statics, Value, VmError};
+
+#[path = "../../interp/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
+
+const N: usize = 10_000;
+
+#[test]
+fn heap_operations_reach_no_host_allocator() {
+    let program = parse_program(
+        "class Base { field a int }
+         class P extends Base { field b ref }",
+    )
+    .unwrap();
+    let class = program.class_by_name("P").unwrap();
+    let a = program.field_by_name(class, "a").unwrap();
+    let b = program.field_by_name(class, "b").unwrap();
+    let mut heap = Heap::new();
+    heap.reserve(2 * N, (2 + 4) * N);
+
+    let before = allocations();
+    for i in 0..N as i64 {
+        let object = heap.try_alloc_instance(&program, class).unwrap();
+        let array = heap.alloc_array(ValueKind::Int, 4).unwrap();
+        heap.put_field(&program, object, b, Value::Ref(array))
+            .unwrap();
+        let old = heap
+            .get_field(&program, object, a)
+            .unwrap()
+            .as_int()
+            .unwrap();
+        heap.put_field(&program, object, a, Value::Int(old + i))
+            .unwrap();
+        heap.array_set(array, i % 4, Value::Int(i)).unwrap();
+        assert_eq!(heap.array_get(array, i % 4), Ok(Value::Int(i)));
+        heap.init_slots(object, [Value::Int(i)]).unwrap();
+        heap.monitor_enter(object);
+        heap.monitor_exit(object).unwrap();
+    }
+    assert_eq!(allocations() - before, 0);
+    assert_eq!(heap.len(), 2 * N);
+}
+
+struct Env {
+    heap: Heap,
+    statics: Statics,
+}
+
+impl EvalEnv for Env {
+    fn heap(&mut self) -> &mut Heap {
+        &mut self.heap
+    }
+    fn statics(&mut self) -> &mut Statics {
+        &mut self.statics
+    }
+    fn charge(&mut self, cycles: u64) -> Result<(), VmError> {
+        self.heap.stats.cycles += cycles;
+        Ok(())
+    }
+    fn invoke(&mut self, _method: MethodId, _args: Vec<Value>) -> Result<Option<Value>, VmError> {
+        panic!("the loop makes no calls");
+    }
+}
+
+/// Every iteration publishes a fresh pair of nodes that point at each
+/// other: two `new` and three field stores without escape analysis, one
+/// cyclic two-object commit group with it.
+const PAIRS: &str = "
+    class Node { field v int field peer ref }
+    static last ref
+    method f 1 returns {
+        const 0 store 1
+    Lhead:
+        load 1 load 0 ifcmp ge Ldone
+        new Node store 2
+        new Node store 3
+        load 2 load 1 putfield Node.v
+        load 2 load 3 putfield Node.peer
+        load 3 load 2 putfield Node.peer
+        load 2 putstatic last
+        load 1 const 1 add store 1
+        goto Lhead
+    Ldone:
+        load 1 retv
+    }";
+
+fn pairs_loop(program: &Program, level: OptLevel) -> Env {
+    let method = program.static_method_by_name("f").unwrap();
+    let code = compile(
+        program,
+        method,
+        None,
+        &CompilerOptions::with_opt_level(level),
+    )
+    .unwrap();
+    let mut env = Env {
+        heap: Heap::new(),
+        statics: Statics::new(&program.statics),
+    };
+    env.heap.reserve(2 * (N + 8), 4 * (N + 8));
+    // Warm the register-file pool.
+    execute(program, &mut env, &code, &[Value::Int(8)]).unwrap();
+
+    let before = allocations();
+    let out = execute(program, &mut env, &code, &[Value::Int(N as i64)]).unwrap();
+    assert_eq!(
+        allocations() - before,
+        0,
+        "{level:?}: the compiled loop reached the host allocator"
+    );
+    assert_eq!(out, EvalOutcome::Return(Some(Value::Int(N as i64))));
+    env
+}
+
+#[test]
+fn compiled_new_and_commit_loops_reach_no_host_allocator() {
+    let program = parse_program(PAIRS).unwrap();
+    let node = program.class_by_name("Node").unwrap();
+    let v = program.field_by_name(node, "v").unwrap();
+    let peer = program.field_by_name(node, "peer").unwrap();
+    let last = program.static_by_name("last").unwrap();
+    let mut stats = Vec::new();
+    for level in [OptLevel::None, OptLevel::Pea] {
+        let env = pairs_loop(&program, level);
+        assert_eq!(env.heap.len(), 2 * (N + 8), "{level:?}");
+        // The last pair is a cycle, whichever way it was allocated.
+        let first = env.statics.get(last).as_ref().unwrap();
+        let second = env
+            .heap
+            .get_field(&program, first, peer)
+            .unwrap()
+            .as_ref()
+            .unwrap();
+        assert_ne!(first, second);
+        assert_eq!(
+            env.heap.get_field(&program, second, peer),
+            Ok(Value::Ref(first))
+        );
+        assert_eq!(
+            env.heap.get_field(&program, first, v),
+            Ok(Value::Int(N as i64 - 1))
+        );
+        assert_eq!(env.heap.get_field(&program, second, v), Ok(Value::Int(0)));
+        stats.push((env.heap.stats.alloc_count, env.heap.stats.alloc_bytes));
+    }
+    assert_eq!(stats[0], stats[1], "both levels allocate the same objects");
+}

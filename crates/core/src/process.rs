@@ -8,18 +8,6 @@ use pea_ir::cfg::BlockId;
 use pea_ir::{AllocShape, CommitObject, NodeId, NodeKind};
 use pea_trace::{MaterializeReason, TraceEvent};
 
-/// Field-slot index of `field` within instances of `class`.
-fn field_slot(
-    ctx: &PeaContext<'_>,
-    class: pea_bytecode::ClassId,
-    field: pea_bytecode::FieldId,
-) -> Option<usize> {
-    ctx.program
-        .instance_fields(class)
-        .iter()
-        .position(|&f| f == field)
-}
-
 /// Materializes `id` (and every virtual object reachable from its fields —
 /// cyclic structures commit as one group, like Graal's
 /// `CommitAllocationNode`). Inserts the commit before `anchor`, updates
@@ -196,9 +184,9 @@ fn default_fields(ctx: &mut PeaContext<'_>, shape: AllocShape) -> Vec<NodeId> {
     match shape {
         AllocShape::Instance { class } => ctx
             .program
-            .instance_fields(class)
+            .slot_kinds(class)
             .iter()
-            .map(|&f| match ctx.program.field(f).kind {
+            .map(|kind| match kind {
                 pea_bytecode::ValueKind::Int => ctx.graph.const_int(0),
                 pea_bytecode::ValueKind::Ref => ctx.graph.const_null(),
             })
@@ -301,7 +289,7 @@ pub(crate) fn process_node(
                     let AllocShape::Instance { class } = ctx.infos[id.index()].shape else {
                         unreachable!("field store on array shape")
                     };
-                    match field_slot(ctx, class, field) {
+                    match ctx.program.field_slot(class, field) {
                         Some(slot) => {
                             if let ObjectState::Virtual { fields, .. } = state.object_mut(id) {
                                 fields[slot] = value;
@@ -333,7 +321,7 @@ pub(crate) fn process_node(
                     let AllocShape::Instance { class } = ctx.infos[id.index()].shape else {
                         unreachable!("field load on array shape")
                     };
-                    match field_slot(ctx, class, field) {
+                    match ctx.program.field_slot(class, field) {
                         Some(slot) => {
                             let ObjectState::Virtual { fields, .. } = state.object(id) else {
                                 unreachable!()

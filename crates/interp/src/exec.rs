@@ -432,7 +432,7 @@ fn run_frame_inner(
                     p.record_op(frame.bci, opcode_slot(&insn), cost::alloc_cost(bytes));
                 }
                 env.profiler().record_alloc();
-                let r = env.heap().alloc_instance(program, class);
+                let r = env.heap().try_alloc_instance(program, class)?;
                 frame.stack.push(Value::Ref(r));
             }
             Insn::GetField(field) => {
@@ -459,10 +459,10 @@ fn run_frame_inner(
             }
             Insn::NewArray(kind) => {
                 let len = pop(frame)?.as_int()?;
-                let bytes = Program::array_size(len.max(0) as u64);
-                env.charge(cost::alloc_cost(bytes))?;
+                let cycles = cost::array_alloc_cost(len);
+                env.charge(cycles)?;
                 if let Some(p) = &profiler {
-                    p.record_op(frame.bci, opcode_slot(&insn), cost::alloc_cost(bytes));
+                    p.record_op(frame.bci, opcode_slot(&insn), cycles);
                 }
                 env.profiler().record_alloc();
                 let r = env.heap().alloc_array(kind, len)?;

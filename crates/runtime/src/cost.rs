@@ -54,9 +54,20 @@ pub const ICACHE_UNIT_COST: u64 = 5;
 /// into the paper's "iterations per minute" metric.
 pub const CYCLES_PER_MINUTE: u64 = 60 * 1_000_000_000;
 
-/// Allocation cost of an object or array spanning `bytes` heap bytes.
+/// Allocation cost of an object or array spanning `bytes` heap bytes
+/// (at most 2^62 + 40: no `u64` overflows).
 pub fn alloc_cost(bytes: u64) -> u64 {
     ALLOC_BASE + ALLOC_PER_SLOT * bytes.div_ceil(8)
+}
+
+/// What every tier charges for a `newarray` of `len` elements before the
+/// heap accepts or refuses it. A negative length is charged as empty, and
+/// a length past the heap's capacity — which can only end in
+/// `OutOfMemory` — as that capacity, so a hostile length cannot run the
+/// cycle counter into overflow.
+pub fn array_alloc_cost(len: i64) -> u64 {
+    let len = len.clamp(0, crate::MAX_HEAP_SLOTS as i64);
+    alloc_cost(pea_bytecode::Program::array_size(len as u64))
 }
 
 /// Instruction-cache penalty for one activation of compiled code with
@@ -77,6 +88,14 @@ mod tests {
     fn alloc_cost_scales_with_size() {
         assert!(alloc_cost(16) < alloc_cost(160));
         assert_eq!(alloc_cost(16), ALLOC_BASE + 2 * ALLOC_PER_SLOT);
+    }
+
+    #[test]
+    fn array_alloc_cost_is_bounded_for_any_length() {
+        assert_eq!(array_alloc_cost(-5), alloc_cost(16));
+        assert_eq!(array_alloc_cost(10), alloc_cost(16 + 80));
+        assert_eq!(array_alloc_cost(i64::MAX), array_alloc_cost(1 << 40));
+        assert_eq!(alloc_cost(u64::MAX), ALLOC_BASE + (1 << 62));
     }
 
     #[test]

@@ -60,6 +60,10 @@ pub enum VmError {
         /// Values of the object's int fields, in field-declaration order.
         fields: Vec<i64>,
     },
+    /// An allocation would take the heap past its fixed capacity
+    /// ([`crate::MAX_HEAP_OBJECTS`], [`crate::MAX_HEAP_SLOTS`]). Nothing
+    /// was allocated; smaller requests may still succeed.
+    OutOfMemory,
     /// Interpreter/evaluator ran past its fuel budget (guards runaway
     /// loops in tests and benchmarks).
     OutOfFuel,
@@ -90,6 +94,7 @@ impl fmt::Display for VmError {
             VmError::UncaughtException { class, fields } => {
                 write!(f, "uncaught exception: {class}{fields:?}")
             }
+            VmError::OutOfMemory => f.write_str("out of memory: heap capacity exhausted"),
             VmError::OutOfFuel => f.write_str("execution fuel exhausted"),
             VmError::Internal(msg) => write!(f, "internal error: {msg}"),
         }

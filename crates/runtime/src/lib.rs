@@ -3,7 +3,8 @@
 //! the paper's evaluation reports, static (global) variable storage,
 //! execution [`Stats`], branch/call [`profile`] data, and [`VmError`].
 //!
-//! The heap is a bump arena without reclamation: the paper's metrics are
+//! The heap is a bump arena (one handle table, one slot slab) without
+//! reclamation and with a fixed capacity: the paper's metrics are
 //! *allocated bytes*, *allocation counts* and *monitor operations* per
 //! benchmark iteration, none of which require a collector. Monitors are
 //! modelled single-threaded but fully counted and balance-checked, which is
@@ -18,7 +19,7 @@ mod tlab;
 mod value;
 
 pub use error::VmError;
-pub use heap::{Heap, HeapObject, ObjRef, Statics};
+pub use heap::{Heap, ObjRef, Statics, MAX_HEAP_OBJECTS, MAX_HEAP_SLOTS};
 pub use stats::Stats;
 pub use tlab::{ChunkAllocator, TLAB_CELLS};
 pub use value::Value;

@@ -1,21 +1,27 @@
 //! The shared chunk allocator behind per-mutator TLABs.
 //!
-//! Every mutator thread owns a private [`Heap`](crate::Heap) — a bump
-//! arena, exactly like a HotSpot thread-local allocation buffer. Bump
-//! allocation itself is therefore free of synchronization; what the
-//! threads share is the *capacity handout*: when a mutator heap exhausts
-//! its reserved cells it requests one more chunk from the VM-wide
-//! [`ChunkAllocator`], which accounts chunks and cells globally (one
-//! relaxed atomic add per grant, no lock). This keeps the allocation fast
-//! path thread-local while the VM retains a single view of how much heap
-//! space has been handed out — the seam the generational-GC roadmap item
-//! grows from.
+//! Every mutator thread owns a private [`Heap`](crate::Heap) — a handle
+//! table and a slot slab, both bump-allocated, exactly like a HotSpot
+//! thread-local allocation buffer. Bump allocation itself is therefore
+//! free of synchronization; what the threads share is the *capacity
+//! handout*: when a mutator heap exhausts its reserved cells (handles) it
+//! requests more chunks from the VM-wide [`ChunkAllocator`], which
+//! accounts chunks and cells globally (one relaxed atomic add per grant,
+//! no lock), and reserves handle-table and slab room for the grant. This
+//! keeps the allocation fast path thread-local while the VM retains a
+//! single view of how much heap space has been handed out — the seam the
+//! generational-GC roadmap item grows from.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cells per TLAB chunk. Small enough that an idle mutator wastes little,
 /// large enough that grants are rare on allocation-heavy workloads.
 pub const TLAB_CELLS: usize = 256;
+
+/// Slab slots reserved with every granted cell. A guess at the mean
+/// object, not a limit: a heap of larger objects grows its slab between
+/// grants like any `Vec`.
+pub const TLAB_SLOTS_PER_CELL: usize = 4;
 
 /// VM-wide TLAB capacity handout. Cheap to share (`Arc`), lock-free.
 #[derive(Debug, Default)]

@@ -64,7 +64,7 @@ pub use pea_metrics::profile::{ProfileRecorder, ProfilerHub, Tier};
 pub use pea_metrics::MetricsHub;
 use pea_metrics::{HeapRecorder, MetricsSnapshot, VmMetrics};
 use pea_runtime::profile::ProfileStore;
-use pea_runtime::{ChunkAllocator, Heap, HeapObject, ObjRef, Statics, Stats, Value, VmError};
+use pea_runtime::{ChunkAllocator, Heap, ObjRef, Statics, Stats, Value, VmError};
 pub use pea_trace::SharedSink;
 use pea_trace::{FlightEntry, FlightRecorder, TraceEvent, TraceSink};
 pub use publish::{
@@ -794,10 +794,12 @@ impl Mutator {
     /// Converts an in-flight exception object that escaped the entry call
     /// into its structural [`VmError::UncaughtException`] identity.
     fn uncaught(&self, obj: ObjRef) -> VmError {
-        match &self.heap.cell(obj).object {
-            HeapObject::Instance { class, fields } => VmError::UncaughtException {
-                class: self.shared.program.classes[class.index()].name.clone(),
-                fields: fields
+        match self.heap.class_of(obj) {
+            Ok(class) => VmError::UncaughtException {
+                class: self.shared.program.class(class).name.clone(),
+                fields: self
+                    .heap
+                    .slots_of(obj)
                     .iter()
                     .filter_map(|v| match v {
                         Value::Int(i) => Some(*i),
@@ -805,7 +807,7 @@ impl Mutator {
                     })
                     .collect(),
             },
-            HeapObject::Array { .. } => VmError::Internal("thrown array".into()),
+            Err(_) => VmError::Internal("thrown array".into()),
         }
     }
 

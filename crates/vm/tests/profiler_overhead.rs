@@ -14,30 +14,10 @@ use pea_bytecode::asm::parse_program;
 use pea_metrics::profile::ProfilerHub;
 use pea_runtime::Value;
 use pea_vm::{ExecMode, OptLevel, Vm, VmOptions};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-// SAFETY: delegates to `System` unchanged; only a thread-local counter is
-// added on the allocation path.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+#[path = "../../interp/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 const COUNTED_LOOP: &str = "method f 1 returns {
   const 0
@@ -71,10 +51,10 @@ fn allocs_during_loop(hub: ProfilerHub, exec_mode: ExecMode, iters: i64) -> u64 
     for _ in 0..60 {
         vm.call_entry("f", &[Value::Int(8)]).unwrap();
     }
-    let before = ALLOCS.with(Cell::get);
+    let before = allocations();
     let result = vm.call_entry("f", &[Value::Int(iters)]).unwrap();
     assert_eq!(result, Some(Value::Int(iters)));
-    ALLOCS.with(Cell::get) - before
+    allocations() - before
 }
 
 #[test]

@@ -319,7 +319,7 @@ fn observe(vm: &Vm) -> Vec<String> {
         }
         reachable_locks += u64::from(vm.heap().lock_count(r));
         if let Ok(class) = vm.heap().class_of(r) {
-            for f in program.instance_fields(class) {
+            for &f in program.instance_fields(class) {
                 if let Ok(Value::Ref(child)) = vm.heap().get_field(program, r, f) {
                     work.push(child);
                 }

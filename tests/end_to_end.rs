@@ -4,7 +4,7 @@
 
 use pea::bytecode::asm::parse_program;
 use pea::runtime::{Value, VmError};
-use pea::vm::{OptLevel, Vm, VmOptions};
+use pea::vm::{ExecMode, OptLevel, Vm, VmOptions};
 
 fn vm_for(src: &str, level: OptLevel) -> Vm {
     let program = parse_program(src).expect("assembles");
@@ -224,6 +224,80 @@ fn errors_agree_across_tiers() {
     }
     assert_eq!(results[0], results[1]);
     assert!(results[0].iter().any(|r| r == &Err(VmError::NullPointer)));
+}
+
+/// A length no heap can hold is an `OutOfMemory` error in every tier — not
+/// a host allocation of terabytes — and the VM stays usable afterwards.
+#[test]
+fn hostile_newarray_is_out_of_memory_in_every_tier() {
+    let src = "
+        method f 1 returns { load 0 newarray int arraylen retv }
+        method g 0 returns { const 1099511627776 newarray int arraylen retv }";
+    let graph = VmOptions {
+        exec_mode: ExecMode::Graph,
+        ..VmOptions::default()
+    };
+    let configs = [
+        ("interp", VmOptions::interpreter_only()),
+        ("linear", VmOptions::default()),
+        ("graph", graph),
+    ];
+    for (name, options) in configs {
+        let compiles = options.jit;
+        let program = parse_program(src).expect("assembles");
+        let mut vm = Vm::new(program, options);
+        for _ in 0..150 {
+            assert_eq!(
+                vm.call_entry("f", &[Value::Int(3)]),
+                Ok(Some(Value::Int(3)))
+            );
+        }
+        for _ in 0..150 {
+            assert_eq!(vm.call_entry("g", &[]), Err(VmError::OutOfMemory), "{name}");
+        }
+        assert_eq!(
+            vm.compiled_method_count(),
+            2 * usize::from(compiles),
+            "{name}"
+        );
+        let objects = vm.heap().len();
+        for hostile in [1 << 40, i64::MAX] {
+            assert_eq!(
+                vm.call_entry("f", &[Value::Int(hostile)]),
+                Err(VmError::OutOfMemory),
+                "{name}: length {hostile}"
+            );
+        }
+        assert_eq!(vm.heap().len(), objects, "{name}: nothing was allocated");
+        assert_eq!(
+            vm.call_entry("f", &[Value::Int(5)]),
+            Ok(Some(Value::Int(5))),
+            "{name}: the heap still serves small requests"
+        );
+    }
+}
+
+/// The same program through the command line: an error message and exit
+/// status 1, not an abort.
+#[test]
+fn hostile_newarray_exits_the_cli_cleanly() {
+    let path = std::env::temp_dir().join(format!("pea-hostile-{}.asm", std::process::id()));
+    std::fs::write(
+        &path,
+        "method main 0 returns { const 1099511627776 newarray int arraylen retv }",
+    )
+    .expect("writes the program");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pea"))
+        .arg("run")
+        .arg(&path)
+        .arg("main")
+        .output()
+        .expect("runs pea");
+    std::fs::remove_file(&path).ok();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("out of memory"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
 /// All 27 workload kernels agree between interpreter-only and PEA-JIT
