@@ -73,9 +73,10 @@ pub struct AllocSite {
     /// The site may flow into a call argument (including receivers).
     pub passed_to_call: bool,
     /// The allocation is immediately published: the very next instruction
-    /// is `putstatic` consuming the fresh reference. These sites escape
-    /// globally in *any* calling context, which makes them safe to exclude
-    /// from PEA up front (see the compiler's pre-filter opt level).
+    /// is `putstatic` (or `athrow`) consuming the fresh reference. A
+    /// reporting fact, not a compiler input: the `athrow` form is *not*
+    /// an escape when a handler inside the compilation unit catches it
+    /// (DESIGN §4f).
     pub immediate_global: bool,
 }
 
@@ -143,10 +144,12 @@ pub fn alloc_sites(method: &Method) -> Vec<(u32, AllocKind)> {
 
 /// Bcis of allocations whose fresh reference is consumed by an immediately
 /// following `putstatic` or `athrow` — the syntactic subset of
-/// `GlobalEscape` that is safe to exclude from PEA regardless of inlining
-/// context. An exception edge is a publication point just like a static
-/// store: the thrown object surfaces to an unknown handler, so a site that
-/// feeds `athrow` directly can never stay virtual past its allocation.
+/// `GlobalEscape`. An exception edge is a publication point just like a
+/// static store as far as the *method* can tell: the thrown object
+/// surfaces to an unknown handler. A compilation can know better — when
+/// the handler is in the same method or in the caller the throw was
+/// inlined into, PEA scalar-replaces the object entirely (DESIGN §4f) —
+/// so this set is reported (`pealint`), never withheld from PEA.
 pub fn immediate_global_sites(method: &Method) -> Vec<u32> {
     alloc_sites(method)
         .into_iter()
@@ -759,8 +762,8 @@ mod tests {
         );
         assert_eq!(s.sites[0].escape, EscapeClass::GlobalEscape);
         assert!(s.throws_fresh);
-        // `new Err athrow` is a throw-publishing site: the syntactic
-        // pre-filter must exclude it just like `new ... putstatic`.
+        // `new Err athrow` is a throw-publishing site: immediately
+        // global just like `new ... putstatic`.
         assert!(s.sites[0].immediate_global);
     }
 

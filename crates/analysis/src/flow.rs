@@ -20,11 +20,12 @@
 //!    code), and common guarding branches.
 //! 3. **Certain-escape must-analysis** — the dual direction: a site that
 //!    escapes globally on *every* path from its allocation, with nothing
-//!    observable or faulting in between, can be excluded from PEA with
-//!    bit-identical results and allocation counts (the allocation merely
-//!    moves from the materialization point back to the `new`). These are
-//!    the extra sites the `pea-pre-flow` pre-filter level excludes beyond
-//!    `pea-pre-ipa`.
+//!    observable or faulting in between, is one PEA can at best defer
+//!    (the allocation moves from the `new` to the materialization point)
+//!    — unless the publication is a throw caught inside the compilation
+//!    unit (DESIGN §4f). These are the sites
+//!    [`ProgramSummaries::excluded_sites_flow`](crate::ProgramSummaries::excluded_sites_flow)
+//!    reports beyond the IPA set.
 //!
 //! [`FlowSummary`] also path-qualifies the method's *throw* behaviour
 //! ([`ThrowPath`]): a callee that throws only behind profile-cold guards
@@ -88,9 +89,8 @@ pub struct FlowSite {
     /// Where that class arises.
     pub path: PathEscape,
     /// The site escapes globally on **every** path from its allocation
-    /// with nothing observable or faulting in between: excluding it from
-    /// PEA preserves results and allocation counts exactly (the
-    /// `pea-pre-flow` exclusion set beyond `pea-pre-ipa`'s).
+    /// with nothing observable or faulting in between (what
+    /// `excluded_sites_flow` reports beyond the IPA set).
     pub certain_global: bool,
 }
 
@@ -744,8 +744,8 @@ struct CFrame {
 /// globally on **every** path from its allocation, with no observable or
 /// faulting instruction while it is live? If so, PEA's deferral of the
 /// allocation to the materialization point is indistinguishable from
-/// allocating eagerly — the site can be pre-filtered with identical
-/// results and allocation counts.
+/// allocating eagerly — withholding the site from PEA would give
+/// identical results and allocation counts.
 ///
 /// The checks are deliberately strict: any faulting instruction (it would
 /// abort before PEA ever materializes), any other allocation (handle
@@ -1196,7 +1196,7 @@ mod tests {
         // Publication via a local behind a branch: flow-insensitively
         // GlobalEscape (not syntactically immediate), but every path from
         // the allocation publishes with nothing observable in between —
-        // the pea-pre-flow exclusion pattern.
+        // the certain-escape pattern.
         let s = flow(
             "class Box { field v int }
              static g ref

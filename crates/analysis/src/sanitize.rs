@@ -56,7 +56,7 @@ pub struct SiteVerdict {
     /// predicate-edge flow tier (see [`crate::flow`]).
     pub path: PathEscape,
     /// The site escapes globally on every path from its allocation with
-    /// nothing observable in between (the `pea-pre-flow` exclusion
+    /// nothing observable in between (the flow tier's certain-escape
     /// certificate).
     pub certain_global: bool,
 }

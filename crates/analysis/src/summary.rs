@@ -13,15 +13,18 @@
 //!
 //! Two consumers:
 //!
-//! * the `pea-pre-ipa` compiler pre-filter widens the "immediately
-//!   published" site exclusion across call edges: an allocation whose very
-//!   next instruction hands the fresh reference to a callee that provably
-//!   publishes that parameter *before doing anything else* escapes
-//!   globally in every calling context, exactly like a site followed by a
-//!   direct `putstatic` (see [`ProgramSummaries::excluded_sites`]);
 //! * the summary-driven inline policy asks whether a callee globally
 //!   publishes an argument (inlining cannot save that allocation) or
-//!   keeps it local (inlining exposes it to scalar replacement).
+//!   keeps it local (inlining exposes it to scalar replacement);
+//! * reporting (`pealint`, the benchmark's `analysis` layer): the
+//!   "immediately published" site set widened across call edges — an
+//!   allocation whose very next instruction hands the fresh reference to
+//!   a callee that provably publishes that parameter *before doing
+//!   anything else* escapes globally in every calling context, exactly
+//!   like a site followed by a direct `putstatic` (see
+//!   [`ProgramSummaries::excluded_sites`]). The compiler does not consume
+//!   these sets (DESIGN §4f has the shape on which withholding them from
+//!   PEA costs an allocation).
 //!
 //! Summaries depend only on bytecode, never on profiles, so a program's
 //! summaries can be computed once and shared by every compilation (the VM
@@ -288,14 +291,13 @@ impl ProgramSummaries {
         class
     }
 
-    /// Bcis of `method`'s allocation sites that are safe to exclude from
-    /// PEA in *any* inlining context: the immediately-published sites
-    /// (`new; putstatic`), plus sites whose fresh reference is the
+    /// Bcis of `method`'s allocation sites the method itself publishes at
+    /// once: the immediately-published sites (`new; putstatic`, `new;
+    /// athrow`), plus sites whose fresh reference is the
     /// immediately following static call's last argument where the callee
     /// [`MethodSummary::publishes_immediately`] — the object is globally
-    /// published before anything else can happen to it, so flow-sensitive
-    /// PEA would only virtualize and instantly rematerialize it. Always a
-    /// superset of [`immediate_global_sites`].
+    /// published before anything else can happen to it. Always a superset
+    /// of [`immediate_global_sites`].
     pub fn excluded_sites(&self, program: &Program, method: MethodId) -> Vec<u32> {
         let m = program.method(method);
         let mut out = immediate_global_sites(m);
@@ -313,17 +315,14 @@ impl ProgramSummaries {
         out
     }
 
-    /// The branch-aware widening of [`excluded_sites`](Self::excluded_sites)
-    /// for the `pea-pre-flow` level: additionally excludes every
-    /// *certain-escape* site — one that escapes globally on **all** paths
-    /// from its allocation with nothing observable or faulting in between
-    /// (see [`crate::flow::FlowSite::certain_global`]). For such a site
-    /// PEA's only possible move is to defer the allocation to the
-    /// materialization point, which no execution can distinguish, so
-    /// pre-filtering it preserves results and allocation counts exactly.
-    /// Sites that publish only on exception or cold paths are deliberately
-    /// *kept*: those are exactly where flow-sensitive PEA wins. Always a
-    /// superset of `excluded_sites`.
+    /// The branch-aware widening of [`excluded_sites`](Self::excluded_sites):
+    /// additionally lists every *certain-escape* site — one that escapes
+    /// globally on **all** paths from its allocation with nothing
+    /// observable or faulting in between (see
+    /// [`crate::flow::FlowSite::certain_global`]). Sites that publish only
+    /// on exception or cold paths are deliberately *not* listed: those are
+    /// exactly where flow-sensitive PEA wins. Always a superset of
+    /// `excluded_sites`.
     pub fn excluded_sites_flow(&self, program: &Program, method: MethodId) -> Vec<u32> {
         let mut out = self.excluded_sites(program, method);
         for site in &self.methods[method.index()].flow.sites {
@@ -507,10 +506,10 @@ mod tests {
     #[test]
     fn excluded_sites_flow_adds_certain_guarded_publication() {
         // Publication via a local behind a branch: invisible to the
-        // syntactic `excluded_sites` pre-filter (not an immediate
-        // `putstatic` nor a publishing call), but the flow tier proves the
-        // site escapes on every path from its allocation with nothing
-        // observable in between, so `pea-pre-flow` may exclude it.
+        // syntactic `excluded_sites` (not an immediate `putstatic` nor a
+        // publishing call), but the flow tier proves the site escapes on
+        // every path from its allocation with nothing observable in
+        // between.
         let (program, s) = summaries(
             "class Box { field v int }
              static g ref

@@ -17,15 +17,12 @@ use pea_vm::{OptLevel, Vm, VmOptions};
 use pea_workloads::{suite_workloads, Suite, Workload};
 
 /// How much work the escape-analysis phase did, summed over the compiled
-/// methods: sites it processed to a virtual state, sites the static
-/// pre-filter excluded before the analysis ever saw them (nonzero only
-/// for the `pea-prefilter` family of variants), and may-throw callees
+/// methods: sites it processed to a virtual state, and may-throw callees
 /// the builder inlined on a cold-throw speculation (nonzero only under
 /// `inline=summary`).
 #[derive(Clone, Copy, Default)]
 struct PeaWork {
     virtualized: usize,
-    prefiltered: usize,
     cold_throw_inlined: usize,
 }
 
@@ -47,7 +44,6 @@ fn measure_with(workload: &Workload, options: &VmOptions) -> (pea_bench::Measure
     for method in vm.compiled_methods() {
         let compiled = vm.compiled(method).expect("listed method is cached");
         work.virtualized += compiled.pea_result.virtualized_allocs;
-        work.prefiltered += compiled.pea_result.prefiltered_allocs;
         work.cold_throw_inlined += compiled
             .inline_decisions
             .iter()
@@ -80,25 +76,6 @@ fn main() {
         variant("no-field-phis", |o| o.compiler.pea.field_phis = false),
         variant("no-loop-fixpoint", |o| {
             o.compiler.pea.loop_processing = false
-        }),
-        // Not an ablation of a paper feature: the static escape
-        // pre-analysis withholds provably-escaping sites from PEA. Same
-        // results, less analysis work (the `pea work` line shows how much).
-        variant("pea-prefilter", |o| o.compiler.opt_level = OptLevel::PeaPre),
-        // Interprocedural widening of the pre-filter: call-graph escape
-        // summaries also exclude sites whose fresh allocation is handed
-        // to a callee that publishes it on every path. Strictly more
-        // sites pre-filtered, same artifact.
-        variant("pea-pre-ipa", |o| {
-            o.compiler.opt_level = OptLevel::PeaPreIpa
-        }),
-        // Branch-aware widening: the predicate-qualified flow tier also
-        // excludes sites that certainly escape on every path from the
-        // allocation (guarded publications included), beyond what the
-        // path-insensitive IPA summaries can prove. Strictly more sites
-        // pre-filtered, same artifact.
-        variant("pea-pre-flow", |o| {
-            o.compiler.opt_level = OptLevel::PeaPreFlow
         }),
         // Inlining-policy comparison (both under full PEA): the
         // size-budget baseline vs. the summary-driven policy that inlines
@@ -139,7 +116,6 @@ fn main() {
                 .map(|w| {
                     let (with, w_work) = measure_with(w, options);
                     work.virtualized += w_work.virtualized;
-                    work.prefiltered += w_work.prefiltered;
                     work.cold_throw_inlined += w_work.cold_throw_inlined;
                     Row {
                         name: w.name.clone(),
@@ -157,9 +133,8 @@ fn main() {
         }
         println!();
         println!(
-            "    pea work: {} sites virtualized, {} pre-filtered away, \
-             {} cold-throw callees inlined",
-            work.virtualized, work.prefiltered, work.cold_throw_inlined
+            "    pea work: {} sites virtualized, {} cold-throw callees inlined",
+            work.virtualized, work.cold_throw_inlined
         );
         if per_site {
             // Fold materialization reasons over every workload of every

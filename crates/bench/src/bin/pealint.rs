@@ -12,8 +12,8 @@
 //! method returns a fresh allocation, whether an exception may surface
 //! while it is on the stack (`may_throw`) and whether it may throw one of
 //! its own allocations (`throws_fresh`), its call-graph successors, how
-//! many allocation sites the `pea-pre` / `pea-pre-ipa` / `pea-pre-flow`
-//! pre-filters would exclude, the method's path-qualified throw
+//! many allocation sites each static tier (immediate / IPA / flow) proves
+//! escaping up front, the method's path-qualified throw
 //! classification (`throw_path`), and each allocation site's
 //! path-qualified escape verdict (`site_paths`, with a ` certain` tag on
 //! sites carrying a certain-escape certificate).

@@ -18,11 +18,14 @@
 //!   simplification;
 //! * [`pipeline`] — phase orchestration per [`OptLevel`]:
 //!   no escape analysis / the flow-insensitive EES baseline / PEA;
-//! * [`eval`] — executes compiled graphs against the managed heap with a
-//!   cycle cost model ("machine code" stand-in); on a guard failure it
-//!   reconstructs interpreter frames from the frame state chain,
+//! * [`linear`] — lowers the scheduled graph to a dense register-machine
+//!   program and executes it against the managed heap with a cycle cost
+//!   model (the "machine code" stand-in the VM runs); on a guard failure
+//!   it reconstructs interpreter frames from the frame state chain,
 //!   **rematerializing virtual objects** (including lock depths) per
-//!   §5.5.
+//!   §5.5;
+//! * [`eval`] — the same semantics by walking the graph: the oracle the
+//!   linear tier is tested against (`ExecMode::Graph` in `pea-vm`).
 
 pub mod builder;
 pub mod canon;

@@ -20,14 +20,14 @@ use pea_ir::{AllocShape, ArithOp, Graph, NodeId, NodeKind};
 use pea_runtime::cost;
 use std::collections::HashMap;
 
-/// Why a graph could not be lowered (the method then stays on the
-/// graph-walking tier; execution is unaffected).
+/// Why a graph could not be lowered. The `Lower` phase turns it into a
+/// compile bailout, so the method stays interpreted.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LowerError(pub String);
 
 impl std::fmt::Display for LowerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "lowering bailout: {}", self.0)
+        write!(f, "lowering: {}", self.0)
     }
 }
 

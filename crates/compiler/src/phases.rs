@@ -3,12 +3,12 @@
 //!
 //! Each compilation owns a `CompilationUnit` that carries everything the
 //! phases produce — the graph under construction, inline decisions,
-//! resolved interprocedural summaries, the effective PEA configuration,
-//! per-phase wall-clock times — and a `PhaseManager` drives an explicit
-//! list of [`PhaseKind`]s over it. This replaces the former ad-hoc
-//! statement sequencing inside `compile_impl`: the phase list is data, so
-//! tests and tools can inspect exactly which phases a configuration runs,
-//! and every phase reads and writes the unit through one named interface.
+//! resolved interprocedural summaries, per-phase wall-clock times — and
+//! a `PhaseManager` drives an explicit list of [`PhaseKind`]s over it.
+//! This replaces the former ad-hoc statement sequencing inside
+//! `compile_impl`: the phase list is data, so tests and tools can inspect
+//! exactly which phases a configuration runs, and every phase reads and
+//! writes the unit through one named interface.
 //!
 //! Phases are an enum rather than trait objects because they emit through
 //! the lifetime-bound [`Tracer`], which a `dyn Phase` could not carry
@@ -19,14 +19,13 @@ use crate::canon::canonicalize;
 use crate::pipeline::{CompilerOptions, OptLevel, PhaseTimes};
 use pea_analysis::ProgramSummaries;
 use pea_bytecode::{MethodId, Program};
-use pea_core::{run_ees, run_pea, run_pea_traced, PeaOptions, PeaResult};
+use pea_core::{run_ees, run_pea, run_pea_traced, PeaResult};
 use pea_ir::cfg::Cfg;
 use pea_ir::dom::DomTree;
 use pea_ir::schedule::Schedule;
-use pea_ir::{Graph, NodeKind};
+use pea_ir::Graph;
 use pea_runtime::profile::ProfileStore;
 use pea_trace::{TraceEvent, Tracer};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -46,9 +45,6 @@ pub enum PhaseKind {
     Build,
     /// Constant folding, GVN, phi simplification, dead-node pruning.
     Canonicalize,
-    /// Compute the allocation-site exclusion set for the `pea-pre` /
-    /// `pea-pre-ipa` levels and freeze the effective [`PeaOptions`].
-    Prefilter,
     /// The escape-analysis rounds (`ea_iterations`, each followed by a
     /// canonicalization pass).
     EscapeAnalysis,
@@ -58,8 +54,8 @@ pub enum PhaseKind {
     /// CFG construction, dominators, scheduling.
     Schedule,
     /// Lowering of the scheduled graph to the dense register-machine form
-    /// (`crate::linear`). A lowering bailout leaves the artifact without a
-    /// linear form; the VM falls back to graph-walking evaluation.
+    /// (`crate::linear`), the only form the VM executes; a lowering failure
+    /// is a [`Bailout`] and the method stays interpreted.
     Lower,
 }
 
@@ -77,11 +73,6 @@ pub struct CompilationUnit<'a> {
     pub graph: Option<Graph>,
     /// Every inline decision the builder made, in call-site order.
     pub inline_decisions: Vec<InlineDecisionRec>,
-    /// The PEA configuration the escape-analysis phase runs with (the
-    /// user's [`PeaOptions`] until [`PhaseKind::Prefilter`] narrows it).
-    pub effective_pea: PeaOptions,
-    /// Allocation sites the pre-filter excluded up front.
-    pub prefiltered_allocs: usize,
     /// Escape-analysis counters, summed across every round.
     pub pea_result: PeaResult,
     /// Wall-clock per-phase times.
@@ -90,9 +81,9 @@ pub struct CompilationUnit<'a> {
     pub artifact: Option<Artifact>,
 }
 
-/// The back-end products of a compilation: the schedule the evaluator
-/// executes plus its CFG, size and (when lowering succeeded) the linear
-/// register-machine form.
+/// The back-end products of a compilation: the schedule plus its CFG,
+/// size and (once [`PhaseKind::Lower`] ran) the linear register-machine
+/// form.
 pub struct Artifact {
     pub cfg: Cfg,
     pub schedule: Schedule,
@@ -115,8 +106,6 @@ impl<'a> CompilationUnit<'a> {
             summaries: None,
             graph: None,
             inline_decisions: Vec::new(),
-            effective_pea: options.pea.clone(),
-            prefiltered_allocs: 0,
             pea_result: PeaResult::default(),
             times: PhaseTimes::default(),
             artifact: None,
@@ -140,8 +129,7 @@ pub struct PhaseManager {
 
 impl PhaseManager {
     /// The standard pipeline for `options`: summaries are resolved only
-    /// when the inline policy or the opt level consumes them, and the
-    /// prefilter phase only runs at the `pea-pre` levels.
+    /// when the inline policy consumes them.
     pub fn standard(options: &CompilerOptions) -> PhaseManager {
         let mut phases = Vec::new();
         if options.needs_summaries() {
@@ -149,12 +137,6 @@ impl PhaseManager {
         }
         phases.push(PhaseKind::Build);
         phases.push(PhaseKind::Canonicalize);
-        if matches!(
-            options.opt_level,
-            OptLevel::PeaPre | OptLevel::PeaPreIpa | OptLevel::PeaPreFlow
-        ) {
-            phases.push(PhaseKind::Prefilter);
-        }
         phases.push(PhaseKind::EscapeAnalysis);
         phases.push(PhaseKind::VerifyIr);
         phases.push(PhaseKind::Schedule);
@@ -263,44 +245,16 @@ fn run_phase(
             debug_assert_verify(unit.graph_mut(), "after canonicalize");
             Ok(())
         }
-        PhaseKind::Prefilter => {
-            // The exclusion set is computed once, up front: allocation
-            // nodes only appear during graph building (inlining included),
-            // never during canonicalization, so later EA rounds see the
-            // same sites.
-            let mut excluded = 0usize;
-            let mut allowed = prefilter_allowed(
-                unit.program,
-                unit.graph.as_ref().expect("build phase ran"),
-                unit.options.opt_level,
-                unit.summaries.as_deref(),
-                &mut excluded,
-            );
-            if let Some(user) = &unit.options.pea.allowed {
-                allowed.retain(|n| user.contains(n));
-            }
-            unit.prefiltered_allocs = excluded;
-            unit.effective_pea = PeaOptions {
-                allowed: Some(allowed),
-                ..unit.options.pea.clone()
-            };
-            Ok(())
-        }
         PhaseKind::EscapeAnalysis => {
             for _ in 0..unit.options.ea_iterations.max(1) {
                 let t = Instant::now();
                 let graph = unit.graph.as_mut().expect("build phase ran");
                 let r = match unit.options.opt_level {
                     OptLevel::None => PeaResult::default(),
-                    OptLevel::Ees => run_ees(graph, unit.program, &unit.effective_pea),
-                    OptLevel::Pea
-                    | OptLevel::PeaPre
-                    | OptLevel::PeaPreIpa
-                    | OptLevel::PeaPreFlow => match tracer.sink() {
-                        Some(sink) => {
-                            run_pea_traced(graph, unit.program, &unit.effective_pea, sink)
-                        }
-                        None => run_pea(graph, unit.program, &unit.effective_pea),
+                    OptLevel::Ees => run_ees(graph, unit.program, &unit.options.pea),
+                    OptLevel::Pea => match tracer.sink() {
+                        Some(sink) => run_pea_traced(graph, unit.program, &unit.options.pea, sink),
+                        None => run_pea(graph, unit.program, &unit.options.pea),
                     },
                 };
                 unit.times.escape_analysis += t.elapsed();
@@ -317,7 +271,6 @@ fn run_phase(
                     break;
                 }
             }
-            unit.pea_result.prefiltered_allocs = unit.prefiltered_allocs;
             Ok(())
         }
         PhaseKind::VerifyIr => {
@@ -348,69 +301,14 @@ fn run_phase(
             let t = Instant::now();
             let graph = unit.graph.as_ref().expect("build phase ran");
             let artifact = unit.artifact.as_mut().expect("schedule phase ran");
-            // A lowering bailout is not a compile bailout: the scheduled
-            // graph is a complete artifact and the VM simply executes it
-            // on the graph-walking tier.
-            artifact.linear =
-                crate::linear::lower(unit.program, graph, &artifact.cfg, &artifact.schedule).ok();
+            let lowered =
+                crate::linear::lower(unit.program, graph, &artifact.cfg, &artifact.schedule)
+                    .map_err(|e| Bailout::Unsupported(e.to_string()))?;
+            artifact.linear = Some(lowered);
             unit.times.lower += t.elapsed();
             Ok(())
         }
     }
-}
-
-/// Computes the allocation nodes PEA may virtualize at the `pea-pre`
-/// levels: every live `New`/`NewArray` except those the static
-/// pre-analysis proves globally escaping up front.
-///
-/// At [`OptLevel::PeaPre`] only the immediately-stored-to-a-static pattern
-/// qualifies. At [`OptLevel::PeaPreIpa`] the interprocedural summaries
-/// widen the set with sites whose fresh reference is immediately passed to
-/// a callee that publishes its parameter on every path
-/// ([`ProgramSummaries::excluded_sites`]) — a superset of the immediate
-/// sites by construction. At [`OptLevel::PeaPreFlow`] the branch-aware
-/// flow tier further adds *certain-escape* sites
-/// ([`ProgramSummaries::excluded_sites_flow`]): allocations proven to
-/// escape globally on every path with nothing observable in between, even
-/// through locals or non-immediate publication. All verdicts stay correct
-/// no matter where the bytecode was inlined, so the filter can never
-/// change the results or allocation counts PEA produces, only skip work
-/// (at the flow level the allocation simply stays at its original `new`
-/// instead of sinking to an indistinguishable materialization point).
-/// `excluded` receives the number of sites filtered out.
-fn prefilter_allowed(
-    program: &Program,
-    graph: &Graph,
-    opt_level: OptLevel,
-    summaries: Option<&ProgramSummaries>,
-    excluded: &mut usize,
-) -> HashSet<pea_ir::NodeId> {
-    let mut global_sites: HashMap<MethodId, Vec<u32>> = HashMap::new();
-    let mut allowed = HashSet::new();
-    for id in graph.live_nodes() {
-        if !matches!(
-            graph.kind(id),
-            NodeKind::New { .. } | NodeKind::NewArray { .. }
-        ) {
-            continue;
-        }
-        let escapes = graph.provenance(id).is_some_and(|(m, bci)| {
-            global_sites
-                .entry(m)
-                .or_insert_with(|| match (opt_level, summaries) {
-                    (OptLevel::PeaPreIpa, Some(s)) => s.excluded_sites(program, m),
-                    (OptLevel::PeaPreFlow, Some(s)) => s.excluded_sites_flow(program, m),
-                    _ => pea_analysis::escape::immediate_global_sites(program.method(m)),
-                })
-                .contains(&bci)
-        });
-        if escapes {
-            *excluded += 1;
-        } else {
-            allowed.insert(id);
-        }
-    }
-    allowed
 }
 
 fn debug_assert_verify(graph: &Graph, stage: &str) {
@@ -425,7 +323,45 @@ impl CompilerOptions {
     /// Whether this configuration consumes interprocedural summaries (and
     /// the [`PhaseKind::Summaries`] phase must run).
     pub fn needs_summaries(&self) -> bool {
-        matches!(self.opt_level, OptLevel::PeaPreIpa | OptLevel::PeaPreFlow)
-            || self.build.inline_policy == InlinePolicy::Summary
+        self.build.inline_policy == InlinePolicy::Summary
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pea_bytecode::asm::parse_program;
+    use pea_ir::NodeKind;
+
+    /// Every `LowerError` is an encoding overflow or a broken graph
+    /// invariant, so none can be provoked from bytecode: break an
+    /// invariant by hand and run the `Lower` phase on the result.
+    #[test]
+    fn lowering_failure_is_a_bailout() {
+        let program = parse_program(
+            "method g 0 returns { const 1 retv }
+             method f 0 returns { invokestatic g retv }",
+        )
+        .unwrap();
+        let method = program.static_method_by_name("f").unwrap();
+        let mut options = CompilerOptions::default();
+        options.build.inline = false; // keep the call residual
+        let mut unit = CompilationUnit::new(&program, method, None, &options);
+        let mut tracer = Tracer::off();
+        for phase in [PhaseKind::Build, PhaseKind::Canonicalize] {
+            run_phase(phase, &mut unit, &mut tracer).unwrap();
+        }
+        let graph = unit.graph_mut();
+        let invoke = graph
+            .live_nodes()
+            .find(|&n| matches!(graph.kind(n), NodeKind::Invoke { .. }))
+            .expect("residual call");
+        graph.set_state_after(invoke, None);
+        run_phase(PhaseKind::Schedule, &mut unit, &mut tracer).unwrap();
+        let err = run_phase(PhaseKind::Lower, &mut unit, &mut tracer).unwrap_err();
+        assert!(
+            matches!(&err, Bailout::Unsupported(s) if s.starts_with("lowering: ")),
+            "{err}"
+        );
     }
 }

@@ -28,29 +28,6 @@ pub enum OptLevel {
     Ees,
     /// Partial Escape Analysis (the paper's contribution).
     Pea,
-    /// PEA with a static pre-filter: a flow-insensitive escape
-    /// pre-analysis (see `pea-analysis`) runs over the bytecode first and
-    /// allocation sites it proves globally escaping are never handed to
-    /// the flow-sensitive analysis, saving PEA work without changing the
-    /// optimized artifact ([`PeaResult::prefiltered_allocs`] reports how
-    /// many sites were excluded up front).
-    PeaPre,
-    /// [`PeaPre`](Self::PeaPre) widened interprocedurally: the call-graph
-    /// escape summaries (`pea-analysis::summary`) additionally exclude
-    /// sites whose fresh allocation is immediately handed to a callee that
-    /// publishes its parameter on every path — a strict superset of the
-    /// immediate `putstatic` pattern, still artifact-preserving.
-    PeaPreIpa,
-    /// [`PeaPreIpa`](Self::PeaPreIpa) widened with the branch-aware flow
-    /// tier (`pea-analysis::flow`): predicate-qualified dataflow
-    /// additionally excludes *certain-escape* sites — allocations that
-    /// escape globally on every path from the allocation with nothing
-    /// observable in between, even when the publication happens through a
-    /// local variable or behind feasible-everywhere control flow. Still
-    /// results- and allocation-count-preserving: PEA's only possible move
-    /// on such a site is deferring the allocation to a materialization
-    /// point no execution can distinguish.
-    PeaPreFlow,
 }
 
 impl std::fmt::Display for OptLevel {
@@ -59,10 +36,20 @@ impl std::fmt::Display for OptLevel {
             OptLevel::None => "none",
             OptLevel::Ees => "ees",
             OptLevel::Pea => "pea",
-            OptLevel::PeaPre => "pea-pre",
-            OptLevel::PeaPreIpa => "pea-pre-ipa",
-            OptLevel::PeaPreFlow => "pea-pre-flow",
         })
+    }
+}
+
+impl std::str::FromStr for OptLevel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "none" => Ok(OptLevel::None),
+            "ees" => Ok(OptLevel::Ees),
+            "pea" => Ok(OptLevel::Pea),
+            other => Err(format!("unknown opt level `{other}` (none|ees|pea)")),
+        }
     }
 }
 
@@ -84,8 +71,8 @@ pub struct CompilerOptions {
     /// Pre-computed interprocedural summaries. Summaries depend only on
     /// the program bytecode, so a VM computes them once and shares the
     /// `Arc` across every compilation (both JIT modes); when `None` and
-    /// the configuration needs them (`pea-pre-ipa` or the summary inline
-    /// policy), the pipeline computes them per compilation.
+    /// the summary inline policy needs them, the pipeline computes them
+    /// per compilation.
     pub summaries: Option<Arc<ProgramSummaries>>,
 }
 
@@ -164,9 +151,9 @@ pub struct CompiledMethod {
     /// Wall-clock per-phase compile times (observational; excluded from
     /// artifact-equality comparisons).
     pub times: PhaseTimes,
-    /// Dense register-machine form of the schedule, when lowering
-    /// succeeded. The default execution tier; `None` falls back to
-    /// graph-walking evaluation.
+    /// Dense register-machine form of the schedule — what the VM
+    /// executes. Always `Some` out of [`compile`]: a lowering failure is a
+    /// [`Bailout`], not an artifact without a linear form.
     pub linear: Option<crate::linear::LinearArtifact>,
     /// Every inline decision the builder took (one record per considered
     /// call site), for reporting — e.g. counting cold-throw speculative

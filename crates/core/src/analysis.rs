@@ -64,10 +64,6 @@ pub struct PeaResult {
     pub materializations: usize,
     /// Total loop fixpoint rounds executed.
     pub loop_rounds: usize,
-    /// Allocation sites excluded from virtualization up front because the
-    /// static pre-analysis proved they escape globally in any context
-    /// (compiler pre-filter opt level); 0 unless the pre-filter ran.
-    pub prefiltered_allocs: usize,
 }
 
 impl PeaResult {
@@ -84,9 +80,6 @@ impl PeaResult {
         self.folded_checks += other.folded_checks;
         self.materializations += other.materializations;
         self.loop_rounds += other.loop_rounds;
-        // The pre-filter exclusion set is fixed per compilation, so every
-        // round reports the same sites; summing would double-count them.
-        self.prefiltered_allocs = self.prefiltered_allocs.max(other.prefiltered_allocs);
     }
 
     /// Whether the graph was changed at all.

@@ -284,13 +284,6 @@ pub struct TierMetrics {
     /// evaluator); the interpreter's polls are counted separately in
     /// `interp.safepoint_polls`.
     pub safepoint_polls: Counter,
-    /// Installed compiled methods that carried a linear artifact.
-    pub linear_installs: Counter,
-    /// Compiled invocations executed on the linear register-machine tier.
-    pub linear_exec: Counter,
-    /// Compiled invocations that requested the linear tier but fell back
-    /// to graph-walking evaluation (no linear artifact).
-    pub graph_exec_fallback: Counter,
 }
 
 /// Compile-pipeline and compile-service counters.
@@ -361,8 +354,6 @@ pub struct PeaMetrics {
     pub phis_created: Counter,
     /// Loop fixpoint re-analysis rounds.
     pub loop_rounds: Counter,
-    /// Allocation sites excluded up front by the static pre-filter.
-    pub prefiltered_sites: Counter,
 }
 
 /// Heap allocation counters.
@@ -421,12 +412,6 @@ impl VmMetrics {
             ("vm.evictions".into(), self.vm.evictions.get()),
             ("vm.recompiles".into(), self.vm.recompiles.get()),
             ("vm.safepoint_polls".into(), self.vm.safepoint_polls.get()),
-            ("vm.linear_installs".into(), self.vm.linear_installs.get()),
-            ("vm.linear_exec".into(), self.vm.linear_exec.get()),
-            (
-                "vm.graph_exec_fallback".into(),
-                self.vm.graph_exec_fallback.get(),
-            ),
             ("compile.started".into(), self.compile.started.get()),
             ("compile.succeeded".into(), self.compile.succeeded.get()),
             ("compile.bailouts".into(), self.compile.bailouts.get()),
@@ -475,10 +460,6 @@ impl VmMetrics {
             ("pea.checks_folded".into(), self.pea.checks_folded.get()),
             ("pea.phis_created".into(), self.pea.phis_created.get()),
             ("pea.loop_rounds".into(), self.pea.loop_rounds.get()),
-            (
-                "pea.prefiltered_sites".into(),
-                self.pea.prefiltered_sites.get(),
-            ),
             ("heap.allocs".into(), self.heap.allocs.get()),
             ("heap.bytes".into(), self.heap.bytes.get()),
             ("heap.tlab_chunks".into(), self.heap.tlab_chunks.get()),

@@ -103,20 +103,20 @@ impl std::str::FromStr for JitMode {
     }
 }
 
-/// Which tier executes compiled methods.
+/// Which executor runs compiled methods.
 ///
-/// Both tiers run the same compiled artifact with the same cycle cost
-/// model, the same traces and the same deopt behavior; they differ only
-/// in wall-clock speed. The graph walker survives as a differential
-/// oracle for the linear tier.
+/// The product executes only lowered code ([`Linear`](Self::Linear)); a
+/// method that cannot be lowered is a compile bailout and stays
+/// interpreted. [`Graph`](Self::Graph) is *the oracle*: the graph-walking
+/// evaluator (`pea_compiler::eval`) runs the same artifact with the same
+/// cycle cost model, traces and deopt behavior, and exists so the tests
+/// can check the linear tier against an executable reference.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Dense register-machine dispatch over the lowered artifact (the
-    /// default fast tier). Methods whose lowering bailed out fall back
-    /// to graph walking.
+    /// Dense register-machine dispatch over the lowered artifact.
     #[default]
     Linear,
-    /// Graph-walking evaluation of the scheduled IR.
+    /// Graph-walking evaluation of the scheduled IR (the oracle).
     Graph,
 }
 
@@ -149,8 +149,7 @@ pub struct VmOptions {
     pub jit: bool,
     /// Synchronous or background compilation.
     pub jit_mode: JitMode,
-    /// Which tier executes compiled methods (linear register machine by
-    /// default; graph walking as the differential oracle).
+    /// Which executor runs compiled methods (see [`ExecMode`]).
     pub exec_mode: ExecMode,
     /// Background compile worker threads; `None` picks
     /// [`default_workers`] (hardware threads minus one).
@@ -940,16 +939,8 @@ impl Mutator {
                     };
                     match compiled {
                         Ok(code) => {
-                            self.heap.stats.compiles += 1;
-                            self.profile.record_install();
-                            if let Some(m) = self.options.metrics.on() {
-                                m.vm.installs.inc();
-                                if code.linear.is_some() {
-                                    m.vm.linear_installs.inc();
-                                }
-                            }
                             let code = Arc::new(code);
-                            self.pinned.insert(method, Arc::clone(&code));
+                            self.install(method, Arc::clone(&code));
                             self.shared.code_cache.publish(
                                 method,
                                 CachedCompile {
@@ -1005,15 +996,7 @@ impl Mutator {
         // this is defensive; replaying keeps the invariant that a checked
         // consumer behaves identically to a checked compiler.
         if self.options.checked && !hit.findings.is_empty() {
-            self.dump_flight();
-            let name = program.method(method).qualified_name(program);
-            let lines: Vec<String> = hit.findings.iter().map(|f| format!("  - {f}")).collect();
-            panic!(
-                "PEA decision sanitizer: {} inconsistenc{} compiling {name}:\n{}",
-                hit.findings.len(),
-                if hit.findings.len() == 1 { "y" } else { "ies" },
-                lines.join("\n"),
-            );
+            self.sanitizer_panic(method, &hit.findings, false);
         }
         if self.options.checked {
             if let Ok(code) = &hit.result {
@@ -1032,17 +1015,8 @@ impl Mutator {
         }
         match &hit.result {
             Ok(code) => {
-                self.heap.stats.compiles += 1;
-                self.profile.record_install();
-                if let Some(m) = self.options.metrics.on() {
-                    m.vm.installs.inc();
-                    if code.linear.is_some() {
-                        m.vm.linear_installs.inc();
-                    }
-                }
-                let code = Arc::clone(code);
-                self.pinned.insert(method, Arc::clone(&code));
-                self.run_compiled(program, &code, args)
+                self.install(method, Arc::clone(code));
+                self.run_compiled(program, code, args)
             }
             Err(_) => {
                 self.bailed_out.insert(method);
@@ -1070,10 +1044,10 @@ impl Mutator {
     }
 
     /// The compiler options for one compilation: when the configuration
-    /// consumes interprocedural summaries (`pea-pre-ipa`, `pea-pre-flow`
-    /// or the summary inline policy), the shared [`SummaryCache`] is
-    /// resolved through this mutator's view (lock-free once populated)
-    /// and injected so the pipeline never recomputes per method.
+    /// consumes interprocedural summaries (the summary inline policy),
+    /// the shared [`SummaryCache`] is resolved through this mutator's
+    /// view (lock-free once populated) and injected so the pipeline never
+    /// recomputes per method.
     fn effective_compiler_options(&mut self, program: &Program) -> CompilerOptions {
         let mut copts = self.options.compiler.clone();
         if copts.needs_summaries() && copts.summaries.is_none() {
@@ -1116,16 +1090,47 @@ impl Mutator {
         let verdicts = self.static_verdicts();
         let findings = pea_analysis::check_compilation(program, &verdicts, method, graph, events);
         if !findings.is_empty() {
-            self.dump_flight();
-            let name = program.method(method).qualified_name(program);
-            let lines: Vec<String> = findings.iter().map(|f| format!("  - {f}")).collect();
-            panic!(
-                "PEA decision sanitizer: {} inconsistenc{} compiling {name}:\n{}",
-                findings.len(),
-                if findings.len() == 1 { "y" } else { "ies" },
-                lines.join("\n"),
-            );
+            self.sanitizer_panic(method, &findings, false);
         }
+    }
+
+    /// Dumps the flight ring and panics with the sanitizer report — the
+    /// one exit for findings of a local compile, a replayed store hit and
+    /// (`background`) a compile-service outcome.
+    fn sanitizer_panic<F: std::fmt::Display>(
+        &self,
+        method: MethodId,
+        findings: &[F],
+        background: bool,
+    ) -> ! {
+        self.dump_flight();
+        let program = &self.shared.program;
+        let name = program.method(method).qualified_name(program);
+        let lines: Vec<String> = findings.iter().map(|f| format!("  - {f}")).collect();
+        panic!(
+            "PEA decision sanitizer: {} inconsistenc{} {} {name}:\n{}",
+            findings.len(),
+            if findings.len() == 1 { "y" } else { "ies" },
+            if background {
+                "in background compile of"
+            } else {
+                "compiling"
+            },
+            lines.join("\n"),
+        );
+    }
+
+    /// Pins a finished compilation on this mutator and accounts for it
+    /// (`stats.compiles`, the profiler's install count, `vm.installs`) —
+    /// the one install path of sync compiles, store hits, background
+    /// outcomes and batch precompilation.
+    fn install(&mut self, method: MethodId, code: Arc<CompiledMethod>) {
+        self.heap.stats.compiles += 1;
+        self.profile.record_install();
+        if let Some(m) = self.options.metrics.on() {
+            m.vm.installs.inc();
+        }
+        self.pinned.insert(method, code);
     }
 
     /// Enqueues a background compilation of `method` (deduplicated per
@@ -1202,38 +1207,17 @@ impl Mutator {
             // Workers never panic (that would wedge `wait_idle`); sanitizer
             // findings surface here, at the installing safepoint.
             if !outcome.findings.is_empty() {
-                self.dump_flight();
-                let name = shared
-                    .program
-                    .method(outcome.method)
-                    .qualified_name(&shared.program);
-                panic!(
-                    "PEA decision sanitizer: {} inconsistenc{} in background compile of {name}:\n{}",
-                    outcome.findings.len(),
-                    if outcome.findings.len() == 1 { "y" } else { "ies" },
-                    outcome
-                        .findings
-                        .iter()
-                        .map(|f| format!("  - {f}"))
-                        .collect::<Vec<_>>()
-                        .join("\n"),
-                );
+                self.sanitizer_panic(outcome.method, &outcome.findings, true);
             }
             match outcome.result {
                 Ok(code) => {
-                    self.heap.stats.compiles += 1;
-                    self.profile.record_install();
                     if let Some(m) = self.options.metrics.on() {
-                        m.vm.installs.inc();
-                        if code.linear.is_some() {
-                            m.vm.linear_installs.inc();
-                        }
                         m.compile
                             .queue_latency_us
                             .record(outcome.enqueued_at.elapsed().as_micros() as u64);
                     }
                     let code = Arc::new(code);
-                    self.pinned.insert(outcome.method, Arc::clone(&code));
+                    self.install(outcome.method, Arc::clone(&code));
                     shared.code_cache.publish(
                         outcome.method,
                         CachedCompile {
@@ -1360,15 +1344,7 @@ impl Mutator {
         for (method, result) in results {
             match result {
                 Ok(code) => {
-                    self.heap.stats.compiles += 1;
-                    self.profile.record_install();
-                    if let Some(m) = self.options.metrics.on() {
-                        m.vm.installs.inc();
-                        if code.linear.is_some() {
-                            m.vm.linear_installs.inc();
-                        }
-                    }
-                    self.pinned.insert(method, Arc::new(code));
+                    self.install(method, Arc::new(code));
                     installed += 1;
                 }
                 Err(_) => {
@@ -1385,30 +1361,18 @@ impl Mutator {
         code: &CompiledMethod,
         args: Vec<Value>,
     ) -> Result<Option<Value>, VmError> {
-        let tier = if self.options.exec_mode == ExecMode::Linear && code.linear.is_some() {
-            Tier::Linear
-        } else {
-            Tier::Graph
+        let tier = match self.options.exec_mode {
+            ExecMode::Linear => Tier::Linear,
+            ExecMode::Graph => Tier::Graph,
         };
         self.profile.record_invocation(code.method.index(), tier);
         let prev_ctx = self.profile.enter(code.method.index(), tier);
         if let Some(m) = self.options.metrics.on() {
             m.vm.invocations_compiled.inc();
         }
-        let outcome = if self.options.exec_mode == ExecMode::Linear {
-            if code.linear.is_some() {
-                if let Some(m) = self.options.metrics.on() {
-                    m.vm.linear_exec.inc();
-                }
-                pea_compiler::linear::execute(program, self, code, &args)
-            } else {
-                if let Some(m) = self.options.metrics.on() {
-                    m.vm.graph_exec_fallback.inc();
-                }
-                evaluate(program, self, code, &args)
-            }
-        } else {
-            evaluate(program, self, code, &args)
+        let outcome = match self.options.exec_mode {
+            ExecMode::Linear => pea_compiler::linear::execute(program, self, code, &args),
+            ExecMode::Graph => evaluate(program, self, code, &args),
         };
         let outcome = match outcome {
             Ok(o) => o,
@@ -1652,12 +1616,7 @@ pub(crate) fn record_compile_metrics(
         }
     }
     match result {
-        Ok(code) => {
-            m.compile.succeeded.inc();
-            m.pea
-                .prefiltered_sites
-                .add(code.pea_result.prefiltered_allocs as u64);
-        }
+        Ok(_) => m.compile.succeeded.inc(),
         Err(_) => m.compile.bailouts.inc(),
     }
 }

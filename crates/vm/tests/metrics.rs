@@ -185,14 +185,14 @@ fn background_trace_carries_periodic_metrics_snapshots() {
 
 #[test]
 fn summary_cache_shared_across_compilations() {
-    // At a summary-consuming configuration the interprocedural summaries
-    // are computed once (one miss) and every later compilation hits the
-    // shared cache — in both JIT modes.
+    // Under the summary inline policy (the one summary consumer) the
+    // interprocedural summaries are computed once (one miss) and every
+    // later compilation hits the shared cache — in both JIT modes.
     let src = "method f 1 returns { load 0 const 1 add retv }
          method g 1 returns { load 0 const 2 mul retv }";
     for background in [false, true] {
         let mut options = metrics_options(background);
-        options.compiler.opt_level = OptLevel::PeaPreIpa;
+        options.compiler.build.inline_policy = pea_compiler::InlinePolicy::Summary;
         options.compile_threshold = 5;
         let program = pea_bytecode::asm::parse_program(src).unwrap();
         let mut vm = Vm::new(program, options);

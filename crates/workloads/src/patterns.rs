@@ -12,7 +12,7 @@
 //! | [`Pattern::IteratorSum`] | iterator objects over arrays | iterator scalar-replaced, array survives |
 //! | [`Pattern::SyncCounter`] | synchronized accumulators (tomcat, jbb) | allocation + **lock elision** |
 //! | [`Pattern::EscapeHeavy`] | objects published to shared structures | no win (true escapes) |
-//! | [`Pattern::PublishViaHelper`] | registration/listener helpers publishing their argument | no win; only `pea-pre-ipa` pre-filters the sites |
+//! | [`Pattern::PublishViaHelper`] | registration/listener helpers publishing their argument | no win; only the IPA summaries prove the escape |
 //! | [`Pattern::MixedEscape`] | occasional publication on a return path | partial escape: materialize 1/N |
 //! | [`Pattern::ScratchVector`] | vector-math temporaries (sunflow) | temporaries scalar-replaced |
 //! | [`Pattern::ArrayFill`] | buffer/array churn (xalan, tmt) | arrays survive (bytes dominated) |
@@ -22,7 +22,7 @@
 //! | [`Pattern::MegamorphicDispatch`] | hot virtual sites over 1–4 receiver classes | guarded devirtualization (mono guard / PIC), receivers scalar-replaced |
 //! | [`Pattern::TryFinallyLock`] | try-finally monitor regions (tomcat, jbb) | locally-caught error object scalar-replaced; lock released on both paths |
 //! | [`Pattern::ColdThrowPublish`] | range/state-check helpers throwing on a never-taken guard | `summary` inline policy + throw summary inline the may-throw helper; the error allocation is guarded away |
-//! | [`Pattern::GuardedPublish`] | periodic publication through a local behind a two-sided branch | no allocation win; only `pea-pre-flow` pre-filters the certain-escape site |
+//! | [`Pattern::GuardedPublish`] | periodic publication through a local behind a two-sided branch | no allocation win; only the flow tier certifies the certain escape |
 //! | [`Pattern::Ballast`] | the non-allocating bulk of real applications | none (dilutes speedups to realistic magnitudes) |
 
 use std::fmt::Write as _;
@@ -70,9 +70,8 @@ pub enum Pattern {
     /// publishes its argument to a static on every path (one directly,
     /// one through a relay). True escapes like [`Pattern::EscapeHeavy`],
     /// but the publication happens in the *callee*: only the
-    /// interprocedural summaries (`pea-pre-ipa`) can pre-filter these
-    /// sites; the intraprocedural `pea-pre` filter cannot see past the
-    /// call.
+    /// interprocedural summaries list these sites as certain escapes;
+    /// the intraprocedural analysis cannot see past the call.
     PublishViaHelper {
         /// Inner repetitions.
         n: i64,
@@ -160,10 +159,10 @@ pub enum Pattern {
     },
     /// One object published to a static through a *local* every 8th
     /// iteration, behind a genuinely two-sided branch. Flow-insensitively
-    /// `GlobalEscape` but invisible to the `pea-pre`/`pea-pre-ipa`
-    /// pre-filters (no immediate `putstatic`, no publishing call): only
-    /// the branch-aware certain-escape proof of `pea-pre-flow` excludes
-    /// the site up front, with identical results and allocation counts.
+    /// `GlobalEscape` but invisible to the immediate and IPA site sets
+    /// (no immediate `putstatic`, no publishing call): only the
+    /// branch-aware flow tier certifies that the site escapes on every
+    /// path.
     GuardedPublish {
         /// Inner repetitions.
         n: i64,
@@ -742,7 +741,7 @@ Ld{s}:
                 // publishing-call summaries see it, yet every path from
                 // the `new` publishes with nothing observable in between
                 // (the field write lands *after* publication) — the
-                // certain-escape shape `pea-pre-flow` excludes. The
+                // certain-escape shape of the flow tier. The
                 // `& 7` branch is genuinely two-sided, so profile
                 // speculation never removes it.
                 let _ = write!(

@@ -1,7 +1,7 @@
 //! `pea` — command-line driver for the PEA virtual machine and compiler.
 //!
 //! ```text
-//! pea run <file.asm> <entry> [args...] [--level none|ees|pea|pea-pre|pea-pre-ipa|pea-pre-flow]
+//! pea run <file.asm> <entry> [args...] [--level none|ees|pea]
 //!         [--inline-policy size|summary]
 //!         [--interp] [--jit-mode sync|background] [--exec-mode linear|graph] [--checked]
 //!         [--trace|--trace-json [PATH]]                # + VM/PEA event log
@@ -47,24 +47,19 @@ use pea::vm::{JitMode, Vm, VmOptions};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+/// The `--level none|ees|pea` flag (default: pea). A missing or unknown
+/// value is a usage error, never a silent default.
 fn parse_level(args: &[String]) -> OptLevel {
-    match args
-        .iter()
-        .position(|a| a == "--level")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some("none") => OptLevel::None,
-        Some("ees") => OptLevel::Ees,
-        Some("pea") | None => OptLevel::Pea,
-        Some("pea-pre") => OptLevel::PeaPre,
-        Some("pea-pre-ipa") => OptLevel::PeaPreIpa,
-        Some("pea-pre-flow") => OptLevel::PeaPreFlow,
-        Some(other) => {
-            eprintln!("unknown level `{other}` (none|ees|pea|pea-pre|pea-pre-ipa|pea-pre-flow)");
+    let Some(i) = args.iter().position(|a| a == "--level") else {
+        return OptLevel::Pea;
+    };
+    args.get(i + 1)
+        .ok_or_else(|| "--level needs a value (none|ees|pea)".to_string())
+        .and_then(|word| word.parse())
+        .unwrap_or_else(|e| {
+            eprintln!("{e}");
             std::process::exit(2);
-        }
-    }
+        })
 }
 
 /// The `--inline-policy size|summary` flag (default: size).
@@ -525,16 +520,13 @@ fn cmd_dump(args: &[String]) -> ExitCode {
     println!("=== {name} (code size {} nodes) ===", code.code_size);
     println!("escape analysis: {:?}", code.pea_result);
     println!("{}", pea::ir::dump::dump(&code.graph));
-    match &code.linear {
-        Some(art) => {
-            println!(
-                "=== linear ({} words, {} regs) ===",
-                art.code.len(),
-                art.num_regs
-            );
-            print!("{}", art.disassemble());
-        }
-        None => println!("=== linear: lowering bailed out (graph tier only) ==="),
+    if let Some(art) = &code.linear {
+        println!(
+            "=== linear ({} words, {} regs) ===",
+            art.code.len(),
+            art.num_regs
+        );
+        print!("{}", art.disassemble());
     }
     ExitCode::SUCCESS
 }

@@ -1,9 +1,8 @@
 //! Cross-layer alignment of the static analyses in `pea-analysis` with
 //! the rest of the stack: the bytecode verifier (which deliberately
 //! accepts what the dataflow passes flag), the graph builder (which bails
-//! out on unstructured locking), the checked-mode VM (whose sanitizer
-//! must stay silent on the paper examples), and the `pea-pre` static
-//! pre-filter (which must save PEA work without changing behavior).
+//! out on unstructured locking) and the checked-mode VM (whose sanitizer
+//! must stay silent on the paper examples).
 
 use pea::analysis::{analyze_locks, analyze_method, analyze_nullness, EscapeClass};
 use pea::analysis::{LockFindingKind, NullFindingKind};
@@ -86,8 +85,7 @@ fn escape_classes_on_the_paper_example() {
     assert_eq!(summary.sites[0].escape, EscapeClass::GlobalEscape);
     assert!(
         !summary.sites[0].immediate_global,
-        "the escape is conditional, not an immediate publish: \
-         the pre-filter must leave this site to PEA"
+        "the escape is conditional, not an immediate publish"
     );
 }
 
@@ -125,140 +123,50 @@ fn checked_mode_is_clean_on_the_sync_deopt_example() {
     run_checked(SYNC_ACC, JitMode::Background);
 }
 
+/// Why the static site sets are reported and never withheld from PEA
+/// (DESIGN §4f): `new Err athrow` is an immediate-global site as far as the
+/// method's own bytecode can tell, yet with the handler inside the
+/// compilation unit PEA scalar-replaces the object entirely — under
+/// `--checked`, with results intact.
 #[test]
-fn prefilter_skips_immediate_global_but_preserves_behavior() {
-    // Site 1 is published to a static immediately (the pre-filter excludes
-    // it); site 2 is scalar-replaced by PEA either way.
+fn locally_caught_immediate_throw_is_scalar_replaced() {
     let src = "
-        class C { field v int }
-        static g ref
+        class Err { field code int }
         method f 1 returns {
-            new C putstatic g
-            new C store 1
-            load 1 load 0 putfield C.v
-            load 1 getfield C.v const 1 add retv
+            try Ls Le Lh Err
+        Ls:
+            load 0 const 3 rem const 0 ifcmp ne Lok
+            new Err athrow
+        Lok:
+            load 0 const 2 mul retv
+        Le:
+        Lh:
+            pop const 7 retv
         }";
-    let mut results = Vec::new();
-    for level in [OptLevel::Pea, OptLevel::PeaPre] {
-        let program = parse_program(src).unwrap();
-        let mut options = VmOptions::with_opt_level(level);
-        options.compile_threshold = 5;
-        options.checked = level == OptLevel::Pea;
-        let mut vm = Vm::new(program, options);
-        for i in 0..50 {
-            assert_eq!(
-                vm.call_entry("f", &[Value::Int(i)]).unwrap(),
-                Some(Value::Int(i + 1))
-            );
-        }
-        assert_eq!(vm.compiled_method_count(), 1);
-        // Steady state: one call allocates exactly the published object.
-        let before = vm.stats();
-        vm.call_entry("f", &[Value::Int(9)]).unwrap();
-        let delta = vm.stats().delta(&before);
-        let method = vm.compiled_methods()[0];
-        let pea_result = vm.compiled(method).unwrap().pea_result;
-        results.push((level, delta.alloc_count, pea_result));
+    let program = parse_program(src).unwrap();
+    verify_program(&program).unwrap();
+    let f = program.static_method_by_name("f").unwrap();
+    assert_eq!(
+        pea::analysis::immediate_global_sites(program.method(f)).len(),
+        1,
+        "the thrown site is statically immediate-global"
+    );
+    let mut options = VmOptions::with_opt_level(OptLevel::Pea);
+    options.compile_threshold = 5;
+    options.checked = true;
+    let mut vm = Vm::new(program, options);
+    for i in 0..60 {
+        let expect = if i % 3 == 0 { 7 } else { i * 2 };
+        assert_eq!(
+            vm.call_entry("f", &[Value::Int(i)]).unwrap(),
+            Some(Value::Int(expect))
+        );
     }
-    let (_, pea_allocs, pea_result) = results[0];
-    let (_, pre_allocs, pre_result) = results[1];
-    assert_eq!(pea_allocs, pre_allocs, "identical steady-state allocation");
-    assert_eq!(pea_allocs, 1, "only the published object is allocated");
-    assert_eq!(pea_result.prefiltered_allocs, 0);
-    assert_eq!(
-        pre_result.prefiltered_allocs, 1,
-        "the immediately-published site is excluded up front"
-    );
-    // The pre-filter saves PEA the work of virtualizing and then
-    // materializing the escaping site.
-    assert!(pre_result.virtualized_allocs < pea_result.virtualized_allocs);
-}
-
-#[test]
-fn ipa_prefilter_excludes_callee_published_sites_with_aligned_artifacts() {
-    // `f` has three allocation sites: one published immediately
-    // (`pea-pre` excludes it), one handed straight to a helper that
-    // publishes its argument on every path (only `pea-pre-ipa` can
-    // exclude it — the publication is in the callee), and one that PEA
-    // scalar-replaces at every level. `f2` only has sites both filters
-    // agree on, so its artifact must be byte-identical across them.
-    let src = "
-        class C { field v int }
-        static g ref
-        static h ref
-        method publish 1 {
-            load 0 putstatic h
-            ret
-        }
-        method f 1 returns {
-            new C putstatic g
-            new C invokestatic publish
-            new C store 1
-            load 1 load 0 putfield C.v
-            load 1 getfield C.v const 1 add retv
-        }
-        method f2 1 returns {
-            new C putstatic g
-            new C store 1
-            load 1 load 0 putfield C.v
-            load 1 getfield C.v const 2 add retv
-        }";
-    let mut results = Vec::new();
-    for level in [OptLevel::Pea, OptLevel::PeaPre, OptLevel::PeaPreIpa] {
-        let program = parse_program(src).unwrap();
-        let mut options = VmOptions::with_opt_level(level);
-        options.compile_threshold = 5;
-        options.checked = level == OptLevel::Pea;
-        let mut vm = Vm::new(program, options);
-        for i in 0..50 {
-            assert_eq!(
-                vm.call_entry("f", &[Value::Int(i)]).unwrap(),
-                Some(Value::Int(i + 1))
-            );
-            assert_eq!(
-                vm.call_entry("f2", &[Value::Int(i)]).unwrap(),
-                Some(Value::Int(i + 2))
-            );
-        }
-        let f = vm.program().static_method_by_name("f").unwrap();
-        let f2 = vm.program().static_method_by_name("f2").unwrap();
-        let before = vm.stats();
-        vm.call_entry("f", &[Value::Int(9)]).unwrap();
-        let delta = vm.stats().delta(&before);
-        let code = vm.compiled(f).expect("f is hot");
-        results.push((
-            delta.alloc_count,
-            code.pea_result,
-            pea::ir::dump::dump(&vm.compiled(f2).expect("f2 is hot").graph),
-        ));
-    }
-    let (pea_allocs, pea_result, pea_dump2) = &results[0];
-    let (pre_allocs, pre_result, pre_dump2) = &results[1];
-    let (ipa_allocs, ipa_result, ipa_dump2) = &results[2];
-    // Exclusion counts on `f` grow strictly: 0 (plain PEA) → 1 (immediate
-    // putstatic) → 2 (+ the callee-published site) — the IPA filter is a
-    // strict superset here...
-    assert_eq!(pea_result.prefiltered_allocs, 0);
-    assert_eq!(pre_result.prefiltered_allocs, 1);
-    assert_eq!(
-        ipa_result.prefiltered_allocs, 2,
-        "the summary filter must also exclude the callee-published site"
-    );
-    assert!(ipa_result.virtualized_allocs < pre_result.virtualized_allocs);
-    // ...while runtime behavior is unchanged: both filtered sites are
-    // true escapes PEA would have materialized right back anyway.
-    assert_eq!(pea_allocs, pre_allocs, "identical steady-state allocation");
-    assert_eq!(pea_allocs, ipa_allocs, "identical steady-state allocation");
-    // And on `f2`, where both filters exclude the same set, the compiled
-    // artifacts are byte-identical.
-    assert_eq!(
-        pre_dump2, ipa_dump2,
-        "equal exclusion sets must yield identical pea-pre / pea-pre-ipa artifacts"
-    );
-    assert_ne!(
-        pea_dump2, pre_dump2,
-        "the filtered artifact keeps the plain New instead of a Commit group"
-    );
+    assert_eq!(vm.compiled_method_count(), 1);
+    let before = vm.stats();
+    vm.call_entry("f", &[Value::Int(3)]).unwrap();
+    let delta = vm.stats().delta(&before);
+    assert_eq!((delta.alloc_count, delta.deopts), (0, 0), "{delta}");
 }
 
 /// Acceptance gate for the summary-driven inlining policy: on every

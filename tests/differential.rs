@@ -353,9 +353,6 @@ fn configs() -> Vec<(&'static str, VmOptions)> {
         ("jit-ees", low(OptLevel::Ees)),
         ("jit-pea", low(OptLevel::Pea)),
         ("jit-graph", graph_opts),
-        ("jit-pea-pre", low(OptLevel::PeaPre)),
-        ("jit-pea-pre-ipa", low(OptLevel::PeaPreIpa)),
-        ("jit-pea-pre-flow", low(OptLevel::PeaPreFlow)),
         ("jit-pea-summary-inline", summary_opts),
         ("jit-pea-speculative", spec_opts),
     ]
@@ -409,22 +406,6 @@ proptest! {
             pea,
             none
         );
-        // The static pre-filter only withholds provably-escaping sites
-        // from PEA, so it keeps the same guarantee.
-        for filtered in ["jit-pea-pre", "jit-pea-pre-ipa", "jit-pea-pre-flow"] {
-            let pre = alloc_counts
-                .iter()
-                .find(|(n, _)| *n == filtered)
-                .unwrap()
-                .1;
-            prop_assert!(
-                pre <= none,
-                "{}: pre-filtered PEA allocated more than baseline: {} > {}",
-                filtered,
-                pre,
-                none
-            );
-        }
         // The summary inline policy is built to virtualize at least as
         // much as the size policy, so it keeps the same guarantee too.
         let summary = alloc_counts
@@ -747,15 +728,9 @@ fn exception_configs() -> Vec<(&'static str, VmOptions)> {
     virt_bg.compiler.build.devirtualize_threshold = 4;
     virt_bg.jit_mode = pea::vm::JitMode::Background;
     virt_bg.compile_workers = Some(1);
-    // Explicit linear-tier configs (sync and background) plus the
-    // graph-walking oracle, so the agreement assertions differential-test
-    // the two execution tiers on the exception/dispatch generator too.
-    let mut linear = low(OptLevel::Pea);
-    linear.exec_mode = pea::vm::ExecMode::Linear;
-    let mut linear_bg = low(OptLevel::Pea);
-    linear_bg.exec_mode = pea::vm::ExecMode::Linear;
-    linear_bg.jit_mode = pea::vm::JitMode::Background;
-    linear_bg.compile_workers = Some(1);
+    // The graph-walking oracle, so the agreement assertions
+    // differential-test the linear tier (every other config) against it
+    // on the exception/dispatch generator too.
     let mut graph = low(OptLevel::Pea);
     graph.exec_mode = pea::vm::ExecMode::Graph;
     vec![
@@ -764,8 +739,6 @@ fn exception_configs() -> Vec<(&'static str, VmOptions)> {
         ("jit-exceptions-bg", exc_bg),
         ("jit-virtual", virt),
         ("jit-virtual-bg", virt_bg),
-        ("jit-linear", linear),
-        ("jit-linear-bg", linear_bg),
         ("jit-graph", graph),
     ]
 }
@@ -875,7 +848,7 @@ fn uncaught_exception_identity_matches_across_tiers() {
     }
 }
 
-/// The syntactic pre-filter stays a subset of the interprocedural
+/// The syntactic immediate-site set stays a subset of the interprocedural
 /// exclusions on every generated program — including sites published
 /// through an exception edge (`new ... athrow`), which both layers must
 /// now treat exactly like `new ... putstatic`.
@@ -1024,6 +997,44 @@ fn linear_tier_agrees_with_graph_oracle_on_fuzz_seeds() {
         let program = pea::bytecode::asm::parse_program(&src).expect("generated program parses");
         pea::bytecode::verify_program(&program).expect("generated program verifies");
         assert_linear_graph_agree(&format!("seed {seed}"), &program, 12);
+    }
+}
+
+/// Lowering is total on everything the suite can generate: compiling every
+/// method of the corpus and of the fuzz seeds from warmed profiles never
+/// ends in a `lowering:` bailout. The product has no second executor to
+/// fall back to, so such a method would quietly stay interpreted.
+#[test]
+fn lowering_is_total_on_corpus_and_fuzz_seeds() {
+    use pea::compiler::{compile, Bailout, CompilerOptions};
+    let corpus = pea::workloads::all_workloads()
+        .into_iter()
+        .map(|w| (w.name, w.program));
+    let fuzz = (0..64u64).map(|seed| {
+        let src = pea::workloads::gen::generate(seed);
+        let program = pea::bytecode::asm::parse_program(&src).expect("generated program parses");
+        (format!("seed {seed}"), program)
+    });
+    let options = CompilerOptions::default();
+    for (label, program) in corpus.chain(fuzz) {
+        let mut vm = Vm::new(program.clone(), VmOptions::interpreter_only());
+        for i in 0..12i64 {
+            let _ = vm.call_entry("iterate", &[Value::Int(i)]);
+        }
+        for index in 0..program.methods.len() {
+            let method = pea::bytecode::MethodId::from_index(index);
+            match compile(&program, method, Some(vm.profiles()), &options) {
+                Ok(code) => assert!(
+                    code.linear.is_some(),
+                    "{label}, method {index}: compiled without a linear artifact"
+                ),
+                Err(Bailout::Unsupported(why)) => assert!(
+                    !why.starts_with("lowering:"),
+                    "{label}, method {index}: {why}"
+                ),
+                Err(_) => {}
+            }
+        }
     }
 }
 

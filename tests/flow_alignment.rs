@@ -1,10 +1,9 @@
 //! Cross-layer alignment of the branch-aware flow tier (`pea-analysis::
 //! flow`) with the rest of the stack: the flow verdicts must refine — never
 //! contradict — the flow-insensitive analysis on every corpus and fuzz
-//! program, the `pea-pre-flow` exclusion set must widen `pea-pre-ipa`
-//! without changing results or allocation counts, and the path-qualified
-//! throw summaries must let the summary inline policy inline a provably
-//! cold-throwing callee with the checked-mode sanitizer staying silent.
+//! program, and the path-qualified throw summaries must let the summary
+//! inline policy inline a provably cold-throwing callee with the
+//! checked-mode sanitizer staying silent.
 
 use pea::analysis::{EscapeClass, PathEscape, ProgramSummaries, ThrowPath};
 use pea::bytecode::asm::parse_program;
@@ -108,7 +107,7 @@ fn paper_examples_get_the_expected_path_verdicts() {
         summaries
             .excluded_sites_flow(&program, get_value)
             .is_empty(),
-        "pea-pre-flow must not exclude the paper's running example"
+        "the flow site set must not list the paper's running example"
     );
 
     let inst = PatternInstance {
@@ -134,104 +133,6 @@ fn paper_examples_get_the_expected_path_verdicts() {
         "the parser error escapes only through its athrow"
     );
     assert!(matches!(flow.throw_path, ThrowPath::Guarded(_)));
-}
-
-/// The `pea-pre-flow` level excludes the certain-escape site the `ipa`
-/// filter cannot see (publication through a local behind a two-sided
-/// branch), with identical results and steady-state allocation counts at
-/// every level — and byte-identical artifacts where the exclusion sets
-/// agree.
-#[test]
-fn flow_prefilter_widens_ipa_with_aligned_artifacts() {
-    let src = "
-        class C { field v int }
-        static g ref
-        static h ref
-        static k ref
-        method publish 1 {
-            load 0 putstatic h
-            ret
-        }
-        method f 1 returns {
-            new C putstatic g
-            new C invokestatic publish
-            load 0 const 3 rem const 0 ifcmp ne Lsk
-            new C store 2
-            load 2 putstatic k
-        Lsk:
-            new C store 1
-            load 1 load 0 putfield C.v
-            load 1 getfield C.v const 1 add retv
-        }
-        method f2 1 returns {
-            new C putstatic g
-            new C store 1
-            load 1 load 0 putfield C.v
-            load 1 getfield C.v const 2 add retv
-        }";
-    let mut results = Vec::new();
-    for level in [
-        OptLevel::Pea,
-        OptLevel::PeaPre,
-        OptLevel::PeaPreIpa,
-        OptLevel::PeaPreFlow,
-    ] {
-        let program = parse_program(src).unwrap();
-        let mut options = VmOptions::with_opt_level(level);
-        options.compile_threshold = 5;
-        options.checked = level == OptLevel::Pea;
-        let mut vm = Vm::new(program, options);
-        for i in 0..51 {
-            assert_eq!(
-                vm.call_entry("f", &[Value::Int(i)]).unwrap(),
-                Some(Value::Int(i + 1))
-            );
-            assert_eq!(
-                vm.call_entry("f2", &[Value::Int(i)]).unwrap(),
-                Some(Value::Int(i + 2))
-            );
-        }
-        let f = vm.program().static_method_by_name("f").unwrap();
-        let f2 = vm.program().static_method_by_name("f2").unwrap();
-        // Steady-state window over a full i % 3 period so every level
-        // allocates the same set of escaping objects.
-        let before = vm.stats();
-        for i in 9..12 {
-            vm.call_entry("f", &[Value::Int(i)]).unwrap();
-        }
-        let delta = vm.stats().delta(&before);
-        results.push((
-            delta.alloc_count,
-            vm.compiled(f).expect("f is hot").pea_result,
-            pea::ir::dump::dump(&vm.compiled(f2).expect("f2 is hot").graph),
-        ));
-    }
-    let (pea_allocs, pea_result, _) = &results[0];
-    let (pre_allocs, pre_result, _) = &results[1];
-    let (ipa_allocs, ipa_result, ipa_dump2) = &results[2];
-    let (flow_allocs, flow_result, flow_dump2) = &results[3];
-    // Exclusions grow strictly: 0 → 1 (immediate putstatic) → 2 (+ the
-    // callee-published site) → 3 (+ the certain-escape guarded local
-    // publication only the flow tier proves).
-    assert_eq!(pea_result.prefiltered_allocs, 0);
-    assert_eq!(pre_result.prefiltered_allocs, 1);
-    assert_eq!(ipa_result.prefiltered_allocs, 2);
-    assert_eq!(
-        flow_result.prefiltered_allocs, 3,
-        "the flow filter must also exclude the guarded local publication"
-    );
-    assert!(flow_result.virtualized_allocs < ipa_result.virtualized_allocs);
-    // Runtime behavior is unchanged: every excluded site is a true escape
-    // PEA would have materialized right back anyway.
-    assert_eq!(pea_allocs, pre_allocs, "identical steady-state allocation");
-    assert_eq!(pea_allocs, ipa_allocs, "identical steady-state allocation");
-    assert_eq!(pea_allocs, flow_allocs, "identical steady-state allocation");
-    // Where the exclusion sets agree (`f2` has no flow-only site), the
-    // artifacts are byte-identical.
-    assert_eq!(
-        ipa_dump2, flow_dump2,
-        "equal exclusion sets must yield identical pea-pre-ipa / pea-pre-flow artifacts"
-    );
 }
 
 /// Acceptance gate for cold-throw inlining: on the `ColdThrowPublish`
