@@ -1,6 +1,7 @@
 //! Program metadata: classes, fields, methods and statics in flat arenas.
 
 use crate::{ClassId, FieldId, Insn, MethodId, StaticId};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -193,6 +194,10 @@ struct ClassLayout {
     /// The class and its superclasses, root first: `ancestors[d]` is the
     /// ancestor at depth `d`, the class itself comes last.
     ancestors: Vec<ClassId>,
+    /// The method a receiver of this class runs for each virtual slot:
+    /// the superclass's table, with overrides replaced by name and new
+    /// names appended, so a slot means the same name in every subclass.
+    vtable: Vec<MethodId>,
 }
 
 /// Tables resolved from the class hierarchy, computed exactly once by
@@ -205,6 +210,9 @@ struct Sealed {
     /// Slot of each field in its declaring class and every subclass,
     /// indexed by [`FieldId`].
     field_slots: Vec<u32>,
+    /// Declaring class and vtable slot of each virtual method, indexed by
+    /// [`MethodId`]; `None` for free static methods.
+    method_slots: Vec<Option<(ClassId, u32)>>,
 }
 
 /// A complete program: all metadata arenas plus method code.
@@ -314,10 +322,26 @@ impl Program {
     }
 
     /// Resolves a virtual call on a receiver of dynamic class
-    /// `receiver_class`: walks the hierarchy from the receiver's class
-    /// upwards and returns the first method whose name matches the
-    /// statically named target.
+    /// `receiver_class`: the first method up the hierarchy from the
+    /// receiver's class whose name matches the statically named target.
+    /// A receiver of the target's class or a subclass reads the sealed
+    /// vtable; any other receiver walks the hierarchy comparing names.
+    #[inline]
     pub fn resolve_virtual(
+        &self,
+        receiver_class: ClassId,
+        target: MethodId,
+    ) -> Result<MethodId, ProgramError> {
+        if let Some(&Some((class, slot))) = self.sealed.method_slots.get(target.index()) {
+            if self.is_subclass_of(receiver_class, class) {
+                return Ok(self.layout(receiver_class).vtable[slot as usize]);
+            }
+        }
+        self.resolve_virtual_by_name(receiver_class, target)
+    }
+
+    #[cold]
+    fn resolve_virtual_by_name(
         &self,
         receiver_class: ClassId,
         target: MethodId,
@@ -358,6 +382,7 @@ impl Program {
                     fields,
                     kinds,
                     ancestors,
+                    vtable: Vec::new(),
                 }
             })
             .collect();
@@ -370,7 +395,40 @@ impl Program {
         self.sealed = Sealed {
             layouts,
             field_slots,
+            method_slots: vec![None; self.methods.len()],
         };
+        self.seal_vtables();
+    }
+
+    /// Builds every class's vtable after its superclass's (shallowest
+    /// classes first): inherit, override by name, append new names.
+    fn seal_vtables(&mut self) {
+        let mut order: Vec<ClassId> = (0..self.classes.len()).map(ClassId::from_index).collect();
+        order.sort_by_key(|&c| self.layout(c).ancestors.len());
+        for class in order {
+            let mut vtable = match self.class(class).superclass {
+                Some(s) => self.layout(s).vtable.clone(),
+                None => Vec::new(),
+            };
+            let mut slots: HashMap<&str, usize> = vtable
+                .iter()
+                .enumerate()
+                .map(|(slot, &m)| (self.method(m).name.as_str(), slot))
+                .collect();
+            let mut declared = Vec::new();
+            for &m in &self.class(class).declared_methods {
+                let slot = *slots.entry(&self.method(m).name).or_insert_with(|| {
+                    vtable.push(m);
+                    vtable.len() - 1
+                });
+                vtable[slot] = m;
+                declared.push((m, u32::try_from(slot).expect("vtable slot exceeds u32")));
+            }
+            for (m, slot) in declared {
+                self.sealed.method_slots[m.index()] = Some((class, slot));
+            }
+            self.sealed.layouts[class.index()].vtable = vtable;
+        }
     }
 
     #[inline]
@@ -418,6 +476,9 @@ impl Program {
     /// Whether `class` is `ancestor` or one of its subclasses.
     #[inline]
     pub fn is_subclass_of(&self, class: ClassId, ancestor: ClassId) -> bool {
+        if class == ancestor {
+            return true;
+        }
         let depth = self.layout(ancestor).ancestors.len() - 1;
         self.layout(class).ancestors.get(depth) == Some(&ancestor)
     }
@@ -528,6 +589,33 @@ mod tests {
         assert_eq!(p.resolve_virtual(base, base_m).unwrap(), base_m);
         assert_eq!(p.resolve_virtual(derived, base_m).unwrap(), derived_m);
         assert_eq!(p.resolve_virtual(derived, derived_m).unwrap(), derived_m);
+    }
+
+    #[test]
+    fn vtable_inherits_overrides_and_falls_back_to_names() {
+        let mut pb = ProgramBuilder::new();
+        let base = pb.add_class("Base", None);
+        let derived = pb.add_class("Derived", Some(base));
+        let leaf = pb.add_class("Leaf", Some(derived));
+        let other = pb.add_class("Other", None);
+        let mut method = |name: &str, class| {
+            let mut m = MethodBuilder::new_virtual(name, class, 1, true);
+            m.const_(0);
+            m.return_value();
+            pb.add_method(m.build().unwrap())
+        };
+        let base_size = method("size", base);
+        let base_id = method("id", base);
+        let derived_size = method("size", derived);
+        let other_size = method("size", other);
+        let p = pb.build().unwrap();
+        assert_eq!(p.resolve_virtual(leaf, base_size).unwrap(), derived_size);
+        assert_eq!(p.resolve_virtual(leaf, base_id).unwrap(), base_id);
+        assert_eq!(p.resolve_virtual(derived, base_id).unwrap(), base_id);
+        // Receivers outside the target's hierarchy resolve by name.
+        assert_eq!(p.resolve_virtual(other, base_size).unwrap(), other_size);
+        assert_eq!(p.resolve_virtual(base, derived_size).unwrap(), base_size);
+        assert!(p.resolve_virtual(other, base_id).is_err());
     }
 
     #[test]

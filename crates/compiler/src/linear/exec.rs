@@ -38,8 +38,9 @@ thread_local! {
 ///
 /// # Panics
 ///
-/// Panics if `code` has no [`super::LinearArtifact`] — the VM dispatches
-/// to the graph tier in that case.
+/// Panics if `code` has no [`super::LinearArtifact`], which a successful
+/// `compile` always produces: a method that cannot be lowered is a compile
+/// bailout and stays interpreted.
 pub fn execute(
     program: &Program,
     env: &mut dyn EvalEnv,

@@ -7,11 +7,16 @@ use pea_runtime::profile::ProfileStore;
 use pea_runtime::{Heap, Statics, Value, VmError};
 use std::sync::Arc;
 
+/// Values a fresh host's value stack has room for before it first grows:
+/// far deeper than any call chain the bundled programs build.
+pub const VALUE_STACK_RESERVE: usize = 1 << 12;
+
 /// Services the interpreter needs from its host.
 ///
 /// The tiered VM implements this to route [`InterpEnv::invoke`] through
 /// its compilation policy; tests use [`SimpleEnv`], which always
-/// interprets.
+/// interprets. The interpreter is generic over the host, so each host
+/// gets its own monomorphic dispatch loop.
 pub trait InterpEnv {
     /// The managed heap.
     fn heap(&mut self) -> &mut Heap;
@@ -20,22 +25,35 @@ pub trait InterpEnv {
     /// Profile sink; the interpreter records branches, receivers and
     /// invocations here.
     fn profiles(&mut self) -> &mut ProfileStore;
+    /// The value stack every interpreted frame of this host lives on: a
+    /// frame is a window of locals followed by its operands, and a call's
+    /// arguments, pushed by the caller, become the callee's first locals.
+    /// Reused across calls, so calls allocate nothing while it has room.
+    fn value_stack(&mut self) -> &mut Vec<Value>;
     /// Charges virtual cycles.
     ///
     /// # Errors
     ///
     /// [`VmError::OutOfFuel`] once the host's budget is exhausted.
     fn charge(&mut self, cycles: u64) -> Result<(), VmError>;
-    /// Performs a (resolved) call; the host picks the tier.
+    /// Whether [`InterpEnv::charge`] enforces a fuel budget. When it does,
+    /// every instruction charges its dispatch and its operation apart, so
+    /// `OutOfFuel` leaves exactly the cycles it always has; otherwise one
+    /// charge per instruction covers both.
+    fn has_fuel_limit(&self) -> bool;
+    /// Performs a (resolved) call whose `argc` arguments are the top of
+    /// [`InterpEnv::value_stack`]; the host picks the tier. The arguments
+    /// are gone from the stack when this returns, whatever it returns.
     ///
     /// # Errors
     ///
     /// Whatever the callee raises.
-    fn invoke(&mut self, method: MethodId, args: Vec<Value>) -> Result<Option<Value>, VmError>;
-    /// Whether the interpreter should record profiling data.
-    fn profiling_enabled(&self) -> bool {
-        true
-    }
+    fn invoke(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        argc: usize,
+    ) -> Result<Option<Value>, VmError>;
     /// Safepoint poll, called at loop back-edges (method entry is the
     /// host's own responsibility). The tiered VM uses this to install
     /// methods finished by background compiler threads without waiting
@@ -48,18 +66,35 @@ pub trait InterpEnv {
     fn safepoint(&mut self) {}
     /// The host's metrics handle; the interpreter counts steps, back-edges
     /// and safepoint polls through it. Defaults to the disabled hub, which
-    /// records nothing at the cost of one branch per site.
+    /// records nothing.
     fn metrics(&self) -> &MetricsHub {
         MetricsHub::disabled_ref()
     }
     /// The host's cycle-attribution profiler; the interpreter resolves a
     /// per-frame handle from it at method entry and feeds per-bci and
     /// per-opcode hot-spot buckets plus allocation counts. Defaults to the
-    /// disabled recorder, which records nothing at the cost of one branch
-    /// per site.
+    /// disabled recorder, which records nothing.
     fn profiler(&self) -> &ProfileRecorder {
         ProfileRecorder::disabled_ref()
     }
+}
+
+/// Checks an entry call's argument count against `method`'s parameters,
+/// before any frame is built.
+///
+/// # Errors
+///
+/// [`VmError::ArityMismatch`] naming the method and both counts.
+pub fn check_arity(program: &Program, method: MethodId, args: &[Value]) -> Result<(), VmError> {
+    let m = program.method(method);
+    if args.len() == m.param_count as usize {
+        return Ok(());
+    }
+    Err(VmError::ArityMismatch {
+        method: m.qualified_name(program),
+        expected: m.param_count as usize,
+        found: args.len(),
+    })
 }
 
 /// A minimal interpret-everything environment for tests and examples: owns
@@ -78,6 +113,7 @@ pub struct SimpleEnv {
     /// Metrics handle (disabled by default).
     pub metrics: MetricsHub,
     spent: u64,
+    stack: Vec<Value>,
 }
 
 impl SimpleEnv {
@@ -92,6 +128,7 @@ impl SimpleEnv {
             fuel: None,
             metrics: MetricsHub::disabled(),
             spent: 0,
+            stack: Vec::with_capacity(VALUE_STACK_RESERVE),
         }
     }
 
@@ -116,15 +153,17 @@ impl SimpleEnv {
     ///
     /// # Errors
     ///
-    /// [`VmError::NoSuchMethod`] if the name does not resolve, otherwise
-    /// whatever execution raises.
+    /// [`VmError::NoSuchMethod`] if the name does not resolve,
+    /// [`VmError::ArityMismatch`] for the wrong number of arguments,
+    /// otherwise whatever execution raises.
     pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, VmError> {
         let method = self
             .program
             .static_method_by_name(name)
             .ok_or_else(|| VmError::NoSuchMethod(name.to_string()))?;
+        check_arity(&self.program, method, args)?;
         let program = Arc::clone(&self.program);
-        crate::interpret(&program, self, method, args.to_vec())
+        crate::interpret(&program, self, method, args)
     }
 }
 
@@ -141,6 +180,10 @@ impl InterpEnv for SimpleEnv {
         &mut self.profiles
     }
 
+    fn value_stack(&mut self) -> &mut Vec<Value> {
+        &mut self.stack
+    }
+
     fn charge(&mut self, cycles: u64) -> Result<(), VmError> {
         self.spent += cycles;
         self.heap.stats.cycles += cycles;
@@ -150,9 +193,17 @@ impl InterpEnv for SimpleEnv {
         }
     }
 
-    fn invoke(&mut self, method: MethodId, args: Vec<Value>) -> Result<Option<Value>, VmError> {
-        let program = Arc::clone(&self.program);
-        crate::interpret(&program, self, method, args)
+    fn has_fuel_limit(&self) -> bool {
+        self.fuel.is_some()
+    }
+
+    fn invoke(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        argc: usize,
+    ) -> Result<Option<Value>, VmError> {
+        crate::interpret_on_stack(program, self, method, argc)
     }
 
     fn metrics(&self) -> &MetricsHub {

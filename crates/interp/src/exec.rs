@@ -3,6 +3,7 @@
 use crate::{Frame, InterpEnv};
 use pea_bytecode::{Insn, MethodId, Program};
 use pea_metrics::profile::Tier;
+use pea_metrics::MetricsHub;
 use pea_runtime::cost;
 use pea_runtime::{ObjRef, Value, VmError};
 
@@ -136,37 +137,93 @@ fn static_op_cost(insn: &Insn) -> u64 {
     }
 }
 
+/// One interpreted activation: a window on the host's value stack, locals
+/// first, then operands.
+struct Activation {
+    method: MethodId,
+    /// Next instruction to execute.
+    bci: u32,
+    /// Stack index of local 0.
+    locals: usize,
+    /// Stack index of the operand stack's bottom, just past the locals.
+    operands: usize,
+    /// The receiver whose monitor this synchronized activation holds and
+    /// releases when it returns (explicit `monitorenter` / `monitorexit`
+    /// pairs are the bytecode's own business).
+    locked: Option<ObjRef>,
+}
+
 /// Interprets one method call to completion.
 ///
 /// # Errors
 ///
 /// Any [`VmError`] the method raises, including errors propagated out of
 /// callees invoked through `env`.
-pub fn interpret(
+pub fn interpret<E: InterpEnv + ?Sized>(
     program: &Program,
-    env: &mut dyn InterpEnv,
+    env: &mut E,
     method: MethodId,
-    args: Vec<Value>,
+    args: &[Value],
+) -> Result<Option<Value>, VmError> {
+    env.value_stack().extend_from_slice(args);
+    interpret_on_stack(program, env, method, args.len())
+}
+
+/// Interprets one method call whose `argc` arguments are the top of the
+/// host's value stack: they become the callee's first locals where they
+/// lie, and are gone from the stack when this returns.
+///
+/// # Errors
+///
+/// As [`interpret`].
+///
+/// # Panics
+///
+/// Panics if the value stack holds fewer than `argc` values.
+pub fn interpret_on_stack<E: InterpEnv + ?Sized>(
+    program: &Program,
+    env: &mut E,
+    method: MethodId,
+    argc: usize,
+) -> Result<Option<Value>, VmError> {
+    let base = env.value_stack().len() - argc;
+    let result = enter(program, env, method, base);
+    env.value_stack().truncate(base);
+    result
+}
+
+fn enter<E: InterpEnv + ?Sized>(
+    program: &Program,
+    env: &mut E,
+    method: MethodId,
+    base: usize,
 ) -> Result<Option<Value>, VmError> {
     let m = program.method(method);
-    debug_assert_eq!(args.len(), m.param_count as usize, "arity mismatch");
     env.charge(cost::CALL_OVERHEAD)?;
     if let Some(m) = env.metrics().on() {
         m.interp.invocations.inc();
     }
     env.profiler()
         .record_invocation(method.index(), Tier::Interp);
-    if env.profiling_enabled() {
-        env.profiles().record_invocation(method);
-    }
-    let mut frame = Frame::entry(method, m.max_locals, &args);
+    env.profiles().record_invocation(method);
+    // The arguments are the first locals; the rest start null (slot kinds
+    // are dynamic).
+    let operands = base + m.max_locals as usize;
+    env.value_stack().resize(operands, Value::Null);
+    let mut act = Activation {
+        method,
+        bci: 0,
+        locals: base,
+        operands,
+        locked: None,
+    };
     if m.is_synchronized {
-        let receiver = frame.locals[0].as_ref()?;
+        let receiver = env.value_stack()[base].as_ref()?;
         env.heap().monitor_enter(receiver);
         env.charge(cost::MONITOR_OP)?;
-        frame.locked.push(receiver);
+        act.locked = Some(receiver);
     }
-    run_frame(program, env, &mut frame)
+    run_frame(program, env, &mut act)
 }
 
 /// Resumes execution from a reconstructed frame chain after
@@ -183,9 +240,9 @@ pub fn interpret(
 ///
 /// Panics if `frames` is empty or an outer frame's `bci` does not point at
 /// an invoke instruction (both indicate a frame-state construction bug).
-pub fn resume(
+pub fn resume<E: InterpEnv + ?Sized>(
     program: &Program,
-    env: &mut dyn InterpEnv,
+    env: &mut E,
     mut frames: Vec<Frame>,
 ) -> Result<Option<Value>, VmError> {
     assert!(!frames.is_empty(), "resume with no frames");
@@ -208,7 +265,7 @@ pub fn resume(
             frame.bci += 1;
         }
         first = false;
-        match run_frame(program, env, &mut frame) {
+        match run_handed_over(program, env, frame) {
             Ok(r) => result = r,
             // An exception escaped this frame; the remaining outer frames
             // (still suspended at their invoke instructions) get to catch.
@@ -230,279 +287,415 @@ pub fn resume(
 ///
 /// [`VmError::Thrown`] if no frame catches, plus any [`VmError`] the resumed
 /// execution raises.
-pub fn unwind(
+pub fn unwind<E: InterpEnv + ?Sized>(
     program: &Program,
-    env: &mut dyn InterpEnv,
+    env: &mut E,
     mut frames: Vec<Frame>,
     exc: ObjRef,
 ) -> Result<Option<Value>, VmError> {
     while let Some(mut frame) = frames.pop() {
-        match enter_handler_or_unwind(program, env, &mut frame, exc) {
-            Ok(handler) => {
+        match handler(program, env, frame.method, frame.bci, exc)? {
+            Some(handler) => {
+                frame.stack.clear();
+                frame.stack.push(Value::Ref(exc));
                 frame.bci = handler;
                 frames.push(frame);
                 return resume(program, env, frames);
             }
-            Err(VmError::Thrown(_)) => continue,
-            Err(e) => return Err(e),
+            None => {
+                while let Some(r) = frame.locked.pop() {
+                    release(env, r)?;
+                }
+            }
         }
     }
     Err(VmError::Thrown(exc))
 }
 
-/// Either sets `frame` up to enter the matching exception handler for `exc`
-/// thrown at `frame.bci` (operand stack cleared to just the exception,
-/// handler bci returned), or — when the frame's table has no match —
-/// releases the frame's monitors and returns the exception as
-/// [`VmError::Thrown`] so the caller keeps unwinding.
-fn enter_handler_or_unwind(
+/// Runs a frame handed over by deoptimization or unwinding, on a fresh
+/// window at the top of the value stack.
+fn run_handed_over<E: InterpEnv + ?Sized>(
     program: &Program,
-    env: &mut dyn InterpEnv,
-    frame: &mut Frame,
+    env: &mut E,
+    mut frame: Frame,
+) -> Result<Option<Value>, VmError> {
+    let locked = frame.locked.pop();
+    if !frame.locked.is_empty() {
+        return Err(VmError::Internal(
+            "a frame holds more than one method monitor".into(),
+        ));
+    }
+    let max_locals = program.method(frame.method).max_locals as usize;
+    let stack = env.value_stack();
+    let base = stack.len();
+    stack.extend_from_slice(&frame.locals);
+    stack.resize(base + frame.locals.len().max(max_locals), Value::Null);
+    let operands = stack.len();
+    stack.extend_from_slice(&frame.stack);
+    let mut act = Activation {
+        method: frame.method,
+        bci: frame.bci,
+        locals: base,
+        operands,
+        locked,
+    };
+    let result = run_frame(program, env, &mut act);
+    env.value_stack().truncate(base);
+    result
+}
+
+/// The handler `method` runs at `bci` for the exception `exc`, if any.
+fn handler<E: InterpEnv + ?Sized>(
+    program: &Program,
+    env: &mut E,
+    method: MethodId,
+    bci: u32,
+    exc: ObjRef,
+) -> Result<Option<u32>, VmError> {
+    let class = env.heap().class_of(exc)?;
+    Ok(program.find_handler(program.method(method), bci, class))
+}
+
+/// Either sets `act` up to enter the matching exception handler for `exc`
+/// thrown at `act.bci` (operand stack cleared to just the exception,
+/// handler bci returned), or — when the method's table has no match —
+/// releases the activation's monitor and returns the exception as
+/// [`VmError::Thrown`] so the caller keeps unwinding.
+fn catch<E: InterpEnv + ?Sized>(
+    program: &Program,
+    env: &mut E,
+    act: &mut Activation,
     exc: ObjRef,
 ) -> Result<u32, VmError> {
-    let class = env.heap().class_of(exc)?;
-    let m = program.method(frame.method);
-    match program.find_handler(m, frame.bci, class) {
+    match handler(program, env, act.method, act.bci, exc)? {
         Some(handler) => {
-            frame.stack.clear();
-            frame.stack.push(Value::Ref(exc));
+            let stack = env.value_stack();
+            stack.truncate(act.operands);
+            stack.push(Value::Ref(exc));
             Ok(handler)
         }
         None => {
-            release_frame_locks(env, frame)?;
+            release_locked(env, act)?;
             Err(VmError::Thrown(exc))
         }
     }
 }
 
-fn pop(frame: &mut Frame) -> Result<Value, VmError> {
-    frame
-        .stack
-        .pop()
-        .ok_or_else(|| VmError::Internal("operand stack underflow".into()))
+fn release_locked<E: InterpEnv + ?Sized>(env: &mut E, act: &mut Activation) -> Result<(), VmError> {
+    match act.locked.take() {
+        Some(r) => release(env, r),
+        None => Ok(()),
+    }
 }
 
-/// Executes `frame` until it returns, holding the cycle-attribution
-/// context at `(frame.method, interp)` for the duration: every cycle this
-/// frame charges — including frames entered by deopt resume and exception
+fn release<E: InterpEnv + ?Sized>(env: &mut E, r: ObjRef) -> Result<(), VmError> {
+    env.charge(cost::MONITOR_OP)?;
+    env.heap().monitor_exit(r)
+}
+
+#[cold]
+#[inline(never)]
+fn underflow(what: &str) -> VmError {
+    VmError::Internal(format!("operand stack underflow{what}"))
+}
+
+/// Pops an operand of the activation whose operand stack starts at
+/// `floor`.
+#[inline(always)]
+fn pop(stack: &mut Vec<Value>, floor: usize) -> Result<Value, VmError> {
+    match stack.pop() {
+        Some(v) if stack.len() >= floor => Ok(v),
+        _ => Err(underflow("")),
+    }
+}
+
+/// Executes `act` until it returns, holding the cycle-attribution context
+/// at `(act.method, interp)` for the duration: every cycle this frame
+/// charges — including frames entered by deopt resume and exception
 /// unwinding, which never pass through the host's call path — lands in the
 /// right profiler cell. Nested invokes push their own context and restore
 /// this one on return.
-fn run_frame(
+fn run_frame<E: InterpEnv + ?Sized>(
     program: &Program,
-    env: &mut dyn InterpEnv,
-    frame: &mut Frame,
+    env: &mut E,
+    act: &mut Activation,
 ) -> Result<Option<Value>, VmError> {
-    let prev_ctx = env.profiler().enter(frame.method.index(), Tier::Interp);
-    let result = run_frame_inner(program, env, frame);
+    let prev_ctx = env.profiler().enter(act.method.index(), Tier::Interp);
+    let observed =
+        env.has_fuel_limit() || env.metrics().is_enabled() || env.profiler().hub().is_enabled();
+    let result = if observed {
+        run_frame_inner::<E, true>(program, env, act)
+    } else {
+        run_frame_inner::<E, false>(program, env, act)
+    };
     env.profiler().restore(prev_ctx);
     result
 }
 
-/// Executes `frame` until it returns. The frame's `bci` selects the next
-/// instruction throughout, so a frame reconstructed mid-method continues
-/// seamlessly.
-fn run_frame_inner(
+/// Executes `act` until it returns. The activation's `bci` selects the
+/// next instruction throughout, so a frame reconstructed mid-method
+/// continues seamlessly.
+///
+/// `OBSERVED` is set when something watches single instructions: a fuel
+/// limit, the metrics hub or the profiler. Then each instruction charges
+/// its dispatch, is counted, and charges its operation — `OutOfFuel` can
+/// fall between the two. Otherwise one charge covers both and nothing is
+/// counted; the totals are the same.
+#[allow(clippy::too_many_lines)]
+fn run_frame_inner<E: InterpEnv + ?Sized, const OBSERVED: bool>(
     program: &Program,
-    env: &mut dyn InterpEnv,
-    frame: &mut Frame,
+    env: &mut E,
+    act: &mut Activation,
 ) -> Result<Option<Value>, VmError> {
-    let method = frame.method;
+    let method = act.method;
     let code: &[Insn] = &program.method(method).code;
-    // One hub clone per frame (an `Option<Arc>` bump, no allocation) so the
-    // per-instruction path below is a single branch when metrics are off.
-    let metrics = env.metrics().clone();
-    // Likewise one per-frame profiler handle (two `Arc` bumps when enabled,
-    // `None` when off) feeding per-bci and per-opcode hot-spot buckets.
-    let profiler = env.profiler().frame(method.index());
+    // One hub clone per frame (an `Option<Arc>` bump, no allocation) and
+    // one per-frame profiler handle (two `Arc` bumps when enabled), so
+    // the observed per-instruction path is a branch each.
+    let metrics = if OBSERVED {
+        env.metrics().clone()
+    } else {
+        MetricsHub::disabled()
+    };
+    let profiler = if OBSERVED {
+        env.profiler().frame(method.index())
+    } else {
+        None
+    };
+    // The operation's charge: on top of the dispatch already charged when
+    // observed, together with it otherwise.
+    macro_rules! op {
+        ($cycles:expr) => {
+            if OBSERVED {
+                let cycles = $cycles;
+                if cycles != 0 {
+                    env.charge(cycles)?;
+                }
+            } else {
+                env.charge(cost::INTERP_DISPATCH + $cycles)?;
+            }
+        };
+    }
+    macro_rules! pop {
+        () => {
+            pop(env.value_stack(), act.operands)?
+        };
+    }
+    macro_rules! push {
+        ($v:expr) => {{
+            let v = $v;
+            env.value_stack().push(v);
+        }};
+    }
+    macro_rules! binop {
+        (|$a:ident, $b:ident| $body:expr) => {{
+            op!(cost::ALU_OP);
+            let stack = env.value_stack();
+            let $b = pop(stack, act.operands)?.as_int()?;
+            let $a = pop(stack, act.operands)?.as_int()?;
+            stack.push(Value::Int($body));
+        }};
+    }
+    macro_rules! branch {
+        ($taken:expr, $target:expr) => {{
+            let taken = $taken;
+            env.profiles().record_branch(method, act.bci, taken);
+            if taken {
+                $target
+            } else {
+                act.bci + 1
+            }
+        }};
+    }
     loop {
-        let insn = code[frame.bci as usize];
-        env.charge(cost::INTERP_DISPATCH)?;
-        if let Some(m) = metrics.on() {
-            m.interp.steps.inc();
+        let insn = code[act.bci as usize];
+        if OBSERVED {
+            env.charge(cost::INTERP_DISPATCH)?;
+            if let Some(m) = metrics.on() {
+                m.interp.steps.inc();
+            }
+            if let Some(p) = &profiler {
+                p.record_op(
+                    act.bci,
+                    opcode_slot(&insn),
+                    cost::INTERP_DISPATCH + static_op_cost(&insn),
+                );
+            }
         }
-        if let Some(p) = &profiler {
-            p.record_op(
-                frame.bci,
-                opcode_slot(&insn),
-                cost::INTERP_DISPATCH + static_op_cost(&insn),
-            );
-        }
-        let mut next = frame.bci + 1;
+        let mut next = act.bci + 1;
         match insn {
             Insn::Const(v) => {
-                env.charge(cost::ALU_OP)?;
-                frame.stack.push(Value::Int(v));
+                op!(cost::ALU_OP);
+                push!(Value::Int(v));
             }
             Insn::ConstNull => {
-                env.charge(cost::ALU_OP)?;
-                frame.stack.push(Value::Null);
+                op!(cost::ALU_OP);
+                push!(Value::Null);
             }
             Insn::Load(n) => {
-                env.charge(cost::ALU_OP)?;
-                frame.stack.push(frame.locals[n as usize]);
+                op!(cost::ALU_OP);
+                let stack = env.value_stack();
+                let v = stack[act.locals + n as usize];
+                stack.push(v);
             }
             Insn::Store(n) => {
-                env.charge(cost::ALU_OP)?;
-                let v = pop(frame)?;
-                frame.locals[n as usize] = v;
+                op!(cost::ALU_OP);
+                let stack = env.value_stack();
+                let v = pop(stack, act.operands)?;
+                stack[act.locals + n as usize] = v;
             }
-            Insn::Add
-            | Insn::Sub
-            | Insn::Mul
-            | Insn::Div
-            | Insn::Rem
-            | Insn::And
-            | Insn::Or
-            | Insn::Xor
-            | Insn::Shl
-            | Insn::Shr => {
-                env.charge(cost::ALU_OP)?;
-                let b = pop(frame)?.as_int()?;
-                let a = pop(frame)?.as_int()?;
-                let r = apply_binop(insn, a, b)?;
-                frame.stack.push(Value::Int(r));
-            }
+            Insn::Add => binop!(|a, b| a.wrapping_add(b)),
+            Insn::Sub => binop!(|a, b| a.wrapping_sub(b)),
+            Insn::Mul => binop!(|a, b| a.wrapping_mul(b)),
+            Insn::Div => binop!(|a, b| {
+                if b == 0 {
+                    return Err(VmError::DivisionByZero);
+                }
+                a.wrapping_div(b)
+            }),
+            Insn::Rem => binop!(|a, b| {
+                if b == 0 {
+                    return Err(VmError::DivisionByZero);
+                }
+                a.wrapping_rem(b)
+            }),
+            Insn::And => binop!(|a, b| a & b),
+            Insn::Or => binop!(|a, b| a | b),
+            Insn::Xor => binop!(|a, b| a ^ b),
+            Insn::Shl => binop!(|a, b| a.wrapping_shl((b & 63) as u32)),
+            Insn::Shr => binop!(|a, b| a.wrapping_shr((b & 63) as u32)),
             Insn::Neg => {
-                env.charge(cost::ALU_OP)?;
-                let a = pop(frame)?.as_int()?;
-                frame.stack.push(Value::Int(a.wrapping_neg()));
+                op!(cost::ALU_OP);
+                let a = pop!().as_int()?;
+                push!(Value::Int(a.wrapping_neg()));
             }
             Insn::Pop => {
-                env.charge(cost::ALU_OP)?;
-                pop(frame)?;
+                op!(cost::ALU_OP);
+                pop!();
             }
             Insn::Dup => {
-                env.charge(cost::ALU_OP)?;
-                let v = pop(frame)?;
-                frame.stack.push(v);
-                frame.stack.push(v);
+                op!(cost::ALU_OP);
+                let stack = env.value_stack();
+                let v = pop(stack, act.operands)?;
+                stack.push(v);
+                stack.push(v);
             }
             Insn::Swap => {
-                env.charge(cost::ALU_OP)?;
-                let b = pop(frame)?;
-                let a = pop(frame)?;
-                frame.stack.push(b);
-                frame.stack.push(a);
+                op!(cost::ALU_OP);
+                let stack = env.value_stack();
+                let b = pop(stack, act.operands)?;
+                let a = pop(stack, act.operands)?;
+                stack.push(b);
+                stack.push(a);
             }
             Insn::Goto(t) => {
-                env.charge(cost::BRANCH_OP)?;
+                op!(cost::BRANCH_OP);
                 next = t;
             }
-            Insn::IfCmp(op, t) => {
-                env.charge(cost::BRANCH_OP)?;
-                let b = pop(frame)?.as_int()?;
-                let a = pop(frame)?.as_int()?;
-                let taken = op.apply(a, b);
-                if env.profiling_enabled() {
-                    env.profiles().record_branch(method, frame.bci, taken);
-                }
-                if taken {
-                    next = t;
-                }
+            Insn::IfCmp(cmp, t) => {
+                op!(cost::BRANCH_OP);
+                let stack = env.value_stack();
+                let b = pop(stack, act.operands)?.as_int()?;
+                let a = pop(stack, act.operands)?.as_int()?;
+                next = branch!(cmp.apply(a, b), t);
             }
             Insn::IfNull(t) | Insn::IfNonNull(t) => {
-                env.charge(cost::BRANCH_OP)?;
-                let v = pop(frame)?.as_ref_or_null()?;
-                let taken = v.is_none() == matches!(insn, Insn::IfNull(_));
-                if env.profiling_enabled() {
-                    env.profiles().record_branch(method, frame.bci, taken);
-                }
-                if taken {
-                    next = t;
-                }
+                op!(cost::BRANCH_OP);
+                let v = pop!().as_ref_or_null()?;
+                next = branch!(v.is_none() == matches!(insn, Insn::IfNull(_)), t);
             }
             Insn::IfRefEq(t) | Insn::IfRefNe(t) => {
-                env.charge(cost::BRANCH_OP)?;
-                let b = pop(frame)?.as_ref_or_null()?;
-                let a = pop(frame)?.as_ref_or_null()?;
-                let taken = (a == b) == matches!(insn, Insn::IfRefEq(_));
-                if env.profiling_enabled() {
-                    env.profiles().record_branch(method, frame.bci, taken);
-                }
-                if taken {
-                    next = t;
-                }
+                op!(cost::BRANCH_OP);
+                let stack = env.value_stack();
+                let b = pop(stack, act.operands)?.as_ref_or_null()?;
+                let a = pop(stack, act.operands)?.as_ref_or_null()?;
+                next = branch!((a == b) == matches!(insn, Insn::IfRefEq(_)), t);
             }
             Insn::New(class) => {
-                let bytes = program.object_size(class);
-                env.charge(cost::alloc_cost(bytes))?;
-                if let Some(p) = &profiler {
-                    p.record_op(frame.bci, opcode_slot(&insn), cost::alloc_cost(bytes));
+                let cycles = cost::alloc_cost(program.object_size(class));
+                op!(cycles);
+                if OBSERVED {
+                    if let Some(p) = &profiler {
+                        p.record_op(act.bci, opcode_slot(&insn), cycles);
+                    }
+                    env.profiler().record_alloc();
                 }
-                env.profiler().record_alloc();
                 let r = env.heap().try_alloc_instance(program, class)?;
-                frame.stack.push(Value::Ref(r));
+                push!(Value::Ref(r));
             }
             Insn::GetField(field) => {
-                env.charge(cost::MEMORY_OP)?;
-                let r = pop(frame)?.as_ref()?;
+                op!(cost::MEMORY_OP);
+                let r = pop!().as_ref()?;
                 let v = env.heap().get_field(program, r, field)?;
-                frame.stack.push(v);
+                push!(v);
             }
             Insn::PutField(field) => {
-                env.charge(cost::MEMORY_OP)?;
-                let v = pop(frame)?;
-                let r = pop(frame)?.as_ref()?;
+                op!(cost::MEMORY_OP);
+                let stack = env.value_stack();
+                let v = pop(stack, act.operands)?;
+                let r = pop(stack, act.operands)?.as_ref()?;
                 env.heap().put_field(program, r, field, v)?;
             }
             Insn::GetStatic(s) => {
-                env.charge(cost::MEMORY_OP)?;
+                op!(cost::MEMORY_OP);
                 let v = env.statics().get(s);
-                frame.stack.push(v);
+                push!(v);
             }
             Insn::PutStatic(s) => {
-                env.charge(cost::MEMORY_OP)?;
-                let v = pop(frame)?;
+                op!(cost::MEMORY_OP);
+                let v = pop!();
                 env.statics().set(s, v);
             }
             Insn::NewArray(kind) => {
-                let len = pop(frame)?.as_int()?;
+                op!(0);
+                let len = pop!().as_int()?;
                 let cycles = cost::array_alloc_cost(len);
                 env.charge(cycles)?;
-                if let Some(p) = &profiler {
-                    p.record_op(frame.bci, opcode_slot(&insn), cycles);
+                if OBSERVED {
+                    if let Some(p) = &profiler {
+                        p.record_op(act.bci, opcode_slot(&insn), cycles);
+                    }
+                    env.profiler().record_alloc();
                 }
-                env.profiler().record_alloc();
                 let r = env.heap().alloc_array(kind, len)?;
-                frame.stack.push(Value::Ref(r));
+                push!(Value::Ref(r));
             }
             Insn::ArrayLoad => {
-                env.charge(cost::MEMORY_OP)?;
-                let i = pop(frame)?.as_int()?;
-                let r = pop(frame)?.as_ref()?;
+                op!(cost::MEMORY_OP);
+                let stack = env.value_stack();
+                let i = pop(stack, act.operands)?.as_int()?;
+                let r = pop(stack, act.operands)?.as_ref()?;
                 let v = env.heap().array_get(r, i)?;
-                frame.stack.push(v);
+                push!(v);
             }
             Insn::ArrayStore => {
-                env.charge(cost::MEMORY_OP)?;
-                let v = pop(frame)?;
-                let i = pop(frame)?.as_int()?;
-                let r = pop(frame)?.as_ref()?;
+                op!(cost::MEMORY_OP);
+                let stack = env.value_stack();
+                let v = pop(stack, act.operands)?;
+                let i = pop(stack, act.operands)?.as_int()?;
+                let r = pop(stack, act.operands)?.as_ref()?;
                 env.heap().array_set(r, i, v)?;
             }
             Insn::ArrayLength => {
-                env.charge(cost::MEMORY_OP)?;
-                let r = pop(frame)?.as_ref()?;
+                op!(cost::MEMORY_OP);
+                let r = pop!().as_ref()?;
                 let len = env.heap().array_length(r)?;
-                frame.stack.push(Value::Int(len));
+                push!(Value::Int(len));
             }
             Insn::InstanceOf(class) => {
-                env.charge(cost::ALU_OP)?;
-                let v = pop(frame)?.as_ref_or_null()?;
-                let is = match v {
+                op!(cost::ALU_OP);
+                let is = match pop!().as_ref_or_null()? {
                     Some(r) => {
                         let dynamic = env.heap().class_of(r)?;
                         program.is_subclass_of(dynamic, class)
                     }
                     None => false,
                 };
-                frame.stack.push(Value::from_bool(is));
+                push!(Value::from_bool(is));
             }
             Insn::CheckCast(class) => {
-                env.charge(cost::ALU_OP)?;
-                let v = pop(frame)?;
+                op!(cost::ALU_OP);
+                let v = pop!();
                 if let Some(r) = v.as_ref_or_null()? {
                     let dynamic = env.heap().class_of(r)?;
                     if !program.is_subclass_of(dynamic, class) {
@@ -512,125 +705,100 @@ fn run_frame_inner(
                         });
                     }
                 }
-                frame.stack.push(v);
+                push!(v);
             }
             Insn::MonitorEnter => {
-                env.charge(cost::MONITOR_OP)?;
-                let r = pop(frame)?.as_ref()?;
+                op!(cost::MONITOR_OP);
+                let r = pop!().as_ref()?;
                 env.heap().monitor_enter(r);
             }
             Insn::MonitorExit => {
-                env.charge(cost::MONITOR_OP)?;
-                let r = pop(frame)?.as_ref()?;
+                op!(cost::MONITOR_OP);
+                let r = pop!().as_ref()?;
                 env.heap().monitor_exit(r)?;
             }
             Insn::InvokeStatic(target) => {
-                let argc = program.method(target).param_count as usize;
-                let args = split_args(frame, argc)?;
-                match env.invoke(target, args) {
-                    Ok(Some(v)) => frame.stack.push(v),
+                op!(0);
+                let argc = arguments(program, env, act, target)?;
+                match env.invoke(program, target, argc) {
+                    Ok(Some(v)) => push!(v),
                     Ok(None) => {}
                     // A callee threw: this frame catches or keeps unwinding.
-                    Err(VmError::Thrown(exc)) => {
-                        next = enter_handler_or_unwind(program, env, frame, exc)?;
-                    }
+                    Err(VmError::Thrown(exc)) => next = catch(program, env, act, exc)?,
                     Err(e) => return Err(e),
                 }
             }
             Insn::InvokeVirtual(target) => {
-                let argc = program.method(target).param_count as usize;
-                let args = split_args(frame, argc)?;
-                let receiver = args[0].as_ref()?;
+                op!(0);
+                let argc = arguments(program, env, act, target)?;
+                let receiver = {
+                    let stack = env.value_stack();
+                    stack[stack.len() - argc].as_ref()?
+                };
                 let dynamic = env.heap().class_of(receiver)?;
-                if env.profiling_enabled() {
-                    env.profiles().record_receiver(method, frame.bci, dynamic);
-                }
+                env.profiles().record_receiver(method, act.bci, dynamic);
                 let resolved = program
                     .resolve_virtual(dynamic, target)
                     .map_err(|e| VmError::NoSuchMethod(e.to_string()))?;
-                match env.invoke(resolved, args) {
-                    Ok(Some(v)) => frame.stack.push(v),
+                match env.invoke(program, resolved, argc) {
+                    Ok(Some(v)) => push!(v),
                     Ok(None) => {}
-                    Err(VmError::Thrown(exc)) => {
-                        next = enter_handler_or_unwind(program, env, frame, exc)?;
-                    }
+                    Err(VmError::Thrown(exc)) => next = catch(program, env, act, exc)?,
                     Err(e) => return Err(e),
                 }
             }
             Insn::Return => {
-                release_frame_locks(env, frame)?;
+                op!(0);
+                release_locked(env, act)?;
                 return Ok(None);
             }
             Insn::ReturnValue => {
-                let v = pop(frame)?;
-                release_frame_locks(env, frame)?;
+                op!(0);
+                let v = pop!();
+                release_locked(env, act)?;
                 return Ok(Some(v));
             }
             Insn::Throw => {
-                let code = pop(frame)?.as_int()?;
+                op!(0);
+                let code = pop!().as_int()?;
                 return Err(VmError::UserException(code));
             }
             Insn::Athrow => {
-                env.charge(cost::BRANCH_OP)?;
+                op!(cost::BRANCH_OP);
                 // Throwing null raises the plain null-pointer error
                 // (uncatchable, like the other runtime errors).
-                let exc = pop(frame)?.as_ref()?;
-                next = enter_handler_or_unwind(program, env, frame, exc)?;
+                let exc = pop!().as_ref()?;
+                next = catch(program, env, act, exc)?;
             }
         }
         // Loop back-edge safepoint: lets the host install finished
         // background compilations even while a single interpreted loop
         // keeps spinning (the other safepoint is method entry).
-        if next <= frame.bci {
+        if next <= act.bci {
             if let Some(m) = metrics.on() {
                 m.interp.back_edges.inc();
                 m.interp.safepoint_polls.inc();
             }
             env.safepoint();
         }
-        frame.bci = next;
+        act.bci = next;
     }
 }
 
-fn release_frame_locks(env: &mut dyn InterpEnv, frame: &mut Frame) -> Result<(), VmError> {
-    while let Some(r) = frame.locked.pop() {
-        env.charge(cost::MONITOR_OP)?;
-        env.heap().monitor_exit(r)?;
+/// The argument count of a call to `target`, checked against the
+/// caller's operand stack.
+#[inline]
+fn arguments<E: InterpEnv + ?Sized>(
+    program: &Program,
+    env: &mut E,
+    act: &Activation,
+    target: MethodId,
+) -> Result<usize, VmError> {
+    let argc = program.method(target).param_count as usize;
+    if env.value_stack().len() - act.operands < argc {
+        return Err(underflow(" at call"));
     }
-    Ok(())
-}
-
-fn split_args(frame: &mut Frame, argc: usize) -> Result<Vec<Value>, VmError> {
-    if frame.stack.len() < argc {
-        return Err(VmError::Internal("operand stack underflow at call".into()));
-    }
-    Ok(frame.stack.split_off(frame.stack.len() - argc))
-}
-
-fn apply_binop(insn: Insn, a: i64, b: i64) -> Result<i64, VmError> {
-    Ok(match insn {
-        Insn::Add => a.wrapping_add(b),
-        Insn::Sub => a.wrapping_sub(b),
-        Insn::Mul => a.wrapping_mul(b),
-        Insn::Div => {
-            if b == 0 {
-                return Err(VmError::DivisionByZero);
-            }
-            a.wrapping_div(b)
-        }
-        Insn::Rem => {
-            if b == 0 {
-                return Err(VmError::DivisionByZero);
-            }
-            a.wrapping_rem(b)
-        }
-        Insn::And => a & b,
-        Insn::Or => a | b,
-        Insn::Xor => a ^ b,
-        Insn::Shl => a.wrapping_shl((b & 63) as u32),
-        Insn::Shr => a.wrapping_shr((b & 63) as u32),
-        other => return Err(VmError::Internal(format!("not a binop: {other:?}"))),
-    })
+    Ok(argc)
 }
 
 #[cfg(test)]

@@ -5,9 +5,11 @@ use pea_runtime::{ObjRef, Value};
 
 /// One interpreter activation.
 ///
-/// Frames are constructed either fresh (method entry) or by the VM's
-/// deoptimization handler, which rebuilds the whole inlined frame chain
-/// from a compiled frame state.
+/// The hand-off type of deoptimization and exception unwinding: the VM's
+/// deoptimization handler rebuilds the whole inlined frame chain from a
+/// compiled frame state, and [`crate::resume`] / [`crate::unwind`] lay
+/// each frame out on the value stack when it runs. Frames the interpreter
+/// enters itself never take this form.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
     /// The executing method.
@@ -18,42 +20,9 @@ pub struct Frame {
     pub locals: Vec<Value>,
     /// Operand stack.
     pub stack: Vec<Value>,
-    /// Monitors this frame must release when it returns: the receiver of a
-    /// synchronized method, whether entered fresh or reconstructed from a
-    /// deoptimized synchronized activation. Explicit `monitorenter` /
-    /// `monitorexit` pairs are *not* listed here — the bytecode itself
-    /// releases those.
+    /// Monitors this frame must release when it returns: at most one, the
+    /// receiver of a deoptimized synchronized activation. Explicit
+    /// `monitorenter` / `monitorexit` pairs are *not* listed here — the
+    /// bytecode itself releases those.
     pub locked: Vec<ObjRef>,
-}
-
-impl Frame {
-    /// Builds a fresh entry frame: arguments in the first locals, the rest
-    /// default-initialized to null (slot kinds are dynamic).
-    pub fn entry(method: MethodId, max_locals: u16, args: &[Value]) -> Frame {
-        let mut locals = Vec::with_capacity(max_locals as usize);
-        locals.extend_from_slice(args);
-        locals.resize(max_locals as usize, Value::Null);
-        Frame {
-            method,
-            bci: 0,
-            locals,
-            stack: Vec::new(),
-            locked: Vec::new(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn entry_frame_pads_locals() {
-        let f = Frame::entry(MethodId(0), 4, &[Value::Int(1), Value::Int(2)]);
-        assert_eq!(f.locals.len(), 4);
-        assert_eq!(f.locals[0], Value::Int(1));
-        assert_eq!(f.locals[3], Value::Null);
-        assert_eq!(f.bci, 0);
-        assert!(f.stack.is_empty());
-    }
 }

@@ -13,13 +13,15 @@
 //!    (rematerializing virtual objects first, §5.5 of the paper) and
 //!    resumes here via [`resume`].
 //!
-//! The interpreter is parameterised over an [`InterpEnv`] so the VM can
-//! intercept calls (tier dispatch) and cycle accounting.
+//! The interpreter is generic over an [`InterpEnv`] so the VM can
+//! intercept calls (tier dispatch) and cycle accounting, each host with
+//! its own monomorphic loop. Frames are windows on the host's value
+//! stack, so an interpreted call allocates nothing.
 
 mod env;
 mod exec;
 mod frame;
 
-pub use env::{InterpEnv, SimpleEnv};
-pub use exec::{interpret, opcode_slot, resume, unwind, OPCODE_NAMES};
+pub use env::{check_arity, InterpEnv, SimpleEnv, VALUE_STACK_RESERVE};
+pub use exec::{interpret, interpret_on_stack, opcode_slot, resume, unwind, OPCODE_NAMES};
 pub use frame::Frame;

@@ -67,6 +67,16 @@ pub enum VmError {
     /// Interpreter/evaluator ran past its fuel budget (guards runaway
     /// loops in tests and benchmarks).
     OutOfFuel,
+    /// An entry call passed the wrong number of arguments; rejected before
+    /// any frame is built.
+    ArityMismatch {
+        /// Qualified name of the called method.
+        method: String,
+        /// Its parameter count.
+        expected: usize,
+        /// Arguments passed.
+        found: usize,
+    },
     /// Internal invariant violation; indicates a compiler bug.
     Internal(String),
 }
@@ -96,6 +106,15 @@ impl fmt::Display for VmError {
             }
             VmError::OutOfMemory => f.write_str("out of memory: heap capacity exhausted"),
             VmError::OutOfFuel => f.write_str("execution fuel exhausted"),
+            VmError::ArityMismatch {
+                method,
+                expected,
+                found,
+            } => write!(
+                f,
+                "`{method}` takes {expected} argument{}, {found} given",
+                if *expected == 1 { "" } else { "s" }
+            ),
             VmError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }

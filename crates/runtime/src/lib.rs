@@ -19,7 +19,7 @@ mod tlab;
 mod value;
 
 pub use error::VmError;
-pub use heap::{Heap, ObjRef, Statics, MAX_HEAP_OBJECTS, MAX_HEAP_SLOTS};
+pub use heap::{Heap, ObjRef, Statics, HEAP_SEGMENT_SLOTS, MAX_HEAP_OBJECTS, MAX_HEAP_SLOTS};
 pub use stats::Stats;
 pub use tlab::{ChunkAllocator, TLAB_CELLS};
 pub use value::Value;

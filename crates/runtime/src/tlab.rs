@@ -1,27 +1,21 @@
 //! The shared chunk allocator behind per-mutator TLABs.
 //!
-//! Every mutator thread owns a private [`Heap`](crate::Heap) — a handle
-//! table and a slot slab, both bump-allocated, exactly like a HotSpot
+//! Every mutator thread owns a private [`Heap`](crate::Heap) — handle and
+//! slot segments, both bump-allocated, exactly like a HotSpot
 //! thread-local allocation buffer. Bump allocation itself is therefore
 //! free of synchronization; what the threads share is the *capacity
-//! handout*: when a mutator heap exhausts its reserved cells (handles) it
-//! requests more chunks from the VM-wide [`ChunkAllocator`], which
-//! accounts chunks and cells globally (one relaxed atomic add per grant,
-//! no lock), and reserves handle-table and slab room for the grant. This
-//! keeps the allocation fast path thread-local while the VM retains a
-//! single view of how much heap space has been handed out — the seam the
-//! generational-GC roadmap item grows from.
+//! handout*: when a mutator heap has allocated every cell (handle) it was
+//! granted it requests more chunks from the VM-wide [`ChunkAllocator`],
+//! which accounts chunks and cells globally (one relaxed atomic add per
+//! grant, no lock). This keeps the allocation fast path thread-local
+//! while the VM retains a single view of how much heap space has been
+//! handed out — the seam the generational-GC roadmap item grows from.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cells per TLAB chunk. Small enough that an idle mutator wastes little,
 /// large enough that grants are rare on allocation-heavy workloads.
 pub const TLAB_CELLS: usize = 256;
-
-/// Slab slots reserved with every granted cell. A guess at the mean
-/// object, not a limit: a heap of larger objects grows its slab between
-/// grants like any `Vec`.
-pub const TLAB_SLOTS_PER_CELL: usize = 4;
 
 /// VM-wide TLAB capacity handout. Cheap to share (`Arc`), lock-free.
 #[derive(Debug, Default)]
@@ -44,8 +38,8 @@ impl ChunkAllocator {
 
     /// Hands `chunks` chunks of capacity at once, returning the total cell
     /// count granted. Heaps request geometrically growing grants (one
-    /// chunk, then enough to double) so large arenas stay O(n) in copying
-    /// while accounting remains chunk-granular.
+    /// chunk, then enough to double) so grants stay rare while accounting
+    /// remains chunk-granular.
     pub fn grant_many(&self, chunks: usize) -> usize {
         let cells = chunks * TLAB_CELLS;
         self.chunks.fetch_add(chunks as u64, Ordering::Relaxed);

@@ -4,7 +4,7 @@
 //! returned value, every [`VmError`] and the final counters must agree.
 
 use pea_bytecode::{ClassId, FieldId, Program, ProgramBuilder, ValueKind};
-use pea_runtime::{Heap, ObjRef, Stats, Value, VmError, MAX_HEAP_SLOTS};
+use pea_runtime::{Heap, ObjRef, Stats, Value, VmError, HEAP_SEGMENT_SLOTS, MAX_HEAP_SLOTS};
 use proptest::prelude::*;
 
 /// `Base { a int, r ref }`, `Derived extends Base { b int }`,
@@ -129,9 +129,8 @@ enum Stored {
 #[derive(Clone, Debug)]
 enum Op {
     AllocInstance(u8),
-    /// Lengths from -2 up, and now and then one just past the heap's
-    /// capacity (never one that fits only barely: that is 4 GiB).
-    AllocArray(bool, i8, bool),
+    /// Whether the elements are references, and the length.
+    AllocArray(bool, i64),
     /// Object, field, value, and whether to take the pre-resolved path.
     PutField(u8, u8, Stored, bool),
     GetField(u8, u8, bool),
@@ -151,10 +150,24 @@ fn stored() -> impl Strategy<Value = Stored> {
     ]
 }
 
+/// Array lengths: mostly from -2 up; now and then about half a segment
+/// (two in a row straddle a segment end), about a whole one (a segment of
+/// its own, or just not), or one just past the heap's capacity (never one
+/// that fits only barely: that is 4 GiB).
+fn array_len() -> impl Strategy<Value = i64> {
+    let segment = HEAP_SEGMENT_SLOTS as i64;
+    (0u8..16, -2i64..12, -2i64..3).prop_map(move |(class, small, near)| match class {
+        0 => segment / 2 + near,
+        1 => segment + near,
+        2 => MAX_HEAP_SLOTS as i64 + 1 + small.max(0),
+        _ => small,
+    })
+}
+
 fn op() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u8..3).prop_map(Op::AllocInstance),
-        (any::<bool>(), -2i8..12, 0u8..16).prop_map(|(k, l, big)| Op::AllocArray(k, l, big == 0)),
+        (any::<bool>(), array_len()).prop_map(|(k, l)| Op::AllocArray(k, l)),
         (any::<u8>(), 0u8..4, stored(), any::<bool>())
             .prop_map(|(o, f, v, at)| Op::PutField(o, f, v, at)),
         (any::<u8>(), 0u8..4, any::<bool>()).prop_map(|(o, f, at)| Op::GetField(o, f, at)),
@@ -201,13 +214,8 @@ proptest! {
                     prop_assert_eq!(heap.try_alloc_instance(p, fx.classes[c]), Ok(expected));
                     prop_assert_eq!(heap.class_of(expected), Ok(fx.classes[c]));
                 }
-                Op::AllocArray(is_ref, len, oversized) => {
+                Op::AllocArray(is_ref, len) => {
                     let kind = if is_ref { ValueKind::Ref } else { ValueKind::Int };
-                    let len = if oversized {
-                        MAX_HEAP_SLOTS as i64 + 1 + i64::from(len.max(0))
-                    } else {
-                        i64::from(len)
-                    };
                     prop_assert_eq!(heap.alloc_array(kind, len), model.alloc_array(kind, len));
                 }
                 Op::PutField(o, f, v, at) => {

@@ -21,9 +21,10 @@
 //!   interprocedural-summary caches, and the TLAB chunk allocator.
 //! * [`Mutator`] — everything per-thread and lock-free on the hot path:
 //!   the heap (a private bump arena fed TLAB chunks by the shared
-//!   allocator), statics, profiles, the **pinned** code cache (a plain
-//!   `HashMap` — compiled-call dispatch performs no lock acquisition and
-//!   no shared access), the cycle-attribution recorder, and the trace tee.
+//!   allocator), statics, profiles, the interpreter's value stack, the
+//!   **pinned** code cache (a plain `Vec` indexed by method — compiled-call
+//!   dispatch performs no lock acquisition and no shared access), the
+//!   cycle-attribution recorder, and the trace tee.
 //!
 //! [`Vm`] owns the shared state plus a main mutator and dereferences to
 //! it, so single-threaded use is unchanged. [`Vm::spawn_mutator`] /
@@ -59,7 +60,10 @@ use pea_compiler::{
     compile, compile_traced, evaluate, Bailout, CompiledMethod, CompilerOptions, EvalEnv,
     EvalOutcome,
 };
-use pea_interp::{interpret, resume, unwind, Frame, InterpEnv};
+use pea_interp::{
+    check_arity, interpret, interpret_on_stack, resume, unwind, Frame, InterpEnv,
+    VALUE_STACK_RESERVE,
+};
 pub use pea_metrics::profile::{ProfileRecorder, ProfilerHub, Tier};
 pub use pea_metrics::MetricsHub;
 use pea_metrics::{HeapRecorder, MetricsSnapshot, VmMetrics};
@@ -71,7 +75,6 @@ pub use publish::{
     CacheStats, CacheView, CachedCompile, CodeCache, MutatorSlot, SafepointRegistry, MAX_VARIANTS,
 };
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -435,16 +438,18 @@ impl VmShared {
         let view = self.code_cache.view();
         let slot = self.safepoints.register(view.generation());
         let summaries = self.summary_cache.view();
+        let methods = self.program.methods.len();
         Mutator {
             shared: Arc::clone(self),
             heap,
             statics,
             profiles: ProfileStore::new(),
-            pinned: HashMap::new(),
-            bailed_out: HashSet::new(),
-            deopt_counts: HashMap::new(),
-            evicted: HashSet::new(),
-            evict_epochs: HashMap::new(),
+            stack: Vec::with_capacity(VALUE_STACK_RESERVE),
+            pinned: vec![None; methods],
+            bailed_out: vec![false; methods],
+            deopt_counts: vec![0; methods],
+            evicted: vec![false; methods],
+            evict_epochs: vec![0; methods],
             mailbox: None,
             slot,
             view,
@@ -469,18 +474,21 @@ pub struct Mutator {
     heap: Heap,
     statics: Statics,
     profiles: ProfileStore,
+    /// The value stack every interpreted frame of this mutator lives on.
+    stack: Vec<Value>,
+    // Per-method tiering state, indexed by `MethodId`.
     /// The dispatch hot path: compiled methods this mutator installed.
     /// Thread-private — a compiled call performs no lock acquisition and
-    /// no shared-memory access beyond its own map.
-    pinned: HashMap<MethodId, Arc<CompiledMethod>>,
-    bailed_out: HashSet<MethodId>,
-    deopt_counts: HashMap<MethodId, u64>,
+    /// no shared-memory access beyond its own table.
+    pinned: Vec<Option<Arc<CompiledMethod>>>,
+    bailed_out: Vec<bool>,
+    deopt_counts: Vec<u64>,
     /// Methods evicted at least once (a later compile is a recompile).
-    evicted: HashSet<MethodId>,
+    evicted: Vec<bool>,
     /// Per-method eviction epoch; background outcomes compiled before the
     /// mutator's latest eviction are discarded (their speculation is the
     /// one that kept deoptimizing).
-    evict_epochs: HashMap<MethodId, u64>,
+    evict_epochs: Vec<u64>,
     /// This mutator's registration with the shared compile service,
     /// created lazily with the first background request.
     mailbox: Option<Arc<Mailbox>>,
@@ -507,6 +515,16 @@ pub struct Mutator {
     snapshot_seq: u64,
     /// Baseline for metrics snapshot deltas.
     last_snapshot: MetricsSnapshot,
+}
+
+/// Where a call's arguments are.
+#[derive(Clone, Copy)]
+enum Args<'a> {
+    /// In a slice the caller owns.
+    Slice(&'a [Value]),
+    /// The top this-many values of the mutator's value stack, pushed by an
+    /// interpreted caller.
+    Stack(usize),
 }
 
 /// The virtual machine: the shared state plus its main mutator.
@@ -744,19 +762,20 @@ impl Mutator {
 
     /// Number of methods currently JIT-compiled (pinned by this mutator).
     pub fn compiled_method_count(&self) -> usize {
-        self.pinned.len()
+        self.pinned.iter().filter(|code| code.is_some()).count()
     }
 
     /// The compiled form of `method`, if this mutator has it pinned.
     pub fn compiled(&self, method: MethodId) -> Option<&CompiledMethod> {
-        self.pinned.get(&method).map(Arc::as_ref)
+        self.pinned.get(method.index())?.as_deref()
     }
 
     /// Methods currently pinned (for artifact comparisons).
     pub fn compiled_methods(&self) -> Vec<MethodId> {
-        let mut methods: Vec<MethodId> = self.pinned.keys().copied().collect();
-        methods.sort_unstable_by_key(|m| m.index());
-        methods
+        (0..self.pinned.len())
+            .filter(|&m| self.pinned[m].is_some())
+            .map(MethodId::from_index)
+            .collect()
     }
 
     /// Resets static variables to defaults (heap contents and statistics
@@ -769,15 +788,16 @@ impl Mutator {
     ///
     /// # Errors
     ///
-    /// [`VmError::NoSuchMethod`] for unknown names; otherwise whatever the
-    /// program raises.
+    /// [`VmError::NoSuchMethod`] for unknown names,
+    /// [`VmError::ArityMismatch`] for the wrong number of arguments (before
+    /// any frame is built); otherwise whatever the program raises.
     pub fn call_entry(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, VmError> {
-        let method = self
-            .shared
-            .program
+        let program = Arc::clone(&self.shared.program);
+        let method = program
             .static_method_by_name(name)
             .ok_or_else(|| VmError::NoSuchMethod(name.to_string()))?;
-        let result = match self.call(method, args.to_vec()) {
+        check_arity(&program, method, args)?;
+        let result = match self.call_with(&program, method, Args::Slice(args)) {
             // An exception escaped every frame: report it structurally
             // (class name + int fields) — raw heap ids differ between
             // tiers when scalar replacement elides allocations.
@@ -816,6 +836,22 @@ impl Mutator {
     ///
     /// Whatever the method raises.
     pub fn call(&mut self, method: MethodId, args: Vec<Value>) -> Result<Option<Value>, VmError> {
+        let program = Arc::clone(&self.shared.program);
+        self.call_with(&program, method, Args::Slice(&args))
+    }
+
+    /// [`Self::call`] with the arguments wherever the caller has them; any
+    /// left on the value stack are gone when this returns.
+    fn call_with(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        args: Args<'_>,
+    ) -> Result<Option<Value>, VmError> {
+        let floor = match args {
+            Args::Slice(_) => self.stack.len(),
+            Args::Stack(argc) => self.stack.len() - argc,
+        };
         self.depth += 1;
         // Outermost call: establish a base attribution context so cycles
         // charged before a tier takes over (call overhead, unwinding) are
@@ -830,7 +866,7 @@ impl Mutator {
         } else {
             None
         };
-        let result = self.call_inner(method, args);
+        let result = self.call_inner(program, method, args);
         if let Some(prev) = base {
             self.profile.restore(prev);
             self.heap.flush_metrics();
@@ -838,6 +874,7 @@ impl Mutator {
             self.slot.park();
         }
         self.depth -= 1;
+        self.stack.truncate(floor);
         result
     }
 
@@ -854,34 +891,38 @@ impl Mutator {
         cache.maybe_reclaim(&self.shared.safepoints);
     }
 
-    fn call_inner(&mut self, method: MethodId, args: Vec<Value>) -> Result<Option<Value>, VmError> {
+    fn call_inner(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        args: Args<'_>,
+    ) -> Result<Option<Value>, VmError> {
         if self.depth > 400 {
             return Err(VmError::Internal("call stack overflow".into()));
         }
-        let program = Arc::clone(&self.shared.program);
         // Method-entry safepoint: install anything the background
         // compilers finished since the last poll.
         if self.options.jit_mode == JitMode::Background {
             self.drain_background();
         }
-        if let Some(code) = self.pinned.get(&method).cloned() {
-            // The dispatch hot path: thread-private map, no locks, no
+        if let Some(code) = self.pinned[method.index()].clone() {
+            // The dispatch hot path: thread-private table, no locks, no
             // shared loads.
-            return self.run_compiled(&program, &code, args);
+            return self.run_compiled_with(program, &code, args);
         }
         if self.options.jit
-            && !self.bailed_out.contains(&method)
+            && !self.bailed_out[method.index()]
             && self.profiles.invocation_count(method) >= self.options.compile_threshold
         {
             match self.options.jit_mode {
                 JitMode::Sync => {
-                    if self.evicted.contains(&method) {
+                    if self.evicted[method.index()] {
                         if let Some(m) = self.options.metrics.on() {
                             m.vm.recompiles.inc();
                         }
                         if let Some(sink) = &self.options.trace {
                             sink.emit_event(&TraceEvent::Recompile {
-                                method: program.method(method).qualified_name(&program),
+                                method: program.method(method).qualified_name(program),
                             });
                         }
                     }
@@ -900,16 +941,16 @@ impl Mutator {
                             .lookup(&mut self.view, method, fingerprint, traced);
                     if let Some(hit) = hit {
                         self.slot.poll(self.view.generation());
-                        return self.install_published(&program, method, &hit, args);
+                        return self.install_published(program, method, &hit, args);
                     }
-                    let copts = self.effective_compiler_options(&program);
+                    let copts = self.effective_compiler_options(program);
                     let (compiled, events) = if traced {
                         // Buffer the decision events so the sanitizer and
                         // the metrics fold can inspect them; forward to the
                         // user's sink after.
                         let mut buffer = pea_trace::MemorySink::new();
                         let result = compile_traced(
-                            &program,
+                            program,
                             method,
                             Some(&self.profiles),
                             &copts,
@@ -917,7 +958,7 @@ impl Mutator {
                         );
                         if self.options.checked {
                             if let Ok(code) = &result {
-                                self.sanitize(&program, method, &code.graph, &buffer.events);
+                                self.sanitize(program, method, &code.graph, &buffer.events);
                             }
                         }
                         if let Some(m) = self.options.metrics.on() {
@@ -933,7 +974,7 @@ impl Mutator {
                         (result, buffer.events)
                     } else {
                         (
-                            compile(&program, method, Some(&self.profiles), &copts),
+                            compile(program, method, Some(&self.profiles), &copts),
                             Vec::new(),
                         )
                     };
@@ -951,10 +992,10 @@ impl Mutator {
                                     findings: Vec::new(),
                                 },
                             );
-                            return self.run_compiled(&program, &code, args);
+                            return self.run_compiled_with(program, &code, args);
                         }
                         Err(bailout) => {
-                            self.bailed_out.insert(method);
+                            self.bailed_out[method.index()] = true;
                             // Publish the bailout too: another mutator at
                             // the same fingerprint replays it instead of
                             // re-running a doomed compilation.
@@ -978,7 +1019,47 @@ impl Mutator {
                 }
             }
         }
-        interpret(&program, self, method, args)
+        self.interpret_with(program, method, args)
+    }
+
+    fn interpret_with(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        args: Args<'_>,
+    ) -> Result<Option<Value>, VmError> {
+        match args {
+            Args::Slice(args) => interpret(program, self, method, args),
+            Args::Stack(argc) => interpret_on_stack(program, self, method, argc),
+        }
+    }
+
+    /// Runs compiled code on arguments wherever the caller has them: those
+    /// on the value stack are copied out (into a register-sized buffer
+    /// when they fit) and popped first.
+    fn run_compiled_with(
+        &mut self,
+        program: &Program,
+        code: &CompiledMethod,
+        args: Args<'_>,
+    ) -> Result<Option<Value>, VmError> {
+        const INLINE_ARGS: usize = 8;
+        let argc = match args {
+            Args::Slice(args) => return self.run_compiled(program, code, args),
+            Args::Stack(argc) => argc,
+        };
+        let base = self.stack.len() - argc;
+        let mut inline = [Value::Null; INLINE_ARGS];
+        let spilled: Vec<Value>;
+        let args: &[Value] = if argc <= INLINE_ARGS {
+            inline[..argc].copy_from_slice(&self.stack[base..]);
+            &inline[..argc]
+        } else {
+            spilled = self.stack[base..].to_vec();
+            &spilled
+        };
+        self.stack.truncate(base);
+        self.run_compiled(program, code, args)
     }
 
     /// Installs a store hit: replays the publisher's buffered decision
@@ -990,7 +1071,7 @@ impl Mutator {
         program: &Program,
         method: MethodId,
         hit: &CachedCompile,
-        args: Vec<Value>,
+        args: Args<'_>,
     ) -> Result<Option<Value>, VmError> {
         // Publishers panic on their own findings before publishing, so
         // this is defensive; replaying keeps the invariant that a checked
@@ -1016,11 +1097,11 @@ impl Mutator {
         match &hit.result {
             Ok(code) => {
                 self.install(method, Arc::clone(code));
-                self.run_compiled(program, code, args)
+                self.run_compiled_with(program, code, args)
             }
             Err(_) => {
-                self.bailed_out.insert(method);
-                interpret(program, self, method, args)
+                self.bailed_out[method.index()] = true;
+                self.interpret_with(program, method, args)
             }
         }
     }
@@ -1130,7 +1211,7 @@ impl Mutator {
         if let Some(m) = self.options.metrics.on() {
             m.vm.installs.inc();
         }
-        self.pinned.insert(method, code);
+        self.pinned[method.index()] = Some(code);
     }
 
     /// Enqueues a background compilation of `method` (deduplicated per
@@ -1158,11 +1239,11 @@ impl Mutator {
         }
         let mailbox = Arc::clone(self.mailbox.as_ref().expect("mailbox just registered"));
         let hotness = self.profiles.invocation_count(method);
-        let epoch = self.evict_epochs.get(&method).copied().unwrap_or(0);
+        let epoch = self.evict_epochs[method.index()];
         let fingerprint = self.profile_fingerprint();
         let snapshot = self.profiles.clone();
         if service.request(&mailbox, method, hotness, epoch, fingerprint, snapshot)
-            && self.evicted.contains(&method)
+            && self.evicted[method.index()]
         {
             if let Some(m) = self.options.metrics.on() {
                 m.vm.recompiles.inc();
@@ -1194,8 +1275,7 @@ impl Mutator {
             return;
         };
         for outcome in service.take(&mailbox) {
-            let current_epoch = self.evict_epochs.get(&outcome.method).copied().unwrap_or(0);
-            if outcome.epoch != current_epoch {
+            if outcome.epoch != self.evict_epochs[outcome.method.index()] {
                 // Compiled before the method's latest eviction: the
                 // speculation that kept deoptimizing. Drop it; the fresh
                 // profile will trigger a new request.
@@ -1230,7 +1310,7 @@ impl Mutator {
                     );
                 }
                 Err(_) => {
-                    self.bailed_out.insert(outcome.method);
+                    self.bailed_out[outcome.method.index()] = true;
                 }
             }
         }
@@ -1284,7 +1364,7 @@ impl Mutator {
             // accounts for everything up to the settle point.
             self.emit_metrics_snapshot();
         }
-        self.pinned.len()
+        self.compiled_method_count()
     }
 
     /// Compiles every method of the program on `parallelism` threads from
@@ -1305,7 +1385,7 @@ impl Mutator {
         let metrics = &self.options.metrics;
         let methods: Vec<MethodId> = (0..program.methods.len())
             .map(MethodId::from_index)
-            .filter(|m| !self.pinned.contains_key(m))
+            .filter(|m| self.pinned[m.index()].is_none())
             .collect();
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<(MethodId, Result<CompiledMethod, Bailout>)>> =
@@ -1348,7 +1428,7 @@ impl Mutator {
                     installed += 1;
                 }
                 Err(_) => {
-                    self.bailed_out.insert(method);
+                    self.bailed_out[method.index()] = true;
                 }
             }
         }
@@ -1359,7 +1439,7 @@ impl Mutator {
         &mut self,
         program: &Program,
         code: &CompiledMethod,
-        args: Vec<Value>,
+        args: &[Value],
     ) -> Result<Option<Value>, VmError> {
         let tier = match self.options.exec_mode {
             ExecMode::Linear => Tier::Linear,
@@ -1371,8 +1451,8 @@ impl Mutator {
             m.vm.invocations_compiled.inc();
         }
         let outcome = match self.options.exec_mode {
-            ExecMode::Linear => pea_compiler::linear::execute(program, self, code, &args),
-            ExecMode::Graph => evaluate(program, self, code, &args),
+            ExecMode::Linear => pea_compiler::linear::execute(program, self, code, args),
+            ExecMode::Graph => evaluate(program, self, code, args),
         };
         let outcome = match outcome {
             Ok(o) => o,
@@ -1396,9 +1476,8 @@ impl Mutator {
                 // its speculation — the context is still entered here.
                 self.profile.record_deopt();
                 let method = code.method;
-                let count = self.deopt_counts.entry(method).or_insert(0);
-                *count += 1;
-                let deopts = *count;
+                self.deopt_counts[method.index()] += 1;
+                let deopts = self.deopt_counts[method.index()];
                 if let Some(m) = self.options.metrics.on() {
                     m.vm.deopts.inc();
                     m.vm.rematerialized_objects.add(rematerialized.len() as u64);
@@ -1429,15 +1508,16 @@ impl Mutator {
                     // matches reality. Local state is dropped immediately;
                     // the shared store retires its published variants,
                     // reclaimed after every mutator's rendezvous poll.
-                    self.pinned.remove(&method);
-                    self.bailed_out.remove(&method);
+                    let m = method.index();
+                    self.pinned[m] = None;
+                    self.bailed_out[m] = false;
                     self.profiles.clear_method(method);
-                    self.deopt_counts.remove(&method);
-                    self.evicted.insert(method);
+                    self.deopt_counts[m] = 0;
+                    self.evicted[m] = true;
                     // Invalidate in-flight background compilations of this
                     // method: they speculate from the profile that just
                     // failed.
-                    *self.evict_epochs.entry(method).or_insert(0) += 1;
+                    self.evict_epochs[m] += 1;
                     // Same discipline for the summary cache: the next
                     // compilation (sync or background) re-resolves.
                     self.shared.summary_cache.invalidate();
@@ -1631,11 +1711,22 @@ impl InterpEnv for Mutator {
     fn profiles(&mut self) -> &mut ProfileStore {
         &mut self.profiles
     }
+    fn value_stack(&mut self) -> &mut Vec<Value> {
+        &mut self.stack
+    }
     fn charge(&mut self, cycles: u64) -> Result<(), VmError> {
         self.charge_cycles(cycles)
     }
-    fn invoke(&mut self, method: MethodId, args: Vec<Value>) -> Result<Option<Value>, VmError> {
-        self.call(method, args)
+    fn has_fuel_limit(&self) -> bool {
+        self.options.fuel.is_some()
+    }
+    fn invoke(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        argc: usize,
+    ) -> Result<Option<Value>, VmError> {
+        self.call_with(program, method, Args::Stack(argc))
     }
     fn safepoint(&mut self) {
         // Loop back-edge: install finished background compilations so a

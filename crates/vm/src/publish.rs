@@ -1,8 +1,9 @@
 //! Safepoint-published shared code cache and mutator rendezvous.
 //!
 //! With N mutator threads on one VM, compiled artifacts live in two
-//! places: a **mutator-local pinned map** (the dispatch hot path — a plain
-//! `HashMap` owned by the thread, zero shared accesses per call) and this
+//! places: a **mutator-local pinned table** (the dispatch hot path — a
+//! plain `Vec` indexed by method, owned by the thread, zero shared
+//! accesses per call) and this
 //! **shared [`CodeCache`]**, the publication layer mutators consult when a
 //! method crosses the compile threshold. The shared cache is read-mostly
 //! and its read path acquires no lock:
@@ -520,14 +521,25 @@ mod tests {
                 let code = Arc::clone(&code);
                 scope.spawn(move || {
                     let mut view = cache.view();
-                    let mut hits = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    let (mut hits, mut fast_hits) = (0u64, 0u64);
+                    // Read until the writer is done *and* this reader has
+                    // hit, once through the fast path: the last published
+                    // state holds fingerprint 0 at a generation that no
+                    // longer moves, so both are bound to happen however
+                    // late this thread is first scheduled.
+                    loop {
+                        let done = stop.load(Ordering::Acquire);
+                        let current = done && view.generation() == cache.generation();
                         // Fingerprint 0 is evicted and republished by the
                         // writer; a hit must always carry fingerprint 0.
                         if let Some(hit) = cache.lookup(&mut view, m, 0, false) {
                             assert_eq!(hit.fingerprint, 0);
                             assert!(Arc::ptr_eq(hit.result.as_ref().unwrap(), &code));
                             hits += 1;
+                            fast_hits += u64::from(current);
+                        }
+                        if done && fast_hits > 0 {
+                            break;
                         }
                     }
                     assert!(hits > 0, "readers made progress");
@@ -540,7 +552,7 @@ mod tests {
                     writer_cache.evict(m);
                     writer_cache.publish(m, entry(0, &code));
                 }
-                writer_stop.store(true, Ordering::Relaxed);
+                writer_stop.store(true, Ordering::Release);
             });
         });
         let s = cache.stats();

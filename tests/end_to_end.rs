@@ -300,6 +300,28 @@ fn hostile_newarray_exits_the_cli_cleanly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// An entry call with too few or too many arguments is refused before any
+/// frame is built: the message names the method and both counts, the exit
+/// status is 1, nothing panics — in every tier.
+#[test]
+fn wrong_entry_arity_is_an_error() {
+    for (args, found) in [(&["1"][..], 1), (&["1", "null", "5"][..], 3)] {
+        for tier in [&[][..], &["--interp"][..], &["--exec-mode", "graph"][..]] {
+            let out = std::process::Command::new(env!("CARGO_BIN_EXE_pea"))
+                .args(["run", "examples/cache_key.asm", "getValue"])
+                .args(args)
+                .args(tier)
+                .output()
+                .expect("runs pea");
+            assert_eq!(out.status.code(), Some(1), "{args:?} {tier:?}: {out:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let want = format!("error: `getValue` takes 2 arguments, {found} given");
+            assert!(stderr.contains(&want), "{args:?} {tier:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{stderr}");
+        }
+    }
+}
+
 /// `--level` takes exactly `none|ees|pea`: a missing value, a removed name
 /// and garbage are usage errors (exit status 2, the three names listed),
 /// never a silent default.
