@@ -21,9 +21,8 @@
 //! The analysis **over-approximates**: it may report `ArgEscape` or
 //! `GlobalEscape` for an object that dynamically never leaves the method,
 //! but a `NoEscape` verdict is definitive. That direction is exactly what
-//! both consumers need — the compiler only *skips* PEA work for provably
-//! escaping sites, and the sanitizer only *rejects* PEA decisions that
-//! contradict a `NoEscape` proof.
+//! the sanitizer needs: it only *rejects* PEA decisions that contradict a
+//! `NoEscape` proof.
 
 use crate::dataflow::{solve_forward, BitSet, ForwardAnalysis};
 use pea_bytecode::{ClassId, Insn, Method, MethodId, Program, ValueKind};

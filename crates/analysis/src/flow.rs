@@ -28,12 +28,9 @@
 //!    reports beyond the IPA set.
 //!
 //! [`FlowSummary`] also path-qualifies the method's *throw* behaviour
-//! ([`ThrowPath`]): a callee that throws only behind profile-cold guards
-//! can be inlined by the summary inline policy even though the coarse
-//! `may_throw` bit is set — the builder's branch speculation prunes the
-//! throwing path entirely (and bails out if it ever parses an inlined
-//! `athrow`, so the verdict is a performance hint, never a soundness
-//! obligation).
+//! ([`ThrowPath`]) where the coarse `may_throw` bit only says whether a
+//! throw is possible. It is reported (`pealint`, `CALLGRAPH.json`); the
+//! inliner does not read it and keeps every `may_throw` callee out of line.
 //!
 //! Everything here **refines, never contradicts**, the flow-insensitive
 //! tier: a [`FlowSite::path`] is `NoEscape` exactly when the insensitive
@@ -107,8 +104,7 @@ pub struct ThrowGuard {
 /// Path-qualified `may_throw`: where this method's own `athrow`s sit
 /// relative to its control flow. Computed on the **unpruned** CFG (normal
 /// plus exceptional edges) so it mirrors what the graph builder would
-/// parse — predicate-dead paths are left in, keeping the verdict a safe
-/// input to the inliner's cold-throw clearance.
+/// parse — predicate-dead paths are left in.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ThrowPath {
     /// The interprocedural `may_throw` bit is off: no throw anywhere.
@@ -120,8 +116,6 @@ pub enum ThrowPath {
     CalleesOnly,
     /// Every reachable `athrow` sits behind one of these conditional
     /// guards: pruning the guard's throw-side edge makes it unreachable.
-    /// If a profile proves each guard's throw side never taken, branch
-    /// speculation removes every throwing path from an inlined body.
     Guarded(Vec<ThrowGuard>),
     /// No return is reachable: the method throws on every execution.
     Always,

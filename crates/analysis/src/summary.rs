@@ -11,24 +11,18 @@
 //! a fresh allocation — and iterate to a fixpoint with a worklist seeded
 //! optimistically at `NoEscape`.
 //!
-//! Two consumers:
+//! The one consumer is reporting (`pealint`, the benchmark's `analysis`
+//! layer): the compiler reads no summary. What it reports is the
+//! "immediately published" site set widened across call edges — an
+//! allocation whose very next instruction hands the fresh reference to a
+//! callee that provably publishes that parameter *before doing anything
+//! else* escapes globally in every calling context, exactly like a site
+//! followed by a direct `putstatic` (see
+//! [`ProgramSummaries::excluded_sites`]). The compiler does not consume
+//! these sets either (DESIGN §4f has the shape on which withholding them
+//! from PEA costs an allocation).
 //!
-//! * the summary-driven inline policy asks whether a callee globally
-//!   publishes an argument (inlining cannot save that allocation) or
-//!   keeps it local (inlining exposes it to scalar replacement);
-//! * reporting (`pealint`, the benchmark's `analysis` layer): the
-//!   "immediately published" site set widened across call edges — an
-//!   allocation whose very next instruction hands the fresh reference to
-//!   a callee that provably publishes that parameter *before doing
-//!   anything else* escapes globally in every calling context, exactly
-//!   like a site followed by a direct `putstatic` (see
-//!   [`ProgramSummaries::excluded_sites`]). The compiler does not consume
-//!   these sets (DESIGN §4f has the shape on which withholding them from
-//!   PEA costs an allocation).
-//!
-//! Summaries depend only on bytecode, never on profiles, so a program's
-//! summaries can be computed once and shared by every compilation (the VM
-//! keeps them in a cache shared by both JIT modes).
+//! Summaries depend only on bytecode, never on profiles.
 
 use crate::escape::{
     alloc_sites, analyze_method_with, immediate_global_sites, AllocSite, CalleeOracle, EscapeClass,
@@ -161,8 +155,7 @@ pub struct MethodSummary {
     pub sites: Vec<AllocSite>,
     /// The branch-aware layer: path-qualified site verdicts, the
     /// certain-escape exclusion bits, the path-qualified throw behaviour
-    /// ([`crate::flow::ThrowPath`]) the inliner's cold-throw clearance
-    /// consults, and per-parameter publishes-on-throw-path-only bits.
+    /// ([`crate::flow::ThrowPath`]), and per-parameter publishes-on-throw-path-only bits.
     /// Computed from the *intraprocedural* escape events (callee effects
     /// are call-site events, correctly attributed to the call bci).
     pub flow: FlowSummary,

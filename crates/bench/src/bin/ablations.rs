@@ -12,21 +12,13 @@
 //! decisions each disabled feature forces the analysis into.
 
 use pea_bench::{measure, measure_per_site, Row, DEFAULT_ITERS, DEFAULT_WARMUP};
-use pea_compiler::InlinePolicy;
 use pea_vm::{OptLevel, Vm, VmOptions};
 use pea_workloads::{suite_workloads, Suite, Workload};
 
-/// How much work the escape-analysis phase did, summed over the compiled
-/// methods: sites it processed to a virtual state, and may-throw callees
-/// the builder inlined on a cold-throw speculation (nonzero only under
-/// `inline=summary`).
-#[derive(Clone, Copy, Default)]
-struct PeaWork {
-    virtualized: usize,
-    cold_throw_inlined: usize,
-}
-
-fn measure_with(workload: &Workload, options: &VmOptions) -> (pea_bench::Measurement, PeaWork) {
+/// Measures `workload` under `options`, also returning how much work the
+/// escape-analysis phase did: the sites it processed to a virtual state,
+/// summed over the compiled methods.
+fn measure_with(workload: &Workload, options: &VmOptions) -> (pea_bench::Measurement, usize) {
     let mut vm = Vm::new(workload.program.clone(), options.clone());
     for i in 0..DEFAULT_WARMUP {
         vm.call_entry("iterate", &[pea_runtime::Value::Int(i as i64)])
@@ -40,16 +32,14 @@ fn measure_with(workload: &Workload, options: &VmOptions) -> (pea_bench::Measure
     }
     let wall = start.elapsed();
     let d = vm.stats().delta(&before);
-    let mut work = PeaWork::default();
-    for method in vm.compiled_methods() {
-        let compiled = vm.compiled(method).expect("listed method is cached");
-        work.virtualized += compiled.pea_result.virtualized_allocs;
-        work.cold_throw_inlined += compiled
-            .inline_decisions
-            .iter()
-            .filter(|d| d.inlined && d.reason == "cold-throw-speculated")
-            .count();
-    }
+    let virtualized = vm
+        .compiled_methods()
+        .into_iter()
+        .map(|method| {
+            let compiled = vm.compiled(method).expect("listed method is cached");
+            compiled.pea_result.virtualized_allocs
+        })
+        .sum();
     let measurement = pea_bench::Measurement {
         bytes_per_iter: d.alloc_bytes as f64 / DEFAULT_ITERS as f64,
         allocs_per_iter: d.alloc_count as f64 / DEFAULT_ITERS as f64,
@@ -59,7 +49,7 @@ fn measure_with(workload: &Workload, options: &VmOptions) -> (pea_bench::Measure
         deopts: d.deopts,
         compiles: vm.stats().compiles,
     };
-    (measurement, work)
+    (measurement, virtualized)
 }
 
 fn variant(name: &'static str, mutate: impl Fn(&mut VmOptions)) -> (&'static str, VmOptions) {
@@ -76,16 +66,6 @@ fn main() {
         variant("no-field-phis", |o| o.compiler.pea.field_phis = false),
         variant("no-loop-fixpoint", |o| {
             o.compiler.pea.loop_processing = false
-        }),
-        // Inlining-policy comparison (both under full PEA): the
-        // size-budget baseline vs. the summary-driven policy that inlines
-        // wherever a virtualizable allocation flows into the callee and
-        // refuses callees that globally publish their argument.
-        variant("inline=size", |o| {
-            o.compiler.build.inline_policy = InlinePolicy::Size
-        }),
-        variant("inline=summary", |o| {
-            o.compiler.build.inline_policy = InlinePolicy::Summary
         }),
     ];
     println!("PEA ablations — suite-average deltas vs. no escape analysis");
@@ -108,15 +88,14 @@ fn main() {
     );
     for (name, options) in &variants {
         print!("{name:<18}");
-        let mut work = PeaWork::default();
+        let mut virtualized = 0;
         for suite in [Suite::DaCapo, Suite::ScalaDaCapo, Suite::SpecJbb] {
             let workloads = suite_workloads(suite);
             let rows: Vec<Row> = workloads
                 .iter()
                 .map(|w| {
-                    let (with, w_work) = measure_with(w, options);
-                    work.virtualized += w_work.virtualized;
-                    work.cold_throw_inlined += w_work.cold_throw_inlined;
+                    let (with, sites) = measure_with(w, options);
+                    virtualized += sites;
                     Row {
                         name: w.name.clone(),
                         significant: w.significant,
@@ -132,10 +111,7 @@ fn main() {
             print!(" {allocs:>+12.1}% {speed:>+9.1}% {wall:>9.0}");
         }
         println!();
-        println!(
-            "    pea work: {} sites virtualized, {} cold-throw callees inlined",
-            work.virtualized, work.cold_throw_inlined
-        );
+        println!("    pea work: {virtualized} sites virtualized");
         if per_site {
             // Fold materialization reasons over every workload of every
             // suite for this variant.

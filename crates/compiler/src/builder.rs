@@ -9,14 +9,12 @@
 //! and at every merge, exactly as §2 of the paper describes, and inlined
 //! callees chain their states to the caller's state at the call site.
 
-use pea_analysis::{EscapeClass, ProgramSummaries, ThrowPath};
 use pea_bytecode::{ClassId, CmpOp, ExceptionEntry, Insn, MethodId, Program};
 use pea_ir::{ArithOp, DeoptReason, FrameStateData, Graph, NodeId, NodeKind};
 use pea_runtime::profile::ProfileStore;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
-use std::str::FromStr;
 
 /// Hard cap on the active inline chain (root + transitively inlined
 /// callees), independent of the configurable depth limit. A policy bug or
@@ -55,68 +53,6 @@ impl fmt::Display for Bailout {
 
 impl Error for Bailout {}
 
-/// Which first-class policy decides inline candidacy at each call site.
-///
-/// Both policies share the hard gates (inlining enabled, devirtualized
-/// target, depth limit, no recursion); they differ in what makes an
-/// eligible candidate worth inlining.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum InlinePolicy {
-    /// The classic cutoff: inline iff the callee bytecode fits the size
-    /// budget (`inline_max_callee_code`).
-    #[default]
-    Size,
-    /// Driven by interprocedural escape summaries plus profile call
-    /// counts: inline beyond the size budget where a fresh allocation
-    /// flows into a callee that keeps it unpublished (scalar replacement
-    /// can then see the whole object lifetime), refuse — regardless of
-    /// size — where the callee globally publishes every allocation passed
-    /// to it and allocates nothing itself, and fall back to the size rule
-    /// otherwise. Without summaries it degrades to the size rule.
-    Summary,
-}
-
-impl InlinePolicy {
-    /// Kebab-case tag for flags, traces and reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            InlinePolicy::Size => "size",
-            InlinePolicy::Summary => "summary",
-        }
-    }
-}
-
-impl fmt::Display for InlinePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for InlinePolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "size" => Ok(InlinePolicy::Size),
-            "summary" => Ok(InlinePolicy::Summary),
-            other => Err(format!("unknown inline policy `{other}` (size|summary)")),
-        }
-    }
-}
-
-/// How a `may_throw` callee cleared the inline gate (see
-/// [`GraphBuilder::cold_throw_clearance`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ThrowClearance {
-    /// Every `athrow` in the callee body sits behind a branch whose throw
-    /// side the profile proves was never taken: branch speculation guards
-    /// those sides away, so the inlined body contains no throw at all.
-    Cold,
-    /// The callee has no `athrow` of its own — only its residual calls can
-    /// throw, and those deoptimize/unwind identically at any inline depth.
-    Transparent,
-}
-
 /// One recorded inline decision: every resolved call site parsed during
 /// graph construction gets exactly one, accepted or not. The pipeline
 /// turns these into `InlineDecision` trace events.
@@ -129,8 +65,6 @@ pub struct InlineDecisionRec {
     pub bci: u32,
     /// The resolved (devirtualized if possible) call target.
     pub callee: MethodId,
-    /// Policy that made the decision.
-    pub policy: InlinePolicy,
     /// Whether the callee was inlined.
     pub inlined: bool,
     /// Kebab-case decision reason.
@@ -176,8 +110,6 @@ pub struct BuildOptions {
     pub speculate_dispatch: bool,
     /// Node budget; exceeding it bails out.
     pub max_graph_nodes: usize,
-    /// Which policy decides inline candidacy (see [`InlinePolicy`]).
-    pub inline_policy: InlinePolicy,
 }
 
 impl Default for BuildOptions {
@@ -191,7 +123,6 @@ impl Default for BuildOptions {
             devirtualize_threshold: 20,
             speculate_dispatch: true,
             max_graph_nodes: 20_000,
-            inline_policy: InlinePolicy::Size,
         }
     }
 }
@@ -199,16 +130,6 @@ impl Default for BuildOptions {
 /// Most receiver classes a polymorphic inline cache will speculate on;
 /// sites with more observed classes stay genuinely virtual.
 pub const MAX_PIC_CLASSES: usize = 4;
-
-/// The classic size cutoff, shared by both policies (the summary policy
-/// falls back to it when summaries say nothing interesting).
-fn size_rule(callee_len: usize, budget: usize) -> (bool, &'static str) {
-    if callee_len <= budget {
-        (true, "within-size-budget")
-    } else {
-        (false, "over-size-budget")
-    }
-}
 
 /// One tracked monitor.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -489,9 +410,6 @@ pub struct GraphBuilder<'a> {
     program: &'a Program,
     profiles: Option<&'a ProfileStore>,
     options: &'a BuildOptions,
-    /// Interprocedural summaries for the summary inline policy (absent →
-    /// the policy degrades to the size rule).
-    summaries: Option<&'a ProgramSummaries>,
     graph: Graph,
     /// Methods on the active inline chain (root included) — a set, so the
     /// per-call-site recursion check is O(1) instead of O(depth).
@@ -557,12 +475,11 @@ pub fn build_graph(
     profiles: Option<&ProfileStore>,
     options: &BuildOptions,
 ) -> Result<Graph, Bailout> {
-    build_graph_with(program, method, profiles, options, None).map(|(graph, _, _)| graph)
+    build_graph_with(program, method, profiles, options).map(|(graph, _, _)| graph)
 }
 
-/// [`build_graph`] with interprocedural summaries for the summary inline
-/// policy, also returning the per-call-site inline decisions and the
-/// receiver-type speculations planted.
+/// [`build_graph`], also returning the per-call-site inline decisions and
+/// the receiver-type speculations planted.
 ///
 /// # Errors
 ///
@@ -572,13 +489,11 @@ pub fn build_graph_with(
     method: MethodId,
     profiles: Option<&ProfileStore>,
     options: &BuildOptions,
-    summaries: Option<&ProgramSummaries>,
 ) -> Result<(Graph, Vec<InlineDecisionRec>, Vec<DevirtGuardRec>), Bailout> {
     let mut builder = GraphBuilder {
         program,
         profiles,
         options,
-        summaries,
         graph: Graph::new(),
         inline_active: HashSet::from([method]),
         decisions: Vec::new(),
@@ -1330,12 +1245,11 @@ impl<'a> GraphBuilder<'a> {
             Insn::Athrow => {
                 if ctx.depth > 0 {
                     // Safety net: an inlined `athrow` must never be parsed.
-                    // Cold-throw clearance only admits callees whose throw
-                    // blocks are guarded away by branch speculation (the
-                    // blocks are then unreachable and never built), so
-                    // reaching this point means the clearance reasoning and
-                    // the parser disagree — bail out rather than wire a
-                    // frame-local `Unwind` that would skip caller handlers.
+                    // The `may-throw` gate keeps every callee that can
+                    // throw out of line, so reaching this point means that
+                    // gate and the parser disagree — bail out rather than
+                    // wire a frame-local `Unwind` that would skip caller
+                    // handlers.
                     return Err(Bailout::Unsupported(
                         "athrow reachable in inlined callee".to_string(),
                     ));
@@ -1362,117 +1276,6 @@ impl<'a> GraphBuilder<'a> {
             }
         }
         Ok(false)
-    }
-
-    /// The summary inline policy (see [`InlinePolicy::Summary`]): decides
-    /// from the callee's interprocedural escape summary and its profile
-    /// call count whether the eligible candidate is worth inlining.
-    fn summary_decision(
-        &self,
-        resolved: MethodId,
-        args: &[NodeId],
-        callee_len: usize,
-    ) -> (bool, &'static str) {
-        let Some(summaries) = self.summaries else {
-            return size_rule(callee_len, self.options.inline_max_callee_code);
-        };
-        let callee = summaries.summary(resolved);
-        // Classify the fresh allocations among the arguments: does the
-        // callee keep any of them unpublished (scalar replacement can win
-        // across the call), or does it globally publish everything we
-        // would hand it?
-        let mut alloc_flows_in = false;
-        let mut published_alloc_arg = false;
-        for (i, &arg) in args.iter().enumerate() {
-            if matches!(
-                self.graph.kind(arg),
-                NodeKind::New { .. } | NodeKind::NewArray { .. }
-            ) {
-                let class = callee
-                    .param_escape
-                    .get(i)
-                    .copied()
-                    .unwrap_or(EscapeClass::GlobalEscape);
-                if class == EscapeClass::GlobalEscape {
-                    published_alloc_arg = true;
-                } else {
-                    alloc_flows_in = true;
-                }
-            }
-        }
-        if published_alloc_arg && !alloc_flows_in && callee.sites.is_empty() {
-            // Every allocation we pass is globally published by the
-            // callee and the callee allocates nothing itself: inlining
-            // cannot save an allocation, however small the body.
-            return (false, "publishes-argument");
-        }
-        if alloc_flows_in {
-            // A virtualizable allocation flows into the callee: spend a
-            // bigger budget, doubled again for profile-hot callees.
-            let hot = self.profiles.is_some_and(|p| {
-                p.invocation_count(resolved) >= self.options.devirtualize_threshold
-            });
-            let budget = self.options.inline_max_callee_code * if hot { 4 } else { 2 };
-            return if callee_len <= budget {
-                (true, "allocation-flows-in")
-            } else {
-                (false, "over-summary-budget")
-            };
-        }
-        if callee.returns_fresh && callee_len <= self.options.inline_max_callee_code * 2 {
-            // The callee hands back a fresh allocation; inlining exposes
-            // it to the caller's PEA.
-            return (true, "returns-fresh-allocation");
-        }
-        size_rule(callee_len, self.options.inline_max_callee_code)
-    }
-
-    /// Decides whether a `may_throw` callee is still safe to inline under
-    /// the summary policy, from its path-qualified throw summary:
-    ///
-    /// * [`ThrowPath::CalleesOnly`] — the callee has no `athrow` of its
-    ///   own; exceptions can only surface from its *residual* calls, which
-    ///   deoptimize and unwind through rematerialized interpreter frames
-    ///   at any inline depth. Transparent: inline freely.
-    /// * [`ThrowPath::Guarded`] — every `athrow` sits behind one
-    ///   conditional guard. If the branch profile proves each throw side
-    ///   was never taken (and is warm enough to speculate on), branch
-    ///   speculation will guard those sides away during parsing and the
-    ///   `athrow` blocks are never built. Cold: inline speculatively.
-    /// * [`ThrowPath::Never`] cannot co-occur with `may_throw` unless the
-    ///   throw comes from callees (then the summary says `CalleesOnly`);
-    ///   treat it as transparent for robustness.
-    /// * [`ThrowPath::Always`]/[`ThrowPath::Sometimes`] — unguarded own
-    ///   throws: keep the callee out-of-line, as before.
-    fn cold_throw_clearance(&self, callee: MethodId) -> Result<ThrowClearance, &'static str> {
-        if self.options.inline_policy != InlinePolicy::Summary {
-            return Err("may-throw");
-        }
-        let Some(summaries) = self.summaries else {
-            return Err("may-throw");
-        };
-        match &summaries.summary(callee).flow.throw_path {
-            ThrowPath::Never | ThrowPath::CalleesOnly => Ok(ThrowClearance::Transparent),
-            ThrowPath::Guarded(guards) => {
-                if !self.options.speculate_branches {
-                    return Err("may-throw");
-                }
-                for g in guards {
-                    let Some((taken, not_taken)) = self.branch_profile(callee, g.bci) else {
-                        return Err("no-throw-profile");
-                    };
-                    if taken + not_taken < self.options.branch_threshold {
-                        return Err("no-throw-profile");
-                    }
-                    let throw_side = if g.throw_on_taken { taken } else { not_taken };
-                    if throw_side != 0 {
-                        return Err("throw-path-hot");
-                    }
-                }
-                Ok(ThrowClearance::Cold)
-            }
-            ThrowPath::Always | ThrowPath::Sometimes => Err("may-throw"),
-        }
     }
 
     /// Emits (or inlines) a call.
@@ -1557,7 +1360,6 @@ impl<'a> GraphBuilder<'a> {
                 caller: ctx.method,
                 bci,
                 callee: target,
-                policy: self.options.inline_policy,
                 inlined: false,
                 reason: "polymorphic-inline-cache",
             });
@@ -1570,10 +1372,8 @@ impl<'a> GraphBuilder<'a> {
             return self.emit_pic(ctx, target, &pic_classes, args, bci, tail, state);
         }
 
-        // Policy decision. Hard gates first (shared by every policy),
-        // then the policy's own judgement; every resolved site records
-        // exactly one decision for the trace.
-        let callee_len = self.program.method(resolved).code.len();
+        // Inline decision: hard gates first, then the size rule; every
+        // resolved site records exactly one decision for the trace.
         let (can_inline, reason) = if !self.options.inline {
             (false, "inlining-disabled")
         } else if !devirtualized {
@@ -1583,37 +1383,21 @@ impl<'a> GraphBuilder<'a> {
         } else if ctx.depth >= self.options.inline_max_depth {
             (false, "depth-limit")
         } else if self.may_throw[resolved.index()] {
-            // A callee that can raise a catchable exception normally stays
+            // A callee that can raise a catchable exception stays
             // out-of-line: compiled frames then never contain cross-frame
             // exception edges, and a throwing callee is handled by
             // deoptimizing at the call site and unwinding rematerialized
-            // interpreter frames. The summary policy lifts this blanket
-            // rule through the path-qualified throw summary (see
-            // [`GraphBuilder::cold_throw_clearance`]): callee-only throw paths
-            // are transparent to inlining, and provably cold own-throw
-            // guards are speculated away during parsing.
-            match self.cold_throw_clearance(resolved) {
-                Err(why) => (false, why),
-                Ok(clearance) => {
-                    let (ok, why) = self.summary_decision(resolved, &args, callee_len);
-                    if ok && clearance == ThrowClearance::Cold {
-                        (true, "cold-throw-speculated")
-                    } else {
-                        (ok, why)
-                    }
-                }
-            }
+            // interpreter frames.
+            (false, "may-throw")
+        } else if self.program.method(resolved).code.len() <= self.options.inline_max_callee_code {
+            (true, "within-size-budget")
         } else {
-            match self.options.inline_policy {
-                InlinePolicy::Size => size_rule(callee_len, self.options.inline_max_callee_code),
-                InlinePolicy::Summary => self.summary_decision(resolved, &args, callee_len),
-            }
+            (false, "over-size-budget")
         };
         self.decisions.push(InlineDecisionRec {
             caller: ctx.method,
             bci,
             callee: resolved,
-            policy: self.options.inline_policy,
             inlined: can_inline,
             reason,
         });
@@ -1947,7 +1731,7 @@ mod tests {
         pea_bytecode::verify_program(&program).unwrap();
         let method = program.static_method_by_name("f").unwrap();
         let (_, decisions, _) =
-            build_graph_with(&program, method, None, &BuildOptions::default(), None).unwrap();
+            build_graph_with(&program, method, None, &BuildOptions::default()).unwrap();
         assert_eq!(decisions.len(), 1);
         assert!(!decisions[0].inlined);
         assert_eq!(decisions[0].reason, "recursive");
@@ -1981,48 +1765,6 @@ mod tests {
         };
         let result = build_graph(&program, method, None, &options);
         assert!(matches!(result, Err(Bailout::RecursionLimit)), "{result:?}");
-    }
-
-    #[test]
-    fn summary_policy_refuses_publishing_callee_and_inlines_flow_in() {
-        let src = "class Box { field v int }
-             static g ref
-             method publish 1 { load 0 putstatic g ret }
-             method fill 1 returns {
-                load 0 const 1 putfield Box.v
-                load 0 getfield Box.v retv
-             }
-             method f 0 returns {
-                new Box invokestatic publish
-                new Box invokestatic fill retv
-             }";
-        let program = parse_program(src).unwrap();
-        pea_bytecode::verify_program(&program).unwrap();
-        let summaries = ProgramSummaries::compute(&program);
-        let method = program.static_method_by_name("f").unwrap();
-        let options = BuildOptions {
-            inline_policy: InlinePolicy::Summary,
-            ..BuildOptions::default()
-        };
-        let (_, decisions, _) =
-            build_graph_with(&program, method, None, &options, Some(&summaries)).unwrap();
-        assert_eq!(decisions.len(), 2);
-        let publish = &decisions[0];
-        assert!(!publish.inlined);
-        assert_eq!(publish.reason, "publishes-argument");
-        let fill = &decisions[1];
-        assert!(fill.inlined);
-        assert_eq!(fill.reason, "allocation-flows-in");
-        // The size policy inlines both (both bodies are tiny).
-        let (_, size_decisions, _) = build_graph_with(
-            &program,
-            method,
-            None,
-            &BuildOptions::default(),
-            Some(&summaries),
-        )
-        .unwrap();
-        assert!(size_decisions.iter().all(|d| d.inlined));
     }
 
     #[test]

@@ -36,7 +36,6 @@ pub mod pipeline;
 
 pub use builder::{
     build_graph, build_graph_with, Bailout, BuildOptions, DevirtGuardRec, InlineDecisionRec,
-    InlinePolicy,
 };
 pub use eval::{evaluate, DeoptFrame, EvalEnv, EvalOutcome};
 pub use linear::{LinearArtifact, LowerError};

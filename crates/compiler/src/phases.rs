@@ -3,21 +3,17 @@
 //!
 //! Each compilation owns a `CompilationUnit` that carries everything the
 //! phases produce — the graph under construction, inline decisions,
-//! resolved interprocedural summaries, per-phase wall-clock times — and
-//! a `PhaseManager` drives an explicit list of [`PhaseKind`]s over it.
-//! This replaces the former ad-hoc statement sequencing inside
-//! `compile_impl`: the phase list is data, so tests and tools can inspect
-//! exactly which phases a configuration runs, and every phase reads and
-//! writes the unit through one named interface.
+//! per-phase wall-clock times — and a `PhaseManager` drives an explicit
+//! list of [`PhaseKind`]s over it. Every phase reads and writes the unit
+//! through one named interface.
 //!
 //! Phases are an enum rather than trait objects because they emit through
 //! the lifetime-bound [`Tracer`], which a `dyn Phase` could not carry
 //! without infecting every signature with the sink lifetime.
 
-use crate::builder::{build_graph_with, Bailout, InlineDecisionRec, InlinePolicy};
+use crate::builder::{build_graph_with, Bailout, InlineDecisionRec};
 use crate::canon::canonicalize;
 use crate::pipeline::{CompilerOptions, OptLevel, PhaseTimes};
-use pea_analysis::ProgramSummaries;
 use pea_bytecode::{MethodId, Program};
 use pea_core::{run_ees, run_pea, run_pea_traced, PeaResult};
 use pea_ir::cfg::Cfg;
@@ -26,7 +22,6 @@ use pea_ir::schedule::Schedule;
 use pea_ir::Graph;
 use pea_runtime::profile::ProfileStore;
 use pea_trace::{TraceEvent, Tracer};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// One compilation phase. The order a [`PhaseManager`] runs them in is the
@@ -34,19 +29,14 @@ use std::time::Instant;
 /// the [`CompilationUnit`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PhaseKind {
-    /// Resolve interprocedural summaries: reuse the set injected through
-    /// [`CompilerOptions::summaries`] or compute them from the program
-    /// (emitting [`TraceEvent::SummaryComputed`] per reachable method).
-    /// Scheduled only when the configuration consumes summaries.
-    Summaries,
     /// Bytecode → graph construction, inlining included; records one
     /// [`InlineDecisionRec`] per call site and emits it as a
     /// [`TraceEvent::InlineDecision`].
     Build,
     /// Constant folding, GVN, phi simplification, dead-node pruning.
     Canonicalize,
-    /// The escape-analysis rounds (`ea_iterations`, each followed by a
-    /// canonicalization pass).
+    /// One escape-analysis run (per [`OptLevel`]) followed by one
+    /// canonicalization pass.
     EscapeAnalysis,
     /// Final IR verification; a failure degrades into a [`Bailout`] so the
     /// VM keeps interpreting rather than executing a corrupt graph.
@@ -65,15 +55,11 @@ pub struct CompilationUnit<'a> {
     pub method: MethodId,
     pub profiles: Option<&'a ProfileStore>,
     pub options: &'a CompilerOptions,
-    /// Interprocedural summaries, once the [`PhaseKind::Summaries`] phase
-    /// resolved them (shared when the VM injected its cache, owned when
-    /// computed on demand).
-    pub summaries: Option<Arc<ProgramSummaries>>,
     /// The graph under construction (present after [`PhaseKind::Build`]).
     pub graph: Option<Graph>,
     /// Every inline decision the builder made, in call-site order.
     pub inline_decisions: Vec<InlineDecisionRec>,
-    /// Escape-analysis counters, summed across every round.
+    /// Escape-analysis counters.
     pub pea_result: PeaResult,
     /// Wall-clock per-phase times.
     pub times: PhaseTimes,
@@ -103,7 +89,6 @@ impl<'a> CompilationUnit<'a> {
             method,
             profiles,
             options,
-            summaries: None,
             graph: None,
             inline_decisions: Vec::new(),
             pea_result: PeaResult::default(),
@@ -115,10 +100,6 @@ impl<'a> CompilationUnit<'a> {
     fn graph_mut(&mut self) -> &mut Graph {
         self.graph.as_mut().expect("build phase ran")
     }
-
-    fn qualified_name(&self, method: MethodId) -> String {
-        self.program.method(method).qualified_name(self.program)
-    }
 }
 
 /// An explicit, inspectable phase sequence over a [`CompilationUnit`].
@@ -128,25 +109,18 @@ pub struct PhaseManager {
 }
 
 impl PhaseManager {
-    /// The standard pipeline for `options`: summaries are resolved only
-    /// when the inline policy consumes them.
-    pub fn standard(options: &CompilerOptions) -> PhaseManager {
-        let mut phases = Vec::new();
-        if options.needs_summaries() {
-            phases.push(PhaseKind::Summaries);
+    /// The standard pipeline, the same for every configuration.
+    pub fn standard() -> PhaseManager {
+        PhaseManager {
+            phases: vec![
+                PhaseKind::Build,
+                PhaseKind::Canonicalize,
+                PhaseKind::EscapeAnalysis,
+                PhaseKind::VerifyIr,
+                PhaseKind::Schedule,
+                PhaseKind::Lower,
+            ],
         }
-        phases.push(PhaseKind::Build);
-        phases.push(PhaseKind::Canonicalize);
-        phases.push(PhaseKind::EscapeAnalysis);
-        phases.push(PhaseKind::VerifyIr);
-        phases.push(PhaseKind::Schedule);
-        phases.push(PhaseKind::Lower);
-        PhaseManager { phases }
-    }
-
-    /// The phases this manager will run, in order.
-    pub fn phases(&self) -> &[PhaseKind] {
-        &self.phases
     }
 
     /// Runs every phase in order over `unit`.
@@ -172,33 +146,6 @@ fn run_phase(
     tracer: &mut Tracer<'_>,
 ) -> Result<(), Bailout> {
     match phase {
-        PhaseKind::Summaries => {
-            if let Some(shared) = &unit.options.summaries {
-                unit.summaries = Some(shared.clone());
-                return Ok(());
-            }
-            let t = Instant::now();
-            let summaries = ProgramSummaries::compute(unit.program);
-            // Summary computation is interprocedural front-end work;
-            // account it to the build bucket.
-            unit.times.build += t.elapsed();
-            if tracer.enabled() {
-                for s in summaries.all() {
-                    let method = unit.qualified_name(s.method);
-                    tracer.emit(&TraceEvent::SummaryComputed {
-                        method,
-                        params: s
-                            .param_escape
-                            .iter()
-                            .map(|c| c.as_str().to_string())
-                            .collect(),
-                        returns_fresh: s.returns_fresh,
-                    });
-                }
-            }
-            unit.summaries = Some(Arc::new(summaries));
-            Ok(())
-        }
         PhaseKind::Build => {
             let t = Instant::now();
             let (graph, decisions, guards) = build_graph_with(
@@ -206,7 +153,6 @@ fn run_phase(
                 unit.method,
                 unit.profiles,
                 &unit.options.build,
-                unit.summaries.as_deref(),
             )?;
             unit.times.build += t.elapsed();
             for d in &decisions {
@@ -214,7 +160,6 @@ fn run_phase(
                     method: unit.program.method(d.caller).qualified_name(unit.program),
                     bci: d.bci,
                     callee: unit.program.method(d.callee).qualified_name(unit.program),
-                    policy: d.policy.as_str().to_string(),
                     inlined: d.inlined,
                     reason: d.reason.to_string(),
                 });
@@ -246,31 +191,23 @@ fn run_phase(
             Ok(())
         }
         PhaseKind::EscapeAnalysis => {
-            for _ in 0..unit.options.ea_iterations.max(1) {
-                let t = Instant::now();
-                let graph = unit.graph.as_mut().expect("build phase ran");
-                let r = match unit.options.opt_level {
-                    OptLevel::None => PeaResult::default(),
-                    OptLevel::Ees => run_ees(graph, unit.program, &unit.options.pea),
-                    OptLevel::Pea => match tracer.sink() {
-                        Some(sink) => run_pea_traced(graph, unit.program, &unit.options.pea, sink),
-                        None => run_pea(graph, unit.program, &unit.options.pea),
-                    },
-                };
-                unit.times.escape_analysis += t.elapsed();
-                debug_assert_verify(unit.graph_mut(), "after escape analysis");
-                let t = Instant::now();
-                let graph = unit.graph_mut();
-                canonicalize(graph);
-                graph.prune_dead();
-                unit.times.canonicalize += t.elapsed();
-                // Every round's counters are real graph changes: report
-                // the sum, not just the first round's.
-                unit.pea_result.absorb(&r);
-                if !r.changed() {
-                    break;
-                }
-            }
+            let t = Instant::now();
+            let graph = unit.graph.as_mut().expect("build phase ran");
+            unit.pea_result = match unit.options.opt_level {
+                OptLevel::None => PeaResult::default(),
+                OptLevel::Ees => run_ees(graph, unit.program, &unit.options.pea),
+                OptLevel::Pea => match tracer.sink() {
+                    Some(sink) => run_pea_traced(graph, unit.program, &unit.options.pea, sink),
+                    None => run_pea(graph, unit.program, &unit.options.pea),
+                },
+            };
+            unit.times.escape_analysis += t.elapsed();
+            debug_assert_verify(unit.graph_mut(), "after escape analysis");
+            let t = Instant::now();
+            let graph = unit.graph_mut();
+            canonicalize(graph);
+            graph.prune_dead();
+            unit.times.canonicalize += t.elapsed();
             Ok(())
         }
         PhaseKind::VerifyIr => {
@@ -316,14 +253,6 @@ fn debug_assert_verify(graph: &Graph, stage: &str) {
         if let Err(e) = pea_ir::verify::verify(graph) {
             panic!("{stage}: {e}\n{}", pea_ir::dump::dump(graph));
         }
-    }
-}
-
-impl CompilerOptions {
-    /// Whether this configuration consumes interprocedural summaries (and
-    /// the [`PhaseKind::Summaries`] phase must run).
-    pub fn needs_summaries(&self) -> bool {
-        self.build.inline_policy == InlinePolicy::Summary
     }
 }
 

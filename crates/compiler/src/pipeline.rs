@@ -5,7 +5,6 @@
 
 use crate::builder::{Bailout, BuildOptions};
 use crate::phases::{CompilationUnit, PhaseManager};
-use pea_analysis::ProgramSummaries;
 use pea_bytecode::{MethodId, Program};
 use pea_core::{PeaOptions, PeaResult};
 use pea_ir::cfg::Cfg;
@@ -13,7 +12,6 @@ use pea_ir::schedule::Schedule;
 use pea_ir::Graph;
 use pea_runtime::profile::ProfileStore;
 use pea_trace::{PhaseMicros, TraceEvent, TraceSink, Tracer};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Which escape analysis the pipeline runs — the three configurations the
@@ -62,18 +60,6 @@ pub struct CompilerOptions {
     pub build: BuildOptions,
     /// PEA tuning and ablations.
     pub pea: PeaOptions,
-    /// How many times to run the escape-analysis phase. The paper notes
-    /// the analysis "can be applied, possibly multiple times, at any
-    /// point during compilation" (§1); later runs pick up opportunities
-    /// exposed by canonicalization of the previous one. The analysis is
-    /// idempotent, so extra iterations are safe.
-    pub ea_iterations: usize,
-    /// Pre-computed interprocedural summaries. Summaries depend only on
-    /// the program bytecode, so a VM computes them once and shares the
-    /// `Arc` across every compilation (both JIT modes); when `None` and
-    /// the summary inline policy needs them, the pipeline computes them
-    /// per compilation.
-    pub summaries: Option<Arc<ProgramSummaries>>,
 }
 
 impl CompilerOptions {
@@ -83,8 +69,6 @@ impl CompilerOptions {
             opt_level,
             build: BuildOptions::default(),
             pea: PeaOptions::default(),
-            ea_iterations: 1,
-            summaries: None,
         }
     }
 }
@@ -106,7 +90,7 @@ pub struct PhaseTimes {
     /// All canonicalization passes (constant folding, GVN, phi
     /// simplification), across every run.
     pub canonicalize: Duration,
-    /// The escape-analysis phase (all `ea_iterations` rounds).
+    /// The escape-analysis run.
     pub escape_analysis: Duration,
     /// CFG construction, dominators and scheduling.
     pub schedule: Duration,
@@ -145,8 +129,7 @@ pub struct CompiledMethod {
     /// Scheduled node count — the "machine code size" for the cost
     /// model's instruction-cache term.
     pub code_size: u64,
-    /// What the escape-analysis phase did (for reporting), aggregated
-    /// across every `ea_iterations` round.
+    /// What the escape-analysis phase did (for reporting).
     pub pea_result: PeaResult,
     /// Wall-clock per-phase compile times (observational; excluded from
     /// artifact-equality comparisons).
@@ -156,8 +139,8 @@ pub struct CompiledMethod {
     /// [`Bailout`], not an artifact without a linear form.
     pub linear: Option<crate::linear::LinearArtifact>,
     /// Every inline decision the builder took (one record per considered
-    /// call site), for reporting — e.g. counting cold-throw speculative
-    /// inlines in the ablations benchmark.
+    /// call site), for reporting — `perfbench`'s `compiler.inlined_calls`
+    /// counts the accepted ones.
     pub inline_decisions: Vec<crate::builder::InlineDecisionRec>,
 }
 
@@ -215,7 +198,7 @@ fn compile_impl<'a>(
         level: options.opt_level.to_string(),
     });
     let mut unit = CompilationUnit::new(program, method, profiles, options);
-    PhaseManager::standard(options).run(&mut unit, &mut tracer)?;
+    PhaseManager::standard().run(&mut unit, &mut tracer)?;
     let times = unit.times;
     let artifact = unit.artifact.expect("schedule phase ran");
     let graph = unit.graph.expect("build phase ran");

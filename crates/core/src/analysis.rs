@@ -67,21 +67,6 @@ pub struct PeaResult {
 }
 
 impl PeaResult {
-    /// Accumulates the counters of another analysis round. The pipeline
-    /// may run the escape-analysis phase several times (the compiler's
-    /// `ea_iterations` knob); the reported result is the sum over every
-    /// round, since each round's counters describe real, distinct graph
-    /// changes.
-    pub fn absorb(&mut self, other: &PeaResult) {
-        self.virtualized_allocs += other.virtualized_allocs;
-        self.deleted_loads += other.deleted_loads;
-        self.deleted_stores += other.deleted_stores;
-        self.elided_monitors += other.elided_monitors;
-        self.folded_checks += other.folded_checks;
-        self.materializations += other.materializations;
-        self.loop_rounds += other.loop_rounds;
-    }
-
     /// Whether the graph was changed at all.
     pub fn changed(&self) -> bool {
         self.virtualized_allocs

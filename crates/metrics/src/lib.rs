@@ -308,14 +308,10 @@ pub struct CompileMetrics {
     pub stale_dropped: Counter,
     /// Receiver-type speculations planted (mono guards and inline caches).
     pub devirt_guards: Counter,
-    /// Inline candidates the active policy accepted.
+    /// Inline candidates the inliner accepted.
     pub inline_accepted: Counter,
-    /// Inline candidates the active policy refused.
+    /// Inline candidates the inliner refused.
     pub inline_rejected: Counter,
-    /// Compilations that reused the VM's cached interprocedural summaries.
-    pub summary_cache_hits: Counter,
-    /// Compilations that had to (re)compute interprocedural summaries.
-    pub summary_cache_misses: Counter,
     /// Current background queue depth.
     pub queue_depth: Gauge,
     /// Enqueue→install latency of background compilations, µs.
@@ -443,14 +439,6 @@ impl VmMetrics {
             (
                 "compile.inline_rejected".into(),
                 self.compile.inline_rejected.get(),
-            ),
-            (
-                "compile.summary_cache_hits".into(),
-                self.compile.summary_cache_hits.get(),
-            ),
-            (
-                "compile.summary_cache_misses".into(),
-                self.compile.summary_cache_misses.get(),
             ),
             ("pea.virtualized".into(), self.pea.virtualized.get()),
             ("pea.materialized".into(), self.pea.materialized.get()),

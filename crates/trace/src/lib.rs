@@ -200,18 +200,13 @@ pub enum TraceEvent {
     /// safepoint: `counters` holds `name=value` lines of every metric
     /// that changed since the previous snapshot (see `pea-metrics`).
     MetricsSnapshot { seq: u64, counters: Vec<String> },
-    /// The graph builder decided whether to inline a call site. `policy`
-    /// names the active inline policy (`size` or `summary`), `reason` the
-    /// kebab-case rule that settled the decision (e.g. `within-size-budget`,
-    /// `publishes-argument`, `recursive`; may-throw callees under the
-    /// summary policy settle via the path-qualified throw summary —
-    /// `cold-throw-speculated` when a guarded throw path is provably cold,
-    /// `no-throw-profile`/`throw-path-hot`/`may-throw` when it is not).
+    /// The graph builder decided whether to inline a call site. `reason`
+    /// is the kebab-case rule that settled the decision (e.g.
+    /// `within-size-budget`, `over-size-budget`, `may-throw`, `recursive`).
     InlineDecision {
         method: String,
         bci: u32,
         callee: String,
-        policy: String,
         inlined: bool,
         reason: String,
     },
@@ -238,15 +233,6 @@ pub enum TraceEvent {
         bci: u32,
         reason: String,
     },
-    /// An interprocedural escape summary was computed for a method:
-    /// `params` holds one escape-class tag per parameter (`no-escape`,
-    /// `arg-escape`, `global-escape`), `returns_fresh` whether every
-    /// returned reference is a fresh allocation of the method itself.
-    SummaryComputed {
-        method: String,
-        params: Vec<String>,
-        returns_fresh: bool,
-    },
 }
 
 impl TraceEvent {
@@ -270,7 +256,6 @@ impl TraceEvent {
             TraceEvent::InlineDecision { .. } => "inline-decision",
             TraceEvent::DevirtGuard { .. } => "devirt-guard",
             TraceEvent::DeoptTaken { .. } => "deopt-taken",
-            TraceEvent::SummaryComputed { .. } => "summary-computed",
         }
     }
 
@@ -381,12 +366,11 @@ impl TraceEvent {
                 method,
                 bci,
                 callee,
-                policy,
                 inlined,
                 reason,
             } => {
                 let verdict = if *inlined { "inline" } else { "no-inline" };
-                format!("  {verdict} {callee} at {method}:{bci} (policy={policy}, {reason})")
+                format!("  {verdict} {callee} at {method}:{bci} ({reason})")
             }
             TraceEvent::DevirtGuard {
                 method,
@@ -405,19 +389,6 @@ impl TraceEvent {
             } => {
                 format!("deopt-taken {method} at {site}:{bci} ({reason})")
             }
-            TraceEvent::SummaryComputed {
-                method,
-                params,
-                returns_fresh,
-            } => format!(
-                "summary {method}: params [{}]{}",
-                params.join(", "),
-                if *returns_fresh {
-                    ", returns fresh"
-                } else {
-                    ""
-                }
-            ),
         }
     }
 
@@ -513,14 +484,12 @@ impl TraceEvent {
                 method,
                 bci,
                 callee,
-                policy,
                 inlined,
                 reason,
             } => {
                 o.str("method", method);
                 o.num("bci", *bci as i64);
                 o.str("callee", callee);
-                o.str("policy", policy);
                 o.bool("inlined", *inlined);
                 o.str("reason", reason);
             }
@@ -545,15 +514,6 @@ impl TraceEvent {
                 o.str("site", site);
                 o.num("bci", *bci as i64);
                 o.str("reason", reason);
-            }
-            TraceEvent::SummaryComputed {
-                method,
-                params,
-                returns_fresh,
-            } => {
-                o.str("method", method);
-                o.str_array("params", params);
-                o.bool("returns_fresh", *returns_fresh);
             }
         }
         o.finish()
@@ -650,7 +610,6 @@ impl TraceEvent {
                 method: obj.get_str("method")?.to_string(),
                 bci: obj.get_num("bci")? as u32,
                 callee: obj.get_str("callee")?.to_string(),
-                policy: obj.get_str("policy")?.to_string(),
                 inlined: obj.get_bool("inlined")?,
                 reason: obj.get_str("reason")?.to_string(),
             },
@@ -670,11 +629,6 @@ impl TraceEvent {
                     method,
                 }
             }
-            "summary-computed" => TraceEvent::SummaryComputed {
-                method: obj.get_str("method")?.to_string(),
-                params: obj.get_str_array("params")?,
-                returns_fresh: obj.get_bool("returns_fresh")?,
-            },
             other => {
                 return Err(json::JsonError::new(format!(
                     "unknown event kind {other:?}"
@@ -1093,8 +1047,7 @@ impl TraceSink for SiteAggregator {
             | TraceEvent::MetricsSnapshot { .. }
             | TraceEvent::InlineDecision { .. }
             | TraceEvent::DevirtGuard { .. }
-            | TraceEvent::DeoptTaken { .. }
-            | TraceEvent::SummaryComputed { .. } => {}
+            | TraceEvent::DeoptTaken { .. } => {}
         }
     }
 }
@@ -1186,17 +1139,15 @@ mod tests {
                 method: "Cache.getValue".into(),
                 bci: 4,
                 callee: "Cache.hash".into(),
-                policy: "summary".into(),
                 inlined: true,
-                reason: "allocation-flows-in".into(),
+                reason: "within-size-budget".into(),
             },
             TraceEvent::InlineDecision {
                 method: "Cache.getValue".into(),
                 bci: 9,
                 callee: "Registry.publish".into(),
-                policy: "summary".into(),
                 inlined: false,
-                reason: "publishes-argument".into(),
+                reason: "may-throw".into(),
             },
             TraceEvent::DevirtGuard {
                 method: "Cache.getValue".into(),
@@ -1209,11 +1160,6 @@ mod tests {
                 site: "Cache.getValue".into(),
                 bci: 11,
                 reason: "type-check".into(),
-            },
-            TraceEvent::SummaryComputed {
-                method: "Cache.hash".into(),
-                params: vec!["no-escape".into(), "arg-escape".into()],
-                returns_fresh: true,
             },
         ]
     }

@@ -33,7 +33,6 @@
 //!   getting hotter, and is retried at a later threshold check);
 //!   otherwise the newcomer itself is rejected.
 
-use crate::{SummaryCache, SummaryView};
 use pea_bytecode::{MethodId, Program};
 use pea_compiler::{compile, compile_traced, Bailout, CompiledMethod, CompilerOptions};
 use pea_metrics::MetricsHub;
@@ -62,12 +61,6 @@ pub struct CompileServiceOptions {
     /// Metrics handle; queue admission/rejection counters, the depth
     /// gauge, and per-compilation PEA/phase metrics flow through it.
     pub metrics: MetricsHub,
-    /// Interprocedural summary cache shared with the VM's synchronous
-    /// compile path. When the compiler configuration consumes summaries,
-    /// workers resolve from here per compilation (so a VM-side
-    /// invalidation reaches in-flight workers' *next* compilations);
-    /// `None` makes each worker compilation compute its own.
-    pub summary_cache: Option<SummaryCache>,
 }
 
 impl Default for CompileServiceOptions {
@@ -77,7 +70,6 @@ impl Default for CompileServiceOptions {
             queue_capacity: 128,
             checked: false,
             metrics: MetricsHub::disabled(),
-            summary_cache: None,
         }
     }
 }
@@ -225,9 +217,6 @@ struct Shared {
     /// Static escape verdicts for the sanitizer; `Some` iff checked mode
     /// is on (computed once at service start, shared by all workers).
     verdicts: Option<pea_analysis::StaticVerdicts>,
-    /// Summary cache shared with the VM (see
-    /// [`CompileServiceOptions::summary_cache`]).
-    summary_cache: Option<SummaryCache>,
     /// Next mailbox id.
     mailbox_seq: AtomicU64,
     queue: Mutex<Queue>,
@@ -261,7 +250,6 @@ impl CompileService {
             options: compiler,
             metrics: options.metrics.clone(),
             verdicts,
-            summary_cache: options.summary_cache.clone(),
             mailbox_seq: AtomicU64::new(0),
             queue: Mutex::new(Queue {
                 heap: BinaryHeap::new(),
@@ -415,14 +403,6 @@ impl Drop for CompileService {
 }
 
 fn worker_loop(shared: &Shared) {
-    // Per-worker replica of the summary cache: once populated, resolving
-    // summaries for a compilation is one atomic load, not a lock — the
-    // same read protocol the mutators use. Invalidations (generation
-    // bumps) are observed on the next resolve.
-    let mut summaries = shared
-        .summary_cache
-        .as_ref()
-        .map(|_| SummaryView::default());
     loop {
         let (request, flush_seq) = {
             let mut q = shared.queue.lock().expect("compile queue poisoned");
@@ -445,7 +425,7 @@ fn worker_loop(shared: &Shared) {
                 q = shared.work.wait(q).expect("compile queue poisoned");
             }
         };
-        let (result, findings) = run_one(shared, &request, flush_seq, &mut summaries);
+        let (result, findings) = run_one(shared, &request, flush_seq);
         let mailbox = Arc::clone(&request.mailbox);
         mailbox
             .outcomes
@@ -472,32 +452,14 @@ fn run_one(
     shared: &Shared,
     request: &Request,
     flush_seq: u64,
-    summaries: &mut Option<SummaryView>,
 ) -> (Result<CompiledMethod, Bailout>, Vec<String>) {
-    // Resolve interprocedural summaries through the shared cache when the
-    // configuration consumes them, so workers and the VM's synchronous
-    // path compile against the same set (and the cache's hit/miss
-    // counters cover both JIT modes). Resolution goes through the
-    // worker's view: lock-free once populated.
-    let mut options_owned;
-    let options = match (&shared.summary_cache, summaries) {
-        (Some(cache), Some(view))
-            if shared.options.needs_summaries() && shared.options.summaries.is_none() =>
-        {
-            options_owned = shared.options.clone();
-            options_owned.summaries =
-                Some(cache.resolve_view(view, &shared.program, &shared.metrics));
-            &options_owned
-        }
-        _ => &shared.options,
-    };
     let merge = &request.mailbox.merge;
     if merge.is_none() && shared.verdicts.is_none() && !shared.metrics.is_enabled() {
         let result = compile(
             &shared.program,
             request.method,
             Some(&request.profiles),
-            options,
+            &shared.options,
         );
         return (result, Vec::new());
     }
@@ -509,7 +471,7 @@ fn run_one(
         &shared.program,
         request.method,
         Some(&request.profiles),
-        options,
+        &shared.options,
         &mut buffer,
     );
     let mut findings = Vec::new();
@@ -650,7 +612,6 @@ mod tests {
                 queue_capacity: 4,
                 checked: false,
                 metrics: MetricsHub::disabled(),
-                summary_cache: None,
             },
         );
         let a = service.register_mailbox(None);

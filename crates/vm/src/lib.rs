@@ -17,8 +17,8 @@
 //! * [`VmShared`] — everything program-wide and thread-safe: the program,
 //!   the safepoint-published shared [`CodeCache`], the
 //!   [`SafepointRegistry`] rendezvous, the background [`CompileService`]
-//!   (started lazily, shared by every mutator), the static-verdict and
-//!   interprocedural-summary caches, and the TLAB chunk allocator.
+//!   (started lazily, shared by every mutator), the static-verdict cache,
+//!   and the TLAB chunk allocator.
 //! * [`Mutator`] — everything per-thread and lock-free on the hot path:
 //!   the heap (a private bump arena fed TLAB chunks by the shared
 //!   allocator), statics, profiles, the interpreter's value stack, the
@@ -52,7 +52,6 @@ pub mod publish;
 pub use compile_service::{
     default_workers, CompileOutcome, CompileService, CompileServiceOptions, Mailbox,
 };
-use pea_analysis::ProgramSummaries;
 use pea_bytecode::{MethodId, Program};
 use pea_compiler::DeoptFrame;
 pub use pea_compiler::OptLevel;
@@ -77,7 +76,7 @@ pub use publish::{
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// How JIT compilation is scheduled.
@@ -239,124 +238,6 @@ impl Default for VmOptions {
     }
 }
 
-/// Shared cache of interprocedural escape summaries, consulted by the
-/// synchronous compile path of every mutator and every background compile
-/// worker of one VM.
-///
-/// Summaries are a function of the program bytecode alone, so one
-/// computation serves every compilation; the cache still follows the code
-/// cache's invalidation discipline (cleared on method eviction, so a
-/// recompile after re-profiling starts from a fresh slot) to keep the
-/// summary lifetime observable and never longer than the compiled code it
-/// informed.
-///
-/// Readers hold a [`SummaryView`] and resolve through
-/// [`resolve_view`](Self::resolve_view): once populated, a resolve is one
-/// `Acquire` generation load plus an `Arc` clone of the reader's replica —
-/// no lock. The generation advances only on
-/// [`invalidate`](Self::invalidate), which readers observe coherently (a
-/// stale replica is never returned after its invalidation). Hits and
-/// misses are counted in `compile.summary_cache_hits` /
-/// `compile.summary_cache_misses`.
-#[derive(Clone, Debug, Default)]
-pub struct SummaryCache {
-    /// Bumped on invalidation, under the slot lock; readers compare
-    /// against their view with one `Acquire` load.
-    generation: Arc<AtomicU64>,
-    slot: Arc<Mutex<Option<Arc<ProgramSummaries>>>>,
-}
-
-/// A reader's replica of the [`SummaryCache`]: the generation it reflects
-/// plus the summaries resolved at that generation. Lets repeated resolves
-/// skip the cache lock entirely until an invalidation moves the
-/// generation.
-#[derive(Debug, Default)]
-pub struct SummaryView {
-    generation: u64,
-    cached: Option<Arc<ProgramSummaries>>,
-}
-
-impl SummaryCache {
-    pub fn new() -> SummaryCache {
-        SummaryCache::default()
-    }
-
-    /// A fresh, unpopulated view at the current generation.
-    pub fn view(&self) -> SummaryView {
-        SummaryView {
-            generation: self.generation.load(Ordering::Acquire),
-            cached: None,
-        }
-    }
-
-    /// Resolves through `view`: when the view is populated and the
-    /// generation has not moved, the replica answers without touching the
-    /// lock (counted as a hit — the shared slot is populated whenever a
-    /// replica of the current generation exists). Otherwise falls back to
-    /// the locked path and repopulates the view.
-    pub fn resolve_view(
-        &self,
-        view: &mut SummaryView,
-        program: &Program,
-        metrics: &MetricsHub,
-    ) -> Arc<ProgramSummaries> {
-        if self.generation.load(Ordering::Acquire) == view.generation {
-            if let Some(s) = &view.cached {
-                if let Some(m) = metrics.on() {
-                    m.compile.summary_cache_hits.inc();
-                }
-                return Arc::clone(s);
-            }
-        }
-        let (generation, s) = self.resolve_slow(program, metrics);
-        view.generation = generation;
-        view.cached = Some(Arc::clone(&s));
-        s
-    }
-
-    /// The cached summaries, computing and caching them on miss. Locked
-    /// path; the generation is read under the slot lock (it only moves
-    /// there), so the returned pair is coherent for view repopulation.
-    fn resolve_slow(
-        &self,
-        program: &Program,
-        metrics: &MetricsHub,
-    ) -> (u64, Arc<ProgramSummaries>) {
-        let mut slot = self.slot.lock().expect("summary cache poisoned");
-        if let Some(s) = &*slot {
-            if let Some(m) = metrics.on() {
-                m.compile.summary_cache_hits.inc();
-            }
-            return (self.generation.load(Ordering::Acquire), Arc::clone(s));
-        }
-        if let Some(m) = metrics.on() {
-            m.compile.summary_cache_misses.inc();
-        }
-        let s = Arc::new(ProgramSummaries::compute(program));
-        *slot = Some(Arc::clone(&s));
-        (self.generation.load(Ordering::Acquire), s)
-    }
-
-    /// The cached summaries, computing and caching them on miss (the
-    /// viewless compatibility path; always takes the lock).
-    pub fn resolve(&self, program: &Program, metrics: &MetricsHub) -> Arc<ProgramSummaries> {
-        self.resolve_slow(program, metrics).1
-    }
-
-    /// Drops the cached summaries and advances the generation; every
-    /// reader's next resolve goes through the locked path and recomputes.
-    pub fn invalidate(&self) {
-        let mut slot = self.slot.lock().expect("summary cache poisoned");
-        *slot = None;
-        self.generation.fetch_add(1, Ordering::Release);
-    }
-
-    /// Whether the cache currently holds summaries.
-    pub fn is_populated(&self) -> bool {
-        self.slot.lock().expect("summary cache poisoned").is_some()
-    }
-}
-
 /// The state one VM shares across all of its mutator threads. Everything
 /// here is thread-safe; per-thread state lives on [`Mutator`].
 pub struct VmShared {
@@ -375,8 +256,6 @@ pub struct VmShared {
     /// Static escape verdicts for the sanitizer, computed lazily on the
     /// first checked compilation.
     verdicts: OnceLock<Arc<pea_analysis::StaticVerdicts>>,
-    /// Interprocedural summary cache shared with the compile service.
-    summary_cache: SummaryCache,
     /// TLAB chunk allocator: every mutator heap draws bump-arena capacity
     /// from here in [`pea_runtime::TLAB_CELLS`]-sized chunks.
     chunks: Arc<ChunkAllocator>,
@@ -437,7 +316,6 @@ impl VmShared {
         });
         let view = self.code_cache.view();
         let slot = self.safepoints.register(view.generation());
-        let summaries = self.summary_cache.view();
         let methods = self.program.methods.len();
         Mutator {
             shared: Arc::clone(self),
@@ -453,7 +331,6 @@ impl VmShared {
             mailbox: None,
             slot,
             view,
-            summaries,
             profile,
             flight,
             options,
@@ -497,8 +374,6 @@ pub struct Mutator {
     /// Replica of the shared code store, refreshed non-blockingly at
     /// safepoints.
     view: CacheView,
-    /// Replica of the summary cache.
-    summaries: SummaryView,
     /// Cycle-attribution recorder (disabled by default: one branch per
     /// charge site, zero allocations). Per-mutator context — concurrent
     /// threads never cross-charge; cells merge in the shared hub.
@@ -571,7 +446,6 @@ impl Vm {
             safepoints: SafepointRegistry::new(),
             service: OnceLock::new(),
             verdicts: OnceLock::new(),
-            summary_cache: SummaryCache::new(),
             chunks: Arc::new(ChunkAllocator::new()),
             profile_names,
         });
@@ -943,7 +817,6 @@ impl Mutator {
                         self.slot.poll(self.view.generation());
                         return self.install_published(program, method, &hit, args);
                     }
-                    let copts = self.effective_compiler_options(program);
                     let (compiled, events) = if traced {
                         // Buffer the decision events so the sanitizer and
                         // the metrics fold can inspect them; forward to the
@@ -953,7 +826,7 @@ impl Mutator {
                             program,
                             method,
                             Some(&self.profiles),
-                            &copts,
+                            &self.options.compiler,
                             &mut buffer,
                         );
                         if self.options.checked {
@@ -974,7 +847,12 @@ impl Mutator {
                         (result, buffer.events)
                     } else {
                         (
-                            compile(program, method, Some(&self.profiles), &copts),
+                            compile(
+                                program,
+                                method,
+                                Some(&self.profiles),
+                                &self.options.compiler,
+                            ),
                             Vec::new(),
                         )
                     };
@@ -1124,29 +1002,6 @@ impl Mutator {
         self.options.checked || self.options.trace.is_some() || self.options.metrics.is_enabled()
     }
 
-    /// The compiler options for one compilation: when the configuration
-    /// consumes interprocedural summaries (the summary inline policy),
-    /// the shared [`SummaryCache`] is resolved through this mutator's
-    /// view (lock-free once populated) and injected so the pipeline never
-    /// recomputes per method.
-    fn effective_compiler_options(&mut self, program: &Program) -> CompilerOptions {
-        let mut copts = self.options.compiler.clone();
-        if copts.needs_summaries() && copts.summaries.is_none() {
-            copts.summaries = Some(self.shared.summary_cache.resolve_view(
-                &mut self.summaries,
-                program,
-                &self.options.metrics,
-            ));
-        }
-        copts
-    }
-
-    /// The VM's interprocedural summary cache (shared with the background
-    /// compile service; read access for tests and harnesses).
-    pub fn summary_cache(&self) -> &SummaryCache {
-        &self.shared.summary_cache
-    }
-
     /// The static escape verdicts, computed over the whole program on
     /// first use and reused for every checked compilation of every
     /// mutator.
@@ -1230,7 +1085,6 @@ impl Mutator {
                     queue_capacity: shared.options.compile_queue_capacity,
                     checked: shared.options.checked,
                     metrics: shared.options.metrics.clone(),
-                    summary_cache: Some(shared.summary_cache.clone()),
                 },
             )
         });
@@ -1379,8 +1233,7 @@ impl Mutator {
     pub fn precompile_all(&mut self, parallelism: usize) -> usize {
         let parallelism = parallelism.max(1);
         let program = Arc::clone(&self.shared.program);
-        let options = self.effective_compiler_options(&program);
-        let options = &options;
+        let options = &self.options.compiler;
         let profiles = &self.profiles;
         let metrics = &self.options.metrics;
         let methods: Vec<MethodId> = (0..program.methods.len())
@@ -1518,9 +1371,6 @@ impl Mutator {
                     // method: they speculate from the profile that just
                     // failed.
                     self.evict_epochs[m] += 1;
-                    // Same discipline for the summary cache: the next
-                    // compilation (sync or background) re-resolves.
-                    self.shared.summary_cache.invalidate();
                     self.shared.code_cache.evict(method);
                     if let Some(m) = self.options.metrics.on() {
                         m.vm.evictions.inc();
@@ -1685,10 +1535,8 @@ pub(crate) fn record_compile_metrics(
                 }
             }
             TraceEvent::DevirtGuard { .. } => m.compile.devirt_guards.inc(),
-            // VM-side events are counted at their emission sites;
-            // summaries are program-wide, not per-compilation.
-            TraceEvent::SummaryComputed { .. }
-            | TraceEvent::Deopt { .. }
+            // VM-side events are counted at their emission sites.
+            TraceEvent::Deopt { .. }
             | TraceEvent::DeoptTaken { .. }
             | TraceEvent::Evict { .. }
             | TraceEvent::Recompile { .. }

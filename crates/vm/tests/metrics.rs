@@ -182,55 +182,3 @@ fn background_trace_carries_periodic_metrics_snapshots() {
         assert!(*len > 0, "empty deltas must be skipped, not emitted");
     }
 }
-
-#[test]
-fn summary_cache_shared_across_compilations() {
-    // Under the summary inline policy (the one summary consumer) the
-    // interprocedural summaries are computed once (one miss) and every
-    // later compilation hits the shared cache — in both JIT modes.
-    let src = "method f 1 returns { load 0 const 1 add retv }
-         method g 1 returns { load 0 const 2 mul retv }";
-    for background in [false, true] {
-        let mut options = metrics_options(background);
-        options.compiler.build.inline_policy = pea_compiler::InlinePolicy::Summary;
-        options.compile_threshold = 5;
-        let program = pea_bytecode::asm::parse_program(src).unwrap();
-        let mut vm = Vm::new(program, options);
-        for i in 0..20 {
-            vm.call_entry("f", &[Value::Int(i)]).unwrap();
-            vm.call_entry("g", &[Value::Int(i)]).unwrap();
-        }
-        vm.await_background_compiles();
-        assert_eq!(vm.compiled_method_count(), 2);
-        let m = vm.metrics().on().expect("metrics enabled");
-        let mode = if background { "background" } else { "sync" };
-        assert_eq!(
-            m.compile.summary_cache_misses.get(),
-            1,
-            "{mode}: summaries must be computed exactly once"
-        );
-        assert!(
-            m.compile.summary_cache_hits.get() >= 1,
-            "{mode}: later compilations must hit the cache"
-        );
-        assert!(vm.summary_cache().is_populated());
-        vm.summary_cache().invalidate();
-        assert!(!vm.summary_cache().is_populated());
-    }
-}
-
-#[test]
-fn summary_cache_untouched_when_configuration_ignores_summaries() {
-    let src = "method f 1 returns { load 0 const 1 add retv }";
-    let mut options = metrics_options(false);
-    options.compile_threshold = 5;
-    let program = pea_bytecode::asm::parse_program(src).unwrap();
-    let mut vm = Vm::new(program, options);
-    for i in 0..20 {
-        vm.call_entry("f", &[Value::Int(i)]).unwrap();
-    }
-    let m = vm.metrics().on().expect("metrics enabled");
-    assert_eq!(m.compile.summary_cache_misses.get(), 0);
-    assert_eq!(m.compile.summary_cache_hits.get(), 0);
-    assert!(!vm.summary_cache().is_populated());
-}

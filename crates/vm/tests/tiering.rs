@@ -149,30 +149,3 @@ fn errors_do_not_poison_the_code_cache() {
     assert_eq!(vm.compiled_method_count(), 1);
     assert_eq!(vm.stats().compiles, 1);
 }
-
-#[test]
-fn ea_iterations_option_is_idempotent() {
-    let src = "
-        class Box { field v int }
-        method f 1 returns {
-            new Box store 1
-            load 1 load 0 putfield Box.v
-            load 1 getfield Box.v retv
-        }";
-    let mut once = VmOptions::with_opt_level(OptLevel::Pea);
-    once.compiler.ea_iterations = 1;
-    let mut thrice = VmOptions::with_opt_level(OptLevel::Pea);
-    thrice.compiler.ea_iterations = 3;
-    let mut results = Vec::new();
-    for options in [once, thrice] {
-        let mut vm = vm_with(src, options);
-        for i in 0..10 {
-            vm.call_entry("f", &[Value::Int(i)]).unwrap();
-        }
-        let before = vm.stats();
-        let r = vm.call_entry("f", &[Value::Int(5)]).unwrap();
-        results.push((r, vm.stats().delta(&before).alloc_count));
-    }
-    assert_eq!(results[0], results[1], "extra EA iterations change nothing");
-    assert_eq!(results[0].1, 0);
-}

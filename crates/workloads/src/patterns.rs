@@ -21,7 +21,7 @@
 //! | [`Pattern::ExceptionParse`] | parser error paths (xalan, batik) | results scalar-replaced; errors **materialize at the throw** |
 //! | [`Pattern::MegamorphicDispatch`] | hot virtual sites over 1–4 receiver classes | guarded devirtualization (mono guard / PIC), receivers scalar-replaced |
 //! | [`Pattern::TryFinallyLock`] | try-finally monitor regions (tomcat, jbb) | locally-caught error object scalar-replaced; lock released on both paths |
-//! | [`Pattern::ColdThrowPublish`] | range/state-check helpers throwing on a never-taken guard | `summary` inline policy + throw summary inline the may-throw helper; the error allocation is guarded away |
+//! | [`Pattern::ColdThrowPublish`] | range/state-check helpers throwing on a never-taken guard | no win: the may-throw helper stays out of line (`may-throw`); only the throw summary sees the cold guard |
 //! | [`Pattern::GuardedPublish`] | periodic publication through a local behind a two-sided branch | no allocation win; only the flow tier certifies the certain escape |
 //! | [`Pattern::Ballast`] | the non-allocating bulk of real applications | none (dilutes speedups to realistic magnitudes) |
 
@@ -146,12 +146,10 @@ pub enum Pattern {
     },
     /// `n` additions through a checking helper whose only `athrow` sits
     /// behind a guard that never fires for in-range inputs (the
-    /// range/state-check shape). The helper is `may_throw`, so the size
-    /// policy never inlines it; the summary policy reads its
-    /// path-qualified throw summary (`ThrowPath::Guarded`), sees from the
-    /// branch profile that the throw side was never taken, and inlines it
-    /// with the throw block speculated away — the fresh error object
-    /// disappears from compiled code entirely.
+    /// range/state-check shape). The helper is `may_throw`, so the inliner
+    /// keeps it out of line (reason `may-throw`) and the call stays a
+    /// residual call; the static tier's path-qualified throw summary
+    /// (`ThrowPath::Guarded`) reports the guard, and nothing consumes it.
     ColdThrowPublish {
         /// Inner repetitions (must stay below 65535 so the guard is
         /// genuinely never taken).
@@ -706,8 +704,8 @@ Ld{s}:
                 // loop counters below 65535, so the throw block (fresh
                 // error object, field write, `athrow`) is dead in steady
                 // state. The throw summary is `Guarded` with a single
-                // never-taken guard — exactly what the summary inline
-                // policy needs to clear the may-throw gate.
+                // never-taken guard; the inliner still refuses the helper
+                // as `may-throw`.
                 let _ = write!(
                     out,
                     "

@@ -1,8 +1,7 @@
 //! `pea` — command-line driver for the PEA virtual machine and compiler.
 //!
 //! ```text
-//! pea run <file.asm> <entry> [args...] [--level none|ees|pea]
-//!         [--inline-policy size|summary]
+//! pea run <file.asm> <entry> [args...] [--level none|ees|pea] [--warmup N]
 //!         [--interp] [--jit-mode sync|background] [--exec-mode linear|graph] [--checked]
 //!         [--trace|--trace-json [PATH]]                # + VM/PEA event log
 //!         [--metrics] [--metrics-json PATH] [--metrics-prom PATH]
@@ -23,6 +22,9 @@
 //! `pea --trace <file.asm> [method]` and `pea --trace-json <file.asm>
 //! [method]` are shorthands for the `trace` subcommand.
 //!
+//! A flag the subcommand does not know, or a value flag whose value is
+//! missing or does not parse, is a usage error (exit status 2).
+//!
 //! Examples:
 //!
 //! ```sh
@@ -33,7 +35,7 @@
 //! ```
 
 use pea::bytecode::asm::parse_program;
-use pea::compiler::{compile, compile_traced, CompilerOptions, InlinePolicy, OptLevel};
+use pea::compiler::{compile, compile_traced, CompilerOptions, OptLevel};
 use pea::metrics::export::{
     create_file_with_dirs, render_json, render_prometheus, render_text, write_with_dirs,
 };
@@ -46,35 +48,72 @@ use pea::trace::{FlightEntry, JsonLinesSink, PrettySink, SharedSink, TraceSink};
 use pea::vm::{JitMode, Vm, VmOptions};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 
-/// The `--level none|ees|pea` flag (default: pea). A missing or unknown
-/// value is a usage error, never a silent default.
-fn parse_level(args: &[String]) -> OptLevel {
-    let Some(i) = args.iter().position(|a| a == "--level") else {
-        return OptLevel::Pea;
-    };
-    args.get(i + 1)
-        .ok_or_else(|| "--level needs a value (none|ees|pea)".to_string())
-        .and_then(|word| word.parse())
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        })
+/// Prints `msg` and exits with status 2, the usage-error status.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
-/// The `--inline-policy size|summary` flag (default: size).
-fn parse_inline_policy(args: &[String]) -> InlinePolicy {
-    match args
+/// Refuses (exit 2) the first `--flag` in `args` that `pea <command>`
+/// does not list in `known`.
+fn reject_unknown_flags(args: &[String], command: &str, known: &[&str]) {
+    if let Some(bad) = args
         .iter()
-        .position(|a| a == "--inline-policy")
-        .and_then(|i| args.get(i + 1))
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
     {
-        Some(word) => word.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
-        None => InlinePolicy::Size,
+        usage_error(&format!("pea {command}: unknown flag `{bad}`"));
     }
+}
+
+/// The value of the value flag `flag`, parsed; `None` when the flag is
+/// absent. A missing value or one that does not parse is a usage error
+/// naming the flag and the expected `shape`, never a silent default.
+fn parse_flag<T: FromStr>(args: &[String], flag: &str, shape: &str) -> Option<T> {
+    if !args.iter().any(|a| a == flag) {
+        return None;
+    }
+    let Some(word) = flag_value(args, flag) else {
+        usage_error(&format!("{flag} needs a value ({shape})"));
+    };
+    match word.parse() {
+        Ok(value) => Some(value),
+        Err(_) => usage_error(&format!("bad {flag} value `{word}` ({shape})")),
+    }
+}
+
+/// The `--level none|ees|pea` flag (default: pea).
+fn parse_level(args: &[String]) -> OptLevel {
+    parse_flag(args, "--level", "none|ees|pea").unwrap_or(OptLevel::Pea)
+}
+
+/// `options` with the `--jit-mode` and `--exec-mode` flags applied.
+fn with_modes(args: &[String], mut options: VmOptions) -> VmOptions {
+    if let Some(mode) = parse_flag(args, "--jit-mode", "sync|background") {
+        options.jit_mode = mode;
+    }
+    if let Some(mode) = parse_flag(args, "--exec-mode", "linear|graph") {
+        options.exec_mode = mode;
+    }
+    options
+}
+
+/// The entry-call arguments: every leading word before the first flag,
+/// each an int or `null`.
+fn call_args(rest: &[String]) -> Vec<Value> {
+    rest.iter()
+        .take_while(|a| !a.starts_with("--"))
+        .map(|a| {
+            if a == "null" {
+                Value::Null
+            } else {
+                Value::Int(a.parse().unwrap_or_else(|_| {
+                    usage_error(&format!("bad argument `{a}` (int or `null`)"))
+                }))
+            }
+        })
+        .collect()
 }
 
 fn load(path: &str) -> pea::bytecode::Program {
@@ -134,70 +173,56 @@ fn write_output(path: &str, contents: &str) {
 
 fn cmd_run(args: &[String]) -> ExitCode {
     let [path, entry, rest @ ..] = args else {
-        eprintln!("usage: pea run <file.asm> <entry> [int args...] [--level L] [--inline-policy size|summary] [--interp] [--warmup N] [--jit-mode sync|background] [--exec-mode linear|graph] [--checked] [--trace|--trace-json [PATH]] [--metrics] [--metrics-json PATH] [--metrics-prom PATH] [--profile-in PATH] [--profile-out PATH]");
+        eprintln!("usage: pea run <file.asm> <entry> [int args...] [--level L] [--interp] [--warmup N] [--jit-mode sync|background] [--exec-mode linear|graph] [--checked] [--trace|--trace-json [PATH]] [--metrics] [--metrics-json PATH] [--metrics-prom PATH] [--flight PATH] [--profile-in PATH] [--profile-out PATH]");
         return ExitCode::from(2);
     };
+    reject_unknown_flags(
+        rest,
+        "run",
+        &[
+            "--level",
+            "--interp",
+            "--warmup",
+            "--jit-mode",
+            "--exec-mode",
+            "--checked",
+            "--trace",
+            "--trace-json",
+            "--metrics",
+            "--metrics-json",
+            "--metrics-prom",
+            "--flight",
+            "--profile-in",
+            "--profile-out",
+        ],
+    );
     let program = load(path);
-    let interp_only = rest.iter().any(|a| a == "--interp");
-    let warmup: u64 = rest
-        .iter()
-        .position(|a| a == "--warmup")
-        .and_then(|i| rest.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100);
-    let call_args: Vec<Value> = rest
-        .iter()
-        .take_while(|a| !a.starts_with("--"))
-        .map(|a| {
-            if a == "null" {
-                Value::Null
-            } else {
-                Value::Int(a.parse().unwrap_or_else(|_| {
-                    eprintln!("bad argument `{a}` (int or `null`)");
-                    std::process::exit(2);
-                }))
-            }
-        })
-        .collect();
-    let mut options = if interp_only {
-        VmOptions::interpreter_only()
-    } else {
-        VmOptions::with_opt_level(parse_level(rest))
-    };
-    options.compiler.build.inline_policy = parse_inline_policy(rest);
-    if let Some(mode) = rest
-        .iter()
-        .position(|a| a == "--jit-mode")
-        .and_then(|i| rest.get(i + 1))
-    {
-        options.jit_mode = mode.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-    }
-    if let Some(mode) = rest
-        .iter()
-        .position(|a| a == "--exec-mode")
-        .and_then(|i| rest.get(i + 1))
-    {
-        options.exec_mode = mode.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-    }
+    let warmup: u64 = parse_flag(rest, "--warmup", "N").unwrap_or(100);
+    let call_args = call_args(rest);
+    // Parsed under `--interp` too, so a bad `--level` is refused there.
+    let level = parse_level(rest);
+    let mut options = with_modes(
+        rest,
+        if rest.iter().any(|a| a == "--interp") {
+            VmOptions::interpreter_only()
+        } else {
+            VmOptions::with_opt_level(level)
+        },
+    );
     options.trace = trace_sink(rest);
     options.checked = rest.iter().any(|a| a == "--checked");
-    options.flight = flag_value(rest, "--flight").map(PathBuf::from);
+    options.flight = parse_flag(rest, "--flight", "PATH");
     let metrics_text = rest.iter().any(|a| a == "--metrics");
-    let metrics_json = flag_value(rest, "--metrics-json");
-    let metrics_prom = flag_value(rest, "--metrics-prom");
+    let metrics_json: Option<String> = parse_flag(rest, "--metrics-json", "PATH");
+    let metrics_prom: Option<String> = parse_flag(rest, "--metrics-prom", "PATH");
+    let profile_out: Option<String> = parse_flag(rest, "--profile-out", "PATH");
     if metrics_text || metrics_json.is_some() || metrics_prom.is_some() {
         options.metrics = MetricsHub::enabled();
     }
     let background = options.jit_mode == JitMode::Background;
     let mut vm = Vm::new(program, options);
-    if let Some(path) = flag_value(rest, "--profile-in") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+    if let Some(path) = parse_flag::<String>(rest, "--profile-in", "PATH") {
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2);
         });
@@ -243,14 +268,14 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 if metrics_text {
                     eprint!("{}", render_text(&snapshot));
                 }
-                if let Some(path) = metrics_json {
+                if let Some(path) = &metrics_json {
                     write_output(path, &render_json(&snapshot));
                 }
-                if let Some(path) = metrics_prom {
+                if let Some(path) = &metrics_prom {
                     write_output(path, &render_prometheus(&snapshot));
                 }
             }
-            if let Some(path) = flag_value(rest, "--profile-out") {
+            if let Some(path) = &profile_out {
                 write_output(path, &vm.profiles().export_json());
             }
             ExitCode::SUCCESS
@@ -284,14 +309,23 @@ struct ProfileTarget {
 /// Exits nonzero if the profiler totals do not reconcile exactly with the
 /// VM's independently maintained counters (cycles, deopts, installs).
 fn cmd_profile(args: &[String]) -> ExitCode {
+    reject_unknown_flags(
+        args,
+        "profile",
+        &[
+            "--smoke",
+            "--out",
+            "--top",
+            "--warmup",
+            "--level",
+            "--jit-mode",
+            "--exec-mode",
+        ],
+    );
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_dir = PathBuf::from(flag_value(args, "--out").unwrap_or("."));
-    let top: usize = flag_value(args, "--top")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
-    let warmup: u64 = flag_value(args, "--warmup")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(150);
+    let out_dir: PathBuf = parse_flag(args, "--out", "DIR").unwrap_or_else(|| ".".into());
+    let top: usize = parse_flag(args, "--top", "N").unwrap_or(20);
+    let warmup: u64 = parse_flag(args, "--warmup", "N").unwrap_or(150);
     let targets: Vec<ProfileTarget> = if smoke {
         pea::workloads::all_workloads()
             .into_iter()
@@ -311,25 +345,11 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             );
             return ExitCode::from(2);
         };
-        let call_args: Vec<Value> = rest
-            .iter()
-            .take_while(|a| !a.starts_with("--"))
-            .map(|a| {
-                if a == "null" {
-                    Value::Null
-                } else {
-                    Value::Int(a.parse().unwrap_or_else(|_| {
-                        eprintln!("bad argument `{a}` (int or `null`)");
-                        std::process::exit(2);
-                    }))
-                }
-            })
-            .collect();
         vec![ProfileTarget {
             name: entry.clone(),
             program: load(path),
             entry: entry.clone(),
-            args: call_args,
+            args: call_args(rest),
         }]
     };
     // One shared hub: same-named methods merge across VMs, totals span the
@@ -343,19 +363,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     let mut timeline: Vec<FlightEntry> = Vec::new();
     let (mut seq_base, mut t_base) = (0u64, 0u64);
     for target in &targets {
-        let mut options = VmOptions::with_opt_level(parse_level(args));
-        if let Some(mode) = flag_value(args, "--jit-mode") {
-            options.jit_mode = mode.parse().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-        }
-        if let Some(mode) = flag_value(args, "--exec-mode") {
-            options.exec_mode = mode.parse().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-        }
+        let mut options = with_modes(args, VmOptions::with_opt_level(parse_level(args)));
         options.profiler = hub.clone();
         // The ring is what feeds the timeline; the dump path only
         // materializes on failure.
@@ -452,9 +460,10 @@ fn cmd_profile(args: &[String]) -> ExitCode {
 /// decision the compiler makes to stdout.
 fn cmd_trace(args: &[String], json: bool) -> ExitCode {
     let [path, rest @ ..] = args else {
-        eprintln!("usage: pea trace <file.asm> [method] [--level L] [--inline-policy P] [--json]");
+        eprintln!("usage: pea trace <file.asm> [method] [--level L] [--json]");
         return ExitCode::from(2);
     };
+    reject_unknown_flags(rest, "trace", &["--level", "--json", "--trace-json"]);
     let json = json || rest.iter().any(|a| a == "--json" || a == "--trace-json");
     let program = load(path);
     let level = parse_level(rest);
@@ -476,8 +485,7 @@ fn cmd_trace(args: &[String], json: bool) -> ExitCode {
     } else {
         Box::new(PrettySink::new(std::io::stdout()))
     };
-    let mut options = CompilerOptions::with_opt_level(level);
-    options.build.inline_policy = parse_inline_policy(rest);
+    let options = CompilerOptions::with_opt_level(level);
     for method in methods {
         if let Err(e) = compile_traced(&program, method, None, &options, sink.as_mut()) {
             eprintln!(
@@ -494,6 +502,7 @@ fn compiled_for(args: &[String]) -> Option<(pea::compiler::CompiledMethod, Strin
         eprintln!("usage: pea dump|dot <file.asm> <method> [--level L]");
         return None;
     };
+    reject_unknown_flags(rest, "dump|dot", &["--level"]);
     let program = load(path);
     let level = parse_level(rest);
     let method = program
@@ -502,8 +511,7 @@ fn compiled_for(args: &[String]) -> Option<(pea::compiler::CompiledMethod, Strin
             eprintln!("no static method `{method_name}`");
             std::process::exit(2);
         });
-    let mut options = CompilerOptions::with_opt_level(level);
-    options.build.inline_policy = parse_inline_policy(rest);
+    let options = CompilerOptions::with_opt_level(level);
     match compile(&program, method, None, &options) {
         Ok(code) => Some((code, method_name.clone())),
         Err(e) => {
@@ -564,49 +572,29 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         );
         return ExitCode::from(2);
     };
+    reject_unknown_flags(
+        rest,
+        "serve",
+        &[
+            "--threads",
+            "--iters",
+            "--warmup",
+            "--level",
+            "--jit-mode",
+            "--exec-mode",
+            "--checked",
+        ],
+    );
     let program = load(path);
-    let call_args: Vec<Value> = rest
-        .iter()
-        .take_while(|a| !a.starts_with("--"))
-        .map(|a| {
-            if a == "null" {
-                Value::Null
-            } else {
-                Value::Int(a.parse().unwrap_or_else(|_| {
-                    eprintln!("bad argument `{a}` (int or `null`)");
-                    std::process::exit(2);
-                }))
-            }
-        })
-        .collect();
-    let parse_count = |flag: &str, default: usize| -> usize {
-        flag_value(rest, flag).map_or(default, |s| {
-            s.parse().unwrap_or_else(|_| {
-                eprintln!("bad {flag} value `{s}`");
-                std::process::exit(2);
-            })
-        })
-    };
-    let threads = parse_count("--threads", 4);
+    let call_args = call_args(rest);
+    let threads: usize = parse_flag(rest, "--threads", "N").unwrap_or(4);
     if threads == 0 {
         eprintln!("--threads must be at least 1");
         return ExitCode::from(2);
     }
-    let iters = parse_count("--iters", 1000);
-    let warmup = parse_count("--warmup", 100);
-    let mut options = VmOptions::with_opt_level(parse_level(rest));
-    if let Some(mode) = flag_value(rest, "--jit-mode") {
-        options.jit_mode = mode.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-    }
-    if let Some(mode) = flag_value(rest, "--exec-mode") {
-        options.exec_mode = mode.parse().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-    }
+    let iters: usize = parse_flag(rest, "--iters", "N").unwrap_or(1000);
+    let warmup: usize = parse_flag(rest, "--warmup", "N").unwrap_or(100);
+    let mut options = with_modes(rest, VmOptions::with_opt_level(parse_level(rest)));
     options.checked = rest.iter().any(|a| a == "--checked");
     let background = options.jit_mode == JitMode::Background;
     let mut vm = Vm::new(program, options);

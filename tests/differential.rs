@@ -340,8 +340,6 @@ fn configs() -> Vec<(&'static str, VmOptions)> {
         o.compile_threshold = 3;
         o
     };
-    let mut summary_opts = low(OptLevel::Pea);
-    summary_opts.compiler.build.inline_policy = pea::compiler::InlinePolicy::Summary;
     // The default exec mode is the linear register machine; "jit-graph"
     // pins the graph-walking oracle so the proptest cross-checks the two
     // tiers on every generated program.
@@ -353,7 +351,6 @@ fn configs() -> Vec<(&'static str, VmOptions)> {
         ("jit-ees", low(OptLevel::Ees)),
         ("jit-pea", low(OptLevel::Pea)),
         ("jit-graph", graph_opts),
-        ("jit-pea-summary-inline", summary_opts),
         ("jit-pea-speculative", spec_opts),
     ]
 }
@@ -404,19 +401,6 @@ proptest! {
             pea <= none,
             "PEA allocated more than baseline: {} > {}",
             pea,
-            none
-        );
-        // The summary inline policy is built to virtualize at least as
-        // much as the size policy, so it keeps the same guarantee too.
-        let summary = alloc_counts
-            .iter()
-            .find(|(n, _)| n == "jit-pea-summary-inline")
-            .unwrap()
-            .1;
-        prop_assert!(
-            summary <= none,
-            "summary-inline PEA allocated more than baseline: {} > {}",
-            summary,
             none
         );
     }

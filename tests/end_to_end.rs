@@ -353,6 +353,36 @@ fn bad_level_is_a_usage_error() {
     }
 }
 
+/// Every value flag refuses a missing or unparsable value, and every
+/// subcommand refuses a flag it does not know (the removed
+/// `--inline-policy` among them): exit status 2 and a message naming the
+/// flag, never a silent default.
+#[test]
+fn bad_flags_are_usage_errors() {
+    let run = ["run", "examples/cache_key.asm", "getValue", "1", "null"];
+    let profile = ["profile", "examples/cache_key.asm", "getValue", "1", "null"];
+    let cases: [(&[&str], &[&str], &str); 8] = [
+        (&run, &["--warmup", "abc"], "--warmup"),
+        (&run, &["--warmup"], "--warmup"),
+        (&run, &["--jit-mode"], "--jit-mode"),
+        (&run, &["--exec-mode"], "--exec-mode"),
+        (&run, &["--metrics-json"], "--metrics-json"),
+        (&run, &["--inline-policy", "size"], "--inline-policy"),
+        (&profile, &["--top", "x"], "--top"),
+        (&profile, &["--bogus"], "--bogus"),
+    ];
+    for (command, flags, named) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pea"))
+            .args(command)
+            .args(flags)
+            .output()
+            .expect("runs pea");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "{flags:?}: {stderr}");
+    }
+}
+
 /// All 27 workload kernels agree between interpreter-only and PEA-JIT
 /// execution over a longer horizon than the unit tests use, and keep
 /// their monitors balanced.

@@ -1,16 +1,12 @@
 //! Cross-layer alignment of the branch-aware flow tier (`pea-analysis::
 //! flow`) with the rest of the stack: the flow verdicts must refine — never
 //! contradict — the flow-insensitive analysis on every corpus and fuzz
-//! program, and the path-qualified throw summaries must let the summary
-//! inline policy inline a provably cold-throwing callee with the
-//! checked-mode sanitizer staying silent.
+//! program, and the paper examples get the path verdicts they are pinned
+//! to.
 
 use pea::analysis::{EscapeClass, PathEscape, ProgramSummaries, ThrowPath};
 use pea::bytecode::asm::parse_program;
 use pea::bytecode::{verify_program, MethodId, Program};
-use pea::compiler::InlinePolicy;
-use pea::runtime::Value;
-use pea::vm::{JitMode, OptLevel, Vm, VmOptions};
 use pea::workloads::{Pattern, PatternInstance};
 
 /// Checks every flow-tier invariant on one program:
@@ -133,136 +129,4 @@ fn paper_examples_get_the_expected_path_verdicts() {
         "the parser error escapes only through its athrow"
     );
     assert!(matches!(flow.throw_path, ThrowPath::Guarded(_)));
-}
-
-/// Acceptance gate for cold-throw inlining: on the `ColdThrowPublish`
-/// pattern the summary policy must inline the may-throw checking helper
-/// (reason `cold-throw-speculated`), the size policy must keep refusing it
-/// (`may-throw`), results must agree call-for-call, and the checked-mode
-/// sanitizer must stay silent — in both JIT modes.
-#[test]
-fn cold_throw_callee_inlines_under_summary_policy() {
-    let inst = PatternInstance {
-        pattern: Pattern::ColdThrowPublish { n: 30 },
-        index: 0,
-    };
-    let mut src = inst.to_asm();
-    src.push_str("method iterate 1 returns { load 0 invokestatic p0 retv }");
-    let program = parse_program(&src).unwrap();
-    verify_program(&program).unwrap();
-    let check = program.static_method_by_name("check0").unwrap();
-    for mode in [JitMode::Sync, JitMode::Background] {
-        let mut outcomes = Vec::new();
-        for policy in [InlinePolicy::Size, InlinePolicy::Summary] {
-            let mut options = VmOptions::with_opt_level(OptLevel::Pea);
-            options.compile_threshold = 5;
-            options.checked = true;
-            options.jit_mode = mode;
-            options.compiler.build.inline_policy = policy;
-            // The callee compiles (and stops profiling) after 5 calls, so
-            // scale the speculation threshold down with the compile
-            // threshold, as the default configuration does (20 < 50).
-            options.compiler.build.branch_threshold = 4;
-            let mut vm = Vm::new(program.clone(), options);
-            let mut results = Vec::new();
-            for i in 0..25 {
-                results.push(vm.call_entry("iterate", &[Value::Int(i)]).unwrap());
-            }
-            if mode == JitMode::Background {
-                vm.await_background_compiles();
-                // Recompile with fully warm profiles so the inline
-                // decisions are deterministic (background installs can
-                // otherwise race the profile warm-up).
-                vm.precompile_all(1);
-            }
-            let mut check_decisions = Vec::new();
-            for &m in &vm.compiled_methods() {
-                for d in &vm.compiled(m).unwrap().inline_decisions {
-                    if d.callee == check {
-                        check_decisions.push((d.inlined, d.reason));
-                    }
-                }
-            }
-            assert!(
-                !check_decisions.is_empty(),
-                "{mode:?}/{policy}: no compiled caller considered check0"
-            );
-            outcomes.push((policy, results, check_decisions));
-        }
-        let (_, size_results, size_decisions) = &outcomes[0];
-        let (_, summary_results, summary_decisions) = &outcomes[1];
-        assert_eq!(
-            size_results, summary_results,
-            "{mode:?}: policies disagree on results"
-        );
-        assert!(
-            size_decisions
-                .iter()
-                .all(|&(inlined, reason)| { !inlined && reason == "may-throw" }),
-            "{mode:?}: size policy must keep may-throw callees out-of-line: {size_decisions:?}"
-        );
-        assert!(
-            summary_decisions
-                .iter()
-                .any(|&(inlined, reason)| inlined && reason == "cold-throw-speculated"),
-            "{mode:?}: summary policy never cold-throw-inlined check0: {summary_decisions:?}"
-        );
-    }
-}
-
-/// The cold-throw clearance is profile-driven: without branch profiles
-/// (or with a hot throw path) the may-throw callee stays out-of-line even
-/// under the summary policy.
-#[test]
-fn cold_throw_clearance_requires_cold_profiles() {
-    let src = "
-        class CErr { field code int }
-        method check 2 returns {
-            load 0 const 2 rem const 1 ifcmp eq Lbad
-            load 1 load 0 add retv
-        Lbad:
-            new CErr store 2
-            load 2 load 0 putfield CErr.code
-            load 2 athrow
-        }
-        method iterate 1 returns {
-            try Ls Le Lc CErr
-            const 0 store 1
-        Ls:
-            load 0 load 1 invokestatic check store 1
-        Le:
-            goto Ln
-        Lc:
-            checkcast CErr getfield CErr.code store 1
-        Ln:
-            load 1 retv
-        }";
-    let program = parse_program(src).unwrap();
-    verify_program(&program).unwrap();
-    let check = program.static_method_by_name("check").unwrap();
-    let mut options = VmOptions::with_opt_level(OptLevel::Pea);
-    options.compile_threshold = 5;
-    options.checked = true;
-    options.compiler.build.inline_policy = InlinePolicy::Summary;
-    options.compiler.build.branch_threshold = 4;
-    let mut vm = Vm::new(program, options);
-    for i in 0..40 {
-        vm.call_entry("iterate", &[Value::Int(i)]).unwrap();
-    }
-    // Every second call throws: the guard's throw side is hot, so the
-    // clearance must refuse.
-    let mut saw = Vec::new();
-    for &m in &vm.compiled_methods() {
-        for d in &vm.compiled(m).unwrap().inline_decisions {
-            if d.callee == check {
-                assert!(!d.inlined, "hot-throw callee was inlined: {d:?}");
-                saw.push(d.reason);
-            }
-        }
-    }
-    assert!(
-        saw.iter().all(|r| *r == "throw-path-hot"),
-        "expected throw-path-hot refusals, got {saw:?}"
-    );
-    assert!(!saw.is_empty(), "no compiled caller considered check");
 }

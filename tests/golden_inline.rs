@@ -1,20 +1,22 @@
 //! Golden inline-decision traces: pins the exact `InlineDecision`
-//! sequence the graph builder emits for the paper's worked examples under
-//! both inlining policies (`size` — the budget baseline — and `summary` —
-//! driven by the interprocedural escape summaries). A change in these
-//! sequences means the inliner walked the example differently; deliberate
-//! changes must update the goldens alongside an explanation.
+//! sequence the graph builder emits for the paper's worked examples. A
+//! change in these sequences means the inliner walked the example
+//! differently; deliberate changes must update the goldens alongside an
+//! explanation.
 
 use pea::bytecode::asm::parse_program;
-use pea::compiler::{compile_traced, CompilerOptions, InlinePolicy, OptLevel};
+use pea::compiler::{compile_traced, CompilerOptions, OptLevel};
+use pea::runtime::profile::ProfileStore;
+use pea::runtime::Value;
 use pea::trace::{MemorySink, TraceEvent};
+use pea::vm::{Vm, VmOptions};
+use pea::workloads::{Pattern, PatternInstance};
 
 const CACHE_EXAMPLE: &str = include_str!("../examples/cache_key.asm");
 
-/// The anti-pattern the summary policy exists for: a helper that globally
-/// publishes its argument. Inlining it buys nothing — the allocation
-/// escapes either way — so the summary policy refuses regardless of the
-/// callee's size, while the size policy happily inlines the tiny body.
+/// A helper that globally publishes its argument. Inlining it buys no
+/// allocation — the object escapes either way — but the body is tiny, so
+/// the size rule inlines it.
 const PUBLISH_HELPER: &str = "
     class C { field v int }
     static g ref
@@ -24,16 +26,15 @@ const PUBLISH_HELPER: &str = "
         const 1 retv
     }";
 
-/// Compiles `entry` under `policy` and renders each inline decision as
-/// one compact golden line.
-fn inline_lines(src: &str, entry: &str, policy: InlinePolicy) -> Vec<String> {
+/// Compiles `entry` (speculating from `profiles`, when given) and renders
+/// each inline decision as one compact golden line.
+fn inline_lines(src: &str, entry: &str, profiles: Option<&ProfileStore>) -> Vec<String> {
     let program = parse_program(src).unwrap();
     pea::bytecode::verify_program(&program).unwrap();
     let method = program.static_method_by_name(entry).unwrap();
-    let mut options = CompilerOptions::with_opt_level(OptLevel::Pea);
-    options.build.inline_policy = policy;
+    let options = CompilerOptions::with_opt_level(OptLevel::Pea);
     let mut sink = MemorySink::new();
-    compile_traced(&program, method, None, &options, &mut sink).unwrap();
+    compile_traced(&program, method, profiles, &options, &mut sink).unwrap();
     sink.events
         .iter()
         .filter_map(|e| match e {
@@ -41,11 +42,10 @@ fn inline_lines(src: &str, entry: &str, policy: InlinePolicy) -> Vec<String> {
                 method,
                 bci,
                 callee,
-                policy,
                 inlined,
                 reason,
             } => Some(format!(
-                "{} {callee} at {method}:{bci} [{policy}] {reason}",
+                "{} {callee} at {method}:{bci} {reason}",
                 if *inlined { "inline" } else { "no-inline" },
             )),
             _ => None,
@@ -53,89 +53,43 @@ fn inline_lines(src: &str, entry: &str, policy: InlinePolicy) -> Vec<String> {
         .collect()
 }
 
-/// Listing 4 / §4: both policies inline the synchronized `Key.equals` —
-/// the size policy because the callee fits the budget, the summary policy
-/// because the fresh `Key` flows into a callee that does not publish it
-/// (which is precisely what lets PEA virtualize the receiver and elide
-/// the lock).
+/// Listing 4 / §4: the synchronized `Key.equals` fits the size budget and
+/// is inlined, which is what lets PEA virtualize the receiver and elide
+/// the lock.
 #[test]
 fn cache_example_inline_goldens() {
     assert_eq!(
-        inline_lines(CACHE_EXAMPLE, "getValue", InlinePolicy::Size),
-        vec!["inline Key.equals at getValue:10 [size] within-size-budget".to_string()],
-    );
-    assert_eq!(
-        inline_lines(CACHE_EXAMPLE, "getValue", InlinePolicy::Summary),
-        vec!["inline Key.equals at getValue:10 [summary] allocation-flows-in".to_string()],
+        inline_lines(CACHE_EXAMPLE, "getValue", None),
+        vec!["inline Key.equals at getValue:10 within-size-budget".to_string()],
     );
 }
 
-/// The policies disagree on a publishing callee: size inlines it (it is
-/// tiny), summary refuses it (the argument globally escapes inside, so
-/// inlining cannot help PEA and only grows code).
+/// The size rule does not look at what the callee does with its argument:
+/// the publishing helper is inlined because it is tiny.
 #[test]
 fn publish_helper_inline_goldens() {
     assert_eq!(
-        inline_lines(PUBLISH_HELPER, "f", InlinePolicy::Size),
-        vec!["inline publish at f:1 [size] within-size-budget".to_string()],
-    );
-    assert_eq!(
-        inline_lines(PUBLISH_HELPER, "f", InlinePolicy::Summary),
-        vec!["no-inline publish at f:1 [summary] publishes-argument".to_string()],
+        inline_lines(PUBLISH_HELPER, "f", None),
+        vec!["inline publish at f:1 within-size-budget".to_string()],
     );
 }
 
-/// Under the summary policy the compilation computes the interprocedural
-/// summaries (none were pre-seeded), and the trace records one
-/// `SummaryComputed` event per method before any inline decision.
+/// The `ColdThrowPublish` helper can throw, so it stays out of line even
+/// from warmed profiles that prove its throw side was never taken: the
+/// `may-throw` gate is the one rule for such callees.
 #[test]
-fn summary_events_precede_inline_decisions() {
-    let program = parse_program(PUBLISH_HELPER).unwrap();
-    pea::bytecode::verify_program(&program).unwrap();
-    let method = program.static_method_by_name("f").unwrap();
-    let mut options = CompilerOptions::with_opt_level(OptLevel::Pea);
-    options.build.inline_policy = InlinePolicy::Summary;
-    let mut sink = MemorySink::new();
-    compile_traced(&program, method, None, &options, &mut sink).unwrap();
-    let kinds: Vec<&str> = sink.events.iter().map(TraceEvent::kind).collect();
-    let last_summary = kinds
-        .iter()
-        .rposition(|k| *k == "summary-computed")
-        .expect("summaries must be traced when the policy needs them");
-    let first_inline = kinds
-        .iter()
-        .position(|k| *k == "inline-decision")
-        .expect("the call site must produce a decision");
-    assert_eq!(
-        kinds.iter().filter(|k| **k == "summary-computed").count(),
-        program.methods.len(),
-        "one summary event per method: {kinds:?}"
-    );
-    assert!(
-        last_summary < first_inline,
-        "summaries are computed before inlining runs: {kinds:?}"
-    );
-    // The publishing helper's verdict is visible in the event itself.
-    assert!(sink.events.iter().any(|e| matches!(
-        e,
-        TraceEvent::SummaryComputed { method, params, .. }
-            if method == "publish" && params == &["global-escape".to_string()]
-    )));
-}
-
-/// The size policy is profile-blind on monomorphic static calls, but the
-/// summary policy must never virtualize *less* than it: on the cache
-/// example both produce the same optimized artifact.
-#[test]
-fn policies_agree_on_the_cache_artifact() {
-    let program = parse_program(CACHE_EXAMPLE).unwrap();
-    let method = program.static_method_by_name("getValue").unwrap();
-    let mut dumps = Vec::new();
-    for policy in [InlinePolicy::Size, InlinePolicy::Summary] {
-        let mut options = CompilerOptions::with_opt_level(OptLevel::Pea);
-        options.build.inline_policy = policy;
-        let code = pea::compiler::compile(&program, method, None, &options).unwrap();
-        dumps.push(pea::ir::dump::dump(&code.graph));
+fn cold_throw_helper_inline_golden() {
+    let inst = PatternInstance {
+        pattern: Pattern::ColdThrowPublish { n: 30 },
+        index: 0,
+    };
+    let src = inst.to_asm() + "method iterate 1 returns { load 0 invokestatic p0 retv }";
+    let mut vm = Vm::new(parse_program(&src).unwrap(), VmOptions::interpreter_only());
+    for i in 0..25 {
+        vm.call_entry("iterate", &[Value::Int(i)]).unwrap();
     }
-    assert_eq!(dumps[0], dumps[1], "both policies inline Key.equals");
+    assert_eq!(
+        inline_lines(&src, "p0", Some(vm.profiles())),
+        vec!["no-inline check0 at p0:9 may-throw".to_string()],
+    );
 }
