@@ -13,6 +13,12 @@ use pea_runtime::cost;
 use pea_runtime::{Heap, ObjRef, Statics, Value, VmError};
 use std::collections::HashMap;
 
+/// Most arguments a call copies into a fixed buffer on the host stack:
+/// the linear tier's `INVOKE` gathers its argument registers there, and
+/// the VM copies an interpreted caller's arguments there on their way
+/// into compiled code. A call with more spills them to a `Vec`.
+pub const INLINE_ARGS: usize = 8;
+
 /// Host services for compiled code (the VM implements this; tests use a
 /// trivial implementation).
 pub trait EvalEnv {
@@ -26,12 +32,21 @@ pub trait EvalEnv {
     ///
     /// [`VmError::OutOfFuel`] when the budget is exhausted.
     fn charge(&mut self, cycles: u64) -> Result<(), VmError>;
-    /// Performs an out-of-line call (tier chosen by the host).
+    /// Performs an out-of-line call of the resolved `method` (tier chosen
+    /// by the host). Both the program and the arguments are borrowed from
+    /// the caller: the linear tier gathers up to [`INLINE_ARGS`] argument
+    /// registers into a buffer on its own stack, so a compiled→compiled
+    /// call allocates nothing on the host.
     ///
     /// # Errors
     ///
     /// Whatever the callee raises.
-    fn invoke(&mut self, method: MethodId, args: Vec<Value>) -> Result<Option<Value>, VmError>;
+    fn invoke(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        args: &[Value],
+    ) -> Result<Option<Value>, VmError>;
     /// Safepoint poll, issued at every compiled loop back-edge. The VM
     /// installs finished background compilations here — without this,
     /// a long compiled-only loop (hot caller with every callee inlined or
@@ -348,7 +363,7 @@ fn evaluate_inner(
                     } else {
                         *target
                     };
-                    let result = match env.invoke(resolved, call_args) {
+                    let result = match env.invoke(program, resolved, &call_args) {
                         Ok(r) => r,
                         Err(VmError::Thrown(exc)) => {
                             // The callee threw a catchable exception:

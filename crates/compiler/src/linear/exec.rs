@@ -14,7 +14,7 @@
 //! because only the fuel check ever reads intermediate values.
 
 use super::{decode_kind, decode_reason, op, DeoptPoint, SlotSrc, NO_REG};
-use crate::eval::{DeoptFrame, EvalEnv, EvalOutcome};
+use crate::eval::{DeoptFrame, EvalEnv, EvalOutcome, INLINE_ARGS};
 use crate::pipeline::CompiledMethod;
 use pea_bytecode::{ClassId, FieldId, MethodId, Program, StaticId};
 use pea_ir::AllocShape;
@@ -290,10 +290,18 @@ fn run(
             op::INVOKE => {
                 let dst = c[pc + 3];
                 let argc = c[pc + 5] as usize;
-                let mut call_args = Vec::with_capacity(argc);
-                for i in 0..argc {
-                    call_args.push(regs[c[pc + 6 + i] as usize]);
-                }
+                let arg_regs = &c[pc + 6..pc + 6 + argc];
+                let mut inline = [Value::Null; INLINE_ARGS];
+                let spilled: Vec<Value>;
+                let call_args: &[Value] = if argc <= INLINE_ARGS {
+                    for (slot, &r) in inline.iter_mut().zip(arg_regs) {
+                        *slot = regs[r as usize];
+                    }
+                    &inline[..argc]
+                } else {
+                    spilled = arg_regs.iter().map(|&r| regs[r as usize]).collect();
+                    &spilled
+                };
                 let resolved = if c[pc + 2] != 0 {
                     let recv = call_args[0].as_ref()?;
                     let dynamic = env.heap().class_of(recv)?;
@@ -303,7 +311,7 @@ fn run(
                 } else {
                     MethodId(c[pc + 1])
                 };
-                match env.invoke(resolved, call_args) {
+                match env.invoke(program, resolved, call_args) {
                     Ok(result) => {
                         if let Some(v) = result {
                             if dst != NO_REG {

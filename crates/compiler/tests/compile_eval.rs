@@ -35,7 +35,12 @@ impl EvalEnv for TestEnv {
         self.heap.stats.cycles += cycles;
         Ok(())
     }
-    fn invoke(&mut self, _method: MethodId, _args: Vec<Value>) -> Result<Option<Value>, VmError> {
+    fn invoke(
+        &mut self,
+        _program: &Program,
+        _method: MethodId,
+        _args: &[Value],
+    ) -> Result<Option<Value>, VmError> {
         panic!("test programs are fully inlined");
     }
 }

@@ -4,7 +4,7 @@ use pea_bytecode::{MethodId, Program};
 use pea_metrics::profile::ProfileRecorder;
 use pea_metrics::MetricsHub;
 use pea_runtime::profile::ProfileStore;
-use pea_runtime::{Heap, Statics, Value, VmError};
+use pea_runtime::{Heap, Statics, Value, VmError, MAX_CALL_DEPTH};
 use std::sync::Arc;
 
 /// Values a fresh host's value stack has room for before it first grows:
@@ -98,7 +98,8 @@ pub fn check_arity(program: &Program, method: MethodId, args: &[Value]) -> Resul
 }
 
 /// A minimal interpret-everything environment for tests and examples: owns
-/// the heap and statics and recursively interprets every call.
+/// the heap and statics and recursively interprets every call, up to
+/// [`MAX_CALL_DEPTH`] activations.
 #[derive(Debug)]
 pub struct SimpleEnv {
     program: Arc<Program>,
@@ -114,6 +115,8 @@ pub struct SimpleEnv {
     pub metrics: MetricsHub,
     spent: u64,
     stack: Vec<Value>,
+    /// Activations running, the entry call included.
+    depth: usize,
 }
 
 impl SimpleEnv {
@@ -129,6 +132,7 @@ impl SimpleEnv {
             metrics: MetricsHub::disabled(),
             spent: 0,
             stack: Vec::with_capacity(VALUE_STACK_RESERVE),
+            depth: 0,
         }
     }
 
@@ -155,6 +159,7 @@ impl SimpleEnv {
     ///
     /// [`VmError::NoSuchMethod`] if the name does not resolve,
     /// [`VmError::ArityMismatch`] for the wrong number of arguments,
+    /// [`VmError::StackOverflow`] past [`MAX_CALL_DEPTH`] activations,
     /// otherwise whatever execution raises.
     pub fn call(&mut self, name: &str, args: &[Value]) -> Result<Option<Value>, VmError> {
         let method = self
@@ -163,7 +168,10 @@ impl SimpleEnv {
             .ok_or_else(|| VmError::NoSuchMethod(name.to_string()))?;
         check_arity(&self.program, method, args)?;
         let program = Arc::clone(&self.program);
-        crate::interpret(&program, self, method, args)
+        self.depth += 1;
+        let result = crate::interpret(&program, self, method, args);
+        self.depth -= 1;
+        result
     }
 }
 
@@ -203,7 +211,15 @@ impl InterpEnv for SimpleEnv {
         method: MethodId,
         argc: usize,
     ) -> Result<Option<Value>, VmError> {
-        crate::interpret_on_stack(program, self, method, argc)
+        if self.depth >= MAX_CALL_DEPTH {
+            let base = self.stack.len() - argc;
+            self.stack.truncate(base);
+            return Err(VmError::StackOverflow);
+        }
+        self.depth += 1;
+        let result = crate::interpret_on_stack(program, self, method, argc);
+        self.depth -= 1;
+        result
     }
 
     fn metrics(&self) -> &MetricsHub {

@@ -5,6 +5,12 @@ use crate::ObjRef;
 use std::error::Error;
 use std::fmt;
 
+/// Most activations one host runs at once, the entry call included. A
+/// call past it fails with [`VmError::StackOverflow`] before it builds a
+/// frame. The VM's mutators and `SimpleEnv` both check it, so deep
+/// recursion is an error rather than an overflow of the host's stack.
+pub const MAX_CALL_DEPTH: usize = 400;
+
 /// An execution error. Both execution tiers raise identical errors for
 /// identical programs, which the differential test suite relies on.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,6 +73,8 @@ pub enum VmError {
     /// Interpreter/evaluator ran past its fuel budget (guards runaway
     /// loops in tests and benchmarks).
     OutOfFuel,
+    /// A call would have made more than [`MAX_CALL_DEPTH`] activations.
+    StackOverflow,
     /// An entry call passed the wrong number of arguments; rejected before
     /// any frame is built.
     ArityMismatch {
@@ -106,6 +114,9 @@ impl fmt::Display for VmError {
             }
             VmError::OutOfMemory => f.write_str("out of memory: heap capacity exhausted"),
             VmError::OutOfFuel => f.write_str("execution fuel exhausted"),
+            VmError::StackOverflow => {
+                write!(f, "stack overflow: more than {MAX_CALL_DEPTH} nested calls")
+            }
             VmError::ArityMismatch {
                 method,
                 expected,

@@ -18,7 +18,7 @@ mod stats;
 mod tlab;
 mod value;
 
-pub use error::VmError;
+pub use error::{VmError, MAX_CALL_DEPTH};
 pub use heap::{Heap, ObjRef, Statics, HEAP_SEGMENT_SLOTS, MAX_HEAP_OBJECTS, MAX_HEAP_SLOTS};
 pub use stats::Stats;
 pub use tlab::{ChunkAllocator, TLAB_CELLS};

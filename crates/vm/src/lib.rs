@@ -57,7 +57,7 @@ use pea_compiler::DeoptFrame;
 pub use pea_compiler::OptLevel;
 use pea_compiler::{
     compile, compile_traced, evaluate, Bailout, CompiledMethod, CompilerOptions, EvalEnv,
-    EvalOutcome,
+    EvalOutcome, INLINE_ARGS,
 };
 use pea_interp::{
     check_arity, interpret, interpret_on_stack, resume, unwind, Frame, InterpEnv,
@@ -67,7 +67,7 @@ pub use pea_metrics::profile::{ProfileRecorder, ProfilerHub, Tier};
 pub use pea_metrics::MetricsHub;
 use pea_metrics::{HeapRecorder, MetricsSnapshot, VmMetrics};
 use pea_runtime::profile::ProfileStore;
-use pea_runtime::{ChunkAllocator, Heap, ObjRef, Statics, Stats, Value, VmError};
+use pea_runtime::{ChunkAllocator, Heap, ObjRef, Statics, Stats, Value, VmError, MAX_CALL_DEPTH};
 pub use pea_trace::SharedSink;
 use pea_trace::{FlightEntry, FlightRecorder, TraceEvent, TraceSink};
 pub use publish::{
@@ -476,8 +476,8 @@ impl Vm {
     }
 
     /// Runs `f(thread_index, &mut mutator)` on `n` freshly spawned
-    /// mutators, one OS thread each, and returns the results in thread
-    /// order. Panics propagate.
+    /// mutators, one OS thread of [`MUTATOR_STACK_SIZE`] each, and returns
+    /// the results in thread order. Panics propagate.
     pub fn run_threads<T, F>(&self, n: usize, f: F) -> Vec<T>
     where
         T: Send,
@@ -499,8 +499,20 @@ impl Vm {
     }
 }
 
-/// Runs each mutator on its own scoped thread and collects results in
-/// thread order; a panicking thread re-raises on the caller.
+/// Stack size of a thread that runs a mutator: room for
+/// [`MAX_CALL_DEPTH`] activations at 64 KiB each, plus 8 MiB for the
+/// thread's own caller and a synchronous compile at the deepest level.
+/// An unoptimized x86-64 build measured up to 54 KiB per level
+/// (interpreted; 39 KiB graph oracle, 29 KiB linear tier), so a deep
+/// recursion reaches [`VmError::StackOverflow`] instead of overflowing
+/// the host stack. [`Vm::run_threads`] spawns its threads with it; a
+/// host that runs a [`Vm`] on a thread of its own should give that
+/// thread as much.
+pub const MUTATOR_STACK_SIZE: usize = MAX_CALL_DEPTH * (64 << 10) + (8 << 20);
+
+/// Runs each mutator on its own scoped thread of [`MUTATOR_STACK_SIZE`]
+/// and collects results in thread order; a panicking thread re-raises on
+/// the caller.
 fn run_mutators<T, F>(mutators: Vec<Mutator>, f: F) -> Vec<T>
 where
     T: Send,
@@ -511,7 +523,12 @@ where
         let handles: Vec<_> = mutators
             .into_iter()
             .enumerate()
-            .map(|(i, mut m)| scope.spawn(move || f(i, &mut m)))
+            .map(|(i, mut m)| {
+                std::thread::Builder::new()
+                    .stack_size(MUTATOR_STACK_SIZE)
+                    .spawn_scoped(scope, move || f(i, &mut m))
+                    .expect("spawn a mutator thread")
+            })
             .collect();
         handles
             .into_iter()
@@ -704,18 +721,9 @@ impl Mutator {
         }
     }
 
-    /// Calls a method through the tiering policy.
-    ///
-    /// # Errors
-    ///
-    /// Whatever the method raises.
-    pub fn call(&mut self, method: MethodId, args: Vec<Value>) -> Result<Option<Value>, VmError> {
-        let program = Arc::clone(&self.shared.program);
-        self.call_with(&program, method, Args::Slice(&args))
-    }
-
-    /// [`Self::call`] with the arguments wherever the caller has them; any
-    /// left on the value stack are gone when this returns.
+    /// Calls a method through the tiering policy, with the arguments
+    /// wherever the caller has them; any left on the value stack are gone
+    /// when this returns.
     fn call_with(
         &mut self,
         program: &Program,
@@ -771,8 +779,8 @@ impl Mutator {
         method: MethodId,
         args: Args<'_>,
     ) -> Result<Option<Value>, VmError> {
-        if self.depth > 400 {
-            return Err(VmError::Internal("call stack overflow".into()));
+        if self.depth > MAX_CALL_DEPTH {
+            return Err(VmError::StackOverflow);
         }
         // Method-entry safepoint: install anything the background
         // compilers finished since the last poll.
@@ -781,7 +789,10 @@ impl Mutator {
         }
         if let Some(code) = self.pinned[method.index()].clone() {
             // The dispatch hot path: thread-private table, no locks, no
-            // shared loads.
+            // shared loads. The `Arc` clone (~10 ns) keeps the artifact
+            // alive while it runs: a recursive activation may evict or
+            // replace this entry, and holding a borrow of `self.pinned`
+            // across the `&mut self` run would take `unsafe`.
             return self.run_compiled_with(program, &code, args);
         }
         if self.options.jit
@@ -921,7 +932,6 @@ impl Mutator {
         code: &CompiledMethod,
         args: Args<'_>,
     ) -> Result<Option<Value>, VmError> {
-        const INLINE_ARGS: usize = 8;
         let argc = match args {
             Args::Slice(args) => return self.run_compiled(program, code, args),
             Args::Stack(argc) => argc,
@@ -1604,8 +1614,13 @@ impl EvalEnv for Mutator {
     fn charge(&mut self, cycles: u64) -> Result<(), VmError> {
         self.charge_cycles(cycles)
     }
-    fn invoke(&mut self, method: MethodId, args: Vec<Value>) -> Result<Option<Value>, VmError> {
-        self.call(method, args)
+    fn invoke(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        args: &[Value],
+    ) -> Result<Option<Value>, VmError> {
+        self.call_with(program, method, Args::Slice(args))
     }
     fn has_fuel_limit(&self) -> bool {
         self.options.fuel.is_some()

@@ -1,0 +1,222 @@
+//! The call boundary: argument counts on both sides of the inline
+//! argument buffer, and recursion past the call-depth limit, on every
+//! tier.
+
+use pea_bytecode::asm::parse_program;
+use pea_compiler::INLINE_ARGS;
+use pea_interp::SimpleEnv;
+use pea_runtime::{Value, VmError, MAX_CALL_DEPTH};
+use pea_vm::{ExecMode, OptLevel, Vm, VmOptions, MUTATOR_STACK_SIZE};
+
+/// Parameter counts at, just past and well past the inline buffer.
+const ARITIES: [usize; 3] = [INLINE_ARGS, INLINE_ARGS + 1, 12];
+
+/// Pushes `Σ (i + 1) · local_i` over `locals` onto the accumulator on top
+/// of the stack, so every argument position weighs differently.
+fn weighted(locals: std::ops::Range<usize>) -> String {
+    locals
+        .map(|i| format!("load {i} const {} mul add ", i + 1))
+        .collect()
+}
+
+/// The arguments `local_1 + first .. local_1 + n - 1` (local 1 is the
+/// loop counter).
+fn call_args(first: usize, n: usize) -> String {
+    (first..n)
+        .map(|j| format!("load 1 const {j} add "))
+        .collect()
+}
+
+/// For each arity `n`: a static `s{n}` of `n` ints, a virtual `v{n}` of
+/// a receiver and `n - 1` ints (overridden by `B`), and the loops
+/// `loop_s{n}(k)` / `loop_v{n}(k)` that sum `k` calls of each, the
+/// virtual one alternating `A` and `B` receivers.
+fn program() -> String {
+    let mut src = String::from("class A { field k int }\nclass B extends A { }\n");
+    for n in ARITIES {
+        let (sum, vsum) = (weighted(0..n), weighted(1..n));
+        let (sargs, vargs) = (call_args(0, n), call_args(1, n));
+        src += &format!(
+            "method s{n} {n} returns {{ const 0 {sum}retv }}
+             method virtual A.v{n} {n} returns {{ load 0 getfield A.k {vsum}retv }}
+             method virtual B.v{n} {n} returns {{
+                 load 0 getfield A.k {vsum}const 1000 add retv
+             }}
+             method loop_s{n} 1 returns {{
+                 const 0 store 1 const 0 store 2
+             Lhead:
+                 load 1 load 0 ifcmp ge Ldone
+                 load 2 {sargs}invokestatic s{n} add store 2
+                 load 1 const 1 add store 1 goto Lhead
+             Ldone:
+                 load 2 retv
+             }}
+             method loop_v{n} 1 returns {{
+                 const 0 store 1 const 0 store 2
+             Lhead:
+                 load 1 load 0 ifcmp ge Ldone
+                 load 1 const 2 rem const 0 ifcmp eq La
+                 new B store 3 goto Lcall
+             La:
+                 new A store 3
+             Lcall:
+                 load 3 load 1 putfield A.k
+                 load 2 load 3 {vargs}invokevirtual A.v{n} add store 2
+                 load 1 const 1 add store 1 goto Lhead
+             Ldone:
+                 load 2 retv
+             }}\n"
+        );
+    }
+    src
+}
+
+/// What `loop_{kind}{n}(k)` returns, computed on the host.
+fn expected(kind: char, n: usize, k: i64) -> i64 {
+    let n = n as i64;
+    (0..k)
+        .map(|i| {
+            let ints: i64 = (0..n).map(|j| (j + 1) * (i + j)).sum();
+            // The receiver's field holds `i` and weighs 1, as the first
+            // int of `s` does; `B` adds 1000.
+            match kind {
+                's' => ints,
+                _ => ints + if i % 2 == 1 { 1000 } else { 0 },
+            }
+        })
+        .sum()
+}
+
+/// The call sequence: one long first call of each loop (the loop stays
+/// interpreted while its callee compiles: interpreted → compiled calls),
+/// then many short ones (the loop compiles too: compiled → compiled).
+fn drive(vm: &mut Vm) -> Vec<Result<Option<Value>, VmError>> {
+    let mut out = Vec::new();
+    let entries: Vec<String> = ARITIES
+        .iter()
+        .flat_map(|n| [format!("loop_s{n}"), format!("loop_v{n}")])
+        .collect();
+    for entry in &entries {
+        out.push(vm.call_entry(entry, &[Value::Int(120)]));
+    }
+    for i in 0..80 {
+        for entry in &entries {
+            out.push(vm.call_entry(entry, &[Value::Int(3 + i % 5)]));
+        }
+    }
+    out
+}
+
+#[test]
+fn calls_either_side_of_the_inline_buffer_agree_with_the_interpreter() {
+    let program = parse_program(&program()).unwrap();
+    pea_bytecode::verify_program(&program).unwrap();
+    let reference = drive(&mut Vm::new(program.clone(), VmOptions::interpreter_only()));
+    for (i, n) in ARITIES.iter().enumerate() {
+        assert_eq!(
+            reference[2 * i],
+            Ok(Some(Value::Int(expected('s', *n, 120)))),
+            "s{n}"
+        );
+        assert_eq!(
+            reference[2 * i + 1],
+            Ok(Some(Value::Int(expected('v', *n, 120)))),
+            "v{n}"
+        );
+    }
+    for exec_mode in [ExecMode::Linear, ExecMode::Graph] {
+        let mut options = VmOptions::with_opt_level(OptLevel::Pea);
+        options.exec_mode = exec_mode;
+        options.checked = true;
+        // Every call stays a call.
+        options.compiler.build.inline = false;
+        let mut vm = Vm::new(program.clone(), options);
+        assert_eq!(drive(&mut vm), reference, "{exec_mode:?}");
+        assert_eq!(
+            vm.compiled_method_count(),
+            program.methods.len(),
+            "{exec_mode:?}: every loop and every callee ran compiled"
+        );
+    }
+}
+
+const RECURSE: &str = "
+    method r 1 returns {
+        load 0 const 0 ifcmp le Lbase
+        load 0 const 1 sub invokestatic r const 1 add retv
+    Lbase:
+        const 0 retv
+    }";
+
+#[test]
+fn deep_recursion_is_a_stack_overflow_on_every_tier() {
+    let deepest = MAX_CALL_DEPTH as i64 - 1;
+    let tiers = [
+        ("interp", VmOptions::interpreter_only()),
+        ("linear", VmOptions::with_opt_level(OptLevel::Pea)),
+        (
+            "graph",
+            VmOptions {
+                exec_mode: ExecMode::Graph,
+                ..VmOptions::with_opt_level(OptLevel::Pea)
+            },
+        ),
+    ];
+    for (tier, options) in tiers {
+        let jit = options.jit;
+        let vm = Vm::new(parse_program(RECURSE).unwrap(), options);
+        let runs = vm.run_threads(1, |_, m| {
+            for i in 0..60 {
+                assert_eq!(
+                    m.call_entry("r", &[Value::Int(i % 8)]),
+                    Ok(Some(Value::Int(i % 8)))
+                );
+            }
+            (
+                m.compiled_method_count(),
+                m.call_entry("r", &[Value::Int(deepest)]),
+                m.call_entry("r", &[Value::Int(deepest + 1)]),
+                m.call_entry("r", &[Value::Int(5000)]),
+                m.call_entry("r", &[Value::Int(7)]),
+            )
+        });
+        let (compiled, at_limit, one_past, past_limit, after) = &runs[0];
+        assert_eq!(*compiled, usize::from(jit), "{tier}");
+        assert_eq!(*at_limit, Ok(Some(Value::Int(deepest))), "{tier}");
+        if !jit {
+            // Compiled code inlines some of the recursion, so only the
+            // interpreter spends one activation per level.
+            assert_eq!(*one_past, Err(VmError::StackOverflow), "{tier}");
+        }
+        assert_eq!(*past_limit, Err(VmError::StackOverflow), "{tier}");
+        assert_eq!(
+            *after,
+            Ok(Some(Value::Int(7))),
+            "{tier}: the mutator recovers"
+        );
+    }
+}
+
+#[test]
+fn simple_env_checks_the_same_depth_limit() {
+    let outcome = std::thread::Builder::new()
+        .stack_size(MUTATOR_STACK_SIZE)
+        .spawn(|| {
+            let mut env = SimpleEnv::new(parse_program(RECURSE).unwrap());
+            let depth = MAX_CALL_DEPTH as i64;
+            [depth - 1, depth, 5000, 7].map(|n| env.call("r", &[Value::Int(n)]))
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+    let deepest = MAX_CALL_DEPTH as i64 - 1;
+    assert_eq!(
+        outcome,
+        [
+            Ok(Some(Value::Int(deepest))),
+            Err(VmError::StackOverflow),
+            Err(VmError::StackOverflow),
+            Ok(Some(Value::Int(7))),
+        ]
+    );
+}

@@ -661,6 +661,18 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Every command runs on a thread with room for the VM's deepest call
+    // chain, so a runaway recursion ends in `stack overflow` (exit 1)
+    // rather than aborting the process.
+    std::thread::Builder::new()
+        .stack_size(pea::vm::MUTATOR_STACK_SIZE)
+        .spawn(move || dispatch(&args))
+        .expect("spawn the command thread")
+        .join()
+        .unwrap_or_else(|e| std::panic::resume_unwind(e))
+}
+
+fn dispatch(args: &[String]) -> ExitCode {
     match args.split_first() {
         Some((cmd, rest)) => match cmd.as_str() {
             "run" => cmd_run(rest),

@@ -300,6 +300,40 @@ fn hostile_newarray_exits_the_cli_cleanly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// Recursion 5 000 deep through the command line: `stack overflow` and exit
+/// status 1 in every tier, not an abort of the process.
+#[test]
+fn deep_recursion_exits_the_cli_cleanly() {
+    let path = std::env::temp_dir().join(format!("pea-recurse-{}.asm", std::process::id()));
+    std::fs::write(
+        &path,
+        "method r 1 returns {
+            load 0 const 0 ifcmp le Lbase
+            load 0 const 1 sub invokestatic r const 1 add retv
+        Lbase:
+            const 0 retv
+        }",
+    )
+    .expect("writes the program");
+    for tier in [&["--interp"][..], &[][..], &["--exec-mode", "graph"][..]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pea"))
+            .arg("run")
+            .arg(&path)
+            .args(["r", "5000"])
+            .args(tier)
+            .output()
+            .expect("runs pea");
+        assert_eq!(out.status.code(), Some(1), "{tier:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("error: stack overflow"),
+            "{tier:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// An entry call with too few or too many arguments is refused before any
 /// frame is built: the message names the method and both counts, the exit
 /// status is 1, nothing panics — in every tier.
