@@ -51,11 +51,8 @@ pub trait EvalEnv {
     /// installs finished background compilations here — without this,
     /// a long compiled-only loop (hot caller with every callee inlined or
     /// itself compiled) would never reach an interpreter safepoint and
-    /// background installs would starve. With several mutator threads on
-    /// one VM the poll also advances this thread's rendezvous slot, so a
-    /// mutator parked inside a compiled-only loop can never starve the
-    /// reclamation of code-store variants another thread evicted. The
-    /// default is a no-op for hosts without tiering.
+    /// background installs would starve. The default is a no-op for hosts
+    /// without tiering.
     fn safepoint(&mut self) {}
     /// Whether [`EvalEnv::charge`] enforces a fuel budget. When it does
     /// not (the default), executors may batch charges locally and flush

@@ -57,12 +57,9 @@ pub trait InterpEnv {
     /// Safepoint poll, called at loop back-edges (method entry is the
     /// host's own responsibility). The tiered VM uses this to install
     /// methods finished by background compiler threads without waiting
-    /// for the current (possibly long-running) interpreted loop to exit,
-    /// and — with several mutator threads on one VM — to advance this
-    /// mutator's rendezvous slot so evicted code-store variants another
-    /// thread retired can be reclaimed. Each mutator thread implements
-    /// its own `InterpEnv`, so polls touch only thread-private state plus
-    /// one atomic generation check.
+    /// for the current (possibly long-running) interpreted loop to exit.
+    /// Each mutator thread implements its own `InterpEnv`, so a poll
+    /// touches only that mutator's mailbox.
     fn safepoint(&mut self) {}
     /// The host's metrics handle; the interpreter counts steps, back-edges
     /// and safepoint polls through it. Defaults to the disabled hub, which

@@ -123,10 +123,6 @@ pub struct CompileOutcome {
     /// discards outcomes from before its latest eviction (their
     /// speculation is the one that kept deoptimizing).
     pub epoch: u64,
-    /// Fingerprint of the profile snapshot the request carried; echoed
-    /// back so the installer can publish the artifact to the shared code
-    /// cache under its input identity.
-    pub fingerprint: u64,
     /// The artifact, or the bailout that keeps the method interpreted.
     pub result: Result<CompiledMethod, Bailout>,
     /// Sanitizer inconsistencies (only populated in checked mode; always
@@ -144,7 +140,6 @@ struct Request {
     /// Monotonic sequence number; earlier requests win hotness ties.
     seq: u64,
     epoch: u64,
-    fingerprint: u64,
     method: MethodId,
     mailbox: Arc<Mailbox>,
     profiles: ProfileStore,
@@ -305,7 +300,6 @@ impl CompileService {
         method: MethodId,
         hotness: u64,
         epoch: u64,
-        fingerprint: u64,
         profiles: ProfileStore,
     ) -> bool {
         let metrics = &self.shared.metrics;
@@ -335,7 +329,6 @@ impl CompileService {
             hotness,
             seq,
             epoch,
-            fingerprint,
             method,
             mailbox: Arc::clone(mailbox),
             profiles,
@@ -434,7 +427,6 @@ fn worker_loop(shared: &Shared) {
             .push(CompileOutcome {
                 method: request.method,
                 epoch: request.epoch,
-                fingerprint: request.fingerprint,
                 result,
                 findings,
                 enqueued_at: request.enqueued_at,
@@ -532,7 +524,6 @@ mod tests {
             hotness,
             seq,
             epoch: 0,
-            fingerprint: 0,
             method,
             mailbox: Arc::clone(mailbox),
             profiles: ProfileStore::new(),
@@ -617,17 +608,17 @@ mod tests {
         let a = service.register_mailbox(None);
         let b = service.register_mailbox(None);
         let m = MethodId::from_index(0);
-        assert!(service.request(&a, m, 5, 0, 0, ProfileStore::new()));
+        assert!(service.request(&a, m, 5, 0, ProfileStore::new()));
         // In flight (queued or compiling): dedup rejects, even hotter.
-        assert!(!service.request(&a, m, 100, 0, 0, ProfileStore::new()));
+        assert!(!service.request(&a, m, 100, 0, ProfileStore::new()));
         // A different mutator's request for the same method is distinct.
-        assert!(service.request(&b, m, 5, 0, 0, ProfileStore::new()));
+        assert!(service.request(&b, m, 5, 0, ProfileStore::new()));
         service.wait_idle();
         assert_eq!(service.take(&a).len(), 1);
         assert_eq!(service.take(&b).len(), 1);
         assert!(!a.has_ready() && !b.has_ready());
         // Drained: the pair may be requested again.
-        assert!(service.request(&a, m, 5, 0, 0, ProfileStore::new()));
+        assert!(service.request(&a, m, 5, 0, ProfileStore::new()));
         service.wait_idle();
         assert_eq!(service.take(&a).len(), 1);
     }

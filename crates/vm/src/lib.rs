@@ -15,23 +15,24 @@
 //! One VM hosts **N mutator threads**. The state split is:
 //!
 //! * [`VmShared`] — everything program-wide and thread-safe: the program,
-//!   the safepoint-published shared [`CodeCache`], the
-//!   [`SafepointRegistry`] rendezvous, the background [`CompileService`]
-//!   (started lazily, shared by every mutator), the static-verdict cache,
-//!   and the TLAB chunk allocator.
+//!   the background [`CompileService`] (started lazily, shared by every
+//!   mutator), the static-verdict cache, and the TLAB chunk allocator.
 //! * [`Mutator`] — everything per-thread and lock-free on the hot path:
 //!   the heap (a private bump arena fed TLAB chunks by the shared
 //!   allocator), statics, profiles, the interpreter's value stack, the
-//!   **pinned** code cache (a plain `Vec` indexed by method — compiled-call
+//!   **pinned** code table (a plain `Vec` indexed by method — compiled-call
 //!   dispatch performs no lock acquisition and no shared access), the
 //!   cycle-attribution recorder, and the trace tee.
 //!
 //! [`Vm`] owns the shared state plus a main mutator and dereferences to
 //! it, so single-threaded use is unchanged. [`Vm::spawn_mutator`] /
-//! [`Vm::run_threads`] run additional mutators; each behaves exactly like
-//! a solo VM over its own workload (same results, same virtual cycles,
+//! [`Vm::run_threads`] run additional mutators; each compiles (or bails
+//! out on) what it promotes, exactly as a solo VM does, and so behaves
+//! like one over its own workload (same results, same virtual cycles,
 //! same PEA decision traces), which the cross-thread determinism tests
-//! assert byte-for-byte.
+//! assert byte-for-byte. A warm fork ([`Vm::spawn_warm_mutator`]) shares
+//! the main mutator's compiled artifacts themselves: it clones the `Arc`s
+//! of its pinned table.
 //!
 //! ```
 //! use pea_vm::{Vm, VmOptions, OptLevel};
@@ -47,7 +48,6 @@
 //! ```
 
 pub mod compile_service;
-pub mod publish;
 
 pub use compile_service::{
     default_workers, CompileOutcome, CompileService, CompileServiceOptions, Mailbox,
@@ -70,11 +70,6 @@ use pea_runtime::profile::ProfileStore;
 use pea_runtime::{ChunkAllocator, Heap, ObjRef, Statics, Stats, Value, VmError, MAX_CALL_DEPTH};
 pub use pea_trace::SharedSink;
 use pea_trace::{FlightEntry, FlightRecorder, TraceEvent, TraceSink};
-pub use publish::{
-    CacheStats, CacheView, CachedCompile, CodeCache, MutatorSlot, SafepointRegistry, MAX_VARIANTS,
-};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -245,11 +240,6 @@ pub struct VmShared {
     /// Template options for spawned mutators: the user's options with the
     /// per-mutator sinks (`trace`, `flight`) stripped.
     options: VmOptions,
-    /// The safepoint-published shared code store (see [`publish`]).
-    code_cache: CodeCache,
-    /// The mutator rendezvous: eviction storage is reclaimed only after
-    /// every registered, running mutator polls past the retire generation.
-    safepoints: SafepointRegistry,
     /// Background compilation pool, started lazily on the first request
     /// from any mutator.
     service: OnceLock<CompileService>,
@@ -268,16 +258,6 @@ impl VmShared {
     /// The executed program.
     pub fn program(&self) -> &Arc<Program> {
         &self.program
-    }
-
-    /// The shared published-code store.
-    pub fn code_cache(&self) -> &CodeCache {
-        &self.code_cache
-    }
-
-    /// The safepoint rendezvous registry.
-    pub fn safepoints(&self) -> &SafepointRegistry {
-        &self.safepoints
     }
 
     /// The TLAB chunk allocator.
@@ -314,8 +294,6 @@ impl VmShared {
             options.trace = Some(SharedSink::new(tee).0);
             ring
         });
-        let view = self.code_cache.view();
-        let slot = self.safepoints.register(view.generation());
         let methods = self.program.methods.len();
         Mutator {
             shared: Arc::clone(self),
@@ -329,8 +307,6 @@ impl VmShared {
             evicted: vec![false; methods],
             evict_epochs: vec![0; methods],
             mailbox: None,
-            slot,
-            view,
             profile,
             flight,
             options,
@@ -369,11 +345,6 @@ pub struct Mutator {
     /// This mutator's registration with the shared compile service,
     /// created lazily with the first background request.
     mailbox: Option<Arc<Mailbox>>,
-    /// This mutator's slot in the safepoint rendezvous.
-    slot: Arc<MutatorSlot>,
-    /// Replica of the shared code store, refreshed non-blockingly at
-    /// safepoints.
-    view: CacheView,
     /// Cycle-attribution recorder (disabled by default: one branch per
     /// charge site, zero allocations). Per-mutator context — concurrent
     /// threads never cross-charge; cells merge in the shared hub.
@@ -442,8 +413,6 @@ impl Vm {
         let shared = Arc::new(VmShared {
             program,
             options: template,
-            code_cache: CodeCache::new(),
-            safepoints: SafepointRegistry::new(),
             service: OnceLock::new(),
             verdicts: OnceLock::new(),
             chunks: Arc::new(ChunkAllocator::new()),
@@ -459,17 +428,18 @@ impl Vm {
     }
 
     /// Spawns a fresh mutator on this VM: its own heap, statics, profiles
-    /// and pinned code, sharing the program, the published-code store, the
-    /// compile service and the metrics/profiler hubs. Move it to another
-    /// thread and call into it exactly like a solo VM.
+    /// and pinned code, sharing the program, the compile service and the
+    /// metrics/profiler hubs. It compiles what it promotes itself. Move it
+    /// to another thread and call into it exactly like a solo VM.
     pub fn spawn_mutator(&self) -> Mutator {
         self.shared.new_mutator(self.shared.options.clone(), false)
     }
 
     /// Spawns a mutator pre-warmed from the main mutator's **tiering
-    /// state**: profiles, pinned compiled code, bailout and eviction
-    /// records are cloned, so the new thread starts at the main mutator's
-    /// tier without re-profiling. Application state (heap, statics) starts
+    /// state**: profiles, bailout and eviction records are cloned and the
+    /// pinned table's `Arc`s are shared, so the new thread starts at the
+    /// main mutator's tier, running the very same artifacts, without
+    /// re-profiling or recompiling. Application state (heap, statics) starts
     /// fresh — warm spawning shares code, not data.
     pub fn spawn_warm_mutator(&self) -> Mutator {
         self.main.fork()
@@ -541,11 +511,6 @@ impl Mutator {
     /// The shared half of the VM this mutator belongs to.
     pub fn vm_shared(&self) -> &Arc<VmShared> {
         &self.shared
-    }
-
-    /// Counter snapshot of the shared published-code store.
-    pub fn code_cache_stats(&self) -> CacheStats {
-        self.shared.code_cache.stats()
     }
 
     /// Spawns a mutator pre-warmed from this one's tiering state (see
@@ -738,12 +703,8 @@ impl Mutator {
         // Outermost call: establish a base attribution context so cycles
         // charged before a tier takes over (call overhead, unwinding) are
         // never dropped — profiler totals must reconcile exactly with
-        // `stats.cycles` — and join the safepoint rendezvous (parked
-        // mutators are excluded from it so idle threads cannot stall
-        // storage reclamation).
+        // `stats.cycles`.
         let base = if self.depth == 1 {
-            self.slot.unpark();
-            self.poll_publication();
             Some(self.profile.enter(method.index(), Tier::Interp))
         } else {
             None
@@ -752,25 +713,10 @@ impl Mutator {
         if let Some(prev) = base {
             self.profile.restore(prev);
             self.heap.flush_metrics();
-            self.poll_publication();
-            self.slot.park();
         }
         self.depth -= 1;
         self.stack.truncate(floor);
         result
-    }
-
-    /// Safepoint poll against the shared code store: opportunistically
-    /// refreshes this mutator's replica (non-blocking — under writer
-    /// contention the stale replica is kept), advances its rendezvous
-    /// slot, and reclaims retired storage whose rendezvous completed. The
-    /// no-movement case is two relaxed/acquire loads.
-    fn poll_publication(&mut self) {
-        let cache = &self.shared.code_cache;
-        if cache.generation() != self.view.generation() && cache.refresh(&mut self.view) {
-            self.slot.poll(self.view.generation());
-        }
-        cache.maybe_reclaim(&self.shared.safepoints);
     }
 
     fn call_inner(
@@ -811,24 +757,7 @@ impl Mutator {
                             });
                         }
                     }
-                    // Promotion is the only point a mutator consults the
-                    // shared store: an artifact published by another
-                    // mutator from an identical profile snapshot (equal
-                    // fingerprints) is reused, with its buffered decision
-                    // events replayed into this mutator's trace, metrics
-                    // and sanitizer so behavior is byte-identical to
-                    // having compiled it here.
-                    let fingerprint = self.profile_fingerprint();
-                    let traced = self.needs_compile_events();
-                    let hit =
-                        self.shared
-                            .code_cache
-                            .lookup(&mut self.view, method, fingerprint, traced);
-                    if let Some(hit) = hit {
-                        self.slot.poll(self.view.generation());
-                        return self.install_published(program, method, &hit, args);
-                    }
-                    let (compiled, events) = if traced {
+                    let compiled = if self.needs_compile_events() {
                         // Buffer the decision events so the sanitizer and
                         // the metrics fold can inspect them; forward to the
                         // user's sink after.
@@ -855,50 +784,22 @@ impl Mutator {
                                 }
                             });
                         }
-                        (result, buffer.events)
+                        result
                     } else {
-                        (
-                            compile(
-                                program,
-                                method,
-                                Some(&self.profiles),
-                                &self.options.compiler,
-                            ),
-                            Vec::new(),
+                        compile(
+                            program,
+                            method,
+                            Some(&self.profiles),
+                            &self.options.compiler,
                         )
                     };
                     match compiled {
                         Ok(code) => {
                             let code = Arc::new(code);
                             self.install(method, Arc::clone(&code));
-                            self.shared.code_cache.publish(
-                                method,
-                                CachedCompile {
-                                    result: Ok(Arc::clone(&code)),
-                                    fingerprint,
-                                    traced,
-                                    events,
-                                    findings: Vec::new(),
-                                },
-                            );
                             return self.run_compiled_with(program, &code, args);
                         }
-                        Err(bailout) => {
-                            self.bailed_out[method.index()] = true;
-                            // Publish the bailout too: another mutator at
-                            // the same fingerprint replays it instead of
-                            // re-running a doomed compilation.
-                            self.shared.code_cache.publish(
-                                method,
-                                CachedCompile {
-                                    result: Err(bailout),
-                                    fingerprint,
-                                    traced,
-                                    events,
-                                    findings: Vec::new(),
-                                },
-                            );
-                        }
+                        Err(_) => self.bailed_out[method.index()] = true,
                     }
                 }
                 JitMode::Background => {
@@ -908,15 +809,6 @@ impl Mutator {
                 }
             }
         }
-        self.interpret_with(program, method, args)
-    }
-
-    fn interpret_with(
-        &mut self,
-        program: &Program,
-        method: MethodId,
-        args: Args<'_>,
-    ) -> Result<Option<Value>, VmError> {
         match args {
             Args::Slice(args) => interpret(program, self, method, args),
             Args::Stack(argc) => interpret_on_stack(program, self, method, argc),
@@ -950,64 +842,8 @@ impl Mutator {
         self.run_compiled(program, code, args)
     }
 
-    /// Installs a store hit: replays the publisher's buffered decision
-    /// events into this mutator's sanitizer, metrics fold and trace sink —
-    /// exactly what compiling locally would have produced — then pins and
-    /// runs the artifact (or records the bailout and interprets).
-    fn install_published(
-        &mut self,
-        program: &Program,
-        method: MethodId,
-        hit: &CachedCompile,
-        args: Args<'_>,
-    ) -> Result<Option<Value>, VmError> {
-        // Publishers panic on their own findings before publishing, so
-        // this is defensive; replaying keeps the invariant that a checked
-        // consumer behaves identically to a checked compiler.
-        if self.options.checked && !hit.findings.is_empty() {
-            self.sanitizer_panic(method, &hit.findings, false);
-        }
-        if self.options.checked {
-            if let Ok(code) = &hit.result {
-                self.sanitize(program, method, &code.graph, &hit.events);
-            }
-        }
-        if let Some(m) = self.options.metrics.on() {
-            record_compile_metrics(m, &hit.events, hit.result.as_ref().map(|c| c.as_ref()));
-        }
-        if let Some(sink) = &self.options.trace {
-            sink.with_sink(|s| {
-                for event in &hit.events {
-                    s.emit(event);
-                }
-            });
-        }
-        match &hit.result {
-            Ok(code) => {
-                self.install(method, Arc::clone(code));
-                self.run_compiled_with(program, code, args)
-            }
-            Err(_) => {
-                self.bailed_out[method.index()] = true;
-                self.interpret_with(program, method, args)
-            }
-        }
-    }
-
-    /// Hash of the current profile snapshot for `method`'s compilation
-    /// inputs — the publication identity in the shared store. Computed
-    /// over the store's deterministic JSON export, so equal profiling
-    /// histories hash equal across threads.
-    fn profile_fingerprint(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.profiles.export_json().hash(&mut h);
-        h.finish()
-    }
-
-    /// Whether this mutator must see a compilation's buffered decision
-    /// events (to replay into the sanitizer, the metrics fold, or the
-    /// trace sink). Consumers needing events skip untraced store entries
-    /// and compile themselves.
+    /// Whether a synchronous compile must buffer its decision events (for
+    /// the sanitizer, the metrics fold, or the trace sink).
     fn needs_compile_events(&self) -> bool {
         self.options.checked || self.options.trace.is_some() || self.options.metrics.is_enabled()
     }
@@ -1041,8 +877,8 @@ impl Mutator {
     }
 
     /// Dumps the flight ring and panics with the sanitizer report — the
-    /// one exit for findings of a local compile, a replayed store hit and
-    /// (`background`) a compile-service outcome.
+    /// one exit for findings of a synchronous compile and (`background`) a
+    /// compile-service outcome.
     fn sanitizer_panic<F: std::fmt::Display>(
         &self,
         method: MethodId,
@@ -1068,8 +904,8 @@ impl Mutator {
 
     /// Pins a finished compilation on this mutator and accounts for it
     /// (`stats.compiles`, the profiler's install count, `vm.installs`) —
-    /// the one install path of sync compiles, store hits, background
-    /// outcomes and batch precompilation.
+    /// the one install path of sync compiles, background outcomes and
+    /// batch precompilation.
     fn install(&mut self, method: MethodId, code: Arc<CompiledMethod>) {
         self.heap.stats.compiles += 1;
         self.profile.record_install();
@@ -1104,9 +940,8 @@ impl Mutator {
         let mailbox = Arc::clone(self.mailbox.as_ref().expect("mailbox just registered"));
         let hotness = self.profiles.invocation_count(method);
         let epoch = self.evict_epochs[method.index()];
-        let fingerprint = self.profile_fingerprint();
         let snapshot = self.profiles.clone();
-        if service.request(&mailbox, method, hotness, epoch, fingerprint, snapshot)
+        if service.request(&mailbox, method, hotness, epoch, snapshot)
             && self.evicted[method.index()]
         {
             if let Some(m) = self.options.metrics.on() {
@@ -1127,9 +962,7 @@ impl Mutator {
     /// Installs finished background compilations (a safepoint action:
     /// called at method entry and interpreter loop back-edges). Only this
     /// mutator's mailbox is drained — its tiering schedule stays a
-    /// function of its own execution. Installed artifacts are also
-    /// published (untraced) to the shared store so evictions retire them
-    /// through the rendezvous.
+    /// function of its own execution.
     fn drain_background(&mut self) {
         let shared = Arc::clone(&self.shared);
         let Some(service) = shared.service.get() else {
@@ -1160,18 +993,7 @@ impl Mutator {
                             .queue_latency_us
                             .record(outcome.enqueued_at.elapsed().as_micros() as u64);
                     }
-                    let code = Arc::new(code);
-                    self.install(outcome.method, Arc::clone(&code));
-                    shared.code_cache.publish(
-                        outcome.method,
-                        CachedCompile {
-                            result: Ok(code),
-                            fingerprint: outcome.fingerprint,
-                            traced: false,
-                            events: Vec::new(),
-                            findings: Vec::new(),
-                        },
-                    );
+                    self.install(outcome.method, Arc::new(code));
                 }
                 Err(_) => {
                     self.bailed_out[outcome.method.index()] = true;
@@ -1368,9 +1190,9 @@ impl Mutator {
                 }
                 if deopts >= self.options.max_deopts {
                     // Evict and re-profile: the speculation no longer
-                    // matches reality. Local state is dropped immediately;
-                    // the shared store retires its published variants,
-                    // reclaimed after every mutator's rendezvous poll.
+                    // matches reality. Only this mutator's table changes: a
+                    // warm fork sharing the artifact keeps its `Arc` until
+                    // it evicts on its own.
                     let m = method.index();
                     self.pinned[m] = None;
                     self.bailed_out[m] = false;
@@ -1381,7 +1203,6 @@ impl Mutator {
                     // method: they speculate from the profile that just
                     // failed.
                     self.evict_epochs[m] += 1;
-                    self.shared.code_cache.evict(method);
                     if let Some(m) = self.options.metrics.on() {
                         m.vm.evictions.inc();
                     }
@@ -1441,13 +1262,11 @@ impl Mutator {
 
 impl Drop for Mutator {
     fn drop(&mut self) {
-        // Fold any buffered heap counters, leave the rendezvous (a dead
-        // mutator must not stall reclamation), and — when a panic anywhere
-        // above the VM (sanitizer, compiler invariant, test assertion)
-        // unwinds through this drop — persist the flight ring so the
-        // post-mortem has the last events leading up to it.
+        // Fold any buffered heap counters and — when a panic anywhere above
+        // the VM (sanitizer, compiler invariant, test assertion) unwinds
+        // through this drop — persist the flight ring so the post-mortem
+        // has the last events leading up to it.
         self.heap.flush_metrics();
-        self.slot.retire();
         if std::thread::panicking() {
             self.dump_flight();
         }
@@ -1588,13 +1407,10 @@ impl InterpEnv for Mutator {
     }
     fn safepoint(&mut self) {
         // Loop back-edge: install finished background compilations so a
-        // long-running interpreted loop still picks up compiled callees,
-        // and poll the publication rendezvous so evictions by other
-        // mutators can reclaim storage.
+        // long-running interpreted loop still picks up compiled callees.
         if self.options.jit_mode == JitMode::Background {
             self.drain_background();
         }
-        self.poll_publication();
     }
     fn metrics(&self) -> &MetricsHub {
         &self.options.metrics
@@ -1631,13 +1447,11 @@ impl EvalEnv for Mutator {
         }
         // Compiled-loop back-edge: install anything the background
         // compilers finished, so compiled-only phases (hot caller with
-        // inlined or compiled callees) cannot starve installs — and poll
-        // the rendezvous, so a spinning compiled loop still releases
-        // eviction epochs for reclamation.
+        // inlined or compiled callees) cannot starve installs. In sync
+        // mode the poll is only counted.
         if self.options.jit_mode == JitMode::Background {
             self.drain_background();
         }
-        self.poll_publication();
     }
     fn profiler(&self) -> &ProfileRecorder {
         &self.profile
@@ -1809,10 +1623,31 @@ mod tests {
             assert_eq!(*pinned, 1, "each thread tiers on its own");
             assert_eq!(*compiles, 1);
         }
-        // The shared store saw the publications; readers never blocked.
-        let s = v.code_cache_stats();
-        assert!(s.installs >= 1);
-        assert_eq!(s.read_blocked, 0);
+    }
+
+    #[test]
+    fn cold_mutators_each_compile_their_own_artifact() {
+        let src = "method f 1 returns { load 0 const 1 add retv }";
+        let v = vm(src, VmOptions::with_opt_level(OptLevel::Pea));
+        let f = v.program().static_method_by_name("f").unwrap();
+        // Both mutators stay alive until both have read their artifact's
+        // address, so equal addresses could only mean a shared artifact.
+        let barrier = std::sync::Barrier::new(2);
+        let runs = v.run_threads(2, |_, m| {
+            for i in 0..100 {
+                m.call_entry("f", &[Value::Int(i)]).unwrap();
+            }
+            let code = m.compiled(f).map(|c| c as *const CompiledMethod as usize);
+            barrier.wait();
+            (code, m.stats().compiles)
+        });
+        let (a, b) = (
+            runs[0].0.expect("thread 0 compiled f"),
+            runs[1].0.expect("thread 1 compiled f"),
+        );
+        assert_ne!(a, b, "cold mutators must not share an artifact");
+        assert_eq!(runs[0].1, runs[1].1);
+        assert_eq!(runs[0].1, 1);
     }
 
     #[test]
@@ -1825,6 +1660,11 @@ mod tests {
         assert_eq!(v.compiled_method_count(), 1);
         let mut warm = v.spawn_warm_mutator();
         assert_eq!(warm.compiled_method_count(), 1, "pinned code carried over");
+        let f = v.program().static_method_by_name("f").unwrap();
+        assert!(
+            std::ptr::eq(v.compiled(f).unwrap(), warm.compiled(f).unwrap()),
+            "a warm fork shares the artifact itself"
+        );
         assert_eq!(
             warm.call_entry("f", &[Value::Int(41)]).unwrap(),
             Some(Value::Int(42))

@@ -1,12 +1,8 @@
 //! Multi-threaded mutator determinism: N mutators on one shared VM must
 //! each behave **byte-identically** to a solo VM running the same call
 //! sequence — per-iteration results, the full `Stats` struct, and the
-//! normalized trace stream — while the shared layers (published-code
-//! store, metrics hub, profiler hub) reconcile as the sum over threads.
-//!
-//! The published-code store is read-mostly: the hot lookup is one atomic
-//! generation load against a thread-private view, so `read_blocked` must
-//! stay zero under any schedule (pinned here on every run).
+//! normalized trace stream — while the shared hubs (metrics, profiler)
+//! reconcile as the sum over threads.
 
 use pea_bytecode::asm::parse_program;
 use pea_metrics::MetricsHub;
@@ -120,20 +116,6 @@ fn assert_threads_match_solo(workload: &Workload, iters: i64, threads: usize, ex
             workload.name
         );
     }
-
-    // The lock-free read contract: no mutator ever blocked on the
-    // published-code store's lock during lookup.
-    let cache = vm.code_cache_stats();
-    assert_eq!(
-        cache.read_blocked, 0,
-        "{}: a compiled-call lookup blocked on the store lock",
-        workload.name
-    );
-    assert!(
-        cache.read_fast > 0,
-        "{}: expected generation-check fast-path reads",
-        workload.name
-    );
 }
 
 fn corpus(name: &str) -> Workload {
@@ -157,7 +139,7 @@ fn threads_match_solo_graph_tier() {
 
 /// Background mode: per-iteration results still match the solo oracle
 /// exactly (each mutator tiers against its own profile timeline, same as
-/// a solo background VM), and installs flow through the shared store.
+/// a solo background VM), and every thread installs its own artifacts.
 #[test]
 fn background_threads_match_solo_results() {
     let workload = corpus("fop");
@@ -195,8 +177,6 @@ fn background_threads_match_solo_results() {
             "thread {t} installed no background artifacts"
         );
     }
-    assert!(vm.code_cache_stats().installs > 0);
-    assert_eq!(vm.code_cache_stats().read_blocked, 0);
 }
 
 /// The guard-failure workload of the profiler tests: compiled code
@@ -246,11 +226,9 @@ fn churn(m: &mut Mutator, label: &str) -> (Vec<Option<Value>>, Stats) {
 }
 
 /// Concurrent install/evict/recompile stress under `--checked`: every
-/// thread's results and statistics are byte-identical to a solo run, the
-/// store retires superseded variants, and — once every surviving mutator
-/// has passed a safepoint — reclaims them completely.
+/// thread's results and statistics are byte-identical to a solo run.
 #[test]
-fn concurrent_eviction_churn_matches_solo_and_reclaims() {
+fn concurrent_eviction_churn_matches_solo() {
     let options = || VmOptions {
         compile_threshold: 20,
         max_deopts: 5,
@@ -272,23 +250,6 @@ fn concurrent_eviction_churn_matches_solo_and_reclaims() {
     for (t, run) in runs.iter().enumerate() {
         assert_eq!(run, &solo_run, "thread {t} diverged from the solo run");
     }
-
-    let stats = vm.code_cache_stats();
-    assert!(stats.evictions > 0, "store saw no evictions");
-    assert_eq!(stats.read_blocked, 0);
-
-    // The worker mutators retired their safepoint slots on drop; one call
-    // on the main mutator passes its own safepoint and reclaims whatever
-    // the evictions retired.
-    let mut vm = vm;
-    vm.call_entry("f", &[Value::Int(1)]).unwrap();
-    let stats = vm.code_cache_stats();
-    assert_eq!(
-        stats.retired, 0,
-        "retired variants not reclaimed after rendezvous (reclaimed: {})",
-        stats.reclaimed
-    );
-    assert!(stats.reclaimed > 0, "nothing was ever reclaimed");
 }
 
 /// Two mutators running *different* methods concurrently: the profiler

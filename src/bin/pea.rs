@@ -559,10 +559,9 @@ fn cmd_disasm(args: &[String]) -> ExitCode {
 
 /// `pea serve`: N mutator threads on one VM, each calling the entry in a
 /// loop — the CLI face of the multi-threaded throughput harness. The main
-/// mutator warms first so every thread forks pre-compiled tiering state;
-/// every thread's per-call results must agree (they run the same
-/// deterministic call sequence) and no compiled-call lookup may block on
-/// the published-code store.
+/// mutator warms first so every thread forks pre-compiled tiering state,
+/// sharing its compiled artifacts; every thread's per-call results must
+/// agree (they run the same deterministic call sequence).
 fn cmd_serve(args: &[String]) -> ExitCode {
     let [path, entry, rest @ ..] = args else {
         eprintln!(
@@ -630,30 +629,14 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let (oracle, _) = &runs[0];
     let diverged = runs.iter().filter(|(v, _)| v != oracle).count();
     let total_cycles: u64 = runs.iter().map(|(_, s)| s.cycles).sum();
-    let cache = vm.code_cache_stats();
     println!(
         "served {iters} iterations × {threads} threads in {:.1}ms ({:.1} kiters/s)",
         wall.as_secs_f64() * 1e3,
         threads as f64 * iters as f64 / wall.as_secs_f64() / 1e3
     );
-    println!(
-        "cycles={total_cycles} store reads(fast/refresh/stale/blocked)={}/{}/{}/{} installs={} evictions={}",
-        cache.read_fast,
-        cache.read_refresh,
-        cache.read_stale,
-        cache.read_blocked,
-        cache.installs,
-        cache.evictions
-    );
+    println!("cycles={total_cycles}");
     if diverged > 0 {
         eprintln!("{diverged} thread(s) diverged from thread 0");
-        return ExitCode::FAILURE;
-    }
-    if cache.read_blocked > 0 {
-        eprintln!(
-            "{} compiled-call lookup(s) blocked on the store lock",
-            cache.read_blocked
-        );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

@@ -356,6 +356,28 @@ fn wrong_entry_arity_is_an_error() {
     }
 }
 
+/// `pea serve` forks warm mutators onto two threads in both JIT modes:
+/// every thread agrees with thread 0, so the command exits 0 and reports
+/// the run.
+#[test]
+fn serve_threads_agree() {
+    for mode in [&[][..], &["--jit-mode", "background"][..]] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pea"))
+            .args(["serve", "examples/cache_key.asm", "getValue", "7", "null"])
+            .args(["--threads", "2", "--iters", "200"])
+            .args(mode)
+            .output()
+            .expect("runs pea");
+        assert_eq!(out.status.code(), Some(0), "{mode:?}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            stdout.contains("served 200 iterations × 2 threads"),
+            "{mode:?}: {stdout}"
+        );
+        assert!(stdout.contains("cycles="), "{mode:?}: {stdout}");
+    }
+}
+
 /// `--level` takes exactly `none|ees|pea`: a missing value, a removed name
 /// and garbage are usage errors (exit status 2, the three names listed),
 /// never a silent default.
