@@ -7,9 +7,10 @@
 //!    tradition of whole-method abstract-interpretation escape analyses
 //!    (Hill & Spoto) and cheap pre-filters for precise analyses (SkipFlow).
 //!    Every allocation site is classified on the three-point lattice
-//!    `NoEscape < ArgEscape < GlobalEscape`. The compiler pipeline uses the
-//!    syntactic subset of `GlobalEscape` sites (allocation immediately
-//!    published to a static) to skip PEA work that provably cannot pay off.
+//!    `NoEscape < ArgEscape < GlobalEscape`. Nothing here reaches the
+//!    compiler (`pea-compiler` does not depend on this crate). The verdicts
+//!    are read by the `--checked` sanitizer below, by `pealint`, and by
+//!    `perfbench`'s `analysis.*` figures.
 //!
 //! 2. **Sanitizer** — an independent oracle for the speculative PEA: every
 //!    `Virtualized`/`LockElided` trace event and every post-PEA frame state

@@ -1,28 +1,92 @@
-//! The measurement harness regenerating the paper's evaluation artifacts:
-//! Table 1 (allocated bytes, allocation counts and iterations/minute per
-//! benchmark, without vs. with Partial Escape Analysis), the §6.1 monitor
-//! statistics, and the §6.2 comparison against the flow-insensitive
-//! baseline.
+//! The runner behind the paper's evaluation tables: Table 1 (allocated
+//! bytes, allocation counts and iterations/minute per benchmark, without
+//! vs. with Partial Escape Analysis), the §6.1 monitor statistics, the
+//! §6.2 comparison against the flow-insensitive baseline, and the
+//! per-feature ablations.
 //!
-//! Binaries:
-//!
-//! * `table1 [dacapo|scala|specjbb|all]` — prints the corresponding block
-//!   of Table 1 from live measurements;
-//! * `comparison` — prints the §6.2 suite-average speedups for the EES
-//!   baseline vs. PEA;
-//! * `ablations` — per-feature breakdown (lock elision, field phis, loop
-//!   processing) over the suites.
+//! [`run_corpus`] runs every corpus workload once per [`Config`],
+//! [`render_blocks`] renders the runs as named markdown tables beside the
+//! paper's figures, and [`splice`] writes those tables between a
+//! document's `<!-- generated:NAME -->` and `<!-- end generated:NAME -->`
+//! markers. The `report` binary drives the three; `pealint` is the crate's
+//! other binary.
 
-use pea_runtime::cost::CYCLES_PER_MINUTE;
-use pea_runtime::{Stats, Value};
-use pea_trace::{SharedSink, SiteAggregator};
+use pea_runtime::Value;
+use pea_trace::{MaterializeReason, SharedSink, SiteAggregator};
 use pea_vm::{OptLevel, Vm, VmOptions};
-use pea_workloads::Workload;
-use std::time::Instant;
+use pea_workloads::{all_workloads, Suite, Workload};
+use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 
-/// Steady-state per-iteration measurements of one workload at one
-/// optimization level.
-#[derive(Clone, Copy, Debug)]
+/// A VM configuration every workload runs under.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Config {
+    /// No escape analysis: the baseline every delta is taken against.
+    None,
+    /// The flow-insensitive Equi-Escape-Sets baseline (§6.2).
+    Ees,
+    /// Partial Escape Analysis with every feature on.
+    Pea,
+    /// PEA without lock elision.
+    NoLockElision,
+    /// PEA without per-field phis at merges (§5.3).
+    NoFieldPhis,
+    /// PEA without iterative loop processing (§5.4).
+    NoLoopFixpoint,
+}
+
+impl Config {
+    /// Every configuration, in run order; [`WorkloadRuns::runs`] is indexed
+    /// the same way.
+    pub const ALL: [Config; 6] = [
+        Config::None,
+        Config::Ees,
+        Config::Pea,
+        Config::NoLockElision,
+        Config::NoFieldPhis,
+        Config::NoLoopFixpoint,
+    ];
+
+    /// The full algorithm and its ablations: the rows of the ablation table.
+    const PEA_VARIANTS: [Config; 4] = [
+        Config::Pea,
+        Config::NoLockElision,
+        Config::NoFieldPhis,
+        Config::NoLoopFixpoint,
+    ];
+
+    fn options(self) -> VmOptions {
+        let level = match self {
+            Config::None => OptLevel::None,
+            Config::Ees => OptLevel::Ees,
+            _ => OptLevel::Pea,
+        };
+        let mut options = VmOptions::with_opt_level(level);
+        let pea = &mut options.compiler.pea;
+        match self {
+            Config::NoLockElision => pea.lock_elision = false,
+            Config::NoFieldPhis => pea.field_phis = false,
+            Config::NoLoopFixpoint => pea.loop_processing = false,
+            _ => {}
+        }
+        options
+    }
+
+    fn label(self) -> &'static str {
+        match self {
+            Config::None => "none",
+            Config::Ees => "ees",
+            Config::Pea => "full",
+            Config::NoLockElision => "no lock elision",
+            Config::NoFieldPhis => "no field phis (§5.3)",
+            Config::NoLoopFixpoint => "no loop fixpoint (§5.4)",
+        }
+    }
+}
+
+/// Steady-state per-iteration measurements of one workload under one
+/// configuration.
+#[derive(Clone, Debug, Default)]
 pub struct Measurement {
     /// Heap bytes allocated per iteration.
     pub bytes_per_iter: f64,
@@ -32,108 +96,78 @@ pub struct Measurement {
     pub monitor_ops_per_iter: f64,
     /// Virtual cycles per iteration.
     pub cycles_per_iter: f64,
-    /// Host wall-clock nanoseconds per iteration. Unlike the virtual
-    /// cycle columns this is hardware- and load-dependent; it is reported
-    /// for honesty (the simulated speedups cost real time to produce) and
-    /// for comparing execution tiers, not for comparison with the paper.
-    pub wall_ns_per_iter: f64,
-    /// Deoptimizations observed during measurement.
-    pub deopts: u64,
-    /// Methods compiled by the end of the run.
-    pub compiles: u64,
+    /// Allocation sites PEA processed to a virtual state, summed over the
+    /// methods compiled by the end of the run.
+    pub virtualized: usize,
+    /// Materializations per reason over the whole run, warm-up included,
+    /// folded from the trace stream; empty for `None` and `Ees`, which run
+    /// untraced. Tracing does not change the virtual cycles.
+    pub materializations: BTreeMap<MaterializeReason, u64>,
 }
 
-impl Measurement {
-    /// Simulated iterations per minute under the virtual clock.
-    pub fn iterations_per_minute(&self) -> f64 {
-        CYCLES_PER_MINUTE as f64 / self.cycles_per_iter
-    }
-}
+/// Warmup iterations (enough to cross the compile threshold and stabilize
+/// speculation).
+const WARMUP: u64 = 120;
 
-/// Default warmup iterations (enough to cross the compile threshold and
-/// stabilize speculation).
-pub const DEFAULT_WARMUP: u64 = 120;
+/// Measured iterations.
+const ITERS: u64 = 40;
 
-/// Default measured iterations.
-pub const DEFAULT_ITERS: u64 = 40;
-
-/// Runs `workload` at `level`: warms up, then measures `iters`
+/// Runs `workload` under `config`: warms up, then measures `iters`
 /// iterations.
 ///
 /// # Panics
 ///
 /// Panics if the workload raises a runtime error (generated kernels never
 /// do; a panic indicates a compiler bug).
-pub fn measure(workload: &Workload, level: OptLevel, warmup: u64, iters: u64) -> Measurement {
-    let mut vm = Vm::new(workload.program.clone(), VmOptions::with_opt_level(level));
-    for i in 0..warmup {
-        vm.call_entry("iterate", &[Value::Int(i as i64)])
-            .unwrap_or_else(|e| panic!("{} warmup: {e}", workload.name));
-    }
-    let before: Stats = vm.stats();
-    let start = Instant::now();
-    for i in warmup..warmup + iters {
-        vm.call_entry("iterate", &[Value::Int(i as i64)])
-            .unwrap_or_else(|e| panic!("{} iteration: {e}", workload.name));
-    }
-    let wall = start.elapsed();
-    let d = vm.stats().delta(&before);
-    Measurement {
-        bytes_per_iter: d.alloc_bytes as f64 / iters as f64,
-        allocs_per_iter: d.alloc_count as f64 / iters as f64,
-        monitor_ops_per_iter: d.monitor_ops() as f64 / iters as f64,
-        cycles_per_iter: d.cycles as f64 / iters as f64,
-        wall_ns_per_iter: wall.as_nanos() as f64 / iters as f64,
-        deopts: d.deopts,
-        compiles: vm.stats().compiles,
-    }
-}
-
-/// Runs `workload` with a [`SiteAggregator`] attached to the VM's trace
-/// sink and returns the folded per-allocation-site decision counters:
-/// which sites were virtualized, which materialized and why, which locks,
-/// loads and stores were elided, plus deopt/eviction totals.
-///
-/// The extra `options` parameter (rather than a bare [`OptLevel`]) lets
-/// the ablation harness report breakdowns for feature-disabled variants.
-///
-/// # Panics
-///
-/// Panics if the workload raises a runtime error.
-pub fn measure_per_site(
-    workload: &Workload,
-    mut options: VmOptions,
-    warmup: u64,
-    iters: u64,
-) -> SiteAggregator {
-    let (sink, agg) = SharedSink::new(SiteAggregator::new());
-    options.trace = Some(sink);
+pub fn measure(workload: &Workload, config: Config, warmup: u64, iters: u64) -> Measurement {
+    let mut options = config.options();
+    let aggregator = (!matches!(config, Config::None | Config::Ees)).then(|| {
+        let (sink, aggregator) = SharedSink::new(SiteAggregator::new());
+        options.trace = Some(sink);
+        aggregator
+    });
     let mut vm = Vm::new(workload.program.clone(), options);
+    let mut before = vm.stats();
     for i in 0..warmup + iters {
+        if i == warmup {
+            before = vm.stats();
+        }
         vm.call_entry("iterate", &[Value::Int(i as i64)])
-            .unwrap_or_else(|e| panic!("{} traced run: {e}", workload.name));
+            .unwrap_or_else(|e| panic!("{} iteration {i}: {e}", workload.name));
     }
+    let d = vm.stats().delta(&before);
+    let virtualized = vm
+        .compiled_methods()
+        .into_iter()
+        .map(|method| {
+            let compiled = vm.compiled(method).expect("listed method is cached");
+            compiled.pea_result.virtualized_allocs
+        })
+        .sum();
     drop(vm);
-    std::sync::Arc::try_unwrap(agg)
-        .unwrap_or_else(|_| panic!("aggregator handle is unique once the VM is dropped"))
-        .into_inner()
-        .expect("aggregator lock poisoned")
+    let per_iter = |n: u64| n as f64 / iters as f64;
+    Measurement {
+        bytes_per_iter: per_iter(d.alloc_bytes),
+        allocs_per_iter: per_iter(d.alloc_count),
+        monitor_ops_per_iter: per_iter(d.monitor_ops()),
+        cycles_per_iter: per_iter(d.cycles),
+        virtualized,
+        materializations: aggregator
+            .map(|a| a.lock().expect("aggregator lock poisoned").reason_totals())
+            .unwrap_or_default(),
+    }
 }
 
-/// One Table 1 row: a workload measured without and with an optimization.
-#[derive(Clone, Debug)]
-pub struct Row {
-    /// Benchmark name.
-    pub name: String,
-    /// Whether the paper lists the row individually.
-    pub significant: bool,
+/// A workload measured without and with an optimization.
+#[derive(Clone, Copy, Debug)]
+pub struct Row<'a> {
     /// Baseline (no escape analysis).
-    pub without: Measurement,
+    pub without: &'a Measurement,
     /// With the optimization under test.
-    pub with: Measurement,
+    pub with: &'a Measurement,
 }
 
-impl Row {
+impl Row<'_> {
     /// Relative change in allocated bytes (negative = reduction).
     pub fn bytes_delta(&self) -> f64 {
         pct(self.without.bytes_per_iter, self.with.bytes_per_iter)
@@ -159,12 +193,6 @@ impl Row {
             1.0 / self.with.cycles_per_iter,
         )
     }
-
-    /// Relative change in host wall-clock time per iteration (negative =
-    /// faster in real time, independent of the virtual clock).
-    pub fn wall_delta(&self) -> f64 {
-        pct(self.without.wall_ns_per_iter, self.with.wall_ns_per_iter)
-    }
 }
 
 fn pct(without: f64, with: f64) -> f64 {
@@ -175,146 +203,372 @@ fn pct(without: f64, with: f64) -> f64 {
     }
 }
 
-/// Measures every workload of a suite at `level` against the
-/// no-escape-analysis baseline.
-pub fn suite_rows(workloads: &[Workload], level: OptLevel) -> Vec<Row> {
-    workloads
-        .iter()
-        .map(|w| Row {
-            name: w.name.clone(),
-            significant: w.significant,
-            without: measure(w, OptLevel::None, DEFAULT_WARMUP, DEFAULT_ITERS),
-            with: measure(w, level, DEFAULT_WARMUP, DEFAULT_ITERS),
+/// One corpus workload measured under every [`Config`].
+#[derive(Clone, Debug)]
+pub struct WorkloadRuns {
+    /// Benchmark name.
+    pub name: String,
+    /// Owning suite.
+    pub suite: Suite,
+    /// Whether the paper lists the row individually.
+    pub significant: bool,
+    /// One measurement per configuration, in [`Config::ALL`] order.
+    pub runs: Vec<Measurement>,
+}
+
+impl WorkloadRuns {
+    /// The workload under `config` against the no-escape-analysis baseline.
+    pub fn row(&self, config: Config) -> Row<'_> {
+        Row {
+            without: &self.runs[Config::None as usize],
+            with: &self.runs[config as usize],
+        }
+    }
+}
+
+/// Runs every corpus workload once per configuration.
+pub fn run_corpus() -> Vec<WorkloadRuns> {
+    all_workloads()
+        .into_iter()
+        .map(|workload| WorkloadRuns {
+            runs: Config::ALL
+                .iter()
+                .map(|&config| measure(&workload, config, WARMUP, ITERS))
+                .collect(),
+            name: workload.name,
+            suite: workload.suite,
+            significant: workload.significant,
         })
         .collect()
 }
 
-/// Renders one suite block in the layout of the paper's Table 1.
-pub fn render_table(title: &str, rows: &[Row]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{title:<14} {:>22} {:>24} {:>26} {:>21}",
-        "KB / Iteration", "Allocs / Iteration", "Iterations / Minute", "ns/op (wall)"
+/// The paper's figures, in percent, one entry per Table 1 row it lists and
+/// per suite (keyed by the suite's name; SPECjbb2005 is both): allocated
+/// bytes Δ, allocations Δ and speedup (a suite's are Table 1's averages,
+/// which §6.2 quotes for Graal PEA), §6.1's monitor-operation Δ where the
+/// paper states one, and §6.2's server-compiler EA speedup.
+type PaperEntry = (&'static str, f64, f64, f64, Option<f64>, Option<f64>);
+
+const PAPER: &[PaperEntry] = &[
+    ("fop", -3.5, -5.6, 14.4, None, None),
+    ("h2", -5.2, -5.9, 2.9, None, None),
+    ("jython", -8.3, -15.2, -2.1, None, None),
+    ("sunflow", -25.7, -30.6, 1.6, None, None),
+    ("tomcat", -0.8, -2.4, 4.4, Some(-4.0), None),
+    ("tradebeans", -7.8, -11.1, 6.4, None, None),
+    ("xalan", -1.4, -2.2, 1.9, None, None),
+    ("DaCapo", -4.9, -8.0, 2.2, None, Some(0.9)),
+    ("actors", -17.0, -18.5, 10.0, None, None),
+    ("apparat", -3.3, -5.5, 13.7, None, None),
+    ("factorie", -58.5, -60.9, 33.0, None, None),
+    ("kiama", -6.6, -11.2, 16.5, None, None),
+    ("scalac", -14.5, -22.6, 4.4, None, None),
+    ("scaladoc", -12.0, -24.0, 3.0, None, None),
+    ("scalap", -8.8, -12.5, 17.6, None, None),
+    ("scalariform", -13.3, -16.5, 7.8, None, None),
+    ("scalatest", -1.0, -2.4, 7.1, None, None),
+    ("scalaxb", -5.9, -13.8, 4.7, None, None),
+    ("specs", -38.4, -72.0, 4.0, None, None),
+    ("tmt", -3.6, -12.2, 3.3, None, None),
+    ("ScalaDaCapo", -15.2, -22.7, 10.4, None, Some(7.4)),
+    ("SPECjbb2005", -16.1, -38.1, 8.7, Some(-3.8), Some(5.4)),
+];
+
+fn paper(name: &str) -> Option<&'static PaperEntry> {
+    PAPER.iter().find(|entry| entry.0 == name)
+}
+
+/// The suites in table order.
+const SUITES: [Suite; 3] = [Suite::DaCapo, Suite::ScalaDaCapo, Suite::SpecJbb];
+
+/// Every block [`render_blocks`] writes, in order.
+pub const BLOCKS: [&str; 6] = [
+    "table1-dacapo",
+    "table1-scaladacapo",
+    "table1-specjbb",
+    "monitors",
+    "comparison",
+    "ablations",
+];
+
+/// A percentage with its sign, a typographic minus and one decimal.
+fn signed(v: f64) -> String {
+    format!("{v:+.1}%").replace('-', "−")
+}
+
+fn paper_figure(v: Option<f64>) -> String {
+    v.map_or_else(|| "—".to_string(), signed)
+}
+
+fn suite_average<'r>(runs: &[&'r WorkloadRuns], config: Config, f: fn(&Row<'r>) -> f64) -> f64 {
+    runs.iter().map(|&w| f(&w.row(config))).sum::<f64>() / runs.len() as f64
+}
+
+/// Renders `runs` as the markdown tables named in [`BLOCKS`], each ending
+/// in a newline.
+pub fn render_blocks(runs: &[WorkloadRuns]) -> Vec<(&'static str, String)> {
+    let by_suite: Vec<Vec<&WorkloadRuns>> = SUITES
+        .iter()
+        .map(|&suite| runs.iter().filter(|w| w.suite == suite).collect())
+        .collect();
+    let mut blocks: Vec<(&'static str, String)> = BLOCKS[..3]
+        .iter()
+        .zip(SUITES.iter().zip(&by_suite))
+        .map(|(&name, (suite, rows))| (name, render_table1(&suite.to_string(), rows)))
+        .collect();
+    blocks.push((BLOCKS[3], render_monitors(runs)));
+    blocks.push((BLOCKS[4], render_comparison(&by_suite)));
+    blocks.push((BLOCKS[5], render_ablations(runs, &by_suite)));
+    blocks
+}
+
+/// One suite block of Table 1: the rows the paper lists, then the suite
+/// average over every row (none for a one-row suite, whose row is it).
+fn render_table1(suite: &str, runs: &[&WorkloadRuns]) -> String {
+    let mut out = String::from(
+        "| row | paper bytes Δ | ours bytes Δ | paper allocs Δ | ours allocs Δ | paper speedup | \
+         ours speedup |\n|---|---:|---:|---:|---:|---:|---:|\n",
     );
-    let _ = writeln!(
-        out,
-        "{:<14} {:>8} {:>8} {:>6} {:>9} {:>8} {:>6} {:>10} {:>10} {:>8} {:>11} {:>9}",
-        "",
-        "without",
-        "with",
-        "Δ",
-        "without",
-        "with",
-        "Δ",
-        "without",
-        "with",
-        "speedup",
-        "without",
-        "with"
-    );
-    for row in rows.iter().filter(|r| r.significant) {
+    let mut line = |label: &str, name: &str, ours: [f64; 3]| {
+        let (_, bytes, allocs, speedup, _, _) = *paper(name).expect("the paper lists the row");
         let _ = writeln!(
             out,
-            "{:<14} {:>8.1} {:>8.1} {:>+5.1}% {:>9.1} {:>8.1} {:>+5.1}% {:>10.0} {:>10.0} \
-             {:>+7.1}% {:>11.0} {:>9.0}",
-            row.name,
-            row.without.bytes_per_iter / 1024.0,
-            row.with.bytes_per_iter / 1024.0,
-            row.bytes_delta(),
-            row.without.allocs_per_iter,
-            row.with.allocs_per_iter,
-            row.allocs_delta(),
-            row.without.iterations_per_minute(),
-            row.with.iterations_per_minute(),
-            row.speedup(),
-            row.without.wall_ns_per_iter,
-            row.with.wall_ns_per_iter,
+            "| {label} | {} | {} | {} | {} | {} | {} |",
+            signed(bytes),
+            signed(ours[0]),
+            signed(allocs),
+            signed(ours[1]),
+            signed(speedup),
+            signed(ours[2]),
+        );
+    };
+    for w in runs.iter().filter(|w| w.significant) {
+        let row = w.row(Config::Pea);
+        line(
+            &w.name,
+            &w.name,
+            [row.bytes_delta(), row.allocs_delta(), row.speedup()],
         );
     }
-    let n = rows.len() as f64;
-    let avg = |f: &dyn Fn(&Row) -> f64| rows.iter().map(f).sum::<f64>() / n;
-    let _ = writeln!(
-        out,
-        "{:<14} {:>8} {:>8} {:>+5.1}% {:>9} {:>8} {:>+5.1}% {:>10} {:>10} {:>+7.1}% {:>11} \
-         {:>+8.1}%",
-        "average*",
-        "",
-        "",
-        avg(&Row::bytes_delta),
-        "",
-        "",
-        avg(&Row::allocs_delta),
-        "",
-        "",
-        avg(&Row::speedup),
-        "",
-        avg(&Row::wall_delta),
-    );
-    let insignificant: Vec<&str> = rows
-        .iter()
-        .filter(|r| !r.significant)
-        .map(|r| r.name.as_str())
-        .collect();
-    if !insignificant.is_empty() {
-        let _ = writeln!(
-            out,
-            "  (*average includes rows without significant change: {})",
-            insignificant.join(", ")
-        );
+    if runs.len() > 1 {
+        let folded: Vec<&str> = runs
+            .iter()
+            .filter(|w| !w.significant)
+            .map(|w| w.name.as_str())
+            .collect();
+        let label = if folded.is_empty() {
+            "average".to_string()
+        } else {
+            format!("average (incl. {})", folded.join(", "))
+        };
+        let ours = [Row::bytes_delta, Row::allocs_delta, Row::speedup]
+            .map(|f| suite_average(runs, Config::Pea, f));
+        line(&label, suite, ours);
     }
     out
 }
 
-/// Renders the §6.1 monitor-operation observations for the rows where the
-/// paper reports them.
-pub fn render_monitor_stats(rows: &[Row]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for row in rows {
+/// §6.1: monitor operations per iteration of every workload that has any.
+fn render_monitors(runs: &[WorkloadRuns]) -> String {
+    let mut out = String::from(
+        "| row | paper monitor ops Δ | ours per iteration without | ours with | ours Δ |\n\
+         |---|---:|---:|---:|---:|\n",
+    );
+    for w in runs {
+        let row = w.row(Config::Pea);
         if row.without.monitor_ops_per_iter > 0.0 {
             let _ = writeln!(
                 out,
-                "{:<14} monitor ops/iter: {:>8.1} -> {:>8.1} ({:+.1}%)",
-                row.name,
+                "| {} | {} | {:.1} | {:.1} | {} |",
+                w.name,
+                paper_figure(paper(&w.name).and_then(|p| p.4)),
                 row.without.monitor_ops_per_iter,
                 row.with.monitor_ops_per_iter,
-                row.monitors_delta(),
+                signed(row.monitors_delta()),
             );
         }
     }
     out
 }
 
+/// §6.2: suite-average speedups of the EES baseline and of PEA.
+fn render_comparison(by_suite: &[Vec<&WorkloadRuns>]) -> String {
+    let mut out = String::from(
+        "| suite | paper server-compiler EA | ours EES baseline | paper Graal PEA | ours PEA |\n\
+         |---|---:|---:|---:|---:|\n",
+    );
+    for (suite, runs) in SUITES.iter().zip(by_suite) {
+        let (_, _, _, pea, _, server_ea) = *paper(&suite.to_string()).expect("the paper lists it");
+        let _ = writeln!(
+            out,
+            "| {suite} | {} | {} | {} | {} |",
+            paper_figure(server_ea),
+            signed(suite_average(runs, Config::Ees, Row::speedup)),
+            signed(pea),
+            signed(suite_average(runs, Config::Pea, Row::speedup)),
+        );
+    }
+    out
+}
+
+/// The ablations: suite-average allocation Δ and speedup per PEA variant,
+/// with the sites it virtualized and its materializations by reason,
+/// summed over the corpus.
+fn render_ablations(runs: &[WorkloadRuns], by_suite: &[Vec<&WorkloadRuns>]) -> String {
+    let mut out = String::from("| variant |");
+    for suite in SUITES {
+        let _ = write!(out, " {suite} allocs Δ / speedup |");
+    }
+    out.push_str(" sites virtualized | materializations |\n|---|---:|---:|---:|---:|---|\n");
+    for config in Config::PEA_VARIANTS {
+        let _ = write!(out, "| {} |", config.label());
+        for runs in by_suite {
+            let _ = write!(
+                out,
+                " {} / {} |",
+                signed(suite_average(runs, config, Row::allocs_delta)),
+                signed(suite_average(runs, config, Row::speedup)),
+            );
+        }
+        let mut reasons = BTreeMap::new();
+        for m in runs.iter().map(|w| &w.runs[config as usize]) {
+            for (&reason, &n) in &m.materializations {
+                *reasons.entry(reason).or_insert(0u64) += n;
+            }
+        }
+        let reasons: Vec<String> = reasons.iter().map(|(r, n)| format!("{r} {n}")).collect();
+        let _ = writeln!(
+            out,
+            " {} | {} |",
+            runs.iter()
+                .map(|w| w.runs[config as usize].virtualized)
+                .sum::<usize>(),
+            reasons.join(", "),
+        );
+    }
+    out
+}
+
+/// Why [`splice`] refused a document; each case names the block.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SpliceError {
+    /// A start marker names a block that is not being written.
+    Unknown(String),
+    /// A block being written has no start marker.
+    Missing(String),
+    /// A block has a second start marker, or an end marker outside it.
+    Duplicated(String),
+    /// A start marker has no matching end marker before the next block.
+    Unclosed(String),
+}
+
+impl fmt::Display for SpliceError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpliceError::Unknown(name) => write!(f, "unknown block `{name}`"),
+            SpliceError::Missing(name) => write!(f, "no marker for block `{name}`"),
+            SpliceError::Duplicated(name) => write!(f, "block `{name}` is marked twice"),
+            SpliceError::Unclosed(name) => write!(f, "block `{name}` is not closed"),
+        }
+    }
+}
+
+const OPEN: &str = "<!-- generated:";
+const CLOSE: &str = "<!-- end generated:";
+const MARKER_END: &str = " -->";
+
+/// The first `prefix NAME -->` marker in `text`: its byte offset, NAME,
+/// and the offset just past it (`None` if the line does not close the
+/// marker, in which case NAME is the rest of the line).
+fn find_marker<'t>(text: &'t str, prefix: &str) -> Option<(usize, &'t str, Option<usize>)> {
+    let start = text.find(prefix)?;
+    let rest = &text[start + prefix.len()..];
+    let line = rest.lines().next().unwrap_or("");
+    Some(match line.find(MARKER_END) {
+        Some(n) => (
+            start,
+            &line[..n],
+            Some(start + prefix.len() + n + MARKER_END.len()),
+        ),
+        None => (start, line.trim(), None),
+    })
+}
+
+/// Replaces the text between `<!-- generated:NAME -->` and
+/// `<!-- end generated:NAME -->` with `"\n"` followed by NAME's entry in
+/// `blocks`, leaving every byte outside the markers as it was. Each block
+/// must be marked exactly once, and every marker must name a block.
+pub fn splice(doc: &str, blocks: &[(&str, String)]) -> Result<String, SpliceError> {
+    let mut out = String::with_capacity(doc.len());
+    let mut seen: Vec<&str> = Vec::new();
+    let mut rest = doc;
+    loop {
+        let open = find_marker(rest, OPEN);
+        let outside = &rest[..open.map_or(rest.len(), |(at, _, _)| at)];
+        if let Some((_, name, _)) = find_marker(outside, CLOSE) {
+            return Err(SpliceError::Duplicated(name.to_string()));
+        }
+        out.push_str(outside);
+        let Some((at, name, past)) = open else { break };
+        let Some((_, body)) = blocks.iter().find(|(n, _)| *n == name) else {
+            return Err(SpliceError::Unknown(name.to_string()));
+        };
+        if seen.contains(&name) {
+            return Err(SpliceError::Duplicated(name.to_string()));
+        }
+        seen.push(name);
+        let unclosed = || SpliceError::Unclosed(name.to_string());
+        let past = past.ok_or_else(unclosed)?;
+        let inside = &rest[past..];
+        let close = format!("{CLOSE}{name}{MARKER_END}");
+        let end = inside
+            .find(&close)
+            .filter(|&end| !inside[..end].contains(OPEN))
+            .ok_or_else(unclosed)?;
+        out.push_str(&rest[at..past]);
+        out.push('\n');
+        out.push_str(body);
+        out.push_str(&close);
+        rest = &inside[end + close.len()..];
+    }
+    match blocks.iter().find(|(name, _)| !seen.contains(name)) {
+        Some((name, _)) => Err(SpliceError::Missing(name.to_string())),
+        None => Ok(out),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pea_workloads::{suite_workloads, Suite};
+    use pea_workloads::suite_workloads;
+
+    fn workload(suite: Suite, name: &str) -> Workload {
+        suite_workloads(suite)
+            .into_iter()
+            .find(|w| w.name == name)
+            .unwrap()
+    }
 
     #[test]
     fn measurement_computes_rates() {
-        let w = &suite_workloads(Suite::ScalaDaCapo)
-            .into_iter()
-            .find(|w| w.name == "factorie")
-            .unwrap();
-        let m = measure(w, OptLevel::Pea, 60, 5);
+        let w = workload(Suite::ScalaDaCapo, "factorie");
+        let m = measure(&w, Config::Pea, 60, 5);
         assert!(m.cycles_per_iter > 0.0);
-        assert!(m.iterations_per_minute() > 0.0);
-        assert!(m.compiles >= 1, "workload methods must get compiled");
+        assert!(m.virtualized > 0, "workload methods must get compiled");
+        let untraced = measure(&w, Config::None, 60, 5);
+        assert!(untraced.materializations.is_empty());
     }
 
     #[test]
     fn factorie_row_has_expected_shape() {
-        let w = suite_workloads(Suite::ScalaDaCapo)
-            .into_iter()
-            .find(|w| w.name == "factorie")
-            .unwrap();
+        let w = workload(Suite::ScalaDaCapo, "factorie");
+        let (without, with) = (
+            measure(&w, Config::None, 60, 10),
+            measure(&w, Config::Pea, 60, 10),
+        );
         let row = Row {
-            name: w.name.clone(),
-            significant: true,
-            without: measure(&w, OptLevel::None, 60, 10),
-            with: measure(&w, OptLevel::Pea, 60, 10),
+            without: &without,
+            with: &with,
         };
         assert!(
             row.allocs_delta() < -40.0,
@@ -332,15 +586,14 @@ mod tests {
     /// reproduce the sign (deterministic: the clock is virtual).
     #[test]
     fn jython_like_regresses() {
-        let w = suite_workloads(Suite::DaCapo)
-            .into_iter()
-            .find(|w| w.name == "jython")
-            .unwrap();
+        let w = workload(Suite::DaCapo, "jython");
+        let (without, with) = (
+            measure(&w, Config::None, 80, 10),
+            measure(&w, Config::Pea, 80, 10),
+        );
         let row = Row {
-            name: w.name.clone(),
-            significant: true,
-            without: measure(&w, OptLevel::None, 80, 10),
-            with: measure(&w, OptLevel::Pea, 80, 10),
+            without: &without,
+            with: &with,
         };
         assert!(
             row.speedup() < 0.0,
@@ -355,15 +608,14 @@ mod tests {
     /// arrays" — checked on the array-heavy tmt stand-in.
     #[test]
     fn count_reduction_exceeds_byte_reduction_when_arrays_survive() {
-        let w = suite_workloads(Suite::ScalaDaCapo)
-            .into_iter()
-            .find(|w| w.name == "tmt")
-            .unwrap();
+        let w = workload(Suite::ScalaDaCapo, "tmt");
+        let (without, with) = (
+            measure(&w, Config::None, 80, 10),
+            measure(&w, Config::Pea, 80, 10),
+        );
         let row = Row {
-            name: w.name.clone(),
-            significant: true,
-            without: measure(&w, OptLevel::None, 80, 10),
-            with: measure(&w, OptLevel::Pea, 80, 10),
+            without: &without,
+            with: &with,
         };
         assert!(
             row.allocs_delta() < row.bytes_delta(),
@@ -373,34 +625,116 @@ mod tests {
         );
     }
 
+    fn fake(name: &str, suite: Suite, significant: bool) -> WorkloadRuns {
+        let at = |bytes: f64, allocs: f64, monitors: f64, cycles: f64| Measurement {
+            bytes_per_iter: bytes,
+            allocs_per_iter: allocs,
+            monitor_ops_per_iter: monitors,
+            cycles_per_iter: cycles,
+            ..Measurement::default()
+        };
+        let mut runs = vec![at(2048.0, 100.0, 10.0, 1000.0)];
+        runs.extend(
+            Config::ALL[1..]
+                .iter()
+                .map(|_| at(1024.0, 50.0, 0.0, 800.0)),
+        );
+        runs[Config::Pea as usize].virtualized = 3;
+        runs[Config::Pea as usize]
+            .materializations
+            .insert(MaterializeReason::EscapeToStore, 2);
+        WorkloadRuns {
+            name: name.into(),
+            suite,
+            significant,
+            runs,
+        }
+    }
+
     #[test]
-    fn table_renders_all_columns() {
-        let rows = vec![Row {
-            name: "demo".into(),
-            significant: true,
-            without: Measurement {
-                bytes_per_iter: 2048.0,
-                allocs_per_iter: 100.0,
-                monitor_ops_per_iter: 10.0,
-                cycles_per_iter: 1000.0,
-                wall_ns_per_iter: 5000.0,
-                deopts: 0,
-                compiles: 1,
-            },
-            with: Measurement {
-                bytes_per_iter: 1024.0,
-                allocs_per_iter: 50.0,
-                monitor_ops_per_iter: 0.0,
-                cycles_per_iter: 800.0,
-                wall_ns_per_iter: 4000.0,
-                deopts: 0,
-                compiles: 1,
-            },
-        }];
-        let t = render_table("Demo", &rows);
-        assert!(t.contains("demo"));
-        assert!(t.contains("-50.0%"));
-        let m = render_monitor_stats(&rows);
-        assert!(m.contains("-100.0%"));
+    fn blocks_put_paper_and_measured_columns_side_by_side() {
+        let runs = [
+            fake("tomcat", Suite::DaCapo, true),
+            fake("avrora", Suite::DaCapo, false),
+            fake("factorie", Suite::ScalaDaCapo, true),
+            fake("SPECjbb2005", Suite::SpecJbb, true),
+        ];
+        let blocks = render_blocks(&runs);
+        assert_eq!(blocks.iter().map(|b| b.0).collect::<Vec<_>>(), BLOCKS);
+        let block = |name| &blocks.iter().find(|b| b.0 == name).unwrap().1;
+        assert!(block("table1-dacapo")
+            .contains("| tomcat | −0.8% | −50.0% | −2.4% | −50.0% | +4.4% | +25.0% |"));
+        assert!(block("table1-dacapo").contains("| average (incl. avrora) | −4.9% |"));
+        assert!(!block("table1-specjbb").contains("average"));
+        assert!(block("monitors").contains("| tomcat | −4.0% | 10.0 | 0.0 | −100.0% |"));
+        assert!(block("monitors").contains("| factorie | — |"));
+        assert!(block("comparison").contains("| DaCapo | +0.9% | +25.0% | +2.2% | +25.0% |"));
+        assert!(block("ablations").contains("| full | −50.0% / +25.0% |"));
+        assert!(block("ablations").contains("| 12 | escape-to-store 8 |"));
+    }
+
+    fn blocks() -> Vec<(&'static str, String)> {
+        vec![("a", "| x | 1 |\n".into()), ("b", "B\n".into())]
+    }
+
+    const DOC: &str = "# Title\n\nprose ✓ <!-- not a marker -->\n\
+                       <!-- generated:a -->\nstale\n<!-- end generated:a -->\n\
+                       between\n<!-- generated:b --><!-- end generated:b -->tail\n";
+
+    #[test]
+    fn splice_rewrites_only_inside_the_markers() {
+        let out = splice(DOC, &blocks()).unwrap();
+        assert_eq!(
+            out,
+            "# Title\n\nprose ✓ <!-- not a marker -->\n\
+             <!-- generated:a -->\n| x | 1 |\n<!-- end generated:a -->\n\
+             between\n<!-- generated:b -->\nB\n<!-- end generated:b -->tail\n"
+        );
+    }
+
+    #[test]
+    fn splice_is_idempotent_and_restores_hand_edits() {
+        let once = splice(DOC, &blocks()).unwrap();
+        assert_eq!(splice(&once, &blocks()).unwrap(), once);
+        let edited = once.replace("| x | 1 |", "| x | 2 |");
+        assert_ne!(edited, once);
+        assert_eq!(splice(&edited, &blocks()).unwrap(), once);
+    }
+
+    #[test]
+    fn splice_refuses_bad_markers_naming_the_block() {
+        let a = "<!-- generated:a -->\n<!-- end generated:a -->\n";
+        let b = "<!-- generated:b -->\n<!-- end generated:b -->\n";
+        let cases = [
+            (
+                format!("{a}{b}<!-- generated:c -->\n<!-- end generated:c -->\n"),
+                SpliceError::Unknown("c".into()),
+            ),
+            (a.to_string(), SpliceError::Missing("b".into())),
+            (format!("{a}{b}{a}"), SpliceError::Duplicated("a".into())),
+            (
+                format!("{a}{b}<!-- end generated:b -->"),
+                SpliceError::Duplicated("b".into()),
+            ),
+            (
+                format!("<!-- generated:a -->\n{b}<!-- end generated:a -->"),
+                SpliceError::Unclosed("a".into()),
+            ),
+            (
+                format!("{a}<!-- generated:b -->\n"),
+                SpliceError::Unclosed("b".into()),
+            ),
+        ];
+        for (doc, expected) in cases {
+            let err = splice(&doc, &blocks()).unwrap_err();
+            assert_eq!(err, expected, "{doc}");
+            let name = match &expected {
+                SpliceError::Unknown(n)
+                | SpliceError::Missing(n)
+                | SpliceError::Duplicated(n)
+                | SpliceError::Unclosed(n) => n,
+            };
+            assert!(err.to_string().contains(&format!("`{name}`")));
+        }
     }
 }

@@ -91,7 +91,7 @@ fn assert_consistent(workload: &Workload, background: bool) {
 
 #[test]
 fn sync_metrics_match_trace_aggregator() {
-    let names = ["fop", "pmd", "SPECjbb2005"];
+    let names = ["fop", "pmd", "factorie", "SPECjbb2005"];
     for w in all_workloads()
         .iter()
         .filter(|w| names.contains(&w.name.as_str()))
@@ -102,7 +102,7 @@ fn sync_metrics_match_trace_aggregator() {
 
 #[test]
 fn background_metrics_match_trace_aggregator() {
-    let names = ["fop", "luindex", "SPECjbb2005"];
+    let names = ["fop", "luindex", "factorie", "SPECjbb2005"];
     for w in all_workloads()
         .iter()
         .filter(|w| names.contains(&w.name.as_str()))

@@ -643,7 +643,19 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = match std::env::args_os()
+        .skip(1)
+        .map(|a| a.into_string())
+        .collect::<Result<_, _>>()
+    {
+        Ok(args) => args,
+        Err(bad) => {
+            let bad = bad.to_string_lossy();
+            eprintln!("error: argument `{bad}` is not valid UTF-8");
+            eprintln!("usage: pea <run|serve|profile|trace|dump|dot|disasm> ...");
+            return ExitCode::from(2);
+        }
+    };
     // Every command runs on a thread with room for the VM's deepest call
     // chain, so a runaway recursion ends in `stack overflow` (exit 1)
     // rather than aborting the process.

@@ -437,6 +437,20 @@ fn bad_flags_are_usage_errors() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(named), "{flags:?}: {stderr}");
     }
+    #[cfg(unix)]
+    {
+        use std::os::unix::ffi::OsStrExt;
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pea"))
+            .arg("run")
+            .arg(std::ffi::OsStr::from_bytes(b"\xff.asm"))
+            .arg("f")
+            .output()
+            .expect("runs pea");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{stderr}");
+        assert!(stderr.contains("`\u{fffd}.asm`"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
 }
 
 /// All 27 workload kernels agree between interpreter-only and PEA-JIT
