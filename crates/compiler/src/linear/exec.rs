@@ -12,6 +12,11 @@
 //! ([`EvalEnv::has_fuel_limit`]), charges are accumulated locally and
 //! flushed once on exit — the running total is observationally equivalent
 //! because only the fuel check ever reads intermediate values.
+//!
+//! The loop is monomorphic: [`execute`] is generic over the host, so heap
+//! access and charges are direct calls the optimizer can inline, and `run`
+//! is instantiated once per charging discipline (`EXACT`), so the
+//! unobserved loop carries no per-charge test.
 
 use super::{decode_kind, decode_reason, op, DeoptPoint, SlotSrc, NO_REG};
 use crate::eval::{DeoptFrame, EvalEnv, EvalOutcome, INLINE_ARGS};
@@ -41,9 +46,9 @@ thread_local! {
 /// Panics if `code` has no [`super::LinearArtifact`], which a successful
 /// `compile` always produces: a method that cannot be lowered is a compile
 /// bailout and stays interpreted.
-pub fn execute(
+pub fn execute<E: EvalEnv + ?Sized>(
     program: &Program,
-    env: &mut dyn EvalEnv,
+    env: &mut E,
     code: &CompiledMethod,
     args: &[Value],
 ) -> Result<EvalOutcome, VmError> {
@@ -54,9 +59,12 @@ pub fn execute(
     // to the lowered form), so stale values from the frame's previous use
     // are never observable; only the size must fit.
     regs.resize(art.num_regs as usize, Value::Null);
-    let exact = env.has_fuel_limit();
     let mut pending: u64 = 0;
-    let result = run(program, env, art, args, &mut regs, &mut pending, exact);
+    let result = if env.has_fuel_limit() {
+        run::<E, true>(program, env, art, args, &mut regs, &mut pending)
+    } else {
+        run::<E, false>(program, env, art, args, &mut regs, &mut pending)
+    };
     REG_POOL.with(|p| p.borrow_mut().push(std::mem::take(&mut regs)));
     if pending > 0 {
         // No fuel limit is in force (exact mode charges inline), so this
@@ -66,27 +74,41 @@ pub fn execute(
     result
 }
 
+/// The dispatch loop. `EXACT` charges every cost through the host as it
+/// is incurred (a fuel limit is in force); otherwise charges add up in
+/// `pending`, which the caller flushes once.
 #[allow(clippy::too_many_lines)]
-fn run(
+fn run<E: EvalEnv + ?Sized, const EXACT: bool>(
     program: &Program,
-    env: &mut dyn EvalEnv,
+    env: &mut E,
     art: &super::LinearArtifact,
     args: &[Value],
     regs: &mut [Value],
     pending: &mut u64,
-    exact: bool,
 ) -> Result<EvalOutcome, VmError> {
     let c: &[u32] = &art.code;
     let mut pc = 0usize;
 
     macro_rules! charge {
         ($n:expr) => {
-            if exact {
+            if EXACT {
                 env.charge($n)?;
             } else {
                 *pending += $n;
             }
         };
+    }
+
+    // `[dst, a, b]` integer arithmetic: binds the operands to `$a` and
+    // `$b` and stores `$body`, which may trap with `return`.
+    macro_rules! arith {
+        ($a:ident, $b:ident => $body:expr) => {{
+            charge!(cost::ALU_OP);
+            let $a = regs[c[pc + 2] as usize].as_int()?;
+            let $b = regs[c[pc + 3] as usize].as_int()?;
+            regs[c[pc + 1] as usize] = Value::Int($body);
+            pc += 4;
+        }};
     }
 
     loop {
@@ -103,35 +125,26 @@ fn run(
                 regs[c[pc + 1] as usize] = Value::Null;
                 pc += 2;
             }
-            op::ARITH => {
-                charge!(cost::ALU_OP);
-                let a = regs[c[pc + 3] as usize].as_int()?;
-                let b = regs[c[pc + 4] as usize].as_int()?;
-                let r = match c[pc + 1] {
-                    0 => a.wrapping_add(b),
-                    1 => a.wrapping_sub(b),
-                    2 => a.wrapping_mul(b),
-                    3 => {
-                        if b == 0 {
-                            return Err(VmError::DivisionByZero);
-                        }
-                        a.wrapping_div(b)
-                    }
-                    4 => {
-                        if b == 0 {
-                            return Err(VmError::DivisionByZero);
-                        }
-                        a.wrapping_rem(b)
-                    }
-                    5 => a & b,
-                    6 => a | b,
-                    7 => a ^ b,
-                    8 => a.wrapping_shl((b & 63) as u32),
-                    _ => a.wrapping_shr((b & 63) as u32),
-                };
-                regs[c[pc + 2] as usize] = Value::Int(r);
-                pc += 5;
-            }
+            op::ADD => arith!(a, b => a.wrapping_add(b)),
+            op::SUB => arith!(a, b => a.wrapping_sub(b)),
+            op::MUL => arith!(a, b => a.wrapping_mul(b)),
+            op::DIV => arith!(a, b => {
+                if b == 0 {
+                    return Err(VmError::DivisionByZero);
+                }
+                a.wrapping_div(b)
+            }),
+            op::REM => arith!(a, b => {
+                if b == 0 {
+                    return Err(VmError::DivisionByZero);
+                }
+                a.wrapping_rem(b)
+            }),
+            op::AND => arith!(a, b => a & b),
+            op::OR => arith!(a, b => a | b),
+            op::XOR => arith!(a, b => a ^ b),
+            op::SHL => arith!(a, b => a.wrapping_shl((b & 63) as u32)),
+            op::SHR => arith!(a, b => a.wrapping_shr((b & 63) as u32)),
             op::NEG => {
                 charge!(cost::ALU_OP);
                 let a = regs[c[pc + 2] as usize].as_int()?;
@@ -142,15 +155,7 @@ fn run(
                 charge!(cost::ALU_OP);
                 let a = regs[c[pc + 3] as usize].as_int()?;
                 let b = regs[c[pc + 4] as usize].as_int()?;
-                let r = match c[pc + 1] {
-                    0 => a == b,
-                    1 => a != b,
-                    2 => a < b,
-                    3 => a <= b,
-                    4 => a > b,
-                    _ => a >= b,
-                };
-                regs[c[pc + 2] as usize] = Value::from_bool(r);
+                regs[c[pc + 2] as usize] = Value::from_bool(compare(c[pc + 1], a, b));
                 pc += 5;
             }
             op::REF_EQ => {
@@ -349,13 +354,12 @@ fn run(
                 pc += 6 + argc;
             }
             op::COMMIT => {
-                commit(
+                commit::<E, EXACT>(
                     program,
                     env,
                     &art.commits[c[pc + 1] as usize],
                     regs,
                     pending,
-                    exact,
                 )?;
                 pc += 2;
             }
@@ -389,22 +393,30 @@ fn run(
                 let cond = regs[c[pc + 1] as usize].as_bool()?;
                 pc = if cond { c[pc + 2] } else { c[pc + 3] } as usize;
             }
-            op::EDGE_END => {
+            op::IF_CMP => {
+                charge!(cost::ALU_OP);
+                let a = regs[c[pc + 2] as usize].as_int()?;
+                let b = regs[c[pc + 3] as usize].as_int()?;
                 charge!(cost::BRANCH_OP);
-                pc += 1;
+                pc = if compare(c[pc + 1], a, b) {
+                    c[pc + 4]
+                } else {
+                    c[pc + 5]
+                } as usize;
             }
-            op::EDGE_LOOP_END => {
+            op::EDGE => {
+                charge!(cost::BRANCH_OP);
+                pc = edge(c, pc, regs);
+            }
+            op::LOOP_EDGE => {
                 charge!(cost::BRANCH_OP);
                 // Compiled-code safepoint at the loop back-edge.
                 env.safepoint();
-                pc += 1;
+                pc = edge(c, pc, regs);
             }
             op::MOVE => {
                 regs[c[pc + 1] as usize] = regs[c[pc + 2] as usize];
                 pc += 3;
-            }
-            op::JUMP => {
-                pc = c[pc + 1] as usize;
             }
             op::RETURN => {
                 let src = c[pc + 1];
@@ -432,22 +444,45 @@ fn run(
     }
 }
 
+/// Performs the phi moves of the edge instruction at `pc` and returns
+/// its target.
+#[inline(always)]
+fn edge(c: &[u32], pc: usize, regs: &mut [Value]) -> usize {
+    let n = c[pc + 2] as usize;
+    for m in c[pc + 3..pc + 3 + 2 * n].chunks_exact(2) {
+        regs[m[0] as usize] = regs[m[1] as usize];
+    }
+    c[pc + 1] as usize
+}
+
+/// Evaluates comparison `code` (see [`super::cmp_code`]).
+#[inline(always)]
+fn compare(code: u32, a: i64, b: i64) -> bool {
+    match code {
+        0 => a == b,
+        1 => a != b,
+        2 => a < b,
+        3 => a <= b,
+        4 => a > b,
+        _ => a >= b,
+    }
+}
+
 /// Group materialization (paper §4): allocates and fills each object of
 /// the template in turn, then re-enters monitors. Objects are numbered in
 /// allocation order and nothing else allocates in between, so member `i`
 /// is `first + i` and a cyclic reference can name a member before it
 /// exists. Out of line: the dispatch loop stays small.
 #[inline(never)]
-fn commit(
+fn commit<E: EvalEnv + ?Sized, const EXACT: bool>(
     program: &Program,
-    env: &mut dyn EvalEnv,
+    env: &mut E,
     t: &super::LinearCommit,
     regs: &mut [Value],
     pending: &mut u64,
-    exact: bool,
 ) -> Result<(), VmError> {
-    let mut charge = |env: &mut dyn EvalEnv, cycles: u64| {
-        if exact {
+    let mut charge = |env: &mut E, cycles: u64| {
+        if EXACT {
             env.charge(cycles)
         } else {
             *pending += cycles;
@@ -500,9 +535,9 @@ fn alloc_shape(program: &Program, heap: &mut Heap, shape: AllocShape) -> Result<
 /// evaluator's `build_deopt_frames` exactly — same allocation order, same
 /// inventory labels, same lock re-entries — so traces and stats are
 /// byte-identical between the tiers.
-fn materialize_frames(
+fn materialize_frames<E: EvalEnv + ?Sized>(
     program: &Program,
-    env: &mut dyn EvalEnv,
+    env: &mut E,
     point: &DeoptPoint,
     regs: &[Value],
 ) -> Result<(Vec<DeoptFrame>, Vec<String>), VmError> {
@@ -554,9 +589,9 @@ fn materialize_frames(
 /// Resolves one compiled frame-state slot: registers read the frame,
 /// virtual objects are rematerialized (cycle-safe two-phase construction,
 /// locks re-entered).
-fn resolve_slot(
+fn resolve_slot<E: EvalEnv + ?Sized>(
     program: &Program,
-    env: &mut dyn EvalEnv,
+    env: &mut E,
     point: &DeoptPoint,
     regs: &[Value],
     cache: &mut [Option<ObjRef>],

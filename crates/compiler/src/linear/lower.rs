@@ -3,14 +3,18 @@
 //! The instruction stream is emitted block by block in the CFG's reverse
 //! post order (entry first), with every scheduled node translated in its
 //! exact schedule position so the per-instruction cycle charges replay in
-//! the same order graph evaluation performs them. Phi updates are lowered
-//! onto the predecessor edges as parallel-move sequences (a merge block's
-//! predecessor order follows its `ends` list, which is phi-input order),
-//! and frame states are compiled into self-contained [`DeoptPoint`]
-//! tables so execution never touches the graph.
+//! the same order graph evaluation performs them. Each edge into a merge
+//! is one instruction carrying its branch charge, its phi updates as a
+//! sequentialized parallel move (a merge block's predecessor order follows
+//! its `ends` list, which is phi-input order) and its target. A block
+//! ending in `If` over a compare that nothing else reads, with only
+//! floating nodes and block markers between the two, ends in one fused
+//! compare-and-branch.
+//! Frame states are compiled into self-contained [`DeoptPoint`] tables so
+//! execution never touches the graph.
 
 use super::{
-    arith_code, class_code, cmp_code, kind_code, op, reason_code, CommitFieldSrc, DeoptPoint,
+    arith_opcode, class_code, cmp_code, kind_code, op, reason_code, CommitFieldSrc, DeoptPoint,
     LinearArtifact, LinearCommit, LinearCommitObj, LinearFrame, LinearVObj, SlotSrc, NO_REG,
 };
 use pea_bytecode::{ClassId, FieldId, Program, ValueKind};
@@ -64,6 +68,7 @@ pub fn lower(
         commit_map: HashMap::new(),
         alloc_dsts: HashMap::new(),
         alloc_primary: HashMap::new(),
+        fused: None,
     }
     .run()
 }
@@ -92,6 +97,8 @@ struct Lowerer<'a> {
     /// The designated `AllocatedObject` node per `(commit, object index)`;
     /// other nodes for the same slot become register moves.
     alloc_primary: HashMap<(NodeId, usize), NodeId>,
+    /// The compare the current block's `If` absorbs, if any.
+    fused: Option<NodeId>,
 }
 
 impl Lowerer<'_> {
@@ -123,6 +130,7 @@ impl Lowerer<'_> {
             let b = self.cfg.rpo[bi];
             self.block_pc[b.index()] = self.pc()?;
             let order = self.schedule.per_block[b.index()].clone();
+            self.fused = self.fusable_compare(&order);
             for n in order {
                 self.emit_node(b, n)?;
             }
@@ -215,9 +223,10 @@ impl Lowerer<'_> {
                     self.emit(&[op::NEG, dst, a]);
                 } else {
                     let b = self.reg_of(inputs[1]);
-                    self.emit(&[op::ARITH, arith_code(aop), dst, a, b]);
+                    self.emit(&[arith_opcode(aop), dst, a, b]);
                 }
             }
+            NodeKind::Compare { .. } if self.fused == Some(n) => {}
             NodeKind::Compare { op: cop } => {
                 let a = self.reg_of(inputs[0]);
                 let b = self.reg_of(inputs[1]);
@@ -414,24 +423,34 @@ impl Lowerer<'_> {
                 self.emit(&[op::DEOPT, reason_code(reason), deopt]);
             }
             NodeKind::If => {
-                let cond = self.reg_of(inputs[0]);
                 let t = self.cfg.block_of(node.successors()[0]);
                 let f = self.cfg.block_of(node.successors()[1]);
-                self.emit(&[op::IF, cond]);
+                if self.fused == Some(inputs[0]) {
+                    let NodeKind::Compare { op: cop } = *self.graph.kind(inputs[0]) else {
+                        unreachable!("only compares fuse")
+                    };
+                    let cmp = self.graph.node(inputs[0]).inputs();
+                    let (a, b) = (self.reg_of(cmp[0]), self.reg_of(cmp[1]));
+                    self.emit(&[op::IF_CMP, cmp_code(cop), a, b]);
+                } else {
+                    let cond = self.reg_of(inputs[0]);
+                    self.emit(&[op::IF, cond]);
+                }
                 self.emit_target(t);
                 self.emit_target(f);
             }
             NodeKind::End | NodeKind::LoopEnd => {
                 let is_loop = matches!(self.graph.kind(n), NodeKind::LoopEnd);
-                self.emit(&[if is_loop {
-                    op::EDGE_LOOP_END
-                } else {
-                    op::EDGE_END
-                }]);
                 let succ = self.cfg.block(block).succs[0];
-                self.emit_phi_moves(succ, n)?;
-                self.emit(&[op::JUMP]);
+                let moves = self.phi_moves(succ, n)?;
+                self.emit(&[if is_loop { op::LOOP_EDGE } else { op::EDGE }]);
                 self.emit_target(succ);
+                let count = u32::try_from(moves.len())
+                    .map_err(|_| LowerError("too many phi moves".into()))?;
+                self.emit(&[count]);
+                for (d, s) in moves {
+                    self.emit(&[d, s]);
+                }
             }
             NodeKind::Return => {
                 let src = match inputs.first() {
@@ -455,15 +474,43 @@ impl Lowerer<'_> {
         Ok(())
     }
 
-    /// Emits the phi parallel assignment for the edge `end → succ` as a
-    /// sequence of moves (cycles broken through the dedicated temp
+    /// The compare a block ending in `If` fuses into its branch: the
+    /// `If`'s only input is a compare of the same block that nothing else
+    /// reads (no frame state, no phi), and only floating nodes and block
+    /// markers lie between the two. Those are pure, cannot trap on
+    /// type-consistent code and each charge the compare's `ALU_OP` or
+    /// nothing, so moving the compare's charge past them leaves every
+    /// partial cycle sum unchanged.
+    fn fusable_compare(&self, order: &[NodeId]) -> Option<NodeId> {
+        let (&last, rest) = order.split_last()?;
+        if !matches!(self.graph.kind(last), NodeKind::If) {
+            return None;
+        }
+        let cond = self.graph.node(last).inputs()[0];
+        if !matches!(self.graph.kind(cond), NodeKind::Compare { .. })
+            || self.graph.uses(cond) != [last]
+        {
+            return None;
+        }
+        let at = rest.iter().rposition(|&n| n == cond)?;
+        rest[at + 1..]
+            .iter()
+            .all(|&n| {
+                let kind = self.graph.kind(n);
+                kind.is_floating() || kind.is_block_start()
+            })
+            .then_some(cond)
+    }
+
+    /// The phi parallel assignment for the edge `end → succ` as a sequence
+    /// of `(dst, src)` moves (cycles broken through the dedicated temp
     /// register). Free of cycle charges, like graph evaluation's phi
     /// update.
-    fn emit_phi_moves(&mut self, succ: BlockId, end: NodeId) -> Result<(), LowerError> {
+    fn phi_moves(&mut self, succ: BlockId, end: NodeId) -> Result<Vec<(u32, u32)>, LowerError> {
         let first = self.cfg.block(succ).first();
         let ends: Vec<NodeId> = match self.graph.kind(first) {
             NodeKind::Merge { ends } | NodeKind::LoopBegin { ends } => ends.clone(),
-            _ => return Ok(()),
+            _ => return Ok(Vec::new()),
         };
         let idx = ends
             .iter()
@@ -478,23 +525,21 @@ impl Lowerer<'_> {
                 moves.push((dst, src));
             }
         }
-        // Sequentialize the parallel assignment: emit moves whose
+        // Sequentialize the parallel assignment: take moves whose
         // destination no pending move still reads; break cycles by
         // parking the overwritten value in the temp register.
+        let mut sequence = Vec::with_capacity(moves.len());
         while !moves.is_empty() {
             let ready = moves
                 .iter()
                 .position(|&(d, _)| moves.iter().all(|&(_, s)| s != d));
             match ready {
-                Some(i) => {
-                    let (d, s) = moves.remove(i);
-                    self.emit(&[op::MOVE, d, s]);
-                }
+                Some(i) => sequence.push(moves.remove(i)),
                 None => {
                     let (d, s) = moves.remove(0);
                     let t = self.temp();
-                    self.emit(&[op::MOVE, t, d]);
-                    self.emit(&[op::MOVE, d, s]);
+                    sequence.push((t, d));
+                    sequence.push((d, s));
                     for m in &mut moves {
                         if m.1 == d {
                             m.1 = t;
@@ -503,7 +548,7 @@ impl Lowerer<'_> {
                 }
             }
         }
-        Ok(())
+        Ok(sequence)
     }
 
     /// A commit of one unlocked instance whose every field still holds its

@@ -14,8 +14,9 @@
 //! work unchanged.
 //!
 //! Virtual-cycle accounting is preserved as a parallel channel: every
-//! instruction charges exactly the constants graph evaluation charges, in
-//! the same order, so cycle counts, golden traces and Table-1 numbers are
+//! instruction charges exactly the constants graph evaluation charges for
+//! the nodes it stands for (an edge, a fused compare-and-branch), in the
+//! same order, so cycle counts, golden traces and Table-1 numbers are
 //! byte-identical between `--exec-mode linear` and `--exec-mode graph`.
 
 pub mod exec;
@@ -31,8 +32,9 @@ use pea_ir::AllocShape;
 pub const NO_REG: u32 = u32::MAX;
 
 /// Opcodes of the linear register machine. One `u32` word each, followed
-/// by a fixed (per-opcode) number of operand words; `Invoke` adds a
-/// trailing variable-length argument-register list.
+/// by a fixed (per-opcode) number of operand words; `INVOKE` adds a
+/// trailing argument-register list and the edge instructions a trailing
+/// move list, each preceded by its length.
 ///
 /// The dispatch loop is a dense jump table over these values (Rust has no
 /// computed goto, but the compiler lowers the exhaustive `match` on a
@@ -44,71 +46,94 @@ pub mod op {
     pub const CONST_INT: u32 = 1;
     /// `[dst]` — load null.
     pub const CONST_NULL: u32 = 2;
-    /// `[arith_op, dst, a, b]` — binary arithmetic (wrapping; Div/Rem trap).
-    pub const ARITH: u32 = 3;
+    /// `[dst, a, b]` — wrapping addition.
+    pub const ADD: u32 = 3;
+    /// `[dst, a, b]` — wrapping subtraction.
+    pub const SUB: u32 = 4;
+    /// `[dst, a, b]` — wrapping multiplication.
+    pub const MUL: u32 = 5;
+    /// `[dst, a, b]` — wrapping division; traps on a zero divisor.
+    pub const DIV: u32 = 6;
+    /// `[dst, a, b]` — wrapping remainder; traps on a zero divisor.
+    pub const REM: u32 = 7;
+    /// `[dst, a, b]` — bitwise and.
+    pub const AND: u32 = 8;
+    /// `[dst, a, b]` — bitwise or.
+    pub const OR: u32 = 9;
+    /// `[dst, a, b]` — bitwise exclusive or.
+    pub const XOR: u32 = 10;
+    /// `[dst, a, b]` — shift left by `b & 63`.
+    pub const SHL: u32 = 11;
+    /// `[dst, a, b]` — arithmetic shift right by `b & 63`.
+    pub const SHR: u32 = 12;
     /// `[dst, a]` — wrapping negation.
-    pub const NEG: u32 = 4;
+    pub const NEG: u32 = 13;
     /// `[cmp_op, dst, a, b]` — integer comparison producing 0/1.
-    pub const COMPARE: u32 = 5;
+    pub const COMPARE: u32 = 14;
     /// `[dst, a, b]` — reference identity producing 0/1.
-    pub const REF_EQ: u32 = 6;
+    pub const REF_EQ: u32 = 15;
     /// `[dst, a]` — null test producing 0/1.
-    pub const IS_NULL: u32 = 7;
+    pub const IS_NULL: u32 = 16;
     /// `[dst, a, class, exact]` — type test producing 0/1.
-    pub const INSTANCE_OF: u32 = 8;
+    pub const INSTANCE_OF: u32 = 17;
     /// `[dst, a, class]` — checked cast (passes the value through).
-    pub const CHECK_CAST: u32 = 9;
+    pub const CHECK_CAST: u32 = 18;
     /// `[dst, class, alloc_cycles]` — allocate an instance.
-    pub const NEW: u32 = 10;
+    pub const NEW: u32 = 19;
     /// `[dst, len_reg, kind]` — allocate an array.
-    pub const NEW_ARRAY: u32 = 11;
+    pub const NEW_ARRAY: u32 = 20;
     /// `[dst, obj, declaring_class, slot, field]` — read an instance
     /// field at a pre-resolved offset (`field` is the slow-path id).
-    pub const LOAD_FIELD: u32 = 12;
+    pub const LOAD_FIELD: u32 = 21;
     /// `[obj, val, declaring_class, slot, field]` — write an instance
     /// field at a pre-resolved offset.
-    pub const STORE_FIELD: u32 = 13;
+    pub const STORE_FIELD: u32 = 22;
     /// `[dst, arr, idx]` — read an array element.
-    pub const LOAD_INDEXED: u32 = 14;
+    pub const LOAD_INDEXED: u32 = 23;
     /// `[arr, idx, val]` — write an array element.
-    pub const STORE_INDEXED: u32 = 15;
+    pub const STORE_INDEXED: u32 = 24;
     /// `[dst, arr]` — array length.
-    pub const ARRAY_LEN: u32 = 16;
+    pub const ARRAY_LEN: u32 = 25;
     /// `[obj]` — monitor enter.
-    pub const MONITOR_ENTER: u32 = 17;
+    pub const MONITOR_ENTER: u32 = 26;
     /// `[obj]` — monitor exit.
-    pub const MONITOR_EXIT: u32 = 18;
+    pub const MONITOR_EXIT: u32 = 27;
     /// `[dst, static_id]` — read a static variable.
-    pub const GET_STATIC: u32 = 19;
+    pub const GET_STATIC: u32 = 28;
     /// `[val, static_id]` — write a static variable.
-    pub const PUT_STATIC: u32 = 20;
+    pub const PUT_STATIC: u32 = 29;
     /// `[target, virtual, dst, deopt_idx, argc, args...]` — out-of-line
     /// call; `dst` is [`super::NO_REG`] for void targets. A thrown callee
     /// exception deoptimizes through deopt point `deopt_idx`.
-    pub const INVOKE: u32 = 21;
+    pub const INVOKE: u32 = 30;
     /// `[commit_idx]` — materialize a virtual-object group
     /// ([`super::LinearCommit`]).
-    pub const COMMIT: u32 = 22;
+    pub const COMMIT: u32 = 31;
     /// `[cond, negated, reason, deopt_idx]` — speculation guard.
-    pub const GUARD: u32 = 23;
+    pub const GUARD: u32 = 32;
     /// `[reason, deopt_idx]` — unconditional transfer to the interpreter.
-    pub const DEOPT: u32 = 24;
+    pub const DEOPT: u32 = 33;
     /// `[cond, true_pc, false_pc]` — two-way branch.
-    pub const IF: u32 = 25;
-    /// `[]` — forward edge into a merge (charges the branch cost).
-    pub const EDGE_END: u32 = 26;
-    /// `[]` — loop back edge: branch cost plus a safepoint poll.
-    pub const EDGE_LOOP_END: u32 = 27;
-    /// `[dst, src]` — register move (phi parallel-assignment step; free).
-    pub const MOVE: u32 = 28;
-    /// `[pc]` — unconditional jump.
-    pub const JUMP: u32 = 29;
+    pub const IF: u32 = 34;
+    /// `[cmp_op, a, b, true_pc, false_pc]` — [`COMPARE`] fused with the
+    /// [`IF`] that is its only user: charges both, writes no register.
+    pub const IF_CMP: u32 = 35;
+    /// `[target, n, (dst, src) × n]` — forward edge into a merge: the
+    /// branch cost, the edge's phi moves in order, and the jump, as one
+    /// instruction.
+    pub const EDGE: u32 = 36;
+    /// `[target, n, (dst, src) × n]` — loop back edge: as [`EDGE`], with
+    /// a safepoint poll after the branch cost.
+    pub const LOOP_EDGE: u32 = 37;
+    /// `[dst, src]` — register move (a second reader of a commit's
+    /// object; free).
+    pub const MOVE: u32 = 38;
     /// `[src]` — return (`src` may be [`super::NO_REG`]).
-    pub const RETURN: u32 = 30;
+    pub const RETURN: u32 = 39;
     /// `[src]` — user exception with error code `src`.
-    pub const THROW: u32 = 31;
+    pub const THROW: u32 = 40;
     /// `[src]` — propagate exception object `src` out of the frame.
-    pub const UNWIND: u32 = 32;
+    pub const UNWIND: u32 = 41;
 }
 
 /// Where a deopt-metadata or commit-template slot gets its value.
@@ -251,16 +276,16 @@ impl LinearArtifact {
                     let _ = writeln!(out, "null {}", reg(c[pc + 1]));
                     pc += 2;
                 }
-                op::ARITH => {
+                op::ADD..=op::SHR => {
                     let _ = writeln!(
                         out,
-                        "arith[{}] {} <- {}, {}",
-                        c[pc + 1],
+                        "{} {} <- {}, {}",
+                        ARITH_NAMES[(c[pc] - op::ADD) as usize],
+                        reg(c[pc + 1]),
                         reg(c[pc + 2]),
-                        reg(c[pc + 3]),
-                        reg(c[pc + 4])
+                        reg(c[pc + 3])
                     );
-                    pc += 5;
+                    pc += 4;
                 }
                 op::NEG => {
                     let _ = writeln!(out, "neg {} <- {}", reg(c[pc + 1]), reg(c[pc + 2]));
@@ -447,21 +472,39 @@ impl LinearArtifact {
                     );
                     pc += 4;
                 }
-                op::EDGE_END => {
-                    let _ = writeln!(out, "edge");
-                    pc += 1;
-                }
-                op::EDGE_LOOP_END => {
-                    let _ = writeln!(out, "backedge (safepoint)");
-                    pc += 1;
+                op::EDGE | op::LOOP_EDGE => {
+                    let n = c[pc + 2] as usize;
+                    let moves: Vec<String> = c[pc + 3..pc + 3 + 2 * n]
+                        .chunks_exact(2)
+                        .map(|m| format!("{} <- {}", reg(m[0]), reg(m[1])))
+                        .collect();
+                    let kind = if c[pc] == op::LOOP_EDGE {
+                        "backedge (safepoint)"
+                    } else {
+                        "edge"
+                    };
+                    let _ = write!(out, "{kind} -> {}", c[pc + 1]);
+                    if n > 0 {
+                        let _ = write!(out, " [{}]", moves.join(", "));
+                    }
+                    let _ = writeln!(out);
+                    pc += 3 + 2 * n;
                 }
                 op::MOVE => {
                     let _ = writeln!(out, "mov {} <- {}", reg(c[pc + 1]), reg(c[pc + 2]));
                     pc += 3;
                 }
-                op::JUMP => {
-                    let _ = writeln!(out, "jump {}", c[pc + 1]);
-                    pc += 2;
+                op::IF_CMP => {
+                    let _ = writeln!(
+                        out,
+                        "ifcmp[{}] {}, {} then {} else {}",
+                        c[pc + 1],
+                        reg(c[pc + 2]),
+                        reg(c[pc + 3]),
+                        c[pc + 4],
+                        c[pc + 5]
+                    );
+                    pc += 6;
                 }
                 op::RETURN => {
                     let _ = writeln!(out, "ret {}", reg(c[pc + 1]));
@@ -485,20 +528,25 @@ impl LinearArtifact {
     }
 }
 
-/// Encodes an [`pea_ir::ArithOp`] as an instruction operand.
-pub(crate) fn arith_code(op: pea_ir::ArithOp) -> u32 {
+/// Disassembly mnemonics of [`op::ADD`]`..=`[`op::SHR`], in opcode order.
+const ARITH_NAMES: [&str; 10] = [
+    "add", "sub", "mul", "div", "rem", "and", "or", "xor", "shl", "shr",
+];
+
+/// The opcode of a binary [`pea_ir::ArithOp`].
+pub(crate) fn arith_opcode(aop: pea_ir::ArithOp) -> u32 {
     use pea_ir::ArithOp::*;
-    match op {
-        Add => 0,
-        Sub => 1,
-        Mul => 2,
-        Div => 3,
-        Rem => 4,
-        And => 5,
-        Or => 6,
-        Xor => 7,
-        Shl => 8,
-        Shr => 9,
+    match aop {
+        Add => op::ADD,
+        Sub => op::SUB,
+        Mul => op::MUL,
+        Div => op::DIV,
+        Rem => op::REM,
+        And => op::AND,
+        Or => op::OR,
+        Xor => op::XOR,
+        Shl => op::SHL,
+        Shr => op::SHR,
         Neg => unreachable!("unary negation uses op::NEG"),
     }
 }

@@ -1,11 +1,14 @@
 //! Compile-and-evaluate integration tests: the full pipeline at each
 //! optimization level, executed by the evaluator, including
-//! deoptimization with virtual-object rematerialization.
+//! deoptimization with virtual-object rematerialization — and the linear
+//! tier's lowered control flow, which must charge as the evaluator does
+//! at every fuel budget.
 
 use pea_bytecode::asm::parse_program;
 use pea_bytecode::{MethodId, Program};
+use pea_compiler::linear::execute;
 use pea_compiler::{
-    compile, evaluate, CompilerOptions, DeoptFrame, EvalEnv, EvalOutcome, OptLevel,
+    compile, evaluate, CompiledMethod, CompilerOptions, DeoptFrame, EvalEnv, EvalOutcome, OptLevel,
 };
 use pea_runtime::profile::ProfileStore;
 use pea_runtime::{Heap, Statics, Value, VmError};
@@ -13,6 +16,8 @@ use pea_runtime::{Heap, Statics, Value, VmError};
 struct TestEnv {
     heap: Heap,
     statics: Statics,
+    /// Cycle budget; `None` is unlimited.
+    fuel: Option<u64>,
 }
 
 impl TestEnv {
@@ -20,6 +25,7 @@ impl TestEnv {
         TestEnv {
             heap: Heap::new(),
             statics: Statics::new(&program.statics),
+            fuel: None,
         }
     }
 }
@@ -32,7 +38,11 @@ impl EvalEnv for TestEnv {
         &mut self.statics
     }
     fn charge(&mut self, cycles: u64) -> Result<(), VmError> {
-        self.heap.stats.cycles += cycles;
+        let spent = self.heap.stats.cycles + cycles;
+        if self.fuel.is_some_and(|fuel| spent > fuel) {
+            return Err(VmError::OutOfFuel);
+        }
+        self.heap.stats.cycles = spent;
         Ok(())
     }
     fn invoke(
@@ -42,6 +52,9 @@ impl EvalEnv for TestEnv {
         _args: &[Value],
     ) -> Result<Option<Value>, VmError> {
         panic!("test programs are fully inlined");
+    }
+    fn has_fuel_limit(&self) -> bool {
+        self.fuel.is_some()
     }
 }
 
@@ -302,6 +315,115 @@ fn arrays_round_trip_compiled() {
             assert_eq!(
                 env.heap.stats.alloc_count, 0,
                 "constant-length array fully virtualized"
+            );
+        }
+    }
+}
+
+/// `loop` is the `compute_ballast` shape: a counted loop of arithmetic.
+/// In `fixed` a static store sits between the compare and its branch.
+const DISPATCH_SRC: &str = "
+    static g int
+    method loop 1 returns {
+        load 0 store 1
+        const 0 store 2
+    Lhead:
+        load 2 const 20 ifcmp ge Ldone
+        load 1 load 2 xor load 2 add store 1
+        load 1 const 13 mul load 1 add store 1
+        load 2 const 1 add store 2
+        goto Lhead
+    Ldone:
+        load 1 retv
+    }
+    method fixed 1 returns {
+        const 5 putstatic g
+        load 0 const 0 ifcmp lt Lneg
+        const 1 retv
+    Lneg:
+        const 2 retv
+    }";
+
+fn compiled(program: &Program, name: &str) -> CompiledMethod {
+    let method = program.static_method_by_name(name).unwrap();
+    let options = CompilerOptions::with_opt_level(OptLevel::Pea);
+    compile(program, method, None, &options).unwrap()
+}
+
+fn disassembly(name: &str) -> String {
+    let program = parse_program(DISPATCH_SRC).unwrap();
+    let code = compiled(&program, name);
+    code.linear.as_ref().unwrap().disassemble()
+}
+
+/// Each edge into a merge is one instruction carrying its phi moves, and
+/// a compare read only by the branch after it is fused into that branch.
+#[test]
+fn a_loop_lowers_to_arithmetic_one_fused_branch_and_one_back_edge() {
+    let dis = disassembly("loop");
+    let body: Vec<&str> = dis
+        .lines()
+        .map(|l| l.split_once(": ").unwrap().1)
+        .skip_while(|l| !l.starts_with("edge"))
+        .collect();
+    let ops: Vec<&str> = body
+        .iter()
+        .map(|l| l.split([' ', '[']).next().unwrap())
+        .collect();
+    assert_eq!(
+        ops,
+        ["edge", "xor", "add", "mul", "add", "add", "ifcmp", "backedge", "ret"],
+        "{dis}"
+    );
+    let back_edge = body[7];
+    assert!(
+        back_edge.starts_with("backedge (safepoint) -> ") && back_edge.ends_with(']'),
+        "the back edge carries the loop phis' moves: {back_edge}"
+    );
+}
+
+#[test]
+fn a_compare_behind_a_fixed_node_is_not_fused() {
+    let dis = disassembly("fixed");
+    assert!(dis.contains("cmp[2] "), "{dis}");
+    assert!(dis.contains(": if r"), "{dis}");
+    assert!(!dis.contains("ifcmp"), "{dis}");
+}
+
+/// Runs `code` on the linear tier or the evaluator with an optional fuel
+/// budget: the outcome and the cycles charged until it.
+fn run_tier(
+    program: &Program,
+    code: &CompiledMethod,
+    linear: bool,
+    arg: i64,
+    fuel: Option<u64>,
+) -> (String, u64) {
+    let mut env = TestEnv::new(program);
+    env.fuel = fuel;
+    let args = [Value::Int(arg)];
+    let out = if linear {
+        execute(program, &mut env, code, &args)
+    } else {
+        evaluate(program, &mut env, code, &args)
+    };
+    (format!("{out:?}"), env.heap.stats.cycles)
+}
+
+/// Fusing a compare into its branch moves its charge past the floating
+/// nodes between them; every partial cycle sum must stay put.
+#[test]
+fn fuel_runs_out_at_the_same_charge_on_both_tiers() {
+    let program = parse_program(DISPATCH_SRC).unwrap();
+    for (name, arg) in [("loop", 3), ("fixed", -4), ("fixed", 4)] {
+        let code = compiled(&program, name);
+        let full = run_tier(&program, &code, true, arg, None);
+        assert_eq!(full, run_tier(&program, &code, false, arg, None), "{name}");
+        for fuel in 0..=full.1 {
+            assert_eq!(
+                run_tier(&program, &code, true, arg, Some(fuel)),
+                run_tier(&program, &code, false, arg, Some(fuel)),
+                "{name}({arg}) with fuel {fuel}"
             );
         }
     }

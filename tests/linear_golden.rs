@@ -35,17 +35,16 @@ fn cache_example_lowered_encoding_golden() {
     let art = code.linear.as_ref().expect("cache example lowers");
     #[rustfmt::skip]
     let golden: Vec<u32> = vec![
-        0, 1, 0, 0, 2, 1, 2, 3, 1, 4, 0, 1, 5, 1, 1, 6, 2, 3, 2, 7, 1, 6,
-        19, 8, 0, 23, 4, 1, 3, 0, 7, 9, 8, 25, 9, 91, 37, 9, 10, 8, 0, 12,
-        11, 10, 0, 0, 0, 5, 1, 12, 1, 11, 25, 12, 88, 56, 9, 13, 8, 0, 12,
-        14, 13, 0, 1, 1, 6, 15, 2, 14, 5, 0, 16, 15, 4, 25, 16, 85, 79, 26,
-        28, 17, 5, 29, 100, 26, 29, 94, 26, 29, 94, 26, 29, 94, 26, 28, 17,
-        4, 29, 100, 5, 0, 18, 17, 4, 25, 18, 114, 109, 19, 19, 1, 30, 19,
-        22, 0, 20, 0, 0, 20, 7, 1, 19, 20, 1, 30, 20,
+        0, 1, 0, 0, 2, 1, 2, 3, 1, 4, 0, 1, 5, 1, 1, 6, 2, 5, 7, 1, 6, 28, 8,
+        0, 32, 4, 1, 3, 0, 16, 9, 8, 34, 9, 83, 36, 18, 10, 8, 0, 21, 11, 10,
+        0, 0, 0, 35, 1, 1, 11, 80, 52, 18, 12, 8, 0, 21, 13, 12, 0, 1, 1, 15,
+        14, 2, 13, 35, 0, 14, 4, 77, 72, 36, 91, 1, 15, 5, 36, 86, 0, 36, 86,
+        0, 36, 86, 0, 36, 91, 1, 15, 4, 35, 0, 15, 4, 102, 97, 28, 16, 1, 39,
+        16, 31, 0, 29, 0, 0, 29, 7, 1, 28, 17, 1, 39, 17,
     ];
     assert_eq!(art.code, golden, "lowered code words changed");
     assert_eq!(art.pool, vec![0, 1, 13], "constant pool changed");
-    assert_eq!(art.num_regs, 21);
+    assert_eq!(art.num_regs, 18);
     assert_eq!(
         art.deopts.len(),
         1,
@@ -66,41 +65,31 @@ fn cache_example_disassembly_golden() {
    8: const r4 <- 0
   11: const r5 <- 1
   14: const r6 <- 13
-  17: arith[2] r7 <- r1, r6
-  22: getstatic r8 <- S0
-  25: guard !r4 reason 3 deopt 0
-  30: isnull r9 <- r8
-  33: if r9 then 91 else 37
-  37: checkcast r10 <- r8, C0
-  41: ldfld r11 <- r10.[C0+0] (F0)
-  47: cmp[1] r12 <- r1, r11
-  52: if r12 then 88 else 56
-  56: checkcast r13 <- r8, C0
-  60: ldfld r14 <- r13.[C0+1] (F1)
-  66: refeq r15 <- r2, r14
-  70: cmp[0] r16 <- r15, r4
-  75: if r16 then 85 else 79
-  79: edge
-  80: mov r17 <- r5
-  83: jump 100
-  85: edge
-  86: jump 94
-  88: edge
-  89: jump 94
-  91: edge
-  92: jump 94
-  94: edge
-  95: mov r17 <- r4
-  98: jump 100
- 100: cmp[0] r18 <- r17, r4
- 105: if r18 then 114 else 109
- 109: getstatic r19 <- S1
- 112: ret r19
- 114: commit #0 x1 -> [r0]
- 116: putstatic S0 <- r0
- 119: putstatic S1 <- r7
- 122: getstatic r20 <- S1
- 125: ret r20
+  17: mul r7 <- r1, r6
+  21: getstatic r8 <- S0
+  24: guard !r4 reason 3 deopt 0
+  29: isnull r9 <- r8
+  32: if r9 then 83 else 36
+  36: checkcast r10 <- r8, C0
+  40: ldfld r11 <- r10.[C0+0] (F0)
+  46: ifcmp[1] r1, r11 then 80 else 52
+  52: checkcast r12 <- r8, C0
+  56: ldfld r13 <- r12.[C0+1] (F1)
+  62: refeq r14 <- r2, r13
+  66: ifcmp[0] r14, r4 then 77 else 72
+  72: edge -> 91 [r15 <- r5]
+  77: edge -> 86
+  80: edge -> 86
+  83: edge -> 86
+  86: edge -> 91 [r15 <- r4]
+  91: ifcmp[0] r15, r4 then 102 else 97
+  97: getstatic r16 <- S1
+ 100: ret r16
+ 102: commit #0 x1 -> [r0]
+ 104: putstatic S0 <- r0
+ 107: putstatic S1 <- r7
+ 110: getstatic r17 <- S1
+ 113: ret r17
 ";
     assert_eq!(art.disassemble(), golden, "disassembly changed");
 }
