@@ -37,12 +37,14 @@
 pub mod asm;
 mod builder;
 pub mod disasm;
+mod fused;
 mod ids;
 mod insn;
 mod program;
 mod verify;
 
 pub use builder::{LabelId, MethodBuilder, ProgramBuilder};
+pub use fused::{Fused, IntOp};
 pub use ids::{ClassId, FieldId, MethodId, StaticId};
 pub use insn::{CmpOp, Insn};
 pub use program::{

@@ -1,5 +1,6 @@
 //! Program metadata: classes, fields, methods and statics in flat arenas.
 
+use crate::fused::{fuse, Fused};
 use crate::{ClassId, FieldId, Insn, MethodId, StaticId};
 use std::collections::HashMap;
 use std::error::Error;
@@ -213,16 +214,20 @@ struct Sealed {
     /// Declaring class and vtable slot of each virtual method, indexed by
     /// [`MethodId`]; `None` for free static methods.
     method_slots: Vec<Option<(ClassId, u32)>>,
+    /// The interpreter's fused dispatch stream of each method, one entry
+    /// per bci, indexed by [`MethodId`].
+    fused: Vec<Vec<Fused>>,
 }
 
 /// A complete program: all metadata arenas plus method code.
 ///
 /// The layout queries ([`Program::instance_fields`],
 /// [`Program::object_size`], [`Program::field_slot`],
-/// [`Program::is_subclass_of`]) are lookups in tables that
-/// [`crate::ProgramBuilder::build`] resolves once; they panic on a program
-/// that did not come out of the builder, and they do not follow later
-/// edits of the public arenas.
+/// [`Program::is_subclass_of`]) and the fused dispatch streams
+/// ([`Program::fused`]) are lookups in tables that
+/// [`crate::ProgramBuilder::build`] resolves once; the layout queries
+/// panic on a program that did not come out of the builder, and none of
+/// them follows later edits of the public arenas.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
     /// Class arena, indexed by [`ClassId`].
@@ -396,8 +401,11 @@ impl Program {
             layouts,
             field_slots,
             method_slots: vec![None; self.methods.len()],
+            fused: Vec::new(),
         };
         self.seal_vtables();
+        let fused = self.methods.iter().map(|m| fuse(self, m)).collect();
+        self.sealed.fused = fused;
     }
 
     /// Builds every class's vtable after its superclass's (shallowest
@@ -456,6 +464,23 @@ impl Program {
     pub fn field_slot(&self, class: ClassId, field: FieldId) -> Option<usize> {
         self.is_subclass_of(class, self.field(field).class)
             .then(|| self.sealed.field_slots[field.index()] as usize)
+    }
+
+    /// The slot of `field` in its declaring class and every subclass.
+    #[inline]
+    pub(crate) fn sealed_field_slot(&self, field: FieldId) -> u32 {
+        self.sealed.field_slots[field.index()]
+    }
+
+    /// The interpreter's pre-decoded dispatch stream of `method`: one
+    /// [`Fused`] entry per bci. Empty for a program that did not come out
+    /// of the builder, where the interpreter runs every instruction plain.
+    #[inline]
+    pub fn fused(&self, method: MethodId) -> &[Fused] {
+        self.sealed
+            .fused
+            .get(method.index())
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Heap size in bytes of an instance of `class` (header + one slot per

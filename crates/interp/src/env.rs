@@ -38,8 +38,9 @@ pub trait InterpEnv {
     fn charge(&mut self, cycles: u64) -> Result<(), VmError>;
     /// Whether [`InterpEnv::charge`] enforces a fuel budget. When it does,
     /// every instruction charges its dispatch and its operation apart, so
-    /// `OutOfFuel` leaves exactly the cycles it always has; otherwise one
-    /// charge per instruction covers both.
+    /// `OutOfFuel` leaves exactly the cycles it always has; otherwise a
+    /// frame adds its charges up, makes one charge when it exits and runs
+    /// the fused dispatch stream.
     fn has_fuel_limit(&self) -> bool;
     /// Performs a (resolved) call whose `argc` arguments are the top of
     /// [`InterpEnv::value_stack`]; the host picks the tier. The arguments

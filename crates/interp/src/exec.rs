@@ -1,7 +1,7 @@
 //! The interpreter execution loop, including resume-after-deoptimization.
 
 use crate::{Frame, InterpEnv};
-use pea_bytecode::{Insn, MethodId, Program};
+use pea_bytecode::{Fused, Insn, MethodId, Program};
 use pea_metrics::profile::Tier;
 use pea_metrics::MetricsHub;
 use pea_runtime::cost;
@@ -136,6 +136,12 @@ fn static_op_cost(insn: &Insn) -> u64 {
         _ => cost::ALU_OP,
     }
 }
+
+// What one plain instruction charges in the unobserved loop, by the class
+// of its operation: a superinstruction adds these up for its constituents.
+const ALU_STEP: u64 = cost::INTERP_DISPATCH + cost::ALU_OP;
+const BRANCH_STEP: u64 = cost::INTERP_DISPATCH + cost::BRANCH_OP;
+const MEMORY_STEP: u64 = cost::INTERP_DISPATCH + cost::MEMORY_OP;
 
 /// One interpreted activation: a window on the host's value stack, locals
 /// first, then operands.
@@ -424,9 +430,13 @@ fn run_frame<E: InterpEnv + ?Sized>(
     let observed =
         env.has_fuel_limit() || env.metrics().is_enabled() || env.profiler().hub().is_enabled();
     let result = if observed {
-        run_frame_inner::<E, true>(program, env, act)
+        run_frame_inner::<E, true>(program, env, act, &mut 0)
     } else {
-        run_frame_inner::<E, false>(program, env, act)
+        let mut pending = 0;
+        let result = run_frame_inner::<E, false>(program, env, act, &mut pending);
+        // No fuel limit is in force (the observed loop charges as it goes),
+        // so this flush cannot fail.
+        env.charge(pending).and(result)
     };
     env.profiler().restore(prev_ctx);
     result
@@ -439,16 +449,20 @@ fn run_frame<E: InterpEnv + ?Sized>(
 /// `OBSERVED` is set when something watches single instructions: a fuel
 /// limit, the metrics hub or the profiler. Then each instruction charges
 /// its dispatch, is counted, and charges its operation — `OutOfFuel` can
-/// fall between the two. Otherwise one charge covers both and nothing is
-/// counted; the totals are the same.
+/// fall between the two. Otherwise nothing is counted, charges add up in
+/// `pending`, which the caller flushes once, and where the method's fused
+/// stream has a superinstruction one dispatch runs the whole sequence; the
+/// totals are the same.
 #[allow(clippy::too_many_lines)]
 fn run_frame_inner<E: InterpEnv + ?Sized, const OBSERVED: bool>(
     program: &Program,
     env: &mut E,
     act: &mut Activation,
+    pending: &mut u64,
 ) -> Result<Option<Value>, VmError> {
     let method = act.method;
     let code: &[Insn] = &program.method(method).code;
+    let fused: &[Fused] = program.fused(method);
     // One hub clone per frame (an `Option<Arc>` bump, no allocation) and
     // one per-frame profiler handle (two `Arc` bumps when enabled), so
     // the observed per-instruction path is a branch each.
@@ -463,7 +477,7 @@ fn run_frame_inner<E: InterpEnv + ?Sized, const OBSERVED: bool>(
         None
     };
     // The operation's charge: on top of the dispatch already charged when
-    // observed, together with it otherwise.
+    // observed, together with it (and batched) otherwise.
     macro_rules! op {
         ($cycles:expr) => {
             if OBSERVED {
@@ -472,7 +486,7 @@ fn run_frame_inner<E: InterpEnv + ?Sized, const OBSERVED: bool>(
                     env.charge(cycles)?;
                 }
             } else {
-                env.charge(cost::INTERP_DISPATCH + $cycles)?;
+                *pending += cost::INTERP_DISPATCH + $cycles;
             }
         };
     }
@@ -508,6 +522,88 @@ fn run_frame_inner<E: InterpEnv + ?Sized, const OBSERVED: bool>(
         }};
     }
     loop {
+        if !OBSERVED {
+            // A superinstruction charges what its constituents charge one
+            // by one, each before it can fail, so an error inside the
+            // sequence leaves the cycles the plain loop leaves.
+            let next = match fused.get(act.bci as usize) {
+                Some(&Fused::LoadConstIfCmp {
+                    local,
+                    cmp,
+                    target,
+                    k,
+                }) => {
+                    *pending += 2 * ALU_STEP + BRANCH_STEP;
+                    let a = env.value_stack()[act.locals + local as usize].as_int()?;
+                    // The branch's profile and back-edge test are at its
+                    // own bci.
+                    act.bci += 2;
+                    Some(branch!(cmp.apply(a, k), target))
+                }
+                Some(&Fused::LoadLoadIfCmp { a, b, cmp, target }) => {
+                    *pending += 2 * ALU_STEP + BRANCH_STEP;
+                    let stack = env.value_stack();
+                    let b = stack[act.locals + b as usize].as_int()?;
+                    let a = stack[act.locals + a as usize].as_int()?;
+                    act.bci += 2;
+                    Some(branch!(cmp.apply(a, b), target))
+                }
+                Some(&Fused::LoadConstOpStore { local, op, dst, k }) => {
+                    *pending += 3 * ALU_STEP;
+                    let stack = env.value_stack();
+                    let a = stack[act.locals + local as usize].as_int()?;
+                    *pending += ALU_STEP;
+                    stack[act.locals + dst as usize] = Value::Int(op.apply(a, k));
+                    Some(act.bci + 4)
+                }
+                Some(&Fused::LoadConstOp { local, op, k }) => {
+                    *pending += 3 * ALU_STEP;
+                    let stack = env.value_stack();
+                    let a = stack[act.locals + local as usize].as_int()?;
+                    stack.push(Value::Int(op.apply(a, k)));
+                    Some(act.bci + 3)
+                }
+                Some(&Fused::LoadLoadOp { a, b, op }) => {
+                    *pending += 3 * ALU_STEP;
+                    let stack = env.value_stack();
+                    let b = stack[act.locals + b as usize].as_int()?;
+                    let a = stack[act.locals + a as usize].as_int()?;
+                    stack.push(Value::Int(op.apply(a, b)));
+                    Some(act.bci + 3)
+                }
+                Some(&Fused::LoadOpStore { local, op, dst }) => {
+                    *pending += 2 * ALU_STEP;
+                    let stack = env.value_stack();
+                    let b = stack[act.locals + local as usize].as_int()?;
+                    let a = pop(stack, act.operands)?.as_int()?;
+                    *pending += ALU_STEP;
+                    stack[act.locals + dst as usize] = Value::Int(op.apply(a, b));
+                    Some(act.bci + 3)
+                }
+                Some(&Fused::LoadGetField {
+                    local,
+                    field,
+                    declaring,
+                    slot,
+                }) => {
+                    *pending += ALU_STEP + MEMORY_STEP;
+                    let r = env.value_stack()[act.locals + local as usize].as_ref()?;
+                    let v = env
+                        .heap()
+                        .get_field_at(program, r, declaring, slot as usize, field)?;
+                    push!(v);
+                    Some(act.bci + 2)
+                }
+                Some(Fused::Plain) | None => None,
+            };
+            if let Some(next) = next {
+                if next <= act.bci {
+                    env.safepoint();
+                }
+                act.bci = next;
+                continue;
+            }
+        }
         let insn = code[act.bci as usize];
         if OBSERVED {
             env.charge(cost::INTERP_DISPATCH)?;
@@ -650,7 +746,11 @@ fn run_frame_inner<E: InterpEnv + ?Sized, const OBSERVED: bool>(
                 op!(0);
                 let len = pop!().as_int()?;
                 let cycles = cost::array_alloc_cost(len);
-                env.charge(cycles)?;
+                if OBSERVED {
+                    env.charge(cycles)?;
+                } else {
+                    *pending += cycles;
+                }
                 if OBSERVED {
                     if let Some(p) = &profiler {
                         p.record_op(act.bci, opcode_slot(&insn), cycles);
