@@ -37,6 +37,7 @@
 pub mod asm;
 mod builder;
 pub mod disasm;
+mod facts;
 mod fused;
 mod ids;
 mod insn;
@@ -44,6 +45,7 @@ mod program;
 mod verify;
 
 pub use builder::{LabelId, MethodBuilder, ProgramBuilder};
+pub use facts::{BcBlock, MethodFacts};
 pub use fused::{Fused, IntOp};
 pub use ids::{ClassId, FieldId, MethodId, StaticId};
 pub use insn::{CmpOp, Insn};

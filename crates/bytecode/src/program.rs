@@ -1,5 +1,6 @@
 //! Program metadata: classes, fields, methods and statics in flat arenas.
 
+use crate::facts::MethodFacts;
 use crate::fused::{fuse, Fused};
 use crate::{ClassId, FieldId, Insn, MethodId, StaticId};
 use std::collections::HashMap;
@@ -217,17 +218,21 @@ struct Sealed {
     /// The interpreter's fused dispatch stream of each method, one entry
     /// per bci, indexed by [`MethodId`].
     fused: Vec<Vec<Fused>>,
+    /// The graph builder's bytecode facts of each method, indexed by
+    /// [`MethodId`].
+    facts: Vec<MethodFacts>,
 }
 
 /// A complete program: all metadata arenas plus method code.
 ///
 /// The layout queries ([`Program::instance_fields`],
 /// [`Program::object_size`], [`Program::field_slot`],
-/// [`Program::is_subclass_of`]) and the fused dispatch streams
-/// ([`Program::fused`]) are lookups in tables that
-/// [`crate::ProgramBuilder::build`] resolves once; the layout queries
-/// panic on a program that did not come out of the builder, and none of
-/// them follows later edits of the public arenas.
+/// [`Program::is_subclass_of`]), the fused dispatch streams
+/// ([`Program::fused`]) and the bytecode facts ([`Program::facts`]) are
+/// lookups in tables that [`crate::ProgramBuilder::build`] resolves once;
+/// the layout queries and the facts panic on a program that did not come
+/// out of the builder, and none of them follows later edits of the public
+/// arenas.
 #[derive(Clone, Debug, Default)]
 pub struct Program {
     /// Class arena, indexed by [`ClassId`].
@@ -402,10 +407,12 @@ impl Program {
             field_slots,
             method_slots: vec![None; self.methods.len()],
             fused: Vec::new(),
+            facts: Vec::new(),
         };
         self.seal_vtables();
         let fused = self.methods.iter().map(|m| fuse(self, m)).collect();
         self.sealed.fused = fused;
+        self.sealed.facts = crate::facts::seal(self);
     }
 
     /// Builds every class's vtable after its superclass's (shallowest
@@ -481,6 +488,17 @@ impl Program {
             .fused
             .get(method.index())
             .map_or(&[], Vec::as_slice)
+    }
+
+    /// The sealed bytecode facts of `method`: blocks, loop headers,
+    /// reducibility, live locals and may-throw.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a program that did not come out of the builder.
+    #[inline]
+    pub fn facts(&self, method: MethodId) -> &MethodFacts {
+        &self.sealed.facts[method.index()]
     }
 
     /// Heap size in bytes of an instance of `class` (header + one slot per

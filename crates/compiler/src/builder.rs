@@ -9,10 +9,10 @@
 //! and at every merge, exactly as §2 of the paper describes, and inlined
 //! callees chain their states to the caller's state at the call site.
 
-use pea_bytecode::{ClassId, CmpOp, ExceptionEntry, Insn, MethodId, Program};
+use pea_bytecode::{ClassId, CmpOp, ExceptionEntry, Insn, MethodFacts, MethodId, Program};
 use pea_ir::{ArithOp, DeoptReason, FrameStateData, Graph, NodeId, NodeKind};
 use pea_runtime::profile::ProfileStore;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
@@ -148,193 +148,6 @@ struct FlowState {
     deopt_state: NodeId,
 }
 
-/// Bytecode-level basic block.
-#[derive(Clone, Debug)]
-struct BcBlock {
-    start: u32,
-    /// Index of the final instruction (inclusive).
-    last: u32,
-    succs: Vec<u32>,
-}
-
-/// Per-method bytecode CFG.
-struct BcCfg {
-    blocks: BTreeMap<u32, BcBlock>,
-    headers: HashSet<u32>,
-    rpo: Vec<u32>,
-}
-
-/// Checks reducibility: every DFS back edge must target a block that
-/// dominates its source (a natural loop). Irreducible regions (a cycle
-/// entered other than through its header) cannot be expressed with
-/// `LoopBegin`/`LoopEnd` and force an interpreter fallback — the same
-/// policy as structured-IR JITs.
-fn check_reducible(cfg: &BcCfg) -> Result<(), Bailout> {
-    // Iterative dominators over the bytecode CFG (blocks keyed by leader).
-    let rpo = &cfg.rpo;
-    let pos: HashMap<u32, usize> = rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-    let mut preds: HashMap<u32, Vec<u32>> = HashMap::new();
-    for (&b, block) in &cfg.blocks {
-        for &s in &block.succs {
-            preds.entry(s).or_default().push(b);
-        }
-    }
-    let mut idom: HashMap<u32, u32> = HashMap::new();
-    idom.insert(rpo[0], rpo[0]);
-    let intersect = |idom: &HashMap<u32, u32>, mut a: u32, mut b: u32| -> u32 {
-        while a != b {
-            while pos[&a] > pos[&b] {
-                a = idom[&a];
-            }
-            while pos[&b] > pos[&a] {
-                b = idom[&b];
-            }
-        }
-        a
-    };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().skip(1) {
-            let mut new: Option<u32> = None;
-            for &p in preds.get(&b).into_iter().flatten() {
-                if !idom.contains_key(&p) || !pos.contains_key(&p) {
-                    continue;
-                }
-                new = Some(match new {
-                    None => p,
-                    Some(cur) => intersect(&idom, cur, p),
-                });
-            }
-            if let Some(n) = new {
-                if idom.get(&b) != Some(&n) {
-                    idom.insert(b, n);
-                    changed = true;
-                }
-            }
-        }
-    }
-    let dominates = |a: u32, mut b: u32| -> bool {
-        loop {
-            if a == b {
-                return true;
-            }
-            match idom.get(&b) {
-                Some(&i) if i != b => b = i,
-                _ => return false,
-            }
-        }
-    };
-    for (&b, block) in &cfg.blocks {
-        if !pos.contains_key(&b) {
-            continue; // unreachable
-        }
-        for &s in &block.succs {
-            if cfg.headers.contains(&s) && pos[&s] <= pos[&b] && !dominates(s, b) {
-                return Err(Bailout::Irreducible);
-            }
-        }
-    }
-    Ok(())
-}
-
-fn analyze_bytecode(code: &[Insn], exception_table: &[ExceptionEntry]) -> BcCfg {
-    let mut leaders: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-    leaders.insert(0);
-    for (i, insn) in code.iter().enumerate() {
-        if let Some(t) = insn.branch_target() {
-            leaders.insert(t);
-            leaders.insert(i as u32 + 1);
-        }
-        if insn.is_terminator() && i + 1 < code.len() {
-            leaders.insert(i as u32 + 1);
-        }
-    }
-    // Exception handlers are entered abruptly: each handler starts a block.
-    for e in exception_table {
-        leaders.insert(e.handler);
-    }
-    let leader_list: Vec<u32> = leaders
-        .iter()
-        .copied()
-        .filter(|&l| (l as usize) < code.len())
-        .collect();
-    let mut blocks = BTreeMap::new();
-    for (k, &start) in leader_list.iter().enumerate() {
-        let next_leader = leader_list.get(k + 1).copied().unwrap_or(code.len() as u32);
-        // The block ends at the first branch/terminator, or just before
-        // the next leader.
-        let mut last = start;
-        for i in start..next_leader {
-            last = i;
-            let insn = code[i as usize];
-            if insn.branch_target().is_some() || insn.is_terminator() {
-                break;
-            }
-        }
-        let insn = code[last as usize];
-        let mut succs = Vec::new();
-        if insn == Insn::Athrow {
-            // Exception edges: every covering handler is a potential
-            // successor, in table (dispatch) order. A catch-all always
-            // matches, so later entries are unreachable from here.
-            for e in exception_table.iter().filter(|e| e.covers(last)) {
-                succs.push(e.handler);
-                if e.catch_class.is_none() {
-                    break;
-                }
-            }
-            succs.sort_unstable();
-            succs.dedup();
-        } else if !insn.is_terminator() {
-            match insn {
-                Insn::Goto(t) => succs.push(t),
-                _ => {
-                    if let Some(t) = insn.branch_target() {
-                        succs.push(t);
-                    }
-                    succs.push(last + 1);
-                }
-            }
-        }
-        blocks.insert(start, BcBlock { start, last, succs });
-    }
-
-    // DFS for RPO and back-edge (loop header) discovery.
-    let mut headers = HashSet::new();
-    let mut color: HashMap<u32, u8> = HashMap::new(); // 1 = on stack, 2 = done
-    let mut rpo_rev = Vec::new();
-    let mut stack: Vec<(u32, usize)> = vec![(0, 0)];
-    color.insert(0, 1);
-    while let Some((b, child)) = stack.last_mut() {
-        let block = &blocks[b];
-        if *child < block.succs.len() {
-            let s = block.succs[*child];
-            *child += 1;
-            match color.get(&s).copied().unwrap_or(0) {
-                0 => {
-                    color.insert(s, 1);
-                    stack.push((s, 0));
-                }
-                1 => {
-                    headers.insert(s);
-                }
-                _ => {}
-            }
-        } else {
-            color.insert(*b, 2);
-            rpo_rev.push(*b);
-            stack.pop();
-        }
-    }
-    rpo_rev.reverse();
-    BcCfg {
-        blocks,
-        headers,
-        rpo: rpo_rev,
-    }
-}
-
 struct LoopCtx {
     loop_begin: NodeId,
     /// One phi per local slot then per stack slot.
@@ -342,65 +155,17 @@ struct LoopCtx {
     template: FlowState,
 }
 
-/// Per-bci live-local sets (backward dataflow: `Load` uses, `Store`
-/// defines). HotSpot's interpreter frames clear dead locals and Graal's
-/// frame states inherit that; we reproduce it so that values (and in
-/// particular allocations) dead across a loop back edge or merge are not
-/// artificially kept alive by frame states.
-///
-/// Exception-table entries add edges from every covered bci to the
-/// handler: a local read only by the handler must stay live throughout the
-/// protected range, because a deopt anywhere inside it can be followed by
-/// interpreter-side unwinding into that handler — clearing the slot to
-/// null in the deopt state would hand the handler a corrupted frame.
-fn local_liveness(code: &[Insn], max_locals: u16, handlers: &[ExceptionEntry]) -> Vec<Vec<bool>> {
-    let n = code.len();
-    let mut live: Vec<Vec<bool>> = vec![vec![false; max_locals as usize]; n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in (0..n).rev() {
-            let insn = code[i];
-            let mut out = vec![false; max_locals as usize];
-            if let Some(t) = insn.branch_target() {
-                for (k, &b) in live[t as usize].iter().enumerate() {
-                    out[k] = out[k] || b;
-                }
-            }
-            if insn.falls_through() && i + 1 < n {
-                for (k, &b) in live[i + 1].iter().enumerate() {
-                    out[k] = out[k] || b;
-                }
-            }
-            for e in handlers {
-                if e.covers(i as u32) && (e.handler as usize) < n {
-                    for (k, &b) in live[e.handler as usize].iter().enumerate() {
-                        out[k] = out[k] || b;
-                    }
-                }
-            }
-            match insn {
-                Insn::Load(k) => out[k as usize] = true,
-                Insn::Store(k) => out[k as usize] = false,
-                _ => {}
-            }
-            if out != live[i] {
-                live[i] = out;
-                changed = true;
-            }
-        }
-    }
-    live
-}
-
-/// Per-(possibly inlined) method parsing context.
-struct MethodCtx {
+/// Per-(possibly inlined) method parsing context; the per-bci tables are
+/// indexed by block leader.
+struct MethodCtx<'a> {
     method: MethodId,
     depth: usize,
-    cfg: BcCfg,
-    incoming: HashMap<u32, Vec<(NodeId, FlowState)>>,
-    loops: HashMap<u32, LoopCtx>,
-    processed: HashSet<u32>,
+    /// The method's sealed bytecode facts (blocks, loop headers,
+    /// liveness).
+    facts: &'a MethodFacts,
+    incoming: Vec<Vec<(NodeId, FlowState)>>,
+    loops: Vec<Option<LoopCtx>>,
+    processed: Vec<bool>,
     /// (attach point, return value) per reachable return.
     exits: Vec<(NodeId, Option<NodeId>)>,
 }
@@ -421,45 +186,6 @@ pub struct GraphBuilder<'a> {
     /// Frame state of the innermost enclosing caller while building an
     /// inlined callee (becomes the `outer` of the callee's frame states).
     current_outer: Option<NodeId>,
-    /// Per-method local-liveness tables (lazily computed).
-    liveness: HashMap<MethodId, Vec<Vec<bool>>>,
-    /// Per-method transitive may-throw facts (indexed by method id):
-    /// whether calling the method can raise a catchable `athrow`
-    /// exception. Such callees are never inlined — compiled frames then
-    /// contain no cross-frame exception edges, and a throwing out-of-line
-    /// callee is handled by deoptimizing at the call site.
-    may_throw: Vec<bool>,
-}
-
-/// Transitive may-throw fixpoint over the closed program: a method may
-/// throw if its own bytecode contains `athrow` or it calls (through any
-/// virtual implementation) a method that may.
-fn compute_may_throw(program: &Program) -> Vec<bool> {
-    let n = program.methods.len();
-    let mut may: Vec<bool> = program.methods.iter().map(|m| m.has_athrow()).collect();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..n {
-            if may[i] {
-                continue;
-            }
-            let calls_throwing = program.methods[i].code.iter().any(|insn| match insn {
-                Insn::InvokeStatic(t) => may[t.index()],
-                Insn::InvokeVirtual(t) => (0..program.classes.len()).any(|c| {
-                    program
-                        .resolve_virtual(ClassId::from_index(c), *t)
-                        .is_ok_and(|m| may[m.index()])
-                }),
-                _ => false,
-            });
-            if calls_throwing {
-                may[i] = true;
-                changed = true;
-            }
-        }
-    }
-    may
 }
 
 /// Builds the IR graph of `method`, inlining per `options` and speculating
@@ -499,8 +225,6 @@ pub fn build_graph_with(
         decisions: Vec::new(),
         guards: Vec::new(),
         current_outer: None,
-        liveness: HashMap::new(),
-        may_throw: compute_may_throw(program),
     };
     let m = program.method(method);
     let mut args = Vec::new();
@@ -547,17 +271,12 @@ impl<'a> GraphBuilder<'a> {
         // Dead locals are cleared (stored as null), as in HotSpot frames:
         // this keeps dead values — especially allocations — from being
         // pinned by deoptimization metadata.
-        if !self.liveness.contains_key(&method) {
-            let m = self.program.method(method);
-            let table = local_liveness(&m.code, m.max_locals, &m.exception_table);
-            self.liveness.insert(method, table);
-        }
-        let live_here = self.liveness[&method].get(bci as usize).cloned();
         let mut inputs: Vec<NodeId> = locals.to_vec();
-        if let Some(live_here) = live_here {
+        if (bci as usize) < self.program.method(method).code.len() {
+            let facts = self.program.facts(method);
             let null = self.graph.const_null();
             for (slot, v) in inputs.iter_mut().enumerate() {
-                if !live_here.get(slot).copied().unwrap_or(false) {
+                if !facts.is_live(bci, slot) {
                     *v = null;
                 }
             }
@@ -589,16 +308,22 @@ impl<'a> GraphBuilder<'a> {
         depth: usize,
         attach: NodeId,
     ) -> Result<Vec<(NodeId, Option<NodeId>)>, Bailout> {
-        let m = self.program.method(method).clone();
-        let cfg = analyze_bytecode(&m.code, &m.exception_table);
-        check_reducible(&cfg)?;
+        let program = self.program;
+        let m = program.method(method);
+        let facts = program.facts(method);
+        // Irreducible regions (a cycle entered other than through its
+        // header) cannot be expressed with `LoopBegin`/`LoopEnd` and force
+        // an interpreter fallback — the same policy as structured-IR JITs.
+        if !facts.is_reducible() {
+            return Err(Bailout::Irreducible);
+        }
         let mut ctx = MethodCtx {
             method,
             depth,
-            cfg,
-            incoming: HashMap::new(),
-            loops: HashMap::new(),
-            processed: HashSet::new(),
+            facts,
+            incoming: vec![Vec::new(); m.code.len()],
+            loops: (0..m.code.len()).map(|_| None).collect(),
+            processed: vec![false; m.code.len()],
             exits: Vec::new(),
         };
 
@@ -630,10 +355,9 @@ impl<'a> GraphBuilder<'a> {
             self.graph.set_state_after(me, Some(fs));
             state.deopt_state = fs;
         }
-        ctx.incoming.entry(0).or_default().push((tail, state));
+        ctx.incoming[0].push((tail, state));
 
-        let rpo = ctx.cfg.rpo.clone();
-        for leader in rpo {
+        for &leader in facts.rpo() {
             self.check_budget()?;
             self.process_bc_block(&mut ctx, leader)?;
         }
@@ -642,12 +366,12 @@ impl<'a> GraphBuilder<'a> {
     }
 
     fn process_bc_block(&mut self, ctx: &mut MethodCtx, leader: u32) -> Result<(), Bailout> {
-        let edges = ctx.incoming.remove(&leader).unwrap_or_default();
+        let edges = std::mem::take(&mut ctx.incoming[leader as usize]);
         if edges.is_empty() {
             return Ok(()); // unreachable (e.g. a speculated-away branch)
         }
-        ctx.processed.insert(leader);
-        let is_header = ctx.cfg.headers.contains(&leader);
+        ctx.processed[leader as usize] = true;
+        let is_header = ctx.facts.is_loop_header(leader);
         let (mut tail, mut state) = if is_header {
             self.enter_loop_header(ctx, leader, edges)?
         } else if edges.len() == 1 {
@@ -657,7 +381,7 @@ impl<'a> GraphBuilder<'a> {
             self.merge_edges(ctx, leader, edges)?
         };
 
-        let block = ctx.cfg.blocks[&leader].clone();
+        let block = ctx.facts.block(leader);
         let mut bci = block.start;
         loop {
             self.check_budget()?;
@@ -766,14 +490,11 @@ impl<'a> GraphBuilder<'a> {
         let fs = self.make_state(ctx.method, leader, &template);
         self.graph.set_state_after(loop_begin, Some(fs));
         template.deopt_state = fs;
-        ctx.loops.insert(
-            leader,
-            LoopCtx {
-                loop_begin,
-                phis,
-                template: template.clone(),
-            },
-        );
+        ctx.loops[leader as usize] = Some(LoopCtx {
+            loop_begin,
+            phis,
+            template: template.clone(),
+        });
         Ok((loop_begin, template))
     }
 
@@ -784,7 +505,7 @@ impl<'a> GraphBuilder<'a> {
         attach: NodeId,
         state: FlowState,
     ) -> Result<(), Bailout> {
-        if let Some(loop_ctx) = ctx.loops.get(&target) {
+        if let Some(loop_ctx) = &ctx.loops[target as usize] {
             // Back edge.
             if state.locks != loop_ctx.template.locks {
                 return Err(Bailout::UnstructuredLocking);
@@ -805,13 +526,10 @@ impl<'a> GraphBuilder<'a> {
             }
             return Ok(());
         }
-        if ctx.processed.contains(&target) {
+        if ctx.processed[target as usize] {
             return Err(Bailout::Irreducible);
         }
-        ctx.incoming
-            .entry(target)
-            .or_default()
-            .push((attach, state));
+        ctx.incoming[target as usize].push((attach, state));
         Ok(())
     }
 
@@ -1288,7 +1006,8 @@ impl<'a> GraphBuilder<'a> {
         tail: &mut NodeId,
         state: &mut FlowState,
     ) -> Result<(), Bailout> {
-        let callee_meta = self.program.method(target).clone();
+        let program = self.program;
+        let callee_meta = program.method(target);
         let argc = callee_meta.param_count as usize;
         let args: Vec<NodeId> = state.stack.split_off(state.stack.len() - argc);
 
@@ -1382,7 +1101,7 @@ impl<'a> GraphBuilder<'a> {
             (false, "recursive")
         } else if ctx.depth >= self.options.inline_max_depth {
             (false, "depth-limit")
-        } else if self.may_throw[resolved.index()] {
+        } else if program.facts(resolved).may_throw() {
             // A callee that can raise a catchable exception stays
             // out-of-line: compiled frames then never contain cross-frame
             // exception edges, and a throwing callee is handled by

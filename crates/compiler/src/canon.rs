@@ -73,25 +73,16 @@ pub fn canonicalize(graph: &mut Graph) -> CanonResult {
         }
 
         // Global value numbering over pure floating nodes.
-        let mut table: HashMap<(String, Vec<NodeId>), NodeId> = HashMap::new();
+        let mut table: HashMap<GvnKey, NodeId> = HashMap::new();
         let gvn_candidates: Vec<NodeId> = graph
             .live_nodes()
-            .filter(|&n| {
-                matches!(
-                    graph.kind(n),
-                    NodeKind::Arith { .. }
-                        | NodeKind::Compare { .. }
-                        | NodeKind::ConstInt { .. }
-                        | NodeKind::ConstNull
-                        | NodeKind::Param { .. }
-                )
-            })
+            .filter(|&n| GvnKey::of(graph, n).is_some())
             .collect();
         for n in gvn_candidates {
-            let key = (
-                format!("{:?}", graph.kind(n)),
-                graph.node(n).inputs().to_vec(),
-            );
+            // Keyed only now: earlier hits may have rewritten the inputs.
+            let Some(key) = GvnKey::of(graph, n) else {
+                continue;
+            };
             match table.get(&key) {
                 Some(&existing) if existing != n => {
                     graph.replace_at_usages(n, existing);
@@ -110,6 +101,38 @@ pub fn canonicalize(graph: &mut Graph) -> CanonResult {
         }
     }
     result
+}
+
+/// What makes two pure floating nodes the same value: kind, payload and
+/// inputs (at most two).
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum GvnKey {
+    Arith(ArithOp, [NodeId; 2]),
+    Compare(CmpOp, [NodeId; 2]),
+    ConstInt(i64),
+    ConstNull,
+    Param(u16),
+}
+
+impl GvnKey {
+    /// The key of `n`, if it is a value-numbered kind.
+    fn of(graph: &Graph, n: NodeId) -> Option<GvnKey> {
+        let inputs = || -> Option<[NodeId; 2]> {
+            match *graph.node(n).inputs() {
+                [a] => Some([a, NodeId(u32::MAX)]),
+                [a, b] => Some([a, b]),
+                _ => None,
+            }
+        };
+        Some(match graph.kind(n) {
+            NodeKind::Arith { op } => GvnKey::Arith(*op, inputs()?),
+            NodeKind::Compare { op } => GvnKey::Compare(*op, inputs()?),
+            NodeKind::ConstInt { value } => GvnKey::ConstInt(*value),
+            NodeKind::ConstNull => GvnKey::ConstNull,
+            NodeKind::Param { index } => GvnKey::Param(*index),
+            _ => return None,
+        })
+    }
 }
 
 fn const_of(graph: &Graph, n: NodeId) -> Option<i64> {

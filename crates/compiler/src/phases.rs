@@ -38,10 +38,14 @@ pub enum PhaseKind {
     /// One escape-analysis run (per [`OptLevel`]) followed by one
     /// canonicalization pass.
     EscapeAnalysis,
-    /// Final IR verification; a failure degrades into a [`Bailout`] so the
-    /// VM keeps interpreting rather than executing a corrupt graph.
+    /// The structural half of the final IR verification
+    /// ([`pea_ir::verify::verify_structure`]); the `Schedule` phase checks
+    /// the rest on what it builds. A failure degrades into a [`Bailout`]
+    /// so the VM keeps interpreting rather than executing a corrupt graph.
     VerifyIr,
-    /// CFG construction, dominators, scheduling.
+    /// CFG construction, dominators, scheduling, then the SSA half of the
+    /// final IR verification ([`pea_ir::verify::verify_scheduled`]) over
+    /// those products — the one CFG and schedule of the final graph.
     Schedule,
     /// Lowering of the scheduled graph to the dense register-machine form
     /// (`crate::linear`), the only form the VM executes; a lowering failure
@@ -208,15 +212,17 @@ fn run_phase(
             canonicalize(graph);
             graph.prune_dead();
             unit.times.canonicalize += t.elapsed();
+            debug_assert_verify(unit.graph_mut(), "after the final canonicalization");
             Ok(())
         }
+        // Both halves of the verification are charged to `schedule`, whose
+        // products the second half reads.
         PhaseKind::VerifyIr => {
+            let t = Instant::now();
             let graph = unit.graph.as_ref().expect("build phase ran");
-            if let Err(e) = pea_ir::verify::verify(graph) {
-                debug_assert!(false, "post-compilation verification failed: {e}");
-                return Err(Bailout::Unsupported(format!("verification failed: {e}")));
-            }
-            Ok(())
+            let verified = pea_ir::verify::verify_structure(graph);
+            unit.times.schedule += t.elapsed();
+            verified.map_err(verification_failed)
         }
         PhaseKind::Schedule => {
             let t = Instant::now();
@@ -224,7 +230,9 @@ fn run_phase(
             let cfg = Cfg::build(graph);
             let dom = DomTree::build(&cfg);
             let schedule = Schedule::build(graph, &cfg, &dom);
+            let verified = pea_ir::verify::verify_scheduled(graph, &cfg, &dom, &schedule);
             unit.times.schedule += t.elapsed();
+            verified.map_err(verification_failed)?;
             let code_size = schedule.code_size();
             unit.artifact = Some(Artifact {
                 cfg,
@@ -246,6 +254,10 @@ fn run_phase(
             Ok(())
         }
     }
+}
+
+fn verification_failed(e: pea_ir::verify::IrError) -> Bailout {
+    Bailout::Unsupported(format!("verification failed: {e}"))
 }
 
 fn debug_assert_verify(graph: &Graph, stage: &str) {
@@ -292,5 +304,51 @@ mod tests {
             matches!(&err, Bailout::Unsupported(s) if s.starts_with("lowering: ")),
             "{err}"
         );
+    }
+
+    /// The SSA half of the verification runs on the `Schedule` phase's own
+    /// products: a dominance violation that the structural half cannot
+    /// see still ends the compilation as a bailout, not as an artifact.
+    #[test]
+    fn ssa_violation_is_a_verification_bailout() {
+        let program = parse_program(
+            "class C { field v int }
+             method f 2 returns {
+                load 0 const 0 ifcmp eq Lelse
+                load 1 getfield C.v retv
+             Lelse:
+                const 0 retv
+             }",
+        )
+        .unwrap();
+        let method = program.static_method_by_name("f").unwrap();
+        let options = CompilerOptions::default();
+        let mut unit = CompilationUnit::new(&program, method, None, &options);
+        let mut tracer = Tracer::off();
+        for phase in [PhaseKind::Build, PhaseKind::Canonicalize] {
+            run_phase(phase, &mut unit, &mut tracer).unwrap();
+        }
+        // Return the field read of one arm from the other arm: its input
+        // no longer dominates its use.
+        let graph = unit.graph_mut();
+        let load = graph
+            .live_nodes()
+            .find(|&n| matches!(graph.kind(n), NodeKind::LoadField { .. }))
+            .expect("field read");
+        let other_return = graph
+            .live_nodes()
+            .find(|&n| {
+                matches!(graph.kind(n), NodeKind::Return) && graph.node(n).inputs()[0] != load
+            })
+            .expect("second return");
+        graph.set_input(other_return, 0, load);
+        run_phase(PhaseKind::VerifyIr, &mut unit, &mut tracer).unwrap();
+        let err = run_phase(PhaseKind::Schedule, &mut unit, &mut tracer).unwrap_err();
+        assert!(
+            matches!(&err, Bailout::Unsupported(s)
+                if s.starts_with("verification failed: ") && s.contains("dominate")),
+            "{err}"
+        );
+        assert!(unit.artifact.is_none(), "no artifact from a broken graph");
     }
 }

@@ -2,7 +2,6 @@
 //! postorder and loop metadata.
 
 use crate::{Graph, NodeId, NodeKind};
-use std::collections::HashMap;
 
 /// Index of a block within a [`Cfg`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -64,6 +63,9 @@ impl Block {
     }
 }
 
+/// Marks "no block" / "not in RPO" in the dense tables below.
+const NONE: u32 = u32::MAX;
+
 /// The control-flow graph: blocks, reverse postorder, loop forest.
 #[derive(Clone, Debug)]
 pub struct Cfg {
@@ -71,7 +73,11 @@ pub struct Cfg {
     pub blocks: Vec<Block>,
     /// Blocks in reverse postorder (loop headers precede their bodies).
     pub rpo: Vec<BlockId>,
-    block_of_node: HashMap<NodeId, BlockId>,
+    /// Block of each fixed node, indexed by [`NodeId`]; [`NONE`] for
+    /// floating, metadata and unreachable nodes.
+    block_of_node: Vec<u32>,
+    /// Position of each block in [`Cfg::rpo`], indexed by [`BlockId`].
+    rpo_pos: Vec<u32>,
 }
 
 impl Cfg {
@@ -83,14 +89,31 @@ impl Cfg {
     /// without a block-start kind at a chain head). Run
     /// [`crate::verify::verify`] for a diagnosable error instead.
     pub fn build(graph: &Graph) -> Cfg {
+        // The merge-like node owning each `End`/`LoopEnd` (the edge is
+        // implicit: merges list their ends, not vice versa). The first
+        // live merge listing an end owns it.
+        let mut merge_of_end = vec![NONE; graph.len()];
+        for n in graph.live_nodes() {
+            if let NodeKind::Merge { ends } | NodeKind::LoopBegin { ends } = graph.kind(n) {
+                for &e in ends {
+                    if merge_of_end[e.index()] == NONE {
+                        merge_of_end[e.index()] = n.0;
+                    }
+                }
+            }
+        }
+        let merge_of = |end: NodeId| -> Option<NodeId> {
+            let m = merge_of_end[end.index()];
+            (m != NONE).then_some(NodeId(m))
+        };
+
         // 1. Find block-start nodes reachable from start and collect their
-        //    chains.
-        let mut starts: Vec<NodeId> = Vec::new();
-        let mut seen: HashMap<NodeId, usize> = HashMap::new();
+        //    chains. `head_block` maps each chain head to its block.
+        let mut head_block = vec![NONE; graph.len()];
         let mut work = vec![graph.start];
         let mut chains: Vec<Vec<NodeId>> = Vec::new();
         while let Some(head) = work.pop() {
-            if seen.contains_key(&head) {
+            if head_block[head.index()] != NONE {
                 continue;
             }
             debug_assert!(
@@ -98,24 +121,16 @@ impl Cfg {
                 "chain head {head} is not a block start: {:?}",
                 graph.kind(head)
             );
-            let idx = starts.len();
-            seen.insert(head, idx);
-            starts.push(head);
+            head_block[head.index()] = chains.len() as u32;
+            // A `Begin` reached by fall-through is a chain member: our
+            // builder makes every `Begin` a branch target with exactly one
+            // control predecessor, and merges are only entered through
+            // `End` nodes.
             let mut chain = vec![head];
             let mut cur = head;
             while let Some(next) = graph.next(cur) {
-                if graph.kind(next).is_block_start() {
-                    // Fall-through into a merge-like block is impossible:
-                    // merges are only entered through End nodes. A direct
-                    // next to a Begin is block-internal only if Begin is
-                    // not a target; our builder always makes Begins branch
-                    // targets, so treat as chain member.
-                    chain.push(next);
-                    cur = next;
-                } else {
-                    chain.push(next);
-                    cur = next;
-                }
+                chain.push(next);
+                cur = next;
                 if graph.node(cur).successors().len() != 1 {
                     break;
                 }
@@ -123,9 +138,8 @@ impl Cfg {
                     break;
                 }
             }
-            chains.push(chain);
             // Discover successor heads from the chain terminator.
-            let last = *chains[idx].last().unwrap();
+            let last = *chain.last().unwrap();
             match graph.kind(last) {
                 NodeKind::If => {
                     for &succ in graph.node(last).successors() {
@@ -133,78 +147,73 @@ impl Cfg {
                     }
                 }
                 NodeKind::End | NodeKind::LoopEnd => {
-                    if let Some(merge) = find_merge_of_end(graph, last) {
+                    if let Some(merge) = merge_of(last) {
                         work.push(merge);
                     }
                 }
                 NodeKind::Return | NodeKind::Throw | NodeKind::Unwind | NodeKind::Deopt { .. } => {}
                 _ => {
-                    // Straight-line chain ended because the next node is a
-                    // block start (cannot happen with Begin policy above) —
-                    // or the chain is dangling.
+                    // The chain is dangling.
                     panic!(
                         "block chain at {last} ends in non-terminator {:?}",
                         graph.kind(last)
                     );
                 }
             }
+            chains.push(chain);
         }
 
-        // Re-walk chains: a chain may contain embedded Begins (treated as
-        // ordinary members above). That is fine — Begins only matter as
-        // branch targets, and branch targets were pushed separately with
-        // their own chains. But a Begin reached by fall-through AND by
-        // branch would be duplicated; our construction never produces
-        // that (every Begin has exactly one control predecessor).
+        let block_of_head = |n: NodeId| -> BlockId { BlockId(head_block[n.index()]) };
+        let chain_head_of = |mut node: NodeId| -> NodeId {
+            while head_block[node.index()] == NONE {
+                node = graph
+                    .node(node)
+                    .control_pred()
+                    .expect("fixed node without predecessor outside any chain");
+            }
+            node
+        };
 
+        // 2. Wire successor/predecessor edges. Merge preds follow the
+        //    order of the merge's ends.
         let mut blocks: Vec<Block> = chains
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(i, chain)| Block {
-                id: BlockId::from_index(i),
-                nodes: chain.clone(),
-                succs: Vec::new(),
-                preds: Vec::new(),
-                loop_depth: 0,
-                loop_header: None,
+            .map(|(i, nodes)| {
+                let head = nodes[0];
+                let last = *nodes.last().unwrap();
+                let succs: Vec<BlockId> = match graph.kind(last) {
+                    NodeKind::If => graph
+                        .node(last)
+                        .successors()
+                        .iter()
+                        .map(|&s| block_of_head(s))
+                        .collect(),
+                    NodeKind::End | NodeKind::LoopEnd => {
+                        merge_of(last).map(block_of_head).into_iter().collect()
+                    }
+                    _ => vec![],
+                };
+                let preds: Vec<BlockId> = match graph.kind(head) {
+                    NodeKind::Merge { ends } | NodeKind::LoopBegin { ends } => ends
+                        .iter()
+                        .map(|&e| block_of_head(chain_head_of(e)))
+                        .collect(),
+                    _ => match graph.node(head).control_pred() {
+                        Some(p) => vec![block_of_head(chain_head_of(p))],
+                        None => vec![],
+                    },
+                };
+                Block {
+                    id: BlockId::from_index(i),
+                    nodes,
+                    succs,
+                    preds,
+                    loop_depth: 0,
+                    loop_header: None,
+                }
             })
             .collect();
-
-        let block_of = |n: NodeId| -> BlockId { BlockId::from_index(seen[&n]) };
-
-        // 2. Wire successor/predecessor edges.
-        // Merge preds must follow ends order; collect them separately.
-        for block in &mut blocks {
-            let last = block.last();
-            let succs: Vec<BlockId> = match graph.kind(last) {
-                NodeKind::If => graph
-                    .node(last)
-                    .successors()
-                    .iter()
-                    .map(|&s| block_of(s))
-                    .collect(),
-                NodeKind::End | NodeKind::LoopEnd => match find_merge_of_end(graph, last) {
-                    Some(merge) => vec![block_of(merge)],
-                    None => vec![],
-                },
-                _ => vec![],
-            };
-            block.succs = succs;
-        }
-        for block in &mut blocks {
-            let head = block.first();
-            let preds: Vec<BlockId> = match graph.kind(head) {
-                NodeKind::Merge { ends } | NodeKind::LoopBegin { ends } => ends
-                    .iter()
-                    .map(|&e| block_of(chain_head_of(graph, e, &seen)))
-                    .collect(),
-                _ => match graph.node(head).control_pred() {
-                    Some(p) => vec![block_of(chain_head_of(graph, p, &seen))],
-                    None => vec![],
-                },
-            };
-            block.preds = preds;
-        }
 
         // 3. Reverse postorder ignoring back edges (edges into LoopBegin
         //    blocks from LoopEnd terminators).
@@ -234,6 +243,10 @@ impl Cfg {
         }
         rpo_rev.reverse();
         let rpo = rpo_rev;
+        let mut rpo_pos = vec![NONE; n];
+        for (i, &b) in rpo.iter().enumerate() {
+            rpo_pos[b.index()] = i as u32;
+        }
 
         // 4. Loop membership: for each LoopBegin block, walk predecessors
         //    backwards from its back-edge sources until the header.
@@ -260,9 +273,7 @@ impl Cfg {
         }
         // Assign depth/innermost header: process loops outermost-first
         // (headers earlier in RPO are outer).
-        let rpo_pos: HashMap<BlockId, usize> =
-            rpo.iter().enumerate().map(|(i, &b)| (b, i)).collect();
-        loops.sort_by_key(|(h, _)| rpo_pos.get(h).copied().unwrap_or(usize::MAX));
+        loops.sort_by_key(|(h, _)| rpo_pos[h.index()]);
         for (header, members) in &loops {
             for &m in members {
                 blocks[m.index()].loop_depth += 1;
@@ -270,15 +281,18 @@ impl Cfg {
             }
         }
 
-        let block_of_node: HashMap<NodeId, BlockId> = blocks
-            .iter()
-            .flat_map(|b| b.nodes.iter().map(move |&n| (n, b.id)))
-            .collect();
+        let mut block_of_node = vec![NONE; graph.len()];
+        for b in &blocks {
+            for &node in &b.nodes {
+                block_of_node[node.index()] = b.id.0;
+            }
+        }
 
         Cfg {
             blocks,
             rpo,
             block_of_node,
+            rpo_pos,
         }
     }
 
@@ -292,13 +306,18 @@ impl Cfg {
     /// # Panics
     ///
     /// Panics if the node is not a fixed node of this CFG.
+    #[inline]
     pub fn block_of(&self, node: NodeId) -> BlockId {
-        self.block_of_node[&node]
+        self.try_block_of(node).expect("node is not in the CFG")
     }
 
     /// Block containing a fixed node, if it belongs to this CFG.
+    #[inline]
     pub fn try_block_of(&self, node: NodeId) -> Option<BlockId> {
-        self.block_of_node.get(&node).copied()
+        match self.block_of_node.get(node.index()) {
+            Some(&b) if b != NONE => Some(BlockId(b)),
+            _ => None,
+        }
     }
 
     /// Block accessor.
@@ -335,31 +354,11 @@ impl Cfg {
     /// # Panics
     ///
     /// Panics if the block is unreachable (not in RPO).
+    #[inline]
     pub fn rpo_position(&self, b: BlockId) -> usize {
-        self.rpo
-            .iter()
-            .position(|&x| x == b)
-            .expect("block not in RPO")
-    }
-}
-
-/// An `End`/`LoopEnd` belongs to the unique merge-like node listing it.
-pub fn find_merge_of_end(graph: &Graph, end: NodeId) -> Option<NodeId> {
-    graph.live_nodes().find(|&n| match graph.kind(n) {
-        NodeKind::Merge { ends } | NodeKind::LoopBegin { ends } => ends.contains(&end),
-        _ => false,
-    })
-}
-
-fn chain_head_of(graph: &Graph, mut node: NodeId, heads: &HashMap<NodeId, usize>) -> NodeId {
-    loop {
-        if heads.contains_key(&node) {
-            return node;
-        }
-        node = graph
-            .node(node)
-            .control_pred()
-            .expect("fixed node without predecessor outside any chain");
+        let pos = self.rpo_pos[b.index()];
+        assert!(pos != NONE, "block not in RPO");
+        pos as usize
     }
 }
 
