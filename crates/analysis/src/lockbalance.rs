@@ -12,8 +12,8 @@
 //! enter/exit operands, locks still held at a return, or join points where
 //! two paths disagree on the lock depth.
 
-use crate::dataflow::{solve_forward, BitSet, ForwardAnalysis};
-use crate::escape::alloc_sites;
+use crate::dataflow::{solve_forward, BitSet, ForwardAnalysis, Frame, Join};
+use crate::escape::Sources;
 use pea_bytecode::{Insn, Method, MethodId, Program};
 use std::collections::BTreeSet;
 
@@ -55,7 +55,7 @@ pub struct LockSummary {
     pub method: MethodId,
     pub findings: Vec<LockFinding>,
     /// Upper bound on the simultaneous lock depth per allocation site of
-    /// this method, aligned with [`crate::escape::alloc_sites`] order.
+    /// this method, in bytecode order.
     pub max_depth: Vec<u32>,
 }
 
@@ -72,43 +72,38 @@ impl LockSummary {
     }
 }
 
+/// The abstract monitor stack, the frame's extra.
 #[derive(Clone, PartialEq, Eq)]
-struct LockFrame {
-    locals: Vec<BitSet>,
-    stack: Vec<BitSet>,
+struct Held {
     /// Innermost lock last; each entry is the operand's source set.
     locks: Vec<BitSet>,
     /// A join merged unequal depths; suppress downstream findings.
     broken: bool,
 }
 
+impl Join for Held {
+    fn join(&mut self, other: &Held) -> bool {
+        let mut changed = false;
+        if self.locks.len() != other.locks.len() {
+            changed = !self.broken;
+            self.broken = true;
+            self.locks.truncate(other.locks.len());
+        } else {
+            for (x, y) in self.locks.iter_mut().zip(&other.locks) {
+                changed |= x.union_with(y);
+            }
+        }
+        changed | self.broken.join(&other.broken)
+    }
+}
+
 struct LockFlow {
-    site_bcis: Vec<u32>,
-    n_sites: usize,
-    n_params: usize,
+    src: Sources,
     findings: BTreeSet<LockFinding>,
     max_depth: Vec<u32>,
 }
 
 impl LockFlow {
-    fn n_sources(&self) -> usize {
-        self.n_sites + self.n_params + 1
-    }
-
-    fn unknown_bit(&self) -> usize {
-        self.n_sources() - 1
-    }
-
-    fn empty(&self) -> BitSet {
-        BitSet::new(self.n_sources())
-    }
-
-    fn unknown(&self) -> BitSet {
-        let mut s = self.empty();
-        s.insert(self.unknown_bit());
-        s
-    }
-
     fn record(&mut self, bci: usize, kind: LockFindingKind) {
         self.findings.insert(LockFinding {
             bci: bci as u32,
@@ -118,53 +113,23 @@ impl LockFlow {
 }
 
 impl ForwardAnalysis for LockFlow {
-    type State = LockFrame;
+    type State = Frame<BitSet, Held>;
 
-    fn boundary(&mut self, _program: &Program, method: &Method) -> LockFrame {
-        let mut locals = vec![self.empty(); method.max_locals as usize];
-        for (p, slot) in locals.iter_mut().enumerate().take(self.n_params) {
-            slot.insert(self.n_sites + p);
-        }
-        LockFrame {
-            locals,
-            stack: Vec::new(),
-            // The VM acquires the receiver lock for synchronized methods;
-            // model it so nested explicit locking is counted on top of it.
-            locks: if method.is_synchronized {
-                let mut receiver = self.empty();
-                receiver.insert(self.n_sites);
-                vec![receiver]
-            } else {
-                Vec::new()
-            },
-            broken: false,
-        }
-    }
-
-    fn join(a: &mut LockFrame, b: &LockFrame) -> bool {
-        let mut changed = false;
-        for (x, y) in a.locals.iter_mut().zip(&b.locals) {
-            changed |= x.union_with(y);
-        }
-        for (x, y) in a.stack.iter_mut().zip(&b.stack) {
-            changed |= x.union_with(y);
-        }
-        if a.locks.len() != b.locks.len() {
-            if !a.broken {
-                a.broken = true;
-                changed = true;
-            }
-            a.locks.truncate(b.locks.len().min(a.locks.len()));
+    fn boundary(&self, method: &Method) -> Frame<BitSet, Held> {
+        // The VM acquires the receiver lock for synchronized methods;
+        // model it so nested explicit locking is counted on top of it.
+        let locks = if method.is_synchronized {
+            vec![self.src.single(self.src.n_sites())]
         } else {
-            for (x, y) in a.locks.iter_mut().zip(&b.locks) {
-                changed |= x.union_with(y);
-            }
-        }
-        if b.broken && !a.broken {
-            a.broken = true;
-            changed = true;
-        }
-        changed
+            Vec::new()
+        };
+        self.src.entry(
+            method,
+            Held {
+                locks,
+                broken: false,
+            },
+        )
     }
 
     fn transfer(
@@ -173,119 +138,62 @@ impl ForwardAnalysis for LockFlow {
         method: &Method,
         bci: usize,
         insn: Insn,
-        state: &mut LockFrame,
+        f: &mut Frame<BitSet, Held>,
     ) {
         match insn {
-            Insn::Load(n) => state.stack.push(state.locals[n as usize].clone()),
-            Insn::Store(n) => {
-                let v = state.stack.pop().expect("verified stack");
-                state.locals[n as usize] = v;
-            }
-            Insn::New(_) | Insn::NewArray(_) => {
-                if matches!(insn, Insn::NewArray(_)) {
-                    state.stack.pop();
-                }
-                let site = self
-                    .site_bcis
-                    .iter()
-                    .position(|&b| b == bci as u32)
-                    .expect("every allocation is a site");
-                let mut s = self.empty();
-                s.insert(site);
-                state.stack.push(s);
-            }
-            Insn::Dup => {
-                let top = state.stack.last().expect("verified stack").clone();
-                state.stack.push(top);
-            }
-            Insn::Swap => {
-                let n = state.stack.len();
-                state.stack.swap(n - 1, n - 2);
-            }
-            Insn::CheckCast(_) => {}
-            Insn::GetField(_) => {
-                state.stack.pop();
-                state.stack.push(self.unknown());
-            }
-            Insn::ArrayLoad => {
-                state.stack.pop();
-                state.stack.pop();
-                state.stack.push(self.unknown());
-            }
-            Insn::GetStatic(_) => state.stack.push(self.unknown()),
+            Insn::New(_) | Insn::NewArray(_) => f.apply(program, insn, self.src.site(bci)),
+            Insn::GetField(_)
+            | Insn::ArrayLoad
+            | Insn::GetStatic(_)
+            | Insn::InvokeStatic(_)
+            | Insn::InvokeVirtual(_) => f.apply(program, insn, self.src.unknown()),
             Insn::MonitorEnter => {
-                let obj = state.stack.pop().expect("verified stack");
-                state.locks.push(obj);
-                if !state.broken {
-                    for site in state.locks.last().expect("just pushed").clone().iter() {
-                        if site < self.n_sites {
-                            let depth =
-                                state.locks.iter().filter(|l| l.contains(site)).count() as u32;
-                            self.max_depth[site] = self.max_depth[site].max(depth);
-                        }
+                let obj = f.pop();
+                let held = &mut f.extra;
+                held.locks.push(obj);
+                if !held.broken {
+                    let innermost = held.locks.last().expect("just pushed");
+                    for site in innermost.iter().filter(|&s| s < self.src.n_sites()) {
+                        let depth = held.locks.iter().filter(|l| l.contains(site)).count() as u32;
+                        self.max_depth[site] = self.max_depth[site].max(depth);
                     }
                 }
             }
             Insn::MonitorExit => {
-                let obj = state.stack.pop().expect("verified stack");
-                match state.locks.pop() {
+                let obj = f.pop();
+                match f.extra.locks.pop() {
                     None => {
-                        if !state.broken {
+                        if !f.extra.broken {
                             self.record(bci, LockFindingKind::ExitWithoutEnter);
-                            state.broken = true;
+                            f.extra.broken = true;
                         }
                     }
                     Some(top) => {
+                        let unknown = self.src.unknown_bit();
                         let provable = !obj.is_empty()
                             && !top.is_empty()
-                            && !obj.contains(self.unknown_bit())
-                            && !top.contains(self.unknown_bit());
-                        if provable && !obj.intersects(&top) && !state.broken {
+                            && !obj.contains(unknown)
+                            && !top.contains(unknown);
+                        if provable && !obj.intersects(&top) && !f.extra.broken {
                             self.record(bci, LockFindingKind::MismatchedExit);
                         }
                     }
                 }
             }
-            Insn::InvokeStatic(target) | Insn::InvokeVirtual(target) => {
-                let callee = program.method(target);
-                for _ in 0..callee.param_count {
-                    state.stack.pop();
-                }
-                if callee.returns_value {
-                    state.stack.push(self.unknown());
-                }
-            }
             Insn::Return | Insn::ReturnValue => {
-                if matches!(insn, Insn::ReturnValue) {
-                    state.stack.pop();
-                }
                 let expected = usize::from(method.is_synchronized);
-                if state.locks.len() != expected && !state.broken {
+                if f.extra.locks.len() != expected && !f.extra.broken {
                     self.record(bci, LockFindingKind::UnreleasedAtReturn);
                 }
+                f.apply(program, insn, self.src.empty());
             }
-            Insn::Throw => {
-                // Throw aborts the whole VM run in this machine; no unwind
-                // releases to account for.
-                state.stack.pop();
-            }
-            Insn::Athrow => {
-                // A catchable throw. Which monitors are still held depends
-                // on which handler (here or in a caller) catches it, and
-                // well-formed try-finally regions release in the handler —
-                // a path this per-bci lattice cannot follow, so holding
-                // locks at an `athrow` is not reported as a finding.
-                state.stack.pop();
-            }
-            other => {
-                let empty = self.empty();
-                for _ in 0..other.pops() {
-                    state.stack.pop().expect("verified stack");
-                }
-                for _ in 0..other.pushes() {
-                    state.stack.push(empty.clone());
-                }
-            }
+            // `throw` aborts the whole VM run, so no unwind releases
+            // monitors. Which monitors are still held at a catchable
+            // `athrow` depends on which handler (here or in a caller)
+            // catches it, and well-formed try-finally regions release in
+            // the handler — a path this per-bci lattice cannot follow, so
+            // holding locks at an `athrow` is not a finding.
+            _ => f.apply(program, insn, self.src.empty()),
         }
     }
 }
@@ -293,19 +201,16 @@ impl ForwardAnalysis for LockFlow {
 /// Runs the lock-balance analysis over one (verified) method.
 pub fn analyze_locks(program: &Program, method_id: MethodId) -> LockSummary {
     let method = program.method(method_id);
-    let sites = alloc_sites(method);
-    let n_sites = sites.len();
+    let src = Sources::new(method);
     let mut flow = LockFlow {
-        site_bcis: sites.iter().map(|&(b, _)| b).collect(),
-        n_sites,
-        n_params: method.param_count as usize,
+        max_depth: vec![0; src.n_sites()],
+        src,
         findings: BTreeSet::new(),
-        max_depth: vec![0; n_sites],
     };
     let states = solve_forward(program, method, &mut flow);
     if let Some(bci) = states
         .iter()
-        .position(|s| s.as_ref().is_some_and(|s| s.broken))
+        .position(|s| s.as_ref().is_some_and(|s| s.extra.broken))
     {
         flow.record(bci, LockFindingKind::InconsistentDepthAtJoin);
     }

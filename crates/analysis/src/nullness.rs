@@ -11,7 +11,7 @@
 //! * a count of *maybe*-null dereferences (sites PEA must keep a null
 //!   check for).
 
-use crate::dataflow::{solve_forward, EdgeKind, ForwardAnalysis};
+use crate::dataflow::{arity, solve_forward, EdgeKind, ForwardAnalysis, Frame};
 use pea_bytecode::{Insn, Method, MethodId, Program};
 use std::collections::BTreeSet;
 
@@ -53,12 +53,6 @@ pub struct NullnessSummary {
     pub maybe_null_derefs: usize,
 }
 
-#[derive(Clone, PartialEq, Eq)]
-struct NullFrame {
-    locals: Vec<u8>,
-    stack: Vec<u8>,
-}
-
 struct NullFlow {
     findings: BTreeSet<NullFinding>,
     maybe_null: BTreeSet<u32>,
@@ -81,11 +75,12 @@ impl NullFlow {
 }
 
 impl ForwardAnalysis for NullFlow {
-    type State = NullFrame;
+    type State = Frame<u8>;
 
-    fn boundary(&mut self, _program: &Program, method: &Method) -> NullFrame {
-        let mut locals = vec![UNASSIGNED; method.max_locals as usize];
-        for (i, slot) in locals
+    fn boundary(&self, method: &Method) -> Frame<u8> {
+        let mut frame = Frame::new(method, UNASSIGNED, ());
+        for (i, slot) in frame
+            .locals
             .iter_mut()
             .enumerate()
             .take(method.param_count as usize)
@@ -98,38 +93,19 @@ impl ForwardAnalysis for NullFlow {
                 NULL | NONNULL
             };
         }
-        NullFrame {
-            locals,
-            stack: Vec::new(),
-        }
+        frame
     }
 
-    fn handler_boundary(&mut self, _program: &Program, method: &Method) -> Option<NullFrame> {
+    fn handler_boundary(&self, method: &Method) -> Option<Frame<u8>> {
         // Handler code must be analyzed too (it dereferences the caught
         // exception and whatever locals the try block left behind). Locals
         // are assumed assigned-to-anything — the unwound path may have
         // skipped stores, so claiming UNASSIGNED here would fabricate
         // read-before-store findings on perfectly normal catch blocks. The
         // caught exception on the stack is always a real object.
-        Some(NullFrame {
-            locals: vec![NULL | NONNULL; method.max_locals as usize],
-            stack: vec![NONNULL],
-        })
-    }
-
-    fn join(a: &mut NullFrame, b: &NullFrame) -> bool {
-        let mut changed = false;
-        for (x, y) in a.locals.iter_mut().zip(&b.locals) {
-            let next = *x | y;
-            changed |= next != *x;
-            *x = next;
-        }
-        for (x, y) in a.stack.iter_mut().zip(&b.stack) {
-            let next = *x | y;
-            changed |= next != *x;
-            *x = next;
-        }
-        changed
+        let mut frame = Frame::new(method, NULL | NONNULL, ());
+        frame.push(NONNULL);
+        Some(frame)
     }
 
     fn transfer(
@@ -138,116 +114,56 @@ impl ForwardAnalysis for NullFlow {
         _method: &Method,
         bci: usize,
         insn: Insn,
-        state: &mut NullFrame,
+        f: &mut Frame<u8>,
     ) {
         let any = NULL | NONNULL;
         match insn {
             Insn::Load(n) => {
-                let v = state.locals[n as usize];
+                let v = f.locals[n as usize];
                 if v & UNASSIGNED != 0 {
                     self.findings.insert(NullFinding {
                         bci: bci as u32,
                         kind: NullFindingKind::ReadBeforeStore { local: n },
                     });
-                }
-                // Unassigned locals read as well-defined defaults (0/null).
-                let loaded = if v & UNASSIGNED != 0 {
-                    (v & !UNASSIGNED) | NULL | NONNULL
+                    // Unassigned locals read as well-defined defaults
+                    // (0/null).
+                    f.push((v & !UNASSIGNED) | any);
                 } else {
-                    v
+                    f.push(v);
+                }
+            }
+            Insn::ConstNull => f.push(NULL),
+            Insn::GetStatic(_) | Insn::InvokeStatic(_) => f.apply(program, insn, any),
+            // Dereferences: the receiver is the deepest operand.
+            Insn::GetField(_)
+            | Insn::PutField(_)
+            | Insn::ArrayLoad
+            | Insn::ArrayStore
+            | Insn::ArrayLength
+            | Insn::MonitorEnter
+            | Insn::MonitorExit
+            | Insn::InvokeVirtual(_) => {
+                self.deref(bci, *f.peek(arity(program, insn).0));
+                let result = if insn == Insn::ArrayLength {
+                    NONNULL
+                } else {
+                    any
                 };
-                state.stack.push(loaded);
+                f.apply(program, insn, result);
             }
-            Insn::Store(n) => {
-                let v = state.stack.pop().expect("verified stack");
-                state.locals[n as usize] = v;
-            }
-            Insn::Const(_) => state.stack.push(NONNULL),
-            Insn::ConstNull => state.stack.push(NULL),
-            Insn::New(_) => state.stack.push(NONNULL),
-            Insn::NewArray(_) => {
-                state.stack.pop();
-                state.stack.push(NONNULL);
-            }
-            Insn::Dup => {
-                let top = *state.stack.last().expect("verified stack");
-                state.stack.push(top);
-            }
-            Insn::Swap => {
-                let n = state.stack.len();
-                state.stack.swap(n - 1, n - 2);
-            }
-            Insn::GetField(_) => {
-                let obj = state.stack.pop().expect("verified stack");
-                self.deref(bci, obj);
-                state.stack.push(any);
-            }
-            Insn::PutField(_) => {
-                state.stack.pop();
-                let obj = state.stack.pop().expect("verified stack");
-                self.deref(bci, obj);
-            }
-            Insn::ArrayLoad => {
-                state.stack.pop();
-                let arr = state.stack.pop().expect("verified stack");
-                self.deref(bci, arr);
-                state.stack.push(any);
-            }
-            Insn::ArrayStore => {
-                state.stack.pop();
-                state.stack.pop();
-                let arr = state.stack.pop().expect("verified stack");
-                self.deref(bci, arr);
-            }
-            Insn::ArrayLength => {
-                let arr = state.stack.pop().expect("verified stack");
-                self.deref(bci, arr);
-                state.stack.push(NONNULL);
-            }
-            Insn::MonitorEnter | Insn::MonitorExit => {
-                let obj = state.stack.pop().expect("verified stack");
-                self.deref(bci, obj);
-            }
-            Insn::GetStatic(_) => state.stack.push(any),
-            Insn::CheckCast(_) => {} // a null reference passes any cast
-            Insn::InstanceOf(_) => {
-                state.stack.pop();
-                state.stack.push(NONNULL);
-            }
-            Insn::InvokeStatic(target) | Insn::InvokeVirtual(target) => {
-                let callee = program.method(target);
-                let argc = callee.param_count as usize;
-                if matches!(insn, Insn::InvokeVirtual(_)) {
-                    let receiver = state.stack[state.stack.len() - argc];
-                    self.deref(bci, receiver);
-                }
-                for _ in 0..argc {
-                    state.stack.pop();
-                }
-                if callee.returns_value {
-                    state.stack.push(any);
-                }
-            }
-            other => {
-                for _ in 0..other.pops() {
-                    state.stack.pop().expect("verified stack");
-                }
-                for _ in 0..other.pushes() {
-                    state.stack.push(NONNULL);
-                }
-            }
+            // A null reference passes any cast (`apply` keeps it); every
+            // other result is an int or a fresh object.
+            _ => f.apply(program, insn, NONNULL),
         }
     }
 
     fn refine_edge(
         &mut self,
-        _program: &Program,
         method: &Method,
         bci: usize,
         insn: Insn,
         edge: EdgeKind,
-        _target: usize,
-        state: &mut NullFrame,
+        f: &mut Frame<u8>,
     ) -> bool {
         // `load n; ifnull L` pins local `n`'s null-ness per outgoing edge:
         // the taken side sees the local definitely null, the fall-through
@@ -261,7 +177,7 @@ impl ForwardAnalysis for NullFlow {
         let Some(&Insn::Load(n)) = method.code.get(bci - 1) else {
             return true;
         };
-        let v = state.locals[n as usize];
+        let v = f.locals[n as usize];
         if v & UNASSIGNED != 0 {
             // An unassigned local reads as a well-defined default; keep
             // the bit so later reads still report read-before-store.
@@ -274,7 +190,7 @@ impl ForwardAnalysis for NullFlow {
         if refined == 0 {
             return false;
         }
-        state.locals[n as usize] = refined;
+        f.locals[n as usize] = refined;
         true
     }
 }

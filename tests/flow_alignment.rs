@@ -16,32 +16,32 @@ use pea::workloads::{Pattern, PatternInstance};
 ///   certificate only ever appears on a `GlobalEscape` site;
 /// * `excluded_sites_flow` ⊇ `excluded_sites` per method;
 /// * the fixpoint is stable — recomputing the summaries from scratch
-///   reproduces every flow summary exactly.
+///   reproduces every summary exactly.
 fn assert_flow_invariants(program: &Program, label: &str) {
     let summaries = ProgramSummaries::compute(program);
     let again = ProgramSummaries::compute(program);
     for index in 0..program.methods.len() {
         let id = MethodId::from_index(index);
         let s = summaries.summary(id);
-        for site in &s.flow.sites {
+        for site in &s.sites {
             assert_eq!(
                 site.path == PathEscape::NoEscape,
-                site.insensitive == EscapeClass::NoEscape,
+                site.escape == EscapeClass::NoEscape,
                 "{label}, method {index}, site {}: path `{}` vs insensitive `{}`",
                 site.bci,
                 site.path.as_str(),
-                site.insensitive.as_str()
+                site.escape.as_str()
             );
             if site.certain_global {
                 assert_eq!(
-                    site.insensitive,
+                    site.escape,
                     EscapeClass::GlobalEscape,
                     "{label}, method {index}, site {}: certain-escape on a non-global site",
                     site.bci
                 );
             }
         }
-        if matches!(s.flow.throw_path, ThrowPath::Never) {
+        if matches!(s.throw_path, ThrowPath::Never) {
             assert!(
                 !s.may_throw,
                 "{label}, method {index}: ThrowPath::Never on a may-throw method"
@@ -54,8 +54,8 @@ fn assert_flow_invariants(program: &Program, label: &str) {
             "{label}, method {index}: ipa {ipa:?} ⊄ flow {flow:?}"
         );
         assert_eq!(
-            s.flow,
-            again.summary(id).flow,
+            s,
+            again.summary(id),
             "{label}, method {index}: flow fixpoint is unstable"
         );
     }
@@ -86,10 +86,10 @@ fn paper_examples_get_the_expected_path_verdicts() {
     verify_program(&program).unwrap();
     let summaries = ProgramSummaries::compute(&program);
     let get_value = program.static_method_by_name("getValue").unwrap();
-    let flow = &summaries.summary(get_value).flow;
+    let flow = summaries.summary(get_value);
     assert_eq!(flow.sites.len(), 1);
     let key = &flow.sites[0];
-    assert_eq!(key.insensitive, EscapeClass::GlobalEscape);
+    assert_eq!(key.escape, EscapeClass::GlobalEscape);
     assert_eq!(
         key.path,
         PathEscape::EscapesOnColdBranch(12),
@@ -117,11 +117,11 @@ fn paper_examples_get_the_expected_path_verdicts() {
     verify_program(&program).unwrap();
     let summaries = ProgramSummaries::compute(&program);
     let parse = program.static_method_by_name("parse0").unwrap();
-    let flow = &summaries.summary(parse).flow;
+    let flow = summaries.summary(parse);
     let err_site = flow
         .sites
         .iter()
-        .find(|s| s.insensitive == EscapeClass::GlobalEscape)
+        .find(|s| s.escape == EscapeClass::GlobalEscape)
         .expect("the thrown PErr site is GlobalEscape");
     assert_eq!(
         err_site.path,
