@@ -54,10 +54,6 @@ pub struct CompileServiceOptions {
     /// request either evicts the coldest pending one (if strictly hotter)
     /// or is rejected.
     pub queue_capacity: usize,
-    /// Run the PEA decision sanitizer (see `pea-analysis`) over every
-    /// finished compilation; findings are reported on the
-    /// [`CompileOutcome`] and the VM panics when installing them.
-    pub checked: bool,
     /// Metrics handle; queue admission/rejection counters, the depth
     /// gauge, and per-compilation PEA/phase metrics flow through it.
     pub metrics: MetricsHub,
@@ -68,7 +64,6 @@ impl Default for CompileServiceOptions {
         CompileServiceOptions {
             workers: None,
             queue_capacity: 128,
-            checked: false,
             metrics: MetricsHub::disabled(),
         }
     }
@@ -209,9 +204,9 @@ struct Shared {
     program: Arc<Program>,
     options: CompilerOptions,
     metrics: MetricsHub,
-    /// Static escape verdicts for the sanitizer; `Some` iff checked mode
-    /// is on (computed once at service start, shared by all workers).
-    verdicts: Option<pea_analysis::StaticVerdicts>,
+    /// The VM's static escape verdicts for the sanitizer; `Some` iff
+    /// checked mode is on.
+    verdicts: Option<Arc<pea_analysis::StaticVerdicts>>,
     /// Next mailbox id.
     mailbox_seq: AtomicU64,
     queue: Mutex<Queue>,
@@ -231,15 +226,16 @@ pub struct CompileService {
 
 impl CompileService {
     /// Starts `options.workers` worker threads compiling against
-    /// `program` at `compiler` options.
+    /// `program` at `compiler` options. With `verdicts` (checked mode) the
+    /// PEA decision sanitizer runs over every finished compilation; its
+    /// findings are reported on the [`CompileOutcome`] and the VM panics
+    /// when installing them.
     pub fn start(
         program: Arc<Program>,
         compiler: CompilerOptions,
         options: &CompileServiceOptions,
+        verdicts: Option<Arc<pea_analysis::StaticVerdicts>>,
     ) -> CompileService {
-        let verdicts = options
-            .checked
-            .then(|| pea_analysis::StaticVerdicts::analyze(&program));
         let shared = Arc::new(Shared {
             program,
             options: compiler,
@@ -601,9 +597,9 @@ mod tests {
             &CompileServiceOptions {
                 workers: Some(1),
                 queue_capacity: 4,
-                checked: false,
                 metrics: MetricsHub::disabled(),
             },
+            None,
         );
         let a = service.register_mailbox(None);
         let b = service.register_mailbox(None);

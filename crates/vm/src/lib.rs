@@ -244,7 +244,7 @@ pub struct VmShared {
     /// from any mutator.
     service: OnceLock<CompileService>,
     /// Static escape verdicts for the sanitizer, computed lazily on the
-    /// first checked compilation.
+    /// first checked compilation and shared with the compile service.
     verdicts: OnceLock<Arc<pea_analysis::StaticVerdicts>>,
     /// TLAB chunk allocator: every mutator heap draws bump-arena capacity
     /// from here in [`pea_runtime::TLAB_CELLS`]-sized chunks.
@@ -929,9 +929,9 @@ impl Mutator {
                 &CompileServiceOptions {
                     workers: shared.options.compile_workers,
                     queue_capacity: shared.options.compile_queue_capacity,
-                    checked: shared.options.checked,
                     metrics: shared.options.metrics.clone(),
                 },
+                shared.options.checked.then(|| self.static_verdicts()),
             )
         });
         if self.mailbox.is_none() {
