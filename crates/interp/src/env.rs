@@ -1,5 +1,6 @@
 //! The execution environment the interpreter runs against.
 
+use crate::Activation;
 use pea_bytecode::{MethodId, Program};
 use pea_metrics::profile::ProfileRecorder;
 use pea_metrics::MetricsHub;
@@ -11,12 +12,24 @@ use std::sync::Arc;
 /// far deeper than any call chain the bundled programs build.
 pub const VALUE_STACK_RESERVE: usize = 1 << 12;
 
+/// What the host made of a call the interpreter put to it.
+#[derive(Clone, Copy, Debug)]
+pub enum Callee {
+    /// The interpreter runs the callee itself, in the caller's loop: its
+    /// arguments stay where they are as its first locals, and the host has
+    /// counted one more activation, until [`InterpEnv::leave`].
+    Interpret,
+    /// The host ran the callee in its own tier; this is what it returned.
+    /// Its arguments are gone from the value stack.
+    Returned(Option<Value>),
+}
+
 /// Services the interpreter needs from its host.
 ///
-/// The tiered VM implements this to route [`InterpEnv::invoke`] through
-/// its compilation policy; tests use [`SimpleEnv`], which always
-/// interprets. The interpreter is generic over the host, so each host
-/// gets its own monomorphic dispatch loop.
+/// The tiered VM implements this to decide each call's tier in
+/// [`InterpEnv::enter`] by its compilation policy; tests use
+/// [`SimpleEnv`], which always interprets. The interpreter is generic over
+/// the host, so each host gets its own monomorphic dispatch loop.
 pub trait InterpEnv {
     /// The managed heap.
     fn heap(&mut self) -> &mut Heap;
@@ -39,24 +52,38 @@ pub trait InterpEnv {
     /// Whether [`InterpEnv::charge`] enforces a fuel budget. When it does,
     /// every instruction charges its dispatch and its operation apart, so
     /// `OutOfFuel` leaves exactly the cycles it always has; otherwise a
-    /// frame adds its charges up, makes one charge when it exits and runs
-    /// the fused dispatch stream.
+    /// run of the loop adds its charges up, makes one charge when it ends
+    /// and runs the fused dispatch stream.
     fn has_fuel_limit(&self) -> bool;
-    /// Performs a (resolved) call whose `argc` arguments are the top of
-    /// [`InterpEnv::value_stack`]; the host picks the tier. The arguments
-    /// are gone from the stack when this returns, whatever it returns.
+    /// The activation stack: the interpreted callers suspended while the
+    /// loop runs their callees, beside the value stack their windows live
+    /// on. Reused across calls, so calls allocate nothing while it has
+    /// room.
+    fn activations(&mut self) -> &mut Vec<Activation>;
+    /// Decides the tier of a (resolved) call whose `argc` arguments are the
+    /// top of [`InterpEnv::value_stack`]: either admits an interpreted
+    /// activation, which counts toward [`MAX_CALL_DEPTH`] until the
+    /// matching [`InterpEnv::leave`], or runs the callee itself and
+    /// returns its result. The host's method-entry safepoint goes here.
+    /// The interpreter's loop inlines this, so a host keeps the common
+    /// answers in line and the rest out of it.
     ///
     /// # Errors
     ///
-    /// Whatever the callee raises.
-    fn invoke(
+    /// [`VmError::StackOverflow`] past [`MAX_CALL_DEPTH`] activations, or
+    /// whatever a callee the host ran raises. Either way the interpreter
+    /// discards the caller's window.
+    fn enter(
         &mut self,
         program: &Program,
         method: MethodId,
         argc: usize,
-    ) -> Result<Option<Value>, VmError>;
-    /// Safepoint poll, called at loop back-edges (method entry is the
-    /// host's own responsibility). The tiered VM uses this to install
+    ) -> Result<Callee, VmError>;
+    /// Releases an activation [`InterpEnv::enter`] admitted, whether it
+    /// returned, threw or was abandoned on an error.
+    fn leave(&mut self);
+    /// Safepoint poll, called at loop back-edges (method entry is
+    /// [`InterpEnv::enter`]'s). The tiered VM uses this to install
     /// methods finished by background compiler threads without waiting
     /// for the current (possibly long-running) interpreted loop to exit.
     /// Each mutator thread implements its own `InterpEnv`, so a poll
@@ -96,8 +123,8 @@ pub fn check_arity(program: &Program, method: MethodId, args: &[Value]) -> Resul
 }
 
 /// A minimal interpret-everything environment for tests and examples: owns
-/// the heap and statics and recursively interprets every call, up to
-/// [`MAX_CALL_DEPTH`] activations.
+/// the heap and statics and interprets every call in the caller's loop, up
+/// to [`MAX_CALL_DEPTH`] activations.
 #[derive(Debug)]
 pub struct SimpleEnv {
     program: Arc<Program>,
@@ -113,6 +140,7 @@ pub struct SimpleEnv {
     pub metrics: MetricsHub,
     spent: u64,
     stack: Vec<Value>,
+    activations: Vec<Activation>,
     /// Activations running, the entry call included.
     depth: usize,
 }
@@ -130,6 +158,7 @@ impl SimpleEnv {
             metrics: MetricsHub::disabled(),
             spent: 0,
             stack: Vec::with_capacity(VALUE_STACK_RESERVE),
+            activations: Vec::with_capacity(MAX_CALL_DEPTH),
             depth: 0,
         }
     }
@@ -203,21 +232,20 @@ impl InterpEnv for SimpleEnv {
         self.fuel.is_some()
     }
 
-    fn invoke(
-        &mut self,
-        program: &Program,
-        method: MethodId,
-        argc: usize,
-    ) -> Result<Option<Value>, VmError> {
+    fn activations(&mut self) -> &mut Vec<Activation> {
+        &mut self.activations
+    }
+
+    fn enter(&mut self, _: &Program, _: MethodId, _: usize) -> Result<Callee, VmError> {
         if self.depth >= MAX_CALL_DEPTH {
-            let base = self.stack.len() - argc;
-            self.stack.truncate(base);
             return Err(VmError::StackOverflow);
         }
         self.depth += 1;
-        let result = crate::interpret_on_stack(program, self, method, argc);
+        Ok(Callee::Interpret)
+    }
+
+    fn leave(&mut self) {
         self.depth -= 1;
-        result
     }
 
     fn metrics(&self) -> &MetricsHub {

@@ -3,7 +3,7 @@
 use pea_bytecode::MethodId;
 use pea_runtime::{ObjRef, Value};
 
-/// One interpreter activation.
+/// One interpreter frame handed over by deoptimization or unwinding.
 ///
 /// The hand-off type of deoptimization and exception unwinding: the VM's
 /// deoptimization handler rebuilds the whole inlined frame chain from a

@@ -13,15 +13,17 @@
 //!    (rematerializing virtual objects first, §5.5 of the paper) and
 //!    resumes here via [`resume`].
 //!
-//! The interpreter is generic over an [`InterpEnv`] so the VM can
-//! intercept calls (tier dispatch) and cycle accounting, each host with
-//! its own monomorphic loop. Frames are windows on the host's value
-//! stack, so an interpreted call allocates nothing.
+//! The interpreter is generic over an [`InterpEnv`] so the VM can decide
+//! each call's tier and own the cycle accounting, each host with its own
+//! monomorphic loop. One run of the loop executes a whole chain of
+//! interpreted activations: a call, a return and an exception's unwinding
+//! stay in it, and frames are windows on the host's value stack, so an
+//! interpreted call allocates nothing and takes no host stack.
 
 mod env;
 mod exec;
 mod frame;
 
-pub use env::{check_arity, InterpEnv, SimpleEnv, VALUE_STACK_RESERVE};
-pub use exec::{interpret, interpret_on_stack, opcode_slot, resume, unwind, OPCODE_NAMES};
+pub use env::{check_arity, Callee, InterpEnv, SimpleEnv, VALUE_STACK_RESERVE};
+pub use exec::{interpret, opcode_slot, resume, unwind, Activation, OPCODE_NAMES};
 pub use frame::Frame;

@@ -9,7 +9,7 @@
 
 use pea_bytecode::asm::parse_program;
 use pea_bytecode::{verify_program, Fused, Method, MethodId, Program};
-use pea_interp::{interpret, interpret_on_stack, resume, Frame, InterpEnv, SimpleEnv};
+use pea_interp::{interpret, resume, Activation, Callee, Frame, InterpEnv, SimpleEnv};
 use pea_runtime::profile::ProfileStore;
 use pea_runtime::{Heap, Statics, Stats, Value, VmError};
 
@@ -356,13 +356,19 @@ impl InterpEnv for Polls {
     fn has_fuel_limit(&self) -> bool {
         self.observed
     }
-    fn invoke(
+    fn activations(&mut self) -> &mut Vec<Activation> {
+        self.env.activations()
+    }
+    fn enter(
         &mut self,
         program: &Program,
         method: MethodId,
         argc: usize,
-    ) -> Result<Option<Value>, VmError> {
-        interpret_on_stack(program, self, method, argc)
+    ) -> Result<Callee, VmError> {
+        self.env.enter(program, method, argc)
+    }
+    fn leave(&mut self) {
+        self.env.leave();
     }
     fn safepoint(&mut self) {
         self.polls += 1;

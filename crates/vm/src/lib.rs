@@ -60,7 +60,7 @@ use pea_compiler::{
     EvalOutcome, INLINE_ARGS,
 };
 use pea_interp::{
-    check_arity, interpret, interpret_on_stack, resume, unwind, Frame, InterpEnv,
+    check_arity, interpret, resume, unwind, Activation, Callee, Frame, InterpEnv,
     VALUE_STACK_RESERVE,
 };
 pub use pea_metrics::profile::{ProfileRecorder, ProfilerHub, Tier};
@@ -301,6 +301,7 @@ impl VmShared {
             statics,
             profiles: ProfileStore::new(),
             stack: Vec::with_capacity(VALUE_STACK_RESERVE),
+            activations: Vec::with_capacity(MAX_CALL_DEPTH),
             pinned: vec![None; methods],
             bailed_out: vec![false; methods],
             deopt_counts: vec![0; methods],
@@ -329,6 +330,9 @@ pub struct Mutator {
     profiles: ProfileStore,
     /// The value stack every interpreted frame of this mutator lives on.
     stack: Vec<Value>,
+    /// The interpreted callers suspended while the interpreter's loop runs
+    /// their callees.
+    activations: Vec<Activation>,
     // Per-method tiering state, indexed by `MethodId`.
     /// The dispatch hot path: compiled methods this mutator installed.
     /// Thread-private — a compiled call performs no lock acquisition and
@@ -361,16 +365,6 @@ pub struct Mutator {
     snapshot_seq: u64,
     /// Baseline for metrics snapshot deltas.
     last_snapshot: MetricsSnapshot,
-}
-
-/// Where a call's arguments are.
-#[derive(Clone, Copy)]
-enum Args<'a> {
-    /// In a slice the caller owns.
-    Slice(&'a [Value]),
-    /// The top this-many values of the mutator's value stack, pushed by an
-    /// interpreted caller.
-    Stack(usize),
 }
 
 /// The virtual machine: the shared state plus its main mutator.
@@ -470,14 +464,15 @@ impl Vm {
 }
 
 /// Stack size of a thread that runs a mutator: room for
-/// [`MAX_CALL_DEPTH`] activations at 64 KiB each, plus 8 MiB for the
-/// thread's own caller and a synchronous compile at the deepest level.
-/// An unoptimized x86-64 build measured up to 54 KiB per level
-/// (interpreted; 39 KiB graph oracle, 29 KiB linear tier), so a deep
-/// recursion reaches [`VmError::StackOverflow`] instead of overflowing
-/// the host stack. [`Vm::run_threads`] spawns its threads with it; a
-/// host that runs a [`Vm`] on a thread of its own should give that
-/// thread as much.
+/// [`MAX_CALL_DEPTH`] levels at 64 KiB each, plus 8 MiB for the thread's
+/// own caller and a synchronous compile at the deepest level. An
+/// interpreted call from interpreted code takes no host stack (it stays in
+/// its caller's loop), but a compiled activation takes a level, and so
+/// does each run of the interpreter entered from compiled code. An
+/// unoptimized x86-64 build measured up to 39 KiB per graph-oracle and
+/// 29 KiB per linear-tier level, so a deep recursion reaches
+/// [`VmError::StackOverflow`] instead of overflowing the host stack. [`Vm::run_threads`] spawns its threads with it; a host that runs
+/// a [`Vm`] on a thread of its own should give that thread as much.
 pub const MUTATOR_STACK_SIZE: usize = MAX_CALL_DEPTH * (64 << 10) + (8 << 20);
 
 /// Runs each mutator on its own scoped thread of [`MUTATOR_STACK_SIZE`]
@@ -653,7 +648,7 @@ impl Mutator {
             .static_method_by_name(name)
             .ok_or_else(|| VmError::NoSuchMethod(name.to_string()))?;
         check_arity(&program, method, args)?;
-        let result = match self.call_with(&program, method, Args::Slice(args)) {
+        let result = match self.call_with(&program, method, args) {
             // An exception escaped every frame: report it structurally
             // (class name + int fields) — raw heap ids differ between
             // tiers when scalar replacement elides allocations.
@@ -686,19 +681,15 @@ impl Mutator {
         }
     }
 
-    /// Calls a method through the tiering policy, with the arguments
-    /// wherever the caller has them; any left on the value stack are gone
-    /// when this returns.
+    /// Calls a method through the tiering policy, with arguments the
+    /// caller holds in a slice: the entry call and compiled code's
+    /// out-of-line calls.
     fn call_with(
         &mut self,
         program: &Program,
         method: MethodId,
-        args: Args<'_>,
+        args: &[Value],
     ) -> Result<Option<Value>, VmError> {
-        let floor = match args {
-            Args::Slice(_) => self.stack.len(),
-            Args::Stack(argc) => self.stack.len() - argc,
-        };
         self.depth += 1;
         // Outermost call: establish a base attribution context so cycles
         // charged before a tier takes over (call overhead, unwinding) are
@@ -715,7 +706,6 @@ impl Mutator {
             self.heap.flush_metrics();
         }
         self.depth -= 1;
-        self.stack.truncate(floor);
         result
     }
 
@@ -723,111 +713,130 @@ impl Mutator {
         &mut self,
         program: &Program,
         method: MethodId,
-        args: Args<'_>,
+        args: &[Value],
     ) -> Result<Option<Value>, VmError> {
         if self.depth > MAX_CALL_DEPTH {
             return Err(VmError::StackOverflow);
         }
+        match self.tier(program, method) {
+            Some(code) => self.run_compiled(program, &code, args),
+            None => interpret(program, self, method, args),
+        }
+    }
+
+    /// The one tier decision of a call: the compiled code to run `method`
+    /// with, or `None` to interpret it. Installed code and a method below
+    /// the compile threshold are answered here; compiling and requesting a
+    /// background compile are [`Mutator::promote`]'s.
+    #[inline(always)]
+    fn tier(&mut self, program: &Program, method: MethodId) -> Option<Arc<CompiledMethod>> {
         // Method-entry safepoint: install anything the background
         // compilers finished since the last poll.
         if self.options.jit_mode == JitMode::Background {
             self.drain_background();
         }
-        if let Some(code) = self.pinned[method.index()].clone() {
+        if let Some(code) = &self.pinned[method.index()] {
             // The dispatch hot path: thread-private table, no locks, no
             // shared loads. The `Arc` clone (~10 ns) keeps the artifact
             // alive while it runs: a recursive activation may evict or
             // replace this entry, and holding a borrow of `self.pinned`
             // across the `&mut self` run would take `unsafe`.
-            return self.run_compiled_with(program, &code, args);
+            return Some(Arc::clone(code));
         }
         if self.options.jit
             && !self.bailed_out[method.index()]
             && self.profiles.invocation_count(method) >= self.options.compile_threshold
         {
-            match self.options.jit_mode {
-                JitMode::Sync => {
-                    if self.evicted[method.index()] {
-                        if let Some(m) = self.options.metrics.on() {
-                            m.vm.recompiles.inc();
-                        }
-                        if let Some(sink) = &self.options.trace {
-                            sink.emit_event(&TraceEvent::Recompile {
-                                method: program.method(method).qualified_name(program),
-                            });
-                        }
+            return self.promote(program, method);
+        }
+        None
+    }
+
+    /// A method that crossed the compile threshold: compiles and installs
+    /// it (sync), or requests its compilation and keeps interpreting
+    /// (background). `None` when it stays interpreted.
+    #[inline(never)]
+    fn promote(&mut self, program: &Program, method: MethodId) -> Option<Arc<CompiledMethod>> {
+        match self.options.jit_mode {
+            JitMode::Sync => {
+                if self.evicted[method.index()] {
+                    if let Some(m) = self.options.metrics.on() {
+                        m.vm.recompiles.inc();
                     }
-                    let compiled = if self.needs_compile_events() {
-                        // Buffer the decision events so the sanitizer and
-                        // the metrics fold can inspect them; forward to the
-                        // user's sink after.
-                        let mut buffer = pea_trace::MemorySink::new();
-                        let result = compile_traced(
-                            program,
-                            method,
-                            Some(&self.profiles),
-                            &self.options.compiler,
-                            &mut buffer,
-                        );
-                        if self.options.checked {
-                            if let Ok(code) = &result {
-                                self.sanitize(program, method, &code.graph, &buffer.events);
-                            }
-                        }
-                        if let Some(m) = self.options.metrics.on() {
-                            record_compile_metrics(m, &buffer.events, result.as_ref());
-                        }
-                        if let Some(sink) = &self.options.trace {
-                            sink.with_sink(|s| {
-                                for event in &buffer.events {
-                                    s.emit(event);
-                                }
-                            });
-                        }
-                        result
-                    } else {
-                        compile(
-                            program,
-                            method,
-                            Some(&self.profiles),
-                            &self.options.compiler,
-                        )
-                    };
-                    match compiled {
-                        Ok(code) => {
-                            let code = Arc::new(code);
-                            self.install(method, Arc::clone(&code));
-                            return self.run_compiled_with(program, &code, args);
-                        }
-                        Err(_) => self.bailed_out[method.index()] = true,
+                    if let Some(sink) = &self.options.trace {
+                        sink.emit_event(&TraceEvent::Recompile {
+                            method: program.method(method).qualified_name(program),
+                        });
                     }
                 }
-                JitMode::Background => {
-                    // Snapshot the profiles and keep interpreting; the
-                    // artifact is installed at a later safepoint.
-                    self.request_background(method);
+                let compiled = if self.needs_compile_events() {
+                    // Buffer the decision events so the sanitizer and
+                    // the metrics fold can inspect them; forward to the
+                    // user's sink after.
+                    let mut buffer = pea_trace::MemorySink::new();
+                    let result = compile_traced(
+                        program,
+                        method,
+                        Some(&self.profiles),
+                        &self.options.compiler,
+                        &mut buffer,
+                    );
+                    if self.options.checked {
+                        if let Ok(code) = &result {
+                            self.sanitize(program, method, &code.graph, &buffer.events);
+                        }
+                    }
+                    if let Some(m) = self.options.metrics.on() {
+                        record_compile_metrics(m, &buffer.events, result.as_ref());
+                    }
+                    if let Some(sink) = &self.options.trace {
+                        sink.with_sink(|s| {
+                            for event in &buffer.events {
+                                s.emit(event);
+                            }
+                        });
+                    }
+                    result
+                } else {
+                    compile(
+                        program,
+                        method,
+                        Some(&self.profiles),
+                        &self.options.compiler,
+                    )
+                };
+                match compiled {
+                    Ok(code) => {
+                        let code = Arc::new(code);
+                        self.install(method, Arc::clone(&code));
+                        Some(code)
+                    }
+                    Err(_) => {
+                        self.bailed_out[method.index()] = true;
+                        None
+                    }
                 }
             }
-        }
-        match args {
-            Args::Slice(args) => interpret(program, self, method, args),
-            Args::Stack(argc) => interpret_on_stack(program, self, method, argc),
+            JitMode::Background => {
+                // Snapshot the profiles and keep interpreting; the
+                // artifact is installed at a later safepoint.
+                self.request_background(method);
+                None
+            }
         }
     }
 
-    /// Runs compiled code on arguments wherever the caller has them: those
-    /// on the value stack are copied out (into a register-sized buffer
-    /// when they fit) and popped first.
+    /// Runs compiled code, as one more activation, on the `argc`
+    /// arguments an interpreted caller left on the value stack: they are
+    /// copied out (into a register-sized buffer when they fit) and popped
+    /// first.
+    #[inline(never)]
     fn run_compiled_with(
         &mut self,
         program: &Program,
-        code: &CompiledMethod,
-        args: Args<'_>,
+        code: Arc<CompiledMethod>,
+        argc: usize,
     ) -> Result<Option<Value>, VmError> {
-        let argc = match args {
-            Args::Slice(args) => return self.run_compiled(program, code, args),
-            Args::Stack(argc) => argc,
-        };
         let base = self.stack.len() - argc;
         let mut inline = [Value::Null; INLINE_ARGS];
         let spilled: Vec<Value>;
@@ -839,7 +848,10 @@ impl Mutator {
             &spilled
         };
         self.stack.truncate(base);
-        self.run_compiled(program, code, args)
+        self.depth += 1;
+        let result = self.run_compiled(program, &code, args);
+        self.depth -= 1;
+        result
     }
 
     /// Whether a synchronous compile must buffer its decision events (for
@@ -1397,13 +1409,33 @@ impl InterpEnv for Mutator {
     fn has_fuel_limit(&self) -> bool {
         self.options.fuel.is_some()
     }
-    fn invoke(
+    fn activations(&mut self) -> &mut Vec<Activation> {
+        &mut self.activations
+    }
+    // Inlined into the loop, so admitting an interpreted callee is a few
+    // loads and compares; running compiled code is a call.
+    #[inline(always)]
+    fn enter(
         &mut self,
         program: &Program,
         method: MethodId,
         argc: usize,
-    ) -> Result<Option<Value>, VmError> {
-        self.call_with(program, method, Args::Stack(argc))
+    ) -> Result<Callee, VmError> {
+        if self.depth >= MAX_CALL_DEPTH {
+            return Err(VmError::StackOverflow);
+        }
+        match self.tier(program, method) {
+            None => {
+                self.depth += 1;
+                Ok(Callee::Interpret)
+            }
+            Some(code) => self
+                .run_compiled_with(program, code, argc)
+                .map(Callee::Returned),
+        }
+    }
+    fn leave(&mut self) {
+        self.depth -= 1;
     }
     fn safepoint(&mut self) {
         // Loop back-edge: install finished background compilations so a
@@ -1436,7 +1468,7 @@ impl EvalEnv for Mutator {
         method: MethodId,
         args: &[Value],
     ) -> Result<Option<Value>, VmError> {
-        self.call_with(program, method, Args::Slice(args))
+        self.call_with(program, method, args)
     }
     fn has_fuel_limit(&self) -> bool {
         self.options.fuel.is_some()

@@ -2,10 +2,12 @@
 //!
 //! A compiled caller hands an out-of-line callee its arguments in a
 //! buffer on the host stack and lends it the program; an interpreted
-//! caller leaves them on the value stack. Once both methods are warm, a
-//! loop of either kind of call makes **zero** calls into the host
-//! allocator — counted by the same allocator the heap and observability
-//! tests use.
+//! caller leaves them on the value stack, and an interpreted callee runs
+//! in its caller's loop, suspending the caller on the mutator's reused
+//! activation stack. Once both methods are warm, a loop of any kind of
+//! call — an exception thrown by the callee and caught by the caller
+//! included — makes **zero** calls into the host allocator, counted by
+//! the same allocator the heap and observability tests use.
 
 use pea_bytecode::asm::parse_program;
 use pea_runtime::Value;
@@ -81,5 +83,65 @@ fn interpreted_to_compiled_calls_reach_no_host_allocator() {
     assert_eq!(
         allocs, 0,
         "{N} interpreted→compiled calls reached the host allocator"
+    );
+}
+
+#[test]
+fn interpreted_to_interpreted_calls_reach_no_host_allocator() {
+    let mut vm = Vm::new(parse_program(CALLS).unwrap(), VmOptions::interpreter_only());
+    vm.call_entry("calls", &[Value::Int(100)]).unwrap();
+    let allocs = measured(&mut vm);
+    assert_eq!(vm.compiled_method_count(), 0);
+    assert_eq!(
+        allocs, 0,
+        "{N} interpreted→interpreted calls reached the host allocator"
+    );
+}
+
+/// `catches(n)` calls `boom(i)` for `i < n`; `boom` throws the one `Err`
+/// that `setup` published whenever `i` is odd, and `catches` counts what
+/// it catches.
+const THROWS: &str = "
+    class Err { }
+    static err ref
+    method setup 0 { new Err putstatic err ret }
+    method boom 1 returns {
+        load 0 const 2 rem const 0 ifcmp eq Lok
+        getstatic err athrow
+    Lok:
+        load 0 retv
+    }
+    method catches 1 returns {
+        try Ls Le Lh Err
+        const 0 store 1 const 0 store 2
+    Lhead:
+        load 1 load 0 ifcmp ge Ldone
+    Ls:
+        load 1 invokestatic boom pop
+    Le:
+        goto Lnext
+    Lh:
+        pop load 2 const 1 add store 2
+    Lnext:
+        load 1 const 1 add store 1 goto Lhead
+    Ldone:
+        load 2 retv
+    }";
+
+#[test]
+fn exceptions_caught_across_interpreted_calls_reach_no_host_allocator() {
+    let program = parse_program(THROWS).unwrap();
+    pea_bytecode::verify_program(&program).unwrap();
+    let mut vm = Vm::new(program, VmOptions::interpreter_only());
+    vm.call_entry("setup", &[]).unwrap();
+    vm.call_entry("catches", &[Value::Int(100)]).unwrap();
+    let before = allocations();
+    let result = vm.call_entry("catches", &[Value::Int(N)]).unwrap();
+    let allocs = allocations() - before;
+    assert_eq!(result, Some(Value::Int(N / 2)));
+    assert_eq!(vm.heap().total_lock_holds(), 0);
+    assert_eq!(
+        allocs, 0,
+        "{N} caught interpreted→interpreted throws reached the host allocator"
     );
 }
