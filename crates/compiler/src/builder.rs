@@ -16,13 +16,6 @@ use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-/// Hard cap on the active inline chain (root + transitively inlined
-/// callees), independent of the configurable depth limit. A policy bug or
-/// an absurd `inline_max_depth` cannot push parsing into unbounded
-/// inlining: crossing this cap is a compile bailout, not a skipped
-/// candidate.
-pub const MAX_INLINE_CHAIN: usize = 32;
-
 /// Why a method cannot be compiled (the VM falls back to interpretation).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Bailout {
@@ -33,8 +26,6 @@ pub enum Bailout {
     UnstructuredLocking,
     /// The graph exceeded the node budget.
     TooLarge,
-    /// The active inline chain exceeded [`MAX_INLINE_CHAIN`].
-    RecursionLimit,
     /// Anything else.
     Unsupported(String),
 }
@@ -45,7 +36,6 @@ impl fmt::Display for Bailout {
             Bailout::Irreducible => f.write_str("irreducible control flow"),
             Bailout::UnstructuredLocking => f.write_str("unstructured locking"),
             Bailout::TooLarge => f.write_str("graph too large"),
-            Bailout::RecursionLimit => f.write_str("inline recursion limit exceeded"),
             Bailout::Unsupported(s) => write!(f, "unsupported: {s}"),
         }
     }
@@ -87,45 +77,42 @@ pub struct DevirtGuardRec {
     pub classes: Vec<ClassId>,
 }
 
-/// Graph-construction options.
+/// Graph-construction options. Never-taken branches always become
+/// deoptimizing guards, and virtual call sites with
+/// 2–[`MAX_PIC_CLASSES`] observed receiver classes always become a
+/// polymorphic inline cache, once their profiles pass the thresholds.
 #[derive(Clone, Debug)]
 pub struct BuildOptions {
-    /// Replace never-taken branches with deoptimizing guards.
-    pub speculate_branches: bool,
     /// Minimum branch executions before a zero count is trusted.
     pub branch_threshold: u64,
     /// Inline eligible callees during parsing.
     pub inline: bool,
-    /// Maximum inline nesting depth.
-    pub inline_max_depth: usize,
-    /// Maximum callee bytecode length considered for inlining.
-    pub inline_max_callee_code: usize,
     /// Minimum observed dispatches before devirtualizing a monomorphic
-    /// virtual call with a type guard.
+    /// virtual call with a type guard, or building an inline cache over
+    /// a polymorphic one.
     pub devirtualize_threshold: u64,
-    /// Speculate on polymorphic receiver profiles: compile virtual call
-    /// sites with 2–[`MAX_PIC_CLASSES`] observed receiver classes as a
-    /// chain of exact-type checks with direct calls (a polymorphic inline
-    /// cache) whose final arm deoptimizes on an unprofiled receiver.
-    pub speculate_dispatch: bool,
-    /// Node budget; exceeding it bails out.
-    pub max_graph_nodes: usize,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
         BuildOptions {
-            speculate_branches: true,
             branch_threshold: 20,
             inline: true,
-            inline_max_depth: 4,
-            inline_max_callee_code: 64,
             devirtualize_threshold: 20,
-            speculate_dispatch: true,
-            max_graph_nodes: 20_000,
         }
     }
 }
+
+/// Maximum inline nesting depth: a call parsed at this depth stays a
+/// call, so the active inline chain holds at most `INLINE_MAX_DEPTH + 1`
+/// methods.
+const INLINE_MAX_DEPTH: usize = 4;
+
+/// Longest callee bytecode inlined.
+const INLINE_MAX_CALLEE_CODE: usize = 64;
+
+/// Node budget; a graph exceeding it is a [`Bailout::TooLarge`].
+const MAX_GRAPH_NODES: usize = 20_000;
 
 /// Most receiver classes a polymorphic inline cache will speculate on;
 /// sites with more observed classes stay genuinely virtual.
@@ -249,7 +236,7 @@ pub fn build_graph_with(
 
 impl<'a> GraphBuilder<'a> {
     fn check_budget(&self) -> Result<(), Bailout> {
-        if self.graph.len() > self.options.max_graph_nodes {
+        if self.graph.len() > MAX_GRAPH_NODES {
             return Err(Bailout::TooLarge);
         }
         Ok(())
@@ -557,35 +544,33 @@ impl<'a> GraphBuilder<'a> {
         tail: &mut NodeId,
         state: &mut FlowState,
     ) -> Result<(), Bailout> {
-        if self.options.speculate_branches {
-            if let Some((t, nt)) = self.branch_profile(ctx.method, bci) {
-                let total = t + nt;
-                if total >= self.options.branch_threshold {
-                    if t == 0 {
-                        // Deopt if the condition is true.
-                        let guard = self.graph.add(
-                            NodeKind::Guard {
-                                reason: DeoptReason::UntakenBranch,
-                                negated: true,
-                            },
-                            vec![cond],
-                        );
-                        self.graph.set_state_after(guard, Some(state.deopt_state));
-                        self.append(tail, guard);
-                        return self.emit_edge(ctx, fall, *tail, state.clone());
-                    }
-                    if nt == 0 {
-                        let guard = self.graph.add(
-                            NodeKind::Guard {
-                                reason: DeoptReason::UntakenBranch,
-                                negated: false,
-                            },
-                            vec![cond],
-                        );
-                        self.graph.set_state_after(guard, Some(state.deopt_state));
-                        self.append(tail, guard);
-                        return self.emit_edge(ctx, taken, *tail, state.clone());
-                    }
+        if let Some((t, nt)) = self.branch_profile(ctx.method, bci) {
+            let total = t + nt;
+            if total >= self.options.branch_threshold {
+                if t == 0 {
+                    // Deopt if the condition is true.
+                    let guard = self.graph.add(
+                        NodeKind::Guard {
+                            reason: DeoptReason::UntakenBranch,
+                            negated: true,
+                        },
+                        vec![cond],
+                    );
+                    self.graph.set_state_after(guard, Some(state.deopt_state));
+                    self.append(tail, guard);
+                    return self.emit_edge(ctx, fall, *tail, state.clone());
+                }
+                if nt == 0 {
+                    let guard = self.graph.add(
+                        NodeKind::Guard {
+                            reason: DeoptReason::UntakenBranch,
+                            negated: false,
+                        },
+                        vec![cond],
+                    );
+                    self.graph.set_state_after(guard, Some(state.deopt_state));
+                    self.append(tail, guard);
+                    return self.emit_edge(ctx, taken, *tail, state.clone());
                 }
             }
         }
@@ -1056,19 +1041,18 @@ impl<'a> GraphBuilder<'a> {
                         // in our closed world (class-hierarchy analysis).
                         resolved = impls.into_iter().next().unwrap();
                         devirtualized = true;
-                    } else if self.options.speculate_dispatch {
+                    } else if let Some(r) = self.profiles.and_then(|p| p.receiver(ctx.method, bci))
+                    {
                         // Polymorphic but shallow receiver profile: build
                         // an inline cache over the observed classes.
-                        if let Some(r) = self.profiles.and_then(|p| p.receiver(ctx.method, bci)) {
-                            if r.total() >= self.options.devirtualize_threshold
-                                && (2..=MAX_PIC_CLASSES).contains(&r.classes().len())
-                            {
-                                // Hottest receiver first; class id breaks
-                                // ties so the cascade is deterministic.
-                                let mut cs = r.classes().to_vec();
-                                cs.sort_by_key(|&(c, n)| (std::cmp::Reverse(n), c.index()));
-                                pic_classes = cs.into_iter().map(|(c, _)| c).collect();
-                            }
+                        if r.total() >= self.options.devirtualize_threshold
+                            && (2..=MAX_PIC_CLASSES).contains(&r.classes().len())
+                        {
+                            // Hottest receiver first; class id breaks ties
+                            // so the cascade is deterministic.
+                            let mut cs = r.classes().to_vec();
+                            cs.sort_by_key(|&(c, n)| (std::cmp::Reverse(n), c.index()));
+                            pic_classes = cs.into_iter().map(|(c, _)| c).collect();
                         }
                     }
                 }
@@ -1099,7 +1083,7 @@ impl<'a> GraphBuilder<'a> {
             (false, "megamorphic")
         } else if self.inline_active.contains(&resolved) {
             (false, "recursive")
-        } else if ctx.depth >= self.options.inline_max_depth {
+        } else if ctx.depth >= INLINE_MAX_DEPTH {
             (false, "depth-limit")
         } else if program.facts(resolved).may_throw() {
             // A callee that can raise a catchable exception stays
@@ -1108,7 +1092,7 @@ impl<'a> GraphBuilder<'a> {
             // deoptimizing at the call site and unwinding rematerialized
             // interpreter frames.
             (false, "may-throw")
-        } else if self.program.method(resolved).code.len() <= self.options.inline_max_callee_code {
+        } else if self.program.method(resolved).code.len() <= INLINE_MAX_CALLEE_CODE {
             (true, "within-size-budget")
         } else {
             (false, "over-size-budget")
@@ -1122,9 +1106,6 @@ impl<'a> GraphBuilder<'a> {
         });
 
         if can_inline {
-            if self.inline_active.len() >= MAX_INLINE_CHAIN {
-                return Err(Bailout::RecursionLimit);
-            }
             if virtual_call && needs_type_guard.is_none() {
                 // CHA devirtualization has no type guard; a null receiver
                 // must still raise, so guard on it (deopt → interpreter →
@@ -1455,35 +1436,6 @@ mod tests {
         assert!(!decisions[0].inlined);
         assert_eq!(decisions[0].reason, "recursive");
         assert_eq!(decisions[0].callee, method);
-    }
-
-    #[test]
-    fn absurd_depth_limit_hits_the_recursion_backstop() {
-        // A non-recursive chain deeper than MAX_INLINE_CHAIN with the
-        // configurable depth limit opened wide: the hard backstop must
-        // turn the compilation into a RecursionLimit bailout rather than
-        // letting parsing inline without bound.
-        let mut src = String::new();
-        let chain = MAX_INLINE_CHAIN + 4;
-        for i in 0..chain {
-            if i + 1 < chain {
-                src.push_str(&format!(
-                    "method m{i} 1 returns {{ load 0 invokestatic m{} retv }}\n",
-                    i + 1
-                ));
-            } else {
-                src.push_str(&format!("method m{i} 1 returns {{ load 0 retv }}\n"));
-            }
-        }
-        let program = parse_program(&src).unwrap();
-        pea_bytecode::verify_program(&program).unwrap();
-        let method = program.static_method_by_name("m0").unwrap();
-        let options = BuildOptions {
-            inline_max_depth: chain + 8,
-            ..BuildOptions::default()
-        };
-        let result = build_graph(&program, method, None, &options);
-        assert!(matches!(result, Err(Bailout::RecursionLimit)), "{result:?}");
     }
 
     #[test]

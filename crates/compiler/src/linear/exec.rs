@@ -1,4 +1,4 @@
-//! The direct-threaded dispatch loop over a [`LinearArtifact`].
+//! The direct-threaded dispatch loop over a [`LinearArtifact`](super::LinearArtifact).
 //!
 //! Executes the dense `u32` instruction stream without touching
 //! [`pea_ir::Graph`] or `NodeId` anywhere on the hot path: operands are

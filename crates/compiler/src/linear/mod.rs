@@ -1,5 +1,5 @@
 //! The linear register-machine tier: scheduled sea-of-nodes graphs are
-//! lowered ([`lower`]) into a dense `Vec<u32>` instruction stream — the
+//! lowered ([`lower()`]) into a dense `Vec<u32>` instruction stream — the
 //! [`LinearArtifact`] — and executed by a direct-threaded dispatch loop
 //! ([`exec::execute`]) that never touches [`pea_ir::Graph`] or
 //! [`pea_ir::NodeId`] on the hot path.

@@ -171,7 +171,7 @@ pub fn compile(
 
 /// Like [`compile`], but emits [`TraceEvent`]s describing the compilation:
 /// a [`TraceEvent::CompileStart`]/[`TraceEvent::CompileEnd`] bracket, with
-/// every PEA decision in between (see [`run_pea_traced`]).
+/// every PEA decision in between (see [`pea_core::run_pea_traced`]).
 ///
 /// # Errors
 ///

@@ -21,29 +21,27 @@ fn build(src: &str, entry: &str, options: &BuildOptions) -> Result<Graph, Bailou
 
 #[test]
 fn inline_depth_limit_respected() {
-    // a -> b -> c -> d -> e: with depth 2, c's call to d stays a call.
-    let src = "
-        method e 1 returns { load 0 const 1 add retv }
+    // a -> b -> c -> d -> e -> f: the inline depth is 4, so e's call to f
+    // stays a call.
+    let chain = "
+        method e 1 returns { load 0 invokestatic f retv }
         method d 1 returns { load 0 invokestatic e retv }
         method c 1 returns { load 0 invokestatic d retv }
         method b 1 returns { load 0 invokestatic c retv }
         method a 1 returns { load 0 invokestatic b retv }";
-    let shallow = BuildOptions {
-        inline_max_depth: 2,
-        ..BuildOptions::default()
-    };
-    let g = build(src, "a", &shallow).unwrap();
+    let src = format!("method f 1 returns {{ load 0 const 1 add retv }} {chain}");
+    let g = build(&src, "a", &BuildOptions::default()).unwrap();
     verify(&g).unwrap();
     assert_eq!(
         count(&g, |k| matches!(k, NodeKind::Invoke { .. })),
         1,
-        "exactly the depth-2 frontier call remains"
+        "exactly the depth-4 frontier call remains"
     );
-    let deep = BuildOptions {
-        inline_max_depth: 8,
-        ..BuildOptions::default()
-    };
-    let g = build(src, "a", &deep).unwrap();
+    assert_eq!(count(&g, |k| matches!(k, NodeKind::Arith { .. })), 0);
+    // One method shorter, the chain inlines fully.
+    let src = chain.replace("invokestatic f", "const 1 add");
+    let g = build(&src, "a", &BuildOptions::default()).unwrap();
+    verify(&g).unwrap();
     assert_eq!(count(&g, |k| matches!(k, NodeKind::Invoke { .. })), 0);
     assert_eq!(count(&g, |k| matches!(k, NodeKind::Arith { .. })), 1);
 }
@@ -58,26 +56,24 @@ fn big_callee_not_inlined() {
         "method big 1 returns {{ load 0 {body} retv }}
          method f 1 returns {{ load 0 invokestatic big retv }}"
     );
-    let tight = BuildOptions {
-        inline_max_callee_code: 20,
-        ..BuildOptions::default()
-    };
-    let g = build(&src, "f", &tight).unwrap();
+    // 102 instructions: over the 64-instruction inlining budget.
+    let g = build(&src, "f", &BuildOptions::default()).unwrap();
     assert_eq!(count(&g, |k| matches!(k, NodeKind::Invoke { .. })), 1);
 }
 
 #[test]
 fn node_budget_bails_out() {
     let mut body = String::new();
-    for _ in 0..200 {
+    // One constant and one add per iteration: past the 20 000-node
+    // budget.
+    for _ in 0..20_001 {
         body.push_str("const 1 add ");
     }
     let src = format!("method f 1 returns {{ load 0 {body} retv }}");
-    let tiny = BuildOptions {
-        max_graph_nodes: 50,
-        ..BuildOptions::default()
-    };
-    assert_eq!(build(&src, "f", &tiny).unwrap_err(), Bailout::TooLarge);
+    assert_eq!(
+        build(&src, "f", &BuildOptions::default()).unwrap_err(),
+        Bailout::TooLarge
+    );
 }
 
 #[test]
@@ -203,7 +199,7 @@ fn monomorphic_profile_devirtualizes_with_type_guard() {
 }
 
 #[test]
-fn polymorphic_call_builds_inline_cache_or_stays_virtual() {
+fn polymorphic_call_builds_inline_cache() {
     let src = "
         class A { }
         class B extends A { }
@@ -219,8 +215,7 @@ fn polymorphic_call_builds_inline_cache_or_stays_virtual() {
         profiles.record_receiver(f, 2, if i % 2 == 0 { a } else { b });
     }
 
-    // Default options: the two-class profile becomes a polymorphic inline
-    // cache — one exact type test per observed class, a direct (devirtualized)
+    // The two-class profile becomes a polymorphic inline cache — one exact type test per observed class, a direct (devirtualized)
     // call per arm, and a deopt on the fall-through.
     let g = build_graph(&program, f, Some(&profiles), &BuildOptions::default()).unwrap();
     verify(&g).unwrap();
@@ -252,24 +247,6 @@ fn polymorphic_call_builds_inline_cache_or_stays_virtual() {
         2
     );
     assert_eq!(count(&g, |k| matches!(k, NodeKind::Deopt { .. })), 1);
-
-    // Speculation disabled: the call stays a single virtual dispatch.
-    let options = BuildOptions {
-        speculate_dispatch: false,
-        ..BuildOptions::default()
-    };
-    let g = build_graph(&program, f, Some(&profiles), &options).unwrap();
-    verify(&g).unwrap();
-    assert_eq!(
-        count(&g, |k| matches!(
-            k,
-            NodeKind::Invoke {
-                virtual_call: true,
-                ..
-            }
-        )),
-        1
-    );
 }
 
 #[test]

@@ -26,11 +26,6 @@ pub struct PeaOptions {
     /// virtual object live at a loop entry is materialized there
     /// (ablation).
     pub loop_processing: bool,
-    /// Safety cap on loop fixpoint rounds; exceeded ⇒ materialize all
-    /// loop-entry objects and continue.
-    pub max_loop_rounds: usize,
-    /// Arrays longer than this are never virtualized.
-    pub max_virtual_array_length: u32,
 }
 
 impl Default for PeaOptions {
@@ -40,11 +35,13 @@ impl Default for PeaOptions {
             lock_elision: true,
             field_phis: true,
             loop_processing: true,
-            max_loop_rounds: 16,
-            max_virtual_array_length: 32,
         }
     }
 }
+
+/// Safety cap on loop fixpoint rounds; exceeded ⇒ materialize all
+/// loop-entry objects and continue.
+const MAX_LOOP_ROUNDS: usize = 16;
 
 /// What the analysis did, for reporting and tests.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -311,7 +308,7 @@ impl<'a> PeaContext<'a> {
             if merged == header_entry {
                 break;
             }
-            if rounds >= self.options.max_loop_rounds {
+            if rounds >= MAX_LOOP_ROUNDS {
                 // Safety net: force everything at the entry into the heap
                 // and re-run once; with no virtual state left the merge is
                 // trivially stable.

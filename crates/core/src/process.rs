@@ -201,6 +201,9 @@ fn default_fields(ctx: &mut PeaContext<'_>, shape: AllocShape) -> Vec<NodeId> {
     }
 }
 
+/// Arrays longer than this are never virtualized.
+const MAX_VIRTUAL_ARRAY_LENGTH: i64 = 32;
+
 /// Processes one fixed node, updating `state` and recording effects.
 pub(crate) fn process_node(
     ctx: &mut PeaContext<'_>,
@@ -250,11 +253,7 @@ pub(crate) fn process_node(
                 .as_ref()
                 .is_none_or(|set| set.contains(&node));
             match const_len {
-                Some(len)
-                    if allowed
-                        && len >= 0
-                        && len <= i64::from(ctx.options.max_virtual_array_length) =>
-                {
+                Some(len) if allowed && (0..=MAX_VIRTUAL_ARRAY_LENGTH).contains(&len) => {
                     let shape = AllocShape::Array {
                         kind,
                         length: len as u32,

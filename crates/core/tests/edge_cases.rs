@@ -128,7 +128,7 @@ fn oversized_array_is_not_virtualized() {
     let ret = g.add(NodeKind::Return, vec![]);
     g.set_next(arr, ret);
     let r = run_pea(&mut g, &program, &PeaOptions::default());
-    // Above max_virtual_array_length: the allocation stays (dead-code
+    // Longer than 32 elements: the allocation stays (dead-code
     // pruning is not PEA's job for unused real allocations).
     assert_eq!(r.virtualized_allocs, 0);
     assert_eq!(count(&g, |k| matches!(k, NodeKind::NewArray { .. })), 1);

@@ -11,7 +11,7 @@
 //! * **receiver-type profiles** per call site drive guarded
 //!   devirtualization and inlining.
 
-use pea_bytecode::{ClassId, MethodId};
+use pea_bytecode::{ClassId, MethodId, Program};
 
 /// Taken/not-taken counters for one branch instruction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -69,11 +69,6 @@ impl ReceiverProfile {
         &self.counts
     }
 }
-
-/// Largest method index or bci [`ProfileStore::import_json`] accepts.
-/// The store is dense in both, so a bound keeps one hostile line from
-/// costing gigabytes; no program this repository builds comes near it.
-pub const MAX_PROFILE_INDEX: u64 = 1 << 16;
 
 /// Everything profiled about one method, indexed by bci.
 #[derive(Clone, Debug, Default)]
@@ -234,73 +229,79 @@ impl ProfileStore {
         out
     }
 
-    /// Parses a store back from [`export_json`] output. Blank lines are
-    /// skipped; repeated records for the same key accumulate.
+    /// Parses a store for `program` back from
+    /// [`export_json`](Self::export_json) output. Blank lines are skipped;
+    /// repeated records for the same key accumulate. The store
+    /// is dense in methods and bcis, so every index is checked against
+    /// `program` before anything is sized from it.
     ///
     /// # Errors
     ///
     /// A message naming the offending line on malformed input, an unknown
-    /// record kind, a negative count, or a method index or bci from
-    /// [`MAX_PROFILE_INDEX`] up.
-    pub fn import_json(text: &str) -> Result<ProfileStore, String> {
-        fn field(obj: &pea_trace::json::Object, key: &str, line_no: usize) -> Result<u64, String> {
-            let n = obj
-                .get_num(key)
-                .map_err(|e| format!("profile line {line_no}: {e}"))?;
-            u64::try_from(n).map_err(|_| format!("profile line {line_no}: negative {key:?}"))
-        }
-        fn index(obj: &pea_trace::json::Object, key: &str, line_no: usize) -> Result<u32, String> {
-            let n = field(obj, key, line_no)?;
-            if n >= MAX_PROFILE_INDEX {
-                return Err(format!("profile line {line_no}: {key:?} {n} out of range"));
-            }
-            Ok(n as u32)
-        }
+    /// record kind, a negative count, a sum of counts past `i64::MAX`
+    /// (where [`export_json`](Self::export_json) would stop round-tripping),
+    /// or a method, bci or class that `program` does not have.
+    pub fn import_json(text: &str, program: &Program) -> Result<ProfileStore, String> {
         let mut store = ProfileStore::new();
         for (i, line) in text.lines().enumerate() {
-            let line_no = i + 1;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let obj = pea_trace::json::parse_object(line)
-                .map_err(|e| format!("profile line {line_no}: {e}"))?;
-            let record = obj
-                .get_str("record")
-                .map_err(|e| format!("profile line {line_no}: {e}"))?
-                .to_string();
-            let method = MethodId(index(&obj, "method", line_no)?);
-            match record.as_str() {
-                "invocation" => {
-                    let count = field(&obj, "count", line_no)?;
-                    *store.method_mut(method).invocations.get_or_insert(0) += count;
-                }
-                "branch" => {
-                    let bci = index(&obj, "bci", line_no)?;
-                    let p = cell(&mut store.method_mut(method).branches, bci);
-                    p.taken += field(&obj, "taken", line_no)?;
-                    p.not_taken += field(&obj, "not_taken", line_no)?;
-                }
-                "receiver" => {
-                    let bci = index(&obj, "bci", line_no)?;
-                    let class = u32::try_from(field(&obj, "class", line_no)?)
-                        .map_err(|_| format!("profile line {line_no}: \"class\" out of range"))?;
-                    let class = ClassId(class);
-                    let count = field(&obj, "count", line_no)?;
-                    let p = cell(&mut store.method_mut(method).receivers, bci);
-                    if let Some(entry) = p.counts.iter_mut().find(|(c, _)| *c == class) {
-                        entry.1 += count;
-                    } else {
-                        p.counts.push((class, count));
-                    }
-                }
-                other => {
-                    return Err(format!(
-                        "profile line {line_no}: unknown record kind {other:?}"
-                    ));
-                }
+            if !line.trim().is_empty() {
+                store
+                    .import_line(line, program)
+                    .map_err(|e| format!("profile line {}: {e}", i + 1))?;
             }
         }
         Ok(store)
+    }
+
+    /// Accumulates one [`import_json`](Self::import_json) record.
+    fn import_line(&mut self, line: &str, program: &Program) -> Result<(), String> {
+        let obj = pea_trace::json::parse_object(line).map_err(|e| e.to_string())?;
+        let field = |key: &str| -> Result<u64, String> {
+            let n = obj.get_num(key).map_err(|e| e.to_string())?;
+            u64::try_from(n).map_err(|_| format!("negative {key:?}"))
+        };
+        let index = |key: &str, len: usize| -> Result<u32, String> {
+            match field(key)? {
+                n if n < len as u64 => Ok(n as u32),
+                n => Err(format!("{key:?} {n} out of range 0..{len}")),
+            }
+        };
+        let add = |total: &mut u64, key: &str| -> Result<(), String> {
+            *total = total
+                .checked_add(field(key)?)
+                .filter(|&t| i64::try_from(t).is_ok())
+                .ok_or_else(|| format!("{key:?} sum overflows"))?;
+            Ok(())
+        };
+        let record = obj.get_str("record").map_err(|e| e.to_string())?;
+        let method = MethodId(index("method", program.methods.len())?);
+        let code_len = program.method(method).code.len();
+        match record {
+            "invocation" => add(
+                self.method_mut(method).invocations.get_or_insert(0),
+                "count",
+            ),
+            "branch" => {
+                let bci = index("bci", code_len)?;
+                let p = cell(&mut self.method_mut(method).branches, bci);
+                add(&mut p.taken, "taken")?;
+                add(&mut p.not_taken, "not_taken")
+            }
+            "receiver" => {
+                let bci = index("bci", code_len)?;
+                let class = ClassId(index("class", program.classes.len())?);
+                let p = cell(&mut self.method_mut(method).receivers, bci);
+                let at = match p.counts.iter().position(|(c, _)| *c == class) {
+                    Some(at) => at,
+                    None => {
+                        p.counts.push((class, 0));
+                        p.counts.len() - 1
+                    }
+                };
+                add(&mut p.counts[at].1, "count")
+            }
+            other => Err(format!("unknown record kind {other:?}")),
+        }
     }
 }
 
@@ -343,6 +344,23 @@ mod tests {
         assert_eq!(r.total(), 3);
     }
 
+    /// Five classes and three methods of ten instructions each: room for
+    /// every index [`populated_store`] uses.
+    fn program() -> Program {
+        let body = "{ const 0 const 0 add const 0 add const 0 add const 0 add retv }";
+        pea_bytecode::asm::parse_program(&format!(
+            "class A {{ }} class B {{ }} class C {{ }} class D {{ }} class E {{ }}
+             method m0 0 returns {body}
+             method m1 0 returns {body}
+             method m2 0 returns {body}"
+        ))
+        .unwrap()
+    }
+
+    fn import(text: &str) -> Result<ProfileStore, String> {
+        ProfileStore::import_json(text, &program())
+    }
+
     fn populated_store() -> ProfileStore {
         let mut p = ProfileStore::new();
         for _ in 0..120 {
@@ -363,7 +381,7 @@ mod tests {
     fn export_import_round_trips_every_channel() {
         let p = populated_store();
         let text = p.export_json();
-        let q = ProfileStore::import_json(&text).unwrap();
+        let q = import(&text).unwrap();
         assert_eq!(q.invocation_count(MethodId(0)), 120);
         assert_eq!(q.invocation_count(MethodId(2)), 1);
         assert_eq!(q.branch(MethodId(0), 3), p.branch(MethodId(0), 3));
@@ -401,24 +419,79 @@ mod tests {
 
     #[test]
     fn import_rejects_malformed_lines() {
-        assert!(ProfileStore::import_json("not json").is_err());
-        assert!(ProfileStore::import_json("{\"record\":\"nope\",\"method\":0}").is_err());
-        assert!(ProfileStore::import_json("{\"record\":\"invocation\",\"method\":0}").is_err());
-        assert!(
-            ProfileStore::import_json("{\"record\":\"invocation\",\"method\":0,\"count\":-1}")
-                .is_err()
-        );
-        for hostile in [
-            "{\"record\":\"invocation\",\"method\":4294967296,\"count\":1}",
-            "{\"record\":\"invocation\",\"method\":65536,\"count\":1}",
-            "{\"record\":\"branch\",\"method\":0,\"bci\":65536,\"taken\":1,\"not_taken\":0}",
-            "{\"record\":\"receiver\",\"method\":0,\"bci\":1,\"class\":4294967296,\"count\":1}",
-        ] {
-            let e = ProfileStore::import_json(hostile).unwrap_err();
-            assert!(e.contains("out of range"), "{e}");
-        }
-        let empty = ProfileStore::import_json("\n\n").unwrap();
+        assert!(import("not json").is_err());
+        assert!(import("{\"record\":\"nope\",\"method\":0}").is_err());
+        assert!(import("{\"record\":\"invocation\",\"method\":0}").is_err());
+        assert!(import("{\"record\":\"invocation\",\"method\":0,\"count\":-1}").is_err());
+        let empty = import("\n\n").unwrap();
         assert_eq!(empty.invocation_count(MethodId(0)), 0);
+    }
+
+    #[test]
+    fn import_rejects_indices_the_program_does_not_have() {
+        for (hostile, key) in [
+            (
+                "{\"record\":\"invocation\",\"method\":4294967296,\"count\":1}",
+                "\"method\" 4294967296 out of range 0..3",
+            ),
+            (
+                "{\"record\":\"invocation\",\"method\":3,\"count\":1}",
+                "\"method\" 3 out of range 0..3",
+            ),
+            (
+                "{\"record\":\"branch\",\"method\":0,\"bci\":10,\"taken\":1,\"not_taken\":0}",
+                "\"bci\" 10 out of range 0..10",
+            ),
+            (
+                "{\"record\":\"branch\",\"method\":2,\"bci\":65535,\"taken\":1,\"not_taken\":0}",
+                "\"bci\" 65535",
+            ),
+            (
+                "{\"record\":\"receiver\",\"method\":0,\"bci\":11,\"class\":0,\"count\":1}",
+                "\"bci\" 11",
+            ),
+            (
+                "{\"record\":\"receiver\",\"method\":0,\"bci\":1,\"class\":5,\"count\":1}",
+                "\"class\" 5 out of range 0..5",
+            ),
+            (
+                "{\"record\":\"receiver\",\"method\":0,\"bci\":1,\"class\":4294967296,\"count\":1}",
+                "\"class\" 4294967296",
+            ),
+        ] {
+            // The bad record follows a good one: the error names line 2.
+            let text = format!("{{\"record\":\"invocation\",\"method\":0,\"count\":1}}\n{hostile}");
+            let e = import(&text).unwrap_err();
+            assert!(e.starts_with("profile line 2: "), "{e}");
+            assert!(e.contains(key), "{e}");
+        }
+        // The last index of every kind is accepted.
+        let p = import("{\"record\":\"receiver\",\"method\":2,\"bci\":9,\"class\":4,\"count\":1}")
+            .unwrap();
+        assert_eq!(
+            p.receiver(MethodId(2), 9).unwrap().classes(),
+            [(ClassId(4), 1)]
+        );
+    }
+
+    #[test]
+    fn imported_counts_stop_at_the_exported_range() {
+        let line = |n: i64| {
+            format!(
+                "{{\"record\":\"branch\",\"method\":0,\"bci\":2,\"taken\":{n},\"not_taken\":0}}\n"
+            )
+        };
+        let p = import(&format!("{}{}", line(i64::MAX - 1), line(1))).unwrap();
+        assert_eq!(p.branch(MethodId(0), 2).unwrap().taken, i64::MAX as u64);
+        assert_eq!(
+            import(&p.export_json()).unwrap().export_json(),
+            p.export_json()
+        );
+        let e = import(&format!("{}{}", line(i64::MAX), line(1))).unwrap_err();
+        assert!(
+            e.starts_with("profile line 2: \"taken\" sum overflows"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -426,7 +499,7 @@ mod tests {
         let text = "{\"record\":\"invocation\",\"method\":1,\"count\":0}\n\
                     {\"record\":\"branch\",\"method\":0,\"bci\":4,\"taken\":0,\"not_taken\":0}\n\
                     {\"record\":\"receiver\",\"method\":0,\"bci\":6,\"class\":2,\"count\":0}\n";
-        let p = ProfileStore::import_json(text).unwrap();
+        let p = import(text).unwrap();
         assert_eq!(p.branch(MethodId(0), 4), Some(BranchProfile::default()));
         assert_eq!(p.branch(MethodId(0), 3), None);
         assert_eq!(

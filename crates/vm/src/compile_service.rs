@@ -27,7 +27,7 @@
 //!   finished but not yet drained is never enqueued twice (two mutators
 //!   may have the same method in flight — each compiles from its own
 //!   profile snapshot);
-//! * **bounded with backpressure** — when `queue_capacity` requests are
+//! * **bounded with backpressure** — when `QUEUE_CAPACITY` requests are
 //!   pending, a new request evicts the coldest queued one if the newcomer
 //!   is strictly hotter (the evicted method stays interpreted, keeps
 //!   getting hotter, and is retried at a later threshold check);
@@ -50,24 +50,15 @@ use std::time::Instant;
 pub struct CompileServiceOptions {
     /// Worker thread count; `None` picks [`default_workers`].
     pub workers: Option<usize>,
-    /// Maximum queued (not yet started) requests; at capacity a new
-    /// request either evicts the coldest pending one (if strictly hotter)
-    /// or is rejected.
-    pub queue_capacity: usize,
     /// Metrics handle; queue admission/rejection counters, the depth
     /// gauge, and per-compilation PEA/phase metrics flow through it.
     pub metrics: MetricsHub,
 }
 
-impl Default for CompileServiceOptions {
-    fn default() -> Self {
-        CompileServiceOptions {
-            workers: None,
-            queue_capacity: 128,
-            metrics: MetricsHub::disabled(),
-        }
-    }
-}
+/// Maximum queued (not yet started) requests; at capacity a new request
+/// either evicts the coldest pending one (if strictly hotter) or is
+/// rejected.
+const QUEUE_CAPACITY: usize = 128;
 
 /// Default worker count: all hardware threads minus one (the one running
 /// the VM), but at least one.
@@ -236,6 +227,17 @@ impl CompileService {
         options: &CompileServiceOptions,
         verdicts: Option<Arc<pea_analysis::StaticVerdicts>>,
     ) -> CompileService {
+        Self::start_bounded(program, compiler, options, verdicts, QUEUE_CAPACITY)
+    }
+
+    /// [`Self::start`] with a queue of `capacity` pending requests.
+    fn start_bounded(
+        program: Arc<Program>,
+        compiler: CompilerOptions,
+        options: &CompileServiceOptions,
+        verdicts: Option<Arc<pea_analysis::StaticVerdicts>>,
+        capacity: usize,
+    ) -> CompileService {
         let shared = Arc::new(Shared {
             program,
             options: compiler,
@@ -265,7 +267,7 @@ impl CompileService {
         CompileService {
             shared,
             workers: Mutex::new(workers),
-            capacity: options.queue_capacity.max(1),
+            capacity,
         }
     }
 
@@ -306,7 +308,7 @@ impl CompileService {
             }
             return false;
         }
-        if q.heap.len() >= self.queue_capacity() {
+        if q.heap.len() >= self.capacity {
             if q.evict_coldest_below(hotness) {
                 if let Some(m) = metrics.on() {
                     m.compile.queue_evicted.inc();
@@ -369,10 +371,6 @@ impl CompileService {
         while !(q.heap.is_empty() && q.active == 0) {
             q = self.shared.idle.wait(q).expect("compile queue poisoned");
         }
-    }
-
-    fn queue_capacity(&self) -> usize {
-        self.capacity
     }
 
     fn lock_queue(&self) -> MutexGuard<'_, Queue> {
@@ -591,15 +589,15 @@ mod tests {
         let program =
             pea_bytecode::asm::parse_program("method f 1 returns { load 0 const 1 add retv }")
                 .unwrap();
-        let service = CompileService::start(
+        let service = CompileService::start_bounded(
             Arc::new(program),
             CompilerOptions::default(),
             &CompileServiceOptions {
                 workers: Some(1),
-                queue_capacity: 4,
                 metrics: MetricsHub::disabled(),
             },
             None,
+            4,
         );
         let a = service.register_mailbox(None);
         let b = service.register_mailbox(None);

@@ -139,9 +139,6 @@ pub struct VmOptions {
     pub compiler: CompilerOptions,
     /// Optional total cycle budget.
     pub fuel: Option<u64>,
-    /// Deoptimizations tolerated before a method is evicted and
-    /// re-profiled.
-    pub max_deopts: u64,
     /// Master switch for JIT compilation (off = pure interpreter).
     pub jit: bool,
     /// Synchronous or background compilation.
@@ -151,9 +148,6 @@ pub struct VmOptions {
     /// Background compile worker threads; `None` picks
     /// [`default_workers`] (hardware threads minus one).
     pub compile_workers: Option<usize>,
-    /// Bound on the background compile queue; requests beyond it are
-    /// deferred to a later hotness check.
-    pub compile_queue_capacity: usize,
     /// Optional event log: compiles (with every PEA decision), deopts
     /// (with rematerialization inventories), evictions and recompiles all
     /// flow into this sink. `None` (the default) is zero-cost. The sink is
@@ -174,10 +168,6 @@ pub struct VmOptions {
     /// the hub aggregates: totals are the sum over threads (spawned
     /// mutators buffer heap counters thread-locally and fold on flush).
     pub metrics: MetricsHub,
-    /// In background mode, emit a [`TraceEvent::MetricsSnapshot`] delta
-    /// into the trace sink every this-many installing safepoints (0
-    /// disables; requires both `metrics` and `trace` to be attached).
-    pub metrics_snapshot_every: u64,
     /// Cycle-attribution profiler handle. The default disabled hub records
     /// nothing at the cost of at most one branch per charge site; when
     /// enabled, every charged cycle and every heap allocation is
@@ -203,16 +193,13 @@ impl VmOptions {
             compile_threshold: 50,
             compiler: CompilerOptions::with_opt_level(level),
             fuel: None,
-            max_deopts: 8,
             jit: true,
             jit_mode: JitMode::Sync,
             exec_mode: ExecMode::Linear,
             compile_workers: None,
-            compile_queue_capacity: 128,
             trace: None,
             checked: false,
             metrics: MetricsHub::disabled(),
-            metrics_snapshot_every: 64,
             profiler: ProfilerHub::disabled(),
             flight: None,
         }
@@ -318,6 +305,13 @@ impl VmShared {
         }
     }
 }
+
+/// Deoptimizations of one compiled method tolerated before it is
+/// evicted and re-profiled.
+const MAX_DEOPTS: u64 = 8;
+
+/// Installing safepoints between two metrics snapshot trace events.
+const METRICS_SNAPSHOT_EVERY: u64 = 64;
 
 /// One mutator thread's execution state: interpreter state, heap,
 /// profiles, pinned code cache, profiler context and trace tee. Obtained
@@ -441,8 +435,10 @@ impl Vm {
 
     /// Runs `f(thread_index, &mut mutator)` on `n` freshly spawned
     /// mutators, one OS thread of [`MUTATOR_STACK_SIZE`] each, and returns
-    /// the results in thread order. Panics propagate.
-    pub fn run_threads<T, F>(&self, n: usize, f: F) -> Vec<T>
+    /// the results in thread order. Panics propagate; a thread the OS
+    /// refuses to spawn is the error, once the threads already started
+    /// have run to completion.
+    pub fn run_threads<T, F>(&self, n: usize, f: F) -> std::io::Result<Vec<T>>
     where
         T: Send,
         F: Fn(usize, &mut Mutator) -> T + Sync,
@@ -453,7 +449,7 @@ impl Vm {
 
     /// [`run_threads`](Self::run_threads) over pre-warmed mutators (see
     /// [`spawn_warm_mutator`](Self::spawn_warm_mutator)).
-    pub fn run_threads_warm<T, F>(&self, n: usize, f: F) -> Vec<T>
+    pub fn run_threads_warm<T, F>(&self, n: usize, f: F) -> std::io::Result<Vec<T>>
     where
         T: Send,
         F: Fn(usize, &mut Mutator) -> T + Sync,
@@ -477,28 +473,27 @@ pub const MUTATOR_STACK_SIZE: usize = MAX_CALL_DEPTH * (64 << 10) + (8 << 20);
 
 /// Runs each mutator on its own scoped thread of [`MUTATOR_STACK_SIZE`]
 /// and collects results in thread order; a panicking thread re-raises on
-/// the caller.
-fn run_mutators<T, F>(mutators: Vec<Mutator>, f: F) -> Vec<T>
+/// the caller, and a thread that cannot be spawned is the error.
+fn run_mutators<T, F>(mutators: Vec<Mutator>, f: F) -> std::io::Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize, &mut Mutator) -> T + Sync,
 {
     let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = mutators
+        let handles = mutators
             .into_iter()
             .enumerate()
             .map(|(i, mut m)| {
                 std::thread::Builder::new()
                     .stack_size(MUTATOR_STACK_SIZE)
                     .spawn_scoped(scope, move || f(i, &mut m))
-                    .expect("spawn a mutator thread")
             })
-            .collect();
-        handles
+            .collect::<std::io::Result<Vec<_>>>()?;
+        Ok(handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
+            .collect())
     })
 }
 
@@ -940,7 +935,6 @@ impl Mutator {
                 shared.options.compiler.clone(),
                 &CompileServiceOptions {
                     workers: shared.options.compile_workers,
-                    queue_capacity: shared.options.compile_queue_capacity,
                     metrics: shared.options.metrics.clone(),
                 },
                 shared.options.checked.then(|| self.static_verdicts()),
@@ -1016,15 +1010,15 @@ impl Mutator {
     }
 
     /// Emits a [`TraceEvent::MetricsSnapshot`] delta into the trace sink
-    /// every `metrics_snapshot_every` installing safepoints (background
-    /// mode only — that is the only caller of [`Self::drain_background`]).
+    /// every [`METRICS_SNAPSHOT_EVERY`] installing safepoints (background
+    /// mode only — that is the only caller of [`Self::drain_background`])
+    /// when both `metrics` and `trace` are attached.
     fn maybe_emit_metrics_snapshot(&mut self) {
-        let every = self.options.metrics_snapshot_every;
-        if every == 0 || !self.options.metrics.is_enabled() || self.options.trace.is_none() {
+        if !self.options.metrics.is_enabled() || self.options.trace.is_none() {
             return;
         }
         self.snapshot_polls += 1;
-        if self.snapshot_polls < every {
+        if self.snapshot_polls < METRICS_SNAPSHOT_EVERY {
             return;
         }
         self.snapshot_polls = 0;
@@ -1200,7 +1194,7 @@ impl Mutator {
                         rematerialized,
                     });
                 }
-                if deopts >= self.options.max_deopts {
+                if deopts >= MAX_DEOPTS {
                     // Evict and re-profile: the speculation no longer
                     // matches reality. Only this mutator's table changes: a
                     // warm fork sharing the artifact keeps its `Arc` until
@@ -1586,7 +1580,7 @@ mod tests {
                 Some(Value::Int(-1))
             );
         }
-        // Evicted at max_deopts, then re-profiled; it may have been
+        // Evicted at MAX_DEOPTS, then re-profiled; it may have been
         // recompiled without the failing speculation afterwards.
         assert!(v.stats().deopts >= 8);
         // Re-warm: both branches now profiled, recompilation must not
@@ -1642,13 +1636,15 @@ mod tests {
     fn spawned_mutators_tier_independently_and_agree_with_solo() {
         let src = "method f 1 returns { load 0 const 1 add retv }";
         let v = vm(src, VmOptions::with_opt_level(OptLevel::Pea));
-        let results = v.run_threads(2, |t, m| {
-            let mut out = Vec::new();
-            for i in 0..100 {
-                out.push(m.call_entry("f", &[Value::Int(i + t as i64)]).unwrap());
-            }
-            (out, m.compiled_method_count(), m.stats().compiles)
-        });
+        let results = v
+            .run_threads(2, |t, m| {
+                let mut out = Vec::new();
+                for i in 0..100 {
+                    out.push(m.call_entry("f", &[Value::Int(i + t as i64)]).unwrap());
+                }
+                (out, m.compiled_method_count(), m.stats().compiles)
+            })
+            .expect("spawns the mutator threads");
         for (t, (out, pinned, compiles)) in results.iter().enumerate() {
             assert_eq!(out.len(), 100);
             assert_eq!(out[0], Some(Value::Int(1 + t as i64)));
@@ -1665,14 +1661,16 @@ mod tests {
         // Both mutators stay alive until both have read their artifact's
         // address, so equal addresses could only mean a shared artifact.
         let barrier = std::sync::Barrier::new(2);
-        let runs = v.run_threads(2, |_, m| {
-            for i in 0..100 {
-                m.call_entry("f", &[Value::Int(i)]).unwrap();
-            }
-            let code = m.compiled(f).map(|c| c as *const CompiledMethod as usize);
-            barrier.wait();
-            (code, m.stats().compiles)
-        });
+        let runs = v
+            .run_threads(2, |_, m| {
+                for i in 0..100 {
+                    m.call_entry("f", &[Value::Int(i)]).unwrap();
+                }
+                let code = m.compiled(f).map(|c| c as *const CompiledMethod as usize);
+                barrier.wait();
+                (code, m.stats().compiles)
+            })
+            .expect("spawns the mutator threads");
         let (a, b) = (
             runs[0].0.expect("thread 0 compiled f"),
             runs[1].0.expect("thread 1 compiled f"),

@@ -320,39 +320,41 @@ fn n_threads_in_compiled_loops_never_starve_background_installs() {
         ..VmOptions::with_opt_level(OptLevel::Pea)
     };
     let vm = Vm::new(program, options);
-    let polls = vm.run_threads(4, |t, m| {
-        let cold = m.program().static_method_by_name("cold").unwrap();
-        let hotloop = m.program().static_method_by_name("hotloop").unwrap();
-        // Each mutator warms the loop against its own profile timeline.
-        for _ in 0..20 {
-            m.call_entry("hotloop", &[Value::Int(4)]).unwrap();
-        }
-        m.await_background_compiles();
-        assert!(
-            m.compiled(hotloop).is_some(),
-            "thread {t}: hotloop must be compiled before the compiled-only phase"
-        );
-        let polls_before = m
-            .metrics()
-            .on()
-            .map(|metrics| metrics.vm.safepoint_polls.get())
-            .unwrap();
-        // Cross the threshold on `cold`, then live inside compiled-only
-        // loops until the worker's artifact installs at a back-edge poll.
-        for i in 0..11 {
-            m.call_entry("cold", &[Value::Int(i)]).unwrap();
-        }
-        let mut attempts = 0;
-        while m.compiled(cold).is_none() {
-            attempts += 1;
+    let polls = vm
+        .run_threads(4, |t, m| {
+            let cold = m.program().static_method_by_name("cold").unwrap();
+            let hotloop = m.program().static_method_by_name("hotloop").unwrap();
+            // Each mutator warms the loop against its own profile timeline.
+            for _ in 0..20 {
+                m.call_entry("hotloop", &[Value::Int(4)]).unwrap();
+            }
+            m.await_background_compiles();
             assert!(
-                attempts <= 20,
-                "thread {t}: install starved through {attempts} compiled-only loops"
+                m.compiled(hotloop).is_some(),
+                "thread {t}: hotloop must be compiled before the compiled-only phase"
             );
-            m.call_entry("hotloop", &[Value::Int(300_000)]).unwrap();
-        }
-        polls_before
-    });
+            let polls_before = m
+                .metrics()
+                .on()
+                .map(|metrics| metrics.vm.safepoint_polls.get())
+                .unwrap();
+            // Cross the threshold on `cold`, then live inside compiled-only
+            // loops until the worker's artifact installs at a back-edge poll.
+            for i in 0..11 {
+                m.call_entry("cold", &[Value::Int(i)]).unwrap();
+            }
+            let mut attempts = 0;
+            while m.compiled(cold).is_none() {
+                attempts += 1;
+                assert!(
+                    attempts <= 20,
+                    "thread {t}: install starved through {attempts} compiled-only loops"
+                );
+                m.call_entry("hotloop", &[Value::Int(300_000)]).unwrap();
+            }
+            polls_before
+        })
+        .expect("spawns the mutator threads");
     let polls_after = vm
         .metrics()
         .on()

@@ -165,21 +165,23 @@ fn deep_recursion_is_a_stack_overflow_on_every_tier() {
     for (tier, options) in tiers {
         let jit = options.jit;
         let vm = Vm::new(parse_program(RECURSE).unwrap(), options);
-        let runs = vm.run_threads(1, |_, m| {
-            for i in 0..60 {
-                assert_eq!(
-                    m.call_entry("r", &[Value::Int(i % 8)]),
-                    Ok(Some(Value::Int(i % 8)))
-                );
-            }
-            (
-                m.compiled_method_count(),
-                m.call_entry("r", &[Value::Int(deepest)]),
-                m.call_entry("r", &[Value::Int(deepest + 1)]),
-                m.call_entry("r", &[Value::Int(5000)]),
-                m.call_entry("r", &[Value::Int(7)]),
-            )
-        });
+        let runs = vm
+            .run_threads(1, |_, m| {
+                for i in 0..60 {
+                    assert_eq!(
+                        m.call_entry("r", &[Value::Int(i % 8)]),
+                        Ok(Some(Value::Int(i % 8)))
+                    );
+                }
+                (
+                    m.compiled_method_count(),
+                    m.call_entry("r", &[Value::Int(deepest)]),
+                    m.call_entry("r", &[Value::Int(deepest + 1)]),
+                    m.call_entry("r", &[Value::Int(5000)]),
+                    m.call_entry("r", &[Value::Int(7)]),
+                )
+            })
+            .expect("spawns the mutator threads");
         let (compiled, at_limit, one_past, past_limit, after) = &runs[0];
         assert_eq!(*compiled, usize::from(jit), "{tier}");
         assert_eq!(*at_limit, Ok(Some(Value::Int(deepest))), "{tier}");
@@ -280,9 +282,11 @@ fn depth_stays_balanced_through_errors() {
     pea.compiler.build.inline = false;
     for (tier, options) in [("interp", VmOptions::interpreter_only()), ("pea", pea)] {
         let vm = Vm::new(program.clone(), options);
-        let runs = vm.run_threads(1, |_, m| {
-            failures_then_limits(|name, n| m.call_entry(name, &[Value::Int(n)]))
-        });
+        let runs = vm
+            .run_threads(1, |_, m| {
+                failures_then_limits(|name, n| m.call_entry(name, &[Value::Int(n)]))
+            })
+            .expect("spawns the mutator threads");
         assert_eq!(runs[0], vm_expected, "{tier}");
     }
     // `SimpleEnv` reports the escaping exception as the raw `Thrown`.
@@ -342,19 +346,21 @@ fn depth_stays_balanced_after_an_inlined_deopt() {
     pea_bytecode::verify_program(&program).unwrap();
     let deepest = MAX_CALL_DEPTH as i64 - 1;
     let vm = Vm::new(program, VmOptions::with_opt_level(OptLevel::Pea));
-    let runs = vm.run_threads(1, |_, m| {
-        for i in 0..60 {
-            assert_eq!(m.call_entry("f", &[Value::Int(i)]), Ok(Some(Value::Int(i))));
-        }
-        let before = m.stats();
-        let mut out = Vec::new();
-        for _ in 0..3 {
-            out.push(m.call_entry("f", &[Value::Int(2000)]));
-            out.push(m.call_entry("r", &[Value::Int(deepest)]));
-            out.push(m.call_entry("r", &[Value::Int(5000)]));
-        }
-        (m.stats().delta(&before).deopts, out)
-    });
+    let runs = vm
+        .run_threads(1, |_, m| {
+            for i in 0..60 {
+                assert_eq!(m.call_entry("f", &[Value::Int(i)]), Ok(Some(Value::Int(i))));
+            }
+            let before = m.stats();
+            let mut out = Vec::new();
+            for _ in 0..3 {
+                out.push(m.call_entry("f", &[Value::Int(2000)]));
+                out.push(m.call_entry("r", &[Value::Int(deepest)]));
+                out.push(m.call_entry("r", &[Value::Int(5000)]));
+            }
+            (m.stats().delta(&before).deopts, out)
+        })
+        .expect("spawns the mutator threads");
     let (deopts, out) = &runs[0];
     assert!(*deopts >= 1, "f never deoptimized");
     let expected = [

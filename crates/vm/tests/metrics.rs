@@ -157,7 +157,6 @@ fn background_trace_carries_periodic_metrics_snapshots() {
     let (sink, buffer) = SharedSink::new(MemorySink::new());
     let mut options = metrics_options(true);
     options.trace = Some(sink);
-    options.metrics_snapshot_every = 1;
     let mut vm = Vm::new(w.program.clone(), options);
     for i in 0..200 {
         vm.call_entry("iterate", &[Value::Int(i)]).unwrap();

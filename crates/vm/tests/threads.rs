@@ -80,7 +80,9 @@ fn assert_threads_match_solo(workload: &Workload, iters: i64, threads: usize, ex
     let solo = solo_oracle(workload, iters, exec_mode);
 
     let vm = Vm::new(workload.program.clone(), strict_options(exec_mode));
-    let observed = vm.run_threads(threads, |_, m| observe(m, &workload.name, iters));
+    let observed = vm
+        .run_threads(threads, |_, m| observe(m, &workload.name, iters))
+        .expect("spawns the mutator threads");
 
     for (t, o) in observed.iter().enumerate() {
         assert_eq!(
@@ -157,16 +159,18 @@ fn background_threads_match_solo_results() {
     solo.await_background_compiles();
 
     let vm = Vm::new(workload.program.clone(), options());
-    let threaded = vm.run_threads(3, |t, m| {
-        let results: Vec<_> = (0..150)
-            .map(|i| {
-                m.call_entry("iterate", &[Value::Int(i)])
-                    .unwrap_or_else(|e| panic!("thread {t} iteration {i}: {e}"))
-            })
-            .collect();
-        let installed = m.await_background_compiles();
-        (results, installed)
-    });
+    let threaded = vm
+        .run_threads(3, |t, m| {
+            let results: Vec<_> = (0..150)
+                .map(|i| {
+                    m.call_entry("iterate", &[Value::Int(i)])
+                        .unwrap_or_else(|e| panic!("thread {t} iteration {i}: {e}"))
+                })
+                .collect();
+            let installed = m.await_background_compiles();
+            (results, installed)
+        })
+        .expect("spawns the mutator threads");
     for (t, (results, installed)) in threaded.iter().enumerate() {
         assert_eq!(
             results, &solo_results,
@@ -231,7 +235,6 @@ fn churn(m: &mut Mutator, label: &str) -> (Vec<Option<Value>>, Stats) {
 fn concurrent_eviction_churn_matches_solo() {
     let options = || VmOptions {
         compile_threshold: 20,
-        max_deopts: 5,
         checked: true,
         ..VmOptions::with_opt_level(OptLevel::Pea)
     };
@@ -246,7 +249,9 @@ fn concurrent_eviction_churn_matches_solo() {
     );
 
     let vm = Vm::new(deopt_program(), options());
-    let runs = vm.run_threads(4, |t, m| churn(m, &format!("thread {t}")));
+    let runs = vm
+        .run_threads(4, |t, m| churn(m, &format!("thread {t}")))
+        .expect("spawns the mutator threads");
     for (t, run) in runs.iter().enumerate() {
         assert_eq!(run, &solo_run, "thread {t} diverged from the solo run");
     }
@@ -305,7 +310,8 @@ fn concurrent_mutators_never_cross_charge_the_profiler() {
     // other; per-mutator recorder contexts keep both exact.
     let hub = ProfilerHub::enabled();
     let vm = Vm::new(program(), options(&hub));
-    vm.run_threads(2, |t, m| drive(m, if t == 0 { "fa" } else { "fb" }));
+    vm.run_threads(2, |t, m| drive(m, if t == 0 { "fa" } else { "fb" }))
+        .expect("spawns the mutator threads");
     assert_eq!(
         method_total(&hub, "fa"),
         solo_a,

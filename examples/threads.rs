@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             last = m.call_entry("iterate", &[Value::Int(i)]).expect("call");
         }
         (t, last, m.stats())
-    });
+    })?;
     for (t, last, stats) in &runs {
         println!(
             "thread {t}: last={last:?} cycles={} allocs={} compiles={}",

@@ -226,7 +226,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2);
         });
-        match ProfileStore::import_json(&text) {
+        match ProfileStore::import_json(&text, vm.program()) {
             Ok(profiles) => vm.import_profiles(profiles),
             Err(e) => {
                 eprintln!("{path}: {e}");
@@ -557,6 +557,10 @@ fn cmd_disasm(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Most `pea serve` threads: each reserves [`pea::vm::MUTATOR_STACK_SIZE`]
+/// (about 34.6 MB) of stack, so 256 reserve about 8.9 GB of address space.
+const MAX_SERVE_THREADS: usize = 256;
+
 /// `pea serve`: N mutator threads on one VM, each calling the entry in a
 /// loop — the CLI face of the multi-threaded throughput harness. The main
 /// mutator warms first so every thread forks pre-compiled tiering state,
@@ -587,8 +591,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let program = load(path);
     let call_args = call_args(rest);
     let threads: usize = parse_flag(rest, "--threads", "N").unwrap_or(4);
-    if threads == 0 {
-        eprintln!("--threads must be at least 1");
+    if !(1..=MAX_SERVE_THREADS).contains(&threads) {
+        eprintln!("--threads must be between 1 and {MAX_SERVE_THREADS}");
         return ExitCode::from(2);
     }
     let iters: usize = parse_flag(rest, "--iters", "N").unwrap_or(1000);
@@ -625,6 +629,13 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         (last, m.stats())
     });
     let wall = start.elapsed();
+    let runs = match runs {
+        Ok(runs) => runs,
+        Err(e) => {
+            eprintln!("cannot spawn {threads} mutator threads: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
     let (oracle, _) = &runs[0];
     let diverged = runs.iter().filter(|(v, _)| v != oracle).count();

@@ -378,6 +378,99 @@ fn serve_threads_agree() {
     }
 }
 
+/// A `--threads` count past the bound is a usage error before any mutator
+/// is built: exit status 2 naming the bound, not a panic when the OS
+/// refuses the threads.
+#[test]
+fn serve_refuses_too_many_threads() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pea"))
+        .args(["serve", "examples/cache_key.asm", "getValue", "7", "null"])
+        .args(["--threads", "100000", "--iters", "1"])
+        .output()
+        .expect("runs pea");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--threads must be between 1 and 256"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// Threads the OS refuses to spawn are a run error (exit status 1 naming
+/// it), not a panic: under a 3 GB address-space limit, 200 threads cannot
+/// each reserve their stack.
+#[cfg(target_os = "linux")]
+#[test]
+fn serve_reports_threads_it_cannot_spawn() {
+    let out = std::process::Command::new("sh")
+        .arg("-c")
+        .arg(r#"ulimit -v 3000000 && exec "$0" serve examples/cache_key.asm getValue 7 null --threads 200 --iters 10"#)
+        .arg(env!("CARGO_BIN_EXE_pea"))
+        .output()
+        .expect("runs pea");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cannot spawn 200 mutator threads"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+/// A `--profile-in` file naming a method, bci or class the program does not
+/// have is refused before any table is sized from it: exit status 2 and a
+/// message naming the line.
+#[test]
+fn hostile_profile_is_refused() {
+    // `getValue` is a method of the example; its code is far shorter than
+    // 65 535 instructions.
+    let method = {
+        let src = std::fs::read_to_string("examples/cache_key.asm").expect("reads the example");
+        let program = parse_program(&src).expect("parses the example");
+        program
+            .static_method_by_name("getValue")
+            .expect("has getValue")
+            .index()
+    };
+    let invocation = format!("{{\"record\":\"invocation\",\"method\":{method},\"count\":1}}\n");
+    let branch = |m: usize| {
+        format!(
+            "{{\"record\":\"branch\",\"method\":{m},\"bci\":65535,\"taken\":1,\"not_taken\":0}}\n"
+        )
+    };
+    let path = std::env::temp_dir().join(format!("pea-profile-{}.json", std::process::id()));
+    for (text, named) in [
+        (
+            format!("{invocation}{}", branch(method)),
+            "profile line 2: \"bci\" 65535",
+        ),
+        (
+            (0..400).map(|m| branch(m + 400)).collect(),
+            "profile line 1: \"method\" 400",
+        ),
+    ] {
+        std::fs::write(&path, text).expect("writes the profile");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_pea"))
+            .args([
+                "run",
+                "examples/cache_key.asm",
+                "getValue",
+                "7",
+                "null",
+                "--profile-in",
+            ])
+            .arg(&path)
+            .output()
+            .expect("runs pea");
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(named), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
 /// `--level` takes exactly `none|ees|pea`: a missing value, a removed name
 /// and garbage are usage errors (exit status 2, the three names listed),
 /// never a silent default.
