@@ -231,9 +231,9 @@ impl ProfileStore {
 
     /// Parses a store for `program` back from
     /// [`export_json`](Self::export_json) output. Blank lines are skipped;
-    /// repeated records for the same key accumulate. The store
-    /// is dense in methods and bcis, so every index is checked against
-    /// `program` before anything is sized from it.
+    /// repeated records for the same key accumulate. The store is dense in
+    /// methods and bcis, so every index is checked against `program`
+    /// before anything is sized from it.
     ///
     /// # Errors
     ///
@@ -291,14 +291,13 @@ impl ProfileStore {
                 let bci = index("bci", code_len)?;
                 let class = ClassId(index("class", program.classes.len())?);
                 let p = cell(&mut self.method_mut(method).receivers, bci);
-                let at = match p.counts.iter().position(|(c, _)| *c == class) {
-                    Some(at) => at,
+                match p.counts.iter_mut().find(|(c, _)| *c == class) {
+                    Some((_, n)) => add(n, "count"),
                     None => {
-                        p.counts.push((class, 0));
-                        p.counts.len() - 1
+                        p.counts.push((class, field("count")?));
+                        Ok(())
                     }
-                };
-                add(&mut p.counts[at].1, "count")
+                }
             }
             other => Err(format!("unknown record kind {other:?}")),
         }
