@@ -30,7 +30,7 @@ fn heap_operations_reach_no_host_allocator() {
     let a = program.field_by_name(class, "a").unwrap();
     let b = program.field_by_name(class, "b").unwrap();
     let mut heap = Heap::new();
-    heap.reserve(2 * N, (2 + 4) * N);
+    heap.reserve(2 * N, (2 + 4) * N).unwrap();
 
     let before = allocations();
     for i in 0..N as i64 {
@@ -116,7 +116,7 @@ fn pairs_loop(program: &Program, level: OptLevel) -> Env {
         heap: Heap::new(),
         statics: Statics::new(&program.statics),
     };
-    env.heap.reserve(2 * (N + 8), 4 * (N + 8));
+    env.heap.reserve(2 * (N + 8), 4 * (N + 8)).unwrap();
     // Warm the register-file pool.
     execute(program, &mut env, &code, &[Value::Int(8)]).unwrap();
 

@@ -52,10 +52,13 @@ pub enum Effect {
 /// reference `b`'s final resolution.
 #[derive(Debug, Default)]
 pub struct EffectApplier {
-    resolved: std::collections::HashMap<NodeId, NodeId>,
-    /// Nodes deleted so far (for assertions in tests).
-    pub deleted: Vec<NodeId>,
+    /// The replacement of each node, indexed by node ([`NO_NODE`] if
+    /// none); sized to the graph on the first replacement.
+    resolved: Vec<NodeId>,
 }
+
+/// "Not replaced" in [`EffectApplier`]'s table.
+const NO_NODE: NodeId = NodeId(u32::MAX);
 
 impl EffectApplier {
     /// Fresh applier.
@@ -64,8 +67,8 @@ impl EffectApplier {
     }
 
     fn resolve(&self, mut n: NodeId) -> NodeId {
-        while let Some(&r) = self.resolved.get(&n) {
-            if r == n {
+        while let Some(&r) = self.resolved.get(n.index()) {
+            if r == NO_NODE || r == n {
                 break;
             }
             n = r;
@@ -82,16 +85,17 @@ impl EffectApplier {
                 // shared and must survive until all rewrites ran).
                 graph.unlink_fixed(*node);
                 graph.set_state_after(*node, None);
-                self.deleted.push(*node);
             }
             Effect::ReplaceAndDeleteFixed { node, replacement } => {
                 let replacement = self.resolve(*replacement);
                 assert_ne!(*node, replacement, "node replaced by itself");
                 graph.replace_at_usages(*node, replacement);
-                self.resolved.insert(*node, replacement);
+                if self.resolved.is_empty() {
+                    self.resolved.resize(graph.len(), NO_NODE);
+                }
+                self.resolved[node.index()] = replacement;
                 graph.unlink_fixed(*node);
                 graph.set_state_after(*node, None);
-                self.deleted.push(*node);
             }
             Effect::SetInput { node, index, value } => {
                 let value = self.resolve(*value);

@@ -10,6 +10,8 @@
 //!   inline).
 //! * [`fig7_loop_graph`] — the loop of Figure 7.
 //! * [`listing8_graph`] — the frame-state example of Listing 8 / Figure 8.
+//! * [`diamond_chain`] — `n` if/else diamonds in a row, optionally with a
+//!   virtual object crossing every merge (the analysis' per-block cost).
 
 use pea_bytecode::{
     ClassId, CmpOp, FieldId, MethodBuilder, MethodId, Program, ProgramBuilder, StaticId, ValueKind,
@@ -366,4 +368,68 @@ pub fn listing8_graph(p: &KeyProgram) -> (Graph, NodeId, NodeId) {
     let ret = g.add(NodeKind::Return, vec![load]);
     g.set_next(load, ret);
     (g, new_int, put)
+}
+
+/// `n` if/else diamonds in a row on `p0`, each arm a `putstatic cacheKey
+/// = p1` with a frame state of its own. With `carry_object`, a `Key`
+/// allocated up front (`idx = p0`) is read after the last merge, so it
+/// stays virtual across every merge with its fields unchanged:
+///
+/// ```text
+/// [key = new Key(); key.idx = p0;]
+/// repeat n: if (p0) { cacheKey = p1; } else { cacheKey = p1; }
+/// return [key.idx | 0];
+/// ```
+pub fn diamond_chain(p: &KeyProgram, n: usize, carry_object: bool) -> Graph {
+    let mut g = Graph::new();
+    let p0 = g.add(NodeKind::Param { index: 0 }, vec![]);
+    let p1 = g.add(NodeKind::Param { index: 1 }, vec![]);
+    let mut last = g.start;
+    let key = carry_object.then(|| {
+        let key = g.add(NodeKind::New { class: p.key_class }, vec![]);
+        g.set_next(last, key);
+        let store = g.add(NodeKind::StoreField { field: p.f_idx }, vec![key, p0]);
+        g.set_next(key, store);
+        let state = g.add_frame_state(
+            FrameStateData::new(p.m_get_value, 0, 2, 0, 0, false),
+            vec![p0, p1],
+        );
+        g.set_state_after(store, Some(state));
+        last = store;
+        key
+    });
+    for i in 0..n {
+        let iff = g.add(NodeKind::If, vec![p0]);
+        g.set_next(last, iff);
+        let arm = |g: &mut Graph, bci: u32| {
+            let begin = g.add(NodeKind::Begin, vec![]);
+            let put = g.add(NodeKind::PutStatic { id: p.s_cache_key }, vec![p1]);
+            g.set_next(begin, put);
+            let state = g.add_frame_state(
+                FrameStateData::new(p.m_get_value, bci, 2, 0, 0, false),
+                vec![p0, p1],
+            );
+            g.set_state_after(put, Some(state));
+            let end = g.add(NodeKind::End, vec![]);
+            g.set_next(put, end);
+            (begin, end)
+        };
+        let (t, te) = arm(&mut g, 2 * i as u32 + 1);
+        let (f, fe) = arm(&mut g, 2 * i as u32 + 2);
+        g.set_if_targets(iff, t, f);
+        let merge = g.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
+        last = merge;
+    }
+    let value = match key {
+        Some(key) => {
+            let load = g.add(NodeKind::LoadField { field: p.f_idx }, vec![key]);
+            g.set_next(last, load);
+            last = load;
+            load
+        }
+        None => g.const_int(0),
+    };
+    let ret = g.add(NodeKind::Return, vec![value]);
+    g.set_next(last, ret);
+    g
 }

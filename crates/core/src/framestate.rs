@@ -9,7 +9,6 @@ use crate::effects::Effect;
 use crate::state::{AllocId, ObjectState, PeaState};
 use pea_ir::cfg::BlockId;
 use pea_ir::{NodeId, NodeKind};
-use std::collections::HashMap;
 
 /// Rewrites `fs` (and its outer-state chain) against the current object
 /// state. Each frame state is rewritten at most once, at its earliest
@@ -22,11 +21,12 @@ pub(crate) fn rewrite_frame_state(
     fs: NodeId,
     block: BlockId,
 ) {
-    if ctx.rewritten_states.contains_key(&fs) {
-        return;
-    }
-    let mut mappings: HashMap<AllocId, NodeId> = HashMap::new();
+    // The mappings one rewrite shares across the chain: a handful of
+    // virtual objects, so a vector beats a map.
+    let mut mappings = std::mem::take(&mut ctx.scratch.objects);
+    mappings.clear();
     rewrite_one(ctx, state, fs, block, &mut mappings);
+    ctx.scratch.objects = mappings;
 }
 
 fn rewrite_one(
@@ -34,24 +34,23 @@ fn rewrite_one(
     state: &PeaState,
     fs: NodeId,
     block: BlockId,
-    mappings: &mut HashMap<AllocId, NodeId>,
+    mappings: &mut Vec<(AllocId, NodeId)>,
 ) {
-    if ctx.rewritten_states.contains_key(&fs) {
+    if !ctx.claim_frame_state(fs, block) {
         return;
     }
-    ctx.rewritten_states.insert(fs, block);
-    let data = ctx.graph.frame_state_data(fs).clone();
-    let inputs = ctx.graph.node(fs).inputs().to_vec();
+    let data = ctx.graph.frame_state_data(fs);
     let value_slots = data
         .locals_range()
         .chain(data.stack_range())
         .chain(data.locks_range());
+    let outer_index = data.outer_index();
     for i in value_slots {
-        let v = inputs[i];
+        let v = ctx.graph.node(fs).inputs()[i];
         if let Some(id) = state.alias_of(v) {
             let replacement = match state.object(id) {
                 ObjectState::Virtual { .. } => mapping_for(ctx, state, id, mappings),
-                ObjectState::Escaped { materialized } => *materialized,
+                ObjectState::Escaped { materialized } => materialized,
             };
             ctx.record(
                 block,
@@ -63,8 +62,8 @@ fn rewrite_one(
             );
         }
     }
-    if let Some(outer_index) = data.outer_index() {
-        let outer = inputs[outer_index];
+    if let Some(outer_index) = outer_index {
+        let outer = ctx.graph.node(fs).inputs()[outer_index];
         rewrite_one(ctx, state, outer, block, mappings);
     }
 }
@@ -76,15 +75,14 @@ fn mapping_for(
     ctx: &mut PeaContext<'_>,
     state: &PeaState,
     id: AllocId,
-    mappings: &mut HashMap<AllocId, NodeId>,
+    mappings: &mut Vec<(AllocId, NodeId)>,
 ) -> NodeId {
-    if let Some(&m) = mappings.get(&id) {
+    if let Some(&(_, m)) = mappings.iter().find(|&&(a, _)| a == id) {
         return m;
     }
-    let ObjectState::Virtual { fields, lock_count } = state.object(id) else {
+    let ObjectState::Virtual { lock_count, .. } = state.object(id) else {
         unreachable!("mapping for escaped object");
     };
-    let (fields, lock_count) = (fields.clone(), *lock_count);
     let vom = ctx.graph.add(
         NodeKind::VirtualObjectMapping {
             shape: ctx.infos[id.index()].shape,
@@ -92,12 +90,12 @@ fn mapping_for(
         },
         vec![],
     );
-    mappings.insert(id, vom);
-    for v in fields {
+    mappings.push((id, vom));
+    for &v in state.fields(id) {
         let resolved = match state.alias_of(v) {
             Some(child) => match state.object(child) {
                 ObjectState::Virtual { .. } => mapping_for(ctx, state, child, mappings),
-                ObjectState::Escaped { materialized } => *materialized,
+                ObjectState::Escaped { materialized } => materialized,
             },
             None => v,
         };

@@ -20,19 +20,23 @@ pub(crate) fn materialize(
     block: BlockId,
     reason: MaterializeReason,
 ) -> NodeId {
-    // Transitive closure over virtual field references.
-    let mut group: Vec<AllocId> = vec![id];
+    // Transitive closure over virtual field references; each member is
+    // paired with its allocated object once the commit exists.
+    let mut group = std::mem::take(&mut ctx.scratch.objects);
+    group.clear();
+    group.push((id, NodeId(0)));
     let mut i = 0;
     while i < group.len() {
-        let member = group[i];
+        let (member, _) = group[i];
         i += 1;
-        let ObjectState::Virtual { fields, .. } = state.object(member) else {
-            unreachable!("materializing a non-virtual object");
-        };
-        for &v in fields {
+        assert!(
+            state.object(member).is_virtual(),
+            "materializing a non-virtual object"
+        );
+        for &v in state.fields(member) {
             if let Some(child) = state.virtual_alias(v) {
-                if !group.contains(&child) {
-                    group.push(child);
+                if !group.iter().any(|&(m, _)| m == child) {
+                    group.push((child, NodeId(0)));
                 }
             }
         }
@@ -41,47 +45,26 @@ pub(crate) fn materialize(
     // Create the commit and its allocated-object handles.
     let objects: Vec<CommitObject> = group
         .iter()
-        .map(|&m| {
-            let ObjectState::Virtual { lock_count, .. } = state.object(m) else {
-                unreachable!()
-            };
-            CommitObject {
-                shape: ctx.infos[m.index()].shape,
-                lock_count: *lock_count,
-            }
+        .map(|&(m, _)| CommitObject {
+            shape: ctx.infos[m.index()].shape,
+            lock_count: state.object(m).lock_count().expect("virtual"),
         })
         .collect();
     let commit = ctx.graph.add(NodeKind::Commit { objects }, vec![]);
-    let allocated: Vec<NodeId> = (0..group.len())
-        .map(|index| {
-            ctx.graph
-                .add(NodeKind::AllocatedObject { index }, vec![commit])
-        })
-        .collect();
-
-    // Snapshot field values, then mark the group escaped.
-    let snapshots: Vec<Vec<NodeId>> = group
-        .iter()
-        .map(|&m| {
-            let ObjectState::Virtual { fields, .. } = state.object(m) else {
-                unreachable!()
-            };
-            fields.clone()
-        })
-        .collect();
-    for (gi, &m) in group.iter().enumerate() {
-        *state.object_mut(m) = ObjectState::Escaped {
-            materialized: allocated[gi],
-        };
+    for (index, (_, allocated)) in group.iter_mut().enumerate() {
+        *allocated = ctx
+            .graph
+            .add(NodeKind::AllocatedObject { index }, vec![commit]);
     }
+
     // Commit inputs: field values with intra-group references resolved to
     // the fresh allocated objects and escaped references resolved to their
     // materialized values.
-    for fields in &snapshots {
-        for &v in fields {
+    for &(m, _) in &group {
+        for &v in state.fields(m) {
             let resolved = match state.alias_of(v) {
-                Some(a) => match group.iter().position(|&m| m == a) {
-                    Some(gi) => allocated[gi],
+                Some(a) => match group.iter().find(|&&(g, _)| g == a) {
+                    Some(&(_, allocated)) => allocated,
                     None => state
                         .object(a)
                         .materialized_value()
@@ -91,6 +74,13 @@ pub(crate) fn materialize(
             };
             ctx.graph.push_input(commit, resolved);
         }
+    }
+    // Then mark the group escaped (their field values stay in the
+    // state's buffer, unreferenced).
+    for &(m, allocated) in &group {
+        *state.object_mut(m) = ObjectState::Escaped {
+            materialized: allocated,
+        };
     }
 
     ctx.record(
@@ -103,7 +93,7 @@ pub(crate) fn materialize(
     if ctx.tracing() {
         // One event per group member: each allocation site materializes,
         // even though the group shares a single commit node.
-        for &m in &group {
+        for &(m, _) in &group {
             let event = TraceEvent::Materialized {
                 site: ctx.site_of(m),
                 anchor: anchor.index() as u32,
@@ -114,7 +104,9 @@ pub(crate) fn materialize(
         }
     }
     ctx.materialize_ticks += 1;
-    allocated[0]
+    let (_, first) = group[0];
+    ctx.scratch.objects = group;
+    first
 }
 
 /// Ensures `value` is usable as a real runtime value at `anchor`:
@@ -131,7 +123,7 @@ pub(crate) fn resolve_to_real(
     match state.alias_of(value) {
         Some(id) => match state.object(id) {
             ObjectState::Virtual { .. } => materialize(ctx, state, id, anchor, block, reason),
-            ObjectState::Escaped { materialized } => *materialized,
+            ObjectState::Escaped { materialized } => materialized,
         },
         None => value,
     }
@@ -162,9 +154,14 @@ fn escape_all_alias_inputs(
     node: NodeId,
     block: BlockId,
 ) {
+    if state.aliases().is_empty() {
+        return;
+    }
     let reason = escape_reason(ctx.graph.kind(node));
-    let inputs = ctx.graph.node(node).inputs().to_vec();
-    for (i, v) in inputs.into_iter().enumerate() {
+    // Materializing adds nodes but never touches `node`'s inputs, so they
+    // can be read by index.
+    for i in 0..ctx.graph.node(node).inputs().len() {
+        let v = ctx.graph.node(node).inputs()[i];
         if state.alias_of(v).is_some() {
             let real = resolve_to_real(ctx, state, v, node, block, reason);
             ctx.record(
@@ -179,25 +176,47 @@ fn escape_all_alias_inputs(
     }
 }
 
-/// Default field values for a fresh allocation.
-fn default_fields(ctx: &mut PeaContext<'_>, shape: AllocShape) -> Vec<NodeId> {
+/// Registers a fresh virtual allocation of `shape` at `node`, its fields
+/// holding the default values (interned `0`/`null` constants, created in
+/// slot order on first use).
+fn virtualize(
+    ctx: &mut PeaContext<'_>,
+    state: &mut PeaState,
+    node: NodeId,
+    block: BlockId,
+    shape: AllocShape,
+) {
+    let field_count = match shape {
+        AllocShape::Instance { class } => ctx.program.slot_kinds(class).len(),
+        AllocShape::Array { length, .. } => length as usize,
+    };
+    let id = ctx.new_alloc(AllocInfo {
+        shape,
+        origin: node,
+        field_count,
+    });
+    let graph = &mut *ctx.graph;
+    let mut default = |kind: pea_bytecode::ValueKind| match kind {
+        pea_bytecode::ValueKind::Int => graph.const_int(0),
+        pea_bytecode::ValueKind::Ref => graph.const_null(),
+    };
     match shape {
-        AllocShape::Instance { class } => ctx
-            .program
-            .slot_kinds(class)
-            .iter()
-            .map(|kind| match kind {
-                pea_bytecode::ValueKind::Int => ctx.graph.const_int(0),
-                pea_bytecode::ValueKind::Ref => ctx.graph.const_null(),
-            })
-            .collect(),
-        AllocShape::Array { kind, length } => {
-            let d = match kind {
-                pea_bytecode::ValueKind::Int => ctx.graph.const_int(0),
-                pea_bytecode::ValueKind::Ref => ctx.graph.const_null(),
-            };
-            vec![d; length as usize]
+        AllocShape::Instance { class } => {
+            let kinds = ctx.program.slot_kinds(class);
+            state.add_virtual(id, node, kinds.iter().map(|&k| default(k)));
         }
+        AllocShape::Array { kind, length } => {
+            let d = default(kind);
+            state.add_virtual(id, node, std::iter::repeat_n(d, length as usize));
+        }
+    }
+    ctx.record(block, Effect::DeleteFixed { node });
+    if ctx.tracing() {
+        let event = TraceEvent::Virtualized {
+            site: node.index() as u32,
+            shape: ctx.shape_str(shape),
+        };
+        ctx.trace(block, event);
     }
 }
 
@@ -211,33 +230,18 @@ pub(crate) fn process_node(
     node: NodeId,
     block: BlockId,
 ) {
-    let kind = ctx.graph.kind(node).clone();
+    let allowed = |ctx: &PeaContext<'_>| {
+        ctx.options
+            .allowed
+            .as_ref()
+            .is_none_or(|set| set.contains(node))
+    };
     let mut deleted = false;
-    match kind {
+    match *ctx.graph.kind(node) {
         // ---- allocations (Fig. 4a) ----
         NodeKind::New { class } => {
-            if ctx
-                .options
-                .allowed
-                .as_ref()
-                .is_none_or(|set| set.contains(&node))
-            {
-                let shape = AllocShape::Instance { class };
-                let fields = default_fields(ctx, shape);
-                let id = ctx.new_alloc(AllocInfo {
-                    shape,
-                    origin: node,
-                    field_count: fields.len(),
-                });
-                state.add_virtual(id, node, fields);
-                ctx.record(block, Effect::DeleteFixed { node });
-                if ctx.tracing() {
-                    let event = TraceEvent::Virtualized {
-                        site: node.index() as u32,
-                        shape: ctx.shape_str(shape),
-                    };
-                    ctx.trace(block, event);
-                }
+            if allowed(ctx) {
+                virtualize(ctx, state, node, block, AllocShape::Instance { class });
                 deleted = true;
             }
         }
@@ -247,32 +251,13 @@ pub(crate) fn process_node(
                 NodeKind::ConstInt { value } => Some(*value),
                 _ => None,
             };
-            let allowed = ctx
-                .options
-                .allowed
-                .as_ref()
-                .is_none_or(|set| set.contains(&node));
             match const_len {
-                Some(len) if allowed && (0..=MAX_VIRTUAL_ARRAY_LENGTH).contains(&len) => {
+                Some(len) if allowed(ctx) && (0..=MAX_VIRTUAL_ARRAY_LENGTH).contains(&len) => {
                     let shape = AllocShape::Array {
                         kind,
                         length: len as u32,
                     };
-                    let fields = default_fields(ctx, shape);
-                    let id = ctx.new_alloc(AllocInfo {
-                        shape,
-                        origin: node,
-                        field_count: fields.len(),
-                    });
-                    state.add_virtual(id, node, fields);
-                    ctx.record(block, Effect::DeleteFixed { node });
-                    if ctx.tracing() {
-                        let event = TraceEvent::Virtualized {
-                            site: node.index() as u32,
-                            shape: ctx.shape_str(shape),
-                        };
-                        ctx.trace(block, event);
-                    }
+                    virtualize(ctx, state, node, block, shape);
                     deleted = true;
                 }
                 _ => escape_all_alias_inputs(ctx, state, node, block),
@@ -290,9 +275,7 @@ pub(crate) fn process_node(
                     };
                     match ctx.program.field_slot(class, field) {
                         Some(slot) => {
-                            if let ObjectState::Virtual { fields, .. } = state.object_mut(id) {
-                                fields[slot] = value;
-                            }
+                            state.fields_mut(id)[slot] = value;
                             ctx.record(block, Effect::DeleteFixed { node });
                             if ctx.tracing() {
                                 let event = TraceEvent::StoreElided {
@@ -322,10 +305,7 @@ pub(crate) fn process_node(
                     };
                     match ctx.program.field_slot(class, field) {
                         Some(slot) => {
-                            let ObjectState::Virtual { fields, .. } = state.object(id) else {
-                                unreachable!()
-                            };
-                            let value = fields[slot];
+                            let value = state.fields(id)[slot];
                             // The load becomes an alias if the value is one
                             // (Fig. 4f).
                             if let Some(vid) = state.alias_of(value) {
@@ -366,9 +346,7 @@ pub(crate) fn process_node(
                 (Some(id), Some(i))
                     if i >= 0 && (i as usize) < ctx.infos[id.index()].field_count =>
                 {
-                    if let ObjectState::Virtual { fields, .. } = state.object_mut(id) {
-                        fields[i as usize] = value;
-                    }
+                    state.fields_mut(id)[i as usize] = value;
                     ctx.record(block, Effect::DeleteFixed { node });
                     if ctx.tracing() {
                         let event = TraceEvent::StoreElided {
@@ -395,10 +373,7 @@ pub(crate) fn process_node(
                 (Some(id), Some(i))
                     if i >= 0 && (i as usize) < ctx.infos[id.index()].field_count =>
                 {
-                    let ObjectState::Virtual { fields, .. } = state.object(id) else {
-                        unreachable!()
-                    };
-                    let value = fields[i as usize];
+                    let value = state.fields(id)[i as usize];
                     if let Some(vid) = state.alias_of(value) {
                         state.add_alias(node, vid);
                     }
@@ -476,10 +451,7 @@ pub(crate) fn process_node(
             match state.virtual_alias(obj) {
                 Some(id)
                     if ctx.options.lock_elision
-                        && matches!(
-                            state.object(id),
-                            ObjectState::Virtual { lock_count, .. } if *lock_count > 0
-                        ) =>
+                        && state.object(id).lock_count().is_some_and(|n| n > 0) =>
                 {
                     if let ObjectState::Virtual { lock_count, .. } = state.object_mut(id) {
                         *lock_count -= 1;
@@ -655,7 +627,10 @@ pub(crate) fn process_node(
         | NodeKind::Phi { .. }
         | NodeKind::FrameState(_)
         | NodeKind::VirtualObjectMapping { .. } => {
-            unreachable!("floating/meta node in fixed chain: {kind:?}")
+            unreachable!(
+                "floating/meta node in fixed chain: {:?}",
+                ctx.graph.kind(node)
+            )
         }
     }
 

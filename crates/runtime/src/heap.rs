@@ -221,6 +221,15 @@ pub struct Heap {
     granted: usize,
 }
 
+/// An empty slot segment of `slots` capacity; the host may refuse it.
+fn segment(slots: usize) -> Result<Vec<Value>, VmError> {
+    let mut segment = Vec::new();
+    segment
+        .try_reserve_exact(slots)
+        .map_err(|_| VmError::OutOfMemory)?;
+    Ok(segment)
+}
+
 impl Heap {
     /// Creates an empty heap.
     pub fn new() -> Self {
@@ -265,17 +274,24 @@ impl Heap {
     /// between them (one spare slot segment covers the tails objects
     /// leave), so that many allocations and a few monitors held at once
     /// reach no host allocator.
-    pub fn reserve(&mut self, objects: usize, slots: usize) {
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::OutOfMemory`] when the host refuses the handle table or
+    /// a spare segment.
+    pub fn reserve(&mut self, objects: usize, slots: usize) -> Result<(), VmError> {
         let len = self.handles.len();
         self.handles
-            .reserve_exact((len + objects).max(HANDLE_RESERVE) - len);
+            .try_reserve_exact((len + objects).max(HANDLE_RESERVE) - len)
+            .map_err(|_| VmError::OutOfMemory)?;
         self.refresh_limits();
         let spares = slots.div_ceil(HEAP_SEGMENT_SLOTS) + 1;
         while self.spares.len() < spares {
-            self.spares.push(Vec::with_capacity(HEAP_SEGMENT_SLOTS));
+            self.spares.push(segment(HEAP_SEGMENT_SLOTS)?);
         }
         self.slots.reserve(self.spares.len());
         self.monitors.reserve(MONITOR_RESERVE);
+        Ok(())
     }
 
     /// Allocates a class instance with default-valued fields.
@@ -377,20 +393,22 @@ impl Heap {
         if objects >= MAX_HEAP_OBJECTS || len > MAX_HEAP_SLOTS - self.used {
             return Err(VmError::OutOfMemory);
         }
+        if objects == self.handles.capacity() {
+            // Double, from a reservation large enough to be mapped, up to
+            // the capacity.
+            let more = objects.max(HANDLE_RESERVE).min(MAX_HEAP_OBJECTS - objects);
+            self.handles
+                .try_reserve_exact(more)
+                .map_err(|_| VmError::OutOfMemory)?;
+        }
         if objects == self.granted {
             self.grant();
         }
         let (start, segment) = if len < self.room {
             (self.bump(len), self.current)
         } else {
-            self.claim(len)
+            self.claim(len)?
         };
-        if objects == self.handles.capacity() {
-            // Double, from a reservation large enough to be mapped, up to
-            // the capacity.
-            let more = objects.max(HANDLE_RESERVE).min(MAX_HEAP_OBJECTS - objects);
-            self.handles.reserve_exact(more);
-        }
         let r = self.put_handle(kind, start, len);
         self.refresh_limits();
         Ok((r, segment))
@@ -411,14 +429,15 @@ impl Heap {
     /// current one: a segment of its own from [`HEAP_SEGMENT_SLOTS`] slots
     /// up, else the next small segment, which becomes current.
     #[cold]
-    fn claim(&mut self, len: usize) -> (u32, usize) {
+    fn claim(&mut self, len: usize) -> Result<(u32, usize), VmError> {
         let own = len >= HEAP_SEGMENT_SLOTS;
         let segment = if own {
-            Vec::with_capacity(len)
+            segment(len)?
         } else {
-            self.spares
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(HEAP_SEGMENT_SLOTS))
+            match self.spares.pop() {
+                Some(spare) => spare,
+                None => segment(HEAP_SEGMENT_SLOTS)?,
+            }
         };
         let index = self.slots.len();
         self.slots.push(segment);
@@ -428,7 +447,7 @@ impl Heap {
             self.next = start + len as u32;
             self.room = HEAP_SEGMENT_SLOTS - len;
         }
-        (start, index)
+        Ok((start, index))
     }
 
     /// Takes TLAB chunks from the shared allocator: enough to double the
@@ -899,7 +918,7 @@ mod tests {
         let (p, key, ..) = program();
         let mut heap = Heap::new();
         let objects = HANDLE_RESERVE + 1;
-        heap.reserve(objects, 2 * objects);
+        heap.reserve(objects, 2 * objects).unwrap();
         let (handles, spares) = (heap.handles.as_ptr(), heap.spares.len());
         for _ in 0..objects {
             heap.alloc_instance(&p, key);

@@ -72,7 +72,7 @@ pub use pea_trace::SharedSink;
 use pea_trace::{FlightEntry, FlightRecorder, TraceEvent, TraceSink};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// How JIT compilation is scheduled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -474,26 +474,54 @@ pub const MUTATOR_STACK_SIZE: usize = MAX_CALL_DEPTH * (64 << 10) + (8 << 20);
 /// Runs each mutator on its own scoped thread of [`MUTATOR_STACK_SIZE`]
 /// and collects results in thread order; a panicking thread re-raises on
 /// the caller, and a thread that cannot be spawned is the error.
+///
+/// Every thread waits at a gate until all have been spawned, so a spawn
+/// error is reported before any mutator has run (and allocated): the gate
+/// then opens with "cancel" and the spawned threads return at once.
 fn run_mutators<T, F>(mutators: Vec<Mutator>, f: F) -> std::io::Result<Vec<T>>
 where
     T: Send,
     F: Fn(usize, &mut Mutator) -> T + Sync,
 {
     let f = &f;
+    // `None` holds the threads; `Some(run)` releases them.
+    let gate = &(Mutex::new(None::<bool>), Condvar::new());
+    let wait = move || {
+        let (lock, opened) = gate;
+        let mut run = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            match *run {
+                Some(run) => return run,
+                None => run = opened.wait(run).unwrap_or_else(PoisonError::into_inner),
+            }
+        }
+    };
     std::thread::scope(|scope| {
-        let handles = mutators
-            .into_iter()
-            .enumerate()
-            .map(|(i, mut m)| {
-                std::thread::Builder::new()
-                    .stack_size(MUTATOR_STACK_SIZE)
-                    .spawn_scoped(scope, move || f(i, &mut m))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        Ok(handles
+        let mut handles = Vec::with_capacity(mutators.len());
+        let mut refused = None;
+        for (i, mut m) in mutators.into_iter().enumerate() {
+            let spawned = std::thread::Builder::new()
+                .stack_size(MUTATOR_STACK_SIZE)
+                .spawn_scoped(scope, move || wait().then(|| f(i, &mut m)));
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    refused = Some(e);
+                    break;
+                }
+            }
+        }
+        let (lock, opened) = gate;
+        *lock.lock().unwrap_or_else(PoisonError::into_inner) = Some(refused.is_none());
+        opened.notify_all();
+        let results: Vec<Option<T>> = handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect())
+            .collect();
+        match refused {
+            Some(e) => Err(e),
+            None => Ok(results.into_iter().flatten().collect()),
+        }
     })
 }
 

@@ -557,8 +557,14 @@ fn cmd_disasm(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Most `pea serve` threads: each reserves [`pea::vm::MUTATOR_STACK_SIZE`]
-/// (about 34.6 MB) of stack, so 256 reserve about 8.9 GB of address space.
+/// Most `pea serve` threads. Each mutator reserves
+/// [`pea::vm::MUTATOR_STACK_SIZE`] (about 34.6 MB) of stack when its thread
+/// spawns, and its heap reserves a 48 MiB handle table (2^22 handles of 12
+/// bytes) at its first allocation: about 85 MB of address space per
+/// mutator, so 256 reserve about 21.7 GB (the handle tables alone 12 GiB).
+/// A reservation the host refuses is a spawn error or
+/// `VmError::OutOfMemory`, reported before any mutator runs or as that
+/// mutator's error, never an abort.
 const MAX_SERVE_THREADS: usize = 256;
 
 /// `pea serve`: N mutator threads on one VM, each calling the entry in a
