@@ -1,10 +1,11 @@
 //! End-to-end tests of Partial Escape Analysis on the paper's own
 //! examples (Listings 4–6, Figures 2–8).
 
+use pea_bytecode::CmpOp;
 use pea_core::fixtures::{fig7_loop_graph, key_program, listing5_graph, listing8_graph};
 use pea_core::{run_ees, run_pea, PeaOptions};
 use pea_ir::verify::verify;
-use pea_ir::{Graph, NodeKind};
+use pea_ir::{FrameStateData, Graph, NodeKind};
 
 fn count_kind(g: &Graph, pred: impl Fn(&NodeKind) -> bool) -> usize {
     g.live_nodes().filter(|&n| pred(g.kind(n))).count()
@@ -220,6 +221,62 @@ fn fig7_loop_ablation_materializes_at_entry() {
         count_kind(&g, |k| matches!(k, NodeKind::LoadField { .. })) >= 3,
         "loads inside the loop stay"
     );
+}
+
+/// Loop-processing ablation with an object held by another: `a` (the
+/// earlier allocation) references a fresh `b` at the loop entry, so
+/// materializing `a` takes `b` along and the entry's remaining objects
+/// must skip it.
+#[test]
+fn loop_ablation_materializes_a_held_object_once() {
+    let (program, p) = key_program();
+    let mut g = Graph::new();
+    let p0 = g.add(NodeKind::Param { index: 0 }, vec![]);
+    let a = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    g.set_next(g.start, a);
+    let b = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    g.set_next(a, b);
+    let store = g.add(NodeKind::StoreField { field: p.f_ref }, vec![a, b]);
+    g.set_next(b, store);
+    let st = g.add_frame_state(
+        FrameStateData::new(p.m_get_value, 1, 2, 0, 0, false),
+        vec![p0, a],
+    );
+    g.set_state_after(store, Some(st));
+    let entry_end = g.add(NodeKind::End, vec![]);
+    g.set_next(store, entry_end);
+    let lb = g.add(
+        NodeKind::LoopBegin {
+            ends: vec![entry_end],
+        },
+        vec![],
+    );
+    let load = g.add(NodeKind::LoadField { field: p.f_ref }, vec![a]);
+    g.set_next(lb, load);
+    let zero = g.const_int(0);
+    let cond = g.add(NodeKind::Compare { op: CmpOp::Lt }, vec![p0, zero]);
+    let iff = g.add(NodeKind::If, vec![cond]);
+    g.set_next(load, iff);
+    let body = g.add(NodeKind::Begin, vec![]);
+    let exit = g.add(NodeKind::LoopExit { loop_begin: lb }, vec![]);
+    g.set_if_targets(iff, body, exit);
+    let le = g.add(NodeKind::LoopEnd, vec![]);
+    g.set_next(body, le);
+    g.add_merge_end(lb, le);
+    let ret = g.add(NodeKind::Return, vec![load]);
+    g.set_next(exit, ret);
+    verify(&g).expect("fixture verifies");
+
+    let options = PeaOptions {
+        loop_processing: false,
+        ..PeaOptions::default()
+    };
+    let result = run_pea(&mut g, &program, &options);
+    verify(&g).expect("verifies");
+    assert_eq!(count_news(&g), 0, "both New replaced by commits");
+    assert_eq!(count_commits(&g), 1, "one group at the entry");
+    assert_eq!(result.materializations, 1);
+    assert_eq!(result.virtualized_allocs, 2);
 }
 
 /// Running the analysis twice must be idempotent: the second run finds
