@@ -5,6 +5,7 @@
 //! objects (allocating them, filling their fields and re-entering their
 //! monitors) and hands reconstructed interpreter frames back to the VM.
 
+use crate::linear::exec::{swap_stack, RegisterStack};
 use crate::pipeline::CompiledMethod;
 use pea_bytecode::{MethodId, Program};
 use pea_ir::cfg::BlockId;
@@ -12,11 +13,14 @@ use pea_ir::{ArithOp, DeoptReason, NodeId, NodeKind};
 use pea_runtime::cost;
 use pea_runtime::{Heap, ObjRef, Statics, Value, VmError};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Most arguments a call copies into a fixed buffer on the host stack:
-/// the linear tier's `INVOKE` gathers its argument registers there, and
-/// the VM copies an interpreted caller's arguments there on their way
-/// into compiled code. A call with more spills them to a `Vec`.
+/// the linear tier's `INVOKE` gathers its argument registers there for the
+/// host's [`EvalEnv::call`] (a compiled callee's window takes them straight
+/// from the caller's registers), and the VM copies an interpreted caller's
+/// arguments there on their way into compiled code. A call with more
+/// spills them to a `Vec`.
 pub const INLINE_ARGS: usize = 8;
 
 /// Host services for compiled code (the VM implements this; tests use a
@@ -33,10 +37,9 @@ pub trait EvalEnv {
     /// [`VmError::OutOfFuel`] when the budget is exhausted.
     fn charge(&mut self, cycles: u64) -> Result<(), VmError>;
     /// Performs an out-of-line call of the resolved `method` (tier chosen
-    /// by the host). Both the program and the arguments are borrowed from
-    /// the caller: the linear tier gathers up to [`INLINE_ARGS`] argument
-    /// registers into a buffer on its own stack, so a compiled→compiled
-    /// call allocates nothing on the host.
+    /// by the host): every call of the graph evaluator, and the linear
+    /// tier's unless the host overrides [`EvalEnv::call`]. Both the
+    /// program and the arguments are borrowed from the caller.
     ///
     /// # Errors
     ///
@@ -47,6 +50,68 @@ pub trait EvalEnv {
         method: MethodId,
         args: &[Value],
     ) -> Result<Option<Value>, VmError>;
+    /// The linear tier's out-of-line call of the resolved `method`, with
+    /// up to [`INLINE_ARGS`] arguments gathered into a buffer on the
+    /// loop's stack. The host either hands back the callee's compiled
+    /// code, which the loop runs in the next window of `stack` after
+    /// counting the activation and entering its attribution context, or
+    /// runs the callee itself — with `stack`, the loop's register stack,
+    /// put back as its own [`EvalEnv::register_stack`] meanwhile, so
+    /// compiled code the callee reaches runs on it. The loop inlines
+    /// this; the default runs every callee through [`EvalEnv::invoke`].
+    ///
+    /// # Errors
+    ///
+    /// Whatever a callee the host ran raises, or a refusal to make the
+    /// call at all ([`VmError::StackOverflow`]).
+    #[inline(always)]
+    fn call(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        args: &[Value],
+        stack: &mut RegisterStack,
+    ) -> Result<Call<'_>, VmError> {
+        swap_stack(self, stack);
+        let result = self.invoke(program, method, args);
+        swap_stack(self, stack);
+        result.map(Call::Returned)
+    }
+    /// Ends a callee that [`EvalEnv::call`] handed to the linear tier with
+    /// any `outcome` but a plain return — a deoptimization, an exception
+    /// unwinding through it, or an error — and restores the attribution
+    /// context `ctx`. Returns what the callee's caller receives at its
+    /// call: a value, an exception to unwind ([`VmError::Thrown`]), or an
+    /// error that ends the caller too. The default passes returns and
+    /// errors through; a host that hands out no compiled code never sees
+    /// anything else.
+    ///
+    /// # Errors
+    ///
+    /// What the caller receives instead of a value.
+    fn finish(
+        &mut self,
+        _program: &Program,
+        _code: &CompiledMethod,
+        outcome: Result<EvalOutcome, VmError>,
+        ctx: u64,
+    ) -> Result<Option<Value>, VmError> {
+        self.profiler().restore(ctx);
+        match outcome? {
+            EvalOutcome::Return(v) => Ok(v),
+            EvalOutcome::Deopt { .. } | EvalOutcome::Unwind { .. } => Err(VmError::Internal(
+                "the host cannot resume a compiled callee in the interpreter".into(),
+            )),
+        }
+    }
+    /// Releases the activation [`EvalEnv::call`] counted for a compiled
+    /// callee, once the callee has ended and its context is restored.
+    fn leave(&mut self) {}
+    /// The register stack the linear tier's activations live on. `None`
+    /// (the default) gives each entry into the loop a stack of its own.
+    fn register_stack(&mut self) -> Option<&mut RegisterStack> {
+        None
+    }
     /// Safepoint poll, issued at every compiled loop back-edge. The VM
     /// installs finished background compilations here — without this,
     /// a long compiled-only loop (hot caller with every callee inlined or
@@ -69,6 +134,18 @@ pub trait EvalEnv {
     fn profiler(&self) -> &pea_metrics::profile::ProfileRecorder {
         pea_metrics::profile::ProfileRecorder::disabled_ref()
     }
+}
+
+/// What the host made of a call from the linear tier ([`EvalEnv::call`]).
+#[derive(Debug)]
+pub enum Call<'a> {
+    /// The loop runs this compiled code itself. The host counted one more
+    /// activation and entered the callee's attribution context; the
+    /// context it left is the second field, which the loop restores when
+    /// the callee ends, before [`EvalEnv::leave`].
+    Compiled(&'a Arc<CompiledMethod>, u64),
+    /// The host ran the callee; this is what it returned.
+    Returned(Option<Value>),
 }
 
 /// One interpreter frame reconstructed by deoptimization, outermost first

@@ -37,8 +37,8 @@ pub mod pipeline;
 pub use builder::{
     build_graph, build_graph_with, Bailout, BuildOptions, DevirtGuardRec, InlineDecisionRec,
 };
-pub use eval::{evaluate, DeoptFrame, EvalEnv, EvalOutcome, INLINE_ARGS};
-pub use linear::{LinearArtifact, LowerError};
+pub use eval::{evaluate, Call, DeoptFrame, EvalEnv, EvalOutcome, INLINE_ARGS};
+pub use linear::{LinearArtifact, LowerError, RegisterStack};
 pub use phases::{CompilationUnit, PhaseKind, PhaseManager};
 pub use pipeline::{
     compile, compile_traced, CompiledMethod, CompilerOptions, OptLevel, PhaseTimes,

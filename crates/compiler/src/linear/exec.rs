@@ -1,40 +1,98 @@
-//! The direct-threaded dispatch loop over a [`LinearArtifact`](super::LinearArtifact).
+//! The direct-threaded dispatch loop over a [`LinearArtifact`].
 //!
 //! Executes the dense `u32` instruction stream without touching
 //! [`pea_ir::Graph`] or `NodeId` anywhere on the hot path: operands are
-//! registers in a pooled per-thread frame, field offsets and call targets
-//! come pre-resolved from the artifact, and deopt metadata is read from
-//! the compiled side tables.
+//! registers in a window of the host's [`RegisterStack`], field offsets
+//! and call targets come pre-resolved from the artifact, and deopt
+//! metadata is read from the compiled side tables.
+//!
+//! A call the host answers with compiled code ([`Call::Compiled`]) stays
+//! in the loop: the caller waits on the register stack at its `INVOKE`,
+//! the callee runs in the next window, and its `RETURN` resumes the
+//! caller. Only an interpreted callee, and a callee that ends any other
+//! way than by a plain return, go back through the host
+//! ([`EvalEnv::call`], [`EvalEnv::finish`]).
 //!
 //! Cycle parity with graph evaluation is bit-exact: every handler charges
 //! the same `pea_runtime::cost` constants in the same order `evaluate`
 //! does. When the host enforces no fuel limit
 //! ([`EvalEnv::has_fuel_limit`]), charges are accumulated locally and
-//! flushed once on exit — the running total is observationally equivalent
-//! because only the fuel check ever reads intermediate values.
+//! flushed when the run ends, and whenever the running activation changes
+//! while the host's profiler attributes cycles — the running total is
+//! observationally equivalent because only the fuel check ever reads
+//! intermediate values, and each flush lands in the attribution context
+//! of the activation that incurred it.
 //!
 //! The loop is monomorphic: [`execute`] is generic over the host, so heap
-//! access and charges are direct calls the optimizer can inline, and `run`
-//! is instantiated once per charging discipline (`EXACT`), so the
+//! access and charges are direct calls the optimizer can inline, and the
+//! loop is instantiated once per charging discipline (`EXACT`), so the
 //! unobserved loop carries no per-charge test.
 
-use super::{decode_kind, decode_reason, op, DeoptPoint, SlotSrc, NO_REG};
-use crate::eval::{DeoptFrame, EvalEnv, EvalOutcome, INLINE_ARGS};
+use super::{decode_kind, decode_reason, op, DeoptPoint, LinearArtifact, SlotSrc, NO_REG};
+use crate::eval::{Call, DeoptFrame, EvalEnv, EvalOutcome, INLINE_ARGS};
 use crate::pipeline::CompiledMethod;
 use pea_bytecode::{ClassId, FieldId, MethodId, Program, StaticId};
 use pea_ir::AllocShape;
 use pea_runtime::cost;
 use pea_runtime::{Heap, ObjRef, Value, VmError};
-use std::cell::RefCell;
+use std::sync::Arc;
 
-thread_local! {
-    /// Register-file pool: frames are reused across calls (and across the
-    /// recursion through [`EvalEnv::invoke`]) so the hot path never
-    /// allocates.
-    static REG_POOL: RefCell<Vec<Vec<Value>>> = const { RefCell::new(Vec::new()) };
+/// The registers of a host's compiled activations: one window per
+/// activation, its parameters first and then its artifact's registers,
+/// plus the compiled callers suspended while the loop runs their callees
+/// and the artifacts they run. A host keeps one
+/// ([`EvalEnv::register_stack`]) for every call, so a call allocates
+/// nothing once the stack has grown to the deepest chain.
+#[derive(Debug, Default)]
+pub struct RegisterStack {
+    /// Every window. It only grows: registers are written before every
+    /// read (SSA dominance carries over to the lowered form), so a
+    /// window's stale contents are never observed.
+    values: Vec<Value>,
+    /// Where the next window starts: past the running activation's.
+    top: usize,
+    /// The callers waiting at an `INVOKE`, innermost last.
+    frames: Vec<Suspended>,
+    /// The callees' artifacts, each held once however many activations
+    /// run it: a call counts a user instead of cloning an `Arc`, and the
+    /// host may evict or replace an artifact while its activations run.
+    codes: Vec<Held>,
 }
 
-/// Executes the lowered form of `code` with `args`.
+/// An artifact of the code table and the activations that run it.
+#[derive(Debug)]
+struct Held {
+    code: Arc<CompiledMethod>,
+    users: u32,
+}
+
+/// Distinct artifacts one run of the loop holds before it reuses the
+/// slot of one that no activation runs any more: a long-running caller
+/// whose callees are evicted and recompiled keeps a bounded number alive.
+const HELD_CODES: usize = 16;
+
+/// The code-table slot of the activation a run of the loop was entered
+/// with, whose code the run borrows.
+const ENTRY: u32 = u32::MAX;
+
+/// A compiled caller waiting at its `INVOKE` while the loop runs its
+/// callee.
+#[derive(Debug)]
+struct Suspended {
+    /// The caller's code-table slot, or [`ENTRY`].
+    code: u32,
+    /// The caller's `INVOKE`.
+    pc: usize,
+    /// Start of the caller's window.
+    base: usize,
+    /// The caller's parameter count: its registers start at `base + params`.
+    params: usize,
+    /// The attribution context to restore when the callee ends.
+    ctx: u64,
+}
+
+/// Executes the lowered form of `code` with `args`, and every compiled
+/// callee the host hands back, in one loop.
 ///
 /// # Errors
 ///
@@ -43,7 +101,7 @@ thread_local! {
 ///
 /// # Panics
 ///
-/// Panics if `code` has no [`super::LinearArtifact`], which a successful
+/// Panics if `code` has no [`LinearArtifact`], which a successful
 /// `compile` always produces: a method that cannot be lowered is a compile
 /// bailout and stays interpreted.
 pub fn execute<E: EvalEnv + ?Sized>(
@@ -52,42 +110,329 @@ pub fn execute<E: EvalEnv + ?Sized>(
     code: &CompiledMethod,
     args: &[Value],
 ) -> Result<EvalOutcome, VmError> {
-    let art = code.linear.as_ref().expect("method has no linear artifact");
     env.charge(cost::CALL_OVERHEAD + cost::icache_cost(code.code_size))?;
-    let mut regs = REG_POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-    // Registers are written before every read (SSA dominance carries over
-    // to the lowered form), so stale values from the frame's previous use
-    // are never observable; only the size must fit.
-    regs.resize(art.num_regs as usize, Value::Null);
-    let mut pending: u64 = 0;
-    let result = if env.has_fuel_limit() {
-        run::<E, true>(program, env, art, args, &mut regs, &mut pending)
+    if env.has_fuel_limit() {
+        run::<E, true>(program, env, code, args)
     } else {
-        run::<E, false>(program, env, art, args, &mut regs, &mut pending)
-    };
-    REG_POOL.with(|p| p.borrow_mut().push(std::mem::take(&mut regs)));
-    if pending > 0 {
-        // No fuel limit is in force (exact mode charges inline), so this
-        // flush cannot fail.
-        env.charge(pending)?;
+        run::<E, false>(program, env, code, args)
     }
-    result
 }
 
-/// The dispatch loop. `EXACT` charges every cost through the host as it
-/// is incurred (a fuel limit is in force); otherwise charges add up in
-/// `pending`, which the caller flushes once.
-#[allow(clippy::too_many_lines)]
+/// The compiled form every activation runs.
+#[inline(always)]
+fn linear(code: &CompiledMethod) -> &LinearArtifact {
+    code.linear.as_ref().expect("method has no linear artifact")
+}
+
+/// Why [`dispatch`] stopped.
+enum Exit {
+    /// The run's entry activation returned.
+    Return(Option<Value>),
+    /// The running activation deoptimized, or an exception from a callee
+    /// unwinds into it.
+    End(EvalOutcome),
+}
+
+/// Charges the batched cycles to the running activation's context. No
+/// fuel limit is in force when anything is batched, so this cannot fail
+/// on a host that keeps [`EvalEnv::has_fuel_limit`]'s contract.
+#[inline(always)]
+fn flush<E: EvalEnv + ?Sized>(env: &mut E, pending: &mut u64) -> Result<(), VmError> {
+    match std::mem::take(pending) {
+        0 => Ok(()),
+        cycles => env.charge(cycles),
+    }
+}
+
+/// Swaps `stack` with the host's register stack, if it keeps one: a run
+/// takes the stack when it starts, and hands it back around every host
+/// call that may enter the loop again and when it ends.
+#[inline(always)]
+pub(crate) fn swap_stack<E: EvalEnv + ?Sized>(env: &mut E, stack: &mut RegisterStack) {
+    if let Some(own) = env.register_stack() {
+        std::mem::swap(own, stack);
+    }
+}
+
+/// The code-table slot of `code`, with one more user: the slot that holds
+/// it already, else a new one, or past [`HELD_CODES`] slots of the run
+/// that began at `held`, a slot of the run that no activation uses.
+#[inline(always)]
+fn hold(codes: &mut Vec<Held>, held: usize, code: &Arc<CompiledMethod>) -> u32 {
+    let slot = match codes.iter().rposition(|h| Arc::ptr_eq(&h.code, code)) {
+        Some(slot) => slot,
+        None => {
+            let spare = if codes.len() - held >= HELD_CODES {
+                codes[held..].iter().position(|h| h.users == 0)
+            } else {
+                None
+            };
+            match spare {
+                Some(i) => {
+                    codes[held + i].code = Arc::clone(code);
+                    held + i
+                }
+                None => {
+                    codes.push(Held {
+                        code: Arc::clone(code),
+                        users: 0,
+                    });
+                    codes.len() - 1
+                }
+            }
+        }
+    };
+    codes[slot].users += 1;
+    slot as u32
+}
+
+/// Takes what the call at `pc` returned into `regs` and steps past it.
+#[inline(always)]
+fn returned(c: &[u32], pc: &mut usize, regs: &mut [Value], v: Option<Value>) {
+    let dst = c[*pc + 3];
+    if let Some(v) = v {
+        if dst != NO_REG {
+            regs[dst as usize] = v;
+        }
+    }
+    *pc += 6 + c[*pc + 5] as usize;
+}
+
+/// One run of the loop: the register stack it took from the host, where
+/// its own part of the stack begins, and the running activation. The
+/// dispatch loop keeps only the running activation's code and registers
+/// at hand and comes here when it switches activations.
+struct Machine<'a> {
+    stack: RegisterStack,
+    /// The activation the run was entered with, and its arguments, which
+    /// stay in the caller's slice: its window holds only its registers.
+    entry: &'a CompiledMethod,
+    entry_args: &'a [Value],
+    /// The frame count, window start and code-table length at entry.
+    floor: usize,
+    bottom: usize,
+    held: usize,
+    /// Batched charges reach the host whenever the running activation
+    /// changes if the profiler attributes them to activations, and
+    /// otherwise once, when the run ends: only the total is observable
+    /// then.
+    attributed: bool,
+    /// The running activation's code-table slot, window start and
+    /// parameter count.
+    running: u32,
+    base: usize,
+    params: usize,
+}
+
+/// The code of the activation in code-table slot `running`.
+#[inline(always)]
+fn artifact<'m>(entry: &'m CompiledMethod, codes: &'m [Held], running: u32) -> &'m LinearArtifact {
+    if running == ENTRY {
+        linear(entry)
+    } else {
+        linear(&codes[running as usize].code)
+    }
+}
+
+/// The running activation's code and registers.
+#[inline(always)]
+fn registers<'m>(m: &'m mut Machine<'_>) -> (&'m LinearArtifact, &'m mut [Value]) {
+    let art = artifact(m.entry, &m.stack.codes, m.running);
+    let start = m.base + m.params;
+    (
+        art,
+        &mut m.stack.values[start..start + art.num_regs as usize],
+    )
+}
+
+/// Runs `entry` and the compiled callees it reaches until `entry` ends.
+/// Each activation is one window of the register stack. [`dispatch`]
+/// makes calls and plain returns in line; every other end of an
+/// activation comes back here, goes through [`EvalEnv::finish`], and its
+/// caller takes what it receives at its `INVOKE`.
 fn run<E: EvalEnv + ?Sized, const EXACT: bool>(
     program: &Program,
     env: &mut E,
-    art: &super::LinearArtifact,
-    args: &[Value],
+    entry: &CompiledMethod,
+    entry_args: &[Value],
+) -> Result<EvalOutcome, VmError> {
+    let mut stack = RegisterStack::default();
+    swap_stack(env, &mut stack);
+    let mut m = Machine {
+        floor: stack.frames.len(),
+        bottom: stack.top,
+        held: stack.codes.len(),
+        base: stack.top,
+        stack,
+        entry,
+        entry_args,
+        attributed: env.profiler().is_enabled(),
+        running: ENTRY,
+        params: 0,
+    };
+    let top = m.base + linear(entry).num_regs as usize;
+    if m.stack.values.len() < top {
+        m.stack.values.resize(top, Value::Null);
+    }
+    let mut pending: u64 = 0;
+    let mut pc = 0;
+    // Hands the stack back and leaves the run with `$outcome`.
+    macro_rules! exit {
+        ($outcome:expr) => {{
+            m.stack.top = m.bottom;
+            m.stack.codes.truncate(m.held);
+            swap_stack(env, &mut m.stack);
+            return $outcome;
+        }};
+    }
+    loop {
+        let mut outcome = match dispatch::<E, EXACT>(program, env, &mut m, pc, &mut pending) {
+            Ok(Exit::Return(v)) => {
+                exit!(flush(env, &mut pending).map(|()| EvalOutcome::Return(v)))
+            }
+            Ok(Exit::End(outcome)) => Ok(outcome),
+            Err(e) => Err(e),
+        };
+        // End the running activation with `outcome`, and each caller that
+        // ends with what it receives, until one takes a value or the run's
+        // entry activation ends.
+        loop {
+            outcome = flush(env, &mut pending).and(outcome);
+            if m.stack.frames.len() == m.floor {
+                exit!(outcome);
+            }
+            let caller = m.stack.frames.pop().expect("a callee has a caller");
+            let ended = &mut m.stack.codes[m.running as usize];
+            ended.users -= 1;
+            let code = Arc::clone(&ended.code);
+            m.stack.top = m.base;
+            swap_stack(env, &mut m.stack);
+            let result = env.finish(program, &code, outcome, caller.ctx);
+            swap_stack(env, &mut m.stack);
+            env.leave();
+            m.running = caller.code;
+            (m.base, m.params, pc) = (caller.base, caller.params, caller.pc);
+            let (art, regs) = registers(&mut m);
+            outcome = match result {
+                Ok(v) => {
+                    returned(&art.code, &mut pc, regs, v);
+                    break;
+                }
+                Err(VmError::Thrown(exc)) => unwinding::<E, EXACT>(
+                    program,
+                    env,
+                    art,
+                    pc,
+                    regs,
+                    code.method,
+                    exc,
+                    &mut pending,
+                ),
+                Err(e) => Err(e),
+            };
+        }
+    }
+}
+
+/// The exception path of the `INVOKE` at `pc`, whose callee threw `exc`
+/// into this activation: deoptimize at the call site, so the interpreter
+/// dispatches the exception over the rematerialized frames.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn unwinding<E: EvalEnv + ?Sized, const EXACT: bool>(
+    program: &Program,
+    env: &mut E,
+    art: &LinearArtifact,
+    pc: usize,
     regs: &mut [Value],
+    callee: MethodId,
+    exc: ObjRef,
     pending: &mut u64,
 ) -> Result<EvalOutcome, VmError> {
-    let c: &[u32] = &art.code;
-    let mut pc = 0usize;
+    let c = &art.code;
+    if EXACT {
+        env.charge(cost::DEOPT_PENALTY)?;
+    } else {
+        *pending += cost::DEOPT_PENALTY;
+    }
+    let dst = c[pc + 3];
+    let returns = program.method(callee).returns_value;
+    if returns && dst != NO_REG {
+        // The after-state has the (never produced) result on the stack:
+        // stand in a null.
+        regs[dst as usize] = Value::Null;
+    }
+    let point = &art.deopts[c[pc + 4] as usize];
+    let (mut frames, rematerialized) = materialize_frames(program, env, point, regs)?;
+    let inner = frames.last_mut().expect("invoke state has a frame");
+    if returns {
+        inner.stack.pop();
+    }
+    inner.bci = inner.bci.saturating_sub(1);
+    Ok(EvalOutcome::Unwind {
+        exception: exc,
+        frames,
+        rematerialized,
+    })
+}
+
+/// The dispatch loop. Runs the running activation of `m` from `pc`, and
+/// calls and returns from compiled callees in line, until the run's entry
+/// activation returns or the running activation ends any other way.
+/// `EXACT` charges every cost through the host as it is incurred (a fuel
+/// limit is in force); otherwise charges add up in `pending`.
+///
+/// It is out of line so that the running activation's code and registers
+/// get host registers while the rest of the run's state stays in `m`. The
+/// batched charges add up in a local of this function, which `ops` passes
+/// to nothing it does not inline: each operation's charge is an addition
+/// in a register, not a store the next operation waits for.
+#[inline(never)]
+fn dispatch<E: EvalEnv + ?Sized, const EXACT: bool>(
+    program: &Program,
+    env: &mut E,
+    m: &mut Machine<'_>,
+    pc: usize,
+    pending: &mut u64,
+) -> Result<Exit, VmError> {
+    let mut batched = *pending;
+    let exit = ops::<E, EXACT>(program, env, m, pc, &mut batched);
+    *pending = batched;
+    exit
+}
+
+/// [`dispatch`]'s loop. `pending` never reaches a function that is not
+/// inlined here.
+#[allow(clippy::too_many_lines)]
+#[inline(always)]
+fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
+    program: &Program,
+    env: &mut E,
+    m: &mut Machine<'_>,
+    mut pc: usize,
+    pending: &mut u64,
+) -> Result<Exit, VmError> {
+    let mut art: &LinearArtifact;
+    let mut c: &[u32];
+    let mut args: &[Value];
+    let mut regs: &mut [Value];
+    // After a switch: the running activation's code and window.
+    macro_rules! load {
+        () => {
+            art = artifact(m.entry, &m.stack.codes, m.running);
+            c = &art.code;
+            let top = m.base + m.params + art.num_regs as usize;
+            if m.running == ENTRY {
+                args = m.entry_args;
+                regs = &mut m.stack.values[m.base..top];
+            } else {
+                let (a, r) = m.stack.values[m.base..top].split_at_mut(m.params);
+                args = a;
+                regs = r;
+            }
+        };
+    }
+    load!();
 
     macro_rules! charge {
         ($n:expr) => {
@@ -293,22 +638,8 @@ fn run<E: EvalEnv + ?Sized, const EXACT: bool>(
                 pc += 3;
             }
             op::INVOKE => {
-                let dst = c[pc + 3];
-                let argc = c[pc + 5] as usize;
-                let arg_regs = &c[pc + 6..pc + 6 + argc];
-                let mut inline = [Value::Null; INLINE_ARGS];
-                let spilled: Vec<Value>;
-                let call_args: &[Value] = if argc <= INLINE_ARGS {
-                    for (slot, &r) in inline.iter_mut().zip(arg_regs) {
-                        *slot = regs[r as usize];
-                    }
-                    &inline[..argc]
-                } else {
-                    spilled = arg_regs.iter().map(|&r| regs[r as usize]).collect();
-                    &spilled
-                };
                 let resolved = if c[pc + 2] != 0 {
-                    let recv = call_args[0].as_ref()?;
+                    let recv = regs[c[pc + 6] as usize].as_ref()?;
                     let dynamic = env.heap().class_of(recv)?;
                     program
                         .resolve_virtual(dynamic, MethodId(c[pc + 1]))
@@ -316,51 +647,86 @@ fn run<E: EvalEnv + ?Sized, const EXACT: bool>(
                 } else {
                     MethodId(c[pc + 1])
                 };
-                match env.invoke(program, resolved, call_args) {
-                    Ok(result) => {
-                        if let Some(v) = result {
-                            if dst != NO_REG {
-                                regs[dst as usize] = v;
-                            }
+                let arg_regs = &c[pc + 6..pc + 6 + c[pc + 5] as usize];
+                let mut inline = [Value::Null; INLINE_ARGS];
+                let spilled: Vec<Value>;
+                let call_args: &[Value] = if arg_regs.len() <= INLINE_ARGS {
+                    for (slot, &r) in inline.iter_mut().zip(arg_regs) {
+                        *slot = regs[r as usize];
+                    }
+                    &inline[..arg_regs.len()]
+                } else {
+                    spilled = arg_regs.iter().map(|&r| regs[r as usize]).collect();
+                    &spilled
+                };
+                if m.attributed {
+                    flush(env, pending)?;
+                }
+                let top = m.base + m.params + art.num_regs as usize;
+                m.stack.top = top;
+                match env.call(program, resolved, call_args, &mut m.stack) {
+                    Ok(Call::Compiled(code, ctx)) => {
+                        let argc = call_args.len();
+                        let cycles = cost::CALL_OVERHEAD + cost::icache_cost(code.code_size);
+                        let len = argc + linear(code).num_regs as usize;
+                        if m.stack.values.len() < top + len {
+                            m.stack.values.resize(top + len, Value::Null);
                         }
+                        // The arguments go from the caller's registers
+                        // straight into the callee's window.
+                        let from = m.base + m.params;
+                        let arg_regs = &artifact(m.entry, &m.stack.codes, m.running).code
+                            [pc + 6..pc + 6 + argc];
+                        let (caller, callee) = m.stack.values.split_at_mut(top);
+                        for (arg, &r) in callee.iter_mut().zip(arg_regs) {
+                            *arg = caller[from + r as usize];
+                        }
+                        let slot = hold(&mut m.stack.codes, m.held, code);
+                        m.stack.frames.push(Suspended {
+                            code: m.running,
+                            pc,
+                            base: m.base,
+                            params: m.params,
+                            ctx,
+                        });
+                        (m.running, m.base, m.params, pc) = (slot, top, argc, 0);
+                        load!();
+                        charge!(cycles);
+                    }
+                    Ok(Call::Returned(v)) => {
+                        load!();
+                        returned(c, &mut pc, regs, v);
                     }
                     Err(VmError::Thrown(exc)) => {
-                        // The callee threw a catchable exception:
-                        // deoptimize at the call site and let the
-                        // interpreter unwind the rematerialized frames.
-                        charge!(cost::DEOPT_PENALTY);
-                        let returns = program.method(resolved).returns_value;
-                        if returns && dst != NO_REG {
-                            // The after-state has the (never produced)
-                            // result on the stack: stand in a null.
-                            regs[dst as usize] = Value::Null;
-                        }
-                        let point = &art.deopts[c[pc + 4] as usize];
-                        let (mut frames, rematerialized) =
-                            materialize_frames(program, env, point, regs)?;
-                        let inner = frames.last_mut().expect("invoke state has a frame");
-                        if returns {
-                            inner.stack.pop();
-                        }
-                        inner.bci = inner.bci.saturating_sub(1);
-                        return Ok(EvalOutcome::Unwind {
-                            exception: exc,
-                            frames,
-                            rematerialized,
-                        });
+                        let (art, regs) = registers(m);
+                        let mut cycles = 0;
+                        let outcome = unwinding::<E, EXACT>(
+                            program,
+                            env,
+                            art,
+                            pc,
+                            regs,
+                            resolved,
+                            exc,
+                            &mut cycles,
+                        );
+                        *pending += cycles;
+                        return outcome.map(Exit::End);
                     }
                     Err(e) => return Err(e),
                 }
-                pc += 6 + argc;
             }
             op::COMMIT => {
-                commit::<E, EXACT>(
+                let mut cycles = 0;
+                let done = commit::<E, EXACT>(
                     program,
                     env,
                     &art.commits[c[pc + 1] as usize],
                     regs,
-                    pending,
-                )?;
+                    &mut cycles,
+                );
+                *pending += cycles;
+                done?;
                 pc += 2;
             }
             op::GUARD => {
@@ -370,11 +736,11 @@ fn run<E: EvalEnv + ?Sized, const EXACT: bool>(
                     charge!(cost::DEOPT_PENALTY);
                     let point = &art.deopts[c[pc + 4] as usize];
                     let (frames, rematerialized) = materialize_frames(program, env, point, regs)?;
-                    return Ok(EvalOutcome::Deopt {
+                    return Ok(Exit::End(EvalOutcome::Deopt {
                         reason: decode_reason(c[pc + 3]),
                         frames,
                         rematerialized,
-                    });
+                    }));
                 }
                 pc += 5;
             }
@@ -382,11 +748,11 @@ fn run<E: EvalEnv + ?Sized, const EXACT: bool>(
                 charge!(cost::DEOPT_PENALTY);
                 let point = &art.deopts[c[pc + 2] as usize];
                 let (frames, rematerialized) = materialize_frames(program, env, point, regs)?;
-                return Ok(EvalOutcome::Deopt {
+                return Ok(Exit::End(EvalOutcome::Deopt {
                     reason: decode_reason(c[pc + 1]),
                     frames,
                     rematerialized,
-                });
+                }));
             }
             op::IF => {
                 charge!(cost::BRANCH_OP);
@@ -425,7 +791,20 @@ fn run<E: EvalEnv + ?Sized, const EXACT: bool>(
                 } else {
                     Some(regs[src as usize])
                 };
-                return Ok(EvalOutcome::Return(v));
+                if m.stack.frames.len() == m.floor {
+                    return Ok(Exit::Return(v));
+                }
+                if m.attributed {
+                    flush(env, pending)?;
+                }
+                let caller = m.stack.frames.pop().expect("a callee has a caller");
+                m.stack.codes[m.running as usize].users -= 1;
+                env.profiler().restore(caller.ctx);
+                env.leave();
+                (m.running, m.base, m.params, pc) =
+                    (caller.code, caller.base, caller.params, caller.pc);
+                load!();
+                returned(c, &mut pc, regs, v);
             }
             op::THROW => {
                 let code_v = regs[c[pc + 1] as usize].as_int()?;
@@ -621,4 +1000,37 @@ fn resolve_slot<E: EvalEnv + ?Sized>(
         env.heap().monitor_enter(r);
     }
     Ok(Value::Ref(r))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{compile, CompilerOptions, OptLevel};
+
+    /// A run that calls more distinct artifacts than [`HELD_CODES`] — a
+    /// callee recompiled again and again — reuses the slots no activation
+    /// uses, so its code table stays bounded, and never a slot in use.
+    #[test]
+    fn code_table_reuses_slots_no_activation_uses() {
+        let program =
+            pea_bytecode::asm::parse_program("method f 0 returns { const 1 retv }").unwrap();
+        let method = program.static_method_by_name("f").unwrap();
+        let options = CompilerOptions::with_opt_level(OptLevel::Pea);
+        let fresh = || Arc::new(compile(&program, method, None, &options).unwrap());
+        let mut codes = Vec::new();
+        // A caller suspended for the whole run.
+        let caller = fresh();
+        let caller_slot = hold(&mut codes, 0, &caller) as usize;
+        for _ in 0..3 * HELD_CODES {
+            let callee = fresh();
+            let slot = hold(&mut codes, 0, &callee) as usize;
+            assert!(Arc::ptr_eq(&codes[slot].code, &callee));
+            assert_eq!(hold(&mut codes, 0, &callee) as usize, slot, "held once");
+            // Both of the callee's activations end.
+            codes[slot].users -= 2;
+        }
+        assert_eq!(codes.len(), HELD_CODES);
+        assert!(Arc::ptr_eq(&codes[caller_slot].code, &caller));
+        assert_eq!(codes[caller_slot].users, 1);
+    }
 }

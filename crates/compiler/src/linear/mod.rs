@@ -22,7 +22,7 @@
 pub mod exec;
 pub mod lower;
 
-pub use exec::execute;
+pub use exec::{execute, RegisterStack};
 pub use lower::{lower, LowerError};
 
 use pea_bytecode::{ClassId, MethodId};

@@ -10,7 +10,7 @@
 use pea_bytecode::asm::parse_program;
 use pea_bytecode::{MethodId, Program, ValueKind};
 use pea_compiler::linear::execute;
-use pea_compiler::{compile, CompilerOptions, EvalEnv, EvalOutcome, OptLevel};
+use pea_compiler::{compile, CompilerOptions, EvalEnv, EvalOutcome, OptLevel, RegisterStack};
 use pea_runtime::{Heap, Statics, Value, VmError};
 
 #[path = "../../interp/tests/support/counting_alloc.rs"]
@@ -58,6 +58,7 @@ fn heap_operations_reach_no_host_allocator() {
 struct Env {
     heap: Heap,
     statics: Statics,
+    registers: RegisterStack,
 }
 
 impl EvalEnv for Env {
@@ -78,6 +79,9 @@ impl EvalEnv for Env {
         _args: &[Value],
     ) -> Result<Option<Value>, VmError> {
         panic!("the loop makes no calls");
+    }
+    fn register_stack(&mut self) -> Option<&mut RegisterStack> {
+        Some(&mut self.registers)
     }
 }
 
@@ -115,9 +119,10 @@ fn pairs_loop(program: &Program, level: OptLevel) -> Env {
     let mut env = Env {
         heap: Heap::new(),
         statics: Statics::new(&program.statics),
+        registers: RegisterStack::default(),
     };
     env.heap.reserve(2 * (N + 8), 4 * (N + 8)).unwrap();
-    // Warm the register-file pool.
+    // Grow the host's register stack.
     execute(program, &mut env, &code, &[Value::Int(8)]).unwrap();
 
     let before = allocations();

@@ -56,8 +56,8 @@ use pea_bytecode::{MethodId, Program};
 use pea_compiler::DeoptFrame;
 pub use pea_compiler::OptLevel;
 use pea_compiler::{
-    compile, compile_traced, evaluate, Bailout, CompiledMethod, CompilerOptions, EvalEnv,
-    EvalOutcome, INLINE_ARGS,
+    compile, compile_traced, evaluate, Bailout, Call, CompiledMethod, CompilerOptions, EvalEnv,
+    EvalOutcome, RegisterStack, INLINE_ARGS,
 };
 use pea_interp::{
     check_arity, interpret, resume, unwind, Activation, Callee, Frame, InterpEnv,
@@ -289,6 +289,7 @@ impl VmShared {
             profiles: ProfileStore::new(),
             stack: Vec::with_capacity(VALUE_STACK_RESERVE),
             activations: Vec::with_capacity(MAX_CALL_DEPTH),
+            registers: RegisterStack::default(),
             pinned: vec![None; methods],
             bailed_out: vec![false; methods],
             deopt_counts: vec![0; methods],
@@ -327,6 +328,10 @@ pub struct Mutator {
     /// The interpreted callers suspended while the interpreter's loop runs
     /// their callees.
     activations: Vec<Activation>,
+    /// The windows of every compiled activation of this mutator, and the
+    /// compiled callers suspended while the linear tier's loop runs their
+    /// callees.
+    registers: RegisterStack,
     // Per-method tiering state, indexed by `MethodId`.
     /// The dispatch hot path: compiled methods this mutator installed.
     /// Thread-private — a compiled call performs no lock acquisition and
@@ -461,14 +466,17 @@ impl Vm {
 
 /// Stack size of a thread that runs a mutator: room for
 /// [`MAX_CALL_DEPTH`] levels at 64 KiB each, plus 8 MiB for the thread's
-/// own caller and a synchronous compile at the deepest level. An
-/// interpreted call from interpreted code takes no host stack (it stays in
-/// its caller's loop), but a compiled activation takes a level, and so
-/// does each run of the interpreter entered from compiled code. An
-/// unoptimized x86-64 build measured up to 39 KiB per graph-oracle and
-/// 29 KiB per linear-tier level, so a deep recursion reaches
-/// [`VmError::StackOverflow`] instead of overflowing the host stack. [`Vm::run_threads`] spawns its threads with it; a host that runs
-/// a [`Vm`] on a thread of its own should give that thread as much.
+/// own caller and a synchronous compile at the deepest level. A call
+/// within a tier takes no host stack: an interpreted callee of interpreted
+/// code runs in its caller's loop, and a compiled callee of compiled code
+/// in the linear tier's. Only a switch of tier takes a level — compiled
+/// code entered from the interpreter, the interpreter entered from
+/// compiled code (a call or a deopt) — and so does every call of the
+/// graph oracle. An unoptimized x86-64 build measured up to 39 KiB per
+/// graph-oracle level, so a deep recursion that keeps switching reaches
+/// [`VmError::StackOverflow`] instead of overflowing the host stack.
+/// [`Vm::run_threads`] spawns its threads with it; a host that runs a
+/// [`Vm`] on a thread of its own should give that thread as much.
 pub const MUTATOR_STACK_SIZE: usize = MAX_CALL_DEPTH * (64 << 10) + (8 << 20);
 
 /// Runs each mutator on its own scoped thread of [`MUTATOR_STACK_SIZE`]
@@ -748,38 +756,44 @@ impl Mutator {
     }
 
     /// The one tier decision of a call: the compiled code to run `method`
-    /// with, or `None` to interpret it. Installed code and a method below
-    /// the compile threshold are answered here; compiling and requesting a
-    /// background compile are [`Mutator::promote`]'s.
+    /// with, or `None` to interpret it.
     #[inline(always)]
     fn tier(&mut self, program: &Program, method: MethodId) -> Option<Arc<CompiledMethod>> {
+        self.poll_entry(program, method);
+        // A call that switches tier pays the `Arc` clone (~10 ns): it keeps
+        // the artifact alive while it runs, since a recursive activation
+        // may evict or replace this entry, and holding a borrow of
+        // `self.pinned` across the `&mut self` run would take `unsafe`.
+        // The linear tier's own calls hold artifacts in its code table.
+        self.pinned[method.index()].clone()
+    }
+
+    /// The method-entry half of a call's tier decision: the background
+    /// safepoint, and [`Mutator::promote`] for a method past the compile
+    /// threshold. Afterwards `pinned` holds the code to run the method
+    /// with, if any — a thread-private table: no locks, no shared loads.
+    #[inline(always)]
+    fn poll_entry(&mut self, program: &Program, method: MethodId) {
         // Method-entry safepoint: install anything the background
         // compilers finished since the last poll.
         if self.options.jit_mode == JitMode::Background {
             self.drain_background();
         }
-        if let Some(code) = &self.pinned[method.index()] {
-            // The dispatch hot path: thread-private table, no locks, no
-            // shared loads. The `Arc` clone (~10 ns) keeps the artifact
-            // alive while it runs: a recursive activation may evict or
-            // replace this entry, and holding a borrow of `self.pinned`
-            // across the `&mut self` run would take `unsafe`.
-            return Some(Arc::clone(code));
-        }
-        if self.options.jit
-            && !self.bailed_out[method.index()]
+        let m = method.index();
+        if self.pinned[m].is_none()
+            && self.options.jit
+            && !self.bailed_out[m]
             && self.profiles.invocation_count(method) >= self.options.compile_threshold
         {
-            return self.promote(program, method);
+            self.promote(program, method);
         }
-        None
     }
 
     /// A method that crossed the compile threshold: compiles and installs
     /// it (sync), or requests its compilation and keeps interpreting
-    /// (background). `None` when it stays interpreted.
+    /// (background).
     #[inline(never)]
-    fn promote(&mut self, program: &Program, method: MethodId) -> Option<Arc<CompiledMethod>> {
+    fn promote(&mut self, program: &Program, method: MethodId) {
         match self.options.jit_mode {
             JitMode::Sync => {
                 if self.evicted[method.index()] {
@@ -829,22 +843,14 @@ impl Mutator {
                     )
                 };
                 match compiled {
-                    Ok(code) => {
-                        let code = Arc::new(code);
-                        self.install(method, Arc::clone(&code));
-                        Some(code)
-                    }
-                    Err(_) => {
-                        self.bailed_out[method.index()] = true;
-                        None
-                    }
+                    Ok(code) => self.install(method, Arc::new(code)),
+                    Err(_) => self.bailed_out[method.index()] = true,
                 }
             }
             JitMode::Background => {
                 // Snapshot the profiles and keep interpreting; the
                 // artifact is installed at a later safepoint.
                 self.request_background(method);
-                None
             }
         }
     }
@@ -1160,6 +1166,24 @@ impl Mutator {
         code: &CompiledMethod,
         args: &[Value],
     ) -> Result<Option<Value>, VmError> {
+        let prev_ctx = self.enter_compiled(code);
+        let outcome = match self.options.exec_mode {
+            ExecMode::Linear => pea_compiler::linear::execute(program, self, code, args),
+            ExecMode::Graph => evaluate(program, self, code, args),
+        };
+        match outcome {
+            Ok(EvalOutcome::Return(v)) => {
+                self.profile.restore(prev_ctx);
+                Ok(v)
+            }
+            outcome => self.finish_compiled(program, code, outcome, prev_ctx),
+        }
+    }
+
+    /// Counts an activation of compiled `code` and enters its attribution
+    /// context, returning the context to restore when it ends.
+    #[inline(always)]
+    fn enter_compiled(&self, code: &CompiledMethod) -> u64 {
         let tier = match self.options.exec_mode {
             ExecMode::Linear => Tier::Linear,
             ExecMode::Graph => Tier::Graph,
@@ -1169,10 +1193,22 @@ impl Mutator {
         if let Some(m) = self.options.metrics.on() {
             m.vm.invocations_compiled.inc();
         }
-        let outcome = match self.options.exec_mode {
-            ExecMode::Linear => pea_compiler::linear::execute(program, self, code, args),
-            ExecMode::Graph => evaluate(program, self, code, args),
-        };
+        prev_ctx
+    }
+
+    /// Ends a compiled activation of `code` with `outcome` and restores
+    /// the attribution context `prev_ctx`: a return is its value, an error
+    /// passes through, and a deopt or an exception unwinding through it
+    /// is counted, traced, may evict the method, and continues in the
+    /// interpreter. The one exit of every compiled activation but the
+    /// linear tier's plain returns from its in-loop callees.
+    fn finish_compiled(
+        &mut self,
+        program: &Program,
+        code: &CompiledMethod,
+        outcome: Result<EvalOutcome, VmError>,
+        prev_ctx: u64,
+    ) -> Result<Option<Value>, VmError> {
         let outcome = match outcome {
             Ok(o) => o,
             Err(e) => {
@@ -1491,6 +1527,52 @@ impl EvalEnv for Mutator {
         args: &[Value],
     ) -> Result<Option<Value>, VmError> {
         self.call_with(program, method, args)
+    }
+    // The decisions of `call_with` and `run_compiled`, in their order,
+    // inlined into the linear tier's loop: a compiled callee stays
+    // counted in `depth` until `leave`.
+    #[inline(always)]
+    fn call(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        args: &[Value],
+        stack: &mut RegisterStack,
+    ) -> Result<Call<'_>, VmError> {
+        self.depth += 1;
+        if self.depth > MAX_CALL_DEPTH {
+            self.depth -= 1;
+            return Err(VmError::StackOverflow);
+        }
+        self.poll_entry(program, method);
+        if self.pinned[method.index()].is_none() {
+            std::mem::swap(&mut self.registers, stack);
+            let result = interpret(program, self, method, args);
+            std::mem::swap(&mut self.registers, stack);
+            self.depth -= 1;
+            return result.map(Call::Returned);
+        }
+        let Some(code) = &self.pinned[method.index()] else {
+            unreachable!("installed code was just found")
+        };
+        Ok(Call::Compiled(code, self.enter_compiled(code)))
+    }
+    // Out of the loop: only what is not a plain return comes here.
+    #[inline(never)]
+    fn finish(
+        &mut self,
+        program: &Program,
+        code: &CompiledMethod,
+        outcome: Result<EvalOutcome, VmError>,
+        ctx: u64,
+    ) -> Result<Option<Value>, VmError> {
+        self.finish_compiled(program, code, outcome, ctx)
+    }
+    fn leave(&mut self) {
+        self.depth -= 1;
+    }
+    fn register_stack(&mut self) -> Option<&mut RegisterStack> {
+        Some(&mut self.registers)
     }
     fn has_fuel_limit(&self) -> bool {
         self.options.fuel.is_some()

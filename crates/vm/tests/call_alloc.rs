@@ -1,13 +1,16 @@
 //! Calls reach no host allocator.
 //!
-//! A compiled caller hands an out-of-line callee its arguments in a
-//! buffer on the host stack and lends it the program; an interpreted
-//! caller leaves them on the value stack, and an interpreted callee runs
-//! in its caller's loop, suspending the caller on the mutator's reused
-//! activation stack. Once both methods are warm, a loop of any kind of
-//! call — an exception thrown by the callee and caught by the caller
-//! included — makes **zero** calls into the host allocator, counted by
-//! the same allocator the heap and observability tests use.
+//! A compiled callee of compiled code runs in its caller's linear-tier
+//! loop: the caller is suspended on the mutator's reused register stack,
+//! its argument registers are copied into the callee's window there, and
+//! the callee's artifact is held in the stack's code table rather than
+//! cloned. An interpreted caller leaves its arguments on the value stack,
+//! and an interpreted callee runs in its caller's interpreter loop,
+//! suspending the caller on the mutator's reused activation stack. Once
+//! both methods are warm, a loop of any kind of call — an exception thrown
+//! by the callee and caught by the caller included — makes **zero** calls
+//! into the host allocator, counted by the same allocator the heap and
+//! observability tests use.
 
 use pea_bytecode::asm::parse_program;
 use pea_runtime::Value;

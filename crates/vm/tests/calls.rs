@@ -372,3 +372,116 @@ fn depth_stays_balanced_after_an_inlined_deopt() {
         assert_eq!(round, expected);
     }
 }
+
+/// Compiled→compiled calls run in the linear tier's own loop, so they
+/// take no host stack: once `r` is compiled (at a shallow depth, on the
+/// test's thread), recursion to the depth limit fits a 1 MiB thread in a
+/// debug build — where each compiled activation taking a host level
+/// needed about 11 MiB — and recursion past it is a `StackOverflow` the
+/// mutator recovers from.
+#[test]
+fn compiled_recursion_takes_no_host_stack() {
+    let mut vm = Vm::new(
+        parse_program(RECURSE).unwrap(),
+        VmOptions::with_opt_level(OptLevel::Pea),
+    );
+    for i in 0..60 {
+        assert_eq!(
+            vm.call_entry("r", &[Value::Int(i % 8)]),
+            Ok(Some(Value::Int(i % 8)))
+        );
+    }
+    let r = vm.program().static_method_by_name("r").unwrap();
+    assert!(vm.compiled(r).is_some(), "r runs on the linear tier");
+    let deepest = MAX_CALL_DEPTH as i64 - 1;
+    let outcome = std::thread::Builder::new()
+        .stack_size(1 << 20)
+        .spawn(move || [deepest, 5000, 7].map(|n| vm.call_entry("r", &[Value::Int(n)])))
+        .expect("spawns the small thread")
+        .join()
+        .expect("the recursion fits the small thread");
+    assert_eq!(
+        outcome,
+        [
+            Ok(Some(Value::Int(deepest))),
+            Err(VmError::StackOverflow),
+            Ok(Some(Value::Int(7))),
+        ]
+    );
+}
+
+/// `calls(n)` sums `add3(i, i, 1)` over `i < n` and returns the sum through
+/// `clamp`, which was compiled while every sum stayed small: a large sum
+/// makes it deoptimize.
+const CALLS_THEN_CLAMP: &str = "
+    method add3 3 returns { load 0 load 1 add load 2 add retv }
+    method clamp 1 returns {
+        load 0 const 1000 ifcmp gt Lbig
+        load 0 retv
+    Lbig:
+        const 1000 retv
+    }
+    method calls 1 returns {
+        const 0 store 1 const 0 store 2
+    Lhead:
+        load 1 load 0 ifcmp ge Ldone
+        load 2 load 1 load 1 const 1 invokestatic add3 add store 2
+        load 1 const 1 add store 1 goto Lhead
+    Ldone:
+        load 2 invokestatic clamp retv
+    }";
+
+/// What a run of `calls(40)` came to: its outcome and the VM's statistics.
+type Run = (Result<Option<Value>, VmError>, pea_runtime::Stats);
+
+/// Warms every method of `CALLS_THEN_CLAMP` onto `exec_mode`, then runs
+/// `calls(40)` — forty compiled→compiled calls, then a compiled callee
+/// that deoptimizes — with `fuel` cycles left after the warm-up's `warm`,
+/// if any. The run and the warm-up's cycles.
+fn fueled(exec_mode: ExecMode, warm: u64, fuel: Option<u64>) -> (Run, u64) {
+    let mut options = VmOptions::with_opt_level(OptLevel::Pea);
+    options.exec_mode = exec_mode;
+    options.compiler.build.inline = false;
+    options.fuel = fuel.map(|f| warm + f);
+    let mut vm = Vm::new(parse_program(CALLS_THEN_CLAMP).unwrap(), options);
+    for _ in 0..60 {
+        assert_eq!(
+            vm.call_entry("calls", &[Value::Int(3)]),
+            Ok(Some(Value::Int(9)))
+        );
+    }
+    assert_eq!(vm.compiled_method_count(), 3, "{exec_mode:?}: all compiled");
+    let warmed = vm.stats().cycles;
+    let outcome = vm.call_entry("calls", &[Value::Int(40)]);
+    ((outcome, vm.stats()), warmed)
+}
+
+/// With a fuel limit every charge is exact, and the linear tier's in-loop
+/// calls must run out of fuel exactly where the graph oracle, which calls
+/// through the VM, does: at every budget from the run's entry through the
+/// first call's charge and its callee's first operation, and at budgets
+/// spread over the remaining calls and the callee's deoptimization.
+#[test]
+fn compiled_calls_run_out_of_fuel_where_the_oracle_does() {
+    let (reference, warm) = fueled(ExecMode::Linear, 0, None);
+    assert_eq!(reference.0, Ok(Some(Value::Int(1000))));
+    assert_eq!(fueled(ExecMode::Graph, 0, None), (reference.clone(), warm));
+    assert!(reference.1.deopts >= 1, "clamp deoptimized");
+    let total = reference.1.cycles - warm;
+    // The entry's charge, the loop's first turn and the first call, with
+    // its callee's first operation, come within the first 120 cycles.
+    let budgets = (0..120).chain((120..total + 8).step_by(53));
+    let mut out_of_fuel = 0;
+    for fuel in budgets {
+        let linear = fueled(ExecMode::Linear, warm, Some(fuel));
+        let graph = fueled(ExecMode::Graph, warm, Some(fuel));
+        assert_eq!(linear, graph, "budget {fuel}");
+        assert_eq!(linear.1, warm, "budget {fuel}: the warm-up ran in full");
+        if linear.0 .0 == Err(VmError::OutOfFuel) {
+            out_of_fuel += 1;
+        } else {
+            assert_eq!(linear.0, reference, "budget {fuel}");
+        }
+    }
+    assert!(out_of_fuel > 120, "most budgets run out");
+}
