@@ -246,9 +246,14 @@ fn run_phase(
             let t = Instant::now();
             let graph = unit.graph.as_ref().expect("build phase ran");
             let artifact = unit.artifact.as_mut().expect("schedule phase ran");
-            let lowered =
-                crate::linear::lower(unit.program, graph, &artifact.cfg, &artifact.schedule)
-                    .map_err(|e| Bailout::Unsupported(e.to_string()))?;
+            let lowered = crate::linear::lower(
+                unit.program,
+                unit.method,
+                graph,
+                &artifact.cfg,
+                &artifact.schedule,
+            )
+            .map_err(|e| Bailout::Unsupported(e.to_string()))?;
             artifact.linear = Some(lowered);
             unit.times.lower += t.elapsed();
             Ok(())

@@ -5,13 +5,13 @@
 //! at every fuel budget.
 
 use pea_bytecode::asm::parse_program;
-use pea_bytecode::{MethodId, Program};
+use pea_bytecode::{Insn, MethodId, Program};
 use pea_compiler::linear::execute;
 use pea_compiler::{
     compile, evaluate, CompiledMethod, CompilerOptions, DeoptFrame, EvalEnv, EvalOutcome, OptLevel,
 };
 use pea_runtime::profile::ProfileStore;
-use pea_runtime::{Heap, Statics, Value, VmError};
+use pea_runtime::{Heap, Statics, Stats, Value, VmError};
 
 struct TestEnv {
     heap: Heap,
@@ -321,7 +321,8 @@ fn arrays_round_trip_compiled() {
 }
 
 /// `loop` is the `compute_ballast` shape: a counted loop of arithmetic.
-/// In `fixed` a static store sits between the compare and its branch.
+/// In `fixed` a static store sits between the compare's inputs and its
+/// branch.
 const DISPATCH_SRC: &str = "
     static g int
     method loop 1 returns {
@@ -357,7 +358,8 @@ fn disassembly(name: &str) -> String {
 }
 
 /// Each edge into a merge is one instruction carrying its phi moves, and
-/// a compare read only by the branch after it is fused into that branch.
+/// a compare read only by the branch after it is fused into that branch,
+/// its constant operand read from the pool.
 #[test]
 fn a_loop_lowers_to_arithmetic_one_fused_branch_and_one_back_edge() {
     let dis = disassembly("loop");
@@ -372,7 +374,7 @@ fn a_loop_lowers_to_arithmetic_one_fused_branch_and_one_back_edge() {
         .collect();
     assert_eq!(
         ops,
-        ["edge", "xor", "add", "mul", "add", "add", "ifcmp", "backedge", "ret"],
+        ["edge", "xor", "add", "mul", "add", "add", "ifcmpi", "backedge", "ret"],
         "{dis}"
     );
     let back_edge = body[7];
@@ -382,32 +384,52 @@ fn a_loop_lowers_to_arithmetic_one_fused_branch_and_one_back_edge() {
     );
 }
 
+/// The scheduler sinks a compare its branch alone reads past the fixed
+/// nodes before that branch, and the two fuse.
 #[test]
-fn a_compare_behind_a_fixed_node_is_not_fused() {
+fn a_compare_behind_a_fixed_node_sinks_past_it_and_fuses() {
     let dis = disassembly("fixed");
-    assert!(dis.contains("cmp[2] "), "{dis}");
-    assert!(dis.contains(": if r"), "{dis}");
-    assert!(!dis.contains("ifcmp"), "{dis}");
+    let ops: Vec<&str> = dis
+        .lines()
+        .map(|l| l.split_once(": ").unwrap().1)
+        .filter(|l| !l.starts_with("const"))
+        .collect();
+    assert!(ops[0].starts_with("putstatic"), "{dis}");
+    assert!(ops[1].starts_with("ifcmpi[2] r0, 0 then"), "{dis}");
+    assert!(!dis.contains("cmp["), "{dis}");
 }
 
 /// Runs `code` on the linear tier or the evaluator with an optional fuel
-/// budget: the outcome and the cycles charged until it.
+/// budget: the outcome and the heap's counts until it, cycles among them.
 fn run_tier(
     program: &Program,
     code: &CompiledMethod,
     linear: bool,
-    arg: i64,
+    args: &[Value],
     fuel: Option<u64>,
-) -> (String, u64) {
+) -> (String, Stats) {
     let mut env = TestEnv::new(program);
     env.fuel = fuel;
-    let args = [Value::Int(arg)];
     let out = if linear {
-        execute(program, &mut env, code, &args)
+        execute(program, &mut env, code, args)
     } else {
-        evaluate(program, &mut env, code, &args)
+        evaluate(program, &mut env, code, args)
     };
-    (format!("{out:?}"), env.heap.stats.cycles)
+    (format!("{out:?}"), env.heap.stats)
+}
+
+/// Both tiers end `code` on `args` the same way with the same counts, and
+/// run out of fuel at the same charge for every budget below its total.
+fn tiers_agree_at_every_fuel_budget(program: &Program, code: &CompiledMethod, args: &[Value]) {
+    let full = run_tier(program, code, true, args, None);
+    assert_eq!(full, run_tier(program, code, false, args, None), "{args:?}");
+    for fuel in 0..=full.1.cycles {
+        assert_eq!(
+            run_tier(program, code, true, args, Some(fuel)),
+            run_tier(program, code, false, args, Some(fuel)),
+            "{args:?} with fuel {fuel}"
+        );
+    }
 }
 
 /// Fusing a compare into its branch moves its charge past the floating
@@ -417,14 +439,142 @@ fn fuel_runs_out_at_the_same_charge_on_both_tiers() {
     let program = parse_program(DISPATCH_SRC).unwrap();
     for (name, arg) in [("loop", 3), ("fixed", -4), ("fixed", 4)] {
         let code = compiled(&program, name);
-        let full = run_tier(&program, &code, true, arg, None);
-        assert_eq!(full, run_tier(&program, &code, false, arg, None), "{name}");
-        for fuel in 0..=full.1 {
-            assert_eq!(
-                run_tier(&program, &code, true, arg, Some(fuel)),
-                run_tier(&program, &code, false, arg, Some(fuel)),
-                "{name}({arg}) with fuel {fuel}"
-            );
+        tiers_agree_at_every_fuel_budget(&program, &code, &[Value::Int(arg)]);
+    }
+}
+
+/// `phase_shift`'s `step`: a virtual accumulator, then a chain of compares
+/// against constants whose arms the profile never saw entered, so each
+/// compare feeds only a guard.
+const STEP_SRC: &str = "
+    class Acc { field a int field b int }
+    method step 2 returns {
+        new Acc store 2
+        load 2 load 1 putfield Acc.a
+        load 2 load 1 const 3 mul putfield Acc.b
+        load 0 const 0 ifcmp ne Larm0
+        load 1 const 11 mul store 3
+        goto Ljoin
+    Larm0:
+        load 0 const 1 ifcmp ne Larm1
+        load 1 const 13 mul const 1 add store 3
+        goto Ljoin
+    Larm1:
+        load 0 const 2 ifcmp ne Larm2
+        load 1 const 15 mul const 2 add store 3
+        goto Ljoin
+    Larm2:
+        load 0 const 3 ifcmp ne Larm3
+        load 1 const 17 mul const 3 add store 3
+        goto Ljoin
+    Larm3:
+        load 1 store 3
+    Ljoin:
+        load 2 getfield Acc.a load 2 getfield Acc.b add load 3 add retv
+    }";
+
+/// `method` of `program` compiled at `pea` from a profile in which every
+/// `ifcmp` jumps (`taken`) or never does.
+fn speculated(program: &Program, method: MethodId, taken: bool) -> CompiledMethod {
+    let mut profiles = ProfileStore::new();
+    for (bci, insn) in program.method(method).code.iter().enumerate() {
+        if let Insn::IfCmp(..) = insn {
+            for _ in 0..100 {
+                profiles.record_branch(method, bci as u32, taken);
+            }
         }
+    }
+    let options = CompilerOptions::with_opt_level(OptLevel::Pea);
+    compile(program, method, Some(&profiles), &options).unwrap()
+}
+
+/// Every compare of the chain fuses into its guard, and a selector that
+/// fails the `k`-th guard deoptimizes there with the accumulator
+/// rematerialized: both tiers agree on the outcome, the counts and the
+/// cycles at every fuel budget.
+#[test]
+fn a_compare_guard_chain_deoptimizes_alike_at_each_guard() {
+    let program = parse_program(STEP_SRC).unwrap();
+    pea_bytecode::verify_program(&program).unwrap();
+    let method = program.static_method_by_name("step").unwrap();
+    let code = speculated(&program, method, true);
+    let dis = code.linear.as_ref().unwrap().disassemble();
+    assert_eq!(dis.matches("guardcmpi[").count(), 4, "{dis}");
+    assert!(!dis.contains("cmp["), "{dis}");
+    for selector in 0..4 {
+        let args = [Value::Int(selector), Value::Int(5)];
+        let (out, stats) = run_tier(&program, &code, true, &args, None);
+        assert!(out.starts_with("Ok(Deopt"), "{selector}: {out}");
+        assert_eq!(stats.rematerialized, 1, "{selector}: the accumulator");
+        tiers_agree_at_every_fuel_budget(&program, &code, &args);
+    }
+    let args = [Value::Int(9), Value::Int(5)];
+    let (out, _) = run_tier(&program, &code, true, &args, None);
+    assert_eq!(out, "Ok(Return(Some(Int(25))))");
+    tiers_agree_at_every_fuel_budget(&program, &code, &args);
+}
+
+/// `seven` reads its constant only in a fused compare, a frame state's
+/// local and a virtual object's field; `eight` also adds it.
+const CONST_SRC: &str = "
+    class Box { field v int }
+    static g ref
+    method seven 1 returns {
+        const 7 store 1
+        new Box store 2
+        load 2 const 7 putfield Box.v
+        load 0 const 7 ifcmp gt Lrare
+        load 0 retv
+    Lrare:
+        load 2 putstatic g
+        load 1 retv
+    }
+    method eight 1 returns {
+        const 7 store 1
+        new Box store 2
+        load 2 const 7 putfield Box.v
+        load 0 const 7 ifcmp gt Lrare
+        load 0 const 7 add retv
+    Lrare:
+        load 2 putstatic g
+        load 1 retv
+    }";
+
+/// A constant no instruction reads from a register gets none and no
+/// `const`; the deopt metadata carries it, and a deopt rebuilds it.
+#[test]
+fn a_constant_only_bound_readers_read_costs_no_instruction() {
+    let program = parse_program(CONST_SRC).unwrap();
+    pea_bytecode::verify_program(&program).unwrap();
+    let seven = program.static_method_by_name("seven").unwrap();
+    let code = speculated(&program, seven, false);
+    let dis = code.linear.as_ref().unwrap().disassemble();
+    assert!(dis.contains("guardcmpi[4] r0, 7 "), "{dis}");
+    assert!(!dis.contains("const "), "{dis}");
+
+    let mut env = TestEnv::new(&program);
+    let out = execute(&program, &mut env, &code, &[Value::Int(100)]).unwrap();
+    let EvalOutcome::Deopt { frames, .. } = out else {
+        panic!("expected deopt, got {out:?}");
+    };
+    let locals = &frames[0].locals;
+    assert_eq!(locals[1], Value::Int(7), "the constant local");
+    let boxed = locals[2].as_ref().expect("the rematerialized box");
+    let field = program
+        .field_by_name(program.class_by_name("Box").unwrap(), "v")
+        .unwrap();
+    assert_eq!(
+        env.heap.get_field(&program, boxed, field).unwrap(),
+        Value::Int(7)
+    );
+    tiers_agree_at_every_fuel_budget(&program, &code, &[Value::Int(100)]);
+
+    let eight = program.static_method_by_name("eight").unwrap();
+    let code = speculated(&program, eight, false);
+    let dis = code.linear.as_ref().unwrap().disassemble();
+    assert_eq!(dis.matches(" <- 7\n").count(), 1, "{dis}");
+    assert!(dis.contains("guardcmpi[4] r0, 7 "), "{dis}");
+    for arg in [3, 100] {
+        tiers_agree_at_every_fuel_budget(&program, &code, &[Value::Int(arg)]);
     }
 }

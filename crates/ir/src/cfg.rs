@@ -325,30 +325,6 @@ impl Cfg {
         &self.blocks[id.index()]
     }
 
-    /// All blocks belonging to the loop headed by `header` (which must be
-    /// a `LoopBegin` block), including nested loops.
-    pub fn loop_members(&self, header: BlockId) -> Vec<BlockId> {
-        let mut members = vec![header];
-        let mut wl: Vec<BlockId> = self.blocks[header.index()]
-            .preds
-            .iter()
-            .copied()
-            .filter(|p| {
-                // back edges come from blocks ending in LoopEnd whose succ is header
-                self.blocks[p.index()].succs.contains(&header)
-                    && self.rpo_position(*p) >= self.rpo_position(header)
-            })
-            .collect();
-        while let Some(m) = wl.pop() {
-            if members.contains(&m) {
-                continue;
-            }
-            members.push(m);
-            wl.extend(self.blocks[m.index()].preds.iter().copied());
-        }
-        members
-    }
-
     /// Position of a block in RPO.
     ///
     /// # Panics
@@ -484,8 +460,17 @@ mod tests {
         let body_depth: Vec<u32> = cfg.blocks.iter().map(|b| b.loop_depth).collect();
         assert!(body_depth.contains(&1));
         assert!(body_depth.contains(&0));
-        let members = cfg.loop_members(header);
-        assert!(members.len() >= 2);
+        // The header and the body are the loop's members; the entry and
+        // the exit are not.
+        let members: Vec<BlockId> = cfg
+            .blocks
+            .iter()
+            .filter(|b| b.loop_header == Some(header))
+            .map(|b| b.id)
+            .collect();
+        assert_eq!(members.len(), 2);
+        assert!(members.contains(&header));
+        assert_eq!(cfg.block(cfg.entry()).loop_header, None);
     }
 
     #[test]
@@ -494,9 +479,9 @@ mod tests {
         let cfg = Cfg::build(&g);
         let header = cfg.block_of(lb);
         let header_pos = cfg.rpo_position(header);
-        for m in cfg.loop_members(header) {
-            if m != header {
-                assert!(cfg.rpo_position(m) > header_pos);
+        for m in cfg.blocks.iter().filter(|b| b.loop_header == Some(header)) {
+            if m.id != header {
+                assert!(cfg.rpo_position(m.id) > header_pos);
             }
         }
     }

@@ -163,6 +163,22 @@ impl Graph {
         self.uses[id.index()].iter().any(|u| !self.node(*u).deleted)
     }
 
+    /// The live user of `id` when exactly one node uses it, however many
+    /// of that node's inputs name `id`. Allocates nothing.
+    pub fn sole_use(&self, id: NodeId) -> Option<NodeId> {
+        let mut sole = None;
+        for &u in &self.uses[id.index()] {
+            if self.node(u).deleted || sole == Some(u) {
+                continue;
+            }
+            if sole.is_some() {
+                return None;
+            }
+            sole = Some(u);
+        }
+        sole
+    }
+
     // ----- input editing -----
 
     /// Rewrites input `index` of `user` to `new_input`, updating use lists.
@@ -384,13 +400,17 @@ impl Graph {
 
     /// All live phis attached to a merge-like node, in id order.
     pub fn phis_of(&self, merge: NodeId) -> Vec<NodeId> {
+        self.iter_phis(merge).collect()
+    }
+
+    /// [`Graph::phis_of`] without collecting them.
+    pub fn iter_phis(&self, merge: NodeId) -> impl Iterator<Item = NodeId> + '_ {
         let from = self.phis.partition_point(|&(m, _)| m < merge);
         self.phis[from..]
             .iter()
-            .take_while(|&&(m, _)| m == merge)
+            .take_while(move |&&(m, _)| m == merge)
             .map(|&(_, p)| p)
             .filter(|&p| !self.node(p).deleted)
-            .collect()
     }
 
     /// Creates a frame-state node.
@@ -494,6 +514,20 @@ mod tests {
         assert_eq!(g.uses(a), vec![sum]);
         assert_eq!(g.uses(b), vec![sum]);
         assert!(g.uses(sum).is_empty());
+    }
+
+    #[test]
+    fn sole_use_counts_distinct_live_users() {
+        let mut g = Graph::new();
+        let a = g.const_int(1);
+        let b = g.const_int(2);
+        assert_eq!(g.sole_use(a), None, "no user");
+        let twice = g.add(NodeKind::Arith { op: ArithOp::Add }, vec![a, a]);
+        assert_eq!(g.sole_use(a), Some(twice), "one user naming it twice");
+        let other = g.add(NodeKind::Arith { op: ArithOp::Sub }, vec![a, b]);
+        assert_eq!(g.sole_use(a), None, "two users");
+        g.kill(other);
+        assert_eq!(g.sole_use(a), Some(twice), "a deleted user does not count");
     }
 
     #[test]

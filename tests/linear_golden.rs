@@ -28,23 +28,25 @@ fn compiled_cache_example() -> pea::compiler::CompiledMethod {
 /// The byte-exact encoding: one `u32` word stream, the deduplicated
 /// constant pool, and the artifact's shape. `Key` is fully virtual on the
 /// hit path — the only allocation is the single commit on the miss path,
-/// and the elided monitor pair appears nowhere.
+/// and the elided monitor pair appears nowhere. The parameters are
+/// registers 0 and 1, written by the caller; the null that only the
+/// commit and the deopt metadata read has no register.
 #[test]
 fn cache_example_lowered_encoding_golden() {
     let code = compiled_cache_example();
     let art = code.linear.as_ref().expect("cache example lowers");
     #[rustfmt::skip]
     let golden: Vec<u32> = vec![
-        0, 1, 0, 0, 2, 1, 2, 3, 1, 4, 0, 1, 5, 1, 1, 6, 2, 5, 7, 1, 6, 28, 8,
-        0, 32, 4, 1, 3, 0, 16, 9, 8, 34, 9, 83, 36, 18, 10, 8, 0, 21, 11, 10,
-        0, 0, 0, 35, 1, 1, 11, 80, 52, 18, 12, 8, 0, 21, 13, 12, 0, 1, 1, 15,
-        14, 2, 13, 35, 0, 14, 4, 77, 72, 36, 91, 1, 15, 5, 36, 86, 0, 36, 86,
-        0, 36, 86, 0, 36, 91, 1, 15, 4, 35, 0, 15, 4, 102, 97, 28, 16, 1, 39,
-        16, 31, 0, 29, 0, 0, 29, 7, 1, 28, 17, 1, 39, 17,
+        0, 3, 0, 0, 4, 1, 0, 5, 2, 4, 6, 0, 5, 27, 7, 0, 31, 3, 1, 3, 0, 15, 8,
+        7, 35, 8, 75, 28, 17, 9, 7, 0, 20, 10, 9, 0, 0, 0, 36, 1, 0, 10, 72,
+        44, 17, 11, 7, 0, 20, 12, 11, 0, 1, 1, 14, 13, 1, 12, 37, 0, 13, 0, 69,
+        64, 38, 83, 1, 14, 4, 38, 78, 0, 38, 78, 0, 38, 78, 0, 38, 83, 1, 14,
+        3, 37, 0, 14, 0, 94, 89, 27, 15, 1, 41, 15, 30, 0, 28, 2, 0, 28, 6, 1,
+        27, 16, 1, 41, 16,
     ];
     assert_eq!(art.code, golden, "lowered code words changed");
     assert_eq!(art.pool, vec![0, 1, 13], "constant pool changed");
-    assert_eq!(art.num_regs, 18);
+    assert_eq!(art.num_regs, 17);
     assert_eq!(
         art.deopts.len(),
         1,
@@ -59,37 +61,34 @@ fn cache_example_lowered_encoding_golden() {
 fn cache_example_disassembly_golden() {
     let code = compiled_cache_example();
     let art = code.linear.as_ref().expect("cache example lowers");
-    let golden = "   0: param r1 <- #0
-   3: param r2 <- #1
-   6: null r3
-   8: const r4 <- 0
-  11: const r5 <- 1
-  14: const r6 <- 13
-  17: mul r7 <- r1, r6
-  21: getstatic r8 <- S0
-  24: guard !r4 reason 3 deopt 0
-  29: isnull r9 <- r8
-  32: if r9 then 83 else 36
-  36: checkcast r10 <- r8, C0
-  40: ldfld r11 <- r10.[C0+0] (F0)
-  46: ifcmp[1] r1, r11 then 80 else 52
-  52: checkcast r12 <- r8, C0
-  56: ldfld r13 <- r12.[C0+1] (F1)
-  62: refeq r14 <- r2, r13
-  66: ifcmp[0] r14, r4 then 77 else 72
-  72: edge -> 91 [r15 <- r5]
-  77: edge -> 86
-  80: edge -> 86
-  83: edge -> 86
-  86: edge -> 91 [r15 <- r4]
-  91: ifcmp[0] r15, r4 then 102 else 97
-  97: getstatic r16 <- S1
- 100: ret r16
- 102: commit #0 x1 -> [r0]
- 104: putstatic S0 <- r0
- 107: putstatic S1 <- r7
- 110: getstatic r17 <- S1
- 113: ret r17
+    let golden = "   0: const r3 <- 0
+   3: const r4 <- 1
+   6: const r5 <- 13
+   9: mul r6 <- r0, r5
+  13: getstatic r7 <- S0
+  16: guard !r3 reason 3 deopt 0
+  21: isnull r8 <- r7
+  24: if r8 then 75 else 28
+  28: checkcast r9 <- r7, C0
+  32: ldfld r10 <- r9.[C0+0] (F0)
+  38: ifcmp[1] r0, r10 then 72 else 44
+  44: checkcast r11 <- r7, C0
+  48: ldfld r12 <- r11.[C0+1] (F1)
+  54: refeq r13 <- r1, r12
+  58: ifcmpi[0] r13, 0 then 69 else 64
+  64: edge -> 83 [r14 <- r4]
+  69: edge -> 78
+  72: edge -> 78
+  75: edge -> 78
+  78: edge -> 83 [r14 <- r3]
+  83: ifcmpi[0] r14, 0 then 94 else 89
+  89: getstatic r15 <- S1
+  92: ret r15
+  94: commit #0 x1 -> [r2]
+  96: putstatic S0 <- r2
+  99: putstatic S1 <- r6
+ 102: getstatic r16 <- S1
+ 105: ret r16
 ";
     assert_eq!(art.disassemble(), golden, "disassembly changed");
 }
