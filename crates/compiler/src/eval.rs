@@ -5,13 +5,13 @@
 //! objects (allocating them, filling their fields and re-entering their
 //! monitors) and hands reconstructed interpreter frames back to the VM.
 
-use crate::linear::exec::{swap_stack, RegisterStack};
+use crate::linear::exec::{alloc_shape, swap_stack, RegisterStack};
 use crate::pipeline::CompiledMethod;
 use pea_bytecode::{MethodId, Program};
 use pea_ir::cfg::BlockId;
-use pea_ir::{ArithOp, DeoptReason, NodeId, NodeKind};
+use pea_ir::{AllocShape, ArithOp, DeoptReason, NodeId, NodeKind};
 use pea_runtime::cost;
-use pea_runtime::{Heap, ObjRef, Statics, Value, VmError};
+use pea_runtime::{FrameChain, Heap, ObjRef, Statics, Value, VmError};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -148,22 +148,6 @@ pub enum Call<'a> {
     Returned(Option<Value>),
 }
 
-/// One interpreter frame reconstructed by deoptimization, outermost first
-/// in [`EvalOutcome::Deopt`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DeoptFrame {
-    /// Frame method.
-    pub method: MethodId,
-    /// Bytecode index to resume at (outer frames: their invoke bci).
-    pub bci: u32,
-    /// Local variable values.
-    pub locals: Vec<Value>,
-    /// Operand stack values.
-    pub stack: Vec<Value>,
-    /// Held monitors: `(object, from_synchronized_method)`.
-    pub locked: Vec<(ObjRef, bool)>,
-}
-
 /// Result of running compiled code.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EvalOutcome {
@@ -174,11 +158,11 @@ pub enum EvalOutcome {
         /// Why the speculation failed.
         reason: DeoptReason,
         /// Reconstructed frames, outermost first.
-        frames: Vec<DeoptFrame>,
+        frames: FrameChain,
         /// Shapes of the virtual objects rematerialized while rebuilding
         /// the frames (§5.5), in allocation order — the deopt's
         /// rematerialization inventory for tracing and invariant checks.
-        rematerialized: Vec<String>,
+        rematerialized: Vec<AllocShape>,
     },
     /// An exception thrown by an out-of-line callee is propagating
     /// through this compiled frame: the VM must dispatch it over the
@@ -188,9 +172,9 @@ pub enum EvalOutcome {
         /// The in-flight exception object.
         exception: ObjRef,
         /// Reconstructed frames, outermost first.
-        frames: Vec<DeoptFrame>,
+        frames: FrameChain,
         /// Rematerialization inventory, as for [`EvalOutcome::Deopt`].
-        rematerialized: Vec<String>,
+        rematerialized: Vec<AllocShape>,
     },
 }
 
@@ -458,11 +442,7 @@ fn evaluate_inner(
                             }
                             let (mut frames, rematerialized) =
                                 build_deopt_frames(program, env, graph, values, fs)?;
-                            let inner = frames.last_mut().expect("invoke state has a frame");
-                            if returns {
-                                inner.stack.pop();
-                            }
-                            inner.bci = inner.bci.saturating_sub(1);
+                            frames.rewind_to_invoke(returns);
                             return Ok(EvalOutcome::Unwind {
                                 exception: exc,
                                 frames,
@@ -482,11 +462,11 @@ fn evaluate_inner(
                     let mut refs = Vec::with_capacity(objects.len());
                     for obj in objects {
                         let r = match obj.shape {
-                            pea_ir::AllocShape::Instance { class } => {
+                            AllocShape::Instance { class } => {
                                 env.charge(cost::alloc_cost(program.object_size(class)))?;
                                 env.heap().try_alloc_instance(program, class)?
                             }
-                            pea_ir::AllocShape::Array { kind, length } => {
+                            AllocShape::Array { kind, length } => {
                                 env.charge(cost::alloc_cost(Program::array_size(u64::from(
                                     length,
                                 ))))?;
@@ -499,15 +479,13 @@ fn evaluate_inner(
                     let mut input_pos = 0usize;
                     for (oi, obj) in objects.iter().enumerate() {
                         let field_ids: Vec<Option<pea_bytecode::FieldId>> = match obj.shape {
-                            pea_ir::AllocShape::Instance { class } => program
+                            AllocShape::Instance { class } => program
                                 .instance_fields(class)
                                 .iter()
                                 .copied()
                                 .map(Some)
                                 .collect(),
-                            pea_ir::AllocShape::Array { length, .. } => {
-                                (0..length).map(|_| None).collect()
-                            }
+                            AllocShape::Array { length, .. } => (0..length).map(|_| None).collect(),
                         };
                         for (fi, field) in field_ids.into_iter().enumerate() {
                             let input = inputs[input_pos];
@@ -656,45 +634,42 @@ fn build_deopt_frames(
     graph: &pea_ir::Graph,
     values: &[Option<Value>],
     innermost: NodeId,
-) -> Result<(Vec<DeoptFrame>, Vec<String>), VmError> {
+) -> Result<(FrameChain, Vec<AllocShape>), VmError> {
     // Collect the chain innermost → outermost, then reverse.
-    let mut chain = vec![innermost];
+    let mut states = vec![innermost];
     let mut cur = innermost;
-    while let Some(outer_idx) = graph.frame_state_data(cur).outer_index() {
+    let mut slots = 0;
+    loop {
+        let data = graph.frame_state_data(cur);
+        slots += data.n_locals as usize + data.n_stack as usize;
+        let Some(outer_idx) = data.outer_index() else {
+            break;
+        };
         cur = graph.node(cur).inputs()[outer_idx];
-        chain.push(cur);
+        states.push(cur);
     }
-    chain.reverse();
+    states.reverse();
 
     let mut remat: HashMap<NodeId, ObjRef> = HashMap::new();
-    let mut inventory: Vec<String> = Vec::new();
-    let mut frames = Vec::with_capacity(chain.len());
-    for fs in chain {
-        let data = graph.frame_state_data(fs).clone();
-        let inputs = graph.node(fs).inputs().to_vec();
+    let mut inventory = Vec::new();
+    let mut frames = FrameChain::with_capacity(states.len(), slots);
+    for fs in states {
+        let data = graph.frame_state_data(fs);
+        let inputs = graph.node(fs).inputs();
         let mut resolve = |env: &mut dyn EvalEnv, id: NodeId| -> Result<Value, VmError> {
             resolve_slot(program, env, graph, values, &mut remat, &mut inventory, id)
         };
-        let mut locals = Vec::with_capacity(data.n_locals as usize);
+        frames.push_frame(data.method, data.bci);
         for i in data.locals_range() {
-            locals.push(resolve(env, inputs[i])?);
+            frames.push_local(resolve(env, inputs[i])?);
         }
-        let mut stack = Vec::with_capacity(data.n_stack as usize);
         for i in data.stack_range() {
-            stack.push(resolve(env, inputs[i])?);
+            frames.push_operand(resolve(env, inputs[i])?);
         }
-        let mut locked = Vec::with_capacity(data.n_locks as usize);
         for (k, i) in data.locks_range().enumerate() {
             let obj = resolve(env, inputs[i])?.as_ref()?;
-            locked.push((obj, data.lock_from_sync[k]));
+            frames.push_lock(obj, data.lock_from_sync[k])?;
         }
-        frames.push(DeoptFrame {
-            method: data.method,
-            bci: data.bci,
-            locals,
-            stack,
-            locked,
-        });
     }
     Ok((frames, inventory))
 }
@@ -708,38 +683,28 @@ fn resolve_slot(
     graph: &pea_ir::Graph,
     values: &[Option<Value>],
     remat: &mut HashMap<NodeId, ObjRef>,
-    inventory: &mut Vec<String>,
+    inventory: &mut Vec<AllocShape>,
     id: NodeId,
 ) -> Result<Value, VmError> {
     if let NodeKind::VirtualObjectMapping { shape, lock_count } = graph.kind(id) {
         if let Some(&r) = remat.get(&id) {
             return Ok(Value::Ref(r));
         }
-        let r = match shape {
-            pea_ir::AllocShape::Instance { class } => {
-                env.heap().try_alloc_instance(program, *class)?
-            }
-            pea_ir::AllocShape::Array { kind, length } => {
-                env.heap().alloc_array(*kind, i64::from(*length))?
-            }
-        };
+        let r = alloc_shape(program, env.heap(), *shape)?;
         env.heap().stats.rematerialized += 1;
         env.profiler().record_alloc();
-        inventory.push(match shape {
-            pea_ir::AllocShape::Instance { class } => program.class(*class).name.clone(),
-            other => other.to_string(),
-        });
+        inventory.push(*shape);
         remat.insert(id, r);
-        let field_inputs = graph.node(id).inputs().to_vec();
+        let field_inputs = graph.node(id).inputs();
         match shape {
-            pea_ir::AllocShape::Instance { class } => {
+            AllocShape::Instance { class } => {
                 let fields = program.instance_fields(*class);
                 for (fi, &input) in field_inputs.iter().enumerate() {
                     let v = resolve_slot(program, env, graph, values, remat, inventory, input)?;
                     env.heap().put_field(program, r, fields[fi], v)?;
                 }
             }
-            pea_ir::AllocShape::Array { .. } => {
+            AllocShape::Array { .. } => {
                 for (fi, &input) in field_inputs.iter().enumerate() {
                     let v = resolve_slot(program, env, graph, values, remat, inventory, input)?;
                     env.heap().array_set(r, fi as i64, v)?;

@@ -29,12 +29,12 @@
 //! unobserved loop carries no per-charge test.
 
 use super::{decode_kind, decode_reason, op, DeoptPoint, LinearArtifact, SlotSrc, NO_REG};
-use crate::eval::{Call, DeoptFrame, EvalEnv, EvalOutcome, INLINE_ARGS};
+use crate::eval::{Call, EvalEnv, EvalOutcome, INLINE_ARGS};
 use crate::pipeline::CompiledMethod;
 use pea_bytecode::{ClassId, FieldId, MethodId, Program, StaticId};
 use pea_ir::AllocShape;
 use pea_runtime::cost;
-use pea_runtime::{Heap, ObjRef, Value, VmError};
+use pea_runtime::{FrameChain, Heap, ObjRef, Value, VmError};
 use std::sync::Arc;
 
 /// The registers of a host's compiled activations: one window per
@@ -361,11 +361,7 @@ fn unwinding<E: EvalEnv + ?Sized, const EXACT: bool>(
     }
     let point = &art.deopts[c[pc + 4] as usize];
     let (mut frames, rematerialized) = materialize_frames(program, env, point, regs)?;
-    let inner = frames.last_mut().expect("invoke state has a frame");
-    if returns {
-        inner.stack.pop();
-    }
-    inner.bci = inner.bci.saturating_sub(1);
+    frames.rewind_to_invoke(returns);
     Ok(EvalOutcome::Unwind {
         exception: exc,
         frames,
@@ -910,7 +906,11 @@ fn commit<E: EvalEnv + ?Sized, const EXACT: bool>(
 
 /// Allocates the default-valued object of a commit or rematerialization
 /// template.
-fn alloc_shape(program: &Program, heap: &mut Heap, shape: AllocShape) -> Result<ObjRef, VmError> {
+pub(crate) fn alloc_shape(
+    program: &Program,
+    heap: &mut Heap,
+    shape: AllocShape,
+) -> Result<ObjRef, VmError> {
     match shape {
         AllocShape::Instance { class } => heap.try_alloc_instance(program, class),
         AllocShape::Array { kind, length } => heap.alloc_array(kind, i64::from(length)),
@@ -920,55 +920,31 @@ fn alloc_shape(program: &Program, heap: &mut Heap, shape: AllocShape) -> Result<
 /// Reconstructs the interpreter frame chain from a compiled deopt point,
 /// rematerializing virtual objects (paper §5.5). Mirrors the graph
 /// evaluator's `build_deopt_frames` exactly — same allocation order, same
-/// inventory labels, same lock re-entries — so traces and stats are
+/// inventory, same lock re-entries — so traces and stats are
 /// byte-identical between the tiers.
 fn materialize_frames<E: EvalEnv + ?Sized>(
     program: &Program,
     env: &mut E,
     point: &DeoptPoint,
     regs: &[Value],
-) -> Result<(Vec<DeoptFrame>, Vec<String>), VmError> {
+) -> Result<(FrameChain, Vec<AllocShape>), VmError> {
     let mut cache: Vec<Option<ObjRef>> = vec![None; point.vobjs.len()];
-    let mut inventory: Vec<String> = Vec::new();
-    let mut frames = Vec::with_capacity(point.frames.len());
+    let mut inventory = Vec::new();
+    let slots = point.frames.iter().map(|f| f.locals.len() + f.stack.len());
+    let mut frames = FrameChain::with_capacity(point.frames.len(), slots.sum());
+    let mut resolve =
+        |env: &mut E, s| resolve_slot(program, env, point, regs, &mut cache, &mut inventory, s);
     for f in &point.frames {
-        let mut locals = Vec::with_capacity(f.locals.len());
+        frames.push_frame(f.method, f.bci);
         for &s in &f.locals {
-            locals.push(resolve_slot(
-                program,
-                env,
-                point,
-                regs,
-                &mut cache,
-                &mut inventory,
-                s,
-            )?);
+            frames.push_local(resolve(env, s)?);
         }
-        let mut stack = Vec::with_capacity(f.stack.len());
         for &s in &f.stack {
-            stack.push(resolve_slot(
-                program,
-                env,
-                point,
-                regs,
-                &mut cache,
-                &mut inventory,
-                s,
-            )?);
+            frames.push_operand(resolve(env, s)?);
         }
-        let mut locked = Vec::with_capacity(f.locks.len());
         for &(s, sync) in &f.locks {
-            let obj =
-                resolve_slot(program, env, point, regs, &mut cache, &mut inventory, s)?.as_ref()?;
-            locked.push((obj, sync));
+            frames.push_lock(resolve(env, s)?.as_ref()?, sync)?;
         }
-        frames.push(DeoptFrame {
-            method: f.method,
-            bci: f.bci,
-            locals,
-            stack,
-            locked,
-        });
     }
     Ok((frames, inventory))
 }
@@ -982,7 +958,7 @@ fn resolve_slot<E: EvalEnv + ?Sized>(
     point: &DeoptPoint,
     regs: &[Value],
     cache: &mut [Option<ObjRef>],
-    inventory: &mut Vec<String>,
+    inventory: &mut Vec<AllocShape>,
     src: SlotSrc,
 ) -> Result<Value, VmError> {
     let vi = match src {
@@ -998,7 +974,7 @@ fn resolve_slot<E: EvalEnv + ?Sized>(
     let r = alloc_shape(program, env.heap(), vo.shape)?;
     env.heap().stats.rematerialized += 1;
     env.profiler().record_alloc();
-    inventory.push(vo.name.clone());
+    inventory.push(vo.shape);
     cache[vi] = Some(r);
     let values = vo
         .fields

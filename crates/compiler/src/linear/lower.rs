@@ -740,14 +740,9 @@ impl Lowerer<'_> {
         let idx = u32::try_from(vobjs.len())
             .map_err(|_| LowerError("virtual-object table exceeds u32".into()))?;
         vo_map.insert(id, idx);
-        let name = match shape {
-            AllocShape::Instance { class } => self.program.class(class).name.clone(),
-            other => other.to_string(),
-        };
         vobjs.push(LinearVObj {
             shape,
             lock_count,
-            name,
             fields: Vec::new(),
         });
         let field_inputs = self.graph.node(id).inputs().to_vec();

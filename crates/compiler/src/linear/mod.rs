@@ -196,9 +196,6 @@ pub struct LinearVObj {
     pub shape: AllocShape,
     /// Monitor depth to restore.
     pub lock_count: u32,
-    /// Inventory label (class name for instances, shape for arrays) —
-    /// matches graph evaluation's rematerialization inventory exactly.
-    pub name: String,
     /// Field (or element) value sources in layout order, possibly cyclic
     /// through [`SlotSrc::Virtual`].
     pub fields: Vec<SlotSrc>,

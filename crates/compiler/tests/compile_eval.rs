@@ -8,7 +8,7 @@ use pea_bytecode::asm::parse_program;
 use pea_bytecode::{Insn, MethodId, Program};
 use pea_compiler::linear::execute;
 use pea_compiler::{
-    compile, evaluate, CompiledMethod, CompilerOptions, DeoptFrame, EvalEnv, EvalOutcome, OptLevel,
+    compile, evaluate, CompiledMethod, CompilerOptions, EvalEnv, EvalOutcome, OptLevel,
 };
 use pea_runtime::profile::ProfileStore;
 use pea_runtime::{Heap, Statics, Stats, Value, VmError};
@@ -252,11 +252,9 @@ fn guard_deopt_reconstructs_frames_with_rematerialized_object() {
     let EvalOutcome::Deopt { frames, .. } = out else {
         panic!("expected deopt, got {out:?}");
     };
-    assert_eq!(frames.len(), 1);
-    let DeoptFrame {
-        method: m, locals, ..
-    } = &frames[0];
-    assert_eq!(*m, method);
+    assert_eq!(frames.iter().len(), 1);
+    let (frame, locals, _) = frames.iter().next().unwrap();
+    assert_eq!(frame.method, method);
     assert_eq!(env.heap.stats.rematerialized, 1);
     // local 1 is the rematerialized box with v = 500.
     let obj = locals[1].as_ref().expect("box reference");
@@ -557,7 +555,7 @@ fn a_constant_only_bound_readers_read_costs_no_instruction() {
     let EvalOutcome::Deopt { frames, .. } = out else {
         panic!("expected deopt, got {out:?}");
     };
-    let locals = &frames[0].locals;
+    let (_, locals, _) = frames.iter().next().unwrap();
     assert_eq!(locals[1], Value::Int(7), "the constant local");
     let boxed = locals[2].as_ref().expect("the rematerialized box");
     let field = program

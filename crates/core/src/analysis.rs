@@ -274,15 +274,6 @@ impl<'a> PeaContext<'a> {
         self.infos[id.index()].origin.index() as u32
     }
 
-    /// Human-readable shape for trace events: class *name* rather than the
-    /// bare `ClassId` the [`pea_ir::AllocShape`] display would give.
-    pub(crate) fn shape_str(&self, shape: pea_ir::AllocShape) -> String {
-        match shape {
-            pea_ir::AllocShape::Instance { class } => self.program.class(class).name.clone(),
-            pea_ir::AllocShape::Array { kind, length } => format!("{kind}[{length}]"),
-        }
-    }
-
     /// Marks `fs` rewritten by `block`; false if some block already did.
     pub(crate) fn claim_frame_state(&mut self, fs: NodeId, block: BlockId) -> bool {
         if self.rewritten_by[fs.index()] != NONE {

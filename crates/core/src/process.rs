@@ -214,7 +214,7 @@ fn virtualize(
     if ctx.tracing() {
         let event = TraceEvent::Virtualized {
             site: node.index() as u32,
-            shape: ctx.shape_str(shape),
+            shape: shape.label(ctx.program),
         };
         ctx.trace(block, event);
     }

@@ -1,11 +1,11 @@
 //! The interpreter execution loop, including resume-after-deoptimization.
 
-use crate::{Callee, Frame, InterpEnv};
+use crate::{Callee, InterpEnv};
 use pea_bytecode::{Fused, Insn, MethodId, Program};
 use pea_metrics::profile::Tier;
 use pea_metrics::MetricsHub;
 use pea_runtime::cost;
-use pea_runtime::{ObjRef, Value, VmError};
+use pea_runtime::{FrameChain, FrameHeader, ObjRef, Value, VmError};
 
 /// Display names for the profiler's per-opcode buckets, indexed by
 /// [`opcode_slot`].
@@ -226,9 +226,9 @@ pub fn interpret<E: InterpEnv + ?Sized>(
 pub fn resume<E: InterpEnv + ?Sized>(
     program: &Program,
     env: &mut E,
-    frames: Vec<Frame>,
+    frames: &FrameChain,
 ) -> Result<Option<Value>, VmError> {
-    hand_over(program, env, &frames, None)
+    hand_over(program, env, frames, None)
 }
 
 /// Dispatches an in-flight exception over a reconstructed frame chain
@@ -246,13 +246,13 @@ pub fn resume<E: InterpEnv + ?Sized>(
 pub fn unwind<E: InterpEnv + ?Sized>(
     program: &Program,
     env: &mut E,
-    frames: Vec<Frame>,
+    frames: &FrameChain,
     exc: ObjRef,
 ) -> Result<Option<Value>, VmError> {
-    if frames.is_empty() {
+    if frames.innermost().is_none() {
         return Err(VmError::Thrown(exc));
     }
-    hand_over(program, env, &frames, Some(exc))
+    hand_over(program, env, frames, Some(exc))
 }
 
 /// Runs a frame chain handed over by deoptimization or unwinding: one
@@ -261,7 +261,7 @@ pub fn unwind<E: InterpEnv + ?Sized>(
 fn hand_over<E: InterpEnv + ?Sized>(
     program: &Program,
     env: &mut E,
-    frames: &[Frame],
+    frames: &FrameChain,
     thrown: Option<ObjRef>,
 ) -> Result<Option<Value>, VmError> {
     let base = env.value_stack().len();
@@ -289,16 +289,19 @@ fn hand_over<E: InterpEnv + ?Sized>(
 fn lay_out<E: InterpEnv + ?Sized>(
     program: &Program,
     env: &mut E,
-    frames: &[Frame],
+    frames: &FrameChain,
 ) -> Result<Activation, VmError> {
-    let (inner, outer) = frames
-        .split_last()
-        .ok_or_else(|| VmError::Internal("resume with an empty frame chain".into()))?;
-    for frame in outer {
-        let act = window(program, env, frame, true)?;
+    let frames = frames.iter();
+    let mut outer = frames.len();
+    for (frame, locals, operands) in frames {
+        outer -= 1;
+        let act = window(program, env, frame, locals, operands, outer > 0)?;
+        if outer == 0 {
+            return Ok(act);
+        }
         env.activations().push(act);
     }
-    window(program, env, inner, false)
+    Err(VmError::Internal("resume with an empty frame chain".into()))
 }
 
 /// One handed-over frame's window at the top of the value stack. A
@@ -306,7 +309,9 @@ fn lay_out<E: InterpEnv + ?Sized>(
 fn window<E: InterpEnv + ?Sized>(
     program: &Program,
     env: &mut E,
-    frame: &Frame,
+    frame: &FrameHeader,
+    locals: &[Value],
+    operands: &[Value],
     suspended: bool,
 ) -> Result<Activation, VmError> {
     let m = program.method(frame.method);
@@ -324,30 +329,18 @@ fn window<E: InterpEnv + ?Sized>(
             frame.bci
         )));
     }
-    let locked = match frame.locked[..] {
-        [] => None,
-        [r] => Some(r),
-        _ => {
-            return Err(VmError::Internal(
-                "a frame holds more than one method monitor".into(),
-            ))
-        }
-    };
     let stack = env.value_stack();
     let base = stack.len();
-    stack.extend_from_slice(&frame.locals);
-    stack.resize(
-        base + frame.locals.len().max(m.max_locals as usize),
-        Value::Null,
-    );
-    let operands = stack.len();
-    stack.extend_from_slice(&frame.stack);
+    stack.extend_from_slice(locals);
+    stack.resize(base + locals.len().max(m.max_locals as usize), Value::Null);
+    let operands_at = stack.len();
+    stack.extend_from_slice(operands);
     Ok(Activation {
         method: frame.method,
         bci: frame.bci,
         locals: base,
-        operands,
-        locked,
+        operands: operands_at,
+        locked: frame.monitor,
         admitted: false,
     })
 }
@@ -1112,6 +1105,19 @@ mod tests {
         env.call(entry, args)
     }
 
+    /// A handed-over chain of `(method, bci, locals)` frames, outermost
+    /// first, with empty operand stacks.
+    fn chain(frames: &[(MethodId, u32, &[Value])]) -> FrameChain {
+        let mut chain = FrameChain::default();
+        for &(method, bci, locals) in frames {
+            chain.push_frame(method, bci);
+            for &v in locals {
+                chain.push_local(v);
+            }
+        }
+        chain
+    }
+
     #[test]
     fn arithmetic_and_locals() {
         let r = run(
@@ -1479,21 +1485,13 @@ mod tests {
                 Value::Int(55),
             )
             .unwrap();
-        let outer = Frame {
-            method: f,
-            bci: 1, // the invokestatic inside the protected region
-            locals: vec![Value::Int(55)],
-            stack: vec![],
-            locked: vec![],
-        };
-        let inner = Frame {
-            method: g,
-            bci: 4, // the athrow itself; no table in g, so unwind outward
-            locals: vec![Value::Int(55)],
-            stack: vec![],
-            locked: vec![],
-        };
-        let r = unwind(&program, &mut env, vec![outer, inner], exc).unwrap();
+        let frames = chain(&[
+            // The invokestatic inside the protected region.
+            (f, 1, &[Value::Int(55)]),
+            // The athrow itself; no table in g, so unwind outward.
+            (g, 4, &[Value::Int(55)]),
+        ]);
+        let r = unwind(&program, &mut env, &frames, exc).unwrap();
         assert_eq!(r, Some(Value::Int(55)));
     }
 
@@ -1570,14 +1568,8 @@ mod tests {
         let f = program.static_method_by_name("f").unwrap();
         let mut env = SimpleEnv::new(program.clone());
         // Resume at bci 4 (after the store) with locals [a=3, local1=99].
-        let frame = Frame {
-            method: f,
-            bci: 4,
-            locals: vec![Value::Int(3), Value::Int(99)],
-            stack: vec![],
-            locked: vec![],
-        };
-        let r = resume(&program, &mut env, vec![frame]).unwrap();
+        let frames = chain(&[(f, 4, &[Value::Int(3), Value::Int(99)])]);
+        let r = resume(&program, &mut env, &frames).unwrap();
         assert_eq!(r, Some(Value::Int(100)));
     }
 
@@ -1591,21 +1583,9 @@ mod tests {
         let f = program.static_method_by_name("f").unwrap();
         let g = program.static_method_by_name("g").unwrap();
         let mut env = SimpleEnv::new(program.clone());
-        let outer = Frame {
-            method: f,
-            bci: 1, // at the invokestatic
-            locals: vec![],
-            stack: vec![],
-            locked: vec![],
-        };
-        let inner = Frame {
-            method: g,
-            bci: 0,
-            locals: vec![Value::Int(1)],
-            stack: vec![],
-            locked: vec![],
-        };
-        let r = resume(&program, &mut env, vec![outer, inner]).unwrap();
+        // `f` waits at the invokestatic.
+        let frames = chain(&[(f, 1, &[]), (g, 0, &[Value::Int(1)])]);
+        let r = resume(&program, &mut env, &frames).unwrap();
         assert_eq!(r, Some(Value::Int(111)));
     }
 
@@ -1617,23 +1597,16 @@ mod tests {
         let program = parse_program(src).unwrap();
         let f = program.static_method_by_name("f").unwrap();
         let g = program.static_method_by_name("g").unwrap();
-        let frame = |method, bci, locals: Vec<Value>| Frame {
-            method,
-            bci,
-            locals,
-            stack: vec![],
-            locked: vec![],
-        };
         let mut env = SimpleEnv::new(program.clone());
         let internal = |r: Result<Option<Value>, VmError>| match r {
             Err(VmError::Internal(msg)) => msg,
             other => panic!("expected an internal error, got {other:?}"),
         };
-        let empty = internal(resume(&program, &mut env, vec![]));
+        let empty = internal(resume(&program, &mut env, &FrameChain::default()));
         assert!(empty.contains("empty frame chain"), "{empty}");
         // `f` suspended at its `const 100` instead of its invoke.
-        let chain = vec![frame(f, 2, vec![]), frame(g, 0, vec![Value::Int(1)])];
-        let msg = internal(resume(&program, &mut env, chain.clone()));
+        let frames = chain(&[(f, 2, &[]), (g, 0, &[Value::Int(1)])]);
+        let msg = internal(resume(&program, &mut env, &frames));
         assert!(
             msg.contains("f at bci 2") && msg.contains("not at an invoke"),
             "{msg}"
@@ -1642,12 +1615,12 @@ mod tests {
             .heap
             .alloc_array(pea_bytecode::ValueKind::Int, 0)
             .unwrap();
-        let msg = internal(unwind(&program, &mut env, chain, exc));
+        let msg = internal(unwind(&program, &mut env, &frames, exc));
         assert!(msg.contains("f at bci 2"), "{msg}");
         let past = internal(resume(
             &program,
             &mut env,
-            vec![frame(g, 9, vec![Value::Int(1)])],
+            &chain(&[(g, 9, &[Value::Int(1)])]),
         ));
         assert!(
             past.contains("g at bci 9") && past.contains("outside"),
@@ -1655,8 +1628,11 @@ mod tests {
         );
         // Nothing was left behind: a well-formed chain still runs.
         assert!(env.value_stack().is_empty() && env.activations().is_empty());
-        let chain = vec![frame(f, 1, vec![]), frame(g, 0, vec![Value::Int(1)])];
-        assert_eq!(resume(&program, &mut env, chain), Ok(Some(Value::Int(111))));
+        let frames = chain(&[(f, 1, &[]), (g, 0, &[Value::Int(1)])]);
+        assert_eq!(
+            resume(&program, &mut env, &frames),
+            Ok(Some(Value::Int(111)))
+        );
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //!    compiled tiers are differentially tested;
 //! 2. **Profiling tier** — it gathers the invocation counts, branch
 //!    profiles and receiver types the speculative compiler consumes;
-//! 3. **Deoptimization target** — when compiled code bails out, the VM
-//!    reconstructs interpreter [`Frame`]s from the compiled frame state
-//!    (rematerializing virtual objects first, §5.5 of the paper) and
-//!    resumes here via [`resume`].
+//! 3. **Deoptimization target** — when compiled code bails out, it
+//!    rebuilds the interpreter frames of its compiled frame state as one
+//!    [`FrameChain`](pea_runtime::FrameChain) (rematerializing virtual
+//!    objects first, §5.5 of the paper), and the VM resumes it here via
+//!    [`resume`].
 //!
 //! The interpreter is generic over an [`InterpEnv`] so the VM can decide
 //! each call's tier and own the cycle accounting, each host with its own
@@ -22,8 +23,6 @@
 
 mod env;
 mod exec;
-mod frame;
 
 pub use env::{check_arity, Callee, InterpEnv, SimpleEnv, VALUE_STACK_RESERVE};
 pub use exec::{interpret, opcode_slot, resume, unwind, Activation, OPCODE_NAMES};
-pub use frame::Frame;

@@ -9,9 +9,9 @@
 
 use pea_bytecode::asm::parse_program;
 use pea_bytecode::{verify_program, Fused, Method, MethodId, Program};
-use pea_interp::{interpret, resume, Activation, Callee, Frame, InterpEnv, SimpleEnv};
+use pea_interp::{interpret, resume, Activation, Callee, InterpEnv, SimpleEnv};
 use pea_runtime::profile::ProfileStore;
-use pea_runtime::{Heap, Statics, Stats, Value, VmError};
+use pea_runtime::{FrameChain, Heap, Statics, Stats, Value, VmError};
 
 /// Everything a run leaves behind that the two loops must agree on.
 #[derive(Debug, PartialEq)]
@@ -318,14 +318,15 @@ Ld:
             {
                 *top = Value::Ref(b);
             }
-            let frame = Frame {
-                method: g,
-                bci: bci as u32,
-                locals: vec![Value::Int(0), Value::Int(5), Value::Int(1), Value::Ref(b)],
-                stack,
-                locked: vec![],
-            };
-            resume(&program, env, vec![frame])
+            let mut frames = FrameChain::default();
+            frames.push_frame(g, bci as u32);
+            for v in [Value::Int(0), Value::Int(5), Value::Int(1), Value::Ref(b)] {
+                frames.push_local(v);
+            }
+            for v in stack {
+                frames.push_operand(v);
+            }
+            resume(&program, env, &frames)
         });
     }
 }

@@ -1,7 +1,7 @@
 //! Node identity and node kinds.
 
 use crate::framestate::FrameStateData;
-use pea_bytecode::{ClassId, CmpOp, FieldId, MethodId, StaticId, ValueKind};
+use pea_bytecode::{ClassId, CmpOp, FieldId, MethodId, Program, StaticId, ValueKind};
 use std::fmt;
 
 /// Index of a node in a [`crate::Graph`] arena.
@@ -140,6 +140,17 @@ pub enum AllocShape {
         /// Number of elements.
         length: u32,
     },
+}
+
+impl AllocShape {
+    /// The shape as traces name it: the class name for an instance,
+    /// `kind[len]` for an array.
+    pub fn label(self, program: &Program) -> String {
+        match self {
+            AllocShape::Instance { class } => program.class(class).name.clone(),
+            AllocShape::Array { .. } => self.to_string(),
+        }
+    }
 }
 
 impl fmt::Display for AllocShape {

@@ -1,7 +1,9 @@
 //! Shared runtime support for the PEA reproduction: dynamically typed
 //! [`Value`]s, a managed [`Heap`] with the allocation/monitor statistics
 //! the paper's evaluation reports, static (global) variable storage,
-//! execution [`Stats`], branch/call [`profile`] data, and [`VmError`].
+//! execution [`Stats`], branch/call [`profile`] data, [`VmError`], and the
+//! [`FrameChain`] deoptimization hands from compiled code to the
+//! interpreter.
 //!
 //! The heap is a bump arena (one handle table, one slot slab) without
 //! reclamation and with a fixed capacity: the paper's metrics are
@@ -12,6 +14,7 @@
 
 pub mod cost;
 mod error;
+mod frames;
 mod heap;
 pub mod profile;
 mod stats;
@@ -19,6 +22,7 @@ mod tlab;
 mod value;
 
 pub use error::{VmError, MAX_CALL_DEPTH};
+pub use frames::{FrameChain, FrameHeader};
 pub use heap::{Heap, ObjRef, Statics, HEAP_SEGMENT_SLOTS, MAX_HEAP_OBJECTS, MAX_HEAP_SLOTS};
 pub use stats::Stats;
 pub use tlab::{ChunkAllocator, TLAB_CELLS};

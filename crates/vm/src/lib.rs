@@ -53,15 +53,13 @@ pub use compile_service::{
     default_workers, CompileOutcome, CompileService, CompileServiceOptions, Mailbox,
 };
 use pea_bytecode::{MethodId, Program};
-use pea_compiler::DeoptFrame;
 pub use pea_compiler::OptLevel;
 use pea_compiler::{
     compile, compile_traced, evaluate, Bailout, Call, CompiledMethod, CompilerOptions, EvalEnv,
     EvalOutcome, RegisterStack, INLINE_ARGS,
 };
 use pea_interp::{
-    check_arity, interpret, resume, unwind, Activation, Callee, Frame, InterpEnv,
-    VALUE_STACK_RESERVE,
+    check_arity, interpret, resume, unwind, Activation, Callee, InterpEnv, VALUE_STACK_RESERVE,
 };
 pub use pea_metrics::profile::{ProfileRecorder, ProfilerHub, Tier};
 pub use pea_metrics::MetricsHub;
@@ -1216,107 +1214,96 @@ impl Mutator {
                 return Err(e);
             }
         };
-        match outcome {
+        // A deopt carries its `reason`; an unwind, the exception an
+        // out-of-line callee threw into this compiled frame.
+        let (reason, frames, rematerialized, exception) = match outcome {
             EvalOutcome::Return(v) => {
                 self.profile.restore(prev_ctx);
-                Ok(v)
+                return Ok(v);
             }
             EvalOutcome::Deopt {
                 reason,
                 frames,
                 rematerialized,
-            } => {
-                self.heap.stats.deopts += 1;
-                // Attributed to the compiled (method, tier) that failed
-                // its speculation — the context is still entered here.
-                self.profile.record_deopt();
-                let method = code.method;
-                self.deopt_counts[method.index()] += 1;
-                let deopts = self.deopt_counts[method.index()];
-                if let Some(m) = self.options.metrics.on() {
-                    m.vm.deopts.inc();
-                    m.vm.rematerialized_objects.add(rematerialized.len() as u64);
-                }
-                if let Some(sink) = &self.options.trace {
-                    // The innermost deopt frame names the site actually
-                    // executing when the guard failed (it differs from the
-                    // compiled root under inlining).
-                    let (site, bci) = deopt_site(program, &frames, method);
-                    // DeoptTaken first: the narrow guard-failure marker,
-                    // then the generic deopt record with the inventory.
-                    sink.emit_event(&TraceEvent::DeoptTaken {
-                        method: program.method(method).qualified_name(program),
-                        site: site.clone(),
-                        bci,
-                        reason: reason.to_string(),
-                    });
-                    sink.emit_event(&TraceEvent::Deopt {
-                        method: program.method(method).qualified_name(program),
-                        site,
-                        bci,
-                        reason: reason.to_string(),
-                        rematerialized,
-                    });
-                }
-                if deopts >= MAX_DEOPTS {
-                    // Evict and re-profile: the speculation no longer
-                    // matches reality. Only this mutator's table changes: a
-                    // warm fork sharing the artifact keeps its `Arc` until
-                    // it evicts on its own.
-                    let m = method.index();
-                    self.pinned[m] = None;
-                    self.bailed_out[m] = false;
-                    self.profiles.clear_method(method);
-                    self.deopt_counts[m] = 0;
-                    self.evicted[m] = true;
-                    // Invalidate in-flight background compilations of this
-                    // method: they speculate from the profile that just
-                    // failed.
-                    self.evict_epochs[m] += 1;
-                    if let Some(m) = self.options.metrics.on() {
-                        m.vm.evictions.inc();
-                    }
-                    if let Some(sink) = &self.options.trace {
-                        sink.emit_event(&TraceEvent::Evict {
-                            method: program.method(method).qualified_name(program),
-                            deopts,
-                        });
-                    }
-                }
-                self.profile.restore(prev_ctx);
-                resume(program, self, to_interp_frames(frames))
-            }
+            } => (Some(reason), frames, rematerialized, None),
             EvalOutcome::Unwind {
                 exception,
                 frames,
                 rematerialized,
-            } => {
-                // An out-of-line callee threw into this compiled frame.
-                // This is an exception transfer, not a misspeculation:
-                // record the deopt (frames are rebuilt and objects
-                // rematerialized exactly as for a guard failure) but do
-                // not count it toward eviction — the compiled code would
-                // deopt here for every throw, and exception-heavy but
-                // correctly-speculated methods must stay compiled.
-                self.heap.stats.deopts += 1;
-                self.profile.record_deopt();
-                if let Some(m) = self.options.metrics.on() {
-                    m.vm.deopts.inc();
-                    m.vm.rematerialized_objects.add(rematerialized.len() as u64);
-                }
-                if let Some(sink) = &self.options.trace {
-                    let (site, bci) = deopt_site(program, &frames, code.method);
-                    sink.emit_event(&TraceEvent::Deopt {
-                        method: program.method(code.method).qualified_name(program),
-                        site,
-                        bci,
-                        reason: "exception-unwind".to_string(),
-                        rematerialized,
-                    });
-                }
-                self.profile.restore(prev_ctx);
-                unwind(program, self, to_interp_frames(frames), exception)
+            } => (None, frames, rematerialized, Some(exception)),
+        };
+        // Frames are rebuilt and objects rematerialized alike for both;
+        // the count is attributed to the compiled (method, tier) whose
+        // context is still entered here.
+        let method = code.method;
+        self.heap.stats.deopts += 1;
+        self.profile.record_deopt();
+        if let Some(m) = self.options.metrics.on() {
+            m.vm.deopts.inc();
+            m.vm.rematerialized_objects.add(rematerialized.len() as u64);
+        }
+        if let Some(sink) = &self.options.trace {
+            // The innermost frame names the site actually executing when
+            // the guard failed or the exception crossed the compiled
+            // boundary (it differs from the compiled root under inlining).
+            let (site, bci) = frames
+                .innermost()
+                .map_or((method, 0), |f| (f.method, f.bci));
+            let site = program.method(site).qualified_name(program);
+            if let Some(reason) = reason {
+                // DeoptTaken first: the narrow guard-failure marker, then
+                // the generic deopt record with the inventory.
+                sink.emit_event(&TraceEvent::DeoptTaken {
+                    method: program.method(method).qualified_name(program),
+                    site: site.clone(),
+                    bci,
+                    reason: reason.to_string(),
+                });
             }
+            sink.emit_event(&TraceEvent::Deopt {
+                method: program.method(method).qualified_name(program),
+                site,
+                bci,
+                reason: reason.map_or_else(|| "exception-unwind".to_string(), |r| r.to_string()),
+                rematerialized: rematerialized.iter().map(|s| s.label(program)).collect(),
+            });
+        }
+        // An unwind is an exception transfer, not a misspeculation: it
+        // does not count toward eviction — the compiled code would deopt
+        // there for every throw, and exception-heavy but
+        // correctly-speculated methods must stay compiled.
+        let m = method.index();
+        if reason.is_some() {
+            self.deopt_counts[m] += 1;
+        }
+        let deopts = self.deopt_counts[m];
+        if deopts >= MAX_DEOPTS {
+            // Evict and re-profile: the speculation no longer matches
+            // reality. Only this mutator's table changes: a warm fork
+            // sharing the artifact keeps its `Arc` until it evicts on its
+            // own.
+            self.pinned[m] = None;
+            self.bailed_out[m] = false;
+            self.profiles.clear_method(method);
+            self.deopt_counts[m] = 0;
+            self.evicted[m] = true;
+            // Invalidate in-flight background compilations of this
+            // method: they speculate from the profile that just failed.
+            self.evict_epochs[m] += 1;
+            if let Some(m) = self.options.metrics.on() {
+                m.vm.evictions.inc();
+            }
+            if let Some(sink) = &self.options.trace {
+                sink.emit_event(&TraceEvent::Evict {
+                    method: program.method(method).qualified_name(program),
+                    deopts,
+                });
+            }
+        }
+        self.profile.restore(prev_ctx);
+        match exception {
+            Some(exc) => unwind(program, self, &frames, exc),
+            None => resume(program, self, &frames),
         }
     }
 
@@ -1360,41 +1347,6 @@ impl TraceSink for FlightTee {
             ring.emit(event);
         }
     }
-}
-
-/// The `(site, bci)` identity of a deoptimization: the qualified name and
-/// bytecode index of the **innermost** rebuilt frame — the code actually
-/// executing when the guard failed or the exception crossed the compiled
-/// boundary. Under inlining this differs from the compiled root method;
-/// both tiers rebuild the same frame chain, so the identity is
-/// tier-independent. Falls back to `(root, 0)` for an empty chain.
-fn deopt_site(program: &Program, frames: &[DeoptFrame], root: MethodId) -> (String, u32) {
-    frames.last().map_or_else(
-        || (program.method(root).qualified_name(program), 0),
-        |f| (program.method(f.method).qualified_name(program), f.bci),
-    )
-}
-
-/// Converts the deopt frame chain of a compiled method (outermost first)
-/// into interpreter frames for `resume`/`unwind`.
-fn to_interp_frames(frames: Vec<DeoptFrame>) -> Vec<Frame> {
-    frames
-        .into_iter()
-        .map(|f| Frame {
-            method: f.method,
-            bci: f.bci,
-            locals: f.locals,
-            stack: f.stack,
-            // Only synchronized-method monitors are released
-            // automatically on frame return; explicit pairs are
-            // re-executed by the bytecode itself.
-            locked: f
-                .locked
-                .into_iter()
-                .filter_map(|(obj, sync)| sync.then_some(obj))
-                .collect(),
-        })
-        .collect()
 }
 
 /// Folds one compilation's buffered decision events (plus its result) into
