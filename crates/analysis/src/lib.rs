@@ -8,15 +8,17 @@
 //!    (Hill & Spoto) and cheap pre-filters for precise analyses (SkipFlow).
 //!    Every allocation site is classified on the three-point lattice
 //!    `NoEscape < ArgEscape < GlobalEscape`. Nothing here reaches the
-//!    compiler (`pea-compiler` does not depend on this crate). The verdicts
-//!    are read by the `--checked` sanitizer below, by `pealint`, and by
-//!    `perfbench`'s `analysis.*` figures.
+//!    compiler or the VM (neither `pea-compiler` nor `pea-vm` depends on
+//!    this crate). The verdicts are read by the sanitizer below, by
+//!    `pealint`, and by `perfbench`'s `analysis.*` figures.
 //!
 //! 2. **Sanitizer** — an independent oracle for the speculative PEA: every
 //!    `Virtualized`/`LockElided` trace event and every post-PEA frame state
 //!    is cross-checked against the conservative verdicts. Because the static
 //!    analysis over-approximates (it never wrongly claims `NoEscape`), any
 //!    PEA decision that contradicts it is a compiler bug, reported loudly.
+//!    `tests/compile_golden.rs` runs it on every compilation it pins and
+//!    `pealint` on profile-less compilations of the corpus.
 //!
 //! All five forward analyses run on one abstract frame (a value per local
 //! and stack slot, in [`dataflow`]) under one worklist solver; each models

@@ -26,8 +26,8 @@
 //!   with exactly one value per field slot, and lock counts within the
 //!   static balance bound (paper §5.5).
 //!
-//! Any violation is a compiler bug, surfaced as an [`Inconsistency`] and
-//! escalated to a panic under the VM's `--checked` flag.
+//! Any violation is a compiler bug, surfaced as an [`Inconsistency`];
+//! `tests/compile_golden.rs` and `pealint` fail on any.
 
 use crate::escape::{analyze_method, AllocKind, AllocSite, EscapeClass, MethodSummary};
 use crate::flow::PathEscape;
@@ -39,9 +39,8 @@ use std::collections::HashMap;
 use std::fmt;
 
 /// All static verdicts for a program, computed once and shared by every
-/// compilation (sync path and background compile service alike): per
-/// method, the intraprocedural [`MethodSummary`] and the lock-balance
-/// result.
+/// compilation checked against it: per method, the intraprocedural
+/// [`MethodSummary`] and the lock-balance result.
 #[derive(Debug)]
 pub struct StaticVerdicts {
     methods: Vec<(MethodSummary, LockSummary)>,

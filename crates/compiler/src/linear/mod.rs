@@ -11,8 +11,8 @@
 //! targets are pre-bound method ids, and deoptimization metadata (frame-state chains
 //! plus virtual-object rematerialization info, paper §5.5) is compiled
 //! into self-contained side tables keyed by deopt-point index so
-//! `--checked` rematerialization and the VM's existing deopt machinery
-//! work unchanged.
+//! rematerialization and the VM's existing deopt machinery work
+//! unchanged.
 //!
 //! Virtual-cycle accounting is preserved as a parallel channel: every
 //! instruction charges exactly the constants graph evaluation charges for

@@ -433,3 +433,138 @@ fn escaped_on_both_paths_merges_with_phi_of_materialized_values() {
         g.kind(v)
     );
 }
+
+/// Fig. 6c: a phi whose inputs are two different nodes aliasing the same
+/// virtual object (the allocation and a passing cast of it) becomes an
+/// alias itself, so nothing materializes at the merge.
+#[test]
+fn phi_over_aliases_of_one_object_stays_virtual() {
+    let (program, base, ..) = hierarchy();
+    let field = program.class(base).declared_fields[0];
+    let mut g = Graph::new();
+    let sel = g.add(NodeKind::Param { index: 0 }, vec![]);
+    let obj = g.add(NodeKind::New { class: base }, vec![]);
+    g.set_next(g.start, obj);
+    let iff = g.add(NodeKind::If, vec![sel]);
+    g.set_next(obj, iff);
+    let bt = g.add(NodeKind::Begin, vec![]);
+    let bf = g.add(NodeKind::Begin, vec![]);
+    g.set_if_targets(iff, bt, bf);
+    let et = g.add(NodeKind::End, vec![]);
+    g.set_next(bt, et);
+    let cast = g.add(NodeKind::CheckCast { class: base }, vec![obj]);
+    g.set_next(bf, cast);
+    let ef = g.add(NodeKind::End, vec![]);
+    g.set_next(cast, ef);
+    let merge = g.add(NodeKind::Merge { ends: vec![et, ef] }, vec![]);
+    let phi = g.add(NodeKind::Phi { merge }, vec![obj, cast]);
+    let load = g.add(NodeKind::LoadField { field }, vec![phi]);
+    g.set_next(merge, load);
+    let ret = g.add(NodeKind::Return, vec![load]);
+    g.set_next(load, ret);
+    verify(&g).unwrap();
+
+    let r = run_pea(&mut g, &program, &PeaOptions::default());
+    verify(&g).unwrap();
+    assert_eq!(r.materializations, 0, "the phi is an alias, not a use");
+    assert_eq!(count(&g, |k| matches!(k, NodeKind::New { .. })), 0);
+    assert!(matches!(
+        g.kind(g.node(ret).inputs()[0]),
+        NodeKind::ConstInt { value: 0 }
+    ));
+}
+
+/// An object reachable only through a field of another virtual object
+/// stays in the merged state (§5.3's liveness closure): after the merge
+/// the field load still aliases it, and both stay virtual.
+#[test]
+fn object_live_only_through_a_field_survives_a_merge() {
+    let (program, base, _, other, _) = hierarchy();
+    let x = program.class(base).declared_fields[0];
+    let y = program.class(other).declared_fields[0];
+    let mut g = Graph::new();
+    let sel = g.add(NodeKind::Param { index: 0 }, vec![]);
+    let inner = g.add(NodeKind::New { class: base }, vec![]);
+    g.set_next(g.start, inner);
+    let c7 = g.const_int(7);
+    let sx = g.add(NodeKind::StoreField { field: x }, vec![inner, c7]);
+    g.set_next(inner, sx);
+    let st = fs(&mut g, MethodId(0), 1, vec![sel]);
+    g.set_state_after(sx, Some(st));
+    let outer = g.add(NodeKind::New { class: other }, vec![]);
+    g.set_next(sx, outer);
+    let sy = g.add(NodeKind::StoreField { field: y }, vec![outer, inner]);
+    g.set_next(outer, sy);
+    let st = fs(&mut g, MethodId(0), 2, vec![sel]);
+    g.set_state_after(sy, Some(st));
+    let iff = g.add(NodeKind::If, vec![sel]);
+    g.set_next(sy, iff);
+    let bt = g.add(NodeKind::Begin, vec![]);
+    let bf = g.add(NodeKind::Begin, vec![]);
+    g.set_if_targets(iff, bt, bf);
+    let et = g.add(NodeKind::End, vec![]);
+    g.set_next(bt, et);
+    let ef = g.add(NodeKind::End, vec![]);
+    g.set_next(bf, ef);
+    let merge = g.add(NodeKind::Merge { ends: vec![et, ef] }, vec![]);
+    let ly = g.add(NodeKind::LoadField { field: y }, vec![outer]);
+    g.set_next(merge, ly);
+    let lx = g.add(NodeKind::LoadField { field: x }, vec![ly]);
+    g.set_next(ly, lx);
+    let ret = g.add(NodeKind::Return, vec![lx]);
+    g.set_next(lx, ret);
+    verify(&g).unwrap();
+
+    let r = run_pea(&mut g, &program, &PeaOptions::default());
+    verify(&g).unwrap();
+    assert_eq!(r.materializations, 0);
+    assert_eq!(count(&g, |k| matches!(k, NodeKind::New { .. })), 0);
+    assert_eq!(g.node(ret).inputs()[0], c7);
+}
+
+/// Predecessors that disagree on a virtual object's lock count (only
+/// unstructured locking, which the graph builder refuses, produces them)
+/// make the merge materialize the object on every path, each commit
+/// holding its own path's locks.
+#[test]
+fn merge_with_disagreeing_lock_counts_materializes() {
+    let (program, base, ..) = hierarchy();
+    let field = program.class(base).declared_fields[0];
+    let mut g = Graph::new();
+    let sel = g.add(NodeKind::Param { index: 0 }, vec![]);
+    let obj = g.add(NodeKind::New { class: base }, vec![]);
+    g.set_next(g.start, obj);
+    let iff = g.add(NodeKind::If, vec![sel]);
+    g.set_next(obj, iff);
+    let bt = g.add(NodeKind::Begin, vec![]);
+    let bf = g.add(NodeKind::Begin, vec![]);
+    g.set_if_targets(iff, bt, bf);
+    let enter = g.add(NodeKind::MonitorEnter, vec![obj]);
+    g.set_next(bt, enter);
+    let st = fs(&mut g, MethodId(0), 1, vec![sel]);
+    g.set_state_after(enter, Some(st));
+    let et = g.add(NodeKind::End, vec![]);
+    g.set_next(enter, et);
+    let ef = g.add(NodeKind::End, vec![]);
+    g.set_next(bf, ef);
+    let merge = g.add(NodeKind::Merge { ends: vec![et, ef] }, vec![]);
+    let load = g.add(NodeKind::LoadField { field }, vec![obj]);
+    g.set_next(merge, load);
+    let ret = g.add(NodeKind::Return, vec![load]);
+    g.set_next(load, ret);
+    verify(&g).unwrap();
+
+    let r = run_pea(&mut g, &program, &PeaOptions::default());
+    verify(&g).unwrap();
+    assert_eq!(r.materializations, 2, "one commit per predecessor");
+    let locks: Vec<u32> = g
+        .live_nodes()
+        .filter_map(|n| match g.kind(n) {
+            NodeKind::Commit { objects } => Some(objects[0].lock_count),
+            _ => None,
+        })
+        .collect();
+    let mut sorted = locks.clone();
+    sorted.sort_unstable();
+    assert_eq!(sorted, vec![0, 1], "{locks:?}");
+}

@@ -1,5 +1,5 @@
 //! The flight recorder: a bounded ring buffer of the most recent trace
-//! events, kept so that a crash (sanitizer finding, `VmError`, panic) can
+//! events, kept so that a crash (`VmError`, panic) can
 //! be explained *after the fact* from the window that led up to it.
 //!
 //! [`FlightRecorder`] is an ordinary [`TraceSink`]: the VM fans its event

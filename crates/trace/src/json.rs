@@ -86,7 +86,8 @@ impl ObjectWriter {
     }
 }
 
-fn escape_into(buf: &mut String, s: &str) {
+/// Appends `s` to `buf` as a quoted JSON string.
+pub(crate) fn escape_into(buf: &mut String, s: &str) {
     buf.push('"');
     for c in s.chars() {
         match c {

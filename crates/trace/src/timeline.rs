@@ -21,26 +21,17 @@
 //! total, so a bounded flight window still renders.
 
 use crate::flight::FlightEntry;
+use crate::json::escape_into;
 use crate::TraceEvent;
 use std::collections::HashMap;
 
 /// Lane (`tid`) carrying the VM's instant events.
 const VM_LANE: u64 = 0;
 
-fn esc(s: &str) -> String {
-    let mut out = String::new();
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// One value of an event's `args` object.
+enum Arg<'a> {
+    Str(&'a str),
+    Num(u64),
 }
 
 struct TraceWriter {
@@ -55,19 +46,11 @@ enum Phase {
 }
 
 impl TraceWriter {
-    fn span(
-        &mut self,
-        name: &str,
-        cat: &str,
-        tid: u64,
-        ts: u64,
-        dur: u64,
-        args: &[(&str, String)],
-    ) {
+    fn span(&mut self, name: &str, cat: &str, tid: u64, ts: u64, dur: u64, args: &[(&str, Arg)]) {
         self.record(Phase::Span { dur }, name, cat, tid, ts, args);
     }
 
-    fn instant(&mut self, name: &str, cat: &str, tid: u64, ts: u64, args: &[(&str, String)]) {
+    fn instant(&mut self, name: &str, cat: &str, tid: u64, ts: u64, args: &[(&str, Arg)]) {
         self.record(Phase::Instant, name, cat, tid, ts, args);
     }
 
@@ -78,17 +61,19 @@ impl TraceWriter {
         cat: &str,
         tid: u64,
         ts: u64,
-        args: &[(&str, String)],
+        args: &[(&str, Arg)],
     ) {
         let ph = match phase {
             Phase::Span { .. } => "X",
             Phase::Instant => "i",
         };
-        let mut e = format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{tid},\"ts\":{ts}",
-            esc(name),
-            esc(cat)
-        );
+        let mut e = String::from("{\"name\":");
+        escape_into(&mut e, name);
+        e.push_str(",\"cat\":");
+        escape_into(&mut e, cat);
+        e.push_str(&format!(
+            ",\"ph\":\"{ph}\",\"pid\":1,\"tid\":{tid},\"ts\":{ts}"
+        ));
         match phase {
             Phase::Span { dur } => e.push_str(&format!(",\"dur\":{dur}")),
             Phase::Instant => e.push_str(",\"s\":\"t\""),
@@ -99,7 +84,12 @@ impl TraceWriter {
                 if i > 0 {
                     e.push(',');
                 }
-                e.push_str(&format!("\"{}\":{v}", esc(k)));
+                escape_into(&mut e, k);
+                e.push(':');
+                match v {
+                    Arg::Str(s) => escape_into(&mut e, s),
+                    Arg::Num(n) => e.push_str(&n.to_string()),
+                }
             }
             e.push('}');
         }
@@ -108,16 +98,13 @@ impl TraceWriter {
     }
 
     fn thread_name(&mut self, tid: u64, name: &str) {
-        self.events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            esc(name)
-        ));
+        let mut e = format!(
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":"
+        );
+        escape_into(&mut e, name);
+        e.push_str("}}");
+        self.events.push(e);
     }
-}
-
-fn qstr(s: &str) -> String {
-    format!("\"{}\"", esc(s))
 }
 
 /// Renders a timestamped event window as one Chrome trace-event JSON
@@ -163,7 +150,7 @@ pub fn render_chrome_trace(entries: &[FlightEntry]) -> String {
                     tid,
                     start,
                     dur,
-                    &[("code_size", code_size.to_string())],
+                    &[("code_size", Arg::Num(*code_size))],
                 );
                 // Phase sub-spans laid back-to-back so they end at install
                 // time (queue wait, if any, shows as the leading gap).
@@ -195,10 +182,10 @@ pub fn render_chrome_trace(entries: &[FlightEntry]) -> String {
                     VM_LANE,
                     ts,
                     &[
-                        ("method", qstr(method)),
-                        ("site", qstr(site)),
-                        ("bci", bci.to_string()),
-                        ("rematerialized", rematerialized.len().to_string()),
+                        ("method", Arg::Str(method)),
+                        ("site", Arg::Str(site)),
+                        ("bci", Arg::Num(u64::from(*bci))),
+                        ("rematerialized", Arg::Num(rematerialized.len() as u64)),
                     ],
                 );
             }
@@ -214,9 +201,9 @@ pub fn render_chrome_trace(entries: &[FlightEntry]) -> String {
                     VM_LANE,
                     ts,
                     &[
-                        ("method", qstr(method)),
-                        ("site", qstr(site)),
-                        ("bci", bci.to_string()),
+                        ("method", Arg::Str(method)),
+                        ("site", Arg::Str(site)),
+                        ("bci", Arg::Num(u64::from(*bci))),
                     ],
                 );
             }
@@ -226,11 +213,17 @@ pub fn render_chrome_trace(entries: &[FlightEntry]) -> String {
                     "vm",
                     VM_LANE,
                     ts,
-                    &[("method", qstr(method)), ("deopts", deopts.to_string())],
+                    &[("method", Arg::Str(method)), ("deopts", Arg::Num(*deopts))],
                 );
             }
             TraceEvent::Recompile { method } => {
-                w.instant("recompile", "vm", VM_LANE, ts, &[("method", qstr(method))]);
+                w.instant(
+                    "recompile",
+                    "vm",
+                    VM_LANE,
+                    ts,
+                    &[("method", Arg::Str(method))],
+                );
             }
             TraceEvent::MetricsSnapshot { seq, counters } => {
                 w.instant(
@@ -239,8 +232,8 @@ pub fn render_chrome_trace(entries: &[FlightEntry]) -> String {
                     VM_LANE,
                     ts,
                     &[
-                        ("seq", seq.to_string()),
-                        ("changed", counters.len().to_string()),
+                        ("seq", Arg::Num(*seq)),
+                        ("changed", Arg::Num(counters.len() as u64)),
                     ],
                 );
             }

@@ -111,10 +111,6 @@ pub struct CompileOutcome {
     pub epoch: u64,
     /// The artifact, or the bailout that keeps the method interpreted.
     pub result: Result<CompiledMethod, Bailout>,
-    /// Sanitizer inconsistencies (only populated in checked mode; always
-    /// empty for bailouts). Workers report rather than panic so a finding
-    /// cannot wedge [`CompileService::wait_idle`].
-    pub findings: Vec<String>,
     /// When the request entered the queue; the VM measures the
     /// enqueue→install latency histogram from this.
     pub enqueued_at: Instant,
@@ -195,9 +191,6 @@ struct Shared {
     program: Arc<Program>,
     options: CompilerOptions,
     metrics: MetricsHub,
-    /// The VM's static escape verdicts for the sanitizer; `Some` iff
-    /// checked mode is on.
-    verdicts: Option<Arc<pea_analysis::StaticVerdicts>>,
     /// Next mailbox id.
     mailbox_seq: AtomicU64,
     queue: Mutex<Queue>,
@@ -217,17 +210,13 @@ pub struct CompileService {
 
 impl CompileService {
     /// Starts `options.workers` worker threads compiling against
-    /// `program` at `compiler` options. With `verdicts` (checked mode) the
-    /// PEA decision sanitizer runs over every finished compilation; its
-    /// findings are reported on the [`CompileOutcome`] and the VM panics
-    /// when installing them.
+    /// `program` at `compiler` options.
     pub fn start(
         program: Arc<Program>,
         compiler: CompilerOptions,
         options: &CompileServiceOptions,
-        verdicts: Option<Arc<pea_analysis::StaticVerdicts>>,
     ) -> CompileService {
-        Self::start_bounded(program, compiler, options, verdicts, QUEUE_CAPACITY)
+        Self::start_bounded(program, compiler, options, QUEUE_CAPACITY)
     }
 
     /// [`Self::start`] with a queue of `capacity` pending requests.
@@ -235,14 +224,12 @@ impl CompileService {
         program: Arc<Program>,
         compiler: CompilerOptions,
         options: &CompileServiceOptions,
-        verdicts: Option<Arc<pea_analysis::StaticVerdicts>>,
         capacity: usize,
     ) -> CompileService {
         let shared = Arc::new(Shared {
             program,
             options: compiler,
             metrics: options.metrics.clone(),
-            verdicts,
             mailbox_seq: AtomicU64::new(0),
             queue: Mutex::new(Queue {
                 heap: BinaryHeap::new(),
@@ -412,7 +399,7 @@ fn worker_loop(shared: &Shared) {
                 q = shared.work.wait(q).expect("compile queue poisoned");
             }
         };
-        let (result, findings) = run_one(shared, &request, flush_seq);
+        let result = run_one(shared, &request, flush_seq);
         let mailbox = Arc::clone(&request.mailbox);
         mailbox
             .outcomes
@@ -422,7 +409,6 @@ fn worker_loop(shared: &Shared) {
                 method: request.method,
                 epoch: request.epoch,
                 result,
-                findings,
                 enqueued_at: request.enqueued_at,
             });
         mailbox.ready.fetch_add(1, AtomicOrdering::Release);
@@ -434,24 +420,19 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-fn run_one(
-    shared: &Shared,
-    request: &Request,
-    flush_seq: u64,
-) -> (Result<CompiledMethod, Bailout>, Vec<String>) {
+fn run_one(shared: &Shared, request: &Request, flush_seq: u64) -> Result<CompiledMethod, Bailout> {
     let merge = &request.mailbox.merge;
-    if merge.is_none() && shared.verdicts.is_none() && !shared.metrics.is_enabled() {
-        let result = compile(
+    if merge.is_none() && !shared.metrics.is_enabled() {
+        return compile(
             &shared.program,
             request.method,
             Some(&request.profiles),
             &shared.options,
         );
-        return (result, Vec::new());
     }
     // Buffer locally, flush as one block: compilations stay parallel and
-    // each method's event run stays contiguous. The sanitizer and the
-    // metrics fold read the same buffer.
+    // each method's event run stays contiguous. The metrics fold reads
+    // the same buffer.
     let mut buffer = MemorySink::new();
     let result = compile_traced(
         &shared.program,
@@ -460,26 +441,13 @@ fn run_one(
         &shared.options,
         &mut buffer,
     );
-    let mut findings = Vec::new();
-    if let (Some(verdicts), Ok(code)) = (&shared.verdicts, &result) {
-        findings = pea_analysis::check_compilation(
-            &shared.program,
-            verdicts,
-            request.method,
-            &code.graph,
-            &buffer.events,
-        )
-        .into_iter()
-        .map(|f| f.to_string())
-        .collect();
-    }
     if let Some(m) = shared.metrics.on() {
         crate::record_compile_metrics(m, &buffer.events, result.as_ref());
     }
     if let Some(merge) = merge {
         merge.flush(flush_seq, buffer.events);
     }
-    (result, findings)
+    result
 }
 
 #[cfg(test)]
@@ -596,7 +564,6 @@ mod tests {
                 workers: Some(1),
                 metrics: MetricsHub::disabled(),
             },
-            None,
             4,
         );
         let a = service.register_mailbox(None);

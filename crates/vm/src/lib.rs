@@ -16,7 +16,7 @@
 //!
 //! * [`VmShared`] — everything program-wide and thread-safe: the program,
 //!   the background [`CompileService`] (started lazily, shared by every
-//!   mutator), the static-verdict cache, and the TLAB chunk allocator.
+//!   mutator) and the TLAB chunk allocator.
 //! * [`Mutator`] — everything per-thread and lock-free on the hot path:
 //!   the heap (a private bump arena fed TLAB chunks by the shared
 //!   allocator), statics, profiles, the interpreter's value stack, the
@@ -153,13 +153,6 @@ pub struct VmOptions {
     /// their own via [`Mutator::set_trace`], so event streams never
     /// interleave across threads.
     pub trace: Option<SharedSink>,
-    /// Cross-check every compilation's PEA decisions against the static
-    /// escape pre-analysis (see `pea-analysis`): virtualized/lock-elided
-    /// sites must be consistent with the flow-insensitive verdicts and the
-    /// compiled frame states must carry closed rematerialization info.
-    /// Any inconsistency panics loudly — this is a debugging/CI mode, not
-    /// a production setting.
-    pub checked: bool,
     /// Metrics handle shared by every layer (interpreter, tiering,
     /// compile service, PEA, heap). The default disabled hub records
     /// nothing at the cost of one branch per site. With several mutators
@@ -178,9 +171,9 @@ pub struct VmOptions {
     /// Flight-recorder dump path. When set, the VM tees every trace event
     /// into a bounded in-memory ring (alongside `trace`, which may stay
     /// `None`) and writes the ring to this path as `FLIGHT.json` when a
-    /// run ends in a [`VmError`], a `--checked` sanitizer finding, or a
-    /// panic — the last compiles/installs/deopts/evictions with sequence
-    /// numbers and timestamps, for post-mortem analysis.
+    /// run ends in a [`VmError`] or a panic — the last
+    /// compiles/installs/deopts/evictions with sequence numbers and
+    /// timestamps, for post-mortem analysis.
     pub flight: Option<PathBuf>,
 }
 
@@ -196,7 +189,6 @@ impl VmOptions {
             exec_mode: ExecMode::Linear,
             compile_workers: None,
             trace: None,
-            checked: false,
             metrics: MetricsHub::disabled(),
             profiler: ProfilerHub::disabled(),
             flight: None,
@@ -228,9 +220,6 @@ pub struct VmShared {
     /// Background compilation pool, started lazily on the first request
     /// from any mutator.
     service: OnceLock<CompileService>,
-    /// Static escape verdicts for the sanitizer, computed lazily on the
-    /// first checked compilation and shared with the compile service.
-    verdicts: OnceLock<Arc<pea_analysis::StaticVerdicts>>,
     /// TLAB chunk allocator: every mutator heap draws bump-arena capacity
     /// from here in [`pea_runtime::TLAB_CELLS`]-sized chunks.
     chunks: Arc<ChunkAllocator>,
@@ -405,7 +394,6 @@ impl Vm {
             program,
             options: template,
             service: OnceLock::new(),
-            verdicts: OnceLock::new(),
             chunks: Arc::new(ChunkAllocator::new()),
             profile_names,
         });
@@ -594,8 +582,8 @@ impl Mutator {
     }
 
     /// Writes the flight ring to the configured dump path. Called on
-    /// [`VmError`], sanitizer findings and panics; best-effort (a failed
-    /// write must not mask the original failure).
+    /// [`VmError`] and panics; best-effort (a failed write must not mask
+    /// the original failure).
     fn dump_flight(&self) {
         let (Some(json), Some(path)) = (self.flight_json(), &self.options.flight) else {
             return;
@@ -805,9 +793,8 @@ impl Mutator {
                     }
                 }
                 let compiled = if self.needs_compile_events() {
-                    // Buffer the decision events so the sanitizer and
-                    // the metrics fold can inspect them; forward to the
-                    // user's sink after.
+                    // Buffer the decision events so the metrics fold can
+                    // inspect them; forward to the user's sink after.
                     let mut buffer = pea_trace::MemorySink::new();
                     let result = compile_traced(
                         program,
@@ -816,11 +803,6 @@ impl Mutator {
                         &self.options.compiler,
                         &mut buffer,
                     );
-                    if self.options.checked {
-                        if let Ok(code) = &result {
-                            self.sanitize(program, method, &code.graph, &buffer.events);
-                        }
-                    }
                     if let Some(m) = self.options.metrics.on() {
                         record_compile_metrics(m, &buffer.events, result.as_ref());
                     }
@@ -882,63 +864,9 @@ impl Mutator {
     }
 
     /// Whether a synchronous compile must buffer its decision events (for
-    /// the sanitizer, the metrics fold, or the trace sink).
+    /// the metrics fold or the trace sink).
     fn needs_compile_events(&self) -> bool {
-        self.options.checked || self.options.trace.is_some() || self.options.metrics.is_enabled()
-    }
-
-    /// The static escape verdicts, computed over the whole program on
-    /// first use and reused for every checked compilation of every
-    /// mutator.
-    fn static_verdicts(&self) -> Arc<pea_analysis::StaticVerdicts> {
-        Arc::clone(
-            self.shared.verdicts.get_or_init(|| {
-                Arc::new(pea_analysis::StaticVerdicts::analyze(&self.shared.program))
-            }),
-        )
-    }
-
-    /// Cross-checks one finished compilation against the static verdicts
-    /// and panics on any inconsistency (checked mode is a debugging/CI
-    /// tool: an inconsistency is a compiler bug, not a user error).
-    fn sanitize(
-        &self,
-        program: &Program,
-        method: MethodId,
-        graph: &pea_ir::Graph,
-        events: &[TraceEvent],
-    ) {
-        let verdicts = self.static_verdicts();
-        let findings = pea_analysis::check_compilation(program, &verdicts, method, graph, events);
-        if !findings.is_empty() {
-            self.sanitizer_panic(method, &findings, false);
-        }
-    }
-
-    /// Dumps the flight ring and panics with the sanitizer report — the
-    /// one exit for findings of a synchronous compile and (`background`) a
-    /// compile-service outcome.
-    fn sanitizer_panic<F: std::fmt::Display>(
-        &self,
-        method: MethodId,
-        findings: &[F],
-        background: bool,
-    ) -> ! {
-        self.dump_flight();
-        let program = &self.shared.program;
-        let name = program.method(method).qualified_name(program);
-        let lines: Vec<String> = findings.iter().map(|f| format!("  - {f}")).collect();
-        panic!(
-            "PEA decision sanitizer: {} inconsistenc{} {} {name}:\n{}",
-            findings.len(),
-            if findings.len() == 1 { "y" } else { "ies" },
-            if background {
-                "in background compile of"
-            } else {
-                "compiling"
-            },
-            lines.join("\n"),
-        );
+        self.options.trace.is_some() || self.options.metrics.is_enabled()
     }
 
     /// Pins a finished compilation on this mutator and accounts for it
@@ -969,7 +897,6 @@ impl Mutator {
                     workers: shared.options.compile_workers,
                     metrics: shared.options.metrics.clone(),
                 },
-                shared.options.checked.then(|| self.static_verdicts()),
             )
         });
         if self.mailbox.is_none() {
@@ -1018,11 +945,6 @@ impl Mutator {
                     m.compile.stale_dropped.inc();
                 }
                 continue;
-            }
-            // Workers never panic (that would wedge `wait_idle`); sanitizer
-            // findings surface here, at the installing safepoint.
-            if !outcome.findings.is_empty() {
-                self.sanitizer_panic(outcome.method, &outcome.findings, true);
             }
             match outcome.result {
                 Ok(code) => {
@@ -1320,9 +1242,9 @@ impl Mutator {
 impl Drop for Mutator {
     fn drop(&mut self) {
         // Fold any buffered heap counters and — when a panic anywhere above
-        // the VM (sanitizer, compiler invariant, test assertion) unwinds
-        // through this drop — persist the flight ring so the post-mortem
-        // has the last events leading up to it.
+        // the VM (compiler invariant, test assertion) unwinds through this
+        // drop — persist the flight ring so the post-mortem has the last
+        // events leading up to it.
         self.heap.flush_metrics();
         if std::thread::panicking() {
             self.dump_flight();

@@ -127,7 +127,6 @@ fn calls_either_side_of_the_inline_buffer_agree_with_the_interpreter() {
     for exec_mode in [ExecMode::Linear, ExecMode::Graph] {
         let mut options = VmOptions::with_opt_level(OptLevel::Pea);
         options.exec_mode = exec_mode;
-        options.checked = true;
         // Every call stays a call.
         options.compiler.build.inline = false;
         let mut vm = Vm::new(program.clone(), options);

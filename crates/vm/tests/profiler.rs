@@ -235,7 +235,7 @@ fn flight_ring_dumps_when_a_panic_unwinds_past_the_vm() {
         for i in 0..80 {
             vm.call_entry("f", &[Value::Int(i)]).unwrap();
         }
-        // Stand-in for a sanitizer finding or compiler invariant failure:
+        // Stand-in for a compiler invariant failure or a test assertion:
         // the unwind drops the VM, which persists the ring.
         panic!("induced failure");
     });

@@ -15,7 +15,6 @@ use proptest::prelude::*;
 fn strict_options(exec_mode: ExecMode) -> VmOptions {
     VmOptions {
         exec_mode,
-        checked: true,
         metrics: MetricsHub::enabled(),
         ..VmOptions::with_opt_level(OptLevel::Pea)
     }
@@ -148,7 +147,6 @@ fn background_threads_match_solo_results() {
     let options = || VmOptions {
         jit_mode: JitMode::Background,
         compile_workers: Some(2),
-        checked: true,
         ..VmOptions::with_opt_level(OptLevel::Pea)
     };
 
@@ -229,13 +227,12 @@ fn churn(m: &mut Mutator, label: &str) -> (Vec<Option<Value>>, Stats) {
     (results, m.stats())
 }
 
-/// Concurrent install/evict/recompile stress under `--checked`: every
+/// Concurrent install/evict/recompile stress: every
 /// thread's results and statistics are byte-identical to a solo run.
 #[test]
 fn concurrent_eviction_churn_matches_solo() {
     let options = || VmOptions {
         compile_threshold: 20,
-        checked: true,
         ..VmOptions::with_opt_level(OptLevel::Pea)
     };
 

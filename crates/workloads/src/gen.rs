@@ -10,7 +10,7 @@
 //! function of `i`: randomness shapes the program's *structure*, never
 //! its runtime behaviour. That makes every seed usable as a
 //! differential test case — interpreter vs JIT, sync vs background,
-//! `--checked` on or off — where any divergence is a VM bug.
+//! linear tier vs graph oracle — where any divergence is a VM bug.
 //!
 //! Structural guarantees relied on by the fuzz harnesses:
 //!

@@ -2,13 +2,13 @@
 //!
 //! ```text
 //! pea run <file.asm> <entry> [args...] [--level none|ees|pea] [--warmup N]
-//!         [--interp] [--jit-mode sync|background] [--exec-mode linear|graph] [--checked]
+//!         [--interp] [--jit-mode sync|background] [--exec-mode linear|graph]
 //!         [--trace|--trace-json [PATH]]                # + VM/PEA event log
 //!         [--metrics] [--metrics-json PATH] [--metrics-prom PATH]
 //!         [--flight PATH]                              # flight-recorder dump on failure
 //!         [--profile-in PATH] [--profile-out PATH]     # profile reuse
 //! pea serve <file.asm> <entry> [args...] [--threads N] [--iters K] [--warmup N]
-//!           [--level L] [--jit-mode M] [--exec-mode M] [--checked]
+//!           [--level L] [--jit-mode M] [--exec-mode M]
 //!                                                      # N mutator threads on one VM
 //! pea profile <file.asm> <entry> [args...] [--level L] [--jit-mode M] [--exec-mode M]
 //!             [--warmup N] [--top N] [--out DIR]       # cycle-attribution profiler
@@ -173,7 +173,7 @@ fn write_output(path: &str, contents: &str) {
 
 fn cmd_run(args: &[String]) -> ExitCode {
     let [path, entry, rest @ ..] = args else {
-        eprintln!("usage: pea run <file.asm> <entry> [int args...] [--level L] [--interp] [--warmup N] [--jit-mode sync|background] [--exec-mode linear|graph] [--checked] [--trace|--trace-json [PATH]] [--metrics] [--metrics-json PATH] [--metrics-prom PATH] [--flight PATH] [--profile-in PATH] [--profile-out PATH]");
+        eprintln!("usage: pea run <file.asm> <entry> [int args...] [--level L] [--interp] [--warmup N] [--jit-mode sync|background] [--exec-mode linear|graph] [--trace|--trace-json [PATH]] [--metrics] [--metrics-json PATH] [--metrics-prom PATH] [--flight PATH] [--profile-in PATH] [--profile-out PATH]");
         return ExitCode::from(2);
     };
     reject_unknown_flags(
@@ -185,7 +185,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "--warmup",
             "--jit-mode",
             "--exec-mode",
-            "--checked",
             "--trace",
             "--trace-json",
             "--metrics",
@@ -210,7 +209,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
         },
     );
     options.trace = trace_sink(rest);
-    options.checked = rest.iter().any(|a| a == "--checked");
     options.flight = parse_flag(rest, "--flight", "PATH");
     let metrics_text = rest.iter().any(|a| a == "--metrics");
     let metrics_json: Option<String> = parse_flag(rest, "--metrics-json", "PATH");
@@ -576,8 +574,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     let [path, entry, rest @ ..] = args else {
         eprintln!(
             "usage: pea serve <file.asm> <entry> [int args...] [--threads N] [--iters K] \
-             [--warmup N] [--level L] [--jit-mode sync|background] [--exec-mode linear|graph] \
-             [--checked]"
+             [--warmup N] [--level L] [--jit-mode sync|background] [--exec-mode linear|graph]"
         );
         return ExitCode::from(2);
     };
@@ -591,7 +588,6 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             "--level",
             "--jit-mode",
             "--exec-mode",
-            "--checked",
         ],
     );
     let program = load(path);
@@ -603,8 +599,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     }
     let iters: usize = parse_flag(rest, "--iters", "N").unwrap_or(1000);
     let warmup: usize = parse_flag(rest, "--warmup", "N").unwrap_or(100);
-    let mut options = with_modes(rest, VmOptions::with_opt_level(parse_level(rest)));
-    options.checked = rest.iter().any(|a| a == "--checked");
+    let options = with_modes(rest, VmOptions::with_opt_level(parse_level(rest)));
     let background = options.jit_mode == JitMode::Background;
     let mut vm = Vm::new(program, options);
     for _ in 0..warmup {

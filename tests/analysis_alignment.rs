@@ -1,16 +1,17 @@
 //! Cross-layer alignment of the static analyses in `pea-analysis` with
 //! the rest of the stack: the bytecode verifier (which deliberately
 //! accepts what the dataflow passes flag), the graph builder (which bails
-//! out on unstructured locking) and the checked-mode VM (whose sanitizer
-//! must stay silent on the paper examples).
+//! out on unstructured locking) and the PEA decision sanitizer (which
+//! must stay silent on the paper examples compiled from warm profiles).
 
 use pea::analysis::{analyze_locks, analyze_method, analyze_nullness, EscapeClass};
-use pea::analysis::{LockFindingKind, NullFindingKind};
+use pea::analysis::{check_compilation, LockFindingKind, NullFindingKind, StaticVerdicts};
 use pea::bytecode::asm::parse_program;
 use pea::bytecode::{verify_program, MethodId};
-use pea::compiler::{compile, Bailout, CompilerOptions};
+use pea::compiler::{compile, compile_traced, Bailout, CompilerOptions};
 use pea::runtime::Value;
-use pea::vm::{JitMode, OptLevel, Vm, VmOptions};
+use pea::trace::MemorySink;
+use pea::vm::{OptLevel, Vm, VmOptions};
 
 const CACHE_EXAMPLE: &str = include_str!("../examples/cache_key.asm");
 
@@ -89,45 +90,52 @@ fn escape_classes_on_the_paper_example() {
     );
 }
 
-fn run_checked(src: &str, mode: JitMode) {
+/// Warms `entry` in the interpreter, compiles every method at `pea` from
+/// those profiles and asserts the sanitizer finds nothing.
+fn assert_sanitizer_clean(src: &str, entry: &str, args: fn(i64) -> Vec<Value>) {
     let program = parse_program(src).unwrap();
     verify_program(&program).unwrap();
-    let mut options = VmOptions::with_opt_level(OptLevel::Pea);
-    options.compile_threshold = 5;
-    options.checked = true;
-    options.jit_mode = mode;
-    let mut vm = Vm::new(program, options);
+    let mut vm = Vm::new(program.clone(), VmOptions::interpreter_only());
     for i in 0..200 {
-        vm.call_entry("f", &[Value::Int(i)])
-            .or_else(|_| vm.call_entry("getValue", &[Value::Int(i), Value::Null]))
-            .unwrap();
+        vm.call_entry(entry, &args(i)).unwrap();
     }
-    if mode == JitMode::Background {
-        vm.await_background_compiles();
+    let verdicts = StaticVerdicts::analyze(&program);
+    let options = CompilerOptions::with_opt_level(OptLevel::Pea);
+    let mut compiled = 0;
+    for m in 0..program.methods.len() {
+        let method = MethodId::from_index(m);
+        let mut sink = MemorySink::new();
+        let Ok(code) = compile_traced(&program, method, Some(vm.profiles()), &options, &mut sink)
+        else {
+            continue;
+        };
+        compiled += 1;
+        let findings = check_compilation(&program, &verdicts, method, &code.graph, &sink.events);
+        assert!(findings.is_empty(), "sanitizer findings: {findings:#?}");
     }
-    assert!(vm.compiled_method_count() >= 1, "JIT never kicked in");
+    assert!(compiled >= 1, "nothing compiled");
 }
 
 #[test]
-fn checked_mode_is_clean_on_the_cache_example() {
+fn sanitizer_is_clean_on_the_cache_example() {
     // The sanitizer cross-checks every Virtualized/LockElided decision
-    // against the static verdicts and panics on inconsistency; the paper
-    // examples must run clean in both compilation modes.
-    run_checked(CACHE_EXAMPLE, JitMode::Sync);
-    run_checked(CACHE_EXAMPLE, JitMode::Background);
+    // against the static verdicts and every frame state's
+    // rematerialization info; the paper examples must compile clean.
+    assert_sanitizer_clean(CACHE_EXAMPLE, "getValue", |i| {
+        vec![Value::Int(i), Value::Null]
+    });
 }
 
 #[test]
-fn checked_mode_is_clean_on_the_sync_deopt_example() {
-    run_checked(SYNC_ACC, JitMode::Sync);
-    run_checked(SYNC_ACC, JitMode::Background);
+fn sanitizer_is_clean_on_the_sync_deopt_example() {
+    assert_sanitizer_clean(SYNC_ACC, "f", |i| vec![Value::Int(i)]);
 }
 
 /// Why the static site sets are reported and never withheld from PEA
 /// (DESIGN §4f): `new Err athrow` is an immediate-global site as far as the
 /// method's own bytecode can tell, yet with the handler inside the
-/// compilation unit PEA scalar-replaces the object entirely — under
-/// `--checked`, with results intact.
+/// compilation unit PEA scalar-replaces the object entirely, with results
+/// intact.
 #[test]
 fn locally_caught_immediate_throw_is_scalar_replaced() {
     let src = "
@@ -153,7 +161,6 @@ fn locally_caught_immediate_throw_is_scalar_replaced() {
     );
     let mut options = VmOptions::with_opt_level(OptLevel::Pea);
     options.compile_threshold = 5;
-    options.checked = true;
     let mut vm = Vm::new(program, options);
     for i in 0..60 {
         let expect = if i % 3 == 0 { 7 } else { i * 2 };

