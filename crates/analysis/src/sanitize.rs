@@ -22,9 +22,11 @@
 //!   materialized mid-critical-section (§5.2 — later exits become real
 //!   operations on the materialized object);
 //! * every post-PEA frame state must carry *closed* rematerialization
-//!   info: layout-consistent inputs, live nodes, virtual-object mappings
-//!   with exactly one value per field slot, and lock counts within the
-//!   static balance bound (paper §5.5).
+//!   info: layout-consistent inputs, live nodes, no slot (in an outer
+//!   frame state or a virtual object's field either) that still names an
+//!   allocation PEA virtualized instead of its mapping, virtual-object
+//!   mappings with exactly one value per field slot, and lock counts
+//!   within the static balance bound (paper §5.5).
 //!
 //! Any violation is a compiler bug, surfaced as an [`Inconsistency`];
 //! `tests/compile_golden.rs` and `pealint` fail on any.
@@ -234,6 +236,16 @@ pub fn check_compilation(
     }
 
     // ---- frame-state closure checks ----
+    // A virtualized allocation is unlinked from the control flow, and only
+    // a reference the rewrite missed keeps it from the dead-node sweep: a
+    // deopt through it would hand the interpreter an object that was never
+    // allocated.
+    let virtualized = |n: NodeId| {
+        u32::try_from(n.index())
+            .ok()
+            .and_then(|site| sites.get(&site))
+            .is_some_and(|ev| ev.virtualized)
+    };
     // A depth bound for virtual-object lock counts holds only when *every*
     // allocation in the graph has a bounded verdict.
     let mut vom_depth_bound: Option<u32> = Some(0);
@@ -270,6 +282,12 @@ pub fn check_compilation(
                         flag(format!(
                             "frame state {id}: references deleted node {input} — \
                              rematerialization info is not closed"
+                        ));
+                    } else if virtualized(input) {
+                        flag(format!(
+                            "frame state {id}: names allocation {input}, which PEA \
+                             virtualized, instead of its mapping — rematerialization \
+                             info is not closed"
                         ));
                     }
                 }
@@ -309,6 +327,11 @@ pub fn check_compilation(
                     if graph.node(input).is_deleted() {
                         flag(format!(
                             "virtual object {id}: field value {input} is deleted"
+                        ));
+                    } else if virtualized(input) {
+                        flag(format!(
+                            "virtual object {id}: field value names allocation {input}, \
+                             which PEA virtualized, instead of its mapping"
                         ));
                     }
                 }
@@ -359,6 +382,7 @@ fn shape_matches(program: &Program, kind: AllocKind, shape: &str) -> bool {
 mod tests {
     use super::*;
     use pea_bytecode::asm::parse_program;
+    use pea_ir::FrameStateData;
 
     fn verdicts_for(src: &str) -> (Program, StaticVerdicts) {
         let program = parse_program(src).unwrap();
@@ -625,6 +649,79 @@ mod tests {
         let found = check_compilation(&program, &v, m, &graph, &events);
         assert_eq!(found.len(), 1);
         assert!(found[0].detail.contains("no bytecode provenance"));
+    }
+
+    /// A frame state, its outer frame state, or a virtual object's field
+    /// that still names an allocation PEA virtualized — the rewrite missed
+    /// it — fails closure; the same slot holding the mapping passes.
+    #[test]
+    fn a_slot_naming_a_virtualized_allocation_is_flagged() {
+        let (program, v) = verdicts_for(
+            "class Box { field v int }
+             method m 1 returns {
+                new Box store 1
+                load 1 load 0 putfield Box.v
+                load 1 getfield Box.v retv
+             }",
+        );
+        let m = program.static_method_by_name("m").unwrap();
+        let class = program.class_by_name("Box").unwrap();
+        let shape = AllocShape::Instance { class };
+        let events = |alloc: NodeId| {
+            vec![TraceEvent::Virtualized {
+                site: alloc.index() as u32,
+                shape: "Box".into(),
+            }]
+        };
+        // The inner frame state's local and its outer frame state's local
+        // hold the allocation where `missed` says, else its mapping.
+        let check = |missed: [bool; 2]| {
+            let mut graph = Graph::new();
+            let alloc = graph.add(NodeKind::New { class }, vec![]);
+            graph.set_provenance(alloc, m, 0);
+            let field = graph.const_int(5);
+            let vom = graph.add(
+                NodeKind::VirtualObjectMapping {
+                    shape,
+                    lock_count: 0,
+                },
+                vec![field],
+            );
+            let slot = |missed| if missed { alloc } else { vom };
+            let outer = graph.add_frame_state(
+                FrameStateData::new(m, 2, 1, 0, 0, false),
+                vec![slot(missed[1])],
+            );
+            graph.add_frame_state(
+                FrameStateData::new(m, 4, 1, 0, 0, true),
+                vec![slot(missed[0]), outer],
+            );
+            check_compilation(&program, &v, m, &graph, &events(alloc))
+        };
+        assert!(check([false, false]).is_empty());
+        for missed in [[true, false], [false, true]] {
+            let found = check(missed);
+            assert_eq!(found.len(), 1, "{missed:?}: {found:?}");
+            assert!(
+                found[0].detail.contains("which PEA virtualized"),
+                "{found:?}"
+            );
+        }
+
+        // A virtual object whose field names the allocation.
+        let mut graph = Graph::new();
+        let alloc = graph.add(NodeKind::New { class }, vec![]);
+        graph.set_provenance(alloc, m, 0);
+        graph.add(
+            NodeKind::VirtualObjectMapping {
+                shape,
+                lock_count: 0,
+            },
+            vec![alloc],
+        );
+        let found = check_compilation(&program, &v, m, &graph, &events(alloc));
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert!(found[0].detail.contains("field value names"), "{found:?}");
     }
 
     #[test]

@@ -15,13 +15,47 @@ use pea_runtime::{FrameChain, Heap, ObjRef, Statics, Value, VmError};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Most arguments a call copies into a fixed buffer on the host stack:
-/// the linear tier's `INVOKE` gathers its argument registers there for the
-/// host's [`EvalEnv::call`] (a compiled callee's window takes them straight
-/// from the caller's registers), and the VM copies an interpreted caller's
-/// arguments there on their way into compiled code. A call with more
-/// spills them to a `Vec`.
+/// Most arguments a call copies into a fixed buffer on the host stack
+/// ([`ArgBuffer`]): a host that interprets a callee of the linear tier
+/// copies them there out of the register stack, and the VM copies an
+/// interpreted caller's arguments there on their way into compiled code.
+/// A call with more spills them to a `Vec`.
 pub const INLINE_ARGS: usize = 8;
+
+/// A copy of a call's arguments, taken off a stack the call itself
+/// reuses: in a buffer on the host stack when there are at most
+/// [`INLINE_ARGS`], else in a `Vec`.
+pub enum ArgBuffer {
+    /// The first `len` values are the arguments.
+    Inline([Value; INLINE_ARGS], usize),
+    /// More than [`INLINE_ARGS`] arguments.
+    Spilled(Vec<Value>),
+}
+
+impl ArgBuffer {
+    /// Copies `args`.
+    #[inline(always)]
+    pub fn copy(args: &[Value]) -> Self {
+        if args.len() <= INLINE_ARGS {
+            let mut inline = [Value::Null; INLINE_ARGS];
+            inline[..args.len()].copy_from_slice(args);
+            ArgBuffer::Inline(inline, args.len())
+        } else {
+            ArgBuffer::Spilled(args.to_vec())
+        }
+    }
+}
+
+impl std::ops::Deref for ArgBuffer {
+    type Target = [Value];
+    #[inline(always)]
+    fn deref(&self) -> &[Value] {
+        match self {
+            ArgBuffer::Inline(inline, len) => &inline[..*len],
+            ArgBuffer::Spilled(args) => args,
+        }
+    }
+}
 
 /// Host services for compiled code (the VM implements this; tests use a
 /// trivial implementation).
@@ -50,15 +84,17 @@ pub trait EvalEnv {
         method: MethodId,
         args: &[Value],
     ) -> Result<Option<Value>, VmError>;
-    /// The linear tier's out-of-line call of the resolved `method`, with
-    /// up to [`INLINE_ARGS`] arguments gathered into a buffer on the
-    /// loop's stack. The host either hands back the callee's compiled
-    /// code, which the loop runs in the next window of `stack` after
-    /// counting the activation and entering its attribution context, or
-    /// runs the callee itself — with `stack`, the loop's register stack,
-    /// put back as its own [`EvalEnv::register_stack`] meanwhile, so
-    /// compiled code the callee reaches runs on it. The loop inlines
-    /// this; the default runs every callee through [`EvalEnv::invoke`].
+    /// The linear tier's out-of-line call of the resolved `method`, whose
+    /// `argc` arguments the loop wrote into the first registers of the
+    /// next window of `stack` ([`RegisterStack::args`]). The host either
+    /// hands back the callee's compiled code, which the loop runs in that
+    /// window, its arguments already in place, after counting the
+    /// activation and entering its attribution context; or it copies the
+    /// arguments out ([`ArgBuffer`]) and runs the callee itself — with
+    /// `stack`, the loop's register stack, put back as its own
+    /// [`EvalEnv::register_stack`] meanwhile, so compiled code the callee
+    /// reaches runs on it. The loop inlines this; the default runs every
+    /// callee through [`EvalEnv::invoke`].
     ///
     /// # Errors
     ///
@@ -69,11 +105,12 @@ pub trait EvalEnv {
         &mut self,
         program: &Program,
         method: MethodId,
-        args: &[Value],
+        argc: usize,
         stack: &mut RegisterStack,
     ) -> Result<Call<'_>, VmError> {
+        let args = ArgBuffer::copy(stack.args(argc));
         swap_stack(self, stack);
-        let result = self.invoke(program, method, args);
+        let result = self.invoke(program, method, &args);
         swap_stack(self, stack);
         result.map(Call::Returned)
     }

@@ -37,7 +37,7 @@ pub mod pipeline;
 pub use builder::{
     build_graph, build_graph_with, Bailout, BuildOptions, DevirtGuardRec, InlineDecisionRec,
 };
-pub use eval::{evaluate, Call, EvalEnv, EvalOutcome, INLINE_ARGS};
+pub use eval::{evaluate, ArgBuffer, Call, EvalEnv, EvalOutcome, INLINE_ARGS};
 pub use linear::{LinearArtifact, LowerError, RegisterStack};
 pub use phases::{CompilationUnit, PhaseKind, PhaseManager};
 pub use pipeline::{

@@ -11,8 +11,11 @@
 //! The scheduler puts a compare whose only user is an `If` or a `Guard`
 //! right before that user; the lowering fuses every such adjacent pair
 //! into one compare-and-branch ([`op::IF_CMP`]) or compare-and-guard
-//! ([`op::GUARD_CMP`]), which reads an integer constant operand from the
-//! pool ([`op::IF_CMP_I`], [`op::GUARD_CMP_I`]).
+//! ([`op::GUARD_CMP`]). A fused compare and a binary arithmetic operation
+//! read an integer constant operand from the pool ([`op::IF_CMP_I`],
+//! [`op::GUARD_CMP_I`], [`op::ADD_I`]`..=`[`op::SHR_I`]), as the right
+//! operand; a constant left operand swaps sides when the operation allows
+//! it.
 //!
 //! Frame states are compiled into self-contained [`DeoptPoint`] tables so
 //! execution never touches the graph; they and commit templates carry
@@ -21,8 +24,9 @@
 //! Parameters are the first registers and are written by the caller.
 
 use super::{
-    arith_opcode, class_code, cmp_code, kind_code, op, reason_code, CommitFieldSrc, DeoptPoint,
-    LinearArtifact, LinearCommit, LinearCommitObj, LinearFrame, LinearVObj, SlotSrc, NO_REG,
+    arith_imm_opcode, arith_opcode, class_code, cmp_code, kind_code, op, reason_code,
+    CommitFieldSrc, DeoptPoint, LinearArtifact, LinearCommit, LinearCommitObj, LinearFrame,
+    LinearVObj, SlotSrc, NO_REG,
 };
 use pea_bytecode::{ClassId, CmpOp, FieldId, MethodId, Program, ValueKind};
 use pea_ir::cfg::{BlockId, Cfg};
@@ -139,14 +143,9 @@ impl Lowerer<'_> {
                     NodeKind::Commit { .. } => continue,
                     _ => {}
                 }
-                let pooled = if self.fuses(order, at) {
-                    let (_, _, b, imm) = fused_operands(graph, n);
-                    imm.map(|_| b)
-                } else {
-                    None
-                };
-                for &input in graph.node(n).inputs() {
-                    if Some(input) != pooled {
+                let pooled = self.pooled_input(order, at);
+                for (side, &input) in graph.node(n).inputs().iter().enumerate() {
+                    if Some(side) != pooled {
                         self.note_read(input);
                     }
                 }
@@ -213,6 +212,22 @@ impl Lowerer<'_> {
                 matches!(graph.kind(user), NodeKind::If | NodeKind::Guard { .. })
                     && graph.sole_use(n) == Some(user)
             })
+    }
+
+    /// The input of `order[at]` its instruction reads from the pool: the
+    /// constant operand of a binary arithmetic operation or of a compare
+    /// that fuses.
+    fn pooled_input(&self, order: &[NodeId], at: usize) -> Option<usize> {
+        let n = order[at];
+        let swaps = match *self.graph.kind(n) {
+            NodeKind::Arith { op } | NodeKind::FixedArith { op } if op != ArithOp::Neg => {
+                commutes(op)
+            }
+            // A compare swaps sides with its condition mirrored.
+            NodeKind::Compare { .. } if self.fuses(order, at) => true,
+            _ => return None,
+        };
+        pooled_side(self.graph, n, swaps)
     }
 
     fn pc(&self) -> Result<u32, LowerError> {
@@ -293,15 +308,17 @@ impl Lowerer<'_> {
                     self.emit(&[op::CONST_NULL, dst]);
                 }
             }
-            NodeKind::Arith { op: aop } | NodeKind::FixedArith { op: aop } => {
+            NodeKind::Arith { op: ArithOp::Neg } | NodeKind::FixedArith { op: ArithOp::Neg } => {
                 let a = self.reg_of(inputs[0]);
                 let dst = self.reg_of(n);
-                if aop == ArithOp::Neg {
-                    self.emit(&[op::NEG, dst, a]);
-                } else {
-                    let b = self.reg_of(inputs[1]);
-                    self.emit(&[arith_opcode(aop), dst, a, b]);
-                }
+                self.emit(&[op::NEG, dst, a]);
+            }
+            NodeKind::Arith { op: aop } | NodeKind::FixedArith { op: aop } => {
+                let (a, b, pooled) = operands(graph, n, pooled_side(graph, n, commutes(aop)));
+                let a = self.reg_of(a);
+                let dst = self.reg_of(n);
+                let ops = (arith_opcode(aop), arith_imm_opcode(aop));
+                self.emit_binary(ops, dst, a, b, pooled);
             }
             NodeKind::Compare { op: cop } => {
                 let a = self.reg_of(inputs[0]);
@@ -489,7 +506,8 @@ impl Lowerer<'_> {
                     // else when the negated compare holds.
                     let (cop, a, b, imm) = fused_operands(graph, cmp);
                     let cop = if negated { cop } else { cop.negated() };
-                    self.emit_fused(op::GUARD_CMP, op::GUARD_CMP_I, cop, a, b, imm);
+                    let a = self.reg_of(a);
+                    self.emit_binary((op::GUARD_CMP, op::GUARD_CMP_I), cmp_code(cop), a, b, imm);
                 } else {
                     let cond = self.reg_of(inputs[0]);
                     self.emit(&[op::GUARD, cond, u32::from(negated)]);
@@ -509,7 +527,8 @@ impl Lowerer<'_> {
                 let f = self.cfg.block_of(node.successors()[1]);
                 if let Some(cmp) = self.fused.take() {
                     let (cop, a, b, imm) = fused_operands(graph, cmp);
-                    self.emit_fused(op::IF_CMP, op::IF_CMP_I, cop, a, b, imm);
+                    let a = self.reg_of(a);
+                    self.emit_binary((op::IF_CMP, op::IF_CMP_I), cmp_code(cop), a, b, imm);
                 } else {
                     let cond = self.reg_of(inputs[0]);
                     self.emit(&[op::IF, cond]);
@@ -552,27 +571,26 @@ impl Lowerer<'_> {
         Ok(())
     }
 
-    /// Emits the opcode and first operands of a fused compare,
-    /// `[reg_op, cmp, a, b]`, or `[pool_op, cmp, a, pool_idx]` when the
-    /// right operand is a constant.
-    fn emit_fused(
+    /// Emits the opcode and first operands of a binary operation,
+    /// `[reg_op, lead, a, b]`, or `[pool_op, lead, a, pool_idx]` when the
+    /// right operand is the constant `pooled`: `lead` is an arithmetic
+    /// operation's destination or a fused compare's condition.
+    fn emit_binary(
         &mut self,
-        reg_op: u32,
-        pool_op: u32,
-        cop: CmpOp,
-        a: NodeId,
+        (reg_op, pool_op): (u32, u32),
+        lead: u32,
+        a: u32,
         b: NodeId,
         pooled: Option<i64>,
     ) {
-        let a = self.reg_of(a);
         match pooled {
             Some(v) => {
                 let idx = self.pool_idx(v);
-                self.emit(&[pool_op, cmp_code(cop), a, idx]);
+                self.emit(&[pool_op, lead, a, idx]);
             }
             None => {
                 let b = self.reg_of(b);
-                self.emit(&[reg_op, cmp_code(cop), a, b]);
+                self.emit(&[reg_op, lead, a, b]);
             }
         }
     }
@@ -755,18 +773,59 @@ impl Lowerer<'_> {
     }
 }
 
-/// A fused compare's condition and operands `(cmp, a, b, pooled)`: `a` is
-/// read from a register, and so is `b` unless it is an integer constant,
-/// whose value `pooled` then holds. A constant left operand swaps sides,
-/// with the condition mirrored.
+/// Whether a binary operation gives the same result with its operands
+/// swapped.
+fn commutes(op: ArithOp) -> bool {
+    matches!(
+        op,
+        ArithOp::Add | ArithOp::Mul | ArithOp::And | ArithOp::Or | ArithOp::Xor
+    )
+}
+
+/// The input of binary node `n` its instruction reads from the pool: the
+/// right one when it is an integer constant, else the left one when it is
+/// and the operands may swap sides.
+fn pooled_side(graph: &Graph, n: NodeId, swaps: bool) -> Option<usize> {
+    let is_const = |side: usize| {
+        matches!(
+            graph.kind(graph.node(n).inputs()[side]),
+            NodeKind::ConstInt { .. }
+        )
+    };
+    if is_const(1) {
+        Some(1)
+    } else if swaps && is_const(0) {
+        Some(0)
+    } else {
+        None
+    }
+}
+
+/// The operands `(a, b, pooled)` of binary node `n` when its instruction
+/// reads input `side` from the pool: `a` is read from a register, and so
+/// is `b` unless `pooled` holds its value.
+fn operands(graph: &Graph, n: NodeId, side: Option<usize>) -> (NodeId, NodeId, Option<i64>) {
+    let inputs = graph.node(n).inputs();
+    let value = |i: usize| match *graph.kind(inputs[i]) {
+        NodeKind::ConstInt { value } => value,
+        _ => unreachable!("only integer constants are pooled"),
+    };
+    match side {
+        Some(1) => (inputs[0], inputs[1], Some(value(1))),
+        Some(_) => (inputs[1], inputs[0], Some(value(0))),
+        None => (inputs[0], inputs[1], None),
+    }
+}
+
+/// A fused compare's condition and operands `(cmp, a, b, pooled)`, as
+/// [`operands`] gives them; when the operands swap sides, the condition
+/// is mirrored.
 fn fused_operands(graph: &Graph, cmp: NodeId) -> (CmpOp, NodeId, NodeId, Option<i64>) {
     let NodeKind::Compare { op } = *graph.kind(cmp) else {
         unreachable!("only compares fuse")
     };
-    let (a, b) = (graph.node(cmp).inputs()[0], graph.node(cmp).inputs()[1]);
-    match (graph.kind(a), graph.kind(b)) {
-        (_, NodeKind::ConstInt { value }) => (op, a, b, Some(*value)),
-        (NodeKind::ConstInt { value }, _) => (op.flipped(), b, a, Some(*value)),
-        _ => (op, a, b, None),
-    }
+    let side = pooled_side(graph, cmp, true);
+    let (a, b, pooled) = operands(graph, cmp, side);
+    let op = if side == Some(0) { op.flipped() } else { op };
+    (op, a, b, pooled)
 }

@@ -41,9 +41,10 @@ pub const NO_REG: u32 = u32::MAX;
 /// parameters are its first registers, `0..param_count`: the caller writes
 /// the arguments there, so no instruction loads them. A constant has a
 /// register, written by [`op::CONST_INT`] or [`op::CONST_NULL`], only
-/// when an instruction reads it from one: a fused compare reads an integer
-/// operand from the pool ([`op::IF_CMP_I`], [`op::GUARD_CMP_I`]), and
-/// deopt metadata and commit templates carry constants themselves
+/// when an instruction reads it from one: binary arithmetic and a fused
+/// compare read an integer operand from the pool ([`op::ADD_I`]`..=`
+/// [`op::SHR_I`], [`op::IF_CMP_I`], [`op::GUARD_CMP_I`]), and deopt
+/// metadata and commit templates carry constants themselves
 /// ([`SlotSrc::Int`], [`CommitFieldSrc::Int`]).
 ///
 /// The dispatch loop is a dense jump table over these values (Rust has no
@@ -155,6 +156,29 @@ pub mod op {
     pub const THROW: u32 = 42;
     /// `[src]` — propagate exception object `src` out of the frame.
     pub const UNWIND: u32 = 43;
+    /// `[dst, a, pool_idx]` — [`ADD`] whose right operand is a pool
+    /// constant. The lowering swaps a constant left operand of an
+    /// operation that commutes ([`ADD`], [`MUL`], [`AND`], [`OR`],
+    /// [`XOR`]) to the right.
+    pub const ADD_I: u32 = 44;
+    /// `[dst, a, pool_idx]` — [`SUB`] by a pool constant.
+    pub const SUB_I: u32 = 45;
+    /// `[dst, a, pool_idx]` — [`MUL`] by a pool constant.
+    pub const MUL_I: u32 = 46;
+    /// `[dst, a, pool_idx]` — [`DIV`] by a pool constant; traps on 0.
+    pub const DIV_I: u32 = 47;
+    /// `[dst, a, pool_idx]` — [`REM`] by a pool constant; traps on 0.
+    pub const REM_I: u32 = 48;
+    /// `[dst, a, pool_idx]` — [`AND`] with a pool constant.
+    pub const AND_I: u32 = 49;
+    /// `[dst, a, pool_idx]` — [`OR`] with a pool constant.
+    pub const OR_I: u32 = 50;
+    /// `[dst, a, pool_idx]` — [`XOR`] with a pool constant.
+    pub const XOR_I: u32 = 51;
+    /// `[dst, a, pool_idx]` — [`SHL`] by a pool constant (`& 63`).
+    pub const SHL_I: u32 = 52;
+    /// `[dst, a, pool_idx]` — [`SHR`] by a pool constant (`& 63`).
+    pub const SHR_I: u32 = 53;
 }
 
 /// Where a deopt-metadata or commit-template slot gets its value.
@@ -256,8 +280,9 @@ pub struct LinearCommit {
 pub struct LinearArtifact {
     /// Instruction stream (see [`op`]).
     pub code: Vec<u32>,
-    /// `i64` constant pool ([`op::CONST_INT`], [`op::IF_CMP_I`] and
-    /// [`op::GUARD_CMP_I`] operands index it).
+    /// `i64` constant pool ([`op::CONST_INT`], the immediate arithmetic
+    /// opcodes, [`op::IF_CMP_I`] and [`op::GUARD_CMP_I`] operands index
+    /// it).
     pub pool: Vec<i64>,
     /// Number of registers the activation's window holds, its parameters
     /// first.
@@ -309,6 +334,17 @@ impl LinearArtifact {
                         reg(c[pc + 1]),
                         reg(c[pc + 2]),
                         reg(c[pc + 3])
+                    );
+                    pc += 4;
+                }
+                op::ADD_I..=op::SHR_I => {
+                    let _ = writeln!(
+                        out,
+                        "{}i {} <- {}, {}",
+                        ARITH_NAMES[(c[pc] - op::ADD_I) as usize],
+                        reg(c[pc + 1]),
+                        reg(c[pc + 2]),
+                        self.pool[c[pc + 3] as usize]
                     );
                     pc += 4;
                 }
@@ -573,7 +609,8 @@ impl LinearArtifact {
     }
 }
 
-/// Disassembly mnemonics of [`op::ADD`]`..=`[`op::SHR`], in opcode order.
+/// Disassembly mnemonics of [`op::ADD`]`..=`[`op::SHR`], in opcode order
+/// (the immediate forms add an `i`).
 const ARITH_NAMES: [&str; 10] = [
     "add", "sub", "mul", "div", "rem", "and", "or", "xor", "shl", "shr",
 ];
@@ -594,6 +631,12 @@ pub(crate) fn arith_opcode(aop: pea_ir::ArithOp) -> u32 {
         Shr => op::SHR,
         Neg => unreachable!("unary negation uses op::NEG"),
     }
+}
+
+/// The opcode of a binary [`pea_ir::ArithOp`] whose right operand is a
+/// pool constant.
+pub(crate) fn arith_imm_opcode(aop: pea_ir::ArithOp) -> u32 {
+    arith_opcode(aop) - op::ADD + op::ADD_I
 }
 
 /// Encodes a [`pea_bytecode::CmpOp`] as an instruction operand.

@@ -355,9 +355,10 @@ fn disassembly(name: &str) -> String {
     code.linear.as_ref().unwrap().disassemble()
 }
 
-/// Each edge into a merge is one instruction carrying its phi moves, and
-/// a compare read only by the branch after it is fused into that branch,
-/// its constant operand read from the pool.
+/// Each edge into a merge is one instruction carrying its phi moves, a
+/// compare read only by the branch after it is fused into that branch,
+/// and the constant operands of the compare and the arithmetic are read
+/// from the pool. The loop's only `const` is the phis' initial 0.
 #[test]
 fn a_loop_lowers_to_arithmetic_one_fused_branch_and_one_back_edge() {
     let dis = disassembly("loop");
@@ -372,9 +373,11 @@ fn a_loop_lowers_to_arithmetic_one_fused_branch_and_one_back_edge() {
         .collect();
     assert_eq!(
         ops,
-        ["edge", "xor", "add", "mul", "add", "add", "ifcmpi", "backedge", "ret"],
+        ["edge", "xor", "add", "muli", "add", "addi", "ifcmpi", "backedge", "ret"],
         "{dis}"
     );
+    assert_eq!(dis.matches("const ").count(), 1, "{dis}");
+    assert!(dis.contains("muli r6 <- r5, 13\n"), "{dis}");
     let back_edge = body[7];
     assert!(
         back_edge.starts_with("backedge (safepoint) -> ") && back_edge.ends_with(']'),
@@ -499,6 +502,7 @@ fn a_compare_guard_chain_deoptimizes_alike_at_each_guard() {
     let dis = code.linear.as_ref().unwrap().disassemble();
     assert_eq!(dis.matches("guardcmpi[").count(), 4, "{dis}");
     assert!(!dis.contains("cmp["), "{dis}");
+    assert!(!dis.contains("const "), "{dis}");
     for selector in 0..4 {
         let args = [Value::Int(selector), Value::Int(5)];
         let (out, stats) = run_tier(&program, &code, true, &args, None);
@@ -510,6 +514,189 @@ fn a_compare_guard_chain_deoptimizes_alike_at_each_guard() {
     let (out, _) = run_tier(&program, &code, true, &args, None);
     assert_eq!(out, "Ok(Return(Some(Int(25))))");
     tiers_agree_at_every_fuel_budget(&program, &code, &args);
+}
+
+/// Whichever arm of `step` the profile makes hot, its multiplications
+/// and additions read their constants from the pool, the compares fuse
+/// into guards that do too, and the method has no `const` at all.
+#[test]
+fn a_step_with_any_hot_arm_lowers_without_a_const() {
+    let program = parse_program(STEP_SRC).unwrap();
+    let method = program.static_method_by_name("step").unwrap();
+    for hot in 0..=4 {
+        let code = speculated_arm(&program, method, hot);
+        let dis = code.linear.as_ref().unwrap().disassemble();
+        assert!(!dis.contains("const "), "arm {hot}: {dis}");
+        assert!(dis.contains("muli "), "arm {hot}: {dis}");
+        let selector = i64::try_from(hot).unwrap();
+        for args in [
+            [Value::Int(selector), Value::Int(5)],
+            [Value::Int(9), Value::Int(-3)],
+        ] {
+            tiers_agree_at_every_fuel_budget(&program, &code, &args);
+        }
+    }
+}
+
+/// `method` of `program` compiled at `pea` from a profile in which the
+/// first `hot` `ifcmp`s jump and the others never do: the arm `hot` of a
+/// compare chain is the one entered.
+fn speculated_arm(program: &Program, method: MethodId, hot: usize) -> CompiledMethod {
+    let mut profiles = ProfileStore::new();
+    let compares = program.method(method).code.iter().enumerate();
+    let compares = compares.filter(|(_, insn)| matches!(insn, Insn::IfCmp(..)));
+    for (k, (bci, _)) in compares.enumerate() {
+        for _ in 0..100 {
+            profiles.record_branch(method, bci as u32, k < hot);
+        }
+    }
+    let options = CompilerOptions::with_opt_level(OptLevel::Pea);
+    compile(program, method, Some(&profiles), &options).unwrap()
+}
+
+/// Arguments the arithmetic tests run on: the extremes and the values
+/// next to 0.
+const EDGE_ARGS: [i64; 7] = [0, 1, -1, 7, -13, i64::MIN, i64::MAX];
+
+/// Binary arithmetic opcodes and whether they swap a constant left
+/// operand to the right.
+const ARITH: [(&str, bool); 10] = [
+    ("add", true),
+    ("sub", false),
+    ("mul", true),
+    ("div", false),
+    ("rem", false),
+    ("and", true),
+    ("or", true),
+    ("xor", true),
+    ("shl", false),
+    ("shr", false),
+];
+
+/// Compiles `method f 1 returns { <body> retv }` at `pea` and checks that
+/// both tiers agree on it at every fuel budget for every [`EDGE_ARGS`]
+/// value; returns the disassembly.
+fn arith_agrees(body: &str) -> String {
+    let program = parse_program(&format!("method f 1 returns {{ {body} retv }}")).unwrap();
+    pea_bytecode::verify_program(&program).unwrap();
+    let code = compiled(&program, "f");
+    for x in EDGE_ARGS {
+        tiers_agree_at_every_fuel_budget(&program, &code, &[Value::Int(x)]);
+    }
+    code.linear.as_ref().unwrap().disassemble()
+}
+
+/// Every binary operation reads a constant right operand from the pool.
+/// A constant left operand swaps to the right where the operation
+/// commutes; elsewhere it keeps its register and its `const`. Both tiers
+/// agree at every fuel budget, on operands that wrap, trap and shift out.
+#[test]
+fn each_immediate_opcode_agrees_with_the_evaluator() {
+    for (op, swaps) in ARITH {
+        for c in [13, -1, 0, 63, 64] {
+            let dis = arith_agrees(&format!("load 0 const {c} {op}"));
+            assert!(dis.contains(&format!("{op}i r1 <- r0, {c}\n")), "{dis}");
+            assert!(!dis.contains("const "), "{dis}");
+
+            let dis = arith_agrees(&format!("const {c} load 0 {op}"));
+            if swaps {
+                assert!(dis.contains(&format!("{op}i r1 <- r0, {c}\n")), "{dis}");
+                assert!(!dis.contains("const "), "{dis}");
+            } else {
+                assert!(dis.contains(&format!("const r1 <- {c}\n")), "{dis}");
+                assert!(dis.contains(&format!("{op} r2 <- r1, r0\n")), "{dis}");
+            }
+        }
+    }
+}
+
+/// A division or remainder by a constant 0 traps after the operation's
+/// charge, as graph evaluation does; `i64::MIN / -1` wraps and
+/// `i64::MIN % -1` is 0; shifts take their count modulo 64.
+#[test]
+fn immediate_traps_wraps_and_shifts_match_the_evaluator() {
+    let program = |body: &str| parse_program(&format!("method f 1 returns {{ {body} retv }}"));
+    let outcome = |body: &str, x: i64| {
+        let program = program(body).unwrap();
+        let code = compiled(&program, "f");
+        let linear = run_tier(&program, &code, true, &[Value::Int(x)], None);
+        assert_eq!(
+            linear,
+            run_tier(&program, &code, false, &[Value::Int(x)], None)
+        );
+        linear.0
+    };
+    for op in ["div", "rem"] {
+        arith_agrees(&format!("load 0 const 0 {op}"));
+        assert_eq!(
+            outcome(&format!("load 0 const 0 {op}"), 5),
+            "Err(DivisionByZero)"
+        );
+        // Both operands the same constant node: one register, one pool
+        // entry.
+        let dis = arith_agrees(&format!("const 0 const 0 {op}"));
+        assert!(dis.contains(&format!("{op}i r2 <- r1, 0\n")), "{dis}");
+        assert_eq!(
+            outcome(&format!("const 0 const 0 {op}"), 5),
+            "Err(DivisionByZero)"
+        );
+    }
+    let min = i64::MIN;
+    assert_eq!(
+        outcome("load 0 const -1 div", min),
+        format!("Ok(Return(Some(Int({min}))))")
+    );
+    assert_eq!(
+        outcome("load 0 const -1 rem", min),
+        "Ok(Return(Some(Int(0))))"
+    );
+    for (shift, expect) in [
+        ("load 0 const 63 shl", min),
+        ("load 0 const 64 shl", 1),
+        ("load 0 const -1 shl", min),
+        ("load 0 const 63 shr", 0),
+        ("load 0 const 64 shr", 1),
+        ("load 0 const -1 shr", 0),
+    ] {
+        assert_eq!(
+            outcome(shift, 1),
+            format!("Ok(Return(Some(Int({expect}))))"),
+            "{shift}"
+        );
+    }
+}
+
+/// A constant that arithmetic reads from the pool and a store or a phi
+/// reads from a register keeps exactly one `const`.
+#[test]
+fn a_constant_also_read_from_a_register_keeps_one_const() {
+    let src = "
+        static g int
+        method stored 1 returns {
+            const 9 putstatic g
+            load 0 const 9 add retv
+        }
+        method phi 1 returns {
+            const 5 store 1
+        Lhead:
+            load 1 load 0 ifcmp ge Ldone
+            load 1 const 5 add store 1
+            goto Lhead
+        Ldone:
+            load 1 retv
+        }";
+    let program = parse_program(src).unwrap();
+    pea_bytecode::verify_program(&program).unwrap();
+    for (name, c) in [("stored", 9), ("phi", 5)] {
+        let code = compiled(&program, name);
+        let dis = code.linear.as_ref().unwrap().disassemble();
+        assert_eq!(dis.matches("const r").count(), 1, "{name}: {dis}");
+        assert!(dis.contains(&format!(", {c}\n")), "{name}: {dis}");
+        assert!(dis.contains("addi "), "{name}: {dis}");
+        for x in [-2, 0, 23] {
+            tiers_agree_at_every_fuel_budget(&program, &code, &[Value::Int(x)]);
+        }
+    }
 }
 
 /// `seven` reads its constant only in a fused compare, a frame state's
@@ -539,7 +726,8 @@ const CONST_SRC: &str = "
     }";
 
 /// A constant no instruction reads from a register gets none and no
-/// `const`; the deopt metadata carries it, and a deopt rebuilds it.
+/// `const`, also when arithmetic reads it; the deopt metadata carries it,
+/// and a deopt rebuilds it.
 #[test]
 fn a_constant_only_bound_readers_read_costs_no_instruction() {
     let program = parse_program(CONST_SRC).unwrap();
@@ -570,8 +758,9 @@ fn a_constant_only_bound_readers_read_costs_no_instruction() {
     let eight = program.static_method_by_name("eight").unwrap();
     let code = speculated(&program, eight, false);
     let dis = code.linear.as_ref().unwrap().disassemble();
-    assert_eq!(dis.matches(" <- 7\n").count(), 1, "{dis}");
+    assert!(dis.contains("addi r1 <- r0, 7\n"), "{dis}");
     assert!(dis.contains("guardcmpi[4] r0, 7 "), "{dis}");
+    assert!(!dis.contains("const "), "{dis}");
     for arg in [3, 100] {
         tiers_agree_at_every_fuel_budget(&program, &code, &[Value::Int(arg)]);
     }

@@ -2,16 +2,20 @@
 //!
 //! The paper prices an allocation as a pointer bump. With the heap's
 //! capacity reserved up front, object and array allocation, field and
-//! element access, monitors, and a compiled loop of `new` + field stores
-//! or of commit groups on the linear tier must make **zero** calls into
-//! the host allocator — counted by the same allocator the metrics and
-//! profiler overhead tests use.
+//! element access, monitors, a compiled loop of `new` + field stores or
+//! of commit groups on the linear tier, and a compiled loop of calls into
+//! compiled code must make **zero** calls into the host allocator —
+//! counted by the same allocator the metrics and profiler overhead tests
+//! use.
 
 use pea_bytecode::asm::parse_program;
 use pea_bytecode::{MethodId, Program, ValueKind};
 use pea_compiler::linear::execute;
-use pea_compiler::{compile, CompilerOptions, EvalEnv, EvalOutcome, OptLevel, RegisterStack};
+use pea_compiler::{
+    compile, Call, CompiledMethod, CompilerOptions, EvalEnv, EvalOutcome, OptLevel, RegisterStack,
+};
 use pea_runtime::{Heap, Statics, Value, VmError};
+use std::sync::Arc;
 
 #[path = "../../interp/tests/support/counting_alloc.rs"]
 mod counting_alloc;
@@ -168,4 +172,99 @@ fn compiled_new_and_commit_loops_reach_no_host_allocator() {
         stats.push((env.heap.stats.alloc_count, env.heap.stats.alloc_bytes));
     }
     assert_eq!(stats[0], stats[1], "both levels allocate the same objects");
+}
+
+/// A host that hands every call of the linear tier back as compiled code:
+/// `callee`, run in the loop's next window.
+struct CallEnv {
+    env: Env,
+    callee: Arc<CompiledMethod>,
+}
+
+impl EvalEnv for CallEnv {
+    fn heap(&mut self) -> &mut Heap {
+        self.env.heap()
+    }
+    fn statics(&mut self) -> &mut Statics {
+        self.env.statics()
+    }
+    fn charge(&mut self, cycles: u64) -> Result<(), VmError> {
+        self.env.charge(cycles)
+    }
+    fn invoke(
+        &mut self,
+        _program: &Program,
+        _method: MethodId,
+        _args: &[Value],
+    ) -> Result<Option<Value>, VmError> {
+        panic!("every call runs compiled");
+    }
+    fn call(
+        &mut self,
+        _program: &Program,
+        method: MethodId,
+        argc: usize,
+        stack: &mut RegisterStack,
+    ) -> Result<Call<'_>, VmError> {
+        assert_eq!(method, self.callee.method);
+        assert_eq!(stack.args(argc).len(), 2);
+        Ok(Call::Compiled(&self.callee, 0))
+    }
+    fn register_stack(&mut self) -> Option<&mut RegisterStack> {
+        self.env.register_stack()
+    }
+}
+
+/// A loop whose every iteration calls a compiled method with two
+/// arguments.
+const CALLS: &str = "
+    method add3 2 returns { load 0 load 1 add const 3 add retv }
+    method f 1 returns {
+        const 0 store 1
+        const 0 store 2
+    Lhead:
+        load 1 load 0 ifcmp ge Ldone
+        load 2 load 1 invokestatic add3 store 2
+        load 1 const 1 add store 1
+        goto Lhead
+    Ldone:
+        load 2 retv
+    }";
+
+/// The arguments go from the caller's registers into the callee's window
+/// and the callee's return comes back to the caller in the loop: once the
+/// register stack has grown, a call allocates nothing.
+#[test]
+fn compiled_calls_in_a_loop_reach_no_host_allocator() {
+    let program = parse_program(CALLS).unwrap();
+    let mut options = CompilerOptions::with_opt_level(OptLevel::Pea);
+    options.build.inline = false;
+    let compiled = |name: &str| {
+        let method = program.static_method_by_name(name).unwrap();
+        compile(&program, method, None, &options).unwrap()
+    };
+    let caller = compiled("f");
+    let mut env = CallEnv {
+        env: Env {
+            heap: Heap::new(),
+            statics: Statics::new(&program.statics),
+            registers: RegisterStack::default(),
+        },
+        callee: Arc::new(compiled("add3")),
+    };
+    // Grow the host's register stack and the loop's code table.
+    execute(&program, &mut env, &caller, &[Value::Int(8)]).unwrap();
+
+    let before = allocations();
+    let out = execute(&program, &mut env, &caller, &[Value::Int(N as i64)]).unwrap();
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a compiled call reached the host allocator"
+    );
+    let n = N as i64;
+    assert_eq!(
+        out,
+        EvalOutcome::Return(Some(Value::Int(n * (n - 1) / 2 + 3 * n)))
+    );
 }

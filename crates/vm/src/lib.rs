@@ -55,8 +55,8 @@ pub use compile_service::{
 use pea_bytecode::{MethodId, Program};
 pub use pea_compiler::OptLevel;
 use pea_compiler::{
-    compile, compile_traced, evaluate, Bailout, Call, CompiledMethod, CompilerOptions, EvalEnv,
-    EvalOutcome, RegisterStack, INLINE_ARGS,
+    compile, compile_traced, evaluate, ArgBuffer, Bailout, Call, CompiledMethod, CompilerOptions,
+    EvalEnv, EvalOutcome, RegisterStack,
 };
 use pea_interp::{
     check_arity, interpret, resume, unwind, Activation, Callee, InterpEnv, VALUE_STACK_RESERVE,
@@ -847,18 +847,10 @@ impl Mutator {
         argc: usize,
     ) -> Result<Option<Value>, VmError> {
         let base = self.stack.len() - argc;
-        let mut inline = [Value::Null; INLINE_ARGS];
-        let spilled: Vec<Value>;
-        let args: &[Value] = if argc <= INLINE_ARGS {
-            inline[..argc].copy_from_slice(&self.stack[base..]);
-            &inline[..argc]
-        } else {
-            spilled = self.stack[base..].to_vec();
-            &spilled
-        };
+        let args = ArgBuffer::copy(&self.stack[base..]);
         self.stack.truncate(base);
         self.depth += 1;
-        let result = self.run_compiled(program, &code, args);
+        let result = self.run_compiled(program, &code, &args);
         self.depth -= 1;
         result
     }
@@ -1410,7 +1402,7 @@ impl EvalEnv for Mutator {
         &mut self,
         program: &Program,
         method: MethodId,
-        args: &[Value],
+        argc: usize,
         stack: &mut RegisterStack,
     ) -> Result<Call<'_>, VmError> {
         self.depth += 1;
@@ -1420,8 +1412,9 @@ impl EvalEnv for Mutator {
         }
         self.poll_entry(program, method);
         if self.pinned[method.index()].is_none() {
+            let args = ArgBuffer::copy(stack.args(argc));
             std::mem::swap(&mut self.registers, stack);
-            let result = interpret(program, self, method, args);
+            let result = interpret(program, self, method, &args);
             std::mem::swap(&mut self.registers, stack);
             self.depth -= 1;
             return result.map(Call::Returned);

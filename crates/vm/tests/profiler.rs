@@ -24,52 +24,71 @@ fn options(jit_mode: JitMode, exec_mode: ExecMode, hub: &ProfilerHub) -> VmOptio
     }
 }
 
-#[test]
-fn profiler_reconciles_exactly_over_the_corpus_in_every_mode() {
-    for jit_mode in [JitMode::Sync, JitMode::Background] {
-        for exec_mode in [ExecMode::Linear, ExecMode::Graph] {
-            let hub = ProfilerHub::enabled();
-            let mut recon = Reconciliation::default();
-            for w in all_workloads() {
-                let mut vm = Vm::new(w.program.clone(), options(jit_mode, exec_mode, &hub));
-                for i in 0..80 {
-                    vm.call_entry("iterate", &[Value::Int(i)])
-                        .unwrap_or_else(|e| panic!("{} ({jit_mode:?}/{exec_mode:?}): {e}", w.name));
-                }
-                if jit_mode == JitMode::Background {
-                    vm.await_background_compiles();
-                }
-                let stats = vm.stats();
-                recon.stats_cycles += stats.cycles;
-                recon.vm_deopts += stats.deopts;
-                recon.vm_installs += stats.compiles;
-            }
-            let snapshot = hub.snapshot().unwrap();
-            recon.profiler_cycles = snapshot.total_cycles();
-            recon.profiler_deopts = snapshot.deopts;
-            recon.profiler_installs = snapshot.installs;
-            assert!(
-                recon.ok(),
-                "{jit_mode:?}/{exec_mode:?}: reconciliation failed: {recon:?}"
-            );
-            assert!(recon.profiler_cycles > 0);
-            assert!(
-                recon.profiler_installs > 0,
-                "{jit_mode:?}/{exec_mode:?}: corpus warmup must install compiled code"
-            );
-            // Both the interpreter and a compiled tier must have cycles:
-            // the corpus warms up from cold.
-            assert!(snapshot.tier_cycles(Tier::Interp) > 0);
-            let compiled_tier = match exec_mode {
-                ExecMode::Linear => Tier::Linear,
-                ExecMode::Graph => Tier::Graph,
-            };
-            assert!(
-                snapshot.tier_cycles(compiled_tier) > 0,
-                "{jit_mode:?}/{exec_mode:?}: compiled tier saw no cycles"
-            );
+/// Runs every corpus workload for 80 iterations in one (jit, exec) mode
+/// under one profiler, and checks that the profiler's totals reconcile
+/// exactly with the VMs' own counts. One test per mode, so the test
+/// harness runs the modes in parallel.
+fn profiler_reconciles_exactly_over_the_corpus(jit_mode: JitMode, exec_mode: ExecMode) {
+    let hub = ProfilerHub::enabled();
+    let mut recon = Reconciliation::default();
+    for w in all_workloads() {
+        let mut vm = Vm::new(w.program.clone(), options(jit_mode, exec_mode, &hub));
+        for i in 0..80 {
+            vm.call_entry("iterate", &[Value::Int(i)])
+                .unwrap_or_else(|e| panic!("{} ({jit_mode:?}/{exec_mode:?}): {e}", w.name));
         }
+        if jit_mode == JitMode::Background {
+            vm.await_background_compiles();
+        }
+        let stats = vm.stats();
+        recon.stats_cycles += stats.cycles;
+        recon.vm_deopts += stats.deopts;
+        recon.vm_installs += stats.compiles;
     }
+    let snapshot = hub.snapshot().unwrap();
+    recon.profiler_cycles = snapshot.total_cycles();
+    recon.profiler_deopts = snapshot.deopts;
+    recon.profiler_installs = snapshot.installs;
+    assert!(
+        recon.ok(),
+        "{jit_mode:?}/{exec_mode:?}: reconciliation failed: {recon:?}"
+    );
+    assert!(recon.profiler_cycles > 0);
+    assert!(
+        recon.profiler_installs > 0,
+        "{jit_mode:?}/{exec_mode:?}: corpus warmup must install compiled code"
+    );
+    // Both the interpreter and a compiled tier must have cycles: the
+    // corpus warms up from cold.
+    assert!(snapshot.tier_cycles(Tier::Interp) > 0);
+    let compiled_tier = match exec_mode {
+        ExecMode::Linear => Tier::Linear,
+        ExecMode::Graph => Tier::Graph,
+    };
+    assert!(
+        snapshot.tier_cycles(compiled_tier) > 0,
+        "{jit_mode:?}/{exec_mode:?}: compiled tier saw no cycles"
+    );
+}
+
+#[test]
+fn profiler_reconciles_exactly_over_the_corpus_sync_linear() {
+    profiler_reconciles_exactly_over_the_corpus(JitMode::Sync, ExecMode::Linear);
+}
+
+#[test]
+fn profiler_reconciles_exactly_over_the_corpus_sync_graph() {
+    profiler_reconciles_exactly_over_the_corpus(JitMode::Sync, ExecMode::Graph);
+}
+
+#[test]
+fn profiler_reconciles_exactly_over_the_corpus_background_linear() {
+    profiler_reconciles_exactly_over_the_corpus(JitMode::Background, ExecMode::Linear);
+}
+
+#[test]
+fn profiler_reconciles_exactly_over_the_corpus_background_graph() {
+    profiler_reconciles_exactly_over_the_corpus(JitMode::Background, ExecMode::Graph);
 }
 
 /// The guard-failure workload of the VM unit tests: compiled code

@@ -188,100 +188,100 @@ fn generated_programs_are_pinned() {
 }
 
 const CORPUS_PINS: &[(&str, u64, u64)] = &[
-    ("fop", 0xc8cc1a8322af1b24, 0x8c66c5285f78f490),
-    ("h2", 0x82c6ddb1aa50c833, 0x72fc0142628c07e8),
-    ("jython", 0x9670a6a0ee1aaf71, 0x9447dcd517f0f94f),
-    ("sunflow", 0x34e9fb6fec517d10, 0x4ee4c42cf44b96fd),
-    ("tomcat", 0x31a43c04add92a15, 0x2ef8bfa94ea914aa),
-    ("tradebeans", 0x8011b1c2ea62acc9, 0xc9f0329e786c2668),
-    ("xalan", 0xeeef012ededf0101, 0x16131855bed93197),
-    ("avrora", 0x7d1de2966d446853, 0xa6329fcd02228620),
-    ("batik", 0xd2c07ad5279ea8a2, 0x40ce15597d167de6),
-    ("eclipse", 0xf327d5a041aca2bb, 0x1dc00073b8ab911f),
-    ("luindex", 0xa70fc9ef76bad308, 0xacabdee23c060f26),
-    ("lusearch", 0xa70fc9ef76bad308, 0x2e6d184728129af0),
-    ("pmd", 0xcb18a3b51534a87a, 0x8e8bf5c4bce3f5c2),
-    ("tradesoap", 0xdecdedef486adbc8, 0x5f6e159c388e8380),
-    ("actors", 0x1e89a6763cecc366, 0xd30350db69d6f95b),
-    ("apparat", 0x42e64c0364bc49cf, 0x8108c4cb76c092d8),
-    ("factorie", 0xf5e9dae8d8f94df9, 0x5f24cacff86b5281),
-    ("kiama", 0xf59fdd119734ae05, 0x54473ff374106dac),
-    ("scalac", 0xd13a7a4f732ac961, 0x5b67bee40c01a66f),
-    ("scaladoc", 0xc4ff8edb9e90e532, 0xe6b9bbe62d760799),
-    ("scalap", 0xb07eca467146cfcd, 0xdf4d0e51405cba17),
-    ("scalariform", 0xc8cc1a8322af1b24, 0xe96b467c63d5f402),
-    ("scalatest", 0xe66e9e52ffc49b2b, 0xcd2676ad73c07dd8),
-    ("scalaxb", 0x5c7bd070db7c6e94, 0x41fa9f6054f88ae8),
-    ("specs", 0xd8cc9d680a4c835e, 0xbf92d936e1fd8b9c),
-    ("tmt", 0xcab1c28a324bba20, 0xf3a696041eff7ee2),
-    ("SPECjbb2005", 0x437e53a30e9bf49d, 0x75466b1974f7c436),
+    ("fop", 0xc8cc1a8322af1b24, 0x96caf757aee23a0f),
+    ("h2", 0x82c6ddb1aa50c833, 0x3ebe04751e0ccd05),
+    ("jython", 0x9670a6a0ee1aaf71, 0x7decddc1f6f062e3),
+    ("sunflow", 0x34e9fb6fec517d10, 0x78180eb43386a95a),
+    ("tomcat", 0x31a43c04add92a15, 0x9bd857c088cba13b),
+    ("tradebeans", 0x8011b1c2ea62acc9, 0x6a55dfbb852c0290),
+    ("xalan", 0xeeef012ededf0101, 0x80d8169f366e81c5),
+    ("avrora", 0x7d1de2966d446853, 0x5f4085a46ecc029f),
+    ("batik", 0xd2c07ad5279ea8a2, 0x43c05cc8ba7b4481),
+    ("eclipse", 0xf327d5a041aca2bb, 0x50236ead253407b7),
+    ("luindex", 0xa70fc9ef76bad308, 0x8040bfd36fd9e27e),
+    ("lusearch", 0xa70fc9ef76bad308, 0x25e1463ecd737a16),
+    ("pmd", 0xcb18a3b51534a87a, 0x8eafe090c3c9131a),
+    ("tradesoap", 0xdecdedef486adbc8, 0x48e1d1c04feb3f3d),
+    ("actors", 0x1e89a6763cecc366, 0x8bcf2a5e942a2532),
+    ("apparat", 0x42e64c0364bc49cf, 0x0bb7dadb2bdc398b),
+    ("factorie", 0xf5e9dae8d8f94df9, 0x89e0f4e46104a82a),
+    ("kiama", 0xf59fdd119734ae05, 0x2c35d20c41cbf6ff),
+    ("scalac", 0xd13a7a4f732ac961, 0xb8daf08ed6eaa907),
+    ("scaladoc", 0xc4ff8edb9e90e532, 0xf19d9bfb1bd77463),
+    ("scalap", 0xb07eca467146cfcd, 0x9ba63236c9d4012d),
+    ("scalariform", 0xc8cc1a8322af1b24, 0x9095fa973495ffd7),
+    ("scalatest", 0xe66e9e52ffc49b2b, 0xf94ede98d0dcc144),
+    ("scalaxb", 0x5c7bd070db7c6e94, 0x5eb1e83242b9e20b),
+    ("specs", 0xd8cc9d680a4c835e, 0x3181beb88a83c0ce),
+    ("tmt", 0xcab1c28a324bba20, 0xd0af3e6de108c40b),
+    ("SPECjbb2005", 0x437e53a30e9bf49d, 0xd67b074e9a57b3b8),
 ];
 
-const PAPER_PINS: &[(&str, u64, u64)] = &[("cache_key", 0x306410f2c5c8b93d, 0xe69d111e0a3ac3b0)];
+const PAPER_PINS: &[(&str, u64, u64)] = &[("cache_key", 0x306410f2c5c8b93d, 0x8e197c3ffdb74b81)];
 
 const GENERATED_PINS: &[(&str, u64, u64)] = &[
-    ("seed 0", 0xb2102700c798e51b, 0x1c8e4a0df68c804c),
-    ("seed 1", 0xb64d1c892194cd16, 0x8f0dda258a22a787),
-    ("seed 2", 0x01037bcf08a5591f, 0xb45dac95ad17634f),
-    ("seed 3", 0xadae9e46a55eb25a, 0xf71731cd9831f47b),
-    ("seed 4", 0xe5e7251d6ef5d423, 0x3711ce557d6997c1),
-    ("seed 5", 0xcd7cf2664d3d6b20, 0x37f982d28584be9b),
-    ("seed 6", 0x63e2bb346660257e, 0x3434164e088af906),
-    ("seed 7", 0x32ddcc1114216d06, 0x88ff67e449ca7421),
-    ("seed 8", 0x97fb20098802c091, 0x14082f3ce133a8ff),
-    ("seed 9", 0xc6757d02f2c761e0, 0x43b522d831dffb6f),
-    ("seed 10", 0xce1c40dc95799c6a, 0xb191b6dbf5b3c5d3),
-    ("seed 11", 0xf76e018d40eac66c, 0xd2e4ad84924278d1),
-    ("seed 12", 0x6659b28cdf35ed93, 0xcd2086120722ddd1),
-    ("seed 13", 0x65c561de72381416, 0xb2db9dd7c0ab84ef),
-    ("seed 14", 0x282a995ec64cdf20, 0x46bdc5ed3dd76431),
-    ("seed 15", 0xc5b489c6986b15ac, 0x3a77c9a54813f6c2),
-    ("seed 16", 0x3738c7341356a61b, 0xb065d1c01e6100ae),
-    ("seed 17", 0x106fe99e2413b37a, 0xcc4fc1f17dd308a8),
-    ("seed 18", 0xc689d79c881e2438, 0x03c1615118585efe),
-    ("seed 19", 0x36d4b14a9bb6f0cb, 0xa4e4a9e420777f46),
-    ("seed 20", 0xba56b2b7cd41ab1d, 0xde01bbeb6e7e9f33),
-    ("seed 21", 0x02250767656784ed, 0xcd1796b1eb0fd1dd),
-    ("seed 22", 0x47d75df6a1e11c50, 0x5951bd4bb37154e7),
-    ("seed 23", 0x80e0f39b09aeb95b, 0xd9b6f1d4c9fe0631),
-    ("seed 24", 0x410fa48b5477c459, 0xc6d1579fb8f27f39),
-    ("seed 25", 0x3aebcee2ec69a005, 0xf6ac44add5e384d2),
-    ("seed 26", 0x558fd15b1aa67353, 0x3ddc8e9f5fc6783f),
-    ("seed 27", 0x8ebfabccd0b0265e, 0xb8aa3ec6ea575104),
-    ("seed 28", 0x1c0ad76579c33e0c, 0x4098452014ebdd44),
-    ("seed 29", 0x260bc5a5706c244c, 0x7228b4d06c05dd2f),
-    ("seed 30", 0x6ac2e59f37697a34, 0x0c4659ef96191b1c),
-    ("seed 31", 0x1433e1e999d19b26, 0xd0d555d80a70e5ec),
-    ("seed 32", 0x784b605ce71d5163, 0xf141202dade35416),
-    ("seed 33", 0x64ff9dbf5412f938, 0x592e9ce054375619),
-    ("seed 34", 0x98bcb1a6d6ade3af, 0xb199e330dacac19b),
-    ("seed 35", 0x5568e5a1a0eddd50, 0x4f0db7a29ae16b42),
-    ("seed 36", 0x002277bfe0d10220, 0x17e80f3b9e3122da),
-    ("seed 37", 0x0381f8c793a431d1, 0x49b495b8798af313),
-    ("seed 38", 0x6b399bd1bcd4846f, 0x12f635b3a646967a),
-    ("seed 39", 0xe061e5c17437ce76, 0xcc904745dba923fd),
-    ("seed 40", 0x38402d838e7be17c, 0xa2667f2787d346c6),
-    ("seed 41", 0xb99097c635c3dbdc, 0x1d7cdb1a6167deef),
-    ("seed 42", 0x852d434c2e861393, 0xff8a381d2d93775e),
-    ("seed 43", 0x306e1050cf733ca6, 0xf5578f553d816d02),
-    ("seed 44", 0x22bcc47ed8934356, 0x95ac02b5da808852),
-    ("seed 45", 0xe7bc8a9afce3ac42, 0x957ab5b3eb30d53c),
-    ("seed 46", 0xda80f2b65d0eeb42, 0x38b485ab33d03aec),
-    ("seed 47", 0x2c2c6f0122c2d72e, 0xa3a1cc15c889b09f),
-    ("seed 48", 0xba4b699f3d9107b5, 0x433d6728d6b0445e),
-    ("seed 49", 0x058930c442621683, 0x60cb9e0e43015fb4),
-    ("seed 50", 0x026d001587c5f8af, 0x3bc51dbedf92a1e4),
-    ("seed 51", 0x79810a0494255afb, 0x6e83c0c17f0b41d9),
-    ("seed 52", 0xab1b285ce2683c05, 0x465843ec6cff18ac),
-    ("seed 53", 0x7fea4a3772570296, 0xe78f7c2e8d3f0144),
-    ("seed 54", 0x878d1e33237e50de, 0x58e697b1aa31b593),
-    ("seed 55", 0x4d6aafeedb102e26, 0xb6d51b8b1af895f4),
-    ("seed 56", 0x242e10cf6d96cdb8, 0xecd780bc2a1ea3fa),
-    ("seed 57", 0x8086c70656ff25d9, 0x5590f8e9daa74c77),
-    ("seed 58", 0xd2a5fc20a050c19c, 0x8bb35deecec5eeda),
-    ("seed 59", 0x5cde2908a3a9167b, 0x06b90a762ff91311),
-    ("seed 60", 0x6daf7b26ee1fd6b1, 0x5aeffd63e4e5a3d0),
-    ("seed 61", 0x41f85cf62b40a492, 0x52238b30830780c2),
-    ("seed 62", 0x514c0d674a7b317d, 0x91641dd303f5a172),
-    ("seed 63", 0xa81c93018a6beca9, 0x0d11529dde289e2e),
+    ("seed 0", 0xb2102700c798e51b, 0x67bd9d1aaa591a2c),
+    ("seed 1", 0xb64d1c892194cd16, 0xfa2420bc2e1c28c9),
+    ("seed 2", 0x01037bcf08a5591f, 0x1b14abe42d8f6c7f),
+    ("seed 3", 0xadae9e46a55eb25a, 0xad0b2b45c1280e1a),
+    ("seed 4", 0xe5e7251d6ef5d423, 0xd7b3a6faea6931c7),
+    ("seed 5", 0xcd7cf2664d3d6b20, 0x89e818eac9fb9251),
+    ("seed 6", 0x63e2bb346660257e, 0x38cdf1bd37c7a0af),
+    ("seed 7", 0x32ddcc1114216d06, 0xb3757c8f107e6a59),
+    ("seed 8", 0x97fb20098802c091, 0x4ed660716ad3b030),
+    ("seed 9", 0xc6757d02f2c761e0, 0x3d9f0695137e90e0),
+    ("seed 10", 0xce1c40dc95799c6a, 0x2b01ddf9fb87be78),
+    ("seed 11", 0xf76e018d40eac66c, 0x49fdbabf1721637d),
+    ("seed 12", 0x6659b28cdf35ed93, 0xbf1c3c78d84ef2a1),
+    ("seed 13", 0x65c561de72381416, 0x1c2e5bfdf3f60bc1),
+    ("seed 14", 0x282a995ec64cdf20, 0xc1a2c6358e604348),
+    ("seed 15", 0xc5b489c6986b15ac, 0xee5deeb5ea025a3e),
+    ("seed 16", 0x3738c7341356a61b, 0xb0ed91f6b146836f),
+    ("seed 17", 0x106fe99e2413b37a, 0xc5ae13602ecd15e6),
+    ("seed 18", 0xc689d79c881e2438, 0xa11a125c6624ca66),
+    ("seed 19", 0x36d4b14a9bb6f0cb, 0x02efd57d96c10135),
+    ("seed 20", 0xba56b2b7cd41ab1d, 0xc445ebb0a9aa3500),
+    ("seed 21", 0x02250767656784ed, 0xe847a5fbdef4204a),
+    ("seed 22", 0x47d75df6a1e11c50, 0x50bcf8c48032d975),
+    ("seed 23", 0x80e0f39b09aeb95b, 0x27d0d6e46055daf7),
+    ("seed 24", 0x410fa48b5477c459, 0x2aea3abd0364272b),
+    ("seed 25", 0x3aebcee2ec69a005, 0xfef80c4ecb0f20f3),
+    ("seed 26", 0x558fd15b1aa67353, 0xf660f55a4743530e),
+    ("seed 27", 0x8ebfabccd0b0265e, 0xdcbf19361e0d5003),
+    ("seed 28", 0x1c0ad76579c33e0c, 0x4e8cdc6e2845dfd2),
+    ("seed 29", 0x260bc5a5706c244c, 0x9f893ed79707982d),
+    ("seed 30", 0x6ac2e59f37697a34, 0x21895f00b29c79ab),
+    ("seed 31", 0x1433e1e999d19b26, 0x8086bd20d10b4574),
+    ("seed 32", 0x784b605ce71d5163, 0x36320831723419ba),
+    ("seed 33", 0x64ff9dbf5412f938, 0xda38aeb4875ac32d),
+    ("seed 34", 0x98bcb1a6d6ade3af, 0x3cb9285fd300a930),
+    ("seed 35", 0x5568e5a1a0eddd50, 0xd7313ba79a74b867),
+    ("seed 36", 0x002277bfe0d10220, 0xec39acb84fb43832),
+    ("seed 37", 0x0381f8c793a431d1, 0x0b5925b0a7fbc530),
+    ("seed 38", 0x6b399bd1bcd4846f, 0xb90ffecea9fa674b),
+    ("seed 39", 0xe061e5c17437ce76, 0x2d587e8686ecd702),
+    ("seed 40", 0x38402d838e7be17c, 0xf8532f03f14379f8),
+    ("seed 41", 0xb99097c635c3dbdc, 0x0355c88382cbd9fc),
+    ("seed 42", 0x852d434c2e861393, 0x6f0f7544f1374182),
+    ("seed 43", 0x306e1050cf733ca6, 0xad521cd7b07b50ae),
+    ("seed 44", 0x22bcc47ed8934356, 0x1e80ab394edb6109),
+    ("seed 45", 0xe7bc8a9afce3ac42, 0x33b4830cd0c97dcf),
+    ("seed 46", 0xda80f2b65d0eeb42, 0x9de3c98154b3e03b),
+    ("seed 47", 0x2c2c6f0122c2d72e, 0x8c2e547430d0b5ed),
+    ("seed 48", 0xba4b699f3d9107b5, 0x0b31736086a0b86a),
+    ("seed 49", 0x058930c442621683, 0x5e87cdf221151672),
+    ("seed 50", 0x026d001587c5f8af, 0xb509d6d4a25db100),
+    ("seed 51", 0x79810a0494255afb, 0x80fa19320bac26a5),
+    ("seed 52", 0xab1b285ce2683c05, 0x63e67a03bd92aa91),
+    ("seed 53", 0x7fea4a3772570296, 0x8a621b3c0efba15f),
+    ("seed 54", 0x878d1e33237e50de, 0x2ba5ff67ef865646),
+    ("seed 55", 0x4d6aafeedb102e26, 0x7615650cdf65e3c2),
+    ("seed 56", 0x242e10cf6d96cdb8, 0x4ecc680457f3fb52),
+    ("seed 57", 0x8086c70656ff25d9, 0xdddc0ffd975b1824),
+    ("seed 58", 0xd2a5fc20a050c19c, 0xf9b69b82361874ad),
+    ("seed 59", 0x5cde2908a3a9167b, 0x0085661fcd4d692f),
+    ("seed 60", 0x6daf7b26ee1fd6b1, 0x46e31c4f48da087c),
+    ("seed 61", 0x41f85cf62b40a492, 0x6196f211435617b7),
+    ("seed 62", 0x514c0d674a7b317d, 0x888ebe016ef26d13),
+    ("seed 63", 0xa81c93018a6beca9, 0x5a1cfb4eb3e4b6c0),
 ];

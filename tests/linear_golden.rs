@@ -30,23 +30,24 @@ fn compiled_cache_example() -> pea::compiler::CompiledMethod {
 /// hit path — the only allocation is the single commit on the miss path,
 /// and the elided monitor pair appears nowhere. The parameters are
 /// registers 0 and 1, written by the caller; the null that only the
-/// commit and the deopt metadata read has no register.
+/// commit and the deopt metadata read has no register, and the 13 that
+/// only a multiplication reads is its pool operand (`muli`).
 #[test]
 fn cache_example_lowered_encoding_golden() {
     let code = compiled_cache_example();
     let art = code.linear.as_ref().expect("cache example lowers");
     #[rustfmt::skip]
     let golden: Vec<u32> = vec![
-        0, 3, 0, 0, 4, 1, 0, 5, 2, 4, 6, 0, 5, 27, 7, 0, 31, 3, 1, 3, 0, 15, 8,
-        7, 35, 8, 75, 28, 17, 9, 7, 0, 20, 10, 9, 0, 0, 0, 36, 1, 0, 10, 72,
-        44, 17, 11, 7, 0, 20, 12, 11, 0, 1, 1, 14, 13, 1, 12, 37, 0, 13, 0, 69,
-        64, 38, 83, 1, 14, 4, 38, 78, 0, 38, 78, 0, 38, 78, 0, 38, 83, 1, 14,
-        3, 37, 0, 14, 0, 94, 89, 27, 15, 1, 41, 15, 30, 0, 28, 2, 0, 28, 6, 1,
-        27, 16, 1, 41, 16,
+        0, 3, 0, 0, 4, 1, 46, 5, 0, 2, 27, 6, 0, 31, 3, 1, 3, 0, 15, 7, 6, 35,
+        7, 72, 25, 17, 8, 6, 0, 20, 9, 8, 0, 0, 0, 36, 1, 0, 9, 69, 41, 17, 10,
+        6, 0, 20, 11, 10, 0, 1, 1, 14, 12, 1, 11, 37, 0, 12, 0, 66, 61, 38, 80,
+        1, 13, 4, 38, 75, 0, 38, 75, 0, 38, 75, 0, 38, 80, 1, 13, 3, 37, 0, 13,
+        0, 91, 86, 27, 14, 1, 41, 14, 30, 0, 28, 2, 0, 28, 5, 1, 27, 15, 1, 41,
+        15,
     ];
     assert_eq!(art.code, golden, "lowered code words changed");
     assert_eq!(art.pool, vec![0, 1, 13], "constant pool changed");
-    assert_eq!(art.num_regs, 17);
+    assert_eq!(art.num_regs, 16);
     assert_eq!(
         art.deopts.len(),
         1,
@@ -63,32 +64,31 @@ fn cache_example_disassembly_golden() {
     let art = code.linear.as_ref().expect("cache example lowers");
     let golden = "   0: const r3 <- 0
    3: const r4 <- 1
-   6: const r5 <- 13
-   9: mul r6 <- r0, r5
-  13: getstatic r7 <- S0
-  16: guard !r3 reason 3 deopt 0
-  21: isnull r8 <- r7
-  24: if r8 then 75 else 28
-  28: checkcast r9 <- r7, C0
-  32: ldfld r10 <- r9.[C0+0] (F0)
-  38: ifcmp[1] r0, r10 then 72 else 44
-  44: checkcast r11 <- r7, C0
-  48: ldfld r12 <- r11.[C0+1] (F1)
-  54: refeq r13 <- r1, r12
-  58: ifcmpi[0] r13, 0 then 69 else 64
-  64: edge -> 83 [r14 <- r4]
-  69: edge -> 78
-  72: edge -> 78
-  75: edge -> 78
-  78: edge -> 83 [r14 <- r3]
-  83: ifcmpi[0] r14, 0 then 94 else 89
-  89: getstatic r15 <- S1
-  92: ret r15
-  94: commit #0 x1 -> [r2]
-  96: putstatic S0 <- r2
-  99: putstatic S1 <- r6
- 102: getstatic r16 <- S1
- 105: ret r16
+   6: muli r5 <- r0, 13
+  10: getstatic r6 <- S0
+  13: guard !r3 reason 3 deopt 0
+  18: isnull r7 <- r6
+  21: if r7 then 72 else 25
+  25: checkcast r8 <- r6, C0
+  29: ldfld r9 <- r8.[C0+0] (F0)
+  35: ifcmp[1] r0, r9 then 69 else 41
+  41: checkcast r10 <- r6, C0
+  45: ldfld r11 <- r10.[C0+1] (F1)
+  51: refeq r12 <- r1, r11
+  55: ifcmpi[0] r12, 0 then 66 else 61
+  61: edge -> 80 [r13 <- r4]
+  66: edge -> 75
+  69: edge -> 75
+  72: edge -> 75
+  75: edge -> 80 [r13 <- r3]
+  80: ifcmpi[0] r13, 0 then 91 else 86
+  86: getstatic r14 <- S1
+  89: ret r14
+  91: commit #0 x1 -> [r2]
+  93: putstatic S0 <- r2
+  96: putstatic S1 <- r5
+  99: getstatic r15 <- S1
+ 102: ret r15
 ";
     assert_eq!(art.disassemble(), golden, "disassembly changed");
 }
