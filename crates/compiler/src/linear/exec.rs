@@ -28,7 +28,9 @@
 //! loop is instantiated once per charging discipline (`EXACT`), so the
 //! unobserved loop carries no per-charge test.
 
-use super::{decode_kind, decode_reason, op, DeoptPoint, LinearArtifact, SlotSrc, NO_REG};
+use super::{
+    decode_kind, decode_reason, op, DeoptPoint, LinearArtifact, SlotSrc, INSN_WORDS, NO_REG, WINDOW,
+};
 use crate::eval::{Call, EvalEnv, EvalOutcome};
 use crate::pipeline::CompiledMethod;
 use pea_bytecode::{ClassId, FieldId, MethodId, Program, StaticId};
@@ -48,7 +50,8 @@ use std::sync::Arc;
 pub struct RegisterStack {
     /// Every window. It only grows: registers are written before every
     /// read (SSA dominance carries over to the lowered form), so a
-    /// window's stale contents are never observed.
+    /// window's stale contents are never observed. It holds [`WINDOW`]
+    /// slots past the start of every window a run has entered.
     values: Vec<Value>,
     /// Where the next window starts: past the running activation's.
     top: usize,
@@ -197,16 +200,37 @@ fn hold(codes: &mut Vec<Held>, held: usize, code: &Arc<CompiledMethod>) -> u32 {
     slot as u32
 }
 
+/// A running activation's registers as the dispatch loop indexes them:
+/// `regs[r as u8 as usize]` needs no bounds check.
+type Window = [Value; WINDOW];
+
+/// The window that starts at `base`.
+#[inline(always)]
+fn window(values: &mut [Value], base: usize) -> &mut Window {
+    (&mut values[base..base + WINDOW])
+        .try_into()
+        .expect("a window is WINDOW registers")
+}
+
+/// The fixed part of the instruction at `pc`: one bounds check, which
+/// holds for every instruction because the code stream is padded.
+#[inline(always)]
+fn insn(c: &[u32], pc: usize) -> &[u32; INSN_WORDS] {
+    c[pc..pc + INSN_WORDS]
+        .try_into()
+        .expect("an instruction's fixed part is INSN_WORDS words")
+}
+
 /// Takes what the call at `pc` returned into `regs` and steps past it.
 #[inline(always)]
-fn returned(c: &[u32], pc: &mut usize, regs: &mut [Value], v: Option<Value>) {
-    let dst = c[*pc + 3];
+fn returned(c: &[u32], pc: &mut usize, regs: &mut Window, v: Option<Value>) {
+    let w = insn(c, *pc);
     if let Some(v) = v {
-        if dst != NO_REG {
-            regs[dst as usize] = v;
+        if w[3] != NO_REG {
+            regs[w[3] as u8 as usize] = v;
         }
     }
-    *pc += 6 + c[*pc + 5] as usize;
+    *pc += 6 + w[5] as usize;
 }
 
 /// One run of the loop: the register stack it took from the host, where
@@ -243,12 +267,9 @@ fn artifact<'m>(entry: &'m CompiledMethod, codes: &'m [Held], running: u32) -> &
 
 /// The running activation's code and registers.
 #[inline(always)]
-fn registers<'m>(m: &'m mut Machine<'_>) -> (&'m LinearArtifact, &'m mut [Value]) {
+fn registers<'m>(m: &'m mut Machine<'_>) -> (&'m LinearArtifact, &'m mut Window) {
     let art = artifact(m.entry, &m.stack.codes, m.running);
-    (
-        art,
-        &mut m.stack.values[m.base..m.base + art.num_regs as usize],
-    )
+    (art, window(&mut m.stack.values, m.base))
 }
 
 /// Runs `entry` with `entry_args` and the compiled callees it reaches
@@ -276,11 +297,10 @@ fn run<E: EvalEnv + ?Sized, const EXACT: bool>(
         attributed: env.profiler().is_enabled(),
         running: ENTRY,
     };
-    let top = m.base + linear(entry).num_regs as usize;
-    if m.stack.values.len() < top {
-        m.stack.values.resize(top, Value::Null);
+    if m.stack.values.len() < m.base + WINDOW {
+        m.stack.values.resize(m.base + WINDOW, Value::Null);
     }
-    for (param, &arg) in m.stack.values[m.base..top].iter_mut().zip(entry_args) {
+    for (param, &arg) in m.stack.values[m.base..].iter_mut().zip(entry_args) {
         *param = arg;
     }
     let mut pending: u64 = 0;
@@ -407,7 +427,9 @@ fn dispatch<E: EvalEnv + ?Sized, const EXACT: bool>(
 }
 
 /// [`dispatch`]'s loop. `pending` never reaches a function that is not
-/// inlined here.
+/// inlined here, and neither does the address of `pc`: each instruction
+/// reads its fixed part as one array ([`insn`]), and its register
+/// operands index the running activation's [`Window`] without a check.
 #[allow(clippy::too_many_lines)]
 #[inline(always)]
 fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
@@ -419,16 +441,25 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
 ) -> Result<Exit, VmError> {
     let mut art: &LinearArtifact;
     let mut c: &[u32];
-    let mut regs: &mut [Value];
+    let mut regs: &mut Window;
+    // The running instruction's fixed part.
+    let mut w: &[u32; INSN_WORDS];
     // After a switch: the running activation's code and window.
     macro_rules! load {
         () => {
             art = artifact(m.entry, &m.stack.codes, m.running);
             c = &art.code;
-            regs = &mut m.stack.values[m.base..m.base + art.num_regs as usize];
+            regs = window(&mut m.stack.values, m.base);
         };
     }
     load!();
+
+    // The register operand `$k` words past the opcode.
+    macro_rules! reg {
+        ($k:expr) => {
+            regs[w[$k] as u8 as usize]
+        };
+    }
 
     macro_rules! charge {
         ($n:expr) => {
@@ -445,28 +476,29 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
     // which may trap with `?`.
     macro_rules! arith {
         ($a:ident, $b:ident => $body:expr) => {
-            arith!(@ regs[c[pc + 3] as usize].as_int()?, $a, $b => $body)
+            arith!(@ reg!(3).as_int()?, $a, $b => $body)
         };
         (imm $a:ident, $b:ident => $body:expr) => {
-            arith!(@ art.pool[c[pc + 3] as usize], $a, $b => $body)
+            arith!(@ art.pool[w[3] as usize], $a, $b => $body)
         };
         (@ $right:expr, $a:ident, $b:ident => $body:expr) => {{
             charge!(cost::ALU_OP);
-            let $a = regs[c[pc + 2] as usize].as_int()?;
+            let $a = reg!(2).as_int()?;
             let $b = $right;
-            regs[c[pc + 1] as usize] = Value::Int($body);
+            reg!(1) = Value::Int($body);
             pc += 4;
         }};
     }
 
     loop {
-        match c[pc] {
+        w = insn(c, pc);
+        match w[0] {
             op::CONST_INT => {
-                regs[c[pc + 1] as usize] = Value::Int(art.pool[c[pc + 2] as usize]);
+                reg!(1) = Value::Int(art.pool[w[2] as usize]);
                 pc += 3;
             }
             op::CONST_NULL => {
-                regs[c[pc + 1] as usize] = Value::Null;
+                reg!(1) = Value::Null;
                 pc += 2;
             }
             op::ADD => arith!(a, b => a.wrapping_add(b)),
@@ -491,38 +523,38 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
             op::SHR_I => arith!(imm a, b => a.wrapping_shr((b & 63) as u32)),
             op::NEG => {
                 charge!(cost::ALU_OP);
-                let a = regs[c[pc + 2] as usize].as_int()?;
-                regs[c[pc + 1] as usize] = Value::Int(a.wrapping_neg());
+                let a = reg!(2).as_int()?;
+                reg!(1) = Value::Int(a.wrapping_neg());
                 pc += 3;
             }
             op::COMPARE => {
                 charge!(cost::ALU_OP);
-                let a = regs[c[pc + 3] as usize].as_int()?;
-                let b = regs[c[pc + 4] as usize].as_int()?;
-                regs[c[pc + 2] as usize] = Value::from_bool(compare(c[pc + 1], a, b));
+                let a = reg!(3).as_int()?;
+                let b = reg!(4).as_int()?;
+                reg!(2) = Value::from_bool(compare(w[1], a, b));
                 pc += 5;
             }
             op::REF_EQ => {
                 charge!(cost::ALU_OP);
-                let a = regs[c[pc + 2] as usize].as_ref_or_null()?;
-                let b = regs[c[pc + 3] as usize].as_ref_or_null()?;
-                regs[c[pc + 1] as usize] = Value::from_bool(a == b);
+                let a = reg!(2).as_ref_or_null()?;
+                let b = reg!(3).as_ref_or_null()?;
+                reg!(1) = Value::from_bool(a == b);
                 pc += 4;
             }
             op::IS_NULL => {
                 charge!(cost::ALU_OP);
-                let v = regs[c[pc + 2] as usize].as_ref_or_null()?;
-                regs[c[pc + 1] as usize] = Value::from_bool(v.is_none());
+                let v = reg!(2).as_ref_or_null()?;
+                reg!(1) = Value::from_bool(v.is_none());
                 pc += 3;
             }
             op::INSTANCE_OF => {
                 charge!(cost::ALU_OP);
-                let v = regs[c[pc + 2] as usize].as_ref_or_null()?;
-                let class = ClassId(c[pc + 3]);
+                let v = reg!(2).as_ref_or_null()?;
+                let class = ClassId(w[3]);
                 let is = match v {
                     Some(r) => {
                         let dynamic = env.heap().class_of(r)?;
-                        if c[pc + 4] != 0 {
+                        if w[4] != 0 {
                             dynamic == class
                         } else {
                             program.is_subclass_of(dynamic, class)
@@ -530,14 +562,14 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
                     }
                     None => false,
                 };
-                regs[c[pc + 1] as usize] = Value::from_bool(is);
+                reg!(1) = Value::from_bool(is);
                 pc += 5;
             }
             op::CHECK_CAST => {
                 charge!(cost::ALU_OP);
-                let v = regs[c[pc + 2] as usize];
+                let v = reg!(2);
                 if let Some(r) = v.as_ref_or_null()? {
-                    let class = ClassId(c[pc + 3]);
+                    let class = ClassId(w[3]);
                     let dynamic = env.heap().class_of(r)?;
                     if !program.is_subclass_of(dynamic, class) {
                         return Err(VmError::ClassCast {
@@ -546,107 +578,107 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
                         });
                     }
                 }
-                regs[c[pc + 1] as usize] = v;
+                reg!(1) = v;
                 pc += 4;
             }
             op::NEW => {
-                charge!(u64::from(c[pc + 3]));
+                charge!(u64::from(w[3]));
                 env.profiler().record_alloc();
-                let r = env.heap().try_alloc_instance(program, ClassId(c[pc + 2]))?;
-                regs[c[pc + 1] as usize] = Value::Ref(r);
+                let r = env.heap().try_alloc_instance(program, ClassId(w[2]))?;
+                reg!(1) = Value::Ref(r);
                 pc += 4;
             }
             op::NEW_ARRAY => {
-                let len = regs[c[pc + 2] as usize].as_int()?;
+                let len = reg!(2).as_int()?;
                 charge!(cost::array_alloc_cost(len));
                 env.profiler().record_alloc();
-                let r = env.heap().alloc_array(decode_kind(c[pc + 3]), len)?;
-                regs[c[pc + 1] as usize] = Value::Ref(r);
+                let r = env.heap().alloc_array(decode_kind(w[3]), len)?;
+                reg!(1) = Value::Ref(r);
                 pc += 4;
             }
             op::LOAD_FIELD => {
                 charge!(cost::MEMORY_OP);
-                let obj = regs[c[pc + 2] as usize].as_ref()?;
+                let obj = reg!(2).as_ref()?;
                 let v = env.heap().get_field_at(
                     program,
                     obj,
-                    ClassId(c[pc + 3]),
-                    c[pc + 4] as usize,
-                    FieldId(c[pc + 5]),
+                    ClassId(w[3]),
+                    w[4] as usize,
+                    FieldId(w[5]),
                 )?;
-                regs[c[pc + 1] as usize] = v;
+                reg!(1) = v;
                 pc += 6;
             }
             op::STORE_FIELD => {
                 charge!(cost::MEMORY_OP);
-                let obj = regs[c[pc + 1] as usize].as_ref()?;
-                let v = regs[c[pc + 2] as usize];
+                let obj = reg!(1).as_ref()?;
+                let v = reg!(2);
                 env.heap().put_field_at(
                     program,
                     obj,
-                    ClassId(c[pc + 3]),
-                    c[pc + 4] as usize,
-                    FieldId(c[pc + 5]),
+                    ClassId(w[3]),
+                    w[4] as usize,
+                    FieldId(w[5]),
                     v,
                 )?;
                 pc += 6;
             }
             op::LOAD_INDEXED => {
                 charge!(cost::MEMORY_OP);
-                let arr = regs[c[pc + 2] as usize].as_ref()?;
-                let idx = regs[c[pc + 3] as usize].as_int()?;
-                regs[c[pc + 1] as usize] = env.heap().array_get(arr, idx)?;
+                let arr = reg!(2).as_ref()?;
+                let idx = reg!(3).as_int()?;
+                reg!(1) = env.heap().array_get(arr, idx)?;
                 pc += 4;
             }
             op::STORE_INDEXED => {
                 charge!(cost::MEMORY_OP);
-                let arr = regs[c[pc + 1] as usize].as_ref()?;
-                let idx = regs[c[pc + 2] as usize].as_int()?;
-                let v = regs[c[pc + 3] as usize];
+                let arr = reg!(1).as_ref()?;
+                let idx = reg!(2).as_int()?;
+                let v = reg!(3);
                 env.heap().array_set(arr, idx, v)?;
                 pc += 4;
             }
             op::ARRAY_LEN => {
                 charge!(cost::MEMORY_OP);
-                let arr = regs[c[pc + 2] as usize].as_ref()?;
+                let arr = reg!(2).as_ref()?;
                 let len = env.heap().array_length(arr)?;
-                regs[c[pc + 1] as usize] = Value::Int(len);
+                reg!(1) = Value::Int(len);
                 pc += 3;
             }
             op::MONITOR_ENTER => {
                 charge!(cost::MONITOR_OP);
-                let obj = regs[c[pc + 1] as usize].as_ref()?;
+                let obj = reg!(1).as_ref()?;
                 env.heap().monitor_enter(obj);
                 pc += 2;
             }
             op::MONITOR_EXIT => {
                 charge!(cost::MONITOR_OP);
-                let obj = regs[c[pc + 1] as usize].as_ref()?;
+                let obj = reg!(1).as_ref()?;
                 env.heap().monitor_exit(obj)?;
                 pc += 2;
             }
             op::GET_STATIC => {
                 charge!(cost::MEMORY_OP);
-                regs[c[pc + 1] as usize] = env.statics().get(StaticId(c[pc + 2]));
+                reg!(1) = env.statics().get(StaticId(w[2]));
                 pc += 3;
             }
             op::PUT_STATIC => {
                 charge!(cost::MEMORY_OP);
-                let v = regs[c[pc + 1] as usize];
-                env.statics().set(StaticId(c[pc + 2]), v);
+                let v = reg!(1);
+                env.statics().set(StaticId(w[2]), v);
                 pc += 3;
             }
             op::INVOKE => {
-                let resolved = if c[pc + 2] != 0 {
-                    let recv = regs[c[pc + 6] as usize].as_ref()?;
+                let resolved = if w[2] != 0 {
+                    let recv = reg!(6).as_ref()?;
                     let dynamic = env.heap().class_of(recv)?;
                     program
-                        .resolve_virtual(dynamic, MethodId(c[pc + 1]))
+                        .resolve_virtual(dynamic, MethodId(w[1]))
                         .map_err(|e| VmError::NoSuchMethod(e.to_string()))?
                 } else {
-                    MethodId(c[pc + 1])
+                    MethodId(w[1])
                 };
-                let argc = c[pc + 5] as usize;
+                let argc = w[5] as usize;
                 let top = m.base + art.num_regs as usize;
                 pass_args(&mut m.stack.values, m.base, top, &c[pc + 6..pc + 6 + argc]);
                 if m.attributed {
@@ -656,9 +688,8 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
                 match env.call(program, resolved, argc, &mut m.stack) {
                     Ok(Call::Compiled(code, ctx)) => {
                         let cycles = cost::CALL_OVERHEAD + cost::icache_cost(code.code_size);
-                        let len = linear(code).num_regs as usize;
-                        if m.stack.values.len() < top + len {
-                            grow(&mut m.stack.values, top + len);
+                        if m.stack.values.len() < top + WINDOW {
+                            grow(&mut m.stack.values, top + WINDOW);
                         }
                         let slot = hold(&mut m.stack.codes, m.held, code);
                         m.stack.frames.push(Suspended {
@@ -699,7 +730,7 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
                 let done = commit::<E, EXACT>(
                     program,
                     env,
-                    &art.commits[c[pc + 1] as usize],
+                    &art.commits[w[1] as usize],
                     regs,
                     &mut cycles,
                 );
@@ -709,13 +740,13 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
             }
             op::GUARD => {
                 charge!(cost::BRANCH_OP);
-                let cond = regs[c[pc + 1] as usize].as_bool()?;
-                if cond == (c[pc + 2] != 0) {
+                let cond = reg!(1).as_bool()?;
+                if cond == (w[2] != 0) {
                     charge!(cost::DEOPT_PENALTY);
-                    let point = &art.deopts[c[pc + 4] as usize];
+                    let point = &art.deopts[w[4] as usize];
                     let (frames, rematerialized) = materialize_frames(program, env, point, regs)?;
                     return Ok(Exit::End(EvalOutcome::Deopt {
-                        reason: decode_reason(c[pc + 3]),
+                        reason: decode_reason(w[3]),
                         frames,
                         rematerialized,
                     }));
@@ -724,19 +755,19 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
             }
             op::GUARD_CMP | op::GUARD_CMP_I => {
                 charge!(cost::ALU_OP);
-                let a = regs[c[pc + 2] as usize].as_int()?;
-                let b = if c[pc] == op::GUARD_CMP_I {
-                    art.pool[c[pc + 3] as usize]
+                let a = reg!(2).as_int()?;
+                let b = if w[0] == op::GUARD_CMP_I {
+                    art.pool[w[3] as usize]
                 } else {
-                    regs[c[pc + 3] as usize].as_int()?
+                    reg!(3).as_int()?
                 };
                 charge!(cost::BRANCH_OP);
-                if compare(c[pc + 1], a, b) {
+                if compare(w[1], a, b) {
                     charge!(cost::DEOPT_PENALTY);
-                    let point = &art.deopts[c[pc + 5] as usize];
+                    let point = &art.deopts[w[5] as usize];
                     let (frames, rematerialized) = materialize_frames(program, env, point, regs)?;
                     return Ok(Exit::End(EvalOutcome::Deopt {
-                        reason: decode_reason(c[pc + 4]),
+                        reason: decode_reason(w[4]),
                         frames,
                         rematerialized,
                     }));
@@ -745,33 +776,29 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
             }
             op::DEOPT => {
                 charge!(cost::DEOPT_PENALTY);
-                let point = &art.deopts[c[pc + 2] as usize];
+                let point = &art.deopts[w[2] as usize];
                 let (frames, rematerialized) = materialize_frames(program, env, point, regs)?;
                 return Ok(Exit::End(EvalOutcome::Deopt {
-                    reason: decode_reason(c[pc + 1]),
+                    reason: decode_reason(w[1]),
                     frames,
                     rematerialized,
                 }));
             }
             op::IF => {
                 charge!(cost::BRANCH_OP);
-                let cond = regs[c[pc + 1] as usize].as_bool()?;
-                pc = if cond { c[pc + 2] } else { c[pc + 3] } as usize;
+                let cond = reg!(1).as_bool()?;
+                pc = if cond { w[2] } else { w[3] } as usize;
             }
             op::IF_CMP | op::IF_CMP_I => {
                 charge!(cost::ALU_OP);
-                let a = regs[c[pc + 2] as usize].as_int()?;
-                let b = if c[pc] == op::IF_CMP_I {
-                    art.pool[c[pc + 3] as usize]
+                let a = reg!(2).as_int()?;
+                let b = if w[0] == op::IF_CMP_I {
+                    art.pool[w[3] as usize]
                 } else {
-                    regs[c[pc + 3] as usize].as_int()?
+                    reg!(3).as_int()?
                 };
                 charge!(cost::BRANCH_OP);
-                pc = if compare(c[pc + 1], a, b) {
-                    c[pc + 4]
-                } else {
-                    c[pc + 5]
-                } as usize;
+                pc = if compare(w[1], a, b) { w[4] } else { w[5] } as usize;
             }
             op::EDGE => {
                 charge!(cost::BRANCH_OP);
@@ -784,16 +811,11 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
                 pc = edge(c, pc, regs);
             }
             op::MOVE => {
-                regs[c[pc + 1] as usize] = regs[c[pc + 2] as usize];
+                reg!(1) = reg!(2);
                 pc += 3;
             }
             op::RETURN => {
-                let src = c[pc + 1];
-                let v = if src == NO_REG {
-                    None
-                } else {
-                    Some(regs[src as usize])
-                };
+                let v = if w[1] == NO_REG { None } else { Some(reg!(1)) };
                 if m.stack.frames.len() == m.floor {
                     return Ok(Exit::Return(v));
                 }
@@ -809,20 +831,25 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
                 returned(c, &mut pc, regs, v);
             }
             op::THROW => {
-                let code_v = regs[c[pc + 1] as usize].as_int()?;
+                let code_v = reg!(1).as_int()?;
                 return Err(VmError::UserException(code_v));
             }
             op::UNWIND => {
-                let exc = regs[c[pc + 1] as usize].as_ref()?;
+                let exc = reg!(1).as_ref()?;
                 return Err(VmError::Thrown(exc));
             }
-            other => {
-                return Err(VmError::Internal(format!(
-                    "linear dispatch: invalid opcode {other} at pc {pc}"
-                )))
-            }
+            other => return Err(invalid_opcode(other, pc)),
         }
     }
+}
+
+/// The error for an opcode the loop does not know. Out of line, and `pc`
+/// passed by value: formatting it in the loop took its address, and the
+/// loop kept `pc` in memory for every instruction.
+#[cold]
+#[inline(never)]
+fn invalid_opcode(op: u32, pc: usize) -> VmError {
+    VmError::Internal(format!("linear dispatch: invalid opcode {op} at pc {pc}"))
 }
 
 /// Writes each argument of a call once, from the registers `arg_regs` of
@@ -852,12 +879,13 @@ fn grow(values: &mut Vec<Value>, len: usize) {
 /// Performs the phi moves of the edge instruction at `pc` and returns
 /// its target.
 #[inline(always)]
-fn edge(c: &[u32], pc: usize, regs: &mut [Value]) -> usize {
-    let n = c[pc + 2] as usize;
+fn edge(c: &[u32], pc: usize, regs: &mut Window) -> usize {
+    let w = insn(c, pc);
+    let n = w[2] as usize;
     for m in c[pc + 3..pc + 3 + 2 * n].chunks_exact(2) {
-        regs[m[0] as usize] = regs[m[1] as usize];
+        regs[m[0] as u8 as usize] = regs[m[1] as u8 as usize];
     }
-    c[pc + 1] as usize
+    w[1] as usize
 }
 
 /// Wrapping division; traps on a zero divisor.

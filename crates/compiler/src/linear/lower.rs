@@ -22,11 +22,14 @@
 //! constants themselves. A constant gets a register, and an instruction
 //! that writes it, only when some instruction reads it from one.
 //! Parameters are the first registers and are written by the caller.
+//!
+//! The stream ends with `INSN_WORDS - 1` zero words, so the executor can
+//! read any instruction's fixed part as one array ([`INSN_WORDS`]).
 
 use super::{
     arith_imm_opcode, arith_opcode, class_code, cmp_code, kind_code, op, reason_code,
     CommitFieldSrc, DeoptPoint, LinearArtifact, LinearCommit, LinearCommitObj, LinearFrame,
-    LinearVObj, SlotSrc, NO_REG,
+    LinearVObj, SlotSrc, INSN_WORDS, NO_REG, WINDOW,
 };
 use pea_bytecode::{ClassId, CmpOp, FieldId, MethodId, Program, ValueKind};
 use pea_ir::cfg::{BlockId, Cfg};
@@ -52,8 +55,9 @@ impl std::error::Error for LowerError {}
 ///
 /// # Errors
 ///
-/// [`LowerError`] when the encoding cannot represent the method (register
-/// or code-stream overflow) — practically unreachable for real programs.
+/// [`LowerError`] when the encoding cannot represent the method: more
+/// registers than a [`WINDOW`] holds (`too many registers`), or a code
+/// stream or table past `u32`.
 pub fn lower(
     program: &Program,
     method: MethodId,
@@ -183,6 +187,10 @@ impl Lowerer<'_> {
             debug_assert_ne!(pc, u32::MAX, "jump into un-laid-out block");
             self.code[idx] = pc;
         }
+        if self.next_reg as usize > WINDOW {
+            return Err(LowerError("too many registers".into()));
+        }
+        self.code.extend_from_slice(&[0; INSN_WORDS - 1]);
         Ok(LinearArtifact {
             code: self.code,
             pool: self.pool,

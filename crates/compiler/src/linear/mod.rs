@@ -30,18 +30,37 @@ use pea_bytecode::{ClassId, MethodId};
 use pea_ir::AllocShape;
 
 /// Sentinel register/index meaning "absent" (e.g. a call with no result).
+/// As a register operand it truncates to the window's last register, so
+/// the dispatch loop compares an operand that may hold it before it
+/// indexes the window.
 pub const NO_REG: u32 = u32::MAX;
+
+/// Words of an instruction's fixed part at its longest: the opcode and
+/// six operands ([`op::INVOKE`] reads its receiver, the first argument,
+/// at `+6`). The code stream ends with `INSN_WORDS - 1` zero words, so
+/// the dispatch loop reads every instruction's fixed part as one
+/// `&[u32; INSN_WORDS]` with one bounds check.
+pub const INSN_WORDS: usize = 7;
+
+/// Registers of an activation's window as the dispatch loop sees it. A
+/// register operand indexes it as `r as u8 as usize`, which needs no
+/// bounds check; the lowering refuses a method that needs more, and the
+/// register stack keeps `WINDOW` slots past every window's start. Past
+/// the activation's own `num_regs` the window overlaps its callees',
+/// which no operand reaches.
+pub const WINDOW: usize = 256;
 
 /// Opcodes of the linear register machine. One `u32` word each, followed
 /// by a fixed (per-opcode) number of operand words; `INVOKE` adds a
 /// trailing argument-register list and the edge instructions a trailing
 /// move list, each preceded by its length.
 ///
-/// Registers are indices into the running activation's window. A method's
-/// parameters are its first registers, `0..param_count`: the caller writes
-/// the arguments there, so no instruction loads them. A constant has a
-/// register, written by [`op::CONST_INT`] or [`op::CONST_NULL`], only
-/// when an instruction reads it from one: binary arithmetic and a fused
+/// Registers are indices into the running activation's window, below
+/// [`WINDOW`]. A method's parameters are its first registers,
+/// `0..param_count`: the caller writes the arguments there, so no
+/// instruction loads them. A constant has a register, written by
+/// [`op::CONST_INT`] or [`op::CONST_NULL`], only when an instruction
+/// reads it from one: binary arithmetic and a fused
 /// compare read an integer operand from the pool ([`op::ADD_I`]`..=`
 /// [`op::SHR_I`], [`op::IF_CMP_I`], [`op::GUARD_CMP_I`]), and deopt
 /// metadata and commit templates carry constants themselves
@@ -49,7 +68,9 @@ pub const NO_REG: u32 = u32::MAX;
 ///
 /// The dispatch loop is a dense jump table over these values (Rust has no
 /// computed goto, but the compiler lowers the exhaustive `match` on a
-/// dense `u32` range to the same direct-threaded table).
+/// dense `u32` range to the same direct-threaded table). It reads the
+/// [`INSN_WORDS`] words from the opcode on, once per instruction; only
+/// `INVOKE`'s argument list and an edge's move list are read past them.
 pub mod op {
     /// `[dst, pool_idx]` — load an `i64` constant from the pool.
     pub const CONST_INT: u32 = 0;
@@ -278,14 +299,16 @@ pub struct LinearCommit {
 /// program plus the side tables its instructions index into.
 #[derive(Clone, Debug)]
 pub struct LinearArtifact {
-    /// Instruction stream (see [`op`]).
+    /// Instruction stream (see [`op`]), then `INSN_WORDS - 1` zero
+    /// words of padding ([`INSN_WORDS`]): no jump targets them, and the
+    /// last instruction ends where they begin ([`LinearArtifact::insns`]).
     pub code: Vec<u32>,
     /// `i64` constant pool ([`op::CONST_INT`], the immediate arithmetic
     /// opcodes, [`op::IF_CMP_I`] and [`op::GUARD_CMP_I`] operands index
     /// it).
     pub pool: Vec<i64>,
     /// Number of registers the activation's window holds, its parameters
-    /// first.
+    /// first: at most [`WINDOW`].
     pub num_regs: u32,
     /// Deopt-metadata table ([`op::GUARD`], [`op::GUARD_CMP`],
     /// [`op::GUARD_CMP_I`], [`op::DEOPT`] and [`op::INVOKE`] operands
@@ -296,12 +319,17 @@ pub struct LinearArtifact {
 }
 
 impl LinearArtifact {
+    /// The instruction stream without its padding.
+    pub fn insns(&self) -> &[u32] {
+        &self.code[..self.code.len() - (INSN_WORDS - 1)]
+    }
+
     /// Human-readable disassembly, one instruction per line — used by the
     /// golden encoding test and `--dump-linear` style diagnostics.
     pub fn disassemble(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let c = &self.code;
+        let c = self.insns();
         let mut pc = 0usize;
         let reg = |r: u32| {
             if r == NO_REG {

@@ -279,8 +279,8 @@ mod tests {
     use pea_bytecode::asm::parse_program;
     use pea_ir::NodeKind;
 
-    /// Every `LowerError` is an encoding overflow or a broken graph
-    /// invariant, so none can be provoked from bytecode: break an
+    /// A `LowerError` from a broken graph invariant cannot be provoked
+    /// from bytecode (the register limit can: `compile_eval.rs`): break an
     /// invariant by hand and run the `Lower` phase on the result.
     #[test]
     fn lowering_failure_is_a_bailout() {

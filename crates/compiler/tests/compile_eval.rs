@@ -5,7 +5,7 @@
 //! at every fuel budget.
 
 use pea_bytecode::asm::parse_program;
-use pea_bytecode::{Insn, MethodId, Program};
+use pea_bytecode::{Insn, MethodId, Program, StaticId};
 use pea_compiler::linear::execute;
 use pea_compiler::{
     compile, evaluate, CompiledMethod, CompilerOptions, EvalEnv, EvalOutcome, OptLevel,
@@ -47,11 +47,16 @@ impl EvalEnv for TestEnv {
     }
     fn invoke(
         &mut self,
-        _program: &Program,
-        _method: MethodId,
+        program: &Program,
+        method: MethodId,
         _args: &[Value],
     ) -> Result<Option<Value>, VmError> {
-        panic!("test programs are fully inlined");
+        assert_eq!(
+            program.method(method).code,
+            [Insn::Return],
+            "test programs inline every call but those to a method that does nothing"
+        );
+        Ok(None)
     }
     fn has_fuel_limit(&self) -> bool {
         self.fuel.is_some()
@@ -763,5 +768,159 @@ fn a_constant_only_bound_readers_read_costs_no_instruction() {
     assert!(!dis.contains("const "), "{dis}");
     for arg in [3, 100] {
         tiers_agree_at_every_fuel_budget(&program, &code, &[Value::Int(arg)]);
+    }
+}
+
+/// `wide`: a loop whose body calls the void `nop` out of line, then
+/// chains `steps` immediate operations on an accumulator (after a static
+/// read, so they stay behind the call), counts down, and publishes a
+/// two-object group. Each chained step is one more register, and `wide`
+/// returns nothing.
+fn wide_src(steps: usize) -> String {
+    let chain: String = (0..steps)
+        .map(|j| {
+            let (op, c) = wide_step(j);
+            format!("const {c} {op} ")
+        })
+        .collect();
+    format!(
+        "class Node {{ field next ref }}
+        static g ref
+        static h int
+        static k int
+        method nop 0 {{ ret }}
+        method wide 1 {{
+            load 0 store 1
+            const 5 store 2
+        Lhead:
+            load 1 const 0 ifcmp le Ldone
+            invokestatic nop
+            load 2 getstatic k add {chain}store 2
+            load 1 const 1 sub store 1
+            new Node dup new Node putfield Node.next putstatic g
+            goto Lhead
+        Ldone:
+            load 2 putstatic h
+            ret
+        }}"
+    )
+}
+
+/// Step `j` of `wide`'s chain: an operation and its constant operand.
+fn wide_step(j: usize) -> (&'static str, i64) {
+    let j = i64::try_from(j).unwrap();
+    if j % 2 == 0 {
+        ("add", j + 1)
+    } else {
+        ("xor", j % 7 + 2)
+    }
+}
+
+/// `wide` of `wide_src(steps)`, compiled at `pea` with its call to `nop`
+/// left out of line.
+fn compiled_wide(program: &Program) -> Result<CompiledMethod, pea_compiler::Bailout> {
+    let method = program.static_method_by_name("wide").unwrap();
+    let mut options = CompilerOptions::with_opt_level(OptLevel::Pea);
+    options.build.inline = false;
+    compile(program, method, None, &options)
+}
+
+/// What `wide` of `wide_src(steps)` leaves in its static `h`.
+fn wide_h(steps: usize, x: i64) -> Value {
+    let mut acc: i64 = 5;
+    for _ in 0..x.max(0) {
+        for j in 0..steps {
+            acc = match wide_step(j) {
+                ("add", c) => acc.wrapping_add(c),
+                (_, c) => acc ^ c,
+            };
+        }
+    }
+    Value::Int(acc)
+}
+
+/// What the interpreter leaves in `wide`'s static `h`.
+fn interpreted_wide(program: &Program, x: i64) -> Value {
+    let mut interp = pea_interp::SimpleEnv::new(program.clone());
+    assert_eq!(interp.call("wide", &[Value::Int(x)]), Ok(None));
+    interp.statics.get(StaticId(1))
+}
+
+/// A method that needs all 256 registers of the window runs alike on
+/// both tiers at every fuel budget, and as the interpreter runs it. Its
+/// last register, r255, the accumulator, holds a value when the void call
+/// of the next iteration runs, across the commit, and when the void `ret`
+/// runs: `ret`'s source is `NO_REG`, which truncates to r255, and must
+/// not reach the window. A method that needs 257 registers is a lowering
+/// bailout and keeps the interpreter's result.
+#[test]
+fn the_register_window_holds_256_registers_and_no_more() {
+    let regs = |steps: usize| {
+        let program = parse_program(&wide_src(steps)).unwrap();
+        compiled_wide(&program).unwrap().linear.unwrap().num_regs as usize
+    };
+    // One register per chained step.
+    let steps = 16 + 256 - regs(16);
+    let program = parse_program(&wide_src(steps)).unwrap();
+    pea_bytecode::verify_program(&program).unwrap();
+    let code = compiled_wide(&program).unwrap();
+    let art = code.linear.as_ref().unwrap();
+    assert_eq!(art.num_regs, 256);
+    let dis = art.disassemble();
+    let at = |needle: &str| {
+        dis.find(needle)
+            .unwrap_or_else(|| panic!("{needle}: {dis}"))
+    };
+    assert!(at("invokestatic ") < at(" r255 <- "), "{dis}");
+    assert!(at(" r255 <- ") < at("commit #0 x2"), "{dis}");
+    assert!(at("commit #0") < at("<- r255]"), "{dis}");
+    assert!(dis.ends_with("ret _\n"), "{dis}");
+    for x in [0, 1, 3] {
+        let args = [Value::Int(x)];
+        tiers_agree_at_every_fuel_budget(&program, &code, &args);
+        let mut h = Vec::new();
+        for linear in [true, false] {
+            let mut env = TestEnv::new(&program);
+            let out = if linear {
+                execute(&program, &mut env, &code, &args)
+            } else {
+                evaluate(&program, &mut env, &code, &args)
+            };
+            assert_eq!(out, Ok(EvalOutcome::Return(None)), "{x}");
+            h.push(env.statics.get(StaticId(1)));
+        }
+        assert_eq!(h, [wide_h(steps, x); 2], "{x}");
+        assert_eq!(interpreted_wide(&program, x), wide_h(steps, x), "{x}");
+    }
+
+    let program = parse_program(&wide_src(steps + 1)).unwrap();
+    let err = compiled_wide(&program).unwrap_err();
+    assert_eq!(err.to_string(), "unsupported: lowering: too many registers");
+    assert_eq!(interpreted_wide(&program, 3), wide_h(steps + 1, 3));
+}
+
+/// An opcode the loop does not know ends the run with an internal error
+/// naming it and its `pc`, in the loop with a fuel limit and in the one
+/// without.
+#[test]
+fn an_invalid_opcode_is_an_internal_error_naming_its_pc() {
+    let program = parse_program(DISPATCH_SRC).unwrap();
+    let mut code = compiled(&program, "loop");
+    let art = code.linear.as_mut().unwrap();
+    let dis = art.disassemble();
+    let second = dis.lines().nth(1).unwrap();
+    let pc: usize = second.split(':').next().unwrap().trim().parse().unwrap();
+    assert!(pc > 0, "{dis}");
+    art.code[pc] = 99;
+    for fuel in [None, Some(1_000_000)] {
+        let mut env = TestEnv::new(&program);
+        env.fuel = fuel;
+        assert_eq!(
+            execute(&program, &mut env, &code, &[Value::Int(3)]),
+            Err(VmError::Internal(format!(
+                "linear dispatch: invalid opcode 99 at pc {pc}"
+            ))),
+            "fuel {fuel:?}"
+        );
     }
 }

@@ -529,7 +529,7 @@ fn cmd_dump(args: &[String]) -> ExitCode {
     if let Some(art) = &code.linear {
         println!(
             "=== linear ({} words, {} regs) ===",
-            art.code.len(),
+            art.insns().len(),
             art.num_regs
         );
         print!("{}", art.disassemble());

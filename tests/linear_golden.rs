@@ -31,7 +31,11 @@ fn compiled_cache_example() -> pea::compiler::CompiledMethod {
 /// and the elided monitor pair appears nowhere. The parameters are
 /// registers 0 and 1, written by the caller; the null that only the
 /// commit and the deopt metadata read has no register, and the 13 that
-/// only a multiplication reads is its pool operand (`muli`).
+/// only a multiplication reads is its pool operand (`muli`). The six
+/// zero words at the end are the stream's padding: the executor reads
+/// each instruction's fixed part, up to seven words, with one bounds
+/// check, so the last instruction must have six readable words after its
+/// opcode. The disassembly below stops before them.
 #[test]
 fn cache_example_lowered_encoding_golden() {
     let code = compiled_cache_example();
@@ -44,6 +48,7 @@ fn cache_example_lowered_encoding_golden() {
         1, 13, 4, 38, 75, 0, 38, 75, 0, 38, 75, 0, 38, 80, 1, 13, 3, 37, 0, 13,
         0, 91, 86, 27, 14, 1, 41, 14, 30, 0, 28, 2, 0, 28, 5, 1, 27, 15, 1, 41,
         15,
+        0, 0, 0, 0, 0, 0,
     ];
     assert_eq!(art.code, golden, "lowered code words changed");
     assert_eq!(art.pool, vec![0, 1, 13], "constant pool changed");
