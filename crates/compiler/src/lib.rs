@@ -16,8 +16,9 @@
 //!   operations — producing exactly the paper's Listing 2 shape);
 //! * [`canon`] — constant folding, global value numbering, phi
 //!   simplification;
-//! * [`pipeline`] — phase orchestration per [`OptLevel`]:
-//!   no escape analysis / the flow-insensitive EES baseline / PEA;
+//! * [`pipeline`] — [`compile`]: the phases in one fixed order, as one
+//!   straight-line function, with the escape analysis per [`OptLevel`]
+//!   (none / the flow-insensitive EES baseline / PEA);
 //! * [`linear`] — lowers the scheduled graph to a dense register-machine
 //!   program and executes it against the managed heap with a cycle cost
 //!   model (the "machine code" stand-in the VM runs); on a guard failure
@@ -31,7 +32,6 @@ pub mod builder;
 pub mod canon;
 pub mod eval;
 pub mod linear;
-pub mod phases;
 pub mod pipeline;
 
 pub use builder::{
@@ -39,7 +39,6 @@ pub use builder::{
 };
 pub use eval::{evaluate, ArgBuffer, Call, EvalEnv, EvalOutcome, INLINE_ARGS};
 pub use linear::{LinearArtifact, LowerError, RegisterStack};
-pub use phases::{CompilationUnit, PhaseKind, PhaseManager};
 pub use pipeline::{
     compile, compile_traced, CompiledMethod, CompilerOptions, OptLevel, PhaseTimes,
 };

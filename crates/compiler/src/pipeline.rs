@@ -1,18 +1,26 @@
-//! Pipeline entry points and configuration: [`compile`]/[`compile_traced`]
-//! build a [`phases::CompilationUnit`](crate::phases::CompilationUnit) and
-//! run the standard [`phases::PhaseManager`](crate::phases::PhaseManager)
-//! sequence over it, producing a [`CompiledMethod`].
+//! The compile pipeline: [`compile`]/[`compile_traced`] run one fixed
+//! sequence of phases over a method and produce a [`CompiledMethod`].
+//!
+//! `compile_impl` is that sequence, one call per phase over locals: build
+//! (bytecode → graph, inlining included) → canonicalize → escape analysis
+//! (per [`OptLevel`]) + canonicalize → `verify_structure` → schedule +
+//! `verify_scheduled` → lower to the linear register-machine form. Each
+//! phase times itself into [`PhaseTimes`] (both verification halves are
+//! charged to `schedule`), and any phase can end the compilation with a
+//! [`Bailout`]; the method then stays interpreted.
 
-use crate::builder::{Bailout, BuildOptions};
-use crate::phases::{CompilationUnit, PhaseManager};
+use crate::builder::{build_graph_with, Bailout, BuildOptions, InlineDecisionRec};
+use crate::canon::canonicalize;
+use crate::linear::LinearArtifact;
 use pea_bytecode::{MethodId, Program};
-use pea_core::{PeaOptions, PeaResult};
+use pea_core::{run_ees, run_pea, run_pea_traced, PeaOptions, PeaResult};
 use pea_ir::cfg::Cfg;
+use pea_ir::dom::DomTree;
 use pea_ir::schedule::Schedule;
 use pea_ir::Graph;
 use pea_runtime::profile::ProfileStore;
 use pea_trace::{PhaseMicros, TraceEvent, TraceSink, Tracer};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which escape analysis the pipeline runs — the three configurations the
 /// paper's evaluation compares (§6: none vs. PEA; §6.2: the
@@ -137,11 +145,11 @@ pub struct CompiledMethod {
     /// Dense register-machine form of the schedule — what the VM
     /// executes. Always `Some` out of [`compile`]: a lowering failure is a
     /// [`Bailout`], not an artifact without a linear form.
-    pub linear: Option<crate::linear::LinearArtifact>,
+    pub linear: Option<LinearArtifact>,
     /// Every inline decision the builder took (one record per considered
     /// call site), for reporting — `perfbench`'s `compiler.inlined_calls`
     /// counts the accepted ones.
-    pub inline_decisions: Vec<crate::builder::InlineDecisionRec>,
+    pub inline_decisions: Vec<InlineDecisionRec>,
 }
 
 // Compile requests cross thread boundaries in the background compile
@@ -197,14 +205,19 @@ fn compile_impl<'a>(
         method: program.method(method).qualified_name(program),
         level: options.opt_level.to_string(),
     });
-    let mut unit = CompilationUnit::new(program, method, profiles, options);
-    PhaseManager::standard().run(&mut unit, &mut tracer)?;
-    let times = unit.times;
-    let artifact = unit.artifact.expect("schedule phase ran");
-    let graph = unit.graph.expect("build phase ran");
+    let mut times = PhaseTimes::default();
+    let (mut graph, inline_decisions) =
+        build(program, method, profiles, options, &mut tracer, &mut times)?;
+    canonicalize_phase(&mut graph, &mut times, "after canonicalize");
+    let pea_result = escape_analysis(&mut graph, program, options, &mut tracer, &mut times);
+    canonicalize_phase(&mut graph, &mut times, "after the final canonicalization");
+    verify_structure(&graph, &mut times)?;
+    let (cfg, schedule) = schedule(&graph, &mut times)?;
+    let code_size = schedule.code_size();
+    let linear = lower(program, method, &graph, &cfg, &schedule, &mut times)?;
     tracer.emit_with(|| TraceEvent::CompileEnd {
         method: program.method(method).qualified_name(program),
-        code_size: artifact.code_size,
+        code_size,
         phases: PhaseMicros {
             build: times.build.as_micros() as u64,
             canonicalize: times.canonicalize.as_micros() as u64,
@@ -216,12 +229,224 @@ fn compile_impl<'a>(
     Ok(CompiledMethod {
         method,
         graph,
-        cfg: artifact.cfg,
-        schedule: artifact.schedule,
-        code_size: artifact.code_size,
-        pea_result: unit.pea_result,
+        cfg,
+        schedule,
+        code_size,
+        pea_result,
         times,
-        linear: artifact.linear,
-        inline_decisions: unit.inline_decisions,
+        linear: Some(linear),
+        inline_decisions,
     })
+}
+
+/// Bytecode → graph construction, inlining included. Emits one
+/// [`TraceEvent::InlineDecision`] per call site the builder considered and
+/// one [`TraceEvent::DevirtGuard`] per guarded devirtualization.
+fn build(
+    program: &Program,
+    method: MethodId,
+    profiles: Option<&ProfileStore>,
+    options: &CompilerOptions,
+    tracer: &mut Tracer<'_>,
+    times: &mut PhaseTimes,
+) -> Result<(Graph, Vec<InlineDecisionRec>), Bailout> {
+    let t = Instant::now();
+    let (graph, decisions, guards) = build_graph_with(program, method, profiles, &options.build)?;
+    times.build += t.elapsed();
+    for d in &decisions {
+        tracer.emit_with(|| TraceEvent::InlineDecision {
+            method: program.method(d.caller).qualified_name(program),
+            bci: d.bci,
+            callee: program.method(d.callee).qualified_name(program),
+            inlined: d.inlined,
+            reason: d.reason.to_string(),
+        });
+    }
+    for g in &guards {
+        tracer.emit_with(|| TraceEvent::DevirtGuard {
+            method: program.method(g.caller).qualified_name(program),
+            bci: g.bci,
+            callee: program.method(g.callee).qualified_name(program),
+            classes: g
+                .classes
+                .iter()
+                .map(|c| program.classes[c.index()].name.clone())
+                .collect(),
+        });
+    }
+    debug_assert_verify(&graph, "after build");
+    Ok((graph, decisions))
+}
+
+/// Constant folding, GVN, phi simplification, dead-node pruning.
+fn canonicalize_phase(graph: &mut Graph, times: &mut PhaseTimes, stage: &str) {
+    let t = Instant::now();
+    canonicalize(graph);
+    graph.prune_dead();
+    times.canonicalize += t.elapsed();
+    debug_assert_verify(graph, stage);
+}
+
+/// One run of the escape analysis [`OptLevel`] names; only PEA emits
+/// decision events.
+fn escape_analysis(
+    graph: &mut Graph,
+    program: &Program,
+    options: &CompilerOptions,
+    tracer: &mut Tracer<'_>,
+    times: &mut PhaseTimes,
+) -> PeaResult {
+    let t = Instant::now();
+    let result = match options.opt_level {
+        OptLevel::None => PeaResult::default(),
+        OptLevel::Ees => run_ees(graph, program, &options.pea),
+        OptLevel::Pea => match tracer.sink() {
+            Some(sink) => run_pea_traced(graph, program, &options.pea, sink),
+            None => run_pea(graph, program, &options.pea),
+        },
+    };
+    times.escape_analysis += t.elapsed();
+    debug_assert_verify(graph, "after escape analysis");
+    result
+}
+
+/// The structural half of the final IR verification
+/// ([`pea_ir::verify::verify_structure`]): what [`Cfg::build`] relies on.
+/// A failure is a [`Bailout`], so the VM keeps interpreting rather than
+/// executing a corrupt graph.
+fn verify_structure(graph: &Graph, times: &mut PhaseTimes) -> Result<(), Bailout> {
+    let t = Instant::now();
+    let verified = pea_ir::verify::verify_structure(graph);
+    times.schedule += t.elapsed();
+    verified.map_err(verification_failed)
+}
+
+/// CFG construction, dominators, scheduling, then the SSA half of the
+/// final IR verification ([`pea_ir::verify::verify_scheduled`]) over those
+/// products: the one CFG and schedule of the final graph.
+fn schedule(graph: &Graph, times: &mut PhaseTimes) -> Result<(Cfg, Schedule), Bailout> {
+    let t = Instant::now();
+    let cfg = Cfg::build(graph);
+    let dom = DomTree::build(&cfg);
+    let schedule = Schedule::build(graph, &cfg, &dom);
+    let verified = pea_ir::verify::verify_scheduled(graph, &cfg, &dom, &schedule);
+    times.schedule += t.elapsed();
+    verified.map_err(verification_failed)?;
+    Ok((cfg, schedule))
+}
+
+/// Lowering of the scheduled graph to the dense register-machine form
+/// ([`crate::linear`]), the only form the VM executes; a lowering failure
+/// is a `lowering:` [`Bailout`] and the method stays interpreted.
+fn lower(
+    program: &Program,
+    method: MethodId,
+    graph: &Graph,
+    cfg: &Cfg,
+    schedule: &Schedule,
+    times: &mut PhaseTimes,
+) -> Result<LinearArtifact, Bailout> {
+    let t = Instant::now();
+    let lowered = crate::linear::lower(program, method, graph, cfg, schedule)
+        .map_err(|e| Bailout::Unsupported(e.to_string()))?;
+    times.lower += t.elapsed();
+    Ok(lowered)
+}
+
+fn verification_failed(e: pea_ir::verify::IrError) -> Bailout {
+    Bailout::Unsupported(format!("verification failed: {e}"))
+}
+
+fn debug_assert_verify(graph: &Graph, stage: &str) {
+    if cfg!(debug_assertions) {
+        if let Err(e) = pea_ir::verify::verify(graph) {
+            panic!("{stage}: {e}\n{}", pea_ir::dump::dump(graph));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pea_bytecode::asm::parse_program;
+    use pea_ir::NodeKind;
+
+    /// The graph of `f` after the build and the first canonicalization.
+    fn built(program: &Program, options: &CompilerOptions, times: &mut PhaseTimes) -> Graph {
+        let method = program.static_method_by_name("f").unwrap();
+        let mut tracer = Tracer::off();
+        let (mut graph, _) = build(program, method, None, options, &mut tracer, times).unwrap();
+        canonicalize_phase(&mut graph, times, "after canonicalize");
+        graph
+    }
+
+    /// A `LowerError` from a broken graph invariant cannot be provoked
+    /// from bytecode (the register limit can: `compile_eval.rs`): break an
+    /// invariant by hand and run the lowering on the result.
+    #[test]
+    fn lowering_failure_is_a_bailout() {
+        let program = parse_program(
+            "method g 0 returns { const 1 retv }
+             method f 0 returns { invokestatic g retv }",
+        )
+        .unwrap();
+        let method = program.static_method_by_name("f").unwrap();
+        let mut options = CompilerOptions::default();
+        options.build.inline = false; // keep the call residual
+        let mut times = PhaseTimes::default();
+        let mut graph = built(&program, &options, &mut times);
+        let invoke = graph
+            .live_nodes()
+            .find(|&n| matches!(graph.kind(n), NodeKind::Invoke { .. }))
+            .expect("residual call");
+        graph.set_state_after(invoke, None);
+        let (cfg, schedule) = schedule(&graph, &mut times).unwrap();
+        let err = lower(&program, method, &graph, &cfg, &schedule, &mut times).unwrap_err();
+        assert!(
+            matches!(&err, Bailout::Unsupported(s) if s.starts_with("lowering: ")),
+            "{err}"
+        );
+    }
+
+    /// The SSA half of the verification runs on the schedule phase's own
+    /// products: a dominance violation that the structural half cannot
+    /// see still ends the compilation as a bailout, not as an artifact.
+    #[test]
+    fn ssa_violation_is_a_verification_bailout() {
+        let program = parse_program(
+            "class C { field v int }
+             method f 2 returns {
+                load 0 const 0 ifcmp eq Lelse
+                load 1 getfield C.v retv
+             Lelse:
+                const 0 retv
+             }",
+        )
+        .unwrap();
+        let options = CompilerOptions::default();
+        let mut times = PhaseTimes::default();
+        let mut graph = built(&program, &options, &mut times);
+        // Return the field read of one arm from the other arm: its input
+        // no longer dominates its use.
+        let load = graph
+            .live_nodes()
+            .find(|&n| matches!(graph.kind(n), NodeKind::LoadField { .. }))
+            .expect("field read");
+        let other_return = graph
+            .live_nodes()
+            .find(|&n| {
+                matches!(graph.kind(n), NodeKind::Return) && graph.node(n).inputs()[0] != load
+            })
+            .expect("second return");
+        graph.set_input(other_return, 0, load);
+        verify_structure(&graph, &mut times).unwrap();
+        let Err(err) = schedule(&graph, &mut times) else {
+            panic!("no artifact from a broken graph");
+        };
+        assert!(
+            matches!(&err, Bailout::Unsupported(s)
+                if s.starts_with("verification failed: ") && s.contains("dominate")),
+            "{err}"
+        );
+    }
 }

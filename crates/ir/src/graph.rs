@@ -273,13 +273,6 @@ impl Graph {
         self.nodes[to.index()].control_pred = Some(from);
     }
 
-    /// Rewires the single successor edge of `from` to `to`.
-    pub fn replace_next(&mut self, from: NodeId, to: NodeId) {
-        assert_eq!(self.nodes[from.index()].successors.len(), 1);
-        self.nodes[from.index()].successors[0] = to;
-        self.nodes[to.index()].control_pred = Some(from);
-    }
-
     /// Wires an [`NodeKind::If`]'s two successors.
     pub fn set_if_targets(&mut self, iff: NodeId, true_target: NodeId, false_target: NodeId) {
         let n = &mut self.nodes[iff.index()];

@@ -78,11 +78,6 @@ impl Value {
         }
     }
 
-    /// Whether this is the null reference.
-    pub fn is_null(self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Truthiness for branch conditions: non-zero integers are true.
     ///
     /// # Errors

@@ -645,15 +645,6 @@ pub trait TraceSink {
     fn emit(&mut self, event: &TraceEvent);
 }
 
-/// Discards everything (useful for overhead measurements with a sink
-/// attached but inert).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn emit(&mut self, _event: &TraceEvent) {}
-}
-
 /// Collects events in order for later inspection (golden-trace tests).
 #[derive(Debug, Default)]
 pub struct MemorySink {
@@ -717,30 +708,6 @@ impl<W: Write> JsonLinesSink<W> {
 impl<W: Write> TraceSink for JsonLinesSink<W> {
     fn emit(&mut self, event: &TraceEvent) {
         let _ = writeln!(self.out, "{}", event.to_json_line());
-    }
-}
-
-/// Broadcasts each event to every attached sink, in order.
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<Box<dyn TraceSink>>,
-}
-
-impl FanoutSink {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&mut self, sink: Box<dyn TraceSink>) {
-        self.sinks.push(sink);
-    }
-}
-
-impl TraceSink for FanoutSink {
-    fn emit(&mut self, event: &TraceEvent) {
-        for sink in &mut self.sinks {
-            sink.emit(event);
-        }
     }
 }
 

@@ -67,9 +67,8 @@ use pea_metrics::{HeapRecorder, MetricsSnapshot, VmMetrics};
 use pea_runtime::profile::ProfileStore;
 use pea_runtime::{ChunkAllocator, Heap, ObjRef, Statics, Stats, Value, VmError, MAX_CALL_DEPTH};
 pub use pea_trace::SharedSink;
-use pea_trace::{FlightEntry, FlightRecorder, TraceEvent, TraceSink};
+use pea_trace::{FlightEntry, FlightRecorder, MemorySink, TraceEvent, TraceSink};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// How JIT compilation is scheduled.
@@ -232,11 +231,6 @@ impl VmShared {
     /// The executed program.
     pub fn program(&self) -> &Arc<Program> {
         &self.program
-    }
-
-    /// The TLAB chunk allocator.
-    pub fn chunk_allocator(&self) -> &Arc<ChunkAllocator> {
-        &self.chunks
     }
 
     /// Constructs a mutator against this shared state. The main mutator
@@ -520,11 +514,6 @@ where
 }
 
 impl Mutator {
-    /// The shared half of the VM this mutator belongs to.
-    pub fn vm_shared(&self) -> &Arc<VmShared> {
-        &self.shared
-    }
-
     /// Spawns a mutator pre-warmed from this one's tiering state (see
     /// [`Vm::spawn_warm_mutator`]).
     pub fn fork(&self) -> Mutator {
@@ -556,12 +545,6 @@ impl Mutator {
             }
             None => sink,
         });
-    }
-
-    /// The cycle-attribution profiler hub (disabled unless enabled via
-    /// [`VmOptions::profiler`]); snapshot it for reports.
-    pub fn profiler_hub(&self) -> &ProfilerHub {
-        self.profile.hub()
     }
 
     /// The flight-recorder ring contents in sequence order, when the
@@ -782,50 +765,23 @@ impl Mutator {
     fn promote(&mut self, program: &Program, method: MethodId) {
         match self.options.jit_mode {
             JitMode::Sync => {
-                if self.evicted[method.index()] {
-                    if let Some(m) = self.options.metrics.on() {
-                        m.vm.recompiles.inc();
-                    }
-                    if let Some(sink) = &self.options.trace {
-                        sink.emit_event(&TraceEvent::Recompile {
-                            method: program.method(method).qualified_name(program),
-                        });
-                    }
+                self.note_recompile(method);
+                let (result, events) = compile_for_vm(
+                    program,
+                    method,
+                    &self.profiles,
+                    &self.options.compiler,
+                    &self.options.metrics,
+                    self.options.trace.is_some(),
+                );
+                if let Some(sink) = &self.options.trace {
+                    sink.with_sink(|s| {
+                        for event in &events {
+                            s.emit(event);
+                        }
+                    });
                 }
-                let compiled = if self.needs_compile_events() {
-                    // Buffer the decision events so the metrics fold can
-                    // inspect them; forward to the user's sink after.
-                    let mut buffer = pea_trace::MemorySink::new();
-                    let result = compile_traced(
-                        program,
-                        method,
-                        Some(&self.profiles),
-                        &self.options.compiler,
-                        &mut buffer,
-                    );
-                    if let Some(m) = self.options.metrics.on() {
-                        record_compile_metrics(m, &buffer.events, result.as_ref());
-                    }
-                    if let Some(sink) = &self.options.trace {
-                        sink.with_sink(|s| {
-                            for event in &buffer.events {
-                                s.emit(event);
-                            }
-                        });
-                    }
-                    result
-                } else {
-                    compile(
-                        program,
-                        method,
-                        Some(&self.profiles),
-                        &self.options.compiler,
-                    )
-                };
-                match compiled {
-                    Ok(code) => self.install(method, Arc::new(code)),
-                    Err(_) => self.bailed_out[method.index()] = true,
-                }
+                self.install(method, result);
             }
             JitMode::Background => {
                 // Snapshot the profiles and keep interpreting; the
@@ -855,23 +811,40 @@ impl Mutator {
         result
     }
 
-    /// Whether a synchronous compile must buffer its decision events (for
-    /// the metrics fold or the trace sink).
-    fn needs_compile_events(&self) -> bool {
-        self.options.trace.is_some() || self.options.metrics.is_enabled()
+    /// Pins a finished compilation on this mutator and accounts for it
+    /// (`stats.compiles`, the profiler's install count, `vm.installs`), or
+    /// marks a method that bailed out as interpreted for good — the one
+    /// install step of sync compiles and background outcomes.
+    fn install(&mut self, method: MethodId, result: Result<CompiledMethod, Bailout>) {
+        match result {
+            Ok(code) => {
+                self.heap.stats.compiles += 1;
+                self.profile.record_install();
+                if let Some(m) = self.options.metrics.on() {
+                    m.vm.installs.inc();
+                }
+                self.pinned[method.index()] = Some(Arc::new(code));
+            }
+            Err(_) => self.bailed_out[method.index()] = true,
+        }
     }
 
-    /// Pins a finished compilation on this mutator and accounts for it
-    /// (`stats.compiles`, the profiler's install count, `vm.installs`) —
-    /// the one install path of sync compiles, background outcomes and
-    /// batch precompilation.
-    fn install(&mut self, method: MethodId, code: Arc<CompiledMethod>) {
-        self.heap.stats.compiles += 1;
-        self.profile.record_install();
-        if let Some(m) = self.options.metrics.on() {
-            m.vm.installs.inc();
+    /// Counts and traces the recompilation of a method evicted before:
+    /// called before a sync compile and after an accepted background
+    /// request.
+    fn note_recompile(&self, method: MethodId) {
+        if !self.evicted[method.index()] {
+            return;
         }
-        self.pinned[method.index()] = Some(code);
+        if let Some(m) = self.options.metrics.on() {
+            m.vm.recompiles.inc();
+        }
+        if let Some(sink) = &self.options.trace {
+            let program = &self.shared.program;
+            sink.emit_event(&TraceEvent::Recompile {
+                method: program.method(method).qualified_name(program),
+            });
+        }
     }
 
     /// Enqueues a background compilation of `method` (deduplicated per
@@ -898,21 +871,8 @@ impl Mutator {
         let hotness = self.profiles.invocation_count(method);
         let epoch = self.evict_epochs[method.index()];
         let snapshot = self.profiles.clone();
-        if service.request(&mailbox, method, hotness, epoch, snapshot)
-            && self.evicted[method.index()]
-        {
-            if let Some(m) = self.options.metrics.on() {
-                m.vm.recompiles.inc();
-            }
-            if let Some(sink) = &self.options.trace {
-                sink.emit_event(&TraceEvent::Recompile {
-                    method: self
-                        .shared
-                        .program
-                        .method(method)
-                        .qualified_name(&self.shared.program),
-                });
-            }
+        if service.request(&mailbox, method, hotness, epoch, snapshot) {
+            self.note_recompile(method);
         }
     }
 
@@ -938,19 +898,12 @@ impl Mutator {
                 }
                 continue;
             }
-            match outcome.result {
-                Ok(code) => {
-                    if let Some(m) = self.options.metrics.on() {
-                        m.compile
-                            .queue_latency_us
-                            .record(outcome.enqueued_at.elapsed().as_micros() as u64);
-                    }
-                    self.install(outcome.method, Arc::new(code));
-                }
-                Err(_) => {
-                    self.bailed_out[outcome.method.index()] = true;
-                }
+            if let (Ok(_), Some(m)) = (&outcome.result, self.options.metrics.on()) {
+                m.compile
+                    .queue_latency_us
+                    .record(outcome.enqueued_at.elapsed().as_micros() as u64);
             }
+            self.install(outcome.method, outcome.result);
         }
         self.maybe_emit_metrics_snapshot();
     }
@@ -1003,73 +956,6 @@ impl Mutator {
             self.emit_metrics_snapshot();
         }
         self.compiled_method_count()
-    }
-
-    /// Compiles every method of the program on `parallelism` threads from
-    /// the current profiles and installs the results, skipping methods
-    /// already compiled. Methods that bail out are marked interpreted.
-    /// Returns the number of methods installed.
-    ///
-    /// This is the batch counterpart of the background service: workloads
-    /// with a known method universe (benchmark corpora, ahead-of-time
-    /// warmup) compile everything at once instead of discovering hot
-    /// methods one threshold crossing at a time.
-    pub fn precompile_all(&mut self, parallelism: usize) -> usize {
-        let parallelism = parallelism.max(1);
-        let program = Arc::clone(&self.shared.program);
-        let options = &self.options.compiler;
-        let profiles = &self.profiles;
-        let metrics = &self.options.metrics;
-        let methods: Vec<MethodId> = (0..program.methods.len())
-            .map(MethodId::from_index)
-            .filter(|m| self.pinned[m.index()].is_none())
-            .collect();
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(MethodId, Result<CompiledMethod, Bailout>)>> =
-            Mutex::new(Vec::with_capacity(methods.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..parallelism.min(methods.len().max(1)) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&method) = methods.get(i) else {
-                        break;
-                    };
-                    // Metrics fold needs the decision events, so the
-                    // enabled path compiles through a private buffer
-                    // (atomics make the fold safe from worker threads).
-                    let r = if let Some(m) = metrics.on() {
-                        let mut buffer = pea_trace::MemorySink::new();
-                        let r =
-                            compile_traced(&program, method, Some(profiles), options, &mut buffer);
-                        record_compile_metrics(m, &buffer.events, r.as_ref());
-                        r
-                    } else {
-                        compile(&program, method, Some(profiles), options)
-                    };
-                    results
-                        .lock()
-                        .expect("precompile results poisoned")
-                        .push((method, r));
-                });
-            }
-        });
-        let mut results = results.into_inner().expect("precompile results poisoned");
-        // Install in method order so the cache state is independent of
-        // thread completion order.
-        results.sort_unstable_by_key(|(m, _)| m.index());
-        let mut installed = 0;
-        for (method, result) in results {
-            match result {
-                Ok(code) => {
-                    self.install(method, Arc::new(code));
-                    installed += 1;
-                }
-                Err(_) => {
-                    self.bailed_out[method.index()] = true;
-                }
-            }
-        }
-        installed
     }
 
     fn run_compiled(
@@ -1263,12 +1149,38 @@ impl TraceSink for FlightTee {
     }
 }
 
+/// Compiles `method` for the VM from `profiles`: the one compile driver of
+/// sync promotion and the background workers. The compilation traces into
+/// a buffer only when `traced` (a trace sink waits for its events) or the
+/// metrics hub folds them; the caller delivers the returned events.
+pub(crate) fn compile_for_vm(
+    program: &Program,
+    method: MethodId,
+    profiles: &ProfileStore,
+    options: &CompilerOptions,
+    metrics: &MetricsHub,
+    traced: bool,
+) -> (Result<CompiledMethod, Bailout>, Vec<TraceEvent>) {
+    if !traced && !metrics.is_enabled() {
+        return (
+            compile(program, method, Some(profiles), options),
+            Vec::new(),
+        );
+    }
+    let mut buffer = MemorySink::new();
+    let result = compile_traced(program, method, Some(profiles), options, &mut buffer);
+    if let Some(m) = metrics.on() {
+        record_compile_metrics(m, &buffer.events, result.as_ref());
+    }
+    (result, buffer.events)
+}
+
 /// Folds one compilation's buffered decision events (plus its result) into
 /// the metrics registry. This is the same stream the trace
 /// [`pea_trace::SiteAggregator`] consumes, so the `pea.*` totals and the
 /// per-site trace aggregation cross-check exactly — which the test suite
 /// asserts on every corpus program.
-pub(crate) fn record_compile_metrics(
+fn record_compile_metrics(
     m: &VmMetrics,
     events: &[TraceEvent],
     result: Result<&CompiledMethod, &Bailout>,

@@ -155,66 +155,6 @@ fn background_compiles_eventually_install() {
 }
 
 #[test]
-fn precompile_all_matches_background_artifacts() {
-    // Batch precompilation from the same profiles must produce the same
-    // artifacts as threshold-driven compilation does for the methods both
-    // paths compile.
-    let w = all_workloads()
-        .into_iter()
-        .find(|w| w.name == "luindex")
-        .unwrap();
-    let mut hot = Vm::new(w.program.clone(), sync_options());
-    for i in 0..120 {
-        hot.call_entry("iterate", &[Value::Int(i)]).unwrap();
-    }
-
-    let mut batch = Vm::new(
-        w.program.clone(),
-        VmOptions {
-            jit: false,
-            ..sync_options()
-        },
-    );
-    // Same interpreted warmup (pure profiling, no compilation)...
-    for i in 0..120 {
-        batch.call_entry("iterate", &[Value::Int(i)]).unwrap();
-    }
-    // ...then compile everything in parallel.
-    let installed = batch.precompile_all(4);
-    assert_eq!(installed, w.program.methods.len());
-    assert!(batch.compiled_method_count() >= hot.compiled_method_count());
-    for i in 120..170 {
-        let a = hot.call_entry("iterate", &[Value::Int(i)]).unwrap();
-        let b = batch.call_entry("iterate", &[Value::Int(i)]).unwrap();
-        assert_eq!(a, b, "precompiled VM diverged at iteration {i}");
-    }
-}
-
-#[test]
-fn precompile_all_parallelism_levels_agree() {
-    let w = all_workloads()
-        .into_iter()
-        .find(|w| w.name == "fop")
-        .unwrap();
-    let mut dumps: Vec<Vec<String>> = Vec::new();
-    for parallelism in [1, 4] {
-        let mut vm = Vm::new(w.program.clone(), sync_options());
-        let installed = vm.precompile_all(parallelism);
-        assert_eq!(installed, w.program.methods.len());
-        dumps.push(
-            vm.compiled_methods()
-                .into_iter()
-                .map(|m| pea_ir::dump::dump(&vm.compiled(m).unwrap().graph))
-                .collect(),
-        );
-    }
-    assert_eq!(
-        dumps[0], dumps[1],
-        "parallelism changed precompiled artifacts"
-    );
-}
-
-#[test]
 fn compiled_only_loop_drains_background_installs_at_backedge_safepoints() {
     // A hot caller whose callee is inlined becomes a compiled-only loop:
     // once it is running, no interpreter safepoint and no method-entry

@@ -2,8 +2,10 @@
 //! stream's [`SiteAggregator`] fold the *same* event buffers, so their
 //! totals must agree exactly — in synchronous mode and in background mode
 //! (where per-worker buffers are merged through a [`SequencedMerge`]).
+//! The same runs without a trace sink count the same compilations: the
+//! VM's compile driver buffers events for the metrics fold alone.
 
-use pea_metrics::MetricsHub;
+use pea_metrics::{MetricsHub, MetricsSnapshot};
 use pea_runtime::Value;
 use pea_trace::{MemorySink, SharedSink, SiteAggregator, TraceEvent};
 use pea_vm::{JitMode, OptLevel, Vm, VmOptions};
@@ -33,17 +35,52 @@ fn aggregator_totals(agg: &SiteAggregator) -> [u64; 5] {
     t
 }
 
-fn assert_consistent(workload: &Workload, background: bool) {
-    let (sink, agg) = SharedSink::new(SiteAggregator::new());
+/// Runs 200 iterations of `workload` with metrics on and `trace` attached
+/// (if any), and snapshots the metrics once every compile has settled.
+fn run(workload: &Workload, background: bool, trace: Option<SharedSink>) -> MetricsSnapshot {
     let mut options = metrics_options(background);
-    options.trace = Some(sink);
+    options.trace = trace;
     let mut vm = Vm::new(workload.program.clone(), options);
     for i in 0..200 {
         vm.call_entry("iterate", &[Value::Int(i)])
             .unwrap_or_else(|e| panic!("{} iteration {i}: {e}", workload.name));
     }
     vm.await_background_compiles();
-    let snapshot = vm.metrics().snapshot().expect("metrics enabled");
+    vm.metrics().snapshot().expect("metrics enabled")
+}
+
+/// Every compilation started ends once: as a success, with one total-time
+/// sample, or as a bailout.
+fn assert_compiles_balance(snapshot: &MetricsSnapshot, label: &str) {
+    let succeeded = snapshot.counter("compile.succeeded");
+    assert_eq!(
+        snapshot.counter("compile.started"),
+        succeeded + snapshot.counter("compile.bailouts"),
+        "{label}: compile.started != compile.succeeded + compile.bailouts"
+    );
+    let total = snapshot
+        .histogram("compile.total_us")
+        .expect("total_us histogram present");
+    assert_eq!(
+        total.count(),
+        succeeded,
+        "{label}: one compile.total_us sample per successful compilation"
+    );
+}
+
+/// The `compile.*` and `pea.*` counter rows of a snapshot.
+fn compile_counters(snapshot: &MetricsSnapshot) -> Vec<(String, u64)> {
+    snapshot
+        .counters
+        .iter()
+        .filter(|(name, _)| name.starts_with("compile.") || name.starts_with("pea."))
+        .cloned()
+        .collect()
+}
+
+fn assert_consistent(workload: &Workload, background: bool) {
+    let (sink, agg) = SharedSink::new(SiteAggregator::new());
+    let snapshot = run(workload, background, Some(sink));
     let agg = agg.lock().expect("aggregator lock poisoned");
 
     let totals = aggregator_totals(&agg);
@@ -87,6 +124,19 @@ fn assert_consistent(workload: &Workload, background: bool) {
         "{} ({mode}): one total-time sample per compilation",
         workload.name
     );
+
+    // Without a trace sink the metrics fold still sees every compilation.
+    let untraced = run(workload, background, None);
+    assert_compiles_balance(&snapshot, &format!("{} ({mode}, traced)", workload.name));
+    assert_compiles_balance(&untraced, &format!("{} ({mode}, untraced)", workload.name));
+    if !background {
+        assert_eq!(
+            compile_counters(&untraced),
+            compile_counters(&snapshot),
+            "{} (sync): an untraced run counts different compilations",
+            workload.name
+        );
+    }
 }
 
 #[test]

@@ -22,6 +22,11 @@
 //! single hash per program pinned before the compile pipeline was
 //! reorganised.
 //!
+//! Each method is also compiled untraced, as the VM compiles it when
+//! neither a trace sink nor metrics want the events: its code, `code_size`
+//! and `PeaResult` must equal the traced compilation's, and a bailout must
+//! read the same.
+//!
 //! Every successful compilation also goes through the PEA decision
 //! sanitizer (`pea_analysis::check_compilation`) against the program's
 //! static escape verdicts: a virtualized or lock-elided site the
@@ -31,7 +36,7 @@
 use pea::analysis::{check_compilation, StaticVerdicts};
 use pea::bytecode::asm::parse_program;
 use pea::bytecode::{MethodId, Program};
-use pea::compiler::{compile_traced, CompilerOptions, OptLevel};
+use pea::compiler::{compile, compile_traced, CompiledMethod, CompilerOptions, OptLevel};
 use pea::runtime::Value;
 use pea::trace::{MemorySink, TraceEvent};
 use pea::vm::{Vm, VmOptions};
@@ -53,6 +58,12 @@ fn warmed(program: &Program, entry: &str, args: fn(i64) -> Vec<Value>) -> Vm {
     vm
 }
 
+/// The code record of one compilation: its schedule and linear form.
+fn code_of(c: &CompiledMethod) -> String {
+    let linear = c.linear.as_ref().expect("compile lowers");
+    format!("{:?}\n{}", c.schedule.per_block, linear.disassemble())
+}
+
 /// The records of compiling every method of `program` at every level: the
 /// compiler's decisions, and the code it produced. Panics with the
 /// sanitizer's findings, under `label`, if any compilation has one.
@@ -68,26 +79,43 @@ fn record(label: &str, program: &Program, vm: &Vm) -> (String, String) {
             let mut sink = MemorySink::new();
             let compiled =
                 compile_traced(program, method, Some(vm.profiles()), &options, &mut sink);
+            let untraced = compile(program, method, Some(vm.profiles()), &options);
             let header = format!(
                 "== {level} {}\n",
                 program.method(method).qualified_name(program)
             );
             decisions.push_str(&header);
             code.push_str(&header);
-            match compiled {
-                Ok(c) => {
-                    let linear = c.linear.as_ref().expect("compile lowers");
+            match (compiled, untraced) {
+                (Ok(c), Ok(u)) => {
+                    let c_code = code_of(&c);
+                    assert_eq!(
+                        (code_of(&u), u.code_size, &u.pea_result),
+                        (c_code.clone(), c.code_size, &c.pea_result),
+                        "{label}: {header}untraced compile differs from the traced one"
+                    );
                     writeln!(decisions, "code_size {}", c.code_size).unwrap();
                     writeln!(decisions, "{:?}", c.pea_result).unwrap();
-                    writeln!(code, "{:?}", c.schedule.per_block).unwrap();
-                    code.push_str(&linear.disassemble());
+                    code.push_str(&c_code);
                     for finding in
                         check_compilation(program, &verdicts, method, &c.graph, &sink.events)
                     {
                         findings.push(format!("  - {level}: {finding}"));
                     }
                 }
-                Err(bailout) => writeln!(decisions, "bailout {bailout}").unwrap(),
+                (Err(bailout), Err(u)) => {
+                    assert_eq!(
+                        u.to_string(),
+                        bailout.to_string(),
+                        "{label}: {header}untraced compile bails out differently"
+                    );
+                    writeln!(decisions, "bailout {bailout}").unwrap();
+                }
+                (c, u) => panic!(
+                    "{label}: {header}traced compile {} but untraced compile {}",
+                    if c.is_ok() { "succeeded" } else { "bailed out" },
+                    if u.is_ok() { "succeeded" } else { "bailed out" },
+                ),
             }
             for event in &sink.events {
                 if !matches!(event, TraceEvent::CompileEnd { .. }) {

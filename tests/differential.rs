@@ -953,15 +953,15 @@ fn assert_linear_graph_agree(label: &str, program: &Program, iters: i64) {
             );
         }
     }
-    // Pure compiled-code parity: with the whole program precompiled, the
-    // cycle accounting must agree byte-for-byte even though every single
-    // call runs on the tier under test.
+    // Pure compiled-code parity: with every method compiled at its first
+    // call (threshold 0), the cycle accounting must agree byte-for-byte
+    // even though every single call runs on the tier under test.
     let mut cycles = Vec::new();
     for exec in [pea::vm::ExecMode::Linear, pea::vm::ExecMode::Graph] {
         let mut options = VmOptions::with_opt_level(OptLevel::Pea);
+        options.compile_threshold = 0;
         options.exec_mode = exec;
         let mut vm = Vm::new(program.clone(), options);
-        vm.precompile_all(1);
         for i in 0..iters {
             let _ = vm.call_entry("iterate", &[Value::Int(i)]);
         }
@@ -969,7 +969,7 @@ fn assert_linear_graph_agree(label: &str, program: &Program, iters: i64) {
     }
     assert_eq!(
         cycles[0], cycles[1],
-        "{label}: precompiled cycle counts differ between linear and graph"
+        "{label}: compiled-at-first-call cycle counts differ between linear and graph"
     );
 }
 
