@@ -421,7 +421,12 @@ impl Lowerer<'_> {
                     .ok_or_else(|| LowerError("invoke without frame state".into()))?;
                 // Allocate the result register before compiling the deopt
                 // metadata: the after-state references the call's result.
-                let dst = self.reg_of(n);
+                // A void target writes none.
+                let dst = if self.program.method(target).returns_value {
+                    self.reg_of(n)
+                } else {
+                    NO_REG
+                };
                 let arg_regs: Vec<u32> = inputs.iter().map(|&i| self.reg_of(i)).collect();
                 let deopt = self.deopt_point(fs)?;
                 let argc = u32::try_from(arg_regs.len())

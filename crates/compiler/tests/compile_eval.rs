@@ -899,6 +899,37 @@ fn the_register_window_holds_256_registers_and_no_more() {
     assert_eq!(interpreted_wide(&program, 3), wide_h(steps + 1, 3));
 }
 
+/// A call to a void method writes no register: its destination is
+/// `NO_REG` (`_` in the disassembly), and it takes no slot of the window.
+#[test]
+fn a_void_call_has_no_destination_register() {
+    let program = parse_program(
+        "method nop 0 { ret }
+         method f 1 returns { invokestatic nop load 0 const 1 add retv }",
+    )
+    .unwrap();
+    let method = program.static_method_by_name("f").unwrap();
+    let mut options = CompilerOptions::with_opt_level(OptLevel::Pea);
+    options.build.inline = false;
+    let code = compile(&program, method, None, &options).unwrap();
+    let art = code.linear.as_ref().unwrap();
+    let dis = art.disassemble();
+    assert!(dis.contains("invokestatic _ <- M0()"), "{dis}");
+    // The parameter and the sum.
+    assert_eq!(art.num_regs, 2, "{dis}");
+    for x in [0, 4] {
+        tiers_agree_at_every_fuel_budget(&program, &code, &[Value::Int(x)]);
+        let (out, _) = run_tier(&program, &code, true, &[Value::Int(x)], None);
+        assert_eq!(
+            out,
+            format!(
+                "{:?}",
+                Ok::<_, VmError>(EvalOutcome::Return(Some(Value::Int(x + 1))))
+            )
+        );
+    }
+}
+
 /// An opcode the loop does not know ends the run with an internal error
 /// naming it and its `pc`, in the loop with a fuel limit and in the one
 /// without.
