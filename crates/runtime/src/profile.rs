@@ -427,6 +427,15 @@ mod tests {
     }
 
     #[test]
+    fn import_rejects_nested_and_hostile_lines() {
+        assert!(import("{\"record\":\"invocation\",\"method\":0,\"count\":1}").is_ok());
+        assert!(import("{\"record\":\"invocation\",\"method\":0,\"count\":1,\"x\":{}}").is_err());
+        for input in ["[".repeat(100_000), "{\"a\":".repeat(100_000)] {
+            assert!(import(&input).is_err());
+        }
+    }
+
+    #[test]
     fn import_rejects_indices_the_program_does_not_have() {
         for (hostile, key) in [
             (

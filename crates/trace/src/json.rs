@@ -1,15 +1,25 @@
-//! Minimal flat-JSON codec for trace events.
+//! The workspace's one JSON codec.
 //!
-//! The workspace builds offline (no serde), and trace events only need a
-//! flat object with string / integer / bool / null / string-array values —
-//! so this module implements exactly that: [`ObjectWriter`] emits one
-//! compact object, [`parse_object`] reads one back. Nested objects and
-//! floating-point numbers are intentionally unsupported.
+//! The workspace builds offline (no serde), so every JSON document the VM
+//! writes or reads goes through this module: trace-event and profile
+//! lines, `FLIGHT.json`, `TIMELINE.json`, `PROFILE.json` and the metrics
+//! document. [`ObjectWriter`] streams one compact document into a single
+//! buffer, members in call order; a nested object or array is written by a
+//! closure, so every scope it opens is closed. [`parse`] reads any
+//! document into a [`Value`] tree, and [`parse_object`] reads one flat
+//! record (the shape of a JSON-lines trace event or profile line).
+//!
+//! Numbers are integers: every number the tree emits is one, and the
+//! parser rejects fractions and exponents. Nesting is bounded by
+//! [`MAX_DEPTH`], so hostile input is an error, never a stack overflow.
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-/// Error from [`parse_object`] or a typed field accessor.
+/// Deepest nesting [`parse`] accepts. The documents the tree writes nest
+/// at most five levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Error from [`parse`] or a typed field accessor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError(String);
 
@@ -27,67 +37,126 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Writes one flat JSON object, preserving insertion order.
-#[derive(Debug, Default)]
-pub struct ObjectWriter {
+/// The buffer a writer streams into, and whether its innermost scope has a
+/// member yet (which decides the separating comma).
+#[derive(Debug)]
+struct Scope {
     buf: String,
+    empty: bool,
+}
+
+impl Scope {
+    fn open(mut buf: String, bracket: char) -> Self {
+        buf.push(bracket);
+        Scope { buf, empty: true }
+    }
+
+    fn close(mut self, bracket: char) -> String {
+        self.buf.push(bracket);
+        self.buf
+    }
+
+    fn separate(&mut self) {
+        if !self.empty {
+            self.buf.push(',');
+        }
+        self.empty = false;
+    }
+
+    /// Writes a nested object at the current position.
+    fn object(&mut self, body: impl FnOnce(&mut ObjectWriter)) {
+        let mut inner = ObjectWriter(Scope::open(std::mem::take(&mut self.buf), '{'));
+        body(&mut inner);
+        self.buf = inner.0.close('}');
+    }
+
+    /// Writes a nested array at the current position.
+    fn array(&mut self, body: impl FnOnce(&mut ArrayWriter)) {
+        let mut inner = ArrayWriter(Scope::open(std::mem::take(&mut self.buf), '['));
+        body(&mut inner);
+        self.buf = inner.0.close(']');
+    }
+}
+
+/// Streams one JSON object, members in call order. Numbers are any
+/// integer type up to 64 bits.
+#[derive(Debug)]
+pub struct ObjectWriter(Scope);
+
+impl Default for ObjectWriter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ObjectWriter {
     pub fn new() -> Self {
-        ObjectWriter {
-            buf: String::from("{"),
-        }
+        ObjectWriter(Scope::open(String::new(), '{'))
     }
 
-    fn key(&mut self, key: &str) {
-        if self.buf.len() > 1 {
-            self.buf.push(',');
-        }
-        escape_into(&mut self.buf, key);
-        self.buf.push(':');
+    fn key(&mut self, key: &str) -> &mut String {
+        self.0.separate();
+        escape_into(&mut self.0.buf, key);
+        self.0.buf.push(':');
+        &mut self.0.buf
     }
 
     pub fn str(&mut self, key: &str, value: &str) {
-        self.key(key);
-        escape_into(&mut self.buf, value);
+        escape_into(self.key(key), value);
     }
 
-    pub fn num(&mut self, key: &str, value: i64) {
-        self.key(key);
-        self.buf.push_str(&value.to_string());
+    pub fn num(&mut self, key: &str, value: impl Into<i128>) {
+        let _ = write!(self.key(key), "{}", value.into());
     }
 
     pub fn bool(&mut self, key: &str, value: bool) {
-        self.key(key);
-        self.buf.push_str(if value { "true" } else { "false" });
+        self.key(key).push_str(if value { "true" } else { "false" });
     }
 
     pub fn null(&mut self, key: &str) {
-        self.key(key);
-        self.buf.push_str("null");
+        self.key(key).push_str("null");
     }
 
     pub fn str_array(&mut self, key: &str, values: &[String]) {
-        self.key(key);
-        self.buf.push('[');
-        for (i, v) in values.iter().enumerate() {
-            if i > 0 {
-                self.buf.push(',');
-            }
-            escape_into(&mut self.buf, v);
-        }
-        self.buf.push(']');
+        self.array(key, |a| values.iter().for_each(|v| a.str(v)));
     }
 
-    pub fn finish(mut self) -> String {
-        self.buf.push('}');
-        self.buf
+    /// Writes `key` with a nested object whose members `body` writes.
+    pub fn object(&mut self, key: &str, body: impl FnOnce(&mut ObjectWriter)) {
+        self.key(key);
+        self.0.object(body);
+    }
+
+    /// Writes `key` with a nested array whose items `body` writes.
+    pub fn array(&mut self, key: &str, body: impl FnOnce(&mut ArrayWriter)) {
+        self.key(key);
+        self.0.array(body);
+    }
+
+    pub fn finish(self) -> String {
+        self.0.close('}')
+    }
+}
+
+/// Streams the items of an array nested in an [`ObjectWriter`].
+#[derive(Debug)]
+pub struct ArrayWriter(Scope);
+
+impl ArrayWriter {
+    pub fn str(&mut self, value: &str) {
+        self.0.separate();
+        escape_into(&mut self.0.buf, value);
+    }
+
+    /// Appends an object whose members `body` writes.
+    pub fn object(&mut self, body: impl FnOnce(&mut ObjectWriter)) {
+        self.0.separate();
+        self.0.object(body);
     }
 }
 
 /// Appends `s` to `buf` as a quoted JSON string.
-pub(crate) fn escape_into(buf: &mut String, s: &str) {
+fn escape_into(buf: &mut String, s: &str) {
     buf.push('"');
     for c in s.chars() {
         match c {
@@ -97,7 +166,7 @@ pub(crate) fn escape_into(buf: &mut String, s: &str) {
             '\r' => buf.push_str("\\r"),
             '\t' => buf.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                buf.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(buf, "\\u{:04x}", c as u32);
             }
             c => buf.push(c),
         }
@@ -105,26 +174,54 @@ pub(crate) fn escape_into(buf: &mut String, s: &str) {
     buf.push('"');
 }
 
-/// A parsed flat-JSON value.
+/// A parsed JSON value. Numbers are integers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Value {
     Str(String),
     Num(i64),
     Bool(bool),
     Null,
-    StrArray(Vec<String>),
+    Array(Vec<Value>),
+    Object(Object),
 }
 
-/// A parsed flat JSON object with typed accessors.
+impl Value {
+    pub fn as_object(&self) -> Result<&Object, JsonError> {
+        match self {
+            Value::Object(o) => Ok(o),
+            other => Err(JsonError::new(format!("expected object, got {other:?}"))),
+        }
+    }
+
+    /// Whether the value is a string, number, bool, null or an array of
+    /// strings: what a field of a flat record may hold.
+    fn is_flat(&self) -> bool {
+        match self {
+            Value::Object(_) => false,
+            Value::Array(items) => items.iter().all(|v| matches!(v, Value::Str(_))),
+            _ => true,
+        }
+    }
+}
+
+/// A parsed JSON object with typed accessors. Members keep document
+/// order; when a key repeats, the last member wins.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Object {
-    fields: BTreeMap<String, Value>,
+    fields: Vec<(String, Value)>,
 }
 
 impl Object {
-    pub fn get(&self, key: &str) -> Result<&Value, JsonError> {
+    fn field(&self, key: &str) -> Option<&Value> {
         self.fields
-            .get(key)
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
+    }
+
+    pub fn get(&self, key: &str) -> Result<&Value, JsonError> {
+        self.field(key)
             .ok_or_else(|| JsonError::new(format!("missing field {key:?}")))
     }
 
@@ -168,7 +265,7 @@ impl Object {
     /// The string at `key`, or `None` when the field is absent or null —
     /// for fields added after traces in the wild were recorded.
     pub fn opt_str(&self, key: &str) -> Option<&str> {
-        match self.fields.get(key) {
+        match self.field(key) {
             Some(Value::Str(s)) => Some(s),
             _ => None,
         }
@@ -176,61 +273,77 @@ impl Object {
 
     /// The number at `key`, or `None` when the field is absent or null.
     pub fn opt_num(&self, key: &str) -> Option<i64> {
-        match self.fields.get(key) {
+        match self.field(key) {
             Some(Value::Num(n)) => Some(*n),
             _ => None,
         }
     }
 
     pub fn get_str_array(&self, key: &str) -> Result<Vec<String>, JsonError> {
+        let not_strings = || JsonError::new(format!("field {key:?}: expected string array"));
         match self.get(key)? {
-            Value::StrArray(v) => Ok(v.clone()),
+            Value::Array(items) => items
+                .iter()
+                .map(|v| match v {
+                    Value::Str(s) => Ok(s.clone()),
+                    _ => Err(not_strings()),
+                })
+                .collect(),
+            _ => Err(not_strings()),
+        }
+    }
+
+    pub fn get_array(&self, key: &str) -> Result<&[Value], JsonError> {
+        match self.get(key)? {
+            Value::Array(items) => Ok(items),
             other => Err(JsonError::new(format!(
-                "field {key:?}: expected string array, got {other:?}"
+                "field {key:?}: expected array, got {other:?}"
             ))),
         }
     }
+
+    pub fn get_object(&self, key: &str) -> Result<&Object, JsonError> {
+        self.get(key)?
+            .as_object()
+            .map_err(|e| JsonError::new(format!("field {key:?}: {}", e.0)))
+    }
 }
 
-/// Parses one flat JSON object (the shape [`ObjectWriter`] produces).
-pub fn parse_object(input: &str) -> Result<Object, JsonError> {
+/// Parses one JSON document.
+///
+/// # Errors
+///
+/// Malformed JSON, a number that is not an `i64`, trailing data, or
+/// nesting deeper than [`MAX_DEPTH`].
+pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
     };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields = BTreeMap::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.value()?;
-            fields.insert(key, value);
-            p.skip_ws();
-            match p.next_byte()? {
-                b',' => continue,
-                b'}' => break,
-                c => {
-                    return Err(JsonError::new(format!(
-                        "expected ',' or '}}', got {:?}",
-                        c as char
-                    )))
-                }
-            }
-        }
-    }
+    let value = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
-        return Err(JsonError::new("trailing data after object"));
+        return Err(JsonError::new("trailing data after value"));
     }
-    Ok(Object { fields })
+    Ok(value)
+}
+
+/// Parses one flat JSON object: every field a string, number, bool, null
+/// or array of strings (the shape of one JSON-lines record).
+///
+/// # Errors
+///
+/// As [`parse`], or a document that is not a flat object.
+pub fn parse_object(input: &str) -> Result<Object, JsonError> {
+    let Value::Object(obj) = parse(input)? else {
+        return Err(JsonError::new("expected an object"));
+    };
+    match obj.fields.iter().find(|(_, v)| !v.is_flat()) {
+        Some((key, _)) => Err(JsonError::new(format!(
+            "field {key:?}: nested value in a flat record"
+        ))),
+        None => Ok(obj),
+    }
 }
 
 struct Parser<'a> {
@@ -265,6 +378,42 @@ impl Parser<'_> {
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
+        }
+    }
+
+    /// Reads the comma-separated items of an object or array whose opening
+    /// bracket is the next byte, up to its `close` bracket.
+    fn items(
+        &mut self,
+        depth: usize,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if depth >= MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels"
+            )));
+        }
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            item(self)?;
+            self.skip_ws();
+            match self.next_byte()? {
+                b',' => continue,
+                c if c == close => return Ok(()),
+                c => {
+                    return Err(JsonError::new(format!(
+                        "expected ',' or {:?}, got {:?}",
+                        close as char, c as char
+                    )))
+                }
+            }
         }
     }
 
@@ -324,37 +473,32 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
+    fn value(&mut self, depth: usize) -> Result<Value, JsonError> {
+        self.skip_ws();
         match self
             .peek()
             .ok_or_else(|| JsonError::new("unexpected end of input"))?
         {
-            b'"' => Ok(Value::Str(self.string()?)),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::StrArray(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.string()?);
-                    self.skip_ws();
-                    match self.next_byte()? {
-                        b',' => continue,
-                        b']' => break,
-                        c => {
-                            return Err(JsonError::new(format!(
-                                "expected ',' or ']', got {:?}",
-                                c as char
-                            )));
-                        }
-                    }
-                }
-                Ok(Value::StrArray(items))
+            b'{' => {
+                let mut fields = Vec::new();
+                self.items(depth, b'}', |p| {
+                    let key = p.string()?;
+                    p.skip_ws();
+                    p.expect(b':')?;
+                    fields.push((key, p.value(depth + 1)?));
+                    Ok(())
+                })?;
+                Ok(Value::Object(Object { fields }))
             }
+            b'[' => {
+                let mut items = Vec::new();
+                self.items(depth, b']', |p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            b'"' => Ok(Value::Str(self.string()?)),
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'n' => self.literal("null", Value::Null),
@@ -410,6 +554,97 @@ mod tests {
         assert!(!obj.get_bool("f").unwrap());
         assert_eq!(obj.get_opt_num("z").unwrap(), None);
         assert_eq!(obj.get_str_array("a").unwrap(), vec!["x", "y\"z"]);
+    }
+
+    #[test]
+    fn nested_writer_round_trips() {
+        let mut w = ObjectWriter::new();
+        w.num("big", u64::MAX);
+        w.object("empty", |_| {});
+        w.array("rows", |rows| {
+            rows.object(|r| {
+                r.str("m", "f");
+                r.array("tags", |t| t.str("x"));
+            });
+            rows.object(|r| r.null("m"));
+            rows.str("last");
+        });
+        w.bool("after", true);
+        let doc = w.finish();
+        assert_eq!(
+            doc,
+            r#"{"big":18446744073709551615,"empty":{},"rows":[{"m":"f","tags":["x"]},{"m":null},"last"],"after":true}"#
+        );
+        // `big` is past `i64`, the parser's number range.
+        assert!(parse(&doc).is_err());
+        let doc = doc.replace("18446744073709551615", "-9223372036854775808");
+        let root = parse(&doc).unwrap();
+        let root = root.as_object().unwrap();
+        assert_eq!(root.get_num("big").unwrap(), i64::MIN);
+        assert_eq!(root.get_object("empty").unwrap(), &Object::default());
+        let rows = root.get_array("rows").unwrap();
+        assert_eq!(rows.len(), 3);
+        let first = rows[0].as_object().unwrap();
+        assert_eq!(first.get_str("m").unwrap(), "f");
+        assert_eq!(first.get_str_array("tags").unwrap(), vec!["x"]);
+        assert_eq!(rows[1].as_object().unwrap().get_opt_num("m").unwrap(), None);
+        assert_eq!(rows[2], Value::Str("last".into()));
+        assert!(root.get_bool("after").unwrap());
+        assert!(root.get_object("rows").is_err());
+        assert!(root.get_array("after").is_err());
+    }
+
+    #[test]
+    fn parse_accepts_nesting_and_rejects_malformed() {
+        let v = parse(" {\"a\":[1,2,{\"b\":null}],\"c\":-15} ").unwrap();
+        let a = v.as_object().unwrap().get_array("a").unwrap();
+        assert_eq!(a[1], Value::Num(2));
+        assert!(parse("[]").is_ok());
+        assert!(parse("\"s\"").is_ok());
+        for bad in [
+            "",
+            "{\"a\":}",
+            "[1,2",
+            "[1,]",
+            "{} extra",
+            "{\"a\":1-2}",
+            "{\"a\":--}",
+            "{\"a\":-}",
+            "-1.5e3",
+            "{\"a\" 1}",
+            "{1:2}",
+            "[tru]",
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn flat_records_reject_nested_values() {
+        assert!(parse_object("{\"a\":{}}").is_err());
+        assert!(parse_object("{\"a\":[1]}").is_err());
+        assert!(parse_object("{\"a\":[[]]}").is_err());
+        // A shadowed member is still a member of the record.
+        assert!(parse_object("{\"a\":{},\"a\":1}").is_err());
+        assert!(parse_object("[]").is_err());
+        let obj = parse_object("{\"a\":1,\"a\":[\"x\"]}").unwrap();
+        assert_eq!(obj.get_str_array("a").unwrap(), vec!["x"]);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).is_err());
+        let hostile = [
+            "[".repeat(100_000),
+            "{\"a\":".repeat(100_000),
+            deep(100_000),
+        ];
+        for input in &hostile {
+            assert!(parse(input).is_err());
+            assert!(parse_object(input).is_err());
+        }
     }
 
     #[test]

@@ -10,8 +10,7 @@
 use pea_bytecode::asm::parse_program;
 use pea_metrics::profile::{ProfilerHub, Reconciliation, Tier};
 use pea_runtime::Value;
-use pea_trace::timeline::validate_json;
-use pea_trace::{MemorySink, SharedSink, TraceEvent};
+use pea_trace::{FlightEntry, MemorySink, SharedSink, TraceEvent};
 use pea_vm::{ExecMode, JitMode, OptLevel, Vm, VmOptions};
 use pea_workloads::all_workloads;
 
@@ -212,6 +211,28 @@ fn flight_path(tag: &str) -> std::path::PathBuf {
     path
 }
 
+/// Parses a `FLIGHT.json` dump and checks it against the ring it was
+/// taken from: `recorded`, `dropped` and every entry, each event read
+/// back through [`TraceEvent::from_json_line`]'s reader.
+fn assert_dump_matches_ring(dump: &str, entries: &[FlightEntry]) {
+    let doc = pea_trace::json::parse(dump).expect("flight dump must be valid JSON");
+    let doc = doc.as_object().unwrap();
+    assert_eq!(doc.get_str("schema").unwrap(), "pea-flight/1");
+    let recorded = entries.last().expect("the ring holds events").seq + 1;
+    assert_eq!(doc.get_num("recorded").unwrap(), recorded as i64);
+    let dropped = recorded - entries.len() as u64;
+    assert_eq!(doc.get_num("dropped").unwrap(), dropped as i64);
+    let events = doc.get_array("events").unwrap();
+    assert_eq!(events.len(), entries.len());
+    for (item, entry) in events.iter().zip(entries) {
+        let item = item.as_object().unwrap();
+        assert_eq!(item.get_num("seq").unwrap(), entry.seq as i64);
+        assert_eq!(item.get_num("t_us").unwrap(), entry.t_us as i64);
+        let event = TraceEvent::from_json_object(item.get_object("event").unwrap()).unwrap();
+        assert_eq!(event, entry.event);
+    }
+}
+
 #[test]
 fn flight_ring_dumps_on_vm_error() {
     let path = flight_path("vmerror");
@@ -232,7 +253,7 @@ fn flight_ring_dumps_on_vm_error() {
     }
     assert!(failed, "the fuel budget must run out");
     let dump = std::fs::read_to_string(&path).expect("FLIGHT.json written on VmError");
-    validate_json(&dump).expect("flight dump must be valid JSON");
+    assert_dump_matches_ring(&dump, &vm.flight_entries().unwrap());
     assert!(dump.starts_with("{\"schema\":\"pea-flight/1\""));
     assert!(
         dump.contains("\"event\":\"deopt\"") || dump.contains("\"event\":\"compile-start\""),
@@ -245,6 +266,8 @@ fn flight_ring_dumps_on_vm_error() {
 fn flight_ring_dumps_when_a_panic_unwinds_past_the_vm() {
     let path = flight_path("panic");
     let path_clone = path.clone();
+    let ring = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let ring_clone = std::sync::Arc::clone(&ring);
     let result = std::panic::catch_unwind(move || {
         let hub = ProfilerHub::enabled();
         let program = parse_program(DEOPT_SRC).unwrap();
@@ -254,13 +277,14 @@ fn flight_ring_dumps_when_a_panic_unwinds_past_the_vm() {
         for i in 0..80 {
             vm.call_entry("f", &[Value::Int(i)]).unwrap();
         }
+        *ring_clone.lock().unwrap() = vm.flight_entries().unwrap();
         // Stand-in for a compiler invariant failure or a test assertion:
         // the unwind drops the VM, which persists the ring.
         panic!("induced failure");
     });
     assert!(result.is_err());
     let dump = std::fs::read_to_string(&path).expect("FLIGHT.json written on panic");
-    validate_json(&dump).expect("flight dump must be valid JSON");
+    assert_dump_matches_ring(&dump, &ring.lock().unwrap());
     assert!(dump.contains("compile-start") || dump.contains("compile-end"));
     let _ = std::fs::remove_file(&path);
 }

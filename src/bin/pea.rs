@@ -43,7 +43,7 @@ use pea::metrics::profile::{ProfilerHub, Reconciliation};
 use pea::metrics::MetricsHub;
 use pea::runtime::profile::ProfileStore;
 use pea::runtime::Value;
-use pea::trace::timeline::{render_chrome_trace, validate_json};
+use pea::trace::timeline::render_chrome_trace;
 use pea::trace::{FlightEntry, JsonLinesSink, PrettySink, SharedSink, TraceSink};
 use pea::vm::{JitMode, Vm, VmOptions};
 use std::path::{Path, PathBuf};
@@ -417,14 +417,9 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         out_dir.join("STACKS.txt").to_str().unwrap(),
         &snapshot.collapsed_stacks(),
     );
-    let timeline_json = render_chrome_trace(&timeline);
-    if let Err(e) = validate_json(&timeline_json) {
-        eprintln!("TIMELINE.json failed validation: {e}");
-        return ExitCode::FAILURE;
-    }
     write_output(
         out_dir.join("TIMELINE.json").to_str().unwrap(),
-        &timeline_json,
+        &render_chrome_trace(&timeline),
     );
     println!(
         "\nwrote {}, {}, {} ({} timeline events)",

@@ -313,6 +313,40 @@ fn hostile_newarray_exits_the_cli_cleanly() {
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
 
+/// `pea profile` on the paper's example writes documents the codec reads
+/// back: PROFILE.json with its schema and a reconciliation that holds, and
+/// TIMELINE.json with the compile spans of the warmup.
+#[test]
+fn profile_documents_parse_back() {
+    let dir = std::env::temp_dir().join(format!("pea-profile-out-{}", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_pea"))
+        .args(["profile", "examples/cache_key.asm", "getValue", "1", "null"])
+        .arg("--out")
+        .arg(&dir)
+        .output()
+        .expect("runs pea");
+    assert!(out.status.success(), "{out:?}");
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect(name);
+    let profile = pea::trace::json::parse(&read("PROFILE.json")).expect("PROFILE.json parses");
+    let profile = profile.as_object().unwrap();
+    assert_eq!(profile.get_str("schema").unwrap(), "pea-profile/1");
+    let recon = profile.get_object("reconciliation").unwrap();
+    assert!(recon.get_bool("ok").unwrap(), "{recon:?}");
+    assert!(!profile.get_array("rows").unwrap().is_empty());
+    let timeline = pea::trace::json::parse(&read("TIMELINE.json")).expect("TIMELINE.json parses");
+    let events = timeline
+        .as_object()
+        .unwrap()
+        .get_array("traceEvents")
+        .unwrap();
+    let cats: Vec<&str> = events
+        .iter()
+        .filter_map(|e| e.as_object().unwrap().opt_str("cat"))
+        .collect();
+    assert!(cats.contains(&"compile"), "{cats:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Recursion 5 000 deep through the command line: `stack overflow` and exit
 /// status 1 in every tier, not an abort of the process.
 #[test]
