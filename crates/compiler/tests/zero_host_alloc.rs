@@ -14,7 +14,7 @@ use pea_compiler::linear::execute;
 use pea_compiler::{
     compile, Call, CompiledMethod, CompilerOptions, EvalEnv, EvalOutcome, OptLevel, RegisterStack,
 };
-use pea_runtime::{Heap, Statics, Value, VmError};
+use pea_runtime::{Heap, Statics, Value, VmError, HEAP_SEGMENT_SLOTS};
 use std::sync::Arc;
 
 #[path = "../../interp/tests/support/counting_alloc.rs"]
@@ -57,6 +57,29 @@ fn heap_operations_reach_no_host_allocator() {
     }
     assert_eq!(allocations() - before, 0);
     assert_eq!(heap.len(), 2 * N);
+}
+
+/// A heap built after others were dropped takes one of their handle
+/// tables and slot segments: its first segment reaches no host allocator.
+#[test]
+fn a_heap_after_dropped_heaps_reuses_their_memory() {
+    // Four tables and eight segments go back at once: more than the other
+    // tests of this binary, three heaps with six segments between them,
+    // can take before the new heap does.
+    let dropped: Vec<Heap> = (0..4)
+        .map(|_| {
+            let mut heap = Heap::new();
+            heap.reserve(0, HEAP_SEGMENT_SLOTS).unwrap();
+            heap
+        })
+        .collect();
+    drop(dropped);
+
+    let mut heap = Heap::new();
+    let before = allocations();
+    let array = heap.alloc_array(ValueKind::Int, 4).unwrap();
+    assert_eq!(allocations() - before, 0);
+    assert_eq!(heap.slots_of(array), [Value::Int(0); 4]);
 }
 
 struct Env {

@@ -353,6 +353,34 @@ mod tests {
             "\n",
         );
         assert_eq!(render_json(&snapshot), PINNED);
+
+        // The codec reads every edge value back exactly.
+        let root = pea_trace::json::parse(PINNED).unwrap();
+        let root = root.as_object().unwrap();
+        let counters = root.get_object("counters").unwrap();
+        assert_eq!(
+            counters.get_num::<u64>("heap.class.we\"ird\\name.allocs"),
+            Ok(u64::MAX)
+        );
+        let gauges = root.get_object("gauges").unwrap();
+        assert_eq!(gauges.get_num::<i64>("g\n"), Ok(-3));
+        let h = root
+            .get_object("histograms")
+            .unwrap()
+            .get_object("h")
+            .unwrap();
+        for (key, value) in [
+            ("count", 2),
+            ("sum", 0),
+            ("max", u64::MAX),
+            ("mean", 0),
+            ("p50", 1),
+            ("p90", u64::MAX),
+            ("p99", u64::MAX),
+        ] {
+            assert_eq!(h.get_num::<u64>(key), Ok(value), "{key}");
+        }
+        assert!(h.get_num::<i64>("max").is_err(), "past i64 is refused");
     }
 
     #[test]

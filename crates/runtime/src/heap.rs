@@ -5,7 +5,7 @@ use crate::{Stats, Value, VmError};
 use pea_bytecode::{ClassId, FieldId, Program, StaticDecl, ValueKind};
 use pea_metrics::HeapRecorder;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A non-null reference into the [`Heap`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -186,9 +186,11 @@ impl Statics {
 /// Neither is ever copied: segments never grow and no slot moves, the
 /// table is reserved large enough to be remapped rather than copied, and
 /// pages no object reached are never committed. Allocation bumps both
-/// and touches no host allocator until one is full; nothing is freed.
-/// Every allocation and monitor operation updates [`Stats`], which is
-/// what the paper's Table 1 measures.
+/// and touches no host allocator until one is full; nothing is freed
+/// until the heap is dropped, and then its table and standard segments
+/// are left to the next heap (see [`Heap::recycled_segments`]). Every
+/// allocation and monitor operation updates [`Stats`], which is what the
+/// paper's Table 1 measures.
 #[derive(Debug, Default)]
 pub struct Heap {
     /// Handle `i` is `handles[i]`: one contiguous table, so finding an
@@ -221,8 +223,43 @@ pub struct Heap {
     granted: usize,
 }
 
-/// An empty slot segment of `slots` capacity; the host may refuse it.
+/// Most standard slot segments the recycler keeps (128 MiB).
+pub const MAX_RECYCLED_SEGMENTS: usize = 128;
+
+/// Most handle tables the recycler keeps: one per heap of a VM's
+/// mutator threads.
+const MAX_RECYCLED_TABLES: usize = 8;
+
+/// The standard slot segments and handle tables of dropped heaps, cleared
+/// but with their pages still committed. A new heap takes from here
+/// before it asks the host, so a VM built after another one reuses its
+/// memory instead of faulting fresh pages in. A heap takes before it
+/// grows, so nothing here is more than was once live at the same time.
+struct Recycler {
+    segments: Vec<Vec<Value>>,
+    /// Handle tables, each with the emptied list its heap kept its
+    /// segments in.
+    tables: Vec<(Vec<Handle>, Vec<Vec<Value>>)>,
+}
+
+static RECYCLER: Mutex<Recycler> = Mutex::new(Recycler {
+    segments: Vec::new(),
+    tables: Vec::new(),
+});
+
+fn recycler() -> MutexGuard<'static, Recycler> {
+    // The lists stay consistent whatever panicked while holding them.
+    RECYCLER.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// An empty slot segment of `slots` capacity, recycled when it is a
+/// standard one; the host may refuse it.
 fn segment(slots: usize) -> Result<Vec<Value>, VmError> {
+    if slots == HEAP_SEGMENT_SLOTS {
+        if let Some(segment) = recycler().segments.pop() {
+            return Ok(segment);
+        }
+    }
     let mut segment = Vec::new();
     segment
         .try_reserve_exact(slots)
@@ -234,6 +271,13 @@ impl Heap {
     /// Creates an empty heap.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Standard slot segments dropped heaps have left for the next ones:
+    /// cleared, with their pages still committed, and taken before the
+    /// host is asked for a segment.
+    pub fn recycled_segments() -> usize {
+        recycler().segments.len()
     }
 
     /// Attaches a metrics recorder; every subsequent allocation also feeds
@@ -280,6 +324,7 @@ impl Heap {
     /// [`VmError::OutOfMemory`] when the host refuses the handle table or
     /// a spare segment.
     pub fn reserve(&mut self, objects: usize, slots: usize) -> Result<(), VmError> {
+        self.adopt_table();
         let len = self.handles.len();
         self.handles
             .try_reserve_exact((len + objects).max(HANDLE_RESERVE) - len)
@@ -393,6 +438,9 @@ impl Heap {
         if objects >= MAX_HEAP_OBJECTS || len > MAX_HEAP_SLOTS - self.used {
             return Err(VmError::OutOfMemory);
         }
+        if objects == 0 {
+            self.adopt_table();
+        }
         if objects == self.handles.capacity() {
             // Double, from a reservation large enough to be mapped, up to
             // the capacity.
@@ -412,6 +460,18 @@ impl Heap {
         let r = self.put_handle(kind, start, len);
         self.refresh_limits();
         Ok((r, segment))
+    }
+
+    /// Takes a dropped heap's handle table and segment list if this heap
+    /// has no table yet (and so no object and no segment).
+    fn adopt_table(&mut self) {
+        if self.handles.capacity() == 0 {
+            if let Some((handles, slots)) = recycler().tables.pop() {
+                debug_assert!(self.slots.is_empty());
+                self.handles = handles;
+                self.slots = slots;
+            }
+        }
     }
 
     /// Re-derives the fast path's bounds from the handle table, the current
@@ -741,6 +801,32 @@ impl Heap {
             .iter()
             .map(|&(_, holds)| u64::from(holds))
             .sum()
+    }
+}
+
+/// Hands the standard slot segments (spares included) and the handle
+/// table to the recycler, up to its caps. They are cleared, not zeroed:
+/// every slot is written when its object is allocated, so no stale value
+/// is ever read. Own-size array segments go back to the host.
+impl Drop for Heap {
+    fn drop(&mut self) {
+        let mut recycler = recycler();
+        for mut segment in self.slots.drain(..).chain(self.spares.drain(..)) {
+            if segment.capacity() == HEAP_SEGMENT_SLOTS
+                && recycler.segments.len() < MAX_RECYCLED_SEGMENTS
+            {
+                segment.clear();
+                recycler.segments.push(segment);
+            }
+        }
+        if self.handles.capacity() != 0 && recycler.tables.len() < MAX_RECYCLED_TABLES {
+            self.handles.clear();
+            let table = (
+                std::mem::take(&mut self.handles),
+                std::mem::take(&mut self.slots),
+            );
+            recycler.tables.push(table);
+        }
     }
 }
 

@@ -23,7 +23,10 @@ mod value;
 
 pub use error::{VmError, MAX_CALL_DEPTH};
 pub use frames::{FrameChain, FrameHeader};
-pub use heap::{Heap, ObjRef, Statics, HEAP_SEGMENT_SLOTS, MAX_HEAP_OBJECTS, MAX_HEAP_SLOTS};
+pub use heap::{
+    Heap, ObjRef, Statics, HEAP_SEGMENT_SLOTS, MAX_HEAP_OBJECTS, MAX_HEAP_SLOTS,
+    MAX_RECYCLED_SEGMENTS,
+};
 pub use stats::Stats;
 pub use tlab::{ChunkAllocator, TLAB_CELLS};
 pub use value::Value;

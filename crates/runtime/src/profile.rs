@@ -256,10 +256,7 @@ impl ProfileStore {
     /// Accumulates one [`import_json`](Self::import_json) record.
     fn import_line(&mut self, line: &str, program: &Program) -> Result<(), String> {
         let obj = pea_trace::json::parse_object(line).map_err(|e| e.to_string())?;
-        let field = |key: &str| -> Result<u64, String> {
-            let n = obj.get_num(key).map_err(|e| e.to_string())?;
-            u64::try_from(n).map_err(|_| format!("negative {key:?}"))
-        };
+        let field = |key: &str| obj.get_num::<u64>(key).map_err(|e| e.to_string());
         let index = |key: &str, len: usize| -> Result<u32, String> {
             match field(key)? {
                 n if n < len as u64 => Ok(n as u32),

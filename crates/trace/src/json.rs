@@ -10,8 +10,11 @@
 //! record (the shape of a JSON-lines trace event or profile line).
 //!
 //! Numbers are integers: every number the tree emits is one, and the
-//! parser rejects fractions and exponents. Nesting is bounded by
-//! [`MAX_DEPTH`], so hostile input is an error, never a stack overflow.
+//! parser rejects fractions and exponents. It reads any integer the
+//! writer can emit (`u64::MAX` included) exactly, and a typed accessor
+//! reports a number its type cannot hold as an error, never wrapping it.
+//! Nesting is bounded by [`MAX_DEPTH`], so hostile input is an error,
+//! never a stack overflow.
 
 use std::fmt::{self, Write as _};
 
@@ -174,11 +177,12 @@ fn escape_into(buf: &mut String, s: &str) {
     buf.push('"');
 }
 
-/// A parsed JSON value. Numbers are integers.
+/// A parsed JSON value. Numbers are integers, wide enough for every one
+/// [`ObjectWriter::num`] writes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Value {
     Str(String),
-    Num(i64),
+    Num(i128),
     Bool(bool),
     Null,
     Array(Vec<Value>),
@@ -234,9 +238,10 @@ impl Object {
         }
     }
 
-    pub fn get_num(&self, key: &str) -> Result<i64, JsonError> {
+    /// The number at `key` as a `T`; a number `T` cannot hold is an error.
+    pub fn get_num<T: TryFrom<i128>>(&self, key: &str) -> Result<T, JsonError> {
         match self.get(key)? {
-            Value::Num(n) => Ok(*n),
+            Value::Num(n) => number(key, *n),
             other => Err(JsonError::new(format!(
                 "field {key:?}: expected number, got {other:?}"
             ))),
@@ -252,14 +257,10 @@ impl Object {
         }
     }
 
-    pub fn get_opt_num(&self, key: &str) -> Result<Option<i64>, JsonError> {
-        match self.get(key)? {
-            Value::Num(n) => Ok(Some(*n)),
-            Value::Null => Ok(None),
-            other => Err(JsonError::new(format!(
-                "field {key:?}: expected number or null, got {other:?}"
-            ))),
-        }
+    /// The number at `key` as a `T`, or `None` when it is null.
+    pub fn get_opt_num<T: TryFrom<i128>>(&self, key: &str) -> Result<Option<T>, JsonError> {
+        self.get(key)?;
+        self.opt_num(key)
     }
 
     /// The string at `key`, or `None` when the field is absent or null —
@@ -271,11 +272,15 @@ impl Object {
         }
     }
 
-    /// The number at `key`, or `None` when the field is absent or null.
-    pub fn opt_num(&self, key: &str) -> Option<i64> {
+    /// The number at `key` as a `T`, or `None` when the field is absent or
+    /// null — for fields added after traces in the wild were recorded.
+    pub fn opt_num<T: TryFrom<i128>>(&self, key: &str) -> Result<Option<T>, JsonError> {
         match self.field(key) {
-            Some(Value::Num(n)) => Some(*n),
-            _ => None,
+            None | Some(Value::Null) => Ok(None),
+            Some(Value::Num(n)) => number(key, *n).map(Some),
+            Some(other) => Err(JsonError::new(format!(
+                "field {key:?}: expected number or null, got {other:?}"
+            ))),
         }
     }
 
@@ -309,12 +314,22 @@ impl Object {
     }
 }
 
+/// `n`, the number at `key`, as a `T`.
+fn number<T: TryFrom<i128>>(key: &str, n: i128) -> Result<T, JsonError> {
+    T::try_from(n).map_err(|_| {
+        JsonError::new(format!(
+            "field {key:?}: {n} is out of range for {}",
+            std::any::type_name::<T>()
+        ))
+    })
+}
+
 /// Parses one JSON document.
 ///
 /// # Errors
 ///
-/// Malformed JSON, a number that is not an `i64`, trailing data, or
-/// nesting deeper than [`MAX_DEPTH`].
+/// Malformed JSON, a number that is not an integer of at most 128 bits,
+/// trailing data, or nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
@@ -511,7 +526,7 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-                text.parse::<i64>()
+                text.parse::<i128>()
                     .map(Value::Num)
                     .map_err(|_| JsonError::new(format!("bad number {text:?}")))
             }
@@ -549,10 +564,10 @@ mod tests {
         let line = w.finish();
         let obj = parse_object(&line).unwrap();
         assert_eq!(obj.get_str("s").unwrap(), "a \"b\" \\ ✓\n");
-        assert_eq!(obj.get_num("n").unwrap(), -42);
+        assert_eq!(obj.get_num::<i64>("n").unwrap(), -42);
         assert!(obj.get_bool("t").unwrap());
         assert!(!obj.get_bool("f").unwrap());
-        assert_eq!(obj.get_opt_num("z").unwrap(), None);
+        assert_eq!(obj.get_opt_num::<i64>("z").unwrap(), None);
         assert_eq!(obj.get_str_array("a").unwrap(), vec!["x", "y\"z"]);
     }
 
@@ -575,23 +590,50 @@ mod tests {
             doc,
             r#"{"big":18446744073709551615,"empty":{},"rows":[{"m":"f","tags":["x"]},{"m":null},"last"],"after":true}"#
         );
-        // `big` is past `i64`, the parser's number range.
-        assert!(parse(&doc).is_err());
-        let doc = doc.replace("18446744073709551615", "-9223372036854775808");
         let root = parse(&doc).unwrap();
         let root = root.as_object().unwrap();
-        assert_eq!(root.get_num("big").unwrap(), i64::MIN);
+        assert_eq!(root.get_num::<u64>("big").unwrap(), u64::MAX);
         assert_eq!(root.get_object("empty").unwrap(), &Object::default());
         let rows = root.get_array("rows").unwrap();
         assert_eq!(rows.len(), 3);
         let first = rows[0].as_object().unwrap();
         assert_eq!(first.get_str("m").unwrap(), "f");
         assert_eq!(first.get_str_array("tags").unwrap(), vec!["x"]);
-        assert_eq!(rows[1].as_object().unwrap().get_opt_num("m").unwrap(), None);
+        assert_eq!(
+            rows[1].as_object().unwrap().get_opt_num::<u64>("m"),
+            Ok(None)
+        );
         assert_eq!(rows[2], Value::Str("last".into()));
         assert!(root.get_bool("after").unwrap());
         assert!(root.get_object("rows").is_err());
         assert!(root.get_array("after").is_err());
+    }
+
+    #[test]
+    fn every_integer_the_writer_emits_parses_back_exactly() {
+        let mut w = ObjectWriter::new();
+        w.num("u64_max", u64::MAX);
+        w.num("i64_min", i64::MIN);
+        w.num("i64_max", i64::MAX);
+        w.num("past_i64", i64::MAX as u64 + 1);
+        let doc = w.finish();
+        let obj = parse_object(&doc).unwrap();
+        assert_eq!(obj.get_num::<u64>("u64_max"), Ok(u64::MAX));
+        assert_eq!(obj.get_num::<i64>("i64_min"), Ok(i64::MIN));
+        assert_eq!(obj.get_num::<i64>("i64_max"), Ok(i64::MAX));
+        assert_eq!(obj.get_num::<u64>("past_i64"), Ok(1 << 63));
+        // An accessor whose type cannot hold the number reports it, and
+        // never wraps it.
+        assert!(obj.get_num::<i64>("u64_max").is_err());
+        assert!(obj.get_num::<i64>("past_i64").is_err());
+        assert!(obj.get_opt_num::<i64>("u64_max").is_err());
+        assert!(obj.opt_num::<i64>("u64_max").is_err());
+        assert!(obj.get_num::<u64>("i64_min").is_err());
+        assert!(obj.get_num::<u32>("i64_max").is_err());
+        assert_eq!(obj.opt_num::<u64>("absent"), Ok(None));
+        assert!(obj.get_opt_num::<u64>("absent").is_err());
+        // Past the widest integer the writer takes is malformed.
+        assert!(parse("340282366920938463463374607431768211456").is_err());
     }
 
     #[test]

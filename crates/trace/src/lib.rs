@@ -415,15 +415,15 @@ impl TraceEvent {
                 phases,
             } => {
                 o.str("method", method);
-                o.num("code_size", *code_size as i64);
-                o.num("build_us", phases.build as i64);
-                o.num("canonicalize_us", phases.canonicalize as i64);
-                o.num("escape_analysis_us", phases.escape_analysis as i64);
-                o.num("schedule_us", phases.schedule as i64);
-                o.num("lower_us", phases.lower as i64);
+                o.num("code_size", *code_size);
+                o.num("build_us", phases.build);
+                o.num("canonicalize_us", phases.canonicalize);
+                o.num("escape_analysis_us", phases.escape_analysis);
+                o.num("schedule_us", phases.schedule);
+                o.num("lower_us", phases.lower);
             }
             TraceEvent::Virtualized { site, shape } => {
-                o.num("site", *site as i64);
+                o.num("site", *site);
                 o.str("shape", shape);
             }
             TraceEvent::Materialized {
@@ -432,39 +432,39 @@ impl TraceEvent {
                 block,
                 reason,
             } => {
-                o.num("site", *site as i64);
-                o.num("anchor", *anchor as i64);
-                o.num("block", *block as i64);
+                o.num("site", *site);
+                o.num("anchor", *anchor);
+                o.num("block", *block);
                 o.str("reason", reason.as_str());
             }
             TraceEvent::LockElided { site, node, exit } => {
-                o.num("site", *site as i64);
-                o.num("node", *node as i64);
+                o.num("site", *site);
+                o.num("node", *node);
                 o.bool("exit", *exit);
             }
             TraceEvent::LoadElided { site, node } => {
-                o.num("site", *site as i64);
-                o.num("node", *node as i64);
+                o.num("site", *site);
+                o.num("node", *node);
             }
             TraceEvent::StoreElided { site, node } => {
-                o.num("site", *site as i64);
-                o.num("node", *node as i64);
+                o.num("site", *site);
+                o.num("node", *node);
             }
             TraceEvent::CheckFolded { node, value } => {
-                o.num("node", *node as i64);
+                o.num("node", *node);
                 o.num("value", *value);
             }
             TraceEvent::PhiCreated { merge, site, field } => {
-                o.num("merge", *merge as i64);
-                o.num("site", *site as i64);
+                o.num("merge", *merge);
+                o.num("site", *site);
                 match field {
-                    Some(f) => o.num("field", *f as i64),
+                    Some(f) => o.num("field", *f),
                     None => o.null("field"),
                 }
             }
             TraceEvent::LoopRound { loop_begin, round } => {
-                o.num("loop_begin", *loop_begin as i64);
-                o.num("round", *round as i64);
+                o.num("loop_begin", *loop_begin);
+                o.num("round", *round);
             }
             TraceEvent::Deopt {
                 method,
@@ -475,17 +475,17 @@ impl TraceEvent {
             } => {
                 o.str("method", method);
                 o.str("site", site);
-                o.num("bci", *bci as i64);
+                o.num("bci", *bci);
                 o.str("reason", reason);
                 o.str_array("rematerialized", rematerialized);
             }
             TraceEvent::Evict { method, deopts } => {
                 o.str("method", method);
-                o.num("deopts", *deopts as i64);
+                o.num("deopts", *deopts);
             }
             TraceEvent::Recompile { method } => o.str("method", method),
             TraceEvent::MetricsSnapshot { seq, counters } => {
-                o.num("seq", *seq as i64);
+                o.num("seq", *seq);
                 o.str_array("counters", counters);
             }
             TraceEvent::InlineDecision {
@@ -496,7 +496,7 @@ impl TraceEvent {
                 reason,
             } => {
                 o.str("method", method);
-                o.num("bci", *bci as i64);
+                o.num("bci", *bci);
                 o.str("callee", callee);
                 o.bool("inlined", *inlined);
                 o.str("reason", reason);
@@ -508,7 +508,7 @@ impl TraceEvent {
                 classes,
             } => {
                 o.str("method", method);
-                o.num("bci", *bci as i64);
+                o.num("bci", *bci);
                 o.str("callee", callee);
                 o.str_array("classes", classes);
             }
@@ -520,7 +520,7 @@ impl TraceEvent {
             } => {
                 o.str("method", method);
                 o.str("site", site);
-                o.num("bci", *bci as i64);
+                o.num("bci", *bci);
                 o.str("reason", reason);
             }
         }
@@ -542,25 +542,25 @@ impl TraceEvent {
             },
             "compile-end" => TraceEvent::CompileEnd {
                 method: obj.get_str("method")?.to_string(),
-                code_size: obj.get_num("code_size")? as u64,
+                code_size: obj.get_num("code_size")?,
                 // The timing fields are optional so traces recorded before
-                // the payload existed still parse.
+                // the payload existed still parse: a missing one is 0.
                 phases: PhaseMicros {
-                    build: obj.get_opt_num("build_us")?.unwrap_or(0) as u64,
-                    canonicalize: obj.get_opt_num("canonicalize_us")?.unwrap_or(0) as u64,
-                    escape_analysis: obj.get_opt_num("escape_analysis_us")?.unwrap_or(0) as u64,
-                    schedule: obj.get_opt_num("schedule_us")?.unwrap_or(0) as u64,
-                    lower: obj.get_opt_num("lower_us")?.unwrap_or(0) as u64,
+                    build: obj.opt_num("build_us")?.unwrap_or(0),
+                    canonicalize: obj.opt_num("canonicalize_us")?.unwrap_or(0),
+                    escape_analysis: obj.opt_num("escape_analysis_us")?.unwrap_or(0),
+                    schedule: obj.opt_num("schedule_us")?.unwrap_or(0),
+                    lower: obj.opt_num("lower_us")?.unwrap_or(0),
                 },
             },
             "virtualized" => TraceEvent::Virtualized {
-                site: obj.get_num("site")? as u32,
+                site: obj.get_num("site")?,
                 shape: obj.get_str("shape")?.to_string(),
             },
             "materialized" => TraceEvent::Materialized {
-                site: obj.get_num("site")? as u32,
-                anchor: obj.get_num("anchor")? as u32,
-                block: obj.get_num("block")? as u32,
+                site: obj.get_num("site")?,
+                anchor: obj.get_num("anchor")?,
+                block: obj.get_num("block")?,
                 reason: {
                     let raw = obj.get_str("reason")?;
                     MaterializeReason::parse(raw)
@@ -568,30 +568,30 @@ impl TraceEvent {
                 },
             },
             "lock-elided" => TraceEvent::LockElided {
-                site: obj.get_num("site")? as u32,
-                node: obj.get_num("node")? as u32,
+                site: obj.get_num("site")?,
+                node: obj.get_num("node")?,
                 exit: obj.get_bool("exit")?,
             },
             "load-elided" => TraceEvent::LoadElided {
-                site: obj.get_num("site")? as u32,
-                node: obj.get_num("node")? as u32,
+                site: obj.get_num("site")?,
+                node: obj.get_num("node")?,
             },
             "store-elided" => TraceEvent::StoreElided {
-                site: obj.get_num("site")? as u32,
-                node: obj.get_num("node")? as u32,
+                site: obj.get_num("site")?,
+                node: obj.get_num("node")?,
             },
             "check-folded" => TraceEvent::CheckFolded {
-                node: obj.get_num("node")? as u32,
+                node: obj.get_num("node")?,
                 value: obj.get_num("value")?,
             },
             "phi-created" => TraceEvent::PhiCreated {
-                merge: obj.get_num("merge")? as u32,
-                site: obj.get_num("site")? as u32,
-                field: obj.get_opt_num("field")?.map(|n| n as u32),
+                merge: obj.get_num("merge")?,
+                site: obj.get_num("site")?,
+                field: obj.get_opt_num("field")?,
             },
             "loop-round" => TraceEvent::LoopRound {
-                loop_begin: obj.get_num("loop_begin")? as u32,
-                round: obj.get_num("round")? as u32,
+                loop_begin: obj.get_num("loop_begin")?,
+                round: obj.get_num("round")?,
             },
             "deopt" => {
                 let method = obj.get_str("method")?.to_string();
@@ -601,7 +601,7 @@ impl TraceEvent {
                 let site = obj.opt_str("site").unwrap_or(&method).to_string();
                 TraceEvent::Deopt {
                     site,
-                    bci: obj.opt_num("bci").unwrap_or(0) as u32,
+                    bci: obj.opt_num("bci")?.unwrap_or(0),
                     reason: obj.get_str("reason")?.to_string(),
                     rematerialized: obj.get_str_array("rematerialized")?,
                     method,
@@ -609,25 +609,25 @@ impl TraceEvent {
             }
             "evict" => TraceEvent::Evict {
                 method: obj.get_str("method")?.to_string(),
-                deopts: obj.get_num("deopts")? as u64,
+                deopts: obj.get_num("deopts")?,
             },
             "recompile" => TraceEvent::Recompile {
                 method: obj.get_str("method")?.to_string(),
             },
             "metrics-snapshot" => TraceEvent::MetricsSnapshot {
-                seq: obj.get_num("seq")? as u64,
+                seq: obj.get_num("seq")?,
                 counters: obj.get_str_array("counters")?,
             },
             "inline-decision" => TraceEvent::InlineDecision {
                 method: obj.get_str("method")?.to_string(),
-                bci: obj.get_num("bci")? as u32,
+                bci: obj.get_num("bci")?,
                 callee: obj.get_str("callee")?.to_string(),
                 inlined: obj.get_bool("inlined")?,
                 reason: obj.get_str("reason")?.to_string(),
             },
             "devirt-guard" => TraceEvent::DevirtGuard {
                 method: obj.get_str("method")?.to_string(),
-                bci: obj.get_num("bci")? as u32,
+                bci: obj.get_num("bci")?,
                 callee: obj.get_str("callee")?.to_string(),
                 classes: obj.get_str_array("classes")?,
             },
@@ -636,7 +636,7 @@ impl TraceEvent {
                 let site = obj.opt_str("site").unwrap_or(&method).to_string();
                 TraceEvent::DeoptTaken {
                     site,
-                    bci: obj.opt_num("bci").unwrap_or(0) as u32,
+                    bci: obj.opt_num("bci")?.unwrap_or(0),
                     reason: obj.get_str("reason")?.to_string(),
                     method,
                 }
@@ -1237,6 +1237,24 @@ mod tests {
                 reason: "null-check".into(),
             }
         );
+    }
+
+    #[test]
+    fn compile_end_lines_without_phase_timings_still_parse() {
+        // Traces recorded before the phase-timing fields existed.
+        let old = r#"{"event":"compile-end","method":"m","code_size":3}"#;
+        assert_eq!(
+            TraceEvent::from_json_line(old).unwrap(),
+            TraceEvent::CompileEnd {
+                method: "m".into(),
+                code_size: 3,
+                phases: PhaseMicros::default(),
+            }
+        );
+        let null = r#"{"event":"compile-end","method":"m","code_size":3,"lower_us":null}"#;
+        assert!(TraceEvent::from_json_line(null).is_ok());
+        let negative = r#"{"event":"compile-end","method":"m","code_size":3,"build_us":-1}"#;
+        assert!(TraceEvent::from_json_line(negative).is_err());
     }
 
     #[test]

@@ -122,9 +122,12 @@ fn write_events(events: &mut ArrayWriter, entries: &[FlightEntry]) {
                 code_size,
                 phases,
             } => {
+                // The phase sub-spans end at `ts`; a sync compile's start
+                // stamp can come after the first of them begins.
+                let phases_start = ts.saturating_sub(phases.total());
                 let start = open
                     .remove(method.as_str())
-                    .unwrap_or_else(|| ts.saturating_sub(phases.total()));
+                    .map_or(phases_start, |stamp| stamp.min(phases_start));
                 let dur = ts.saturating_sub(start);
                 let lane_idx = match lanes.iter().position(|&busy_until| busy_until <= start) {
                     Some(i) => i,
@@ -154,7 +157,7 @@ fn write_events(events: &mut ArrayWriter, entries: &[FlightEntry]) {
                     ("schedule", phases.schedule),
                     ("lower", phases.lower),
                 ];
-                let mut cursor = ts.saturating_sub(phases.total());
+                let mut cursor = phases_start;
                 for (name, dur) in named {
                     if dur > 0 {
                         trace_event(
@@ -368,6 +371,38 @@ pub(crate) mod tests {
         // Span start backfilled from the phase total: 240 - 205 = 35.
         assert!(doc.contains("\"ts\":35"));
         assert!(doc.contains("\"dur\":205"));
+    }
+
+    #[test]
+    fn compile_span_starts_no_later_than_its_phases() {
+        // Stamped 1 µs before the end, the start comes after the phases
+        // (205 µs in all) began.
+        let mut entries = sample()[..2].to_vec();
+        entries[0].t_us = entries[1].t_us - 1;
+        let doc = render_chrome_trace(&entries);
+        let root = crate::json::parse(&doc).unwrap();
+        let events = root.as_object().unwrap().get_array("traceEvents").unwrap();
+        let span = |name: &str| {
+            let event = events
+                .iter()
+                .map(|e| e.as_object().unwrap())
+                .find(|e| e.get_str("name") == Ok(name))
+                .unwrap();
+            let ts: u64 = event.get_num("ts").unwrap();
+            (ts, ts + event.get_num::<u64>("dur").unwrap())
+        };
+        let compile = span("Cache.getValue");
+        assert_eq!(compile, (35, 240));
+        for phase in [
+            "build",
+            "canonicalize",
+            "escape-analysis",
+            "schedule",
+            "lower",
+        ] {
+            let (start, end) = span(phase);
+            assert!(compile.0 <= start && end <= compile.1, "{phase}");
+        }
     }
 
     #[test]

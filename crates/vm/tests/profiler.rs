@@ -219,15 +219,15 @@ fn assert_dump_matches_ring(dump: &str, entries: &[FlightEntry]) {
     let doc = doc.as_object().unwrap();
     assert_eq!(doc.get_str("schema").unwrap(), "pea-flight/1");
     let recorded = entries.last().expect("the ring holds events").seq + 1;
-    assert_eq!(doc.get_num("recorded").unwrap(), recorded as i64);
+    assert_eq!(doc.get_num::<u64>("recorded").unwrap(), recorded);
     let dropped = recorded - entries.len() as u64;
-    assert_eq!(doc.get_num("dropped").unwrap(), dropped as i64);
+    assert_eq!(doc.get_num::<u64>("dropped").unwrap(), dropped);
     let events = doc.get_array("events").unwrap();
     assert_eq!(events.len(), entries.len());
     for (item, entry) in events.iter().zip(entries) {
         let item = item.as_object().unwrap();
-        assert_eq!(item.get_num("seq").unwrap(), entry.seq as i64);
-        assert_eq!(item.get_num("t_us").unwrap(), entry.t_us as i64);
+        assert_eq!(item.get_num::<u64>("seq").unwrap(), entry.seq);
+        assert_eq!(item.get_num::<u64>("t_us").unwrap(), entry.t_us);
         let event = TraceEvent::from_json_object(item.get_object("event").unwrap()).unwrap();
         assert_eq!(event, entry.event);
     }
