@@ -270,11 +270,10 @@ pub fn check_compilation(
                     ));
                     continue;
                 }
-                if data.lock_from_sync.len() != data.n_locks as usize {
+                if !data.sync_flags_fit() {
                     flag(format!(
-                        "frame state {id}: lock_from_sync length {} != n_locks {}",
-                        data.lock_from_sync.len(),
-                        data.n_locks
+                        "frame state {id}: lock_from_sync {:#b} flags a lock past n_locks {}",
+                        data.lock_from_sync, data.n_locks
                     ));
                 }
                 for &input in node.inputs() {
@@ -465,7 +464,7 @@ mod tests {
             NodeKind::New {
                 class: pea_bytecode::ClassId::from_index(0),
             },
-            vec![],
+            &[],
         );
         graph.set_provenance(alloc, m, 0);
         let events = vec![TraceEvent::LockElided {
@@ -496,7 +495,7 @@ mod tests {
             NodeKind::New {
                 class: pea_bytecode::ClassId::from_index(0),
             },
-            vec![],
+            &[],
         );
         graph.set_provenance(alloc, m, 0);
         let site = alloc.index() as u32;
@@ -547,7 +546,7 @@ mod tests {
             NodeKind::New {
                 class: pea_bytecode::ClassId::from_index(0),
             },
-            vec![],
+            &[],
         );
         graph.set_provenance(alloc, m, 0);
         let events = vec![TraceEvent::Materialized {
@@ -588,7 +587,7 @@ mod tests {
             NodeKind::New {
                 class: pea_bytecode::ClassId::from_index(0),
             },
-            vec![],
+            &[],
         );
         graph.set_provenance(alloc, m, 0);
         let events = vec![TraceEvent::Materialized {
@@ -625,7 +624,7 @@ mod tests {
             NodeKind::New {
                 class: pea_bytecode::ClassId::from_index(0),
             },
-            vec![],
+            &[],
         );
         graph.set_provenance(alloc, m, 3);
         let events = vec![TraceEvent::Materialized {
@@ -677,7 +676,7 @@ mod tests {
         // hold the allocation where `missed` says, else its mapping.
         let check = |missed: [bool; 2]| {
             let mut graph = Graph::new();
-            let alloc = graph.add(NodeKind::New { class }, vec![]);
+            let alloc = graph.add(NodeKind::New { class }, &[]);
             graph.set_provenance(alloc, m, 0);
             let field = graph.const_int(5);
             let vom = graph.add(
@@ -685,16 +684,16 @@ mod tests {
                     shape,
                     lock_count: 0,
                 },
-                vec![field],
+                &[field],
             );
             let slot = |missed| if missed { alloc } else { vom };
             let outer = graph.add_frame_state(
                 FrameStateData::new(m, 2, 1, 0, 0, false),
-                vec![slot(missed[1])],
+                &[slot(missed[1])],
             );
             graph.add_frame_state(
                 FrameStateData::new(m, 4, 1, 0, 0, true),
-                vec![slot(missed[0]), outer],
+                &[slot(missed[0]), outer],
             );
             check_compilation(&program, &v, m, &graph, &events(alloc))
         };
@@ -710,14 +709,14 @@ mod tests {
 
         // A virtual object whose field names the allocation.
         let mut graph = Graph::new();
-        let alloc = graph.add(NodeKind::New { class }, vec![]);
+        let alloc = graph.add(NodeKind::New { class }, &[]);
         graph.set_provenance(alloc, m, 0);
         graph.add(
             NodeKind::VirtualObjectMapping {
                 shape,
                 lock_count: 0,
             },
-            vec![alloc],
+            &[alloc],
         );
         let found = check_compilation(&program, &v, m, &graph, &events(alloc));
         assert_eq!(found.len(), 1, "{found:?}");
@@ -738,7 +737,7 @@ mod tests {
                 },
                 lock_count: 0,
             },
-            vec![value],
+            &[value],
         );
         let found = check_compilation(&program, &v, m, &graph, &[]);
         assert_eq!(found.len(), 1, "{found:?}");

@@ -126,7 +126,7 @@ struct LockEntry {
 }
 
 /// The abstract frame during parsing.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct FlowState {
     locals: Vec<NodeId>,
     stack: Vec<NodeId>,
@@ -135,11 +135,25 @@ struct FlowState {
     deopt_state: NodeId,
 }
 
+impl FlowState {
+    /// A state owning no buffers.
+    fn empty() -> Self {
+        FlowState {
+            locals: Vec::new(),
+            stack: Vec::new(),
+            locks: Vec::new(),
+            deopt_state: NodeId(0),
+        }
+    }
+}
+
 struct LoopCtx {
     loop_begin: NodeId,
-    /// One phi per local slot then per stack slot.
-    phis: Vec<NodeId>,
-    template: FlowState,
+    /// One phi per local slot then per stack slot: a range of
+    /// [`MethodCtx::loop_phis`].
+    phis: std::ops::Range<usize>,
+    /// The lock stack every back edge must match.
+    locks: Vec<LockEntry>,
 }
 
 /// Per-(possibly inlined) method parsing context; the per-bci tables are
@@ -150,8 +164,12 @@ struct MethodCtx<'a> {
     /// The method's sealed bytecode facts (blocks, loop headers,
     /// liveness).
     facts: &'a MethodFacts,
-    incoming: Vec<Vec<(NodeId, FlowState)>>,
+    /// Edges not yet consumed: (target leader, attach point, state), in
+    /// arrival order.
+    pending: Vec<(u32, NodeId, FlowState)>,
     loops: Vec<Option<LoopCtx>>,
+    /// The phis of every loop header, loop after loop.
+    loop_phis: Vec<NodeId>,
     processed: Vec<bool>,
     /// (attach point, return value) per reachable return.
     exits: Vec<(NodeId, Option<NodeId>)>,
@@ -173,6 +191,13 @@ pub struct GraphBuilder<'a> {
     /// Frame state of the innermost enclosing caller while building an
     /// inlined callee (becomes the `outer` of the callee's frame states).
     current_outer: Option<NodeId>,
+    /// Abstract states whose buffers are free for the next edge: an edge
+    /// copies its state into a recycled one instead of cloning it.
+    spare: Vec<FlowState>,
+    /// The edges into the block being entered.
+    edges: Vec<(NodeId, FlowState)>,
+    /// Input list under construction (frame states, phis, merge ends).
+    inputs: Vec<NodeId>,
 }
 
 /// Builds the IR graph of `method`, inlining per `options` and speculating
@@ -212,22 +237,19 @@ pub fn build_graph_with(
         decisions: Vec::new(),
         guards: Vec::new(),
         current_outer: None,
+        spare: Vec::new(),
+        edges: Vec::new(),
+        inputs: Vec::new(),
     };
     let m = program.method(method);
     let mut args = Vec::new();
     for i in 0..m.param_count {
-        args.push(builder.graph.add(NodeKind::Param { index: i }, vec![]));
+        args.push(builder.graph.add(NodeKind::Param { index: i }, &[]));
     }
     let start = builder.graph.start;
-    let exits = builder.build_method(method, args, None, 0, start)?;
+    let exits = builder.build_method(method, &args, None, 0, start)?;
     for (attach, value) in exits {
-        let ret = builder.graph.add(
-            NodeKind::Return,
-            match value {
-                Some(v) => vec![v],
-                None => vec![],
-            },
-        );
+        let ret = builder.graph.add(NodeKind::Return, value.as_slice());
         builder.graph.set_next(attach, ret);
     }
     builder.demote_empty_loops();
@@ -240,6 +262,23 @@ impl<'a> GraphBuilder<'a> {
             return Err(Bailout::TooLarge);
         }
         Ok(())
+    }
+
+    /// A copy of `state` in recycled buffers.
+    fn clone_state(&mut self, state: &FlowState) -> FlowState {
+        let mut copy = self.spare.pop().unwrap_or_else(FlowState::empty);
+        copy.locals.clone_from(&state.locals);
+        copy.stack.clone_from(&state.stack);
+        copy.locks.clone_from(&state.locks);
+        copy.deopt_state = state.deopt_state;
+        copy
+    }
+
+    /// Returns a consumed state's buffers for reuse.
+    fn recycle(&mut self, state: FlowState) {
+        if state.locals.capacity() + state.stack.capacity() > 0 {
+            self.spare.push(state);
+        }
     }
 
     fn make_state(&mut self, method: MethodId, bci: u32, st: &FlowState) -> NodeId {
@@ -258,7 +297,9 @@ impl<'a> GraphBuilder<'a> {
         // Dead locals are cleared (stored as null), as in HotSpot frames:
         // this keeps dead values — especially allocations — from being
         // pinned by deoptimization metadata.
-        let mut inputs: Vec<NodeId> = locals.to_vec();
+        let mut inputs = std::mem::take(&mut self.inputs);
+        inputs.clear();
+        inputs.extend_from_slice(locals);
         if (bci as usize) < self.program.method(method).code.len() {
             let facts = self.program.facts(method);
             let null = self.graph.const_null();
@@ -281,8 +322,16 @@ impl<'a> GraphBuilder<'a> {
             locks.len() as u32,
             outer.is_some(),
         );
-        data.lock_from_sync = locks.iter().map(|l| l.from_sync).collect();
-        self.graph.add_frame_state(data, inputs)
+        for (k, lock) in locks.iter().enumerate() {
+            if lock.from_sync {
+                // A synchronized method's lock is the first of its frame.
+                debug_assert_eq!(k, 0, "sync lock above another lock");
+                data.lock_from_sync |= 1 << k;
+            }
+        }
+        let fs = self.graph.add_frame_state(data, &inputs);
+        self.inputs = inputs;
+        fs
     }
 
     /// Parses `method` into the graph starting at `attach`; returns the
@@ -290,7 +339,7 @@ impl<'a> GraphBuilder<'a> {
     fn build_method(
         &mut self,
         method: MethodId,
-        args: Vec<NodeId>,
+        args: &[NodeId],
         outer_state: Option<NodeId>,
         depth: usize,
         attach: NodeId,
@@ -308,30 +357,29 @@ impl<'a> GraphBuilder<'a> {
             method,
             depth,
             facts,
-            incoming: vec![Vec::new(); m.code.len()],
+            pending: Vec::new(),
             loops: (0..m.code.len()).map(|_| None).collect(),
+            loop_phis: Vec::new(),
             processed: vec![false; m.code.len()],
             exits: Vec::new(),
         };
 
         // Entry state: parameters in the first locals.
-        let mut locals = args.clone();
+        let mut state = self.spare.pop().unwrap_or_else(FlowState::empty);
+        state.locals.clear();
+        state.locals.extend_from_slice(args);
         let null = self.graph.const_null();
-        locals.resize(m.max_locals as usize, null);
+        state.locals.resize(m.max_locals as usize, null);
+        state.stack.clear();
+        state.locks.clear();
         let saved_outer = self.current_outer;
         self.current_outer = outer_state;
-        let entry_fs = self.make_state_with(method, 0, &locals, &[], &[]);
-        let mut state = FlowState {
-            locals,
-            stack: Vec::new(),
-            locks: Vec::new(),
-            deopt_state: entry_fs,
-        };
+        state.deopt_state = self.make_state_with(method, 0, &state.locals, &[], &[]);
 
         let mut tail = attach;
         if m.is_synchronized {
             let recv = state.locals[0];
-            let me = self.graph.add(NodeKind::MonitorEnter, vec![recv]);
+            let me = self.graph.add(NodeKind::MonitorEnter, &[recv]);
             self.graph.set_next(tail, me);
             tail = me;
             state.locks.push(LockEntry {
@@ -342,7 +390,7 @@ impl<'a> GraphBuilder<'a> {
             self.graph.set_state_after(me, Some(fs));
             state.deopt_state = fs;
         }
-        ctx.incoming[0].push((tail, state));
+        ctx.pending.push((0, tail, state));
 
         for &leader in facts.rpo() {
             self.check_budget()?;
@@ -353,20 +401,36 @@ impl<'a> GraphBuilder<'a> {
     }
 
     fn process_bc_block(&mut self, ctx: &mut MethodCtx, leader: u32) -> Result<(), Bailout> {
-        let edges = std::mem::take(&mut ctx.incoming[leader as usize]);
+        // This leader's edges, in arrival order.
+        let mut edges = std::mem::take(&mut self.edges);
+        edges.clear();
+        let mut i = 0;
+        while i < ctx.pending.len() {
+            if ctx.pending[i].0 == leader {
+                let (_, attach, state) = ctx.pending.remove(i);
+                edges.push((attach, state));
+            } else {
+                i += 1;
+            }
+        }
         if edges.is_empty() {
+            self.edges = edges;
             return Ok(()); // unreachable (e.g. a speculated-away branch)
         }
         ctx.processed[leader as usize] = true;
         let is_header = ctx.facts.is_loop_header(leader);
-        let (mut tail, mut state) = if is_header {
-            self.enter_loop_header(ctx, leader, edges)?
+        let entered = if is_header {
+            self.enter_loop_header(ctx, leader, &mut edges)
         } else if edges.len() == 1 {
-            let (t, s) = edges.into_iter().next().unwrap();
-            (t, s)
+            Ok(edges.pop().unwrap())
         } else {
-            self.merge_edges(ctx, leader, edges)?
+            self.merge_edges(ctx, leader, &mut edges)
         };
+        for (_, state) in edges.drain(..) {
+            self.recycle(state);
+        }
+        self.edges = edges;
+        let (mut tail, mut state) = entered?;
 
         let block = ctx.facts.block(leader);
         let mut bci = block.start;
@@ -383,53 +447,62 @@ impl<'a> GraphBuilder<'a> {
         let last_insn = self.program.method(ctx.method).code[block.last as usize];
         if !last_insn.is_terminator() && last_insn.branch_target().is_none() {
             self.emit_edge(ctx, block.last + 1, tail, state)?;
+        } else {
+            self.recycle(state);
         }
         Ok(())
     }
 
+    /// Joins `edges` (two or more) in a new merge. The first edge's state
+    /// becomes the merged state; the others are left in `edges`.
     fn merge_edges(
         &mut self,
         ctx: &mut MethodCtx,
         leader: u32,
-        edges: Vec<(NodeId, FlowState)>,
+        edges: &mut [(NodeId, FlowState)],
     ) -> Result<(NodeId, FlowState), Bailout> {
         // Lock stacks must agree structurally.
-        for (_, s) in &edges {
+        for (_, s) in &edges[1..] {
             if s.locks != edges[0].1.locks {
                 return Err(Bailout::UnstructuredLocking);
             }
         }
-        let mut ends = Vec::new();
-        for (attach, _) in &edges {
-            let end = self.graph.add(NodeKind::End, vec![]);
+        let mut ends = std::mem::take(&mut self.inputs);
+        ends.clear();
+        for (attach, _) in edges.iter() {
+            let end = self.graph.add(NodeKind::End, &[]);
             self.graph.set_next(*attach, end);
             ends.push(end);
         }
-        let merge = self.graph.add(NodeKind::Merge { ends }, vec![]);
-        let n_locals = edges[0].1.locals.len();
-        let n_stack = edges[0].1.stack.len();
-        debug_assert!(edges.iter().all(|(_, s)| s.stack.len() == n_stack));
-        let mut merged = edges[0].1.clone();
+        let merge = self.graph.add_merge(NodeKind::Merge, &ends);
+        let mut inputs = ends;
+        let mut merged = std::mem::replace(&mut edges[0].1, FlowState::empty());
+        let n_locals = merged.locals.len();
+        let n_stack = merged.stack.len();
+        debug_assert!(edges[1..].iter().all(|(_, s)| s.stack.len() == n_stack));
+        let get = |s: &FlowState, slot: usize| {
+            if slot < n_locals {
+                s.locals[slot]
+            } else {
+                s.stack[slot - n_locals]
+            }
+        };
         for slot in 0..n_locals + n_stack {
-            let get = |s: &FlowState| {
-                if slot < n_locals {
-                    s.locals[slot]
-                } else {
-                    s.stack[slot - n_locals]
-                }
-            };
-            let first = get(&edges[0].1);
-            if edges.iter().all(|(_, s)| get(s) == first) {
+            let first = get(&merged, slot);
+            if edges[1..].iter().all(|(_, s)| get(s, slot) == first) {
                 continue;
             }
-            let inputs: Vec<NodeId> = edges.iter().map(|(_, s)| get(s)).collect();
-            let phi = self.graph.add(NodeKind::Phi { merge }, inputs);
+            inputs.clear();
+            inputs.push(first);
+            inputs.extend(edges[1..].iter().map(|(_, s)| get(s, slot)));
+            let phi = self.graph.add(NodeKind::Phi { merge }, &inputs);
             if slot < n_locals {
                 merged.locals[slot] = phi;
             } else {
                 merged.stack[slot - n_locals] = phi;
             }
         }
+        self.inputs = inputs;
         let fs = self.make_state(ctx.method, leader, &merged);
         self.graph.set_state_after(merge, Some(fs));
         merged.deopt_state = fs;
@@ -440,25 +513,21 @@ impl<'a> GraphBuilder<'a> {
         &mut self,
         ctx: &mut MethodCtx,
         leader: u32,
-        edges: Vec<(NodeId, FlowState)>,
+        edges: &mut Vec<(NodeId, FlowState)>,
     ) -> Result<(NodeId, FlowState), Bailout> {
         // Pre-merge multiple forward entries so the LoopBegin has exactly
         // one forward end.
-        let (attach, entry_state) = if edges.len() == 1 {
-            let (t, s) = edges.into_iter().next().unwrap();
-            (t, s)
+        let (attach, mut template) = if edges.len() == 1 {
+            edges.pop().unwrap()
         } else {
             self.merge_edges(ctx, leader, edges)?
         };
-        let end = self.graph.add(NodeKind::End, vec![]);
+        let end = self.graph.add(NodeKind::End, &[]);
         self.graph.set_next(attach, end);
-        let loop_begin = self
-            .graph
-            .add(NodeKind::LoopBegin { ends: vec![end] }, vec![]);
-        let mut template = entry_state.clone();
-        let mut phis = Vec::new();
-        for slot in 0..template.locals.len() + template.stack.len() {
-            let n_locals = template.locals.len();
+        let loop_begin = self.graph.add_merge(NodeKind::LoopBegin, &[end]);
+        let n_locals = template.locals.len();
+        let first_phi = ctx.loop_phis.len();
+        for slot in 0..n_locals + template.stack.len() {
             let value = if slot < n_locals {
                 template.locals[slot]
             } else {
@@ -466,8 +535,8 @@ impl<'a> GraphBuilder<'a> {
             };
             let phi = self
                 .graph
-                .add(NodeKind::Phi { merge: loop_begin }, vec![value]);
-            phis.push(phi);
+                .add(NodeKind::Phi { merge: loop_begin }, &[value]);
+            ctx.loop_phis.push(phi);
             if slot < n_locals {
                 template.locals[slot] = phi;
             } else {
@@ -479,8 +548,8 @@ impl<'a> GraphBuilder<'a> {
         template.deopt_state = fs;
         ctx.loops[leader as usize] = Some(LoopCtx {
             loop_begin,
-            phis,
-            template: template.clone(),
+            phis: first_phi..ctx.loop_phis.len(),
+            locks: template.locks.clone(),
         });
         Ok((loop_begin, template))
     }
@@ -494,29 +563,30 @@ impl<'a> GraphBuilder<'a> {
     ) -> Result<(), Bailout> {
         if let Some(loop_ctx) = &ctx.loops[target as usize] {
             // Back edge.
-            if state.locks != loop_ctx.template.locks {
+            if state.locks != loop_ctx.locks {
                 return Err(Bailout::UnstructuredLocking);
             }
             let loop_begin = loop_ctx.loop_begin;
-            let phis = loop_ctx.phis.clone();
+            let phis = &ctx.loop_phis[loop_ctx.phis.clone()];
             let n_locals = state.locals.len();
-            let le = self.graph.add(NodeKind::LoopEnd, vec![]);
+            let le = self.graph.add(NodeKind::LoopEnd, &[]);
             self.graph.set_next(attach, le);
             self.graph.add_merge_end(loop_begin, le);
-            for (slot, phi) in phis.iter().enumerate() {
+            for (slot, &phi) in phis.iter().enumerate() {
                 let value = if slot < n_locals {
                     state.locals[slot]
                 } else {
                     state.stack[slot - n_locals]
                 };
-                self.graph.push_input(*phi, value);
+                self.graph.push_input(phi, value);
             }
+            self.recycle(state);
             return Ok(());
         }
         if ctx.processed[target as usize] {
             return Err(Bailout::Irreducible);
         }
-        ctx.incoming[target as usize].push((attach, state));
+        ctx.pending.push((target, attach, state));
         Ok(())
     }
 
@@ -554,11 +624,12 @@ impl<'a> GraphBuilder<'a> {
                             reason: DeoptReason::UntakenBranch,
                             negated: true,
                         },
-                        vec![cond],
+                        &[cond],
                     );
                     self.graph.set_state_after(guard, Some(state.deopt_state));
                     self.append(tail, guard);
-                    return self.emit_edge(ctx, fall, *tail, state.clone());
+                    let s = std::mem::replace(state, FlowState::empty());
+                    return self.emit_edge(ctx, fall, *tail, s);
                 }
                 if nt == 0 {
                     let guard = self.graph.add(
@@ -566,22 +637,24 @@ impl<'a> GraphBuilder<'a> {
                             reason: DeoptReason::UntakenBranch,
                             negated: false,
                         },
-                        vec![cond],
+                        &[cond],
                     );
                     self.graph.set_state_after(guard, Some(state.deopt_state));
                     self.append(tail, guard);
-                    return self.emit_edge(ctx, taken, *tail, state.clone());
+                    let s = std::mem::replace(state, FlowState::empty());
+                    return self.emit_edge(ctx, taken, *tail, s);
                 }
             }
         }
-        let iff = self.graph.add(NodeKind::If, vec![cond]);
+        let iff = self.graph.add(NodeKind::If, &[cond]);
         self.graph.set_next(*tail, iff);
-        let bt = self.graph.add(NodeKind::Begin, vec![]);
-        let bf = self.graph.add(NodeKind::Begin, vec![]);
+        let bt = self.graph.add(NodeKind::Begin, &[]);
+        let bf = self.graph.add(NodeKind::Begin, &[]);
         self.graph.set_if_targets(iff, bt, bf);
-        self.emit_edge(ctx, taken, bt, state.clone())?;
-        self.emit_edge(ctx, fall, bf, state.clone())?;
-        Ok(())
+        let s = self.clone_state(state);
+        self.emit_edge(ctx, taken, bt, s)?;
+        let s = std::mem::replace(state, FlowState::empty());
+        self.emit_edge(ctx, fall, bf, s)
     }
 
     /// Lowers `athrow` control flow: wires exception edges to covering
@@ -629,13 +702,13 @@ impl<'a> GraphBuilder<'a> {
                             class: c,
                             exact: false,
                         },
-                        vec![exc],
+                        &[exc],
                     );
                     self.append(&mut tail, cond);
-                    let iff = self.graph.add(NodeKind::If, vec![cond]);
+                    let iff = self.graph.add(NodeKind::If, &[cond]);
                     self.graph.set_next(tail, iff);
-                    let bt = self.graph.add(NodeKind::Begin, vec![]);
-                    let bf = self.graph.add(NodeKind::Begin, vec![]);
+                    let bt = self.graph.add(NodeKind::Begin, &[]);
+                    let bf = self.graph.add(NodeKind::Begin, &[]);
                     self.graph.set_if_targets(iff, bt, bf);
                     self.emit_handler_edge(ctx, e.handler, bt, &state, exc)?;
                     tail = bf;
@@ -647,13 +720,14 @@ impl<'a> GraphBuilder<'a> {
         // the interpreter does when unwinding past a frame — then sink.
         let mut st = state;
         while let Some(entry) = st.locks.pop() {
-            let mx = self.graph.add(NodeKind::MonitorExit, vec![entry.object]);
+            let mx = self.graph.add(NodeKind::MonitorExit, &[entry.object]);
             self.append(&mut tail, mx);
             let fs = self.make_state_with(ctx.method, bci, &st.locals, &[exc], &st.locks);
             self.graph.set_state_after(mx, Some(fs));
             st.deopt_state = fs;
         }
-        let uw = self.graph.add(NodeKind::Unwind, vec![exc]);
+        self.recycle(st);
+        let uw = self.graph.add(NodeKind::Unwind, &[exc]);
         self.graph.set_next(tail, uw);
         Ok(())
     }
@@ -669,7 +743,7 @@ impl<'a> GraphBuilder<'a> {
         state: &FlowState,
         exc: NodeId,
     ) -> Result<(), Bailout> {
-        let mut hstate = state.clone();
+        let mut hstate = self.clone_state(state);
         hstate.stack.clear();
         hstate.stack.push(exc);
         let fs = self.make_state(ctx.method, handler, &hstate);
@@ -723,7 +797,7 @@ impl<'a> GraphBuilder<'a> {
                     Insn::Shl => ArithOp::Shl,
                     _ => ArithOp::Shr,
                 };
-                let r = g.add(NodeKind::Arith { op }, vec![a, b]);
+                let r = g.add(NodeKind::Arith { op }, &[a, b]);
                 state.stack.push(r);
             }
             Insn::Div | Insn::Rem => {
@@ -734,13 +808,13 @@ impl<'a> GraphBuilder<'a> {
                 } else {
                     ArithOp::Rem
                 };
-                let r = g.add(NodeKind::FixedArith { op }, vec![a, b]);
+                let r = g.add(NodeKind::FixedArith { op }, &[a, b]);
                 self.append(tail, r);
                 state.stack.push(r);
             }
             Insn::Neg => {
                 let a = state.stack.pop().expect("stack");
-                let r = g.add(NodeKind::Arith { op: ArithOp::Neg }, vec![a]);
+                let r = g.add(NodeKind::Arith { op: ArithOp::Neg }, &[a]);
                 state.stack.push(r);
             }
             Insn::Pop => {
@@ -755,7 +829,7 @@ impl<'a> GraphBuilder<'a> {
                 state.stack.swap(len - 1, len - 2);
             }
             Insn::Goto(t) => {
-                let s = state.clone();
+                let s = std::mem::replace(state, FlowState::empty());
                 let at = *tail;
                 self.emit_edge(ctx, t, at, s)?;
                 return Ok(true);
@@ -763,19 +837,19 @@ impl<'a> GraphBuilder<'a> {
             Insn::IfCmp(op, t) => {
                 let b = state.stack.pop().expect("stack");
                 let a = state.stack.pop().expect("stack");
-                let cond = self.graph.add(NodeKind::Compare { op }, vec![a, b]);
+                let cond = self.graph.add(NodeKind::Compare { op }, &[a, b]);
                 self.branch(ctx, cond, t, bci + 1, bci, tail, state)?;
                 return Ok(true);
             }
             Insn::IfNull(t) | Insn::IfNonNull(t) => {
                 let v = state.stack.pop().expect("stack");
-                let mut cond = self.graph.add(NodeKind::IsNull, vec![v]);
+                let mut cond = self.graph.add(NodeKind::IsNull, &[v]);
                 self.append(tail, cond);
                 if matches!(insn, Insn::IfNonNull(_)) {
                     let zero = self.graph.const_int(0);
                     cond = self
                         .graph
-                        .add(NodeKind::Compare { op: CmpOp::Eq }, vec![cond, zero]);
+                        .add(NodeKind::Compare { op: CmpOp::Eq }, &[cond, zero]);
                 }
                 self.branch(ctx, cond, t, bci + 1, bci, tail, state)?;
                 return Ok(true);
@@ -783,33 +857,33 @@ impl<'a> GraphBuilder<'a> {
             Insn::IfRefEq(t) | Insn::IfRefNe(t) => {
                 let b = state.stack.pop().expect("stack");
                 let a = state.stack.pop().expect("stack");
-                let mut cond = self.graph.add(NodeKind::RefEq, vec![a, b]);
+                let mut cond = self.graph.add(NodeKind::RefEq, &[a, b]);
                 self.append(tail, cond);
                 if matches!(insn, Insn::IfRefNe(_)) {
                     let zero = self.graph.const_int(0);
                     cond = self
                         .graph
-                        .add(NodeKind::Compare { op: CmpOp::Eq }, vec![cond, zero]);
+                        .add(NodeKind::Compare { op: CmpOp::Eq }, &[cond, zero]);
                 }
                 self.branch(ctx, cond, t, bci + 1, bci, tail, state)?;
                 return Ok(true);
             }
             Insn::New(class) => {
-                let n = self.graph.add(NodeKind::New { class }, vec![]);
+                let n = self.graph.add(NodeKind::New { class }, &[]);
                 self.graph.set_provenance(n, ctx.method, bci);
                 self.append(tail, n);
                 state.stack.push(n);
             }
             Insn::NewArray(kind) => {
                 let len = state.stack.pop().expect("stack");
-                let n = self.graph.add(NodeKind::NewArray { kind }, vec![len]);
+                let n = self.graph.add(NodeKind::NewArray { kind }, &[len]);
                 self.graph.set_provenance(n, ctx.method, bci);
                 self.append(tail, n);
                 state.stack.push(n);
             }
             Insn::GetField(field) => {
                 let obj = state.stack.pop().expect("stack");
-                let n = self.graph.add(NodeKind::LoadField { field }, vec![obj]);
+                let n = self.graph.add(NodeKind::LoadField { field }, &[obj]);
                 self.append(tail, n);
                 state.stack.push(n);
             }
@@ -818,20 +892,20 @@ impl<'a> GraphBuilder<'a> {
                 let obj = state.stack.pop().expect("stack");
                 let n = self
                     .graph
-                    .add(NodeKind::StoreField { field }, vec![obj, value]);
+                    .add(NodeKind::StoreField { field }, &[obj, value]);
                 self.append(tail, n);
                 let fs = self.make_state(ctx.method, bci + 1, state);
                 self.graph.set_state_after(n, Some(fs));
                 state.deopt_state = fs;
             }
             Insn::GetStatic(id) => {
-                let n = self.graph.add(NodeKind::GetStatic { id }, vec![]);
+                let n = self.graph.add(NodeKind::GetStatic { id }, &[]);
                 self.append(tail, n);
                 state.stack.push(n);
             }
             Insn::PutStatic(id) => {
                 let value = state.stack.pop().expect("stack");
-                let n = self.graph.add(NodeKind::PutStatic { id }, vec![value]);
+                let n = self.graph.add(NodeKind::PutStatic { id }, &[value]);
                 self.append(tail, n);
                 let fs = self.make_state(ctx.method, bci + 1, state);
                 self.graph.set_state_after(n, Some(fs));
@@ -840,7 +914,7 @@ impl<'a> GraphBuilder<'a> {
             Insn::ArrayLoad => {
                 let idx = state.stack.pop().expect("stack");
                 let arr = state.stack.pop().expect("stack");
-                let n = self.graph.add(NodeKind::LoadIndexed, vec![arr, idx]);
+                let n = self.graph.add(NodeKind::LoadIndexed, &[arr, idx]);
                 self.append(tail, n);
                 state.stack.push(n);
             }
@@ -848,9 +922,7 @@ impl<'a> GraphBuilder<'a> {
                 let value = state.stack.pop().expect("stack");
                 let idx = state.stack.pop().expect("stack");
                 let arr = state.stack.pop().expect("stack");
-                let n = self
-                    .graph
-                    .add(NodeKind::StoreIndexed, vec![arr, idx, value]);
+                let n = self.graph.add(NodeKind::StoreIndexed, &[arr, idx, value]);
                 self.append(tail, n);
                 let fs = self.make_state(ctx.method, bci + 1, state);
                 self.graph.set_state_after(n, Some(fs));
@@ -858,7 +930,7 @@ impl<'a> GraphBuilder<'a> {
             }
             Insn::ArrayLength => {
                 let arr = state.stack.pop().expect("stack");
-                let n = self.graph.add(NodeKind::ArrayLen, vec![arr]);
+                let n = self.graph.add(NodeKind::ArrayLen, &[arr]);
                 self.append(tail, n);
                 state.stack.push(n);
             }
@@ -869,20 +941,20 @@ impl<'a> GraphBuilder<'a> {
                         class,
                         exact: false,
                     },
-                    vec![v],
+                    &[v],
                 );
                 self.append(tail, n);
                 state.stack.push(n);
             }
             Insn::CheckCast(class) => {
                 let v = state.stack.pop().expect("stack");
-                let n = self.graph.add(NodeKind::CheckCast { class }, vec![v]);
+                let n = self.graph.add(NodeKind::CheckCast { class }, &[v]);
                 self.append(tail, n);
                 state.stack.push(n);
             }
             Insn::MonitorEnter => {
                 let obj = state.stack.pop().expect("stack");
-                let n = self.graph.add(NodeKind::MonitorEnter, vec![obj]);
+                let n = self.graph.add(NodeKind::MonitorEnter, &[obj]);
                 self.append(tail, n);
                 state.locks.push(LockEntry {
                     object: obj,
@@ -900,7 +972,7 @@ impl<'a> GraphBuilder<'a> {
                     }
                     _ => return Err(Bailout::UnstructuredLocking),
                 }
-                let n = self.graph.add(NodeKind::MonitorExit, vec![obj]);
+                let n = self.graph.add(NodeKind::MonitorExit, &[obj]);
                 self.append(tail, n);
                 let fs = self.make_state(ctx.method, bci + 1, state);
                 self.graph.set_state_after(n, Some(fs));
@@ -922,13 +994,15 @@ impl<'a> GraphBuilder<'a> {
                 if let Some(entry) = state.locks.last().cloned() {
                     if entry.from_sync {
                         state.locks.pop();
-                        let mx = self.graph.add(NodeKind::MonitorExit, vec![entry.object]);
+                        let mx = self.graph.add(NodeKind::MonitorExit, &[entry.object]);
                         self.append(tail, mx);
-                        let mut st = state.clone();
-                        if let Some(v) = value {
-                            st.stack.push(v);
-                        }
-                        let fs = self.make_state(ctx.method, bci, &st);
+                        // The state the interpreter resumes with holds
+                        // the return value on the stack.
+                        state.stack.extend(value);
+                        let fs = self.make_state(ctx.method, bci, state);
+                        state
+                            .stack
+                            .truncate(state.stack.len() - usize::from(value.is_some()));
                         self.graph.set_state_after(mx, Some(fs));
                         state.deopt_state = fs;
                     }
@@ -941,7 +1015,7 @@ impl<'a> GraphBuilder<'a> {
             }
             Insn::Throw => {
                 let code = state.stack.pop().expect("stack");
-                let t = self.graph.add(NodeKind::Throw, vec![code]);
+                let t = self.graph.add(NodeKind::Throw, &[code]);
                 self.graph.set_next(*tail, t);
                 return Ok(true);
             }
@@ -961,19 +1035,19 @@ impl<'a> GraphBuilder<'a> {
                 // Throwing null raises an (uncatchable) NullPointer
                 // runtime error: guard and let the interpreter re-execute
                 // the athrow and raise it.
-                let test = self.graph.add(NodeKind::IsNull, vec![exc]);
+                let test = self.graph.add(NodeKind::IsNull, &[exc]);
                 self.append(tail, test);
                 let guard = self.graph.add(
                     NodeKind::Guard {
                         reason: DeoptReason::NullCheck,
                         negated: true,
                     },
-                    vec![test],
+                    &[test],
                 );
                 self.graph.set_state_after(guard, Some(state.deopt_state));
                 self.append(tail, guard);
                 let at = *tail;
-                let st = state.clone();
+                let st = std::mem::replace(state, FlowState::empty());
                 self.lower_throw(ctx, exc, bci, at, st)?;
                 return Ok(true);
             }
@@ -1111,14 +1185,14 @@ impl<'a> GraphBuilder<'a> {
                 // must still raise, so guard on it (deopt → interpreter →
                 // NullPointer).
                 let recv = args[0];
-                let test = self.graph.add(NodeKind::IsNull, vec![recv]);
+                let test = self.graph.add(NodeKind::IsNull, &[recv]);
                 self.append(tail, test);
                 let guard = self.graph.add(
                     NodeKind::Guard {
                         reason: DeoptReason::NullCheck,
                         negated: true,
                     },
-                    vec![test],
+                    &[test],
                 );
                 self.graph.set_state_after(guard, Some(state.deopt_state));
                 self.append(tail, guard);
@@ -1127,14 +1201,14 @@ impl<'a> GraphBuilder<'a> {
                 let recv = args[0];
                 let test = self
                     .graph
-                    .add(NodeKind::InstanceOf { class, exact: true }, vec![recv]);
+                    .add(NodeKind::InstanceOf { class, exact: true }, &[recv]);
                 self.append(tail, test);
                 let guard = self.graph.add(
                     NodeKind::Guard {
                         reason: DeoptReason::TypeCheck,
                         negated: false,
                     },
-                    vec![test],
+                    &[test],
                 );
                 self.graph.set_state_after(guard, Some(state.deopt_state));
                 self.append(tail, guard);
@@ -1145,7 +1219,7 @@ impl<'a> GraphBuilder<'a> {
             let caller_state = self.make_state(ctx.method, bci, state);
             self.inline_active.insert(resolved);
             let exits =
-                self.build_method(resolved, args, Some(caller_state), ctx.depth + 1, *tail)?;
+                self.build_method(resolved, &args, Some(caller_state), ctx.depth + 1, *tail)?;
             self.inline_active.remove(&resolved);
             if exits.is_empty() {
                 // The callee never returns (always throws); compiling the
@@ -1159,19 +1233,19 @@ impl<'a> GraphBuilder<'a> {
                 let mut ends = Vec::new();
                 let mut values = Vec::new();
                 for (attach, v) in &exits {
-                    let end = self.graph.add(NodeKind::End, vec![]);
+                    let end = self.graph.add(NodeKind::End, &[]);
                     self.graph.set_next(*attach, end);
                     ends.push(end);
                     if returns_value {
                         values.push(v.expect("value-returning callee"));
                     }
                 }
-                let merge = self.graph.add(NodeKind::Merge { ends }, vec![]);
+                let merge = self.graph.add_merge(NodeKind::Merge, &ends);
                 let v = if returns_value {
                     if values.windows(2).all(|w| w[0] == w[1]) {
                         Some(values[0])
                     } else {
-                        Some(self.graph.add(NodeKind::Phi { merge }, values))
+                        Some(self.graph.add(NodeKind::Phi { merge }, &values))
                     }
                 } else {
                     None
@@ -1185,7 +1259,7 @@ impl<'a> GraphBuilder<'a> {
             // Continuation state: resume after the invoke with the result
             // on the stack.
             let fs = self.make_state(ctx.method, bci + 1, state);
-            if matches!(self.graph.kind(*tail), NodeKind::Merge { .. }) {
+            if matches!(self.graph.kind(*tail), NodeKind::Merge) {
                 self.graph.set_state_after(*tail, Some(fs));
             }
             state.deopt_state = fs;
@@ -1198,7 +1272,7 @@ impl<'a> GraphBuilder<'a> {
                 target: resolved,
                 virtual_call: virtual_call && resolved == target,
             },
-            args,
+            &args,
         );
         self.append(tail, invoke);
         if callee_meta.returns_value {
@@ -1238,28 +1312,31 @@ impl<'a> GraphBuilder<'a> {
                 .map_err(|e| Bailout::Unsupported(e.to_string()))?;
             let test = self
                 .graph
-                .add(NodeKind::InstanceOf { class, exact: true }, vec![recv]);
+                .add(NodeKind::InstanceOf { class, exact: true }, &[recv]);
             self.graph.set_next(cur, test);
-            let iff = self.graph.add(NodeKind::If, vec![test]);
+            let iff = self.graph.add(NodeKind::If, &[test]);
             self.graph.set_next(test, iff);
-            let bt = self.graph.add(NodeKind::Begin, vec![]);
-            let bf = self.graph.add(NodeKind::Begin, vec![]);
+            let bt = self.graph.add(NodeKind::Begin, &[]);
+            let bf = self.graph.add(NodeKind::Begin, &[]);
             self.graph.set_if_targets(iff, bt, bf);
             let inv = self.graph.add(
                 NodeKind::Invoke {
                     target: m,
                     virtual_call: false,
                 },
-                args.clone(),
+                &args,
             );
             self.graph.set_next(bt, inv);
-            let mut st = state.clone();
+            // The state after this arm's call holds its result.
             if returns_value {
-                st.stack.push(inv);
+                state.stack.push(inv);
             }
-            let fs = self.make_state(ctx.method, bci + 1, &st);
+            let fs = self.make_state(ctx.method, bci + 1, state);
+            if returns_value {
+                state.stack.pop();
+            }
             self.graph.set_state_after(inv, Some(fs));
-            let end = self.graph.add(NodeKind::End, vec![]);
+            let end = self.graph.add(NodeKind::End, &[]);
             self.graph.set_next(inv, end);
             ends.push(end);
             vals.push(inv);
@@ -1272,14 +1349,14 @@ impl<'a> GraphBuilder<'a> {
             NodeKind::Deopt {
                 reason: DeoptReason::TypeCheck,
             },
-            vec![],
+            &[],
         );
         self.graph.set_next(cur, deopt);
         self.graph.set_state_after(deopt, Some(state.deopt_state));
-        let merge = self.graph.add(NodeKind::Merge { ends }, vec![]);
+        let merge = self.graph.add_merge(NodeKind::Merge, &ends);
         *tail = merge;
         if returns_value {
-            let phi = self.graph.add(NodeKind::Phi { merge }, vals);
+            let phi = self.graph.add(NodeKind::Phi { merge }, &vals);
             state.stack.push(phi);
         }
         let fs = self.make_state(ctx.method, bci + 1, state);
@@ -1294,12 +1371,11 @@ impl<'a> GraphBuilder<'a> {
         let loops: Vec<NodeId> = self
             .graph
             .live_nodes()
-            .filter(|&n| matches!(self.graph.kind(n), NodeKind::LoopBegin { .. }))
+            .filter(|&n| matches!(self.graph.kind(n), NodeKind::LoopBegin))
             .collect();
         for lb in loops {
-            let ends = self.graph.merge_ends(lb).to_vec();
-            if ends.len() == 1 {
-                *self.graph.kind_mut(lb) = NodeKind::Merge { ends };
+            if self.graph.merge_ends(lb).len() == 1 {
+                *self.graph.kind_mut(lb) = NodeKind::Merge;
             }
         }
     }
@@ -1348,7 +1424,7 @@ mod tests {
             }",
             "f",
         );
-        assert_eq!(count(&g, |k| matches!(k, NodeKind::Merge { .. })), 1);
+        assert_eq!(count(&g, |k| matches!(k, NodeKind::Merge)), 1);
         assert_eq!(count(&g, |k| matches!(k, NodeKind::Phi { .. })), 1);
         assert_eq!(count(&g, |k| matches!(k, NodeKind::If)), 1);
     }
@@ -1367,7 +1443,7 @@ mod tests {
             }",
             "f",
         );
-        assert_eq!(count(&g, |k| matches!(k, NodeKind::LoopBegin { .. })), 1);
+        assert_eq!(count(&g, |k| matches!(k, NodeKind::LoopBegin)), 1);
         assert!(count(&g, |k| matches!(k, NodeKind::Phi { .. })) >= 1);
     }
 
@@ -1511,7 +1587,7 @@ mod tests {
         );
         let lb = g
             .live_nodes()
-            .find(|&n| matches!(g.kind(n), NodeKind::LoopBegin { .. }))
+            .find(|&n| matches!(g.kind(n), NodeKind::LoopBegin))
             .unwrap();
         assert_eq!(g.merge_ends(lb).len(), 3, "entry + two back edges");
     }

@@ -23,22 +23,27 @@ pub struct CanonResult {
 
 /// Runs canonicalization to a fixpoint. Only floating value nodes are
 /// touched; control flow is left intact.
+///
+/// Each sweep visits the nodes that existed when it began, in id order:
+/// a node a sweep creates (a folded constant) waits for the next sweep.
+/// Nothing is collected per sweep or per node; the value-numbering
+/// table is the one allocation, kept across sweeps.
 pub fn canonicalize(graph: &mut Graph) -> CanonResult {
     let mut result = CanonResult::default();
+    let mut table: HashMap<GvnKey, NodeId> = HashMap::new();
     loop {
         let mut changed = false;
 
         // Constant folding.
-        let candidates: Vec<NodeId> = graph
-            .live_nodes()
-            .filter(|&n| {
-                matches!(
+        for n in sweep(graph) {
+            if graph.is_deleted(n)
+                || !matches!(
                     graph.kind(n),
                     NodeKind::Arith { .. } | NodeKind::Compare { .. }
                 )
-            })
-            .collect();
-        for n in candidates {
+            {
+                continue;
+            }
             if let Some(value) = fold(graph, n) {
                 let c = graph.const_int(value);
                 if c != n {
@@ -51,18 +56,15 @@ pub fn canonicalize(graph: &mut Graph) -> CanonResult {
         }
 
         // Phi simplification: all inputs identical (ignoring self-loops).
-        let phis: Vec<NodeId> = graph
-            .live_nodes()
-            .filter(|&n| matches!(graph.kind(n), NodeKind::Phi { .. }))
-            .collect();
-        for phi in phis {
-            let inputs = graph.node(phi).inputs().to_vec();
-            let distinct: Vec<NodeId> = inputs.iter().copied().filter(|&i| i != phi).collect();
-            if distinct.is_empty() {
+        for phi in sweep(graph) {
+            if graph.is_deleted(phi) || !matches!(graph.kind(phi), NodeKind::Phi { .. }) {
                 continue;
             }
-            let first = distinct[0];
-            if distinct.iter().all(|&i| i == first) {
+            let mut distinct = graph.inputs(phi).iter().copied().filter(|&i| i != phi);
+            let Some(first) = distinct.next() else {
+                continue;
+            };
+            if distinct.all(|i| i == first) {
                 // replace_at_usages also rewrites the phi's own self-loop
                 // input, leaving it use-free.
                 graph.replace_at_usages(phi, first);
@@ -73,13 +75,17 @@ pub fn canonicalize(graph: &mut Graph) -> CanonResult {
         }
 
         // Global value numbering over pure floating nodes.
-        let mut table: HashMap<GvnKey, NodeId> = HashMap::new();
-        let gvn_candidates: Vec<NodeId> = graph
-            .live_nodes()
-            .filter(|&n| GvnKey::of(graph, n).is_some())
-            .collect();
-        for n in gvn_candidates {
+        table.clear();
+        table.reserve(
+            sweep(graph)
+                .filter(|&n| !graph.is_deleted(n) && GvnKey::of(graph, n).is_some())
+                .count(),
+        );
+        for n in sweep(graph) {
             // Keyed only now: earlier hits may have rewritten the inputs.
+            if graph.is_deleted(n) {
+                continue;
+            }
             let Some(key) = GvnKey::of(graph, n) else {
                 continue;
             };
@@ -103,6 +109,13 @@ pub fn canonicalize(graph: &mut Graph) -> CanonResult {
     result
 }
 
+/// The ids of one sweep: every node that exists now. The range is fixed
+/// up front and borrows nothing, so the graph may change while a sweep
+/// walks it; each visit re-checks liveness.
+fn sweep(graph: &Graph) -> impl Iterator<Item = NodeId> {
+    (0..graph.len()).map(NodeId::from_index)
+}
+
 /// What makes two pure floating nodes the same value: kind, payload and
 /// inputs (at most two).
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,7 +131,7 @@ impl GvnKey {
     /// The key of `n`, if it is a value-numbered kind.
     fn of(graph: &Graph, n: NodeId) -> Option<GvnKey> {
         let inputs = || -> Option<[NodeId; 2]> {
-            match *graph.node(n).inputs() {
+            match *graph.inputs(n) {
                 [a] => Some([a, NodeId(u32::MAX)]),
                 [a, b] => Some([a, b]),
                 _ => None,
@@ -143,7 +156,7 @@ fn const_of(graph: &Graph, n: NodeId) -> Option<i64> {
 }
 
 fn fold(graph: &Graph, n: NodeId) -> Option<i64> {
-    let inputs = graph.node(n).inputs();
+    let inputs = graph.inputs(n);
     match graph.kind(n) {
         NodeKind::Arith { op } => {
             let a = const_of(graph, inputs[0])?;
@@ -182,8 +195,8 @@ mod tests {
         let mut g = Graph::new();
         let a = g.const_int(6);
         let b = g.const_int(7);
-        let mul = g.add(NodeKind::Arith { op: ArithOp::Mul }, vec![a, b]);
-        let ret = g.add(NodeKind::Return, vec![mul]);
+        let mul = g.add(NodeKind::Arith { op: ArithOp::Mul }, &[a, b]);
+        let ret = g.add(NodeKind::Return, &[mul]);
         g.set_next(g.start, ret);
         let r = canonicalize(&mut g);
         assert_eq!(r.folded, 1);
@@ -198,9 +211,9 @@ mod tests {
         let mut g = Graph::new();
         let a = g.const_int(1);
         let b = g.const_int(2);
-        let s1 = g.add(NodeKind::Arith { op: ArithOp::Add }, vec![a, b]);
-        let s2 = g.add(NodeKind::Arith { op: ArithOp::Add }, vec![s1, s1]);
-        let ret = g.add(NodeKind::Return, vec![s2]);
+        let s1 = g.add(NodeKind::Arith { op: ArithOp::Add }, &[a, b]);
+        let s2 = g.add(NodeKind::Arith { op: ArithOp::Add }, &[s1, s1]);
+        let ret = g.add(NodeKind::Return, &[s2]);
         g.set_next(g.start, ret);
         canonicalize(&mut g);
         assert!(matches!(
@@ -214,9 +227,9 @@ mod tests {
         let mut g = Graph::new();
         let a = g.const_int(1);
         let b = g.const_int(0);
-        let div = g.add(NodeKind::FixedArith { op: ArithOp::Div }, vec![a, b]);
+        let div = g.add(NodeKind::FixedArith { op: ArithOp::Div }, &[a, b]);
         g.set_next(g.start, div);
-        let ret = g.add(NodeKind::Return, vec![div]);
+        let ret = g.add(NodeKind::Return, &[div]);
         g.set_next(div, ret);
         let r = canonicalize(&mut g);
         assert_eq!(r.folded, 0);
@@ -225,13 +238,13 @@ mod tests {
     #[test]
     fn simplifies_redundant_loop_phi() {
         let mut g = Graph::new();
-        let end = g.add(NodeKind::End, vec![]);
+        let end = g.add(NodeKind::End, &[]);
         g.set_next(g.start, end);
-        let lb = g.add(NodeKind::LoopBegin { ends: vec![end] }, vec![]);
+        let lb = g.add_merge(NodeKind::LoopBegin, &[end]);
         let x = g.const_int(5);
-        let phi = g.add(NodeKind::Phi { merge: lb }, vec![x]);
+        let phi = g.add(NodeKind::Phi { merge: lb }, &[x]);
         g.push_input(phi, phi); // self back edge
-        let le = g.add(NodeKind::LoopEnd, vec![]);
+        let le = g.add(NodeKind::LoopEnd, &[]);
         g.set_next(lb, le);
         g.add_merge_end(lb, le);
         let r = canonicalize(&mut g);
@@ -241,11 +254,11 @@ mod tests {
     #[test]
     fn gvn_deduplicates_identical_ops() {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let a = g.add(NodeKind::Arith { op: ArithOp::Add }, vec![p, p]);
-        let b = g.add(NodeKind::Arith { op: ArithOp::Add }, vec![p, p]);
-        let sum = g.add(NodeKind::Arith { op: ArithOp::Mul }, vec![a, b]);
-        let ret = g.add(NodeKind::Return, vec![sum]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let a = g.add(NodeKind::Arith { op: ArithOp::Add }, &[p, p]);
+        let b = g.add(NodeKind::Arith { op: ArithOp::Add }, &[p, p]);
+        let sum = g.add(NodeKind::Arith { op: ArithOp::Mul }, &[a, b]);
+        let ret = g.add(NodeKind::Return, &[sum]);
         g.set_next(g.start, ret);
         let r = canonicalize(&mut g);
         assert!(r.gvn_hits >= 1);
@@ -258,8 +271,8 @@ mod tests {
         let mut g = Graph::new();
         let a = g.const_int(3);
         let b = g.const_int(4);
-        let cmp = g.add(NodeKind::Compare { op: CmpOp::Lt }, vec![a, b]);
-        let ret = g.add(NodeKind::Return, vec![cmp]);
+        let cmp = g.add(NodeKind::Compare { op: CmpOp::Lt }, &[a, b]);
+        let ret = g.add(NodeKind::Return, &[cmp]);
         g.set_next(g.start, ret);
         canonicalize(&mut g);
         assert!(matches!(

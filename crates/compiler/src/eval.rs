@@ -272,9 +272,10 @@ fn evaluate_inner(
     'blocks: loop {
         let first = code.cfg.block(block).first();
         // Phi updates on entry to merge-like blocks (parallel assignment).
-        if let NodeKind::Merge { ends } | NodeKind::LoopBegin { ends } = graph.kind(first) {
+        if let NodeKind::Merge | NodeKind::LoopBegin = graph.kind(first) {
             let end = came_from_end.expect("merge entered without an end");
-            let idx = ends
+            let idx = graph
+                .merge_ends(first)
                 .iter()
                 .position(|&e| e == end)
                 .expect("end not registered on merge");
@@ -303,8 +304,8 @@ fn evaluate_inner(
                 NodeKind::Start
                 | NodeKind::Begin
                 | NodeKind::LoopExit { .. }
-                | NodeKind::Merge { .. }
-                | NodeKind::LoopBegin { .. } => {}
+                | NodeKind::Merge
+                | NodeKind::LoopBegin => {}
                 NodeKind::Param { index } => {
                     set(values, n, args[*index as usize]);
                 }
@@ -705,7 +706,7 @@ fn build_deopt_frames(
         }
         for (k, i) in data.locks_range().enumerate() {
             let obj = resolve(env, inputs[i])?.as_ref()?;
-            frames.push_lock(obj, data.lock_from_sync[k])?;
+            frames.push_lock(obj, data.lock_is_from_sync(k))?;
         }
     }
     Ok((frames, inventory))

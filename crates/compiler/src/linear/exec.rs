@@ -1046,12 +1046,13 @@ fn resolve_slot<E: EvalEnv + ?Sized>(
     env.profiler().record_alloc();
     inventory.push(vo.shape);
     cache[vi] = Some(r);
-    let values = vo
-        .fields
-        .iter()
-        .map(|&fsrc| resolve_slot(program, env, point, regs, cache, inventory, fsrc))
-        .collect::<Result<Vec<_>, _>>()?;
-    env.heap().init_slots(r, values)?;
+    // Each field is written as soon as it is resolved: a field that is
+    // itself virtual is allocated in between, in the same depth-first
+    // order as the graph oracle's.
+    for (k, &fsrc) in vo.fields.iter().enumerate() {
+        let value = resolve_slot(program, env, point, regs, cache, inventory, fsrc)?;
+        env.heap().init_slot(r, k, value)?;
+    }
     for _ in 0..vo.lock_count {
         env.heap().monitor_enter(r);
     }

@@ -38,6 +38,9 @@ use pea_ir::{AllocShape, ArithOp, Graph, NodeId, NodeKind};
 use pea_runtime::cost;
 use std::collections::HashMap;
 
+/// Marks "none" in the node-indexed tables below.
+const NONE: u32 = u32::MAX;
+
 /// Why a graph could not be lowered. The `Lower` phase turns it into a
 /// compile bailout, so the method stays interpreted.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -77,14 +80,19 @@ pub fn lower(
         next_reg: u32::from(program.method(method).param_count),
         read_consts: vec![false; graph.len()],
         temp_reg: NO_REG,
-        block_pc: vec![u32::MAX; cfg.blocks.len()],
+        block_pc: vec![u32::MAX; cfg.num_blocks()],
         fixups: Vec::new(),
         deopts: Vec::new(),
-        deopt_map: HashMap::new(),
+        deopt_map: vec![NONE; graph.len()],
         commits: Vec::new(),
-        commit_map: HashMap::new(),
-        alloc_dsts: HashMap::new(),
-        alloc_primary: HashMap::new(),
+        alloc_base: vec![NONE; graph.len()],
+        alloc_slots: Vec::new(),
+        vo_map: vec![NONE; graph.len()],
+        vo_nodes: Vec::new(),
+        chain: Vec::new(),
+        args: Vec::new(),
+        moves: Vec::new(),
+        sequence: Vec::new(),
         fused: None,
     }
     .run()
@@ -107,15 +115,30 @@ struct Lowerer<'a> {
     /// `(code index, target block)` pairs patched after layout.
     fixups: Vec<(usize, BlockId)>,
     deopts: Vec<DeoptPoint>,
-    deopt_map: HashMap<NodeId, u32>,
+    /// Per frame-state node: its [`DeoptPoint`] index, or [`NONE`].
+    deopt_map: Vec<u32>,
     commits: Vec<LinearCommit>,
-    commit_map: HashMap<NodeId, u32>,
-    /// `(commit, object index)` → register of the designated
-    /// `AllocatedObject` node (written directly by the commit).
-    alloc_dsts: HashMap<(NodeId, usize), u32>,
-    /// The designated `AllocatedObject` node per `(commit, object index)`;
-    /// other nodes for the same slot become register moves.
-    alloc_primary: HashMap<(NodeId, usize), NodeId>,
+    /// Per commit node: where its objects' rows start in
+    /// [`Lowerer::alloc_slots`], or [`NONE`] before the first
+    /// `AllocatedObject` of the commit is seen.
+    alloc_base: Vec<u32>,
+    /// One row per `(commit, object index)`: the designated
+    /// `AllocatedObject` node and its register, written directly by the
+    /// commit; other nodes for the same slot become register moves.
+    /// `NO_REG` marks an object no node reads.
+    alloc_slots: Vec<(NodeId, u32)>,
+    /// Per virtual-object mapping: its index in the deopt point being
+    /// built, or [`NONE`]; [`Lowerer::vo_nodes`] lists the entries to reset
+    /// once the point is done.
+    vo_map: Vec<u32>,
+    vo_nodes: Vec<NodeId>,
+    /// Work lists reused by every instruction: a frame-state chain, call
+    /// argument registers, and the phi moves of an edge before and after
+    /// sequentialization.
+    chain: Vec<NodeId>,
+    args: Vec<u32>,
+    moves: Vec<(u32, u32)>,
+    sequence: Vec<(u32, u32)>,
     /// The compare the next node, an `If` or a `Guard`, absorbs.
     fused: Option<NodeId>,
 }
@@ -132,14 +155,11 @@ impl Lowerer<'_> {
             for (at, &n) in order.iter().enumerate() {
                 match graph.kind(n) {
                     NodeKind::AllocatedObject { index } => {
-                        let commit = graph.node(n).inputs()[0];
-                        let key = (commit, *index);
-                        if let std::collections::hash_map::Entry::Vacant(e) =
-                            self.alloc_primary.entry(key)
-                        {
-                            e.insert(n);
+                        let commit = graph.inputs(n)[0];
+                        let row = self.alloc_row(commit, *index);
+                        if self.alloc_slots[row].1 == NO_REG {
                             let reg = self.reg_of(n);
-                            self.alloc_dsts.insert(key, reg);
+                            self.alloc_slots[row] = (n, reg);
                         }
                     }
                     NodeKind::Param { index } => self.regs[n.index()] = u32::from(*index),
@@ -155,7 +175,7 @@ impl Lowerer<'_> {
                 }
             }
             let first = self.cfg.block(*b).first();
-            if let NodeKind::Merge { .. } | NodeKind::LoopBegin { .. } = graph.kind(first) {
+            if let NodeKind::Merge | NodeKind::LoopBegin = graph.kind(first) {
                 for phi in graph.iter_phis(first) {
                     for &input in graph.node(phi).inputs() {
                         self.note_read(input);
@@ -202,6 +222,30 @@ impl Lowerer<'_> {
 
     /// Records that an instruction reads `input` from a register, which a
     /// constant then needs.
+    /// The row of `(commit, index)` in [`Lowerer::alloc_slots`], adding
+    /// the commit's rows on first sight.
+    fn alloc_row(&mut self, commit: NodeId, index: usize) -> usize {
+        if self.alloc_base[commit.index()] == NONE {
+            let NodeKind::Commit { objects } = self.graph.kind(commit) else {
+                unreachable!("allocated object of a non-commit {commit}")
+            };
+            self.alloc_base[commit.index()] = self.alloc_slots.len() as u32;
+            let rows = self.alloc_slots.len() + objects.len();
+            self.alloc_slots.resize(rows, (commit, NO_REG));
+        }
+        self.alloc_base[commit.index()] as usize + index
+    }
+
+    /// The register the commit `commit` writes its object `index` to, if
+    /// some `AllocatedObject` node reads it.
+    fn alloc_dst(&self, commit: NodeId, index: usize) -> Option<u32> {
+        let base = self.alloc_base[commit.index()];
+        let (_, reg) = *self
+            .alloc_slots
+            .get((base != NONE).then_some(base as usize + index)?)?;
+        (reg != NO_REG).then_some(reg)
+    }
+
     fn note_read(&mut self, input: NodeId) {
         if let NodeKind::ConstInt { .. } | NodeKind::ConstNull = self.graph.kind(input) {
             self.read_consts[input.index()] = true;
@@ -300,8 +344,8 @@ impl Lowerer<'_> {
             NodeKind::Start
             | NodeKind::Begin
             | NodeKind::LoopExit { .. }
-            | NodeKind::Merge { .. }
-            | NodeKind::LoopBegin { .. }
+            | NodeKind::Merge
+            | NodeKind::LoopBegin
             | NodeKind::Param { .. } => {}
             NodeKind::ConstInt { value } => {
                 if self.read_consts[n.index()] {
@@ -427,7 +471,13 @@ impl Lowerer<'_> {
                 } else {
                     NO_REG
                 };
-                let arg_regs: Vec<u32> = inputs.iter().map(|&i| self.reg_of(i)).collect();
+                // Argument registers are numbered before the deopt
+                // point's.
+                let mut arg_regs = std::mem::take(&mut self.args);
+                arg_regs.clear();
+                for &i in inputs {
+                    arg_regs.push(self.reg_of(i));
+                }
                 let deopt = self.deopt_point(fs)?;
                 let argc = u32::try_from(arg_regs.len())
                     .map_err(|_| LowerError("too many call arguments".into()))?;
@@ -440,6 +490,7 @@ impl Lowerer<'_> {
                     argc,
                 ]);
                 self.code.extend_from_slice(&arg_regs);
+                self.args = arg_regs;
             }
             NodeKind::Commit { ref objects } => {
                 if let Some((dst, class)) = self.fresh_instance(n, objects, inputs) {
@@ -479,7 +530,7 @@ impl Lowerer<'_> {
                         };
                         fields.push(src);
                     }
-                    let dst = self.alloc_dsts.get(&(n, oi)).copied().unwrap_or(NO_REG);
+                    let dst = self.alloc_dst(n, oi).unwrap_or(NO_REG);
                     template.push(LinearCommitObj {
                         shape: obj.shape,
                         lock_count: obj.lock_count,
@@ -491,19 +542,19 @@ impl Lowerer<'_> {
                 let idx = u32::try_from(self.commits.len())
                     .map_err(|_| LowerError("commit table exceeds u32".into()))?;
                 self.commits.push(LinearCommit { objects: template });
-                self.commit_map.insert(n, idx);
                 self.emit(&[op::COMMIT, idx]);
             }
             NodeKind::AllocatedObject { index } => {
                 let commit = inputs[0];
-                let key = (commit, index);
-                let primary = self.alloc_primary.get(&key).copied();
+                let primary = self.alloc_dst(commit, index).map(|_| {
+                    let row = self.alloc_base[commit.index()] as usize + index;
+                    self.alloc_slots[row].0
+                });
                 if primary == Some(n) {
                     // Register written directly by the commit instruction.
                 } else {
-                    let src = *self
-                        .alloc_dsts
-                        .get(&key)
+                    let src = self
+                        .alloc_dst(commit, index)
                         .ok_or_else(|| LowerError("allocated object before commit".into()))?;
                     let dst = self.reg_of(n);
                     self.emit(&[op::MOVE, dst, src]);
@@ -552,13 +603,14 @@ impl Lowerer<'_> {
             NodeKind::End | NodeKind::LoopEnd => {
                 let is_loop = matches!(graph.kind(n), NodeKind::LoopEnd);
                 let succ = self.cfg.block(block).succs[0];
-                let moves = self.phi_moves(succ, n)?;
+                self.phi_moves(succ, n)?;
                 self.emit(&[if is_loop { op::LOOP_EDGE } else { op::EDGE }]);
                 self.emit_target(succ);
-                let count = u32::try_from(moves.len())
+                let count = u32::try_from(self.sequence.len())
                     .map_err(|_| LowerError("too many phi moves".into()))?;
                 self.emit(&[count]);
-                for (d, s) in moves {
+                for k in 0..self.sequence.len() {
+                    let (d, s) = self.sequence[k];
                     self.emit(&[d, s]);
                 }
             }
@@ -610,31 +662,33 @@ impl Lowerer<'_> {
 
     /// The phi parallel assignment for the edge `end → succ` as a sequence
     /// of `(dst, src)` moves (cycles broken through the dedicated temp
-    /// register). Free of cycle charges, like graph evaluation's phi
-    /// update.
-    fn phi_moves(&mut self, succ: BlockId, end: NodeId) -> Result<Vec<(u32, u32)>, LowerError> {
+    /// register), left in [`Lowerer::sequence`]. Free of cycle charges,
+    /// like graph evaluation's phi update.
+    fn phi_moves(&mut self, succ: BlockId, end: NodeId) -> Result<(), LowerError> {
+        let graph = self.graph;
         let first = self.cfg.block(succ).first();
-        let ends: Vec<NodeId> = match self.graph.kind(first) {
-            NodeKind::Merge { ends } | NodeKind::LoopBegin { ends } => ends.clone(),
-            _ => return Ok(Vec::new()),
-        };
-        let idx = ends
-            .iter()
-            .position(|&e| e == end)
-            .ok_or_else(|| LowerError("end not registered on merge".into()))?;
-        let mut moves: Vec<(u32, u32)> = Vec::new();
-        for phi in self.graph.phis_of(first) {
-            let input = self.graph.node(phi).inputs()[idx];
-            let dst = self.reg_of(phi);
-            let src = self.reg_of(input);
-            if dst != src {
-                moves.push((dst, src));
+        let mut moves = std::mem::take(&mut self.moves);
+        let mut sequence = std::mem::take(&mut self.sequence);
+        moves.clear();
+        sequence.clear();
+        if let NodeKind::Merge | NodeKind::LoopBegin = graph.kind(first) {
+            let idx = graph
+                .merge_ends(first)
+                .iter()
+                .position(|&e| e == end)
+                .ok_or_else(|| LowerError("end not registered on merge".into()))?;
+            for phi in graph.iter_phis(first) {
+                let input = graph.inputs(phi)[idx];
+                let dst = self.reg_of(phi);
+                let src = self.reg_of(input);
+                if dst != src {
+                    moves.push((dst, src));
+                }
             }
         }
         // Sequentialize the parallel assignment: take moves whose
         // destination no pending move still reads; break cycles by
         // parking the overwritten value in the temp register.
-        let mut sequence = Vec::with_capacity(moves.len());
         while !moves.is_empty() {
             let ready = moves
                 .iter()
@@ -654,7 +708,9 @@ impl Lowerer<'_> {
                 }
             }
         }
-        Ok(sequence)
+        self.moves = moves;
+        self.sequence = sequence;
+        Ok(())
     }
 
     /// A commit of one unlocked instance whose every field still holds its
@@ -669,7 +725,7 @@ impl Lowerer<'_> {
         let AllocShape::Instance { class } = object.shape else {
             return None;
         };
-        let dst = *self.alloc_dsts.get(&(commit, 0))?;
+        let dst = self.alloc_dst(commit, 0)?;
         let fresh = object.lock_count == 0
             && inputs
                 .iter()
@@ -702,37 +758,40 @@ impl Lowerer<'_> {
     /// Compiles the frame-state chain rooted at `fs` into a
     /// [`DeoptPoint`], memoized per frame-state node.
     fn deopt_point(&mut self, fs: NodeId) -> Result<u32, LowerError> {
-        if let Some(&i) = self.deopt_map.get(&fs) {
-            return Ok(i);
+        let known = self.deopt_map[fs.index()];
+        if known != NONE {
+            return Ok(known);
         }
+        let graph = self.graph;
         // Chain innermost → outermost, then reverse (as deoptimization
         // reconstructs frames outermost first).
-        let mut chain = vec![fs];
+        let mut chain = std::mem::take(&mut self.chain);
+        chain.clear();
+        chain.push(fs);
         let mut cur = fs;
-        while let Some(outer_idx) = self.graph.frame_state_data(cur).outer_index() {
-            cur = self.graph.node(cur).inputs()[outer_idx];
+        while let Some(outer_idx) = graph.frame_state_data(cur).outer_index() {
+            cur = graph.inputs(cur)[outer_idx];
             chain.push(cur);
         }
         chain.reverse();
 
         let mut vobjs: Vec<LinearVObj> = Vec::new();
-        let mut vo_map: HashMap<NodeId, u32> = HashMap::new();
         let mut frames = Vec::with_capacity(chain.len());
-        for fsn in chain {
-            let data = self.graph.frame_state_data(fsn).clone();
-            let inputs = self.graph.node(fsn).inputs().to_vec();
+        for &fsn in &chain {
+            let data = *graph.frame_state_data(fsn);
+            let inputs = graph.inputs(fsn);
             let mut locals = Vec::with_capacity(data.n_locals as usize);
             for i in data.locals_range() {
-                locals.push(self.slot_src(inputs[i], &mut vobjs, &mut vo_map)?);
+                locals.push(self.slot_src(inputs[i], &mut vobjs)?);
             }
             let mut stack = Vec::with_capacity(data.n_stack as usize);
             for i in data.stack_range() {
-                stack.push(self.slot_src(inputs[i], &mut vobjs, &mut vo_map)?);
+                stack.push(self.slot_src(inputs[i], &mut vobjs)?);
             }
             let mut locks = Vec::with_capacity(data.n_locks as usize);
             for (k, i) in data.locks_range().enumerate() {
-                let src = self.slot_src(inputs[i], &mut vobjs, &mut vo_map)?;
-                locks.push((src, data.lock_from_sync[k]));
+                let src = self.slot_src(inputs[i], &mut vobjs)?;
+                locks.push((src, data.lock_is_from_sync(k)));
             }
             frames.push(LinearFrame {
                 method: data.method,
@@ -742,10 +801,16 @@ impl Lowerer<'_> {
                 locks,
             });
         }
+        self.chain = chain;
+        for k in 0..self.vo_nodes.len() {
+            let node = self.vo_nodes[k];
+            self.vo_map[node.index()] = NONE;
+        }
+        self.vo_nodes.clear();
         let idx = u32::try_from(self.deopts.len())
             .map_err(|_| LowerError("deopt table exceeds u32".into()))?;
         self.deopts.push(DeoptPoint { frames, vobjs });
-        self.deopt_map.insert(fs, idx);
+        self.deopt_map[fs.index()] = idx;
         Ok(idx)
     }
 
@@ -753,33 +818,31 @@ impl Lowerer<'_> {
     /// added to the point's table (cycle-safe: the index is reserved
     /// before field sources are compiled), constants are carried as they
     /// are, everything else reads a register.
-    fn slot_src(
-        &mut self,
-        id: NodeId,
-        vobjs: &mut Vec<LinearVObj>,
-        vo_map: &mut HashMap<NodeId, u32>,
-    ) -> Result<SlotSrc, LowerError> {
-        let (shape, lock_count) = match *self.graph.kind(id) {
+    fn slot_src(&mut self, id: NodeId, vobjs: &mut Vec<LinearVObj>) -> Result<SlotSrc, LowerError> {
+        let graph = self.graph;
+        let (shape, lock_count) = match *graph.kind(id) {
             NodeKind::VirtualObjectMapping { shape, lock_count } => (shape, lock_count),
             NodeKind::ConstInt { value } => return Ok(SlotSrc::Int(value)),
             NodeKind::ConstNull => return Ok(SlotSrc::Null),
             _ => return Ok(SlotSrc::Reg(self.reg_of(id))),
         };
-        if let Some(&i) = vo_map.get(&id) {
-            return Ok(SlotSrc::Virtual(i));
+        let known = self.vo_map[id.index()];
+        if known != NONE {
+            return Ok(SlotSrc::Virtual(known));
         }
         let idx = u32::try_from(vobjs.len())
             .map_err(|_| LowerError("virtual-object table exceeds u32".into()))?;
-        vo_map.insert(id, idx);
+        self.vo_map[id.index()] = idx;
+        self.vo_nodes.push(id);
         vobjs.push(LinearVObj {
             shape,
             lock_count,
             fields: Vec::new(),
         });
-        let field_inputs = self.graph.node(id).inputs().to_vec();
+        let field_inputs = graph.inputs(id);
         let mut fields = Vec::with_capacity(field_inputs.len());
-        for input in field_inputs {
-            fields.push(self.slot_src(input, vobjs, vo_map)?);
+        for &input in field_inputs {
+            fields.push(self.slot_src(input, vobjs)?);
         }
         vobjs[idx as usize].fields = fields;
         Ok(SlotSrc::Virtual(idx))

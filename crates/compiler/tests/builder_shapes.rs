@@ -300,7 +300,7 @@ fn synchronized_root_method_brackets_with_monitors() {
     let fs = g.node(me).state_after.unwrap();
     let data = g.frame_state_data(fs);
     assert_eq!(data.n_locks, 1);
-    assert_eq!(data.lock_from_sync, vec![true]);
+    assert!(data.lock_is_from_sync(0) && data.sync_flags_fit());
 }
 
 #[test]

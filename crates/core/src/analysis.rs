@@ -164,7 +164,7 @@ impl BlockSlot {
 /// header's `last` is the last RPO position at its level; blocks of
 /// inner loops may follow, but their own header processes them.
 fn block_slots(graph: &Graph, cfg: &Cfg) -> Vec<BlockSlot> {
-    let mut slots = vec![BlockSlot::EMPTY; cfg.blocks.len()];
+    let mut slots = vec![BlockSlot::EMPTY; cfg.num_blocks()];
     for (pos, &b) in cfg.rpo.iter().enumerate() {
         let mut outer = b;
         if is_loop_header(graph, cfg, b) {
@@ -180,7 +180,7 @@ fn block_slots(graph: &Graph, cfg: &Cfg) -> Vec<BlockSlot> {
 }
 
 fn is_loop_header(graph: &Graph, cfg: &Cfg, b: BlockId) -> bool {
-    matches!(graph.kind(cfg.block(b).first()), NodeKind::LoopBegin { .. })
+    matches!(graph.kind(cfg.block(b).first()), NodeKind::LoopBegin)
 }
 
 /// Buffers reused by every merge, materialization and frame-state
@@ -341,7 +341,7 @@ impl<'a> PeaContext<'a> {
         if !std::mem::take(&mut slot.rewrote) {
             return;
         }
-        for &node in &self.cfg.block(block).nodes {
+        for &node in self.cfg.block(block).nodes {
             let mut fs = self.graph.node(node).state_after;
             while let Some(state) = fs {
                 if self.rewritten_by[state.index()] == block.0 {
@@ -390,7 +390,7 @@ impl<'a> PeaContext<'a> {
         let first = self.cfg.block(b).first();
         match self.graph.kind(first) {
             NodeKind::Start => self.fresh_state(),
-            NodeKind::Merge { .. } => self.merge_preds(b, None),
+            NodeKind::Merge => self.merge_preds(b, None),
             NodeKind::Begin | NodeKind::LoopExit { .. } => {
                 let pred = self
                     .graph
@@ -576,14 +576,14 @@ fn run_pea_impl<'a>(
     tracer: Tracer<'a>,
 ) -> PeaResult {
     let cfg = Cfg::build(graph);
-    let n_blocks = cfg.blocks.len();
+    let n_blocks = cfg.num_blocks();
     let head_phis = HeadPhis::new(graph, &cfg);
     let live = crate::liveness::live_at_entry(graph, &cfg, &head_phis);
     // Room for one effect per fixed node and an id per allocation site,
     // so a run without loops seldom grows either.
-    let fixed = cfg.blocks.iter().flat_map(|b| &b.nodes);
+    let fixed = cfg.fixed_nodes();
     let sites = fixed
-        .clone()
+        .iter()
         .filter(|&&n| {
             matches!(
                 graph.kind(n),
@@ -599,7 +599,7 @@ fn run_pea_impl<'a>(
         program,
         options,
         infos: Vec::with_capacity(sites),
-        effects: Lists::with_capacity(fixed.count()),
+        effects: Lists::with_capacity(fixed.len()),
         phi_cache: HashMap::new(),
         created_phis: Vec::new(),
         head_phis,

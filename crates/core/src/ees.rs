@@ -202,11 +202,11 @@ mod tests {
     #[test]
     fn static_store_escapes() {
         let mut g = Graph::new();
-        let new = g.add(NodeKind::New { class: ClassId(0) }, vec![]);
+        let new = g.add(NodeKind::New { class: ClassId(0) }, &[]);
         g.set_next(g.start, new);
-        let put = g.add(NodeKind::PutStatic { id: StaticId(0) }, vec![new]);
+        let put = g.add(NodeKind::PutStatic { id: StaticId(0) }, &[new]);
         g.set_next(new, put);
-        let ret = g.add(NodeKind::Return, vec![]);
+        let ret = g.add(NodeKind::Return, &[]);
         g.set_next(put, ret);
         let mut sets = EscapeSets::build(&g);
         assert!(sets.escapes(new));
@@ -216,16 +216,16 @@ mod tests {
     #[test]
     fn local_allocation_does_not_escape() {
         let mut g = Graph::new();
-        let new = g.add(NodeKind::New { class: ClassId(0) }, vec![]);
+        let new = g.add(NodeKind::New { class: ClassId(0) }, &[]);
         g.set_next(g.start, new);
         let load = g.add(
             NodeKind::LoadField {
                 field: pea_bytecode::FieldId(0),
             },
-            vec![new],
+            &[new],
         );
         g.set_next(new, load);
-        let ret = g.add(NodeKind::Return, vec![load]);
+        let ret = g.add(NodeKind::Return, &[load]);
         g.set_next(load, ret);
         let mut sets = EscapeSets::build(&g);
         // The load's value is returned — it unions with the object, and
@@ -238,14 +238,14 @@ mod tests {
     #[test]
     fn pure_local_use_survives() {
         let mut g = Graph::new();
-        let new = g.add(NodeKind::New { class: ClassId(0) }, vec![]);
+        let new = g.add(NodeKind::New { class: ClassId(0) }, &[]);
         g.set_next(g.start, new);
-        let me = g.add(NodeKind::MonitorEnter, vec![new]);
+        let me = g.add(NodeKind::MonitorEnter, &[new]);
         g.set_next(new, me);
-        let mx = g.add(NodeKind::MonitorExit, vec![new]);
+        let mx = g.add(NodeKind::MonitorExit, &[new]);
         g.set_next(me, mx);
         let c = g.const_int(0);
-        let ret = g.add(NodeKind::Return, vec![c]);
+        let ret = g.add(NodeKind::Return, &[c]);
         g.set_next(mx, ret);
         let mut sets = EscapeSets::build(&g);
         assert!(!sets.escapes(new));
@@ -255,10 +255,10 @@ mod tests {
     #[test]
     fn phi_join_escapes() {
         let mut g = Graph::new();
-        let new_a = g.add(NodeKind::New { class: ClassId(0) }, vec![]);
-        let merge = g.add(NodeKind::Merge { ends: vec![] }, vec![]);
+        let new_a = g.add(NodeKind::New { class: ClassId(0) }, &[]);
+        let merge = g.add_merge(NodeKind::Merge, &[]);
         let null = g.const_null();
-        let phi = g.add(NodeKind::Phi { merge }, vec![new_a, null]);
+        let phi = g.add(NodeKind::Phi { merge }, &[new_a, null]);
         let _ = phi;
         let mut sets = EscapeSets::build(&g);
         assert!(sets.escapes(new_a));
@@ -267,20 +267,20 @@ mod tests {
     #[test]
     fn store_into_escaping_object_escapes_value() {
         let mut g = Graph::new();
-        let a = g.add(NodeKind::New { class: ClassId(0) }, vec![]);
+        let a = g.add(NodeKind::New { class: ClassId(0) }, &[]);
         g.set_next(g.start, a);
-        let b = g.add(NodeKind::New { class: ClassId(0) }, vec![]);
+        let b = g.add(NodeKind::New { class: ClassId(0) }, &[]);
         g.set_next(a, b);
         let store = g.add(
             NodeKind::StoreField {
                 field: pea_bytecode::FieldId(0),
             },
-            vec![a, b],
+            &[a, b],
         );
         g.set_next(b, store);
-        let put = g.add(NodeKind::PutStatic { id: StaticId(0) }, vec![a]);
+        let put = g.add(NodeKind::PutStatic { id: StaticId(0) }, &[a]);
         g.set_next(store, put);
-        let ret = g.add(NodeKind::Return, vec![]);
+        let ret = g.add(NodeKind::Return, &[]);
         g.set_next(put, ret);
         let mut sets = EscapeSets::build(&g);
         assert!(sets.escapes(a));

@@ -124,12 +124,12 @@ mod tests {
     /// start -> load1 -> load2 -> return(load2)
     fn chain_graph() -> (Graph, NodeId, NodeId, NodeId, NodeId) {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let load1 = g.add(NodeKind::LoadField { field: FieldId(0) }, vec![p]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let load1 = g.add(NodeKind::LoadField { field: FieldId(0) }, &[p]);
         g.set_next(g.start, load1);
-        let load2 = g.add(NodeKind::LoadField { field: FieldId(1) }, vec![load1]);
+        let load2 = g.add(NodeKind::LoadField { field: FieldId(1) }, &[load1]);
         g.set_next(load1, load2);
-        let ret = g.add(NodeKind::Return, vec![load2]);
+        let ret = g.add(NodeKind::Return, &[load2]);
         g.set_next(load2, ret);
         (g, p, load1, load2, ret)
     }
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn insert_before_splices_commit() {
         let (mut g, _p, load1, _load2, _ret) = chain_graph();
-        let commit = g.add(NodeKind::Commit { objects: vec![] }, vec![]);
+        let commit = g.add(NodeKind::Commit { objects: vec![] }, &[]);
         let mut applier = EffectApplier::new();
         applier.apply(
             &mut g,
@@ -204,10 +204,10 @@ mod tests {
     #[test]
     fn delete_fixed_drops_monitor() {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let me = g.add(NodeKind::MonitorEnter, vec![p]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let me = g.add(NodeKind::MonitorEnter, &[p]);
         g.set_next(g.start, me);
-        let ret = g.add(NodeKind::Return, vec![]);
+        let ret = g.add(NodeKind::Return, &[]);
         g.set_next(me, ret);
         let mut applier = EffectApplier::new();
         applier.apply(&mut g, &Effect::DeleteFixed { node: me });

@@ -88,7 +88,7 @@ fn mapping_for(
             shape: ctx.infos[id.index()].shape,
             lock_count,
         },
-        vec![],
+        &[],
     );
     mappings.push((id, vom));
     for &v in state.fields(id) {

@@ -84,7 +84,7 @@ impl HeadPhis {
         let mut phis = Vec::with_capacity(graph.len());
         phis.extend(graph.live_nodes().filter(|&n| head(n).is_some()));
         phis.sort_unstable_by_key(|&phi| (head(phi), phi));
-        let mut start = vec![0u32; cfg.blocks.len() + 1];
+        let mut start = vec![0u32; cfg.num_blocks() + 1];
         for &phi in &phis {
             start[head(phi).expect("a head phi") + 1] += 1;
         }
@@ -136,12 +136,12 @@ impl Liveness {
 /// merges' phis take from this block. The fixpoint then only ORs words.
 pub fn live_at_entry(graph: &Graph, cfg: &Cfg, phis: &HeadPhis) -> Liveness {
     let words = graph.len().div_ceil(64);
-    let rows = cfg.blocks.len() * words;
+    let rows = cfg.num_blocks() * words;
     let mut table = vec![0u64; 3 * rows];
     let (live_in, summaries) = table.split_at_mut(rows);
     let (gen, kill) = summaries.split_at_mut(rows);
     let row = |b: BlockId| b.index() * words..(b.index() + 1) * words;
-    for block in &cfg.blocks {
+    for block in cfg.blocks() {
         let (g, k) = (&mut gen[row(block.id)], &mut kill[row(block.id)]);
         let mut walked = None;
         // The block's transfer applied to an empty live-out set.
@@ -162,7 +162,7 @@ pub fn live_at_entry(graph: &Graph, cfg: &Cfg, phis: &HeadPhis) -> Liveness {
     }
     // Phi inputs are uses at the corresponding predecessor's end, where
     // they are live unless the predecessor defines them.
-    for block in &cfg.blocks {
+    for block in cfg.blocks() {
         for &phi in phis.of(block.id) {
             let inputs = graph.node(phi).inputs();
             for (k, &pred) in block.preds.iter().enumerate() {
@@ -177,14 +177,14 @@ pub fn live_at_entry(graph: &Graph, cfg: &Cfg, phis: &HeadPhis) -> Liveness {
     }
 
     // Without loops, one pass in postorder sees every successor final.
-    let acyclic = cfg.blocks.iter().all(|b| b.loop_depth == 0);
+    let acyclic = cfg.blocks().all(|b| b.loop_depth == 0);
     loop {
         let mut changed = false;
         for &b in cfg.rpo.iter().rev() {
             let at = b.index() * words;
             for w in 0..words {
                 let mut out = 0u64;
-                for &s in &cfg.block(b).succs {
+                for &s in cfg.block(b).succs {
                     out |= live_in[s.index() * words + w];
                 }
                 let new = gen[at + w] | (out & !kill[at + w]);
@@ -212,24 +212,24 @@ mod tests {
     fn liveness_flows_backwards() {
         // B0: start, new, if -> B1 (uses new) | B2 (does not)
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
         let new = g.add(
             NodeKind::New {
                 class: pea_bytecode::ClassId(0),
             },
-            vec![],
+            &[],
         );
         g.set_next(g.start, new);
-        let iff = g.add(NodeKind::If, vec![p]);
+        let iff = g.add(NodeKind::If, &[p]);
         g.set_next(new, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
-        let load = g.add(NodeKind::LoadField { field: FieldId(0) }, vec![new]);
+        let load = g.add(NodeKind::LoadField { field: FieldId(0) }, &[new]);
         g.set_next(t, load);
-        let r1 = g.add(NodeKind::Return, vec![load]);
+        let r1 = g.add(NodeKind::Return, &[load]);
         g.set_next(load, r1);
-        let r2 = g.add(NodeKind::Return, vec![p]);
+        let r2 = g.add(NodeKind::Return, &[p]);
         g.set_next(f, r2);
 
         let cfg = pea_ir::cfg::Cfg::build(&g);
@@ -251,27 +251,27 @@ mod tests {
     fn phi_inputs_are_live_at_their_predecessor_only() {
         // if (p) { a = p + p } ; merge: phi(a, p), phi(p, p); return phi
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let iff = g.add(NodeKind::If, vec![p]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let iff = g.add(NodeKind::If, &[p]);
         g.set_next(g.start, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
         let a = g.add(
             NodeKind::FixedArith {
                 op: pea_ir::ArithOp::Add,
             },
-            vec![p, p],
+            &[p, p],
         );
         g.set_next(t, a);
-        let te = g.add(NodeKind::End, vec![]);
+        let te = g.add(NodeKind::End, &[]);
         g.set_next(a, te);
-        let fe = g.add(NodeKind::End, vec![]);
+        let fe = g.add(NodeKind::End, &[]);
         g.set_next(f, fe);
-        let merge = g.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
-        let phi = g.add(NodeKind::Phi { merge }, vec![a, p]);
-        let other = g.add(NodeKind::Phi { merge }, vec![p, p]);
-        let ret = g.add(NodeKind::Return, vec![phi]);
+        let merge = g.add_merge(NodeKind::Merge, &[te, fe]);
+        let phi = g.add(NodeKind::Phi { merge }, &[a, p]);
+        let other = g.add(NodeKind::Phi { merge }, &[p, p]);
+        let ret = g.add(NodeKind::Return, &[phi]);
         g.set_next(merge, ret);
 
         let cfg = pea_ir::cfg::Cfg::build(&g);
@@ -292,13 +292,13 @@ mod tests {
     /// every round, every frame-state chain walked in full.
     fn reference(g: &Graph, cfg: &Cfg, phis: &HeadPhis) -> Vec<Vec<bool>> {
         let n = g.len();
-        let mut live_in = vec![vec![false; n]; cfg.blocks.len()];
+        let mut live_in = vec![vec![false; n]; cfg.num_blocks()];
         let mut changed = true;
         while changed {
             changed = false;
             for &b in cfg.rpo.iter().rev() {
                 let mut live = vec![false; n];
-                for &s in &cfg.block(b).succs {
+                for &s in cfg.block(b).succs {
                     for (l, &x) in live.iter_mut().zip(&live_in[s.index()]) {
                         *l |= x;
                     }

@@ -398,9 +398,7 @@ fn cached_phi(
         }
         return phi;
     }
-    let phi = ctx
-        .graph
-        .add(NodeKind::Phi { merge: merge_node }, inputs.to_vec());
+    let phi = ctx.graph.add(NodeKind::Phi { merge: merge_node }, inputs);
     ctx.phi_cache.insert((merge_node, id, key), phi);
     ctx.created_phis.push((merge_node, phi));
     phi

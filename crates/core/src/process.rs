@@ -50,11 +50,11 @@ pub(crate) fn materialize(
             lock_count: state.object(m).lock_count().expect("virtual"),
         })
         .collect();
-    let commit = ctx.graph.add(NodeKind::Commit { objects }, vec![]);
+    let commit = ctx.graph.add(NodeKind::Commit { objects }, &[]);
     for (index, (_, allocated)) in group.iter_mut().enumerate() {
         *allocated = ctx
             .graph
-            .add(NodeKind::AllocatedObject { index }, vec![commit]);
+            .add(NodeKind::AllocatedObject { index }, &[commit]);
     }
 
     // Commit inputs: field values with intra-group references resolved to
@@ -609,8 +609,8 @@ pub(crate) fn process_node(
         | NodeKind::Begin
         | NodeKind::LoopExit { .. }
         | NodeKind::If
-        | NodeKind::Merge { .. }
-        | NodeKind::LoopBegin { .. }
+        | NodeKind::Merge
+        | NodeKind::LoopBegin
         | NodeKind::End
         | NodeKind::LoopEnd
         | NodeKind::Deopt { .. }

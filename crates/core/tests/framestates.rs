@@ -19,27 +19,27 @@ fn vom_nodes(g: &Graph) -> Vec<NodeId> {
 fn outer_frame_state_slots_are_rewritten() {
     let (program, p) = key_program();
     let mut g = Graph::new();
-    let x = g.add(NodeKind::Param { index: 0 }, vec![]);
-    let obj = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let x = g.add(NodeKind::Param { index: 0 }, &[]);
+    let obj = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(g.start, obj);
     // Outer state (caller) holds the object in a local.
     let outer = g.add_frame_state(
         FrameStateData::new(p.m_get_value, 4, 2, 0, 0, false),
-        vec![x, obj],
+        &[x, obj],
     );
     // Inner state chains to it.
     let inner = g.add_frame_state(
         FrameStateData::new(p.m_create_value, 2, 1, 0, 0, true),
-        vec![x, outer],
+        &[x, outer],
     );
-    let put = g.add(NodeKind::PutStatic { id: p.s_cache_key }, vec![x]);
+    let put = g.add(NodeKind::PutStatic { id: p.s_cache_key }, &[x]);
     // PutStatic of an int would be odd but is legal here; it simply keeps
     // the frame state alive.
     g.set_next(obj, put);
     g.set_state_after(put, Some(inner));
-    let load = g.add(NodeKind::LoadField { field: p.f_idx }, vec![obj]);
+    let load = g.add(NodeKind::LoadField { field: p.f_idx }, &[obj]);
     g.set_next(put, load);
-    let ret = g.add(NodeKind::Return, vec![load]);
+    let ret = g.add(NodeKind::Return, &[load]);
     g.set_next(load, ret);
     verify(&g).unwrap();
 
@@ -58,23 +58,23 @@ fn outer_frame_state_slots_are_rewritten() {
 fn mapping_records_lock_depth() {
     let (program, p) = key_program();
     let mut g = Graph::new();
-    let x = g.add(NodeKind::Param { index: 0 }, vec![]);
-    let obj = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let x = g.add(NodeKind::Param { index: 0 }, &[]);
+    let obj = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(g.start, obj);
-    let me1 = g.add(NodeKind::MonitorEnter, vec![obj]);
+    let me1 = g.add(NodeKind::MonitorEnter, &[obj]);
     g.set_next(obj, me1);
     let st1 = {
         let mut d = FrameStateData::new(p.m_get_value, 1, 1, 0, 1, false);
-        d.lock_from_sync = vec![false];
-        g.add_frame_state(d, vec![x, obj])
+        d.lock_from_sync = 0;
+        g.add_frame_state(d, &[x, obj])
     };
     g.set_state_after(me1, Some(st1));
-    let me2 = g.add(NodeKind::MonitorEnter, vec![obj]);
+    let me2 = g.add(NodeKind::MonitorEnter, &[obj]);
     g.set_next(me1, me2);
     let st2 = {
         let mut d = FrameStateData::new(p.m_get_value, 2, 1, 0, 2, false);
-        d.lock_from_sync = vec![false, false];
-        g.add_frame_state(d, vec![x, obj, obj])
+        d.lock_from_sync = 0;
+        g.add_frame_state(d, &[x, obj, obj])
     };
     g.set_state_after(me2, Some(st2));
     // A side effect while doubly locked keeps st2 live.
@@ -82,31 +82,28 @@ fn mapping_records_lock_depth() {
         NodeKind::PutStatic {
             id: p.s_cache_value,
         },
-        vec![x],
+        &[x],
     );
     g.set_next(me2, put);
     let st3 = {
         let mut d = FrameStateData::new(p.m_get_value, 3, 1, 0, 2, false);
-        d.lock_from_sync = vec![false, false];
-        g.add_frame_state(d, vec![x, obj, obj])
+        d.lock_from_sync = 0;
+        g.add_frame_state(d, &[x, obj, obj])
     };
     g.set_state_after(put, Some(st3));
-    let mx1 = g.add(NodeKind::MonitorExit, vec![obj]);
+    let mx1 = g.add(NodeKind::MonitorExit, &[obj]);
     g.set_next(put, mx1);
     let st4 = {
         let mut d = FrameStateData::new(p.m_get_value, 4, 1, 0, 1, false);
-        d.lock_from_sync = vec![false];
-        g.add_frame_state(d, vec![x, obj])
+        d.lock_from_sync = 0;
+        g.add_frame_state(d, &[x, obj])
     };
     g.set_state_after(mx1, Some(st4));
-    let mx2 = g.add(NodeKind::MonitorExit, vec![obj]);
+    let mx2 = g.add(NodeKind::MonitorExit, &[obj]);
     g.set_next(mx1, mx2);
-    let st5 = g.add_frame_state(
-        FrameStateData::new(p.m_get_value, 5, 1, 0, 0, false),
-        vec![x],
-    );
+    let st5 = g.add_frame_state(FrameStateData::new(p.m_get_value, 5, 1, 0, 0, false), &[x]);
     g.set_state_after(mx2, Some(st5));
-    let ret = g.add(NodeKind::Return, vec![]);
+    let ret = g.add(NodeKind::Return, &[]);
     g.set_next(mx2, ret);
     verify(&g).unwrap();
 
@@ -133,31 +130,28 @@ fn mapping_records_lock_depth() {
 fn shared_slots_share_one_mapping() {
     let (program, p) = key_program();
     let mut g = Graph::new();
-    let x = g.add(NodeKind::Param { index: 0 }, vec![]);
-    let a = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let x = g.add(NodeKind::Param { index: 0 }, &[]);
+    let a = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(g.start, a);
     // a.ref = a (self-cycle) so the mapping references itself.
-    let store = g.add(NodeKind::StoreField { field: p.f_ref }, vec![a, a]);
+    let store = g.add(NodeKind::StoreField { field: p.f_ref }, &[a, a]);
     g.set_next(a, store);
-    let st0 = g.add_frame_state(
-        FrameStateData::new(p.m_get_value, 1, 1, 0, 0, false),
-        vec![x],
-    );
+    let st0 = g.add_frame_state(FrameStateData::new(p.m_get_value, 1, 1, 0, 0, false), &[x]);
     g.set_state_after(store, Some(st0));
     // Both locals hold the same object.
     let put = g.add(
         NodeKind::PutStatic {
             id: p.s_cache_value,
         },
-        vec![x],
+        &[x],
     );
     g.set_next(store, put);
     let st = g.add_frame_state(
         FrameStateData::new(p.m_get_value, 2, 3, 0, 0, false),
-        vec![x, a, a],
+        &[x, a, a],
     );
     g.set_state_after(put, Some(st));
-    let ret = g.add(NodeKind::Return, vec![]);
+    let ret = g.add(NodeKind::Return, &[]);
     g.set_next(put, ret);
     verify(&g).unwrap();
 
@@ -183,22 +177,22 @@ fn shared_slots_share_one_mapping() {
 fn snapshot_taken_at_earliest_position() {
     let (program, p) = key_program();
     let mut g = Graph::new();
-    let x = g.add(NodeKind::Param { index: 0 }, vec![]);
-    let obj = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let x = g.add(NodeKind::Param { index: 0 }, &[]);
+    let obj = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(g.start, obj);
-    let store = g.add(NodeKind::StoreField { field: p.f_idx }, vec![obj, x]);
+    let store = g.add(NodeKind::StoreField { field: p.f_idx }, &[obj, x]);
     g.set_next(obj, store);
     let shared = g.add_frame_state(
         FrameStateData::new(p.m_get_value, 1, 2, 0, 0, false),
-        vec![x, obj],
+        &[x, obj],
     );
     g.set_state_after(store, Some(shared));
     // Escape afterwards.
-    let put = g.add(NodeKind::PutStatic { id: p.s_cache_key }, vec![obj]);
+    let put = g.add(NodeKind::PutStatic { id: p.s_cache_key }, &[obj]);
     g.set_next(store, put);
     let st2 = g.add_frame_state(
         FrameStateData::new(p.m_get_value, 2, 2, 0, 0, false),
-        vec![x, obj],
+        &[x, obj],
     );
     g.set_state_after(put, Some(st2));
     // A guard BEFORE the escape and one AFTER it both share the store's
@@ -212,7 +206,7 @@ fn snapshot_taken_at_earliest_position() {
             reason: pea_ir::DeoptReason::UntakenBranch,
             negated: false,
         },
-        vec![cond],
+        &[cond],
     );
     g.insert_fixed_before(put, guard_before);
     g.set_state_after(guard_before, Some(shared));
@@ -221,11 +215,11 @@ fn snapshot_taken_at_earliest_position() {
             reason: pea_ir::DeoptReason::UntakenBranch,
             negated: false,
         },
-        vec![cond],
+        &[cond],
     );
     g.set_next(put, guard_after);
     g.set_state_after(guard_after, Some(shared));
-    let ret = g.add(NodeKind::Return, vec![]);
+    let ret = g.add(NodeKind::Return, &[]);
     g.set_next(guard_after, ret);
     verify(&g).unwrap();
 
@@ -253,17 +247,11 @@ fn snapshot_taken_at_earliest_position() {
 fn lock_from_sync_length_is_verified() {
     let (_, p) = key_program();
     let mut g = Graph::new();
-    let x = g.add(NodeKind::Param { index: 0 }, vec![]);
+    let x = g.add(NodeKind::Param { index: 0 }, &[]);
     let mut d = FrameStateData::new(MethodId(0), 0, 1, 0, 1, false);
-    d.lock_from_sync = vec![true, false]; // wrong length
-    let _fs = g.add_frame_state(
-        FrameStateData {
-            lock_from_sync: d.lock_from_sync.clone(),
-            ..d
-        },
-        vec![x, x],
-    );
-    let ret = g.add(NodeKind::Return, vec![]);
+    d.lock_from_sync = 0b11; // flags a second lock of one
+    let _fs = g.add_frame_state(d, &[x, x]);
+    let ret = g.add(NodeKind::Return, &[]);
     g.set_next(g.start, ret);
     let err = verify(&g).unwrap_err();
     assert!(err.reason.contains("lock_from_sync"), "{err}");

@@ -176,38 +176,38 @@ fn merge_golden_traces() {
     let (program, p) = key_program();
     let build = |g: &mut Graph| {
         // if (cond) { key.idx = 1 } else { key.idx = 2 }; return key.idx
-        let cond = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let a = g.add(NodeKind::New { class: p.key_class }, vec![]);
+        let cond = g.add(NodeKind::Param { index: 0 }, &[]);
+        let a = g.add(NodeKind::New { class: p.key_class }, &[]);
         g.set_next(g.start, a);
-        let iff = g.add(NodeKind::If, vec![cond]);
+        let iff = g.add(NodeKind::If, &[cond]);
         g.set_next(a, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
         let c1 = g.const_int(1);
-        let s1 = g.add(NodeKind::StoreField { field: p.f_idx }, vec![a, c1]);
+        let s1 = g.add(NodeKind::StoreField { field: p.f_idx }, &[a, c1]);
         g.set_next(t, s1);
         let fs1 = g.add_frame_state(
             FrameStateData::new(p.m_get_value, 1, 1, 0, 0, false),
-            vec![cond],
+            &[cond],
         );
         g.set_state_after(s1, Some(fs1));
-        let te = g.add(NodeKind::End, vec![]);
+        let te = g.add(NodeKind::End, &[]);
         g.set_next(s1, te);
         let c2 = g.const_int(2);
-        let s2 = g.add(NodeKind::StoreField { field: p.f_idx }, vec![a, c2]);
+        let s2 = g.add(NodeKind::StoreField { field: p.f_idx }, &[a, c2]);
         g.set_next(f, s2);
         let fs2 = g.add_frame_state(
             FrameStateData::new(p.m_get_value, 2, 1, 0, 0, false),
-            vec![cond],
+            &[cond],
         );
         g.set_state_after(s2, Some(fs2));
-        let fe = g.add(NodeKind::End, vec![]);
+        let fe = g.add(NodeKind::End, &[]);
         g.set_next(s2, fe);
-        let merge = g.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
-        let load = g.add(NodeKind::LoadField { field: p.f_idx }, vec![a]);
+        let merge = g.add_merge(NodeKind::Merge, &[te, fe]);
+        let load = g.add(NodeKind::LoadField { field: p.f_idx }, &[a]);
         g.set_next(merge, load);
-        let ret = g.add(NodeKind::Return, vec![load]);
+        let ret = g.add(NodeKind::Return, &[load]);
         g.set_next(load, ret);
     };
 
@@ -262,27 +262,27 @@ fn thrown_escape_golden_trace() {
     let mut g = Graph::new();
     // if (cond) { throw key } else { return key.idx } with key.idx = 7
     // stored up front.
-    let cond = g.add(NodeKind::Param { index: 0 }, vec![]);
-    let a = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let cond = g.add(NodeKind::Param { index: 0 }, &[]);
+    let a = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(g.start, a);
     let c7 = g.const_int(7);
-    let store = g.add(NodeKind::StoreField { field: p.f_idx }, vec![a, c7]);
+    let store = g.add(NodeKind::StoreField { field: p.f_idx }, &[a, c7]);
     g.set_next(a, store);
     let fs = g.add_frame_state(
         FrameStateData::new(p.m_get_value, 1, 1, 0, 0, false),
-        vec![cond],
+        &[cond],
     );
     g.set_state_after(store, Some(fs));
-    let iff = g.add(NodeKind::If, vec![cond]);
+    let iff = g.add(NodeKind::If, &[cond]);
     g.set_next(store, iff);
-    let t = g.add(NodeKind::Begin, vec![]);
-    let f = g.add(NodeKind::Begin, vec![]);
+    let t = g.add(NodeKind::Begin, &[]);
+    let f = g.add(NodeKind::Begin, &[]);
     g.set_if_targets(iff, t, f);
-    let unwind = g.add(NodeKind::Unwind, vec![a]);
+    let unwind = g.add(NodeKind::Unwind, &[a]);
     g.set_next(t, unwind);
-    let load = g.add(NodeKind::LoadField { field: p.f_idx }, vec![a]);
+    let load = g.add(NodeKind::LoadField { field: p.f_idx }, &[a]);
     g.set_next(f, load);
-    let ret = g.add(NodeKind::Return, vec![load]);
+    let ret = g.add(NodeKind::Return, &[load]);
     g.set_next(load, ret);
 
     let lines = traced(&mut g, &program, &PeaOptions::default());

@@ -193,7 +193,7 @@ fn fig7_loop_keeps_object_virtual() {
     // The field became a loop phi with three inputs (entry + 2 back edges).
     let lb = g
         .live_nodes()
-        .find(|&n| matches!(g.kind(n), NodeKind::LoopBegin { .. }))
+        .find(|&n| matches!(g.kind(n), NodeKind::LoopBegin))
         .unwrap();
     let phis = g.phis_of(lb);
     assert!(
@@ -231,39 +231,34 @@ fn fig7_loop_ablation_materializes_at_entry() {
 fn loop_ablation_materializes_a_held_object_once() {
     let (program, p) = key_program();
     let mut g = Graph::new();
-    let p0 = g.add(NodeKind::Param { index: 0 }, vec![]);
-    let a = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let p0 = g.add(NodeKind::Param { index: 0 }, &[]);
+    let a = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(g.start, a);
-    let b = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let b = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(a, b);
-    let store = g.add(NodeKind::StoreField { field: p.f_ref }, vec![a, b]);
+    let store = g.add(NodeKind::StoreField { field: p.f_ref }, &[a, b]);
     g.set_next(b, store);
     let st = g.add_frame_state(
         FrameStateData::new(p.m_get_value, 1, 2, 0, 0, false),
-        vec![p0, a],
+        &[p0, a],
     );
     g.set_state_after(store, Some(st));
-    let entry_end = g.add(NodeKind::End, vec![]);
+    let entry_end = g.add(NodeKind::End, &[]);
     g.set_next(store, entry_end);
-    let lb = g.add(
-        NodeKind::LoopBegin {
-            ends: vec![entry_end],
-        },
-        vec![],
-    );
-    let load = g.add(NodeKind::LoadField { field: p.f_ref }, vec![a]);
+    let lb = g.add_merge(NodeKind::LoopBegin, &[entry_end]);
+    let load = g.add(NodeKind::LoadField { field: p.f_ref }, &[a]);
     g.set_next(lb, load);
     let zero = g.const_int(0);
-    let cond = g.add(NodeKind::Compare { op: CmpOp::Lt }, vec![p0, zero]);
-    let iff = g.add(NodeKind::If, vec![cond]);
+    let cond = g.add(NodeKind::Compare { op: CmpOp::Lt }, &[p0, zero]);
+    let iff = g.add(NodeKind::If, &[cond]);
     g.set_next(load, iff);
-    let body = g.add(NodeKind::Begin, vec![]);
-    let exit = g.add(NodeKind::LoopExit { loop_begin: lb }, vec![]);
+    let body = g.add(NodeKind::Begin, &[]);
+    let exit = g.add(NodeKind::LoopExit { loop_begin: lb }, &[]);
     g.set_if_targets(iff, body, exit);
-    let le = g.add(NodeKind::LoopEnd, vec![]);
+    let le = g.add(NodeKind::LoopEnd, &[]);
     g.set_next(body, le);
     g.add_merge_end(lb, le);
-    let ret = g.add(NodeKind::Return, vec![load]);
+    let ret = g.add(NodeKind::Return, &[load]);
     g.set_next(exit, ret);
     verify(&g).expect("fixture verifies");
 
@@ -316,21 +311,21 @@ fn lock_elision_ablation() {
 fn refeq_folding_on_virtual_objects() {
     let (program, p) = key_program();
     let mut g = Graph::new();
-    let a = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let a = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(g.start, a);
-    let b = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let b = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(a, b);
-    let eq_ab = g.add(NodeKind::RefEq, vec![a, b]);
+    let eq_ab = g.add(NodeKind::RefEq, &[a, b]);
     g.set_next(b, eq_ab);
-    let eq_aa = g.add(NodeKind::RefEq, vec![a, a]);
+    let eq_aa = g.add(NodeKind::RefEq, &[a, a]);
     g.set_next(eq_ab, eq_aa);
     let sum = g.add(
         NodeKind::Arith {
             op: pea_ir::ArithOp::Add,
         },
-        vec![eq_ab, eq_aa],
+        &[eq_ab, eq_aa],
     );
-    let ret = g.add(NodeKind::Return, vec![sum]);
+    let ret = g.add(NodeKind::Return, &[sum]);
     g.set_next(eq_aa, ret);
     verify(&g).expect("fixture verifies");
 
@@ -350,35 +345,35 @@ fn refeq_folding_on_virtual_objects() {
 fn cyclic_virtual_objects_commit_together() {
     let (program, p) = key_program();
     let mut g = Graph::new();
-    let a = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let a = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(g.start, a);
-    let b = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let b = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(a, b);
     // a.ref = b; b.ref = a;
-    let s1 = g.add(NodeKind::StoreField { field: p.f_ref }, vec![a, b]);
+    let s1 = g.add(NodeKind::StoreField { field: p.f_ref }, &[a, b]);
     g.set_next(b, s1);
-    let x = g.add(NodeKind::Param { index: 0 }, vec![]);
+    let x = g.add(NodeKind::Param { index: 0 }, &[]);
     let fs1 = g.add_frame_state(
         pea_ir::FrameStateData::new(p.m_get_value, 1, 1, 0, 0, false),
-        vec![x],
+        &[x],
     );
     g.set_state_after(s1, Some(fs1));
-    let s2 = g.add(NodeKind::StoreField { field: p.f_ref }, vec![b, a]);
+    let s2 = g.add(NodeKind::StoreField { field: p.f_ref }, &[b, a]);
     g.set_next(s1, s2);
     let fs2 = g.add_frame_state(
         pea_ir::FrameStateData::new(p.m_get_value, 2, 1, 0, 0, false),
-        vec![x],
+        &[x],
     );
     g.set_state_after(s2, Some(fs2));
     // escape a
-    let put = g.add(NodeKind::PutStatic { id: p.s_cache_key }, vec![a]);
+    let put = g.add(NodeKind::PutStatic { id: p.s_cache_key }, &[a]);
     g.set_next(s2, put);
     let fs3 = g.add_frame_state(
         pea_ir::FrameStateData::new(p.m_get_value, 3, 1, 0, 0, false),
-        vec![x],
+        &[x],
     );
     g.set_state_after(put, Some(fs3));
-    let ret = g.add(NodeKind::Return, vec![]);
+    let ret = g.add(NodeKind::Return, &[]);
     g.set_next(put, ret);
     verify(&g).expect("fixture verifies");
 
@@ -412,38 +407,38 @@ fn cyclic_virtual_objects_commit_together() {
 fn merge_creates_field_phi() {
     let (program, p) = key_program();
     let mut g = Graph::new();
-    let cond = g.add(NodeKind::Param { index: 0 }, vec![]);
-    let a = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let cond = g.add(NodeKind::Param { index: 0 }, &[]);
+    let a = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(g.start, a);
-    let iff = g.add(NodeKind::If, vec![cond]);
+    let iff = g.add(NodeKind::If, &[cond]);
     g.set_next(a, iff);
-    let t = g.add(NodeKind::Begin, vec![]);
-    let f = g.add(NodeKind::Begin, vec![]);
+    let t = g.add(NodeKind::Begin, &[]);
+    let f = g.add(NodeKind::Begin, &[]);
     g.set_if_targets(iff, t, f);
     let c1 = g.const_int(1);
-    let s1 = g.add(NodeKind::StoreField { field: p.f_idx }, vec![a, c1]);
+    let s1 = g.add(NodeKind::StoreField { field: p.f_idx }, &[a, c1]);
     g.set_next(t, s1);
     let fs1 = g.add_frame_state(
         pea_ir::FrameStateData::new(p.m_get_value, 1, 1, 0, 0, false),
-        vec![cond],
+        &[cond],
     );
     g.set_state_after(s1, Some(fs1));
-    let te = g.add(NodeKind::End, vec![]);
+    let te = g.add(NodeKind::End, &[]);
     g.set_next(s1, te);
     let c2 = g.const_int(2);
-    let s2 = g.add(NodeKind::StoreField { field: p.f_idx }, vec![a, c2]);
+    let s2 = g.add(NodeKind::StoreField { field: p.f_idx }, &[a, c2]);
     g.set_next(f, s2);
     let fs2 = g.add_frame_state(
         pea_ir::FrameStateData::new(p.m_get_value, 2, 1, 0, 0, false),
-        vec![cond],
+        &[cond],
     );
     g.set_state_after(s2, Some(fs2));
-    let fe = g.add(NodeKind::End, vec![]);
+    let fe = g.add(NodeKind::End, &[]);
     g.set_next(s2, fe);
-    let merge = g.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
-    let load = g.add(NodeKind::LoadField { field: p.f_idx }, vec![a]);
+    let merge = g.add_merge(NodeKind::Merge, &[te, fe]);
+    let load = g.add(NodeKind::LoadField { field: p.f_idx }, &[a]);
     g.set_next(merge, load);
-    let ret = g.add(NodeKind::Return, vec![load]);
+    let ret = g.add(NodeKind::Return, &[load]);
     g.set_next(load, ret);
     verify(&g).expect("fixture verifies");
 
@@ -459,38 +454,38 @@ fn merge_creates_field_phi() {
     // Ablation: with field phis off, the same graph materializes instead.
     let (mut g2, _) = {
         let mut g2 = Graph::new();
-        let cond = g2.add(NodeKind::Param { index: 0 }, vec![]);
-        let a = g2.add(NodeKind::New { class: p.key_class }, vec![]);
+        let cond = g2.add(NodeKind::Param { index: 0 }, &[]);
+        let a = g2.add(NodeKind::New { class: p.key_class }, &[]);
         g2.set_next(g2.start, a);
-        let iff = g2.add(NodeKind::If, vec![cond]);
+        let iff = g2.add(NodeKind::If, &[cond]);
         g2.set_next(a, iff);
-        let t = g2.add(NodeKind::Begin, vec![]);
-        let f = g2.add(NodeKind::Begin, vec![]);
+        let t = g2.add(NodeKind::Begin, &[]);
+        let f = g2.add(NodeKind::Begin, &[]);
         g2.set_if_targets(iff, t, f);
         let c1 = g2.const_int(1);
-        let s1 = g2.add(NodeKind::StoreField { field: p.f_idx }, vec![a, c1]);
+        let s1 = g2.add(NodeKind::StoreField { field: p.f_idx }, &[a, c1]);
         g2.set_next(t, s1);
         let fs1 = g2.add_frame_state(
             pea_ir::FrameStateData::new(p.m_get_value, 1, 1, 0, 0, false),
-            vec![cond],
+            &[cond],
         );
         g2.set_state_after(s1, Some(fs1));
-        let te = g2.add(NodeKind::End, vec![]);
+        let te = g2.add(NodeKind::End, &[]);
         g2.set_next(s1, te);
         let c2 = g2.const_int(2);
-        let s2 = g2.add(NodeKind::StoreField { field: p.f_idx }, vec![a, c2]);
+        let s2 = g2.add(NodeKind::StoreField { field: p.f_idx }, &[a, c2]);
         g2.set_next(f, s2);
         let fs2 = g2.add_frame_state(
             pea_ir::FrameStateData::new(p.m_get_value, 2, 1, 0, 0, false),
-            vec![cond],
+            &[cond],
         );
         g2.set_state_after(s2, Some(fs2));
-        let fe = g2.add(NodeKind::End, vec![]);
+        let fe = g2.add(NodeKind::End, &[]);
         g2.set_next(s2, fe);
-        let merge = g2.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
-        let load = g2.add(NodeKind::LoadField { field: p.f_idx }, vec![a]);
+        let merge = g2.add_merge(NodeKind::Merge, &[te, fe]);
+        let load = g2.add(NodeKind::LoadField { field: p.f_idx }, &[a]);
         g2.set_next(merge, load);
-        let ret = g2.add(NodeKind::Return, vec![load]);
+        let ret = g2.add(NodeKind::Return, &[load]);
         g2.set_next(load, ret);
         (g2, ())
     };

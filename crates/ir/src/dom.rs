@@ -13,7 +13,7 @@ pub struct DomTree {
 impl DomTree {
     /// Computes dominators for all blocks reachable in `cfg`.
     pub fn build(cfg: &Cfg) -> DomTree {
-        let n = cfg.blocks.len();
+        let n = cfg.num_blocks();
         let rpo = &cfg.rpo;
         let mut rpo_pos = vec![usize::MAX; n];
         for (i, &b) in rpo.iter().enumerate() {
@@ -26,7 +26,7 @@ impl DomTree {
         while changed {
             changed = false;
             for &b in rpo.iter().skip(1) {
-                let preds = &cfg.block(b).preds;
+                let preds = cfg.block(b).preds;
                 let mut new_idom: Option<BlockId> = None;
                 for &p in preds {
                     if idom[p.index()].is_none() {
@@ -120,18 +120,18 @@ mod tests {
 
     fn diamond_cfg() -> (Cfg, BlockId, BlockId, BlockId, BlockId) {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let iff = g.add(NodeKind::If, vec![p]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let iff = g.add(NodeKind::If, &[p]);
         g.set_next(g.start, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
-        let te = g.add(NodeKind::End, vec![]);
+        let te = g.add(NodeKind::End, &[]);
         g.set_next(t, te);
-        let fe = g.add(NodeKind::End, vec![]);
+        let fe = g.add(NodeKind::End, &[]);
         g.set_next(f, fe);
-        let merge = g.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
-        let ret = g.add(NodeKind::Return, vec![]);
+        let merge = g.add_merge(NodeKind::Merge, &[te, fe]);
+        let ret = g.add(NodeKind::Return, &[]);
         g.set_next(merge, ret);
         let cfg = Cfg::build(&g);
         let entry = cfg.entry();

@@ -26,15 +26,12 @@ pub fn dump(graph: &Graph) -> String {
         );
         // Phis of merge-like block heads first.
         let head = block.first();
-        if matches!(
-            graph.kind(head),
-            NodeKind::Merge { .. } | NodeKind::LoopBegin { .. }
-        ) {
+        if matches!(graph.kind(head), NodeKind::Merge | NodeKind::LoopBegin) {
             for phi in graph.phis_of(head) {
                 let _ = writeln!(out, "  {}", describe(graph, phi));
             }
         }
-        for &n in &block.nodes {
+        for &n in block.nodes {
             let _ = writeln!(out, "  {}", describe(graph, n));
         }
         out.push('\n');
@@ -140,8 +137,8 @@ mod tests {
 
     fn tiny_graph() -> Graph {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let ret = g.add(NodeKind::Return, vec![p]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let ret = g.add(NodeKind::Return, &[p]);
         g.set_next(g.start, ret);
         g
     }
@@ -170,11 +167,11 @@ mod tests {
     #[test]
     fn frame_state_brief_shows_chain() {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let outer = g.add_frame_state(FrameStateData::new(MethodId(0), 5, 1, 0, 0, false), vec![p]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let outer = g.add_frame_state(FrameStateData::new(MethodId(0), 5, 1, 0, 0, false), &[p]);
         let inner = g.add_frame_state(
             FrameStateData::new(MethodId(1), 9, 2, 0, 0, true),
-            vec![p, p, outer],
+            &[p, p, outer],
         );
         let s = frame_state_brief(&g, inner);
         assert!(s.contains("M1:9"));

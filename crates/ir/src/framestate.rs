@@ -16,7 +16,7 @@ use pea_bytecode::MethodId;
 /// methods. Deoptimization resumes the interpreter at `bci`
 /// (the state captured *after* the most recent side effect; everything in
 /// between is re-executed).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FrameStateData {
     /// Method this state belongs to.
     pub method: MethodId,
@@ -30,11 +30,13 @@ pub struct FrameStateData {
     pub n_locks: u32,
     /// Whether the last input is the caller's frame state.
     pub has_outer: bool,
-    /// Per-lock flag: `true` when the lock stems from a `synchronized`
-    /// method (released automatically when the rebuilt interpreter frame
-    /// returns); `false` for explicit `monitorenter` locks (released by
-    /// the re-executed bytecode itself).
-    pub lock_from_sync: Vec<bool>,
+    /// Per-lock flags, bit `k` for lock `k`: set when the lock stems from
+    /// a `synchronized` method (released automatically when the rebuilt
+    /// interpreter frame returns); clear for explicit `monitorenter` locks
+    /// (released by the re-executed bytecode itself). A synchronized
+    /// method takes its lock before its body runs, so only bit 0 is ever
+    /// set by the builder; a bit at or past `n_locks` is malformed.
+    pub lock_from_sync: u64,
 }
 
 impl FrameStateData {
@@ -54,8 +56,24 @@ impl FrameStateData {
             n_stack,
             n_locks,
             has_outer,
-            lock_from_sync: vec![false; n_locks as usize],
+            lock_from_sync: 0,
         }
+    }
+
+    /// Whether lock `k` stems from a `synchronized` method.
+    pub fn lock_is_from_sync(&self, k: usize) -> bool {
+        u32::try_from(k)
+            .ok()
+            .and_then(|k| self.lock_from_sync.checked_shr(k))
+            .is_some_and(|bits| bits & 1 == 1)
+    }
+
+    /// Whether every set `lock_from_sync` bit names one of the
+    /// `n_locks` locks.
+    pub fn sync_flags_fit(&self) -> bool {
+        self.lock_from_sync
+            .checked_shr(self.n_locks)
+            .is_none_or(|beyond| beyond == 0)
     }
 
     /// Total number of node inputs this descriptor implies.
@@ -98,7 +116,14 @@ mod tests {
         assert_eq!(d.stack_range(), 3..5);
         assert_eq!(d.locks_range(), 5..6);
         assert_eq!(d.outer_index(), Some(6));
-        assert_eq!(d.lock_from_sync.len(), 1);
+        assert!(!d.lock_is_from_sync(0));
+        assert!(d.sync_flags_fit());
+        let d = FrameStateData {
+            lock_from_sync: 0b10,
+            ..d
+        };
+        assert!(d.lock_is_from_sync(1) && !d.lock_is_from_sync(64));
+        assert!(!d.sync_flags_fit(), "bit 1 names a second lock of one");
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod dump;
 mod framestate;
 mod graph;
 mod node;
+mod pool;
 pub mod schedule;
 pub mod verify;
 

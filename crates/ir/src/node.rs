@@ -193,18 +193,13 @@ pub enum NodeKind {
     /// Two-way branch; input 0 is the condition (int 0/1), successors are
     /// `[true_target, false_target]`.
     If,
-    /// Control-flow join; `ends` are the predecessor [`NodeKind::End`]
-    /// nodes in phi-input order.
-    Merge {
-        /// Predecessor end nodes.
-        ends: Vec<NodeId>,
-    },
-    /// Loop header. `ends[0]` is the forward entry end; `ends[1..]` are
-    /// [`NodeKind::LoopEnd`] back edges. Phi inputs align with this order.
-    LoopBegin {
-        /// Entry end followed by back-edge ends.
-        ends: Vec<NodeId>,
-    },
+    /// Control-flow join; its ends ([`crate::Graph::merge_ends`]) are
+    /// the predecessor [`NodeKind::End`] nodes in phi-input order.
+    Merge,
+    /// Loop header. Its first end ([`crate::Graph::merge_ends`]) is the
+    /// forward entry end, the rest are [`NodeKind::LoopEnd`] back edges.
+    /// Phi inputs align with this order.
+    LoopBegin,
     /// Jump into a [`NodeKind::Merge`].
     End,
     /// Back edge into a [`NodeKind::LoopBegin`].
@@ -404,8 +399,8 @@ impl NodeKind {
             NodeKind::Start
                 | NodeKind::Begin
                 | NodeKind::LoopExit { .. }
-                | NodeKind::Merge { .. }
-                | NodeKind::LoopBegin { .. }
+                | NodeKind::Merge
+                | NodeKind::LoopBegin
         )
     }
 
@@ -445,8 +440,8 @@ impl NodeKind {
             NodeKind::Begin => "Begin".into(),
             NodeKind::LoopExit { loop_begin } => format!("LoopExit({loop_begin})"),
             NodeKind::If => "If".into(),
-            NodeKind::Merge { .. } => "Merge".into(),
-            NodeKind::LoopBegin { .. } => "LoopBegin".into(),
+            NodeKind::Merge => "Merge".into(),
+            NodeKind::LoopBegin => "LoopBegin".into(),
             NodeKind::End => "End".into(),
             NodeKind::LoopEnd => "LoopEnd".into(),
             NodeKind::Return => "Return".into(),
@@ -497,18 +492,20 @@ impl NodeKind {
     }
 }
 
-/// A node: kind, data inputs, control successors, optional frame state.
-#[derive(Clone, Debug)]
-pub struct Node {
+/// A view of one node: kind, data inputs, control successors, optional
+/// frame state. The edge lists live in the graph's pool
+/// ([`crate::Graph`]), so a node is read through this borrowed view.
+#[derive(Clone, Copy, Debug)]
+pub struct Node<'g> {
     /// What the node does.
-    pub kind: NodeKind,
+    pub kind: &'g NodeKind,
     /// Data inputs (order is kind-specific).
-    pub(crate) inputs: Vec<NodeId>,
+    pub(crate) inputs: &'g [NodeId],
     /// Control successors: `[next]` for straight-line fixed nodes,
     /// `[true, false]` for [`NodeKind::If`], empty otherwise.
-    pub(crate) successors: Vec<NodeId>,
+    pub(crate) successors: &'g [NodeId],
     /// Control predecessor for fixed nodes with a unique predecessor.
-    /// Merges/loop begins use their `ends` lists instead.
+    /// Merges/loop begins use their ends instead.
     pub(crate) control_pred: Option<NodeId>,
     /// The frame state describing VM state for deoptimization at/after
     /// this node (side effects carry their after-state; guards and deopts
@@ -518,15 +515,15 @@ pub struct Node {
     pub(crate) deleted: bool,
 }
 
-impl Node {
+impl<'g> Node<'g> {
     /// Data inputs in kind order.
-    pub fn inputs(&self) -> &[NodeId] {
-        &self.inputs
+    pub fn inputs(&self) -> &'g [NodeId] {
+        self.inputs
     }
 
     /// Control successors.
-    pub fn successors(&self) -> &[NodeId] {
-        &self.successors
+    pub fn successors(&self) -> &'g [NodeId] {
+        self.successors
     }
 
     /// Whether the node has been deleted.
@@ -583,7 +580,7 @@ mod tests {
 
     #[test]
     fn block_boundaries() {
-        assert!(NodeKind::Merge { ends: vec![] }.is_block_start());
+        assert!(NodeKind::Merge.is_block_start());
         assert!(NodeKind::If.is_block_end());
         assert!(!NodeKind::New { class: ClassId(0) }.is_block_end());
     }

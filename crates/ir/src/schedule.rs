@@ -37,12 +37,96 @@ use crate::cfg::{BlockId, Cfg};
 use crate::dom::DomTree;
 use crate::{Graph, NodeId, NodeKind};
 
+/// Node lists of every block, stored flat: block `b`'s list is
+/// `nodes[starts[b]..starts[b + 1]]`. Indexing by block index yields the
+/// block's slice, and `{:?}` prints a list of lists, as a
+/// `Vec<Vec<NodeId>>` would.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct BlockLists {
+    nodes: Vec<NodeId>,
+    starts: Vec<u32>,
+}
+
+impl BlockLists {
+    /// Number of blocks.
+    pub fn len(&self) -> usize {
+        self.starts.len().saturating_sub(1)
+    }
+
+    /// Whether there are no blocks.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The blocks' lists in block order.
+    pub fn iter(&self) -> Lists<'_> {
+        Lists {
+            lists: self,
+            next: 0,
+        }
+    }
+
+    /// Every list's nodes, block after block.
+    pub fn flat(&self) -> &[NodeId] {
+        &self.nodes
+    }
+}
+
+impl std::ops::Index<usize> for BlockLists {
+    type Output = [NodeId];
+
+    fn index(&self, b: usize) -> &[NodeId] {
+        &self.nodes[self.starts[b] as usize..self.starts[b + 1] as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a BlockLists {
+    type Item = &'a [NodeId];
+    type IntoIter = Lists<'a>;
+
+    fn into_iter(self) -> Lists<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over the lists of a [`BlockLists`], in block order.
+#[derive(Clone, Debug)]
+pub struct Lists<'a> {
+    lists: &'a BlockLists,
+    next: usize,
+}
+
+impl<'a> Iterator for Lists<'a> {
+    type Item = &'a [NodeId];
+
+    fn next(&mut self) -> Option<&'a [NodeId]> {
+        let b = self.next;
+        (b < self.lists.len()).then(|| {
+            self.next += 1;
+            &self.lists[b]
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.lists.len() - self.next;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Lists<'_> {}
+
+impl std::fmt::Debug for BlockLists {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A complete per-block execution order.
 #[derive(Clone, Debug)]
 pub struct Schedule {
     /// For each block (by index): fixed and floating nodes in an order
     /// that respects data dependencies and the fixed chain.
-    pub per_block: Vec<Vec<NodeId>>,
+    pub per_block: BlockLists,
     /// Block assignment of every scheduled floating node, indexed by
     /// [`NodeId`]; `None` for fixed, metadata and unplaced nodes (see
     /// [`Schedule::placement_of`]).
@@ -66,7 +150,7 @@ impl Schedule {
                     placement[n.index()] = cfg.try_block_of(*merge);
                 }
                 NodeKind::AllocatedObject { .. } => {
-                    let commit = graph.node(n).inputs()[0];
+                    let commit = graph.inputs(n)[0];
                     placement[n.index()] = cfg.try_block_of(commit);
                 }
                 _ => {}
@@ -85,23 +169,49 @@ impl Schedule {
             }
         }
 
-        // Per-block topological ordering (fixed chain + floating nodes);
-        // each block's floaters in ascending node order.
-        let mut block_floaters: Vec<Vec<NodeId>> = vec![Vec::new(); cfg.blocks.len()];
-        for (i, b) in placement.iter().enumerate() {
-            if let Some(b) = b {
-                let n = NodeId::from_index(i);
-                if !matches!(graph.kind(n), NodeKind::Phi { .. }) {
-                    block_floaters[b.index()].push(n);
-                }
+        // Each block's floaters in ascending node order, flat: a counting
+        // sort by block.
+        let n_blocks = cfg.num_blocks();
+        let floater = |i: usize| -> Option<BlockId> {
+            placement[i]
+                .filter(|_| !matches!(graph.kind(NodeId::from_index(i)), NodeKind::Phi { .. }))
+        };
+        let mut floater_starts = vec![0u32; n_blocks + 1];
+        let mut dependents_bound = 0;
+        for i in 0..placement.len() {
+            if let Some(b) = floater(i) {
+                floater_starts[b.index() + 1] += 1;
+                dependents_bound += graph.inputs(NodeId::from_index(i)).len();
             }
         }
-        let mut orderer = BlockOrderer::new(graph);
-        let per_block = cfg
-            .blocks
-            .iter()
-            .map(|block| orderer.order(&block.nodes, &block_floaters[block.id.index()]))
-            .collect();
+        for b in 0..n_blocks {
+            floater_starts[b + 1] += floater_starts[b];
+        }
+        let n_floaters = floater_starts[n_blocks] as usize;
+        let mut floaters = vec![NodeId(0); n_floaters];
+        let mut fill = floater_starts.clone();
+        for i in 0..placement.len() {
+            if let Some(b) = floater(i) {
+                floaters[fill[b.index()] as usize] = NodeId::from_index(i);
+                fill[b.index()] += 1;
+            }
+        }
+        drop(fill);
+
+        // Per-block topological ordering (fixed chain + floating nodes).
+        let n_fixed: usize = cfg.blocks().map(|b| b.nodes.len()).sum();
+        let mut per_block = BlockLists {
+            nodes: Vec::with_capacity(n_fixed + n_floaters),
+            starts: Vec::with_capacity(n_blocks + 1),
+        };
+        per_block.starts.push(0);
+        let mut orderer = BlockOrderer::new(graph, dependents_bound, n_floaters);
+        for block in cfg.blocks() {
+            let b = block.id.index();
+            let range = floater_starts[b] as usize..floater_starts[b + 1] as usize;
+            orderer.order(block.nodes, &floaters[range], &mut per_block.nodes);
+            per_block.starts.push(per_block.nodes.len() as u32);
+        }
 
         Schedule {
             per_block,
@@ -118,7 +228,7 @@ impl Schedule {
     /// Total number of scheduled nodes — the "machine code size" used by
     /// the cost model's instruction-cache term.
     pub fn code_size(&self) -> u64 {
-        self.per_block.iter().map(|b| b.len() as u64).sum()
+        self.per_block.flat().len() as u64
     }
 }
 
@@ -140,7 +250,7 @@ fn place_early(
     // Temporarily claim entry to break impossible cycles defensively
     // (valid SSA has no cycles among non-phi floating nodes).
     placement[node.index()] = Some(best);
-    for &input in graph.node(node).inputs() {
+    for &input in graph.inputs(node) {
         let b = place_early(graph, cfg, dom, input, placement);
         if dom.depth(b) > dom.depth(best) {
             debug_assert!(
@@ -173,21 +283,27 @@ struct BlockOrderer<'g> {
     /// Reverse edges `(input, floating dependent)` of the current block,
     /// sorted by input.
     dependents: Vec<(NodeId, NodeId)>,
+    /// Floating nodes whose dependencies are all emitted, ascending.
+    ready: Vec<NodeId>,
     current: u32,
 }
 
 impl<'g> BlockOrderer<'g> {
-    fn new(graph: &'g Graph) -> Self {
+    /// An orderer for blocks whose floaters have at most `dependents`
+    /// inputs and number at most `floaters`, both in total.
+    fn new(graph: &'g Graph, dependents: usize, floaters: usize) -> Self {
         BlockOrderer {
             graph,
             stamp: vec![0; graph.len()],
             pending: vec![0; graph.len()],
-            dependents: Vec::new(),
+            dependents: Vec::with_capacity(dependents),
+            ready: Vec::with_capacity(floaters),
             current: 0,
         }
     }
 
-    fn order(&mut self, fixed: &[NodeId], floaters: &[NodeId]) -> Vec<NodeId> {
+    /// Appends the block's order to `out`.
+    fn order(&mut self, fixed: &[NodeId], floaters: &[NodeId], out: &mut Vec<NodeId>) {
         let graph = self.graph;
         self.current += 1;
         for &n in fixed.iter().chain(floaters) {
@@ -196,7 +312,7 @@ impl<'g> BlockOrderer<'g> {
         self.dependents.clear();
         for &f in floaters {
             let mut count = 0;
-            for &input in graph.node(f).inputs() {
+            for &input in graph.inputs(f) {
                 if self.stamp[input.index()] == self.current
                     && !matches!(graph.kind(input), NodeKind::Phi { .. })
                 {
@@ -210,12 +326,15 @@ impl<'g> BlockOrderer<'g> {
         }
         self.dependents.sort_by_key(|&(input, _)| input);
 
-        let mut out = Vec::with_capacity(fixed.len() + floaters.len());
-        let mut ready: Vec<NodeId> = floaters
-            .iter()
-            .copied()
-            .filter(|f| self.pending[f.index()] == 0)
-            .collect();
+        let start = out.len();
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.clear();
+        ready.extend(
+            floaters
+                .iter()
+                .copied()
+                .filter(|f| self.pending[f.index()] == 0),
+        );
         ready.sort_unstable();
 
         for &fx in fixed {
@@ -227,30 +346,30 @@ impl<'g> BlockOrderer<'g> {
             // front).
             while !ready.is_empty() {
                 let f = ready.remove(0);
-                self.emit(f, &mut out, &mut ready);
+                self.emit(f, out, &mut ready);
             }
             if let NodeKind::If | NodeKind::Guard { .. } = graph.kind(fx) {
-                let cond = graph.node(fx).inputs()[0];
+                let cond = graph.inputs(fx)[0];
                 if self.stamp[cond.index()] == self.current && self.sinks(cond) {
                     // Every input of the compare precedes its user.
                     self.pending[cond.index()] -= 1;
                     debug_assert_eq!(self.pending[cond.index()], 0, "{cond} sinks unready");
-                    self.emit(cond, &mut out, &mut ready);
+                    self.emit(cond, out, &mut ready);
                 }
             }
-            self.emit(fx, &mut out, &mut ready);
+            self.emit(fx, out, &mut ready);
         }
         // Trailing floaters (depend on the block terminator's value — rare,
         // e.g. nothing in practice, but drain for completeness).
         while let Some(f) = ready.pop() {
-            self.emit(f, &mut out, &mut ready);
+            self.emit(f, out, &mut ready);
         }
+        self.ready = ready;
         debug_assert_eq!(
-            out.len(),
+            out.len() - start,
             fixed.len() + floaters.len(),
             "schedule lost nodes"
         );
-        out
     }
 
     /// Whether the floating node `f` of the current block is a compare
@@ -291,17 +410,17 @@ mod tests {
     #[test]
     fn consts_and_params_go_to_entry() {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let iff = g.add(NodeKind::If, vec![p]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let iff = g.add(NodeKind::If, &[p]);
         g.set_next(g.start, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
-        let r1 = g.add(NodeKind::Return, vec![p]);
+        let r1 = g.add(NodeKind::Return, &[p]);
         g.set_next(t, r1);
         let c = g.const_int(7);
-        let sum = g.add(NodeKind::Arith { op: ArithOp::Add }, vec![p, c]);
-        let r2 = g.add(NodeKind::Return, vec![sum]);
+        let sum = g.add(NodeKind::Arith { op: ArithOp::Add }, &[p, c]);
+        let r2 = g.add(NodeKind::Return, &[sum]);
         g.set_next(f, r2);
         let cfg = Cfg::build(&g);
         let dom = DomTree::build(&cfg);
@@ -322,12 +441,12 @@ mod tests {
     fn load_dependent_float_ordered_after_load() {
         use pea_bytecode::FieldId;
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let load = g.add(NodeKind::LoadField { field: FieldId(0) }, vec![p]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let load = g.add(NodeKind::LoadField { field: FieldId(0) }, &[p]);
         g.set_next(g.start, load);
         let c = g.const_int(1);
-        let sum = g.add(NodeKind::Arith { op: ArithOp::Add }, vec![load, c]);
-        let ret = g.add(NodeKind::Return, vec![sum]);
+        let sum = g.add(NodeKind::Arith { op: ArithOp::Add }, &[load, c]);
+        let ret = g.add(NodeKind::Return, &[sum]);
         g.set_next(load, ret);
         let cfg = Cfg::build(&g);
         let dom = DomTree::build(&cfg);
@@ -342,22 +461,22 @@ mod tests {
     #[test]
     fn phi_users_schedule_into_merge_block() {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let iff = g.add(NodeKind::If, vec![p]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let iff = g.add(NodeKind::If, &[p]);
         g.set_next(g.start, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
-        let te = g.add(NodeKind::End, vec![]);
+        let te = g.add(NodeKind::End, &[]);
         g.set_next(t, te);
-        let fe = g.add(NodeKind::End, vec![]);
+        let fe = g.add(NodeKind::End, &[]);
         g.set_next(f, fe);
-        let merge = g.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
+        let merge = g.add_merge(NodeKind::Merge, &[te, fe]);
         let c1 = g.const_int(1);
         let c2 = g.const_int(2);
-        let phi = g.add(NodeKind::Phi { merge }, vec![c1, c2]);
-        let dbl = g.add(NodeKind::Arith { op: ArithOp::Add }, vec![phi, phi]);
-        let ret = g.add(NodeKind::Return, vec![dbl]);
+        let phi = g.add(NodeKind::Phi { merge }, &[c1, c2]);
+        let dbl = g.add(NodeKind::Arith { op: ArithOp::Add }, &[phi, phi]);
+        let ret = g.add(NodeKind::Return, &[dbl]);
         g.set_next(merge, ret);
         let cfg = Cfg::build(&g);
         let dom = DomTree::build(&cfg);
@@ -382,20 +501,20 @@ mod tests {
 
     fn chain(guard: bool) -> Chain {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
         let zero = g.const_int(0);
-        let cmp = g.add(NodeKind::Compare { op: CmpOp::Lt }, vec![p, zero]);
+        let cmp = g.add(NodeKind::Compare { op: CmpOp::Lt }, &[p, zero]);
         let five = g.const_int(5);
-        let store = g.add(NodeKind::PutStatic { id: StaticId(0) }, vec![five]);
+        let store = g.add(NodeKind::PutStatic { id: StaticId(0) }, &[five]);
         g.set_next(g.start, store);
         let (last, guard) = if guard {
-            let fs = g.add_frame_state(state(), vec![p]);
+            let fs = g.add_frame_state(state(), &[p]);
             let guard = g.add(
                 NodeKind::Guard {
                     reason: crate::DeoptReason::UntakenBranch,
                     negated: true,
                 },
-                vec![cmp],
+                &[cmp],
             );
             g.set_state_after(guard, Some(fs));
             g.set_next(store, guard);
@@ -403,15 +522,15 @@ mod tests {
         } else {
             (store, None)
         };
-        let iff = g.add(NodeKind::If, vec![if guard.is_some() { p } else { cmp }]);
+        let iff = g.add(NodeKind::If, &[if guard.is_some() { p } else { cmp }]);
         g.set_next(last, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
         let one = g.const_int(1);
-        let r1 = g.add(NodeKind::Return, vec![one]);
+        let r1 = g.add(NodeKind::Return, &[one]);
         g.set_next(t, r1);
-        let r2 = g.add(NodeKind::Return, vec![zero]);
+        let r2 = g.add(NodeKind::Return, &[zero]);
         g.set_next(f, r2);
         Chain {
             g,
@@ -431,7 +550,7 @@ mod tests {
         let cfg = Cfg::build(g);
         let dom = DomTree::build(&cfg);
         let sched = Schedule::build(g, &cfg, &dom);
-        sched.per_block[cfg.entry().index()].clone()
+        sched.per_block[cfg.entry().index()].to_vec()
     }
 
     fn pos(order: &[NodeId], n: NodeId) -> usize {
@@ -477,23 +596,23 @@ mod tests {
     #[test]
     fn a_compare_a_phi_reads_stays_early() {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
         let zero = g.const_int(0);
-        let cmp = g.add(NodeKind::Compare { op: CmpOp::Lt }, vec![p, zero]);
-        let store = g.add(NodeKind::PutStatic { id: StaticId(0) }, vec![zero]);
+        let cmp = g.add(NodeKind::Compare { op: CmpOp::Lt }, &[p, zero]);
+        let store = g.add(NodeKind::PutStatic { id: StaticId(0) }, &[zero]);
         g.set_next(g.start, store);
-        let iff = g.add(NodeKind::If, vec![cmp]);
+        let iff = g.add(NodeKind::If, &[cmp]);
         g.set_next(store, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
-        let te = g.add(NodeKind::End, vec![]);
+        let te = g.add(NodeKind::End, &[]);
         g.set_next(t, te);
-        let fe = g.add(NodeKind::End, vec![]);
+        let fe = g.add(NodeKind::End, &[]);
         g.set_next(f, fe);
-        let merge = g.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
-        let phi = g.add(NodeKind::Phi { merge }, vec![cmp, zero]);
-        let ret = g.add(NodeKind::Return, vec![phi]);
+        let merge = g.add_merge(NodeKind::Merge, &[te, fe]);
+        let phi = g.add(NodeKind::Phi { merge }, &[cmp, zero]);
+        let ret = g.add(NodeKind::Return, &[phi]);
         g.set_next(merge, ret);
         let order = entry_order(&g);
         assert!(pos(&order, cmp) < pos(&order, store), "{order:?}");
@@ -504,29 +623,29 @@ mod tests {
         // The compare reads only the parameter, so it is placed in the
         // entry block; its guard sits in the true arm.
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
         let zero = g.const_int(0);
-        let cmp = g.add(NodeKind::Compare { op: CmpOp::Lt }, vec![p, zero]);
-        let store = g.add(NodeKind::PutStatic { id: StaticId(0) }, vec![zero]);
+        let cmp = g.add(NodeKind::Compare { op: CmpOp::Lt }, &[p, zero]);
+        let store = g.add(NodeKind::PutStatic { id: StaticId(0) }, &[zero]);
         g.set_next(g.start, store);
-        let iff = g.add(NodeKind::If, vec![p]);
+        let iff = g.add(NodeKind::If, &[p]);
         g.set_next(store, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
-        let fs = g.add_frame_state(state(), vec![p]);
+        let fs = g.add_frame_state(state(), &[p]);
         let guard = g.add(
             NodeKind::Guard {
                 reason: crate::DeoptReason::UntakenBranch,
                 negated: false,
             },
-            vec![cmp],
+            &[cmp],
         );
         g.set_state_after(guard, Some(fs));
         g.set_next(t, guard);
-        let r1 = g.add(NodeKind::Return, vec![p]);
+        let r1 = g.add(NodeKind::Return, &[p]);
         g.set_next(guard, r1);
-        let r2 = g.add(NodeKind::Return, vec![zero]);
+        let r2 = g.add(NodeKind::Return, &[zero]);
         g.set_next(f, r2);
         let cfg = Cfg::build(&g);
         let dom = DomTree::build(&cfg);

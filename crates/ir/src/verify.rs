@@ -104,7 +104,8 @@ pub fn verify_structure(graph: &Graph) -> Result<(), IrError> {
             }
         }
         match graph.kind(n) {
-            NodeKind::Merge { ends } | NodeKind::LoopBegin { ends } => {
+            NodeKind::Merge | NodeKind::LoopBegin => {
+                let ends = graph.merge_ends(n);
                 if ends.is_empty() {
                     return Err(err(n, "merge with no predecessors"));
                 }
@@ -119,7 +120,7 @@ pub fn verify_structure(graph: &Graph) -> Result<(), IrError> {
                         return Err(err(e, "end claimed by two merges"));
                     }
                 }
-                if let NodeKind::LoopBegin { ends } = graph.kind(n) {
+                if let NodeKind::LoopBegin = graph.kind(n) {
                     if !matches!(graph.kind(ends[0]), NodeKind::End) {
                         return Err(err(n, "loop begin entry must be a forward End"));
                     }
@@ -151,8 +152,8 @@ pub fn verify_structure(graph: &Graph) -> Result<(), IrError> {
                     ),
                 ));
             }
-            if data.lock_from_sync.len() != data.n_locks as usize {
-                return Err(err(n, "lock_from_sync length mismatch"));
+            if !data.sync_flags_fit() {
+                return Err(err(n, "lock_from_sync flags a lock past n_locks"));
             }
             if let Some(outer_index) = data.outer_index() {
                 let outer = graph.node(n).inputs()[outer_index];
@@ -264,21 +265,21 @@ mod tests {
 
     fn valid_diamond() -> Graph {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let iff = g.add(NodeKind::If, vec![p]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let iff = g.add(NodeKind::If, &[p]);
         g.set_next(g.start, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
-        let te = g.add(NodeKind::End, vec![]);
+        let te = g.add(NodeKind::End, &[]);
         g.set_next(t, te);
-        let fe = g.add(NodeKind::End, vec![]);
+        let fe = g.add(NodeKind::End, &[]);
         g.set_next(f, fe);
-        let merge = g.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
+        let merge = g.add_merge(NodeKind::Merge, &[te, fe]);
         let c1 = g.const_int(1);
         let c2 = g.const_int(2);
-        let phi = g.add(NodeKind::Phi { merge }, vec![c1, c2]);
-        let ret = g.add(NodeKind::Return, vec![phi]);
+        let phi = g.add(NodeKind::Phi { merge }, &[c1, c2]);
+        let ret = g.add(NodeKind::Return, &[phi]);
         g.set_next(merge, ret);
         g
     }
@@ -304,16 +305,16 @@ mod tests {
     #[test]
     fn rejects_side_effect_without_state() {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
         let c = g.const_int(1);
         let store = g.add(
             NodeKind::StoreField {
                 field: pea_bytecode::FieldId(0),
             },
-            vec![p, c],
+            &[p, c],
         );
         g.set_next(g.start, store);
-        let ret = g.add(NodeKind::Return, vec![]);
+        let ret = g.add(NodeKind::Return, &[]);
         g.set_next(store, ret);
         let e = verify(&g).unwrap_err();
         assert!(e.reason.contains("frame state"), "{e}");
@@ -324,26 +325,26 @@ mod tests {
         // A value defined in the true branch used after the merge without
         // a phi.
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let iff = g.add(NodeKind::If, vec![p]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let iff = g.add(NodeKind::If, &[p]);
         g.set_next(g.start, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
         // Fixed node in true branch producing a value.
         let load = g.add(
             NodeKind::LoadField {
                 field: pea_bytecode::FieldId(0),
             },
-            vec![p],
+            &[p],
         );
         g.set_next(t, load);
-        let te = g.add(NodeKind::End, vec![]);
+        let te = g.add(NodeKind::End, &[]);
         g.set_next(load, te);
-        let fe = g.add(NodeKind::End, vec![]);
+        let fe = g.add(NodeKind::End, &[]);
         g.set_next(f, fe);
-        let merge = g.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
-        let ret = g.add(NodeKind::Return, vec![load]); // illegal use
+        let merge = g.add_merge(NodeKind::Merge, &[te, fe]);
+        let ret = g.add(NodeKind::Return, &[load]); // illegal use
         g.set_next(merge, ret);
         let e = verify(&g).unwrap_err();
         assert!(e.reason.contains("dominate"), "{e}");
@@ -352,21 +353,21 @@ mod tests {
     #[test]
     fn rejects_end_claimed_twice() {
         let mut g = Graph::new();
-        let p = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let iff = g.add(NodeKind::If, vec![p]);
+        let p = g.add(NodeKind::Param { index: 0 }, &[]);
+        let iff = g.add(NodeKind::If, &[p]);
         g.set_next(g.start, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
-        let te = g.add(NodeKind::End, vec![]);
+        let te = g.add(NodeKind::End, &[]);
         g.set_next(t, te);
-        let fe = g.add(NodeKind::End, vec![]);
+        let fe = g.add(NodeKind::End, &[]);
         g.set_next(f, fe);
-        let m1 = g.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
-        let r1 = g.add(NodeKind::Return, vec![]);
+        let m1 = g.add_merge(NodeKind::Merge, &[te, fe]);
+        let r1 = g.add(NodeKind::Return, &[]);
         g.set_next(m1, r1);
         // Claim te again.
-        let _m2 = g.add(NodeKind::Merge { ends: vec![te] }, vec![]);
+        let _m2 = g.add_merge(NodeKind::Merge, &[te]);
         let e = verify(&g).unwrap_err();
         assert!(e.reason.contains("two merges"), "{e}");
     }
@@ -376,8 +377,8 @@ mod tests {
         let mut g = Graph::new();
         let a = g.const_int(1);
         let b = g.const_int(2);
-        let op = g.add(NodeKind::Arith { op: ArithOp::Add }, vec![a, b]);
-        let ret = g.add(NodeKind::Return, vec![op]);
+        let op = g.add(NodeKind::Arith { op: ArithOp::Add }, &[a, b]);
+        let ret = g.add(NodeKind::Return, &[op]);
         g.set_next(g.start, ret);
         g.kill_unchecked(a);
         let e = verify(&g).unwrap_err();

@@ -42,7 +42,7 @@ impl Builder {
                 for k in 0..*n {
                     let a = self.values[k as usize % self.values.len()];
                     let b = self.values[(k as usize * 7 + 1) % self.values.len()];
-                    let v = self.g.add(NodeKind::Arith { op: ArithOp::Add }, vec![a, b]);
+                    let v = self.g.add(NodeKind::Arith { op: ArithOp::Add }, &[a, b]);
                     self.values.push(v);
                 }
                 tail
@@ -53,10 +53,10 @@ impl Builder {
             }
             Region::IfElse(a, b) => {
                 let cond = self.values[self.values.len() / 2];
-                let iff = self.g.add(NodeKind::If, vec![cond]);
+                let iff = self.g.add(NodeKind::If, &[cond]);
                 self.g.set_next(tail, iff);
-                let bt = self.g.add(NodeKind::Begin, vec![]);
-                let bf = self.g.add(NodeKind::Begin, vec![]);
+                let bt = self.g.add(NodeKind::Begin, &[]);
+                let bf = self.g.add(NodeKind::Begin, &[]);
                 self.g.set_if_targets(iff, bt, bf);
                 // Values created in one branch do not dominate the other
                 // branch or the merge: scope the pool per branch and join
@@ -68,37 +68,37 @@ impl Builder {
                 let tb = self.emit(b, bf);
                 let vb = *self.values.last().unwrap();
                 self.values.truncate(snap);
-                let ea = self.g.add(NodeKind::End, vec![]);
+                let ea = self.g.add(NodeKind::End, &[]);
                 self.g.set_next(ta, ea);
-                let eb = self.g.add(NodeKind::End, vec![]);
+                let eb = self.g.add(NodeKind::End, &[]);
                 self.g.set_next(tb, eb);
-                let merge = self.g.add(NodeKind::Merge { ends: vec![ea, eb] }, vec![]);
-                let phi = self.g.add(NodeKind::Phi { merge }, vec![va, vb]);
+                let merge = self.g.add_merge(NodeKind::Merge, &[ea, eb]);
+                let phi = self.g.add(NodeKind::Phi { merge }, &[va, vb]);
                 self.values.push(phi);
                 merge
             }
             Region::Loop(body) => {
-                let end = self.g.add(NodeKind::End, vec![]);
+                let end = self.g.add(NodeKind::End, &[]);
                 self.g.set_next(tail, end);
-                let lb = self.g.add(NodeKind::LoopBegin { ends: vec![end] }, vec![]);
+                let lb = self.g.add_merge(NodeKind::LoopBegin, &[end]);
                 let seed = self.values[0];
-                let phi = self.g.add(NodeKind::Phi { merge: lb }, vec![seed]);
+                let phi = self.g.add(NodeKind::Phi { merge: lb }, &[seed]);
                 self.values.push(phi);
                 let snap = self.values.len();
                 let t = self.emit(body, lb);
                 let cond = *self.values.last().unwrap();
                 self.values.truncate(snap);
-                let iff = self.g.add(NodeKind::If, vec![cond]);
+                let iff = self.g.add(NodeKind::If, &[cond]);
                 self.g.set_next(t, iff);
-                let cont = self.g.add(NodeKind::Begin, vec![]);
-                let exit = self.g.add(NodeKind::Begin, vec![]);
+                let cont = self.g.add(NodeKind::Begin, &[]);
+                let exit = self.g.add(NodeKind::Begin, &[]);
                 self.g.set_if_targets(iff, cont, exit);
-                let le = self.g.add(NodeKind::LoopEnd, vec![]);
+                let le = self.g.add(NodeKind::LoopEnd, &[]);
                 self.g.set_next(cont, le);
                 self.g.add_merge_end(lb, le);
                 let back = self
                     .g
-                    .add(NodeKind::Arith { op: ArithOp::Add }, vec![phi, seed]);
+                    .add(NodeKind::Arith { op: ArithOp::Add }, &[phi, seed]);
                 self.g.push_input(phi, back);
                 exit
             }
@@ -111,14 +111,14 @@ fn build(region: &Region) -> Graph {
         g: Graph::new(),
         values: Vec::new(),
     };
-    let p = b.g.add(NodeKind::Param { index: 0 }, vec![]);
+    let p = b.g.add(NodeKind::Param { index: 0 }, &[]);
     b.values.push(p);
     let c = b.g.const_int(1);
     b.values.push(c);
     let start = b.g.start;
     let tail = b.emit(region, start);
     let ret_val = *b.values.last().unwrap();
-    let ret = b.g.add(NodeKind::Return, vec![ret_val]);
+    let ret = b.g.add(NodeKind::Return, &[ret_val]);
     b.g.set_next(tail, ret);
     b.g
 }
@@ -140,7 +140,7 @@ proptest! {
         let cfg = Cfg::build(&g);
         for &b in &cfg.rpo {
             let pos = cfg.rpo_position(b);
-            for &p in &cfg.block(b).preds {
+            for &p in cfg.block(b).preds {
                 let is_back_edge = matches!(
                     g.kind(cfg.block(p).last()),
                     NodeKind::LoopEnd
@@ -168,7 +168,7 @@ proptest! {
             prop_assert!(dom.dominates(idom, b));
             prop_assert!(cfg.rpo_position(idom) < cfg.rpo_position(b));
             // The idom dominates every predecessor's dominator chain.
-            for &p in &cfg.block(b).preds {
+            for &p in cfg.block(b).preds {
                 prop_assert!(
                     dom.dominates(idom, p) || p == b,
                     "idom({b:?}) = {idom:?} does not dominate pred {p:?}"
@@ -218,8 +218,8 @@ proptest! {
     fn prune_dead_is_idempotent_and_preserves_verification(region in region_strategy()) {
         let mut g = build(&region);
         // Add some garbage that pruning must collect.
-        let orphan = g.add(NodeKind::Param { index: 7 }, vec![]);
-        let _orphan_use = g.add(NodeKind::Arith { op: ArithOp::Neg }, vec![orphan]);
+        let orphan = g.add(NodeKind::Param { index: 7 }, &[]);
+        let _orphan_use = g.add(NodeKind::Arith { op: ArithOp::Neg }, &[orphan]);
         let first = g.prune_dead();
         prop_assert!(first >= 2);
         let second = g.prune_dead();

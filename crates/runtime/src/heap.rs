@@ -666,6 +666,27 @@ impl Heap {
         }
     }
 
+    /// Writes slot `index` of an object the caller has just allocated
+    /// from a template of its exact shape: field `index` in layout order,
+    /// or element `index`. No class or kind is looked up; the one-slot
+    /// form of [`Self::init_slots`], for a caller that computes each value
+    /// only after writing the ones before it.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Internal`] if the object has no slot `index`.
+    #[inline]
+    pub fn init_slot(&mut self, r: ObjRef, index: usize, value: Value) -> Result<(), VmError> {
+        let h = self.handle(r);
+        match self.slots[h.segment()][h.slots()].get_mut(index) {
+            Some(slot) => {
+                *slot = value;
+                Ok(())
+            }
+            None => Err(template_too_wide(r, h.len)),
+        }
+    }
+
     /// Fills the leading slots of an object the caller has just allocated
     /// from a template of its exact shape (a commit group, a rematerialized
     /// virtual object) with `values`: fields in layout order, or elements

@@ -52,19 +52,19 @@ fn fig4_and_5() {
 
     // 4a/4b: allocation + stores + loads, fully virtual.
     let mut g = pea::ir::Graph::new();
-    let x = g.add(NodeKind::Param { index: 0 }, vec![]);
-    let new = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let x = g.add(NodeKind::Param { index: 0 }, &[]);
+    let new = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(g.start, new);
-    let store = g.add(NodeKind::StoreField { field: p.f_idx }, vec![new, x]);
+    let store = g.add(NodeKind::StoreField { field: p.f_idx }, &[new, x]);
     g.set_next(new, store);
     let fs = g.add_frame_state(
         pea::ir::FrameStateData::new(p.m_get_value, 1, 1, 0, 0, false),
-        vec![x],
+        &[x],
     );
     g.set_state_after(store, Some(fs));
-    let load = g.add(NodeKind::LoadField { field: p.f_idx }, vec![new]);
+    let load = g.add(NodeKind::LoadField { field: p.f_idx }, &[new]);
     g.set_next(store, load);
-    let ret = g.add(NodeKind::Return, vec![load]);
+    let ret = g.add(NodeKind::Return, &[load]);
     g.set_next(load, ret);
     println!("-- Fig. 4a/4b: new + store + load --");
     println!("before:\n{}", dump(&g));
@@ -73,28 +73,28 @@ fn fig4_and_5() {
 
     // 4c/4d: monitor enter/exit on a virtual object.
     let mut g = pea::ir::Graph::new();
-    let new = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let new = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(g.start, new);
-    let me = g.add(NodeKind::MonitorEnter, vec![new]);
+    let me = g.add(NodeKind::MonitorEnter, &[new]);
     g.set_next(new, me);
-    let x2 = g.add(NodeKind::Param { index: 0 }, vec![]);
+    let x2 = g.add(NodeKind::Param { index: 0 }, &[]);
     let fs = g.add_frame_state(
         {
             let mut d = pea::ir::FrameStateData::new(p.m_get_value, 1, 1, 0, 1, false);
-            d.lock_from_sync = vec![false];
+            d.lock_from_sync = 0;
             d
         },
-        vec![x2, new],
+        &[x2, new],
     );
     g.set_state_after(me, Some(fs));
-    let mx = g.add(NodeKind::MonitorExit, vec![new]);
+    let mx = g.add(NodeKind::MonitorExit, &[new]);
     g.set_next(me, mx);
     let fs2 = g.add_frame_state(
         pea::ir::FrameStateData::new(p.m_get_value, 2, 1, 0, 0, false),
-        vec![x2],
+        &[x2],
     );
     g.set_state_after(mx, Some(fs2));
-    let ret = g.add(NodeKind::Return, vec![]);
+    let ret = g.add(NodeKind::Return, &[]);
     g.set_next(mx, ret);
     println!("-- Fig. 4c/4d: monitor enter/exit (lock count tracked virtually) --");
     println!("before:\n{}", dump(&g));
@@ -104,29 +104,29 @@ fn fig4_and_5() {
     // Fig. 5: store into an escaped object.
     let (_, p) = key_program();
     let mut g = pea::ir::Graph::new();
-    let key = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let key = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(g.start, key);
-    let intbox = g.add(NodeKind::New { class: p.key_class }, vec![]);
+    let intbox = g.add(NodeKind::New { class: p.key_class }, &[]);
     g.set_next(key, intbox);
     // key escapes...
-    let put = g.add(NodeKind::PutStatic { id: p.s_cache_key }, vec![key]);
+    let put = g.add(NodeKind::PutStatic { id: p.s_cache_key }, &[key]);
     g.set_next(intbox, put);
-    let x3 = g.add(NodeKind::Param { index: 0 }, vec![]);
+    let x3 = g.add(NodeKind::Param { index: 0 }, &[]);
     let fs = g.add_frame_state(
         pea::ir::FrameStateData::new(p.m_get_value, 1, 1, 0, 0, false),
-        vec![x3],
+        &[x3],
     );
     g.set_state_after(put, Some(fs));
     // ...then the (still virtual) box is stored into the escaped key:
     // the box escapes too (Fig. 5's Integer turns `e`).
-    let store = g.add(NodeKind::StoreField { field: p.f_ref }, vec![key, intbox]);
+    let store = g.add(NodeKind::StoreField { field: p.f_ref }, &[key, intbox]);
     g.set_next(put, store);
     let fs2 = g.add_frame_state(
         pea::ir::FrameStateData::new(p.m_get_value, 2, 1, 0, 0, false),
-        vec![x3],
+        &[x3],
     );
     g.set_state_after(store, Some(fs2));
-    let ret = g.add(NodeKind::Return, vec![]);
+    let ret = g.add(NodeKind::Return, &[]);
     g.set_next(store, ret);
     println!("-- Fig. 5: store into an escaped object --");
     println!("before:\n{}", dump(&g));
@@ -158,38 +158,38 @@ fn fig6() {
         ),
     ] {
         let mut g = pea::ir::Graph::new();
-        let cond = g.add(NodeKind::Param { index: 0 }, vec![]);
-        let obj = g.add(NodeKind::New { class: p.key_class }, vec![]);
+        let cond = g.add(NodeKind::Param { index: 0 }, &[]);
+        let obj = g.add(NodeKind::New { class: p.key_class }, &[]);
         g.set_next(g.start, obj);
-        let iff = g.add(NodeKind::If, vec![cond]);
+        let iff = g.add(NodeKind::If, &[cond]);
         g.set_next(obj, iff);
-        let t = g.add(NodeKind::Begin, vec![]);
-        let f = g.add(NodeKind::Begin, vec![]);
+        let t = g.add(NodeKind::Begin, &[]);
+        let f = g.add(NodeKind::Begin, &[]);
         g.set_if_targets(iff, t, f);
         let c1 = g.const_int(1);
-        let s1 = g.add(NodeKind::StoreField { field: p.f_idx }, vec![obj, c1]);
+        let s1 = g.add(NodeKind::StoreField { field: p.f_idx }, &[obj, c1]);
         g.set_next(t, s1);
         let fs1 = g.add_frame_state(
             pea::ir::FrameStateData::new(p.m_get_value, 1, 1, 0, 0, false),
-            vec![cond],
+            &[cond],
         );
         g.set_state_after(s1, Some(fs1));
-        let te = g.add(NodeKind::End, vec![]);
+        let te = g.add(NodeKind::End, &[]);
         g.set_next(s1, te);
         let c2 = g.const_int(2);
-        let s2 = g.add(NodeKind::StoreField { field: p.f_idx }, vec![obj, c2]);
+        let s2 = g.add(NodeKind::StoreField { field: p.f_idx }, &[obj, c2]);
         g.set_next(f, s2);
         let fs2 = g.add_frame_state(
             pea::ir::FrameStateData::new(p.m_get_value, 2, 1, 0, 0, false),
-            vec![cond],
+            &[cond],
         );
         g.set_state_after(s2, Some(fs2));
-        let fe = g.add(NodeKind::End, vec![]);
+        let fe = g.add(NodeKind::End, &[]);
         g.set_next(s2, fe);
-        let merge = g.add(NodeKind::Merge { ends: vec![te, fe] }, vec![]);
-        let load = g.add(NodeKind::LoadField { field: p.f_idx }, vec![obj]);
+        let merge = g.add_merge(NodeKind::Merge, &[te, fe]);
+        let load = g.add(NodeKind::LoadField { field: p.f_idx }, &[obj]);
         g.set_next(merge, load);
-        let ret = g.add(NodeKind::Return, vec![load]);
+        let ret = g.add(NodeKind::Return, &[load]);
         g.set_next(load, ret);
         println!("-- {label} --");
         let r = run_pea(&mut g, &program, &options);
