@@ -280,7 +280,7 @@ fn evaluate_inner(
                 .position(|&e| e == end)
                 .expect("end not registered on merge");
             updates.clear();
-            for phi in graph.phis_of(first) {
+            for phi in graph.iter_phis(first) {
                 let input = graph.node(phi).inputs()[idx];
                 let v = values[input.index()]
                     .ok_or_else(|| VmError::Internal(format!("phi input {input} not computed")))?;
@@ -688,7 +688,8 @@ fn build_deopt_frames(
     }
     states.reverse();
 
-    let mut remat: HashMap<NodeId, ObjRef> = HashMap::new();
+    // Rematerialized objects, keyed by their mapping: a deopt has few.
+    let mut remat: Vec<(NodeId, ObjRef)> = Vec::new();
     let mut inventory = Vec::new();
     let mut frames = FrameChain::with_capacity(states.len(), slots);
     for fs in states {
@@ -720,19 +721,19 @@ fn resolve_slot(
     env: &mut dyn EvalEnv,
     graph: &pea_ir::Graph,
     values: &[Option<Value>],
-    remat: &mut HashMap<NodeId, ObjRef>,
+    remat: &mut Vec<(NodeId, ObjRef)>,
     inventory: &mut Vec<AllocShape>,
     id: NodeId,
 ) -> Result<Value, VmError> {
     if let NodeKind::VirtualObjectMapping { shape, lock_count } = graph.kind(id) {
-        if let Some(&r) = remat.get(&id) {
+        if let Some(&(_, r)) = remat.iter().find(|&&(m, _)| m == id) {
             return Ok(Value::Ref(r));
         }
         let r = alloc_shape(program, env.heap(), *shape)?;
         env.heap().stats.rematerialized += 1;
         env.profiler().record_alloc();
         inventory.push(*shape);
-        remat.insert(id, r);
+        remat.push((id, r));
         let field_inputs = graph.node(id).inputs();
         match shape {
             AllocShape::Instance { class } => {
