@@ -12,7 +12,6 @@ use pea_ir::cfg::BlockId;
 use pea_ir::{AllocShape, ArithOp, DeoptReason, NodeId, NodeKind};
 use pea_runtime::cost;
 use pea_runtime::{FrameChain, Heap, ObjRef, Statics, Value, VmError};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Most arguments a call copies into a fixed buffer on the host stack
@@ -261,9 +260,6 @@ fn evaluate_inner(
     values: &mut [Option<Value>],
 ) -> Result<EvalOutcome, VmError> {
     let graph = &code.graph;
-    // Commit results are keyed by commit node; the map allocates nothing
-    // until a method actually materializes a group.
-    let mut commit_results: HashMap<NodeId, Vec<ObjRef>> = HashMap::new();
     let mut block: BlockId = code.cfg.entry();
     let mut came_from_end: Option<NodeId> = None;
     // Phi-update scratch, hoisted out of the block loop.
@@ -338,15 +334,15 @@ fn evaluate_inner(
                 NodeKind::New { class } => {
                     let bytes = program.object_size(*class);
                     env.charge(cost::alloc_cost(bytes))?;
-                    env.profiler().record_alloc();
                     let r = env.heap().try_alloc_instance(program, *class)?;
+                    env.profiler().record_alloc();
                     set(values, n, Value::Ref(r));
                 }
                 NodeKind::NewArray { kind } => {
                     let len = val(values, inputs[0])?.as_int()?;
                     env.charge(cost::array_alloc_cost(len))?;
-                    env.profiler().record_alloc();
                     let r = env.heap().alloc_array(*kind, len)?;
+                    env.profiler().record_alloc();
                     set(values, n, Value::Ref(r));
                 }
                 NodeKind::LoadField { field } => {
@@ -496,68 +492,60 @@ fn evaluate_inner(
                 NodeKind::Commit { objects } => {
                     // Group materialization: allocate all objects first so
                     // cyclic field references resolve, then fill fields and
-                    // re-enter monitors (paper §4 "materialization").
-                    let mut refs = Vec::with_capacity(objects.len());
+                    // re-enter monitors (paper §4 "materialization"). The
+                    // group is numbered from `first` in allocation order,
+                    // and the commit's value is its first member.
+                    let first = env.heap().len();
                     for obj in objects {
-                        let r = match obj.shape {
+                        match obj.shape {
                             AllocShape::Instance { class } => {
                                 env.charge(cost::alloc_cost(program.object_size(class)))?;
-                                env.heap().try_alloc_instance(program, class)?
+                                env.heap().try_alloc_instance(program, class)?;
                             }
                             AllocShape::Array { kind, length } => {
                                 env.charge(cost::alloc_cost(Program::array_size(u64::from(
                                     length,
                                 ))))?;
-                                env.heap().alloc_array(kind, i64::from(length))?
+                                env.heap().alloc_array(kind, i64::from(length))?;
                             }
-                        };
+                        }
                         env.profiler().record_alloc();
-                        refs.push(r);
                     }
+                    let member = |i: usize| ObjRef::from_index(first + i);
                     let mut input_pos = 0usize;
                     for (oi, obj) in objects.iter().enumerate() {
-                        let field_ids: Vec<Option<pea_bytecode::FieldId>> = match obj.shape {
-                            AllocShape::Instance { class } => program
-                                .instance_fields(class)
-                                .iter()
-                                .copied()
-                                .map(Some)
-                                .collect(),
-                            AllocShape::Array { length, .. } => (0..length).map(|_| None).collect(),
+                        // The object is exactly its template's shape: one
+                        // input per slot, in slot order.
+                        let slots = match obj.shape {
+                            AllocShape::Instance { class } => program.slot_kinds(class).len(),
+                            AllocShape::Array { length, .. } => length as usize,
                         };
-                        for (fi, field) in field_ids.into_iter().enumerate() {
+                        for slot in 0..slots {
                             let input = inputs[input_pos];
                             input_pos += 1;
                             let v = match graph.kind(input) {
                                 NodeKind::AllocatedObject { index }
                                     if graph.node(input).inputs()[0] == n =>
                                 {
-                                    Value::Ref(refs[*index])
+                                    Value::Ref(member(*index))
                                 }
                                 _ => val(values, input)?,
                             };
-                            match field {
-                                Some(f) => {
-                                    env.heap().put_field(program, refs[oi], f, v)?;
-                                }
-                                None => {
-                                    env.heap().array_set(refs[oi], fi as i64, v)?;
-                                }
-                            }
+                            env.heap().init_slot(member(oi), slot, v)?;
                         }
                         for _ in 0..obj.lock_count {
                             env.charge(cost::MONITOR_OP)?;
-                            env.heap().monitor_enter(refs[oi]);
+                            env.heap().monitor_enter(member(oi));
                         }
                     }
-                    commit_results.insert(n, refs);
+                    set(values, n, Value::Ref(member(0)));
                 }
                 NodeKind::AllocatedObject { index } => {
-                    let commit = inputs[0];
-                    let refs = commit_results.get(&commit).ok_or_else(|| {
-                        VmError::Internal("allocated object before commit".into())
-                    })?;
-                    set(values, n, Value::Ref(refs[*index]));
+                    let first = val(values, inputs[0])
+                        .map_err(|_| VmError::Internal("allocated object before commit".into()))?
+                        .as_ref()?;
+                    let r = ObjRef::from_index(first.index() + index);
+                    set(values, n, Value::Ref(r));
                 }
                 NodeKind::Guard { reason, negated } => {
                     env.charge(cost::BRANCH_OP)?;

@@ -583,16 +583,16 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
             }
             op::NEW => {
                 charge!(u64::from(w[3]));
-                env.profiler().record_alloc();
                 let r = env.heap().try_alloc_instance(program, ClassId(w[2]))?;
+                env.profiler().record_alloc();
                 reg!(1) = Value::Ref(r);
                 pc += 4;
             }
             op::NEW_ARRAY => {
                 let len = reg!(2).as_int()?;
                 charge!(cost::array_alloc_cost(len));
-                env.profiler().record_alloc();
                 let r = env.heap().alloc_array(decode_kind(w[3]), len)?;
+                env.profiler().record_alloc();
                 reg!(1) = Value::Ref(r);
                 pc += 4;
             }
@@ -983,8 +983,8 @@ fn commit<E: EvalEnv + ?Sized, const EXACT: bool>(
     Ok(())
 }
 
-/// Allocates the default-valued object of a commit or rematerialization
-/// template.
+/// Allocates the default-valued object of a rematerialization template
+/// (both tiers).
 pub(crate) fn alloc_shape(
     program: &Program,
     heap: &mut Heap,

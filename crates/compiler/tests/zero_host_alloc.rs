@@ -6,13 +6,15 @@
 //! one-object commits or of commit groups on the linear tier, and a
 //! compiled loop of calls into compiled code must make **zero** calls
 //! into the host allocator — counted by the same allocator the metrics
-//! and profiler overhead tests use.
+//! and profiler overhead tests use. The graph oracle's commits allocate
+//! nothing per commit either.
 
 use pea_bytecode::asm::parse_program;
 use pea_bytecode::{MethodId, Program, ValueKind};
 use pea_compiler::linear::execute;
 use pea_compiler::{
-    compile, Call, CompiledMethod, CompilerOptions, EvalEnv, EvalOutcome, OptLevel, RegisterStack,
+    compile, evaluate, Call, CompiledMethod, CompilerOptions, EvalEnv, EvalOutcome, OptLevel,
+    RegisterStack,
 };
 use pea_runtime::{Heap, Statics, Value, VmError, HEAP_SEGMENT_SLOTS};
 use std::sync::Arc;
@@ -247,6 +249,42 @@ fn compiled_one_object_commit_loop_reaches_no_host_allocator() {
         stats.push((env.heap.stats.alloc_count, env.heap.stats.alloc_bytes));
     }
     assert_eq!(stats[0], stats[1], "both levels allocate the same objects");
+}
+
+/// The graph oracle runs the commit loops too: its value table is pooled
+/// and its scratch grows once per call, so `N` iterations of commits make
+/// exactly as many host allocations as 8.
+#[test]
+fn graph_oracle_commit_loops_allocate_per_call_not_per_commit() {
+    for (source, objects) in [(PAIRS, 2), (SINGLES, 1)] {
+        let program = parse_program(source).unwrap();
+        let method = program.static_method_by_name("f").unwrap();
+        let options = CompilerOptions::with_opt_level(OptLevel::Pea);
+        let code = compile(&program, method, None, &options).unwrap();
+        let mut env = Env {
+            heap: Heap::new(),
+            statics: Statics::new(&program.statics),
+            registers: RegisterStack::default(),
+        };
+        let total = objects * (N + 16);
+        env.heap.reserve(total, 2 * total).unwrap();
+        let mut host_allocations = |iterations: usize| {
+            let before = allocations();
+            let n = Value::Int(iterations as i64);
+            let out = evaluate(&program, &mut env, &code, &[n]).unwrap();
+            assert_eq!(out, EvalOutcome::Return(Some(n)));
+            allocations() - before
+        };
+        // Fill the oracle's per-thread pool.
+        host_allocations(8);
+        let few = host_allocations(8);
+        assert_eq!(
+            host_allocations(N),
+            few,
+            "{objects}-object commits: the graph oracle allocates per commit"
+        );
+        assert_eq!(env.heap.len(), objects * (N + 16));
+    }
 }
 
 /// A host that hands every call of the linear tier back as compiled code:

@@ -906,9 +906,11 @@ fn run_loop<E: InterpEnv + ?Sized, const OBSERVED: bool>(
                     if let Some(p) = &profiler {
                         p.record_op(act.bci, opcode_slot(&insn), cycles);
                     }
-                    env.profiler().record_alloc();
                 }
                 let r = env.heap().try_alloc_instance(program, class)?;
+                if OBSERVED {
+                    env.profiler().record_alloc();
+                }
                 push!(Value::Ref(r));
             }
             Insn::GetField(field) => {
@@ -947,9 +949,11 @@ fn run_loop<E: InterpEnv + ?Sized, const OBSERVED: bool>(
                     if let Some(p) = &profiler {
                         p.record_op(act.bci, opcode_slot(&insn), cycles);
                     }
-                    env.profiler().record_alloc();
                 }
                 let r = env.heap().alloc_array(kind, len)?;
+                if OBSERVED {
+                    env.profiler().record_alloc();
+                }
                 push!(Value::Ref(r));
             }
             Insn::ArrayLoad => {

@@ -1,11 +1,10 @@
 //! The managed heap: objects, arrays, monitors and statics.
 
-use crate::tlab::{ChunkAllocator, TLAB_CELLS};
 use crate::{Stats, Value, VmError};
 use pea_bytecode::{ClassId, FieldId, Program, StaticDecl, ValueKind};
 use pea_metrics::HeapRecorder;
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// A non-null reference into the [`Heap`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -207,7 +206,7 @@ pub struct Heap {
     /// object's handle is a single load.
     handles: Vec<Handle>,
     /// Objects allocated before anything but a bump is due: the table's
-    /// capacity, the next TLAB grant or the heap's capacity.
+    /// capacity or the heap's capacity.
     handle_limit: usize,
     /// Slot segments, numbered in the order they were claimed.
     slots: Vec<Vec<Value>>,
@@ -228,9 +227,6 @@ pub struct Heap {
     /// Execution statistics, updated by allocation and monitor operations.
     pub stats: Stats,
     recorder: HeapRecorder,
-    /// Shared TLAB accounting source, and the handles it has granted.
-    tlab: Option<Arc<ChunkAllocator>>,
-    granted: usize,
 }
 
 /// Most standard slot segments the recycler keeps (128 MiB).
@@ -296,19 +292,9 @@ impl Heap {
         self.recorder = recorder;
     }
 
-    /// Attaches the VM-wide chunk allocator this heap accounts TLAB
-    /// capacity against: a grant of chunks each time the objects
-    /// allocated reach what was granted. Bump allocation stays
-    /// thread-local; only grants touch the (lock-free) shared allocator.
-    pub fn set_chunk_source(&mut self, source: Arc<ChunkAllocator>) {
-        self.tlab = Some(source);
-        self.granted = self.handles.len();
-        self.refresh_limits();
-    }
-
-    /// Folds any buffered per-thread allocation counts into the shared
+    /// Folds the recorder's buffered allocation counts into the shared
     /// metrics registry. Called at quiescent points (outermost call exit,
-    /// metrics snapshot, mutator teardown); a no-op for direct recorders.
+    /// metrics snapshot, mutator teardown); a no-op without metrics.
     pub fn flush_metrics(&mut self) {
         self.recorder.flush();
     }
@@ -488,7 +474,7 @@ impl Heap {
     }
 
     /// [`Self::push`] when something besides a bump is due: a capacity
-    /// error, a TLAB grant, a larger handle table or a new slot segment.
+    /// error, a larger handle table or a new slot segment.
     #[cold]
     fn push_slow(&mut self, kind: Kind, len: usize) -> Result<(ObjRef, usize), VmError> {
         let objects = self.handles.len();
@@ -505,9 +491,6 @@ impl Heap {
             self.handles
                 .try_reserve_exact(more)
                 .map_err(|_| VmError::OutOfMemory)?;
-        }
-        if objects == self.granted {
-            self.grant();
         }
         let (start, segment) = if len < self.room {
             (self.bump(len), self.current)
@@ -532,13 +515,9 @@ impl Heap {
     }
 
     /// Re-derives the fast path's bounds from the handle table, the current
-    /// segment, the TLAB grant and the capacities.
+    /// segment and the capacities.
     fn refresh_limits(&mut self) {
-        self.handle_limit = self
-            .handles
-            .capacity()
-            .min(self.granted)
-            .min(MAX_HEAP_OBJECTS);
+        self.handle_limit = self.handles.capacity().min(MAX_HEAP_OBJECTS);
         self.room = self.room.min(MAX_HEAP_SLOTS + 1 - self.used);
     }
 
@@ -565,22 +544,6 @@ impl Heap {
             self.room = HEAP_SEGMENT_SLOTS - len;
         }
         Ok((start, index))
-    }
-
-    /// Takes TLAB chunks from the shared allocator: enough to double the
-    /// handles granted so far (minimum one), so grants stay rare and the
-    /// allocator's accounting stays chunk-granular.
-    #[cold]
-    fn grant(&mut self) {
-        let Some(tlab) = &self.tlab else {
-            // Nothing to account against: never come back.
-            self.granted = usize::MAX;
-            return;
-        };
-        let chunks = self.granted.max(1).div_ceil(TLAB_CELLS);
-        let cells = tlab.grant_many(chunks);
-        self.granted += cells;
-        self.recorder.record_tlab_grant(chunks as u64, cells as u64);
     }
 
     #[inline]
@@ -1015,6 +978,7 @@ mod tests {
         heap.set_metrics(HeapRecorder::new(&hub, names));
         heap.alloc_instance(&p, key);
         heap.alloc_array(ValueKind::Int, 10).unwrap();
+        heap.flush_metrics();
         let snap = hub.snapshot().unwrap();
         assert_eq!(snap.counter("heap.allocs"), 2);
         assert_eq!(snap.counter("heap.bytes"), heap.stats.alloc_bytes);
@@ -1023,34 +987,9 @@ mod tests {
     }
 
     #[test]
-    fn tlab_capacity_granted_in_chunks_and_counted() {
-        let (p, key, ..) = program();
-        let hub = pea_metrics::MetricsHub::enabled();
-        let names: Vec<&str> = p.classes.iter().map(|c| c.name.as_str()).collect();
-        let source = Arc::new(ChunkAllocator::new());
-        let mut heap = Heap::new();
-        heap.set_metrics(HeapRecorder::buffered(&hub, names));
-        heap.set_chunk_source(Arc::clone(&source));
-        for _ in 0..TLAB_CELLS + 1 {
-            heap.alloc_instance(&p, key);
-        }
-        assert_eq!(source.chunks_granted(), 2);
-        assert_eq!(source.cells_granted(), 2 * TLAB_CELLS as u64);
-        // Buffered counts are invisible until the quiescent-point flush.
-        assert_eq!(hub.snapshot().unwrap().counter("heap.allocs"), 0);
-        heap.flush_metrics();
-        let snap = hub.snapshot().unwrap();
-        assert_eq!(snap.counter("heap.allocs"), TLAB_CELLS as u64 + 1);
-        assert_eq!(snap.counter("heap.class.Key.allocs"), TLAB_CELLS as u64 + 1);
-        assert_eq!(snap.counter("heap.tlab_chunks"), 2);
-        assert_eq!(snap.counter("heap.tlab_cells"), 2 * TLAB_CELLS as u64);
-    }
-
-    #[test]
     fn objects_never_move_as_the_heap_grows_past_segments() {
         let (p, key, ..) = program();
         let mut heap = Heap::new();
-        heap.set_chunk_source(Arc::new(ChunkAllocator::new()));
         let first = heap.alloc_instance(&p, key);
         let array = heap.alloc_array(ValueKind::Int, 3).unwrap();
         let own = heap
@@ -1150,6 +1089,8 @@ mod tests {
         assert_eq!(whole.stats, split.stats);
         assert_eq!(whole.stats.alloc_count, 4);
         assert_eq!(whole.used, split.used);
+        split.flush_metrics();
+        whole.flush_metrics();
         let snapshot = hubs[1].snapshot().unwrap();
         assert_eq!(snapshot.counter("heap.class.Key.allocs"), 3);
         assert_eq!(Some(snapshot), hubs[0].snapshot());

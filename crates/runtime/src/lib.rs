@@ -18,7 +18,6 @@ mod frames;
 mod heap;
 pub mod profile;
 mod stats;
-mod tlab;
 mod value;
 
 pub use error::{VmError, MAX_CALL_DEPTH};
@@ -28,5 +27,4 @@ pub use heap::{
     MAX_RECYCLED_SEGMENTS,
 };
 pub use stats::Stats;
-pub use tlab::{ChunkAllocator, TLAB_CELLS};
 pub use value::Value;

@@ -16,13 +16,13 @@
 //!
 //! * [`VmShared`] — everything program-wide and thread-safe: the program,
 //!   the background [`CompileService`] (started lazily, shared by every
-//!   mutator) and the TLAB chunk allocator.
+//!   mutator) and the metrics/profiler hubs.
 //! * [`Mutator`] — everything per-thread and lock-free on the hot path:
-//!   the heap (a private bump arena fed TLAB chunks by the shared
-//!   allocator), statics, profiles, the interpreter's value stack, the
-//!   **pinned** code table (a plain `Vec` indexed by method — compiled-call
-//!   dispatch performs no lock acquisition and no shared access), the
-//!   cycle-attribution recorder, and the trace tee.
+//!   the heap (a private bump arena whose heap-metrics counts fold into
+//!   the shared hub on flush), statics, profiles, the interpreter's value
+//!   stack, the **pinned** code table (a plain `Vec` indexed by method —
+//!   compiled-call dispatch performs no lock acquisition and no shared
+//!   access), the cycle-attribution recorder, and the trace tee.
 //!
 //! [`Vm`] owns the shared state plus a main mutator and dereferences to
 //! it, so single-threaded use is unchanged. [`Vm::spawn_mutator`] /
@@ -65,7 +65,7 @@ pub use pea_metrics::profile::{ProfileRecorder, ProfilerHub, Tier};
 pub use pea_metrics::MetricsHub;
 use pea_metrics::{HeapRecorder, MetricsSnapshot, VmMetrics};
 use pea_runtime::profile::ProfileStore;
-use pea_runtime::{ChunkAllocator, Heap, ObjRef, Statics, Stats, Value, VmError, MAX_CALL_DEPTH};
+use pea_runtime::{Heap, ObjRef, Statics, Stats, Value, VmError, MAX_CALL_DEPTH};
 pub use pea_trace::SharedSink;
 use pea_trace::{FlightEntry, FlightRecorder, MemorySink, TraceEvent, TraceSink};
 use std::path::PathBuf;
@@ -155,8 +155,8 @@ pub struct VmOptions {
     /// Metrics handle shared by every layer (interpreter, tiering,
     /// compile service, PEA, heap). The default disabled hub records
     /// nothing at the cost of one branch per site. With several mutators
-    /// the hub aggregates: totals are the sum over threads (spawned
-    /// mutators buffer heap counters thread-locally and fold on flush).
+    /// the hub aggregates: totals are the sum over threads (every mutator
+    /// buffers its heap counters and folds them in on flush).
     pub metrics: MetricsHub,
     /// Cycle-attribution profiler handle. The default disabled hub records
     /// nothing at the cost of at most one branch per charge site; when
@@ -219,9 +219,6 @@ pub struct VmShared {
     /// Background compilation pool, started lazily on the first request
     /// from any mutator.
     service: OnceLock<CompileService>,
-    /// TLAB chunk allocator: every mutator heap draws bump-arena capacity
-    /// from here in [`pea_runtime::TLAB_CELLS`]-sized chunks.
-    chunks: Arc<ChunkAllocator>,
     /// `(qualified name, code length)` per method, precomputed once for
     /// constructing per-mutator profiler recorders.
     profile_names: Vec<(String, usize)>,
@@ -233,21 +230,15 @@ impl VmShared {
         &self.program
     }
 
-    /// Constructs a mutator against this shared state. The main mutator
-    /// records heap metrics directly (preserving single-threaded snapshot
-    /// behavior); spawned mutators buffer thread-locally and fold on
-    /// flush, so concurrent threads do not contend on the shared atomics.
-    fn new_mutator(self: &Arc<VmShared>, mut options: VmOptions, main: bool) -> Mutator {
+    /// Constructs a mutator against this shared state. Its heap buffers
+    /// heap metrics and folds them into the hub on flush, so concurrent
+    /// threads do not contend on the shared atomics.
+    fn new_mutator(self: &Arc<VmShared>, mut options: VmOptions) -> Mutator {
         let statics = Statics::new(&self.program.statics);
         let mut heap = Heap::new();
-        heap.set_chunk_source(Arc::clone(&self.chunks));
         if options.metrics.is_enabled() {
             let classes = self.program.classes.iter().map(|c| c.name.as_str());
-            heap.set_metrics(if main {
-                HeapRecorder::new(&options.metrics, classes)
-            } else {
-                HeapRecorder::buffered(&options.metrics, classes)
-            });
+            heap.set_metrics(HeapRecorder::new(&options.metrics, classes));
         }
         let profile = ProfileRecorder::new(
             &options.profiler,
@@ -388,10 +379,9 @@ impl Vm {
             program,
             options: template,
             service: OnceLock::new(),
-            chunks: Arc::new(ChunkAllocator::new()),
             profile_names,
         });
-        let main = shared.new_mutator(options, true);
+        let main = shared.new_mutator(options);
         Vm { shared, main }
     }
 
@@ -405,7 +395,7 @@ impl Vm {
     /// metrics/profiler hubs. It compiles what it promotes itself. Move it
     /// to another thread and call into it exactly like a solo VM.
     pub fn spawn_mutator(&self) -> Mutator {
-        self.shared.new_mutator(self.shared.options.clone(), false)
+        self.shared.new_mutator(self.shared.options.clone())
     }
 
     /// Spawns a mutator pre-warmed from the main mutator's **tiering
@@ -517,7 +507,7 @@ impl Mutator {
     /// Spawns a mutator pre-warmed from this one's tiering state (see
     /// [`Vm::spawn_warm_mutator`]).
     pub fn fork(&self) -> Mutator {
-        let mut m = self.shared.new_mutator(self.shared.options.clone(), false);
+        let mut m = self.shared.new_mutator(self.shared.options.clone());
         m.profiles = self.profiles.clone();
         m.pinned = self.pinned.clone();
         m.bailed_out = self.bailed_out.clone();
@@ -925,8 +915,10 @@ impl Mutator {
     }
 
     /// Unconditionally emits one metrics snapshot delta (skipping empty
-    /// deltas), advancing the snapshot baseline.
+    /// deltas), advancing the snapshot baseline. This mutator's heap
+    /// counts are flushed first, so the delta includes them.
     fn emit_metrics_snapshot(&mut self) {
+        self.heap.flush_metrics();
         let (Some(snapshot), Some(sink)) = (self.options.metrics.snapshot(), &self.options.trace)
         else {
             return;

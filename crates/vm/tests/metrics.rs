@@ -231,3 +231,69 @@ fn background_trace_carries_periodic_metrics_snapshots() {
         assert!(*len > 0, "empty deltas must be skipped, not emitted");
     }
 }
+
+/// Background snapshot events carry the main mutator's heap counts as of
+/// the safepoint that emits them, not as of its last outermost call exit:
+/// one call allocates, then spins past many snapshot points without
+/// allocating, and the `heap.allocs` deltas of the events emitted before
+/// `await_background_compiles` already sum to every allocation it made.
+#[test]
+fn background_snapshot_events_carry_the_main_mutators_heap_counts() {
+    // `step` turns hot in the spin loop, which starts the compile service;
+    // from then on each of `run`'s back-edges is a snapshot point.
+    const SRC: &str = "
+        class Box { field v int }
+        static last ref
+        method step 1 returns { load 0 const 1 add retv }
+        method run 1 returns {
+            const 0 store 1
+        Lalloc:
+            load 1 const 100 ifcmp ge Lspin
+            new Box putstatic last
+            load 1 const 1 add store 1
+            goto Lalloc
+        Lspin:
+            load 1 load 0 ifcmp ge Ldone
+            load 1 invokestatic step store 1
+            goto Lspin
+        Ldone:
+            load 1 retv
+        }";
+    let program = pea_bytecode::asm::parse_program(SRC).unwrap();
+    let (sink, buffer) = SharedSink::new(MemorySink::new());
+    let mut options = metrics_options(true);
+    options.trace = Some(sink);
+    let mut vm = Vm::new(program, options);
+    assert_eq!(
+        vm.call_entry("run", &[Value::Int(20_000)]),
+        Ok(Some(Value::Int(20_000)))
+    );
+    let heap_allocs = |buffer: &MemorySink| -> (usize, u64) {
+        let deltas: Vec<&Vec<String>> = buffer
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::MetricsSnapshot { counters, .. } => Some(counters),
+                _ => None,
+            })
+            .collect();
+        let sum = deltas
+            .iter()
+            .flat_map(|lines| lines.iter())
+            .filter_map(|line| line.strip_prefix("heap.allocs="))
+            .map(|n| n.parse::<u64>().expect("counter value"))
+            .sum();
+        (deltas.len(), sum)
+    };
+    let (events, during) = heap_allocs(&buffer.lock().expect("sink lock poisoned"));
+    let allocs = vm.stats().alloc_count;
+    assert_eq!(allocs, 100);
+    assert!(events > 1, "the spin loop emitted {events} snapshot events");
+    assert_eq!(
+        during, allocs,
+        "snapshot events emitted during the call lag the main mutator's allocations"
+    );
+    vm.await_background_compiles();
+    let (_, settled) = heap_allocs(&buffer.lock().expect("sink lock poisoned"));
+    assert_eq!(settled, allocs);
+}

@@ -9,7 +9,7 @@
 
 use pea_bytecode::asm::parse_program;
 use pea_metrics::profile::{ProfilerHub, Reconciliation, Tier};
-use pea_runtime::Value;
+use pea_runtime::{Value, VmError};
 use pea_trace::{FlightEntry, MemorySink, SharedSink, TraceEvent};
 use pea_vm::{ExecMode, JitMode, OptLevel, Vm, VmOptions};
 use pea_workloads::all_workloads;
@@ -148,6 +148,55 @@ fn deopts_allocations_and_hot_spots_attribute_to_the_right_cells() {
     );
     assert_eq!(snapshot.deopts, vm.stats().deopts);
     assert_eq!(snapshot.total_cycles(), vm.stats().cycles);
+}
+
+/// A `newarray` the heap refuses allocates nothing, so the profiler
+/// counts nothing for it: after a run that ends in `NegativeArrayLength`
+/// the profiler's allocation total equals `stats().alloc_count`, in the
+/// interpreter, on the linear tier and in the graph oracle.
+#[test]
+fn a_refused_allocation_is_not_profiled() {
+    const SRC: &str = "
+        class Box { field v int }
+        static g ref
+        method f 1 returns {
+            new Box putstatic g
+            load 0 newarray int arraylen retv
+        }";
+    for (exec_mode, jit) in [
+        (ExecMode::Linear, false),
+        (ExecMode::Linear, true),
+        (ExecMode::Graph, true),
+    ] {
+        let label = if jit {
+            format!("{exec_mode:?}")
+        } else {
+            "interp".into()
+        };
+        let hub = ProfilerHub::enabled();
+        let mut opts = options(JitMode::Sync, exec_mode, &hub);
+        opts.jit = jit;
+        let mut vm = Vm::new(parse_program(SRC).unwrap(), opts);
+        for i in 0..80 {
+            assert_eq!(
+                vm.call_entry("f", &[Value::Int(i)]),
+                Ok(Some(Value::Int(i)))
+            );
+        }
+        assert_eq!(vm.compiled_method_count(), usize::from(jit), "{label}");
+        assert_eq!(
+            vm.call_entry("f", &[Value::Int(-1)]),
+            Err(VmError::NegativeArrayLength(-1)),
+            "{label}"
+        );
+        assert_eq!(
+            vm.stats().deopts,
+            0,
+            "{label}: the refusal ran where it was compiled"
+        );
+        let snapshot = hub.snapshot().unwrap();
+        assert_eq!(snapshot.total_allocs(), vm.stats().alloc_count, "{label}");
+    }
 }
 
 /// Satellite: every `DeoptTaken`/`Deopt` pair carries the same `(site,

@@ -104,7 +104,7 @@ fn assert_threads_match_solo(workload: &Workload, iters: i64, threads: usize, ex
     // Shared-hub reconciliation: replayed counters sum over threads. The
     // main mutator ran nothing, so the threaded total is threads × solo.
     let solo_vm = Vm::new(workload.program.clone(), strict_options(exec_mode));
-    let mut solo_main = solo_vm.spawn_mutator(); // buffered recorder, like the threads
+    let mut solo_main = solo_vm.spawn_mutator();
     observe(&mut solo_main, &workload.name, iters);
     drop(solo_main); // flush buffered heap counters into the hub
     let solo_counters = solo_vm.metrics().snapshot().expect("metrics enabled");
