@@ -78,6 +78,7 @@ pub fn lower(
         pool_map: HashMap::new(),
         regs: vec![NO_REG; graph.len()],
         next_reg: u32::from(program.method(method).param_count),
+        phi_moves: 0,
         read_consts: vec![false; graph.len()],
         temp_reg: NO_REG,
         block_pc: vec![u32::MAX; cfg.num_blocks()],
@@ -108,6 +109,8 @@ struct Lowerer<'a> {
     pool_map: HashMap<i64, u32>,
     regs: Vec<u32>,
     next_reg: u32,
+    /// Moves emitted on edges so far ([`LinearArtifact::phi_moves`]).
+    phi_moves: u32,
     /// Per node: a constant some instruction reads from a register.
     read_consts: Vec<bool>,
     temp_reg: u32,
@@ -148,8 +151,9 @@ impl Lowerer<'_> {
         let (graph, schedule) = (self.graph, self.schedule);
         // Pre-pass: designate one AllocatedObject node per commit slot so
         // the commit template can write its register directly; give each
-        // parameter its register; and find the constants an instruction
-        // reads from a register.
+        // parameter its register; find the constants an instruction reads
+        // from a register; and coalesce phis with their inputs.
+        let mut marks = None;
         for b in &self.cfg.rpo {
             let order = &schedule.per_block[b.index()];
             for (at, &n) in order.iter().enumerate() {
@@ -181,6 +185,7 @@ impl Lowerer<'_> {
                         self.note_read(input);
                     }
                 }
+                self.coalesce(*b, &mut marks);
             }
         }
 
@@ -215,13 +220,148 @@ impl Lowerer<'_> {
             code: self.code,
             pool: self.pool,
             num_regs: self.next_reg,
+            phi_moves: self.phi_moves,
             deopts: self.deopts,
             commits: self.commits,
         })
     }
 
-    /// Records that an instruction reads `input` from a register, which a
-    /// constant then needs.
+    /// Gives every phi input that can share its phi's register that
+    /// register, so that its edge carries no move for that phi. A phi
+    /// shares with its input `v` on the edge `E` when
+    ///
+    /// - `v` is computed in `E`'s predecessor block and into a register
+    ///   of its own (not a phi, parameter, constant or allocated object);
+    /// - `E` is a back edge, or a forward edge into a merge of two or more
+    ///   edges: there, the predecessor does not dominate the merge, so
+    ///   nothing past `E` reads `v` but the phi, and the phi is read
+    ///   nowhere in the predecessor;
+    /// - `v` feeds no other phi on `E`, and no other phi reads the phi on
+    ///   `E`;
+    /// - on a back edge, nothing after `v` in its block reads the phi's
+    ///   value of the turn before: no operand, and no deopt point with its
+    ///   frame states and virtual-object mappings (`v`'s own included).
+    ///
+    /// Writing `v` then overwrites only a phi value nothing reads again.
+    /// `block` is a merge's block; `v` has no register yet. Borrows the
+    /// work lists [`Lowerer::chain`] (the merge's phis), [`Lowerer::moves`]
+    /// (an edge's phi inputs) and [`Lowerer::sequence`] (a back edge's
+    /// candidates); `marks` is made at the first back edge with a
+    /// candidate.
+    fn coalesce(&mut self, block: BlockId, marks: &mut Option<Marks>) {
+        let (graph, cfg) = (self.graph, self.cfg);
+        let block = cfg.block(block);
+        let merge = block.first();
+        let is_loop = matches!(graph.kind(merge), NodeKind::LoopBegin);
+        if !is_loop && block.preds.len() < 2 {
+            return;
+        }
+        let mut phis = std::mem::take(&mut self.chain);
+        let mut inputs = std::mem::take(&mut self.moves);
+        let mut candidates = std::mem::take(&mut self.sequence);
+        phis.clear();
+        phis.extend(graph.iter_phis(merge));
+        for (edge, &pred) in block.preds.iter().enumerate() {
+            // A loop's forward edge comes from a block that dominates it.
+            if phis.is_empty()
+                || is_loop && !matches!(graph.kind(cfg.block(pred).last()), NodeKind::LoopEnd)
+            {
+                continue;
+            }
+            candidates.clear();
+            for &phi in &phis {
+                let v = graph.inputs(phi)[edge];
+                if self.computed_in(v, pred) {
+                    candidates.push((v.0, phi.0));
+                }
+            }
+            if !candidates.is_empty() && phis.len() > 1 {
+                inputs.clear();
+                inputs.extend(phis.iter().map(|&phi| (graph.inputs(phi)[edge].0, phi.0)));
+                inputs.sort_unstable();
+                let feeds = |n: u32| {
+                    let from = inputs.partition_point(|&(input, _)| input < n);
+                    inputs[from..]
+                        .iter()
+                        .take_while(|&&(input, _)| input == n)
+                        .count()
+                };
+                candidates.retain(|&(v, phi)| feeds(v) == 1 && feeds(phi) == 0);
+            }
+            if candidates.is_empty() {
+                continue;
+            }
+            if is_loop {
+                let marks = marks.get_or_insert_with(|| Marks {
+                    at: vec![NONE; graph.len()],
+                    work: Vec::with_capacity(graph.len()),
+                });
+                self.coalesce_back_edge(marks, merge, pred, &candidates);
+                for &phi in &phis {
+                    marks.at[phi.index()] = NONE;
+                }
+            } else {
+                for &(v, phi) in &candidates {
+                    self.regs[v as usize] = self.reg_of(NodeId(phi));
+                }
+            }
+        }
+        self.chain = phis;
+        self.moves = inputs;
+        self.sequence = candidates;
+    }
+
+    /// Whether `v` is computed in block `b` into a register of its own.
+    fn computed_in(&self, v: NodeId, b: BlockId) -> bool {
+        match self.graph.kind(v) {
+            NodeKind::Phi { .. }
+            | NodeKind::Param { .. }
+            | NodeKind::ConstInt { .. }
+            | NodeKind::ConstNull
+            | NodeKind::AllocatedObject { .. } => false,
+            kind if kind.is_floating() => self.schedule.placement_of(v) == Some(b),
+            _ => self.cfg.try_block_of(v) == Some(b),
+        }
+    }
+
+    /// Gives each `(v, phi)` of `candidates`, inputs computed in `pred`
+    /// for the back edge to `merge`, its phi's register unless something
+    /// after `v` in `pred` reads the phi. Walks `pred` from its end down
+    /// to its earliest candidate, so a phi is marked read once any node
+    /// after the current one reads it.
+    fn coalesce_back_edge(
+        &mut self,
+        marks: &mut Marks,
+        merge: NodeId,
+        pred: BlockId,
+        candidates: &[(u32, u32)],
+    ) {
+        let graph = self.graph;
+        for &(v, phi) in candidates {
+            marks.at[v as usize] = phi;
+        }
+        let mut left = candidates.len();
+        for &n in self.schedule.per_block[pred.index()].iter().rev() {
+            // `n`'s own deopt point counts as a read after its write.
+            marks.note_state_reads(graph, merge, n, pred.0);
+            let phi = std::mem::replace(&mut marks.at[n.index()], NONE);
+            if phi != NONE {
+                if marks.at[phi as usize] == NONE {
+                    self.regs[n.index()] = self.reg_of(NodeId(phi));
+                }
+                left -= 1;
+                if left == 0 {
+                    break;
+                }
+            }
+            // `n` reads its operands before it writes.
+            for &input in graph.inputs(n) {
+                marks.note(graph, merge, input);
+            }
+        }
+        debug_assert_eq!(left, 0, "a candidate outside its block");
+    }
+
     /// The row of `(commit, index)` in [`Lowerer::alloc_slots`], adding
     /// the commit's rows on first sight.
     fn alloc_row(&mut self, commit: NodeId, index: usize) -> usize {
@@ -246,6 +386,8 @@ impl Lowerer<'_> {
         (reg != NO_REG).then_some(reg)
     }
 
+    /// Records that an instruction reads `input` from a register, which a
+    /// constant then needs.
     fn note_read(&mut self, input: NodeId) {
         if let NodeKind::ConstInt { .. } | NodeKind::ConstNull = self.graph.kind(input) {
             self.read_consts[input.index()] = true;
@@ -608,6 +750,7 @@ impl Lowerer<'_> {
                 self.emit_target(succ);
                 let count = u32::try_from(self.sequence.len())
                     .map_err(|_| LowerError("too many phi moves".into()))?;
+                self.phi_moves = self.phi_moves.saturating_add(count);
                 self.emit(&[count]);
                 for k in 0..self.sequence.len() {
                     let (d, s) = self.sequence[k];
@@ -846,6 +989,53 @@ impl Lowerer<'_> {
         }
         vobjs[idx as usize].fields = fields;
         Ok(SlotSrc::Virtual(idx))
+    }
+}
+
+/// The work tables of [`Lowerer::coalesce`].
+struct Marks {
+    /// Per node, by kind (the three never overlap), [`NONE`] by default:
+    /// for a candidate input of the back edge being looked at, its phi;
+    /// for a loop phi, `0` once a node after the current one reads it;
+    /// for a metadata node, the block whose walk visited it last.
+    at: Vec<u32>,
+    work: Vec<NodeId>,
+}
+
+impl Marks {
+    /// Marks the phis of `merge` that the deopt point of `n`, if `n` is
+    /// one, reads through its frame states and virtual-object mappings,
+    /// those `block`'s walk has not visited yet.
+    fn note_state_reads(&mut self, graph: &Graph, merge: NodeId, n: NodeId, block: u32) {
+        let node = graph.node(n);
+        let state = match node.kind {
+            NodeKind::Invoke { .. } | NodeKind::Guard { .. } | NodeKind::Deopt { .. } => {
+                node.state_after
+            }
+            _ => None,
+        };
+        let Some(state) = state.filter(|s| self.at[s.index()] != block) else {
+            return;
+        };
+        self.at[state.index()] = block;
+        self.work.push(state);
+        while let Some(m) = self.work.pop() {
+            for &input in graph.inputs(m) {
+                if !graph.kind(input).is_meta() {
+                    self.note(graph, merge, input);
+                } else if self.at[input.index()] != block {
+                    self.at[input.index()] = block;
+                    self.work.push(input);
+                }
+            }
+        }
+    }
+
+    /// Marks `n` read if it is a phi of `merge`.
+    fn note(&mut self, graph: &Graph, merge: NodeId, n: NodeId) {
+        if matches!(*graph.kind(n), NodeKind::Phi { merge: m } if m == merge) {
+            self.at[n.index()] = 0;
+        }
     }
 }
 

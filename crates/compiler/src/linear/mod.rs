@@ -310,6 +310,10 @@ pub struct LinearArtifact {
     /// Number of registers the activation's window holds, its parameters
     /// first: at most [`WINDOW`].
     pub num_regs: u32,
+    /// Number of register moves the edge instructions carry, every edge
+    /// counted once: the static count of phi moves, a cycle's move
+    /// through the temporary register included.
+    pub phi_moves: u32,
     /// Deopt-metadata table ([`op::GUARD`], [`op::GUARD_CMP`],
     /// [`op::GUARD_CMP_I`], [`op::DEOPT`] and [`op::INVOKE`] operands
     /// index it).

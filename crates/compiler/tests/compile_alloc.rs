@@ -10,6 +10,7 @@
 
 #[path = "../../interp/tests/support/counting_alloc.rs"]
 mod counting_alloc;
+mod support;
 
 use counting_alloc::allocations;
 use pea_bytecode::asm::parse_program;
@@ -20,6 +21,7 @@ use pea_ir::cfg::Cfg;
 use pea_ir::dom::DomTree;
 use pea_ir::schedule::Schedule;
 use std::fmt::Write as _;
+use support::diamonds::source;
 
 /// The phases, in pipeline order, then the whole compilation.
 const PHASES: [&str; 9] = [
@@ -51,36 +53,6 @@ const PHASES: [&str; 9] = [
 ///   and the jump fixups;
 /// - `compile`: the sum of the above, with `canonicalize` twice.
 const GROWTH: [u64; 9] = [3, 1, 0, 5, 0, 0, 0, 4, 14];
-
-/// `n` diamonds over one object's field, no calls and no profile (so no
-/// guards); the object is published at the end, so the escape analysis
-/// keeps it virtual through every merge and materializes it once.
-fn source(n: usize) -> String {
-    let mut s = String::from(
-        "class Box { field v int }
-         static out ref
-         method f 2 returns {
-            new Box store 2
-            load 2 load 1 putfield Box.v\n",
-    );
-    for i in 0..n {
-        let _ = write!(
-            s,
-            "   load 0 const {i} ifcmp lt Lelse{i}
-                load 2 load 2 getfield Box.v load 1 add putfield Box.v
-                goto Ljoin{i}
-             Lelse{i}:
-                load 2 load 2 getfield Box.v const {i} sub putfield Box.v
-             Ljoin{i}:\n"
-        );
-    }
-    s.push_str(
-        "   load 2 putstatic out
-            load 2 getfield Box.v retv
-         }",
-    );
-    s
-}
 
 /// Host allocations of `f`.
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {

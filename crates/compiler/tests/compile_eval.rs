@@ -14,11 +14,17 @@ use pea_ir::AllocShape;
 use pea_runtime::profile::ProfileStore;
 use pea_runtime::{Heap, Statics, Stats, Value, VmError};
 
+mod support;
+
 struct TestEnv {
     heap: Heap,
     statics: Statics,
     /// Cycle budget; `None` is unlimited.
     fuel: Option<u64>,
+    /// The call, counted from 0, that throws a fresh `Boom` instead of
+    /// returning; `None` is none.
+    throw_at: Option<usize>,
+    calls: usize,
 }
 
 impl TestEnv {
@@ -27,6 +33,8 @@ impl TestEnv {
             heap: Heap::new(),
             statics: Statics::new(&program.statics),
             fuel: None,
+            throw_at: None,
+            calls: 0,
         }
     }
 }
@@ -57,6 +65,15 @@ impl EvalEnv for TestEnv {
             [Insn::Return],
             "test programs inline every call but those to a method that does nothing"
         );
+        self.calls += 1;
+        if self.throw_at == Some(self.calls - 1) {
+            let boom = program
+                .class_by_name("Boom")
+                .expect("a program that throws has Boom");
+            return Err(VmError::Thrown(
+                self.heap.try_alloc_instance(program, boom)?,
+            ));
+        }
         Ok(None)
     }
     fn has_fuel_limit(&self) -> bool {
@@ -364,7 +381,9 @@ fn disassembly(name: &str) -> String {
 /// Each edge into a merge is one instruction carrying its phi moves, a
 /// compare read only by the branch after it is fused into that branch,
 /// and the constant operands of the compare and the arithmetic are read
-/// from the pool. The loop's only `const` is the phis' initial 0.
+/// from the pool. The loop's only `const` is the phis' initial 0. The
+/// body is placed late, after the exit test, and computes each phi's next
+/// value into the phi's own register, so the back edge carries no move.
 #[test]
 fn a_loop_lowers_to_arithmetic_one_fused_branch_and_one_back_edge() {
     let dis = disassembly("loop");
@@ -379,15 +398,16 @@ fn a_loop_lowers_to_arithmetic_one_fused_branch_and_one_back_edge() {
         .collect();
     assert_eq!(
         ops,
-        ["edge", "xor", "add", "muli", "add", "addi", "ifcmpi", "backedge", "ret"],
+        ["edge", "ifcmpi", "xor", "add", "muli", "add", "addi", "backedge", "ret"],
         "{dis}"
     );
     assert_eq!(dis.matches("const ").count(), 1, "{dis}");
     assert!(dis.contains("muli r6 <- r5, 13\n"), "{dis}");
+    assert!(dis.contains("addi r1 <- r1, 1\n"), "{dis}");
     let back_edge = body[7];
     assert!(
-        back_edge.starts_with("backedge (safepoint) -> ") && back_edge.ends_with(']'),
-        "the back edge carries the loop phis' moves: {back_edge}"
+        back_edge.starts_with("backedge (safepoint) -> ") && !back_edge.contains('['),
+        "the back edge carries no move: {back_edge}"
     );
 }
 
@@ -415,8 +435,21 @@ fn run_tier(
     args: &[Value],
     fuel: Option<u64>,
 ) -> (String, Stats) {
+    run_throwing(program, code, linear, args, fuel, None)
+}
+
+/// [`run_tier`] where call `throw_at` throws ([`TestEnv::throw_at`]).
+fn run_throwing(
+    program: &Program,
+    code: &CompiledMethod,
+    linear: bool,
+    args: &[Value],
+    fuel: Option<u64>,
+    throw_at: Option<usize>,
+) -> (String, Stats) {
     let mut env = TestEnv::new(program);
     env.fuel = fuel;
+    env.throw_at = throw_at;
     let out = if linear {
         execute(program, &mut env, code, args)
     } else {
@@ -428,12 +461,23 @@ fn run_tier(
 /// Both tiers end `code` on `args` the same way with the same counts, and
 /// run out of fuel at the same charge for every budget below its total.
 fn tiers_agree_at_every_fuel_budget(program: &Program, code: &CompiledMethod, args: &[Value]) {
-    let full = run_tier(program, code, true, args, None);
-    assert_eq!(full, run_tier(program, code, false, args, None), "{args:?}");
+    tiers_agree_when_call_throws(program, code, args, None);
+}
+
+/// [`tiers_agree_at_every_fuel_budget`] where call `throw_at` throws.
+fn tiers_agree_when_call_throws(
+    program: &Program,
+    code: &CompiledMethod,
+    args: &[Value],
+    throw_at: Option<usize>,
+) {
+    let run = |linear, fuel| run_throwing(program, code, linear, args, fuel, throw_at);
+    let full = run(true, None);
+    assert_eq!(full, run(false, None), "{args:?}");
     for fuel in 0..=full.1.cycles {
         assert_eq!(
-            run_tier(program, code, true, args, Some(fuel)),
-            run_tier(program, code, false, args, Some(fuel)),
+            run(true, Some(fuel)),
+            run(false, Some(fuel)),
             "{args:?} with fuel {fuel}"
         );
     }
@@ -795,8 +839,10 @@ fn wide_src(steps: usize) -> String {
             const 5 store 2
         Lhead:
             load 1 const 0 ifcmp le Ldone
-            invokestatic nop
+            load 2 store 3
             load 2 getstatic k add {chain}store 2
+            invokestatic nop
+            load 3 pop
             load 1 const 1 sub store 1
             new Node dup new Node putfield Node.next putstatic g
             goto Lhead
@@ -849,10 +895,12 @@ fn interpreted_wide(program: &Program, x: i64) -> Value {
 
 /// A method that needs all 256 registers of the window runs alike on
 /// both tiers at every fuel budget, and as the interpreter runs it. Its
-/// last register, r255, the accumulator, holds a value when the void call
-/// of the next iteration runs, across the commit, and when the void `ret`
-/// runs: `ret`'s source is `NO_REG`, which truncates to r255, and must
-/// not reach the window. A method that needs 257 registers is a lowering
+/// last register, r255, the accumulator, holds a value across the void
+/// call and the commit until the back edge reads it, and when the void
+/// `ret` runs: `ret`'s source is `NO_REG`, which truncates to r255, and
+/// must not reach the window. The call's frame state names the old
+/// accumulator (local 3), so the new one keeps its own register instead
+/// of sharing the loop phi's. A method that needs 257 registers is a lowering
 /// bailout and keeps the interpreter's result.
 #[test]
 fn the_register_window_holds_256_registers_and_no_more() {
@@ -872,8 +920,8 @@ fn the_register_window_holds_256_registers_and_no_more() {
         dis.find(needle)
             .unwrap_or_else(|| panic!("{needle}: {dis}"))
     };
-    assert!(at("invokestatic ") < at(" r255 <- "), "{dis}");
-    assert!(at(" r255 <- ") < at("commit #0 x2"), "{dis}");
+    assert!(at(" r255 <- ") < at("invokestatic "), "{dis}");
+    assert!(at("invokestatic ") < at("commit #0 x2"), "{dis}");
     assert!(at("commit #0") < at("<- r255]"), "{dis}");
     assert!(dis.ends_with("ret _\n"), "{dis}");
     for x in [0, 1, 3] {
@@ -927,6 +975,120 @@ fn a_void_call_has_no_destination_register() {
                 "{:?}",
                 Ok::<_, VmError>(EvalOutcome::Return(Some(Value::Int(x + 1))))
             )
+        );
+    }
+}
+
+/// `f` keeps `x` in local 2 and computes the next `x` into local 3
+/// before it calls `nop`. A handler around the call returns local 2, and
+/// `load 2 pop` after the call keeps local 2 live in the call's frame
+/// state (its after-state clears locals dead after the call), so the
+/// state names the loop phi `x` and the next `x` is computed before a
+/// point that still reads the phi.
+const UNWIND_SRC: &str = "
+    class Boom { }
+    method nop 0 { ret }
+    method f 1 returns {
+        try Lcall Lafter Lcatch *
+        const 0 store 1
+        const 7 store 2
+    Lhead:
+        load 1 load 0 ifcmp ge Ldone
+        load 2 const 3 mul const 1 add store 3
+    Lcall:
+        invokestatic nop
+    Lafter:
+        load 2 pop
+        load 3 store 2
+        load 1 const 1 add store 1
+        goto Lhead
+    Ldone:
+        load 2 retv
+    Lcatch:
+        pop load 2 retv
+    }";
+
+/// A back-edge input computed before a call whose frame state names its
+/// phi keeps its own register, and the back edge moves it into the
+/// phi's: an exception unwinding through the call hands the interpreter
+/// the phi's value of that turn, on both tiers at every fuel budget.
+#[test]
+fn a_back_edge_input_before_a_call_that_names_its_phi_keeps_its_own_register() {
+    let program = parse_program(UNWIND_SRC).unwrap();
+    pea_bytecode::verify_program(&program).unwrap();
+    let method = program.static_method_by_name("f").unwrap();
+    let mut options = CompilerOptions::with_opt_level(OptLevel::Pea);
+    options.build.inline = false;
+    let code = compile(&program, method, None, &options).unwrap();
+    let dis = code.linear.as_ref().unwrap().disassemble();
+    let line = |prefix: &str| -> Vec<&str> {
+        let at = dis
+            .lines()
+            .map(|l| l.split_once(": ").unwrap().1)
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("{prefix}: {dis}"));
+        at.split([' ', ',']).filter(|w| !w.is_empty()).collect()
+    };
+    // `muli next3 <- x, 3`, `addi next <- next3, 1`, then the call.
+    let (x, next) = (line("muli")[3], line("addi")[1]);
+    assert_ne!(x, next, "{dis}");
+    let call = dis.find("invokestatic").unwrap();
+    assert!(dis.find("addi").unwrap() < call, "{dis}");
+    let back_edge = dis.lines().find(|l| l.contains("backedge")).unwrap();
+    assert!(back_edge.contains(&format!("{x} <- {next}")), "{dis}");
+
+    let mut x_at = vec![7];
+    for k in 0..4 {
+        x_at.push(x_at[k] * 3 + 1);
+    }
+    for throw_at in [None, Some(0), Some(2)] {
+        tiers_agree_when_call_throws(&program, &code, &[Value::Int(4)], throw_at);
+        for linear in [true, false] {
+            let mut env = TestEnv::new(&program);
+            env.throw_at = throw_at;
+            let args = [Value::Int(4)];
+            let out = if linear {
+                execute(&program, &mut env, &code, &args)
+            } else {
+                evaluate(&program, &mut env, &code, &args)
+            };
+            match (throw_at, out) {
+                (None, Ok(EvalOutcome::Return(v))) => {
+                    assert_eq!(v, Some(Value::Int(x_at[4])), "{linear}");
+                }
+                (Some(k), Ok(EvalOutcome::Unwind { frames, .. })) => {
+                    let (_, locals, _) = frames.iter().last().unwrap();
+                    assert_eq!(locals[1], Value::Int(k as i64), "{linear}");
+                    assert_eq!(locals[2], Value::Int(x_at[k]), "{linear}: the old x");
+                }
+                (_, out) => panic!("{throw_at:?} {linear}: {out:?}"),
+            }
+        }
+    }
+}
+
+/// The method of 64 sequential diamonds that each merge one field value:
+/// each arm computes the merged value into the phi's register, so the
+/// method lowers with one register per diamond and runs on both tiers at
+/// every fuel budget as the interpreter runs it.
+#[test]
+fn sixty_four_diamonds_lower_and_agree_with_the_interpreter() {
+    let program = parse_program(&support::diamonds::source(64)).unwrap();
+    pea_bytecode::verify_program(&program).unwrap();
+    let method = program.static_method_by_name("f").unwrap();
+    let code = compile(&program, method, None, &CompilerOptions::default()).unwrap();
+    let art = code.linear.as_ref().expect("the method lowers");
+    assert_eq!(art.num_regs, 68);
+    for x in [-1, 0, 31, 64] {
+        let args = [Value::Int(x), Value::Int(5)];
+        tiers_agree_at_every_fuel_budget(&program, &code, &args);
+        let (out, _) = run_tier(&program, &code, true, &args, None);
+        let mut interp = pea_interp::SimpleEnv::new(program.clone());
+        let expected = interp.call("f", &args).unwrap();
+        assert_eq!(
+            out,
+            format!("{:?}", Ok::<_, VmError>(EvalOutcome::Return(expected))),
+            "{x}"
         );
     }
 }

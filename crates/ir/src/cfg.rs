@@ -409,6 +409,12 @@ impl Cfg {
         }
     }
 
+    /// Loop nesting depth of a block ([`Block::loop_depth`]).
+    #[inline]
+    pub fn loop_depth(&self, b: BlockId) -> u32 {
+        self.info[b.index()].loop_depth
+    }
+
     /// Position of a block in RPO.
     ///
     /// # Panics

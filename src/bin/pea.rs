@@ -523,9 +523,10 @@ fn cmd_dump(args: &[String]) -> ExitCode {
     println!("{}", pea::ir::dump::dump(&code.graph));
     if let Some(art) = &code.linear {
         println!(
-            "=== linear ({} words, {} regs) ===",
+            "=== linear ({} words, {} regs, {} phi moves) ===",
             art.insns().len(),
-            art.num_regs
+            art.num_regs,
+            art.phi_moves
         );
         print!("{}", art.disassemble());
     }
