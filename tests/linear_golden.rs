@@ -31,7 +31,8 @@ fn compiled_cache_example() -> pea::compiler::CompiledMethod {
 /// and the elided monitor pair appears nowhere. The parameters are
 /// registers 0 and 1, written by the caller; the null that only the
 /// commit and the deopt metadata read has no register, and the 13 that
-/// only a multiplication reads is its pool operand (`muli`). The six
+/// only a multiplication reads is its pool operand (`muli`), and the
+/// multiplication, which only the miss path reads, is placed there. The six
 /// zero words at the end are the stream's padding: the executor reads
 /// each instruction's fixed part, up to seven words, with one bounds
 /// check, so the last instruction must have six readable words after its
@@ -42,12 +43,12 @@ fn cache_example_lowered_encoding_golden() {
     let art = code.linear.as_ref().expect("cache example lowers");
     #[rustfmt::skip]
     let golden: Vec<u32> = vec![
-        0, 3, 0, 0, 4, 1, 46, 5, 0, 2, 27, 6, 0, 31, 3, 1, 3, 0, 15, 7, 6, 35,
-        7, 72, 25, 17, 8, 6, 0, 20, 9, 8, 0, 0, 0, 36, 1, 0, 9, 69, 41, 17, 10,
-        6, 0, 20, 11, 10, 0, 1, 1, 14, 12, 1, 11, 37, 0, 12, 0, 66, 61, 38, 80,
-        1, 13, 4, 38, 75, 0, 38, 75, 0, 38, 75, 0, 38, 80, 1, 13, 3, 37, 0, 13,
-        0, 91, 86, 27, 14, 1, 41, 14, 30, 0, 28, 2, 0, 28, 5, 1, 27, 15, 1, 41,
-        15,
+        0, 3, 0, 0, 4, 1, 27, 5, 0, 31, 3, 1, 3, 0, 15, 6, 5, 35, 6, 68, 21,
+        17, 7, 5, 0, 20, 8, 7, 0, 0, 0, 36, 1, 0, 8, 65, 37, 17, 9, 5, 0, 20,
+        10, 9, 0, 1, 1, 14, 11, 1, 10, 37, 0, 11, 0, 62, 57, 38, 76, 1, 12, 4,
+        38, 71, 0, 38, 71, 0, 38, 71, 0, 38, 76, 1, 12, 3, 37, 0, 12, 0, 87,
+        82, 27, 13, 1, 41, 13, 46, 14, 0, 2, 30, 0, 28, 2, 0, 28, 14, 1, 27,
+        15, 1, 41, 15,
         0, 0, 0, 0, 0, 0,
     ];
     assert_eq!(art.code, golden, "lowered code words changed");
@@ -69,29 +70,29 @@ fn cache_example_disassembly_golden() {
     let art = code.linear.as_ref().expect("cache example lowers");
     let golden = "   0: const r3 <- 0
    3: const r4 <- 1
-   6: muli r5 <- r0, 13
-  10: getstatic r6 <- S0
-  13: guard !r3 reason 3 deopt 0
-  18: isnull r7 <- r6
-  21: if r7 then 72 else 25
-  25: checkcast r8 <- r6, C0
-  29: ldfld r9 <- r8.[C0+0] (F0)
-  35: ifcmp[1] r0, r9 then 69 else 41
-  41: checkcast r10 <- r6, C0
-  45: ldfld r11 <- r10.[C0+1] (F1)
-  51: refeq r12 <- r1, r11
-  55: ifcmpi[0] r12, 0 then 66 else 61
-  61: edge -> 80 [r13 <- r4]
-  66: edge -> 75
-  69: edge -> 75
-  72: edge -> 75
-  75: edge -> 80 [r13 <- r3]
-  80: ifcmpi[0] r13, 0 then 91 else 86
-  86: getstatic r14 <- S1
-  89: ret r14
+   6: getstatic r5 <- S0
+   9: guard !r3 reason 3 deopt 0
+  14: isnull r6 <- r5
+  17: if r6 then 68 else 21
+  21: checkcast r7 <- r5, C0
+  25: ldfld r8 <- r7.[C0+0] (F0)
+  31: ifcmp[1] r0, r8 then 65 else 37
+  37: checkcast r9 <- r5, C0
+  41: ldfld r10 <- r9.[C0+1] (F1)
+  47: refeq r11 <- r1, r10
+  51: ifcmpi[0] r11, 0 then 62 else 57
+  57: edge -> 76 [r12 <- r4]
+  62: edge -> 71
+  65: edge -> 71
+  68: edge -> 71
+  71: edge -> 76 [r12 <- r3]
+  76: ifcmpi[0] r12, 0 then 87 else 82
+  82: getstatic r13 <- S1
+  85: ret r13
+  87: muli r14 <- r0, 13
   91: commit #0 x1 -> [r2]
   93: putstatic S0 <- r2
-  96: putstatic S1 <- r5
+  96: putstatic S1 <- r14
   99: getstatic r15 <- S1
  102: ret r15
 ";
