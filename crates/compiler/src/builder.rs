@@ -282,13 +282,24 @@ impl<'a> GraphBuilder<'a> {
     }
 
     fn make_state(&mut self, method: MethodId, bci: u32, st: &FlowState) -> NodeId {
-        self.make_state_with(method, bci, &st.locals, &st.stack, &st.locks)
+        self.make_state_with(method, bci, bci, &st.locals, &st.stack, &st.locks)
     }
 
+    /// The state after an out-of-line call at `bci`. It resumes at
+    /// `bci + 1`, but an exception from the callee rewinds it to `bci`
+    /// (`FrameChain::rewind_to_invoke`), where a covering handler may read
+    /// a local dead after the call: its locals are cleared by liveness at
+    /// the call itself, which counts the handlers' reads.
+    fn call_state(&mut self, method: MethodId, bci: u32, st: &FlowState) -> NodeId {
+        self.make_state_with(method, bci + 1, bci, &st.locals, &st.stack, &st.locks)
+    }
+
+    /// A frame state at `bci` whose locals dead at `live_at` are cleared.
     fn make_state_with(
         &mut self,
         method: MethodId,
         bci: u32,
+        live_at: u32,
         locals: &[NodeId],
         stack: &[NodeId],
         locks: &[LockEntry],
@@ -300,11 +311,11 @@ impl<'a> GraphBuilder<'a> {
         let mut inputs = std::mem::take(&mut self.inputs);
         inputs.clear();
         inputs.extend_from_slice(locals);
-        if (bci as usize) < self.program.method(method).code.len() {
+        if (live_at as usize) < self.program.method(method).code.len() {
             let facts = self.program.facts(method);
             let null = self.graph.const_null();
             for (slot, v) in inputs.iter_mut().enumerate() {
-                if !facts.is_live(bci, slot) {
+                if !facts.is_live(live_at, slot) {
                     *v = null;
                 }
             }
@@ -374,7 +385,7 @@ impl<'a> GraphBuilder<'a> {
         state.locks.clear();
         let saved_outer = self.current_outer;
         self.current_outer = outer_state;
-        state.deopt_state = self.make_state_with(method, 0, &state.locals, &[], &[]);
+        state.deopt_state = self.make_state_with(method, 0, 0, &state.locals, &[], &[]);
 
         let mut tail = attach;
         if m.is_synchronized {
@@ -722,7 +733,7 @@ impl<'a> GraphBuilder<'a> {
         while let Some(entry) = st.locks.pop() {
             let mx = self.graph.add(NodeKind::MonitorExit, &[entry.object]);
             self.append(&mut tail, mx);
-            let fs = self.make_state_with(ctx.method, bci, &st.locals, &[exc], &st.locks);
+            let fs = self.make_state_with(ctx.method, bci, bci, &st.locals, &[exc], &st.locks);
             self.graph.set_state_after(mx, Some(fs));
             st.deopt_state = fs;
         }
@@ -1278,7 +1289,7 @@ impl<'a> GraphBuilder<'a> {
         if callee_meta.returns_value {
             state.stack.push(invoke);
         }
-        let fs = self.make_state(ctx.method, bci + 1, state);
+        let fs = self.call_state(ctx.method, bci, state);
         self.graph.set_state_after(invoke, Some(fs));
         state.deopt_state = fs;
         Ok(())
@@ -1331,7 +1342,7 @@ impl<'a> GraphBuilder<'a> {
             if returns_value {
                 state.stack.push(inv);
             }
-            let fs = self.make_state(ctx.method, bci + 1, state);
+            let fs = self.call_state(ctx.method, bci, state);
             if returns_value {
                 state.stack.pop();
             }

@@ -152,9 +152,18 @@ pub trait EvalEnv {
     /// installs finished background compilations here — without this,
     /// a long compiled-only loop (hot caller with every callee inlined or
     /// itself compiled) would never reach an interpreter safepoint and
-    /// background installs would starve. The default is a no-op for hosts
-    /// without tiering.
-    fn safepoint(&mut self) {}
+    /// background installs would starve. Returns whether the host wants
+    /// to collect its heap: the linear tier then hands it its register
+    /// stack ([`EvalEnv::collect`]); the graph evaluator, whose values
+    /// live in host frames no collector sees, never collects. The default
+    /// does nothing and wants no collection.
+    fn safepoint(&mut self) -> bool {
+        false
+    }
+    /// Collects the host's heap at a compiled loop back-edge whose
+    /// [`EvalEnv::safepoint`] asked for it; `stack` holds the registers
+    /// of every compiled activation. The default does nothing.
+    fn collect(&mut self, _stack: &RegisterStack) {}
     /// Whether [`EvalEnv::charge`] enforces a fuel budget. When it does
     /// not (the default), executors may batch charges locally and flush
     /// the sum on exit — the cycle total is identical because only the
@@ -380,7 +389,7 @@ fn evaluate_inner(
                 NodeKind::MonitorEnter => {
                     env.charge(cost::MONITOR_OP)?;
                     let obj = val(values, inputs[0])?.as_ref()?;
-                    env.heap().monitor_enter(obj);
+                    env.heap().try_monitor_enter(obj)?;
                 }
                 NodeKind::MonitorExit => {
                     env.charge(cost::MONITOR_OP)?;
@@ -535,7 +544,7 @@ fn evaluate_inner(
                         }
                         for _ in 0..obj.lock_count {
                             env.charge(cost::MONITOR_OP)?;
-                            env.heap().monitor_enter(member(oi));
+                            env.heap().try_monitor_enter(member(oi))?;
                         }
                     }
                     set(values, n, Value::Ref(member(0)));
@@ -583,7 +592,8 @@ fn evaluate_inner(
                 NodeKind::End | NodeKind::LoopEnd => {
                     env.charge(cost::BRANCH_OP)?;
                     if matches!(node.kind, NodeKind::LoopEnd) {
-                        // Compiled-code safepoint at the loop back-edge.
+                        // Compiled-code safepoint at the loop back-edge
+                        // (no collection: see `EvalEnv::safepoint`).
                         env.safepoint();
                     }
                     came_from_end = Some(n);
@@ -739,7 +749,7 @@ fn resolve_slot(
             }
         }
         for _ in 0..*lock_count {
-            env.heap().monitor_enter(r);
+            env.heap().try_monitor_enter(r)?;
         }
         return Ok(Value::Ref(r));
     }

@@ -73,6 +73,13 @@ impl RegisterStack {
     pub fn args(&self, argc: usize) -> &[Value] {
         &self.values[self.top..self.top + argc]
     }
+
+    /// Every register of every window a run has entered, the stale ones
+    /// of finished activations included: what a collector takes for the
+    /// compiled activations' roots.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
 }
 
 /// An artifact of the code table and the activations that run it.
@@ -142,6 +149,9 @@ fn linear(code: &CompiledMethod) -> &LinearArtifact {
 enum Exit {
     /// The run's entry activation returned.
     Return(Option<Value>),
+    /// The safepoint of the loop back-edge at this `pc` asked for a
+    /// collection; the edge's moves are still to be made.
+    Collect(usize),
     /// The running activation deoptimized, or an exception from a callee
     /// unwinds into it.
     End(EvalOutcome),
@@ -318,6 +328,14 @@ fn run<E: EvalEnv + ?Sized, const EXACT: bool>(
         let mut outcome = match dispatch::<E, EXACT>(program, env, &mut m, pc, &mut pending) {
             Ok(Exit::Return(v)) => {
                 exit!(flush(env, &mut pending).map(|()| EvalOutcome::Return(v)))
+            }
+            Ok(Exit::Collect(at)) => {
+                // Out of the loop: the host collects with every register
+                // as a root and moves no register's value; then the edge.
+                env.collect(&m.stack);
+                let (art, regs) = registers(&mut m);
+                pc = edge(&art.code, at, regs);
+                continue;
             }
             Ok(Exit::End(outcome)) => Ok(outcome),
             Err(e) => Err(e),
@@ -648,7 +666,7 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
             op::MONITOR_ENTER => {
                 charge!(cost::MONITOR_OP);
                 let obj = reg!(1).as_ref()?;
-                env.heap().monitor_enter(obj);
+                env.heap().try_monitor_enter(obj)?;
                 pc += 2;
             }
             op::MONITOR_EXIT => {
@@ -806,8 +824,12 @@ fn ops<E: EvalEnv + ?Sized, const EXACT: bool>(
             }
             op::LOOP_EDGE => {
                 charge!(cost::BRANCH_OP);
-                // Compiled-code safepoint at the loop back-edge.
-                env.safepoint();
+                // Compiled-code safepoint at the loop back-edge: a
+                // collection leaves the loop, which hands the host the
+                // register stack and then makes the edge.
+                if env.safepoint() {
+                    return Ok(Exit::Collect(pc));
+                }
                 pc = edge(c, pc, regs);
             }
             op::MOVE => {
@@ -977,7 +999,8 @@ fn commit<E: EvalEnv + ?Sized, const EXACT: bool>(
     for (i, o) in t.objects.iter().enumerate() {
         for _ in 0..o.lock_count {
             charge(env, cost::MONITOR_OP)?;
-            env.heap().monitor_enter(ObjRef::from_index(first + i));
+            env.heap()
+                .try_monitor_enter(ObjRef::from_index(first + i))?;
         }
     }
     Ok(())
@@ -1063,7 +1086,7 @@ fn resolve_slot<E: EvalEnv + ?Sized>(
         env.heap().init_slot(r, k, value)?;
     }
     for _ in 0..vo.lock_count {
-        env.heap().monitor_enter(r);
+        env.heap().try_monitor_enter(r)?;
     }
     Ok(Value::Ref(r))
 }

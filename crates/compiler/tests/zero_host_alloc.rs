@@ -81,7 +81,7 @@ fn a_heap_after_dropped_heaps_reuses_their_memory() {
     let before = allocations();
     let array = heap.alloc_array(ValueKind::Int, 4).unwrap();
     assert_eq!(allocations() - before, 0);
-    assert_eq!(heap.slots_of(array), [Value::Int(0); 4]);
+    assert_eq!(heap.slots_of(array).unwrap(), [Value::Int(0); 4]);
 }
 
 struct Env {

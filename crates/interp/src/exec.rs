@@ -460,7 +460,7 @@ fn open<E: InterpEnv + ?Sized, const OBSERVED: bool>(
     };
     if m.is_synchronized {
         let receiver = env.value_stack()[base].as_ref()?;
-        env.heap().monitor_enter(receiver);
+        env.heap().try_monitor_enter(receiver)?;
         if OBSERVED {
             env.charge(cost::MONITOR_OP)?;
         } else {
@@ -1006,7 +1006,7 @@ fn run_loop<E: InterpEnv + ?Sized, const OBSERVED: bool>(
             Insn::MonitorEnter => {
                 op!(cost::MONITOR_OP);
                 let r = pop!().as_ref()?;
-                env.heap().monitor_enter(r);
+                env.heap().try_monitor_enter(r)?;
             }
             Insn::MonitorExit => {
                 op!(cost::MONITOR_OP);

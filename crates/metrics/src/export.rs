@@ -309,7 +309,8 @@ mod tests {
             r#""compile.devirt_guards":0,"compile.inline_accepted":0,"compile.inline_rejected":0,"#,
             r#""pea.virtualized":3,"pea.materialized":0,"pea.locks_elided":0,"pea.loads_elided":0,"#,
             r#""pea.stores_elided":0,"pea.checks_folded":0,"pea.phis_created":0,"pea.loop_rounds":0,"#,
-            r#""heap.allocs":0,"heap.bytes":0,"#,
+            r#""heap.allocs":0,"heap.bytes":0,"heap.collections":0,"heap.reclaimed":0,"#,
+            r#""heap.copied_slots":0,"#,
             r#""heap.class.Key.allocs":1,"heap.class.Key.bytes":0},"gauges":{"compile.queue_depth":2},"#,
             r#""histograms":{"compile.queue_latency_us":{"count":0,"sum":0,"max":0,"mean":0,"p50":0,"#,
             r#""p90":0,"p99":0,"buckets":[]},"compile.build_us":{"count":0,"sum":0,"max":0,"mean":0,"#,

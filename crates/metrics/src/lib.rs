@@ -359,6 +359,12 @@ pub struct HeapMetrics {
     pub allocs: Counter,
     /// Total allocated bytes.
     pub bytes: Counter,
+    /// Collections run.
+    pub collections: Counter,
+    /// Objects collections reclaimed.
+    pub reclaimed: Counter,
+    /// Slots collections copied into fresh segments.
+    pub copied_slots: Counter,
     /// Per-class breakdown (the synthetic name `array` covers arrays).
     pub classes: ClassRegistry,
 }
@@ -446,6 +452,9 @@ impl VmMetrics {
             ("pea.loop_rounds".into(), self.pea.loop_rounds.get()),
             ("heap.allocs".into(), self.heap.allocs.get()),
             ("heap.bytes".into(), self.heap.bytes.get()),
+            ("heap.collections".into(), self.heap.collections.get()),
+            ("heap.reclaimed".into(), self.heap.reclaimed.get()),
+            ("heap.copied_slots".into(), self.heap.copied_slots.get()),
         ];
         for (name, allocs, bytes) in self.heap.classes.rows() {
             counters.push((format!("heap.class.{name}.allocs"), allocs));
@@ -687,6 +696,18 @@ impl HeapRecorder {
         if let Some(b) = &mut self.0 {
             b.total.add(bytes);
             b.arrays.1.add(bytes);
+        }
+    }
+
+    /// Records a collection that reclaimed `reclaimed` objects and copied
+    /// `copied_slots` slots. Collections are rare next to allocations, so
+    /// this adds to the shared counters at once.
+    pub fn record_collection(&mut self, reclaimed: u64, copied_slots: u64) {
+        if let Some(b) = &self.0 {
+            let heap = &b.metrics.heap;
+            heap.collections.inc();
+            heap.reclaimed.add(reclaimed);
+            heap.copied_slots.add(copied_slots);
         }
     }
 

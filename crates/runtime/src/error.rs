@@ -85,6 +85,10 @@ pub enum VmError {
         /// Arguments passed.
         found: usize,
     },
+    /// An access to an object a collection found unreachable and
+    /// reclaimed: a reference the collector's roots missed. Every accessor
+    /// of the heap refuses such a reference with this error.
+    Collected(ObjRef),
     /// Internal invariant violation; indicates a compiler bug.
     Internal(String),
 }
@@ -126,6 +130,7 @@ impl fmt::Display for VmError {
                 "`{method}` takes {expected} argument{}, {found} given",
                 if *expected == 1 { "" } else { "s" }
             ),
+            VmError::Collected(obj) => write!(f, "use of collected object {obj}"),
             VmError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }

@@ -60,10 +60,18 @@ const SLOT_MASK: u32 = (1 << SLOT_SHIFT) - 1;
 /// into one `u32`. Any two consecutive small segments hold more than one
 /// segment's worth of slots (an object that does not fit one starts the
 /// next) and an own segment holds at least [`HEAP_SEGMENT_SLOTS`], so a
-/// full heap needs fewer than this many segments.
+/// full heap needs fewer than this many segments. A collection holds its
+/// survivors' copies beside the segments they leave, at most as many
+/// again, and the numbers of emptied segments are reused.
 const MAX_SEGMENTS: usize = 3 * MAX_HEAP_SLOTS / HEAP_SEGMENT_SLOTS + 2;
-const _: () = assert!(MAX_SEGMENTS <= 1 << (32 - SLOT_SHIFT));
+const _: () = assert!(2 * MAX_SEGMENTS <= 1 << (32 - SLOT_SHIFT));
 const _: () = assert!(MAX_HEAP_OBJECTS <= u32::MAX as usize);
+
+/// Slot segments a collecting heap takes (small or own-size) before a
+/// collection is due at the next safepoint: what a collection reclaims is
+/// at most this much plus the live data, so between two collections the
+/// heap holds about this many segments beyond its survivors.
+pub const COLLECT_AFTER_SEGMENTS: usize = 4;
 
 /// Monitors [`Heap::reserve`] makes room for: more than any program here
 /// holds at once.
@@ -74,10 +82,19 @@ const MONITOR_RESERVE: usize = 16;
 type Kind = u32;
 const INT_ARRAY: Kind = u32::MAX;
 const REF_ARRAY: Kind = u32::MAX - 1;
+/// A handle whose object a collection reclaimed: neither an instance nor
+/// an array, so every accessor refuses it ([`VmError::Collected`]).
+const COLLECTED: Kind = u32::MAX - 2;
+
+/// A collection's mark in [`Handle::len`]: the object was reached and its
+/// slots are in place for the collection's scan. Lengths stay below
+/// [`MAX_HEAP_SLOTS`], and no mark is left once the collection ends.
+const MARKED: u32 = 1 << 31;
+const _: () = assert!(MAX_HEAP_SLOTS < MARKED as usize);
 
 /// One object: what it is and where its slots lie. [`ObjRef`] indexes the
-/// handle table, so an object could move by rewriting `start` alone.
-/// Monitors live in the heap's table of held monitors, not here.
+/// handle table, so a collection moves an object by rewriting `start`
+/// alone. Monitors live in the heap's table of held monitors, not here.
 #[derive(Clone, Copy, Debug)]
 struct Handle {
     kind: Kind,
@@ -93,28 +110,34 @@ impl Handle {
         self.kind >= REF_ARRAY
     }
 
-    /// Dynamic class, if this is an instance.
+    /// Dynamic class, if this is the live instance `r`.
     #[inline]
-    fn class(self) -> Result<ClassId, VmError> {
-        if self.is_array() {
-            return Err(VmError::TypeMismatch {
-                expected: "instance",
-                found: "array",
-            });
+    fn class(self, r: ObjRef) -> Result<ClassId, VmError> {
+        if self.kind >= COLLECTED {
+            return Err(self.refusal(r, "instance", "array"));
         }
         Ok(ClassId(self.kind))
     }
 
-    /// Element count, if this is an array.
+    /// Element count, if this is the live array `r`.
     #[inline]
-    fn array_len(self) -> Result<u32, VmError> {
+    fn array_len(self, r: ObjRef) -> Result<u32, VmError> {
         if !self.is_array() {
-            return Err(VmError::TypeMismatch {
-                expected: "array",
-                found: "instance",
-            });
+            return Err(self.refusal(r, "array", "instance"));
         }
         Ok(self.len)
+    }
+
+    /// Why `r`, this handle's object, is not of the `expected` kind. Built
+    /// in line: a call at every accessor site grew the dispatch loops by
+    /// about a kilobyte.
+    #[inline(always)]
+    fn refusal(self, r: ObjRef, expected: &'static str, found: &'static str) -> VmError {
+        if self.kind == COLLECTED {
+            VmError::Collected(r)
+        } else {
+            VmError::TypeMismatch { expected, found }
+        }
     }
 
     #[inline]
@@ -129,8 +152,8 @@ impl Handle {
     }
 }
 
-// Error construction stays out of the accessors, which are inlined into
-// the interpreter's and the linear tier's dispatch loops.
+// Error construction that formats stays out of the accessors, which are
+// inlined into the interpreter's and the linear tier's dispatch loops.
 
 #[cold]
 #[inline(never)]
@@ -184,6 +207,11 @@ impl Statics {
         self.values[id.index()] = value;
     }
 
+    /// Every static's value, in declaration order: a collector's roots.
+    pub fn values(&self) -> &[Value] {
+        &self.values
+    }
+
     /// Resets all statics to their default values.
     pub fn reset(&mut self, decls: &[StaticDecl]) {
         self.values = decls.iter().map(|d| Value::default_for(d.kind)).collect();
@@ -192,14 +220,22 @@ impl Statics {
 
 /// The managed heap: a table of one handle per object, in allocation
 /// order, and fixed-capacity slot segments holding every object's slots.
-/// Neither is ever copied: segments never grow and no slot moves, the
-/// table is reserved large enough to be remapped rather than copied, and
-/// pages no object reached are never committed. Allocation bumps both
-/// and touches no host allocator until one is full; nothing is freed
-/// until the heap is dropped, and then its table and standard segments
-/// are left to the next heap (see [`Heap::recycled_segments`]). Every
-/// allocation and monitor operation updates [`Stats`], which is what the
-/// paper's Table 1 measures.
+/// Neither is ever copied as it grows: segments never grow, the table is
+/// reserved large enough to be remapped rather than copied, and pages no
+/// object reached are never committed. Allocation bumps both and touches
+/// no host allocator until one is full.
+///
+/// A heap whose owner can enumerate its roots
+/// ([`Heap::enable_collection`]) is collected at the owner's safepoints
+/// once [`COLLECT_AFTER_SEGMENTS`] segments have been taken
+/// ([`Heap::collection_due`], [`Heap::collect`]): survivors' slots move
+/// into fresh segments, the handles of the dead refuse every access, and
+/// emptied segments go to the recycler. Handles are never reused, so an
+/// [`ObjRef`] stays its object's allocation ordinal. A dropped heap's
+/// table and standard segments are left to the next heap (see
+/// [`Heap::recycled_segments`]). Every allocation and monitor operation
+/// updates [`Stats`], which is what the paper's Table 1 measures; a
+/// collection changes no count there.
 #[derive(Debug, Default)]
 pub struct Heap {
     /// Handle `i` is `handles[i]`: one contiguous table, so finding an
@@ -208,8 +244,11 @@ pub struct Heap {
     /// Objects allocated before anything but a bump is due: the table's
     /// capacity or the heap's capacity.
     handle_limit: usize,
-    /// Slot segments, numbered in the order they were claimed.
+    /// Slot segments by number; a number a collection emptied holds an
+    /// unallocated `Vec` until a claim reuses it.
     slots: Vec<Vec<Value>>,
+    /// Numbers of emptied segments, for claims to reuse.
+    free_numbers: Vec<u32>,
     /// Segments [`Heap::reserve`] created and nothing has claimed yet.
     spares: Vec<Vec<Value>>,
     /// The segment small objects are bump-allocated into.
@@ -227,6 +266,28 @@ pub struct Heap {
     /// Execution statistics, updated by allocation and monitor operations.
     pub stats: Stats,
     recorder: HeapRecorder,
+    /// Whether taking segments makes collections due.
+    collects: bool,
+    /// Segments taken since the last collection.
+    taken: usize,
+    /// What the owner's safepoints test, one flag for all their work: set
+    /// once [`COLLECT_AFTER_SEGMENTS`] segments were taken and cleared by
+    /// the collection, or set for good by [`Heap::poll_always`].
+    poll: bool,
+    always: bool,
+    /// Segments holding slots now, and the most that ever did.
+    occupied: usize,
+    peak_occupied: usize,
+    /// The objects the last collection kept, in the order it reached them.
+    survivors: Vec<u32>,
+    /// The next collection's work list: the objects it reaches.
+    reached: Vec<u32>,
+    /// Handles below this existed at the last collection: the ones above
+    /// are the next collection's to sweep besides `survivors`.
+    swept: usize,
+    /// Per segment number, during a collection: whether a survivor's
+    /// slots lie there.
+    keep: Vec<bool>,
 }
 
 /// Most standard slot segments the recycler keeps (128 MiB).
@@ -299,8 +360,9 @@ impl Heap {
         self.recorder.flush();
     }
 
-    /// Number of live objects (allocations since creation; nothing is
-    /// freed).
+    /// Number of handles: every allocation since creation, collected
+    /// ones included (handles are not reused), so the next object is
+    /// `ObjRef::from_index(len())`.
     pub fn len(&self) -> usize {
         self.handles.len()
     }
@@ -535,8 +597,22 @@ impl Heap {
                 None => segment(HEAP_SEGMENT_SLOTS)?,
             }
         };
-        let index = self.slots.len();
-        self.slots.push(segment);
+        let index = match self.free_numbers.pop() {
+            Some(number) => {
+                self.slots[number as usize] = segment;
+                number as usize
+            }
+            None => {
+                self.slots.push(segment);
+                self.slots.len() - 1
+            }
+        };
+        self.occupied += 1;
+        self.peak_occupied = self.peak_occupied.max(self.occupied);
+        if self.collects {
+            self.taken += 1;
+            self.poll |= self.taken >= COLLECT_AFTER_SEGMENTS;
+        }
         let start = (index as u32) << SLOT_SHIFT;
         if !own {
             self.current = index;
@@ -551,21 +627,36 @@ impl Heap {
         self.handles[r.index()]
     }
 
+    /// The handle of `r`, unless a collection reclaimed it.
+    #[inline]
+    fn live(&self, r: ObjRef) -> Result<Handle, VmError> {
+        let h = self.handle(r);
+        if h.kind == COLLECTED {
+            return Err(VmError::Collected(r));
+        }
+        Ok(h)
+    }
+
     /// Dynamic class of an instance.
     ///
     /// # Errors
     ///
-    /// [`VmError::TypeMismatch`] if `r` is an array.
+    /// [`VmError::TypeMismatch`] if `r` is an array,
+    /// [`VmError::Collected`] if it was collected.
     #[inline]
     pub fn class_of(&self, r: ObjRef) -> Result<ClassId, VmError> {
-        self.handle(r).class()
+        self.handle(r).class(r)
     }
 
     /// The fields of an instance in layout order, or the elements of an
     /// array.
-    pub fn slots_of(&self, r: ObjRef) -> &[Value] {
-        let h = self.handle(r);
-        &self.slots[h.segment()][h.slots()]
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Collected`] if `r` was collected.
+    pub fn slots_of(&self, r: ObjRef) -> Result<&[Value], VmError> {
+        let h = self.live(r)?;
+        Ok(&self.slots[h.segment()][h.slots()])
     }
 
     #[inline]
@@ -587,7 +678,7 @@ impl Heap {
         field: FieldId,
     ) -> Result<(Handle, usize), VmError> {
         let h = self.handle(r);
-        match program.field_slot(h.class()?, field) {
+        match program.field_slot(h.class(r)?, field) {
             Some(slot) => Ok((h, slot)),
             None => Err(no_such_field(program, field)),
         }
@@ -599,7 +690,7 @@ impl Heap {
     #[inline]
     fn field_handle_at(&self, program: &Program, r: ObjRef, declaring: ClassId) -> Option<Handle> {
         let h = self.handle(r);
-        let class = h.class().ok()?;
+        let class = h.class(r).ok()?;
         program.is_subclass_of(class, declaring).then_some(h)
     }
 
@@ -694,10 +785,11 @@ impl Heap {
     ///
     /// # Errors
     ///
-    /// [`VmError::Internal`] if the object has no slot `index`.
+    /// [`VmError::Internal`] if the object has no slot `index`,
+    /// [`VmError::Collected`] if it was collected.
     #[inline]
     pub fn init_slot(&mut self, r: ObjRef, index: usize, value: Value) -> Result<(), VmError> {
-        let h = self.handle(r);
+        let h = self.live(r)?;
         match self.slots[h.segment()][h.slots()].get_mut(index) {
             Some(slot) => {
                 *slot = value;
@@ -715,14 +807,14 @@ impl Heap {
     /// # Errors
     ///
     /// [`VmError::Internal`] if the template has more values than the
-    /// object has slots.
+    /// object has slots, [`VmError::Collected`] if it was collected.
     #[inline]
     pub fn init_slots(
         &mut self,
         r: ObjRef,
         values: impl IntoIterator<Item = Value>,
     ) -> Result<(), VmError> {
-        let h = self.handle(r);
+        let h = self.live(r)?;
         let mut values = values.into_iter();
         // `zip` asks the slots first, so a surplus value is left for the
         // check below.
@@ -742,7 +834,7 @@ impl Heap {
     #[inline]
     fn element_index(&self, r: ObjRef, index: i64) -> Result<(Handle, usize), VmError> {
         let h = self.handle(r);
-        let len = h.array_len()?;
+        let len = h.array_len(r)?;
         if index < 0 || index >= i64::from(len) {
             return Err(VmError::IndexOutOfBounds {
                 index,
@@ -782,17 +874,39 @@ impl Heap {
     /// [`VmError::TypeMismatch`] on instances.
     #[inline]
     pub fn array_length(&self, r: ObjRef) -> Result<i64, VmError> {
-        Ok(i64::from(self.handle(r).array_len()?))
+        Ok(i64::from(self.handle(r).array_len(r)?))
+    }
+
+    /// [`Self::try_monitor_enter`] for callers whose heap never collects
+    /// (tests, the benchmark's micro-loops).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r` was collected.
+    #[inline]
+    pub fn monitor_enter(&mut self, r: ObjRef) {
+        self.try_monitor_enter(r)
+            .expect("the monitor of a collected object");
     }
 
     /// Acquires the monitor of `r` (recursively) and counts the operation.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Collected`] if `r` was collected; nothing is counted.
     #[inline]
-    pub fn monitor_enter(&mut self, r: ObjRef) {
+    pub fn try_monitor_enter(&mut self, r: ObjRef) -> Result<(), VmError> {
         match self.monitors.iter_mut().rev().find(|(o, _)| *o == r) {
             Some((_, holds)) => *holds += 1,
-            None => self.monitors.push((r, 1)),
+            // A held monitor's object is a root, so only a first hold can
+            // name a collected one.
+            None => {
+                self.live(r)?;
+                self.monitors.push((r, 1));
+            }
         }
         self.stats.monitor_enters += 1;
+        Ok(())
     }
 
     /// Releases the monitor of `r` and counts the operation. Monitors are
@@ -801,7 +915,8 @@ impl Heap {
     ///
     /// # Errors
     ///
-    /// [`VmError::IllegalMonitorState`] if the monitor is not held.
+    /// [`VmError::IllegalMonitorState`] if the monitor is not held,
+    /// [`VmError::Collected`] if `r` was collected.
     #[inline]
     pub fn monitor_exit(&mut self, r: ObjRef) -> Result<(), VmError> {
         match self.monitors.last_mut() {
@@ -816,6 +931,7 @@ impl Heap {
 
     #[cold]
     fn monitor_exit_nested(&mut self, r: ObjRef) -> Result<(), VmError> {
+        self.live(r)?;
         let Some(i) = self.monitors.iter().rposition(|(o, _)| *o == r) else {
             return Err(VmError::IllegalMonitorState);
         };
@@ -828,11 +944,17 @@ impl Heap {
     }
 
     /// Current recursive hold count of `r`'s monitor.
-    pub fn lock_count(&self, r: ObjRef) -> u32 {
-        self.monitors
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Collected`] if `r` was collected.
+    pub fn lock_count(&self, r: ObjRef) -> Result<u32, VmError> {
+        self.live(r)?;
+        Ok(self
+            .monitors
             .iter()
             .find(|(o, _)| *o == r)
-            .map_or(0, |&(_, holds)| holds)
+            .map_or(0, |&(_, holds)| holds))
     }
 
     /// Total monitor holds across the heap (0 when all lock/unlock pairs
@@ -842,6 +964,200 @@ impl Heap {
             .iter()
             .map(|&(_, holds)| u64::from(holds))
             .sum()
+    }
+
+    /// Makes taking slot segments bring collections due. Only an owner
+    /// that finds every root at its safepoints may call [`Self::collect`];
+    /// a heap never enabled is never due.
+    pub fn enable_collection(&mut self) {
+        self.collects = true;
+    }
+
+    /// Whether [`Self::enable_collection`] was called.
+    pub fn collects(&self) -> bool {
+        self.collects
+    }
+
+    /// Whether the owner's safepoint has work: a collection is due, or
+    /// the owner asked for every safepoint ([`Self::poll_always`]). The
+    /// one test a safepoint makes when it has nothing to do.
+    #[inline]
+    pub fn safepoint_due(&self) -> bool {
+        self.poll
+    }
+
+    /// Makes [`Self::safepoint_due`] true for good: for an owner whose
+    /// safepoints have work of their own besides collecting.
+    pub fn poll_always(&mut self) {
+        self.always = true;
+        self.poll = true;
+    }
+
+    /// Whether [`COLLECT_AFTER_SEGMENTS`] segments were taken since the
+    /// last collection: the owner's next safepoint collects.
+    #[inline]
+    pub fn collection_due(&self) -> bool {
+        self.taken >= COLLECT_AFTER_SEGMENTS
+    }
+
+    /// The most slot segments this heap ever held at once, a collection's
+    /// copies included.
+    pub fn peak_segments(&self) -> usize {
+        self.peak_occupied
+    }
+
+    /// Collects the heap. Every object reachable from a reference in
+    /// `roots` or from a held monitor survives with its slots, its class
+    /// and its lock count; its slots move into fresh segments (only its
+    /// handle's start changes, so no reference is rewritten). Every other
+    /// handle is poisoned: any later access through it is
+    /// [`VmError::Collected`]. Segments left empty go to the recycler.
+    ///
+    /// Nothing in [`Stats`] changes. Once the work lists have grown to the
+    /// live set, a collection allocates nothing beyond the segments
+    /// survivors move into, and those come from the spares and the
+    /// recycler first. A survivor whose segment the host refuses stays
+    /// where it is, and so does its segment.
+    pub fn collect(&mut self, roots: &[&[Value]]) {
+        let mut reached = std::mem::take(&mut self.reached);
+        reached.clear();
+        // Survivors bump into fresh segments: the first one claims.
+        self.room = 0;
+        self.used = 0;
+        let mut copied = 0;
+        for &root in roots {
+            for &v in root {
+                if let Value::Ref(r) = v {
+                    copied += self.reach(r, &mut reached);
+                }
+            }
+        }
+        for i in 0..self.monitors.len() {
+            copied += self.reach(self.monitors[i].0, &mut reached);
+        }
+        // The work list is the survivors in the order they were reached.
+        let mut scanned = 0;
+        while let Some(&i) = reached.get(scanned) {
+            scanned += 1;
+            // Every slot is scanned: no slot's kind is checked on a store.
+            let h = self.handles[i as usize];
+            let from = (h.start & SLOT_MASK) as usize;
+            for k in from..from + (h.len & !MARKED) as usize {
+                if let Value::Ref(r) = self.slots[h.segment()][k] {
+                    copied += self.reach(r, &mut reached);
+                }
+            }
+        }
+        self.release_segments(&reached);
+        let mut reclaimed = 0;
+        let mut sweep = |h: &mut Handle| {
+            if h.len & MARKED == 0 {
+                *h = Handle {
+                    kind: COLLECTED,
+                    start: 0,
+                    len: 0,
+                };
+                reclaimed += 1;
+            }
+        };
+        for &i in &self.survivors {
+            sweep(&mut self.handles[i as usize]);
+        }
+        for h in &mut self.handles[self.swept..] {
+            sweep(h);
+        }
+        for &i in &reached {
+            self.handles[i as usize].len &= !MARKED;
+        }
+        self.reached = std::mem::replace(&mut self.survivors, reached);
+        self.swept = self.handles.len();
+        self.taken = 0;
+        self.poll = self.always;
+        self.refresh_limits();
+        self.recorder.record_collection(reclaimed, copied);
+    }
+
+    /// Marks `r` reached, the first time, and moves its slots to the tail
+    /// of the survivors' segments unless it has a segment of its own or
+    /// no slots. Returns the slots moved.
+    #[inline]
+    fn reach(&mut self, r: ObjRef, reached: &mut Vec<u32>) -> u64 {
+        let h = self.handles[r.index()];
+        if h.len & MARKED != 0 || h.kind == COLLECTED {
+            return 0;
+        }
+        let len = h.len as usize;
+        let start = match len {
+            // No slots to keep: the first offset of any segment will do.
+            0 => Some(0),
+            HEAP_SEGMENT_SLOTS.. => None,
+            _ => self.evacuate(h),
+        };
+        self.handles[r.index()] = Handle {
+            start: start.unwrap_or(h.start),
+            len: h.len | MARKED,
+            ..h
+        };
+        self.used += len;
+        reached.push(r.index() as u32);
+        if start.is_some() {
+            len as u64
+        } else {
+            0
+        }
+    }
+
+    /// Copies the slots of `h` to the survivors' bump pointer, claiming a
+    /// segment when the current one is full; `None` if the host refuses
+    /// one.
+    fn evacuate(&mut self, h: Handle) -> Option<u32> {
+        let len = h.len as usize;
+        let (start, to) = if len < self.room {
+            (self.bump(len), self.current)
+        } else {
+            self.claim(len).ok()?
+        };
+        let from = h.segment();
+        let (source, target) = if from < to {
+            let (low, high) = self.slots.split_at_mut(to);
+            (&low[from], &mut high[0])
+        } else {
+            let (low, high) = self.slots.split_at_mut(from);
+            (&high[0], &mut low[to])
+        };
+        target.extend_from_slice(&source[h.slots()]);
+        Some(start)
+    }
+
+    /// Empties every segment no survivor of the collection that reached
+    /// `reached` lies in: standard ones go to the recycler (up to its
+    /// cap), own-size ones to the host, and their numbers to
+    /// `free_numbers`.
+    fn release_segments(&mut self, reached: &[u32]) {
+        self.keep.clear();
+        self.keep.resize(self.slots.len(), false);
+        for &i in reached {
+            let h = self.handles[i as usize];
+            if h.len & !MARKED != 0 {
+                self.keep[h.segment()] = true;
+            }
+        }
+        let mut pool = None;
+        for (number, slot) in self.slots.iter_mut().enumerate() {
+            if self.keep[number] || slot.capacity() == 0 {
+                continue;
+            }
+            let mut segment = std::mem::take(slot);
+            self.free_numbers.push(number as u32);
+            self.occupied -= 1;
+            if segment.capacity() == HEAP_SEGMENT_SLOTS {
+                let pool = pool.get_or_insert_with(recycler);
+                if pool.segments.len() < MAX_RECYCLED_SEGMENTS {
+                    segment.clear();
+                    pool.segments.push(segment);
+                }
+            }
+        }
     }
 }
 
@@ -938,7 +1254,7 @@ mod tests {
         let r = heap.alloc_instance(&p, key);
         heap.monitor_enter(r);
         heap.monitor_enter(r);
-        assert_eq!(heap.lock_count(r), 2);
+        assert_eq!(heap.lock_count(r), Ok(2));
         heap.monitor_exit(r).unwrap();
         heap.monitor_exit(r).unwrap();
         assert_eq!(
@@ -995,7 +1311,7 @@ mod tests {
         let own = heap
             .alloc_array(ValueKind::Ref, HEAP_SEGMENT_SLOTS as i64 + 5)
             .unwrap();
-        let pointers = [first, array, own].map(|r| heap.slots_of(r).as_ptr());
+        let pointers = [first, array, own].map(|r| heap.slots_of(r).unwrap().as_ptr());
         // Past several slot segments, with arrays that straddle segment
         // ends.
         for i in 0..3 * HEAP_SEGMENT_SLOTS {
@@ -1006,14 +1322,14 @@ mod tests {
         }
         assert!(heap.slots.len() > 4, "grew past several slot segments");
         assert_eq!(
-            [first, array, own].map(|r| heap.slots_of(r).as_ptr()),
+            [first, array, own].map(|r| heap.slots_of(r).unwrap().as_ptr()),
             pointers
         );
         assert!(heap
             .slots
             .iter()
             .all(|s| s.capacity() == HEAP_SEGMENT_SLOTS || s.capacity() == s.len()));
-        assert_eq!(heap.slots_of(own).len(), HEAP_SEGMENT_SLOTS + 5);
+        assert_eq!(heap.slots_of(own).unwrap().len(), HEAP_SEGMENT_SLOTS + 5);
     }
 
     #[test]
@@ -1057,7 +1373,7 @@ mod tests {
         heap.init_slots(a, [Value::Ref(o)]).unwrap();
         assert_eq!(heap.get_field(&p, o, idx).unwrap(), Value::Int(7));
         assert_eq!(heap.get_field(&p, o, rf).unwrap(), Value::Ref(a));
-        assert_eq!(heap.slots_of(a), [Value::Ref(o), Value::Null]);
+        assert_eq!(heap.slots_of(a).unwrap(), [Value::Ref(o), Value::Null]);
         assert!(matches!(
             heap.init_slots(o, [Value::Null; 3]),
             Err(VmError::Internal(_))
@@ -1083,7 +1399,7 @@ mod tests {
             let r = split.try_alloc_instance(&p, key).unwrap();
             split.init_slots(r, values).unwrap();
             assert_eq!(whole.try_alloc_instance_with(&p, key, values), Ok(r));
-            assert_eq!(whole.slots_of(r), values);
+            assert_eq!(whole.slots_of(r).unwrap(), values);
             assert_eq!(whole.class_of(r), Ok(key));
         }
         assert_eq!(whole.stats, split.stats);
@@ -1139,6 +1455,60 @@ mod tests {
         assert_eq!(state(&heap), before);
         // A one-slot array still fits.
         assert!(heap.alloc_array(ValueKind::Int, 1).is_ok());
+    }
+
+    /// A collection keeps what the roots and the held monitors reach, with
+    /// its slots, class and holds; moves it into a fresh segment; and hands
+    /// the emptied segments back, whose numbers the next claims reuse.
+    #[test]
+    fn collection_keeps_the_reachable_and_reuses_segment_numbers() {
+        let (p, key, idx, rf) = program();
+        let mut heap = Heap::new();
+        heap.enable_collection();
+        let root = heap.alloc_instance(&p, key);
+        let child = heap.alloc_instance(&p, key);
+        let locked = heap.alloc_array(ValueKind::Int, 3).unwrap();
+        heap.put_field(&p, root, idx, Value::Int(7)).unwrap();
+        heap.put_field(&p, root, rf, Value::Ref(child)).unwrap();
+        heap.array_set(locked, 2, Value::Int(5)).unwrap();
+        heap.monitor_enter(locked);
+        heap.monitor_enter(locked);
+        while !heap.collection_due() {
+            heap.alloc_instance(&p, key);
+        }
+        assert_eq!(heap.slots.len(), COLLECT_AFTER_SEGMENTS);
+        let before = (heap.stats, heap.len());
+        let moved = heap.slots_of(root).unwrap().as_ptr();
+        heap.collect(&[&[Value::Int(1), Value::Ref(root)]]);
+        assert!(!heap.collection_due());
+        assert_eq!((heap.stats, heap.len()), before);
+        assert_ne!(heap.slots_of(root).unwrap().as_ptr(), moved, "moved");
+        assert_eq!(
+            heap.slots_of(root).unwrap(),
+            [Value::Int(7), Value::Ref(child)]
+        );
+        assert_eq!(heap.get_field(&p, child, idx), Ok(Value::Int(0)));
+        assert_eq!(heap.lock_count(locked), Ok(2));
+        assert_eq!(heap.array_get(locked, 2), Ok(Value::Int(5)));
+        let dead = ObjRef::from_index(3);
+        assert_eq!(heap.class_of(dead), Err(VmError::Collected(dead)));
+        assert_eq!(heap.used, 2 + 2 + 3);
+        // The survivors fill one fresh segment; the ones they left are
+        // free.
+        assert_eq!(heap.occupied, 1);
+        assert_eq!(heap.free_numbers.len(), COLLECT_AFTER_SEGMENTS);
+        assert_eq!(heap.peak_segments(), COLLECT_AFTER_SEGMENTS + 1);
+        // Later claims take the freed numbers, never a new one.
+        while !heap.free_numbers.is_empty() {
+            heap.alloc_instance(&p, key);
+        }
+        assert_eq!(heap.slots.len(), COLLECT_AFTER_SEGMENTS + 1);
+        heap.monitor_exit(locked).unwrap();
+        heap.monitor_exit(locked).unwrap();
+        heap.collect(&[]);
+        assert_eq!(heap.class_of(root), Err(VmError::Collected(root)));
+        assert_eq!(heap.lock_count(locked), Err(VmError::Collected(locked)));
+        assert_eq!((heap.used, heap.occupied), (0, 0));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Model-based property test for the managed heap: random operation
 //! sequences run against [`Heap`] and against a naive model (one `Vec` of
-//! values per object, field layouts written out by hand), and every
-//! returned value, every [`VmError`] and the final counters must agree.
+//! values per object, field layouts written out by hand, reachability
+//! computed afresh at each collection), and every returned value, every
+//! [`VmError`] and the final counters must agree.
 
 use pea_bytecode::{ClassId, FieldId, Program, ProgramBuilder, ValueKind};
 use pea_runtime::{Heap, ObjRef, Stats, Value, VmError, HEAP_SEGMENT_SLOTS, MAX_HEAP_SLOTS};
@@ -44,8 +45,15 @@ fn fixture() -> Fixture {
 }
 
 enum ModelObject {
-    Instance { class: usize, fields: Vec<Value> },
-    Array { elems: Vec<Value> },
+    Instance {
+        class: usize,
+        fields: Vec<Value>,
+    },
+    Array {
+        elems: Vec<Value>,
+    },
+    /// Reclaimed by a collection.
+    Collected,
 }
 
 impl ModelObject {
@@ -53,6 +61,7 @@ impl ModelObject {
         match self {
             ModelObject::Instance { fields, .. } => fields,
             ModelObject::Array { elems } => elems,
+            ModelObject::Collected => &[],
         }
     }
 }
@@ -87,6 +96,7 @@ impl Model {
 
     fn field(&mut self, r: ObjRef, field: usize) -> Result<&mut Value, VmError> {
         match &mut self.objects[r.index()] {
+            ModelObject::Collected => Err(VmError::Collected(r)),
             ModelObject::Array { .. } => Err(VmError::TypeMismatch {
                 expected: "instance",
                 found: "array",
@@ -102,6 +112,7 @@ impl Model {
 
     fn element(&mut self, r: ObjRef, index: i64) -> Result<&mut Value, VmError> {
         match &mut self.objects[r.index()] {
+            ModelObject::Collected => Err(VmError::Collected(r)),
             ModelObject::Instance { .. } => Err(VmError::TypeMismatch {
                 expected: "array",
                 found: "instance",
@@ -115,6 +126,63 @@ impl Model {
             }
         }
     }
+
+    /// Collects every object that neither a reference in `roots` nor a
+    /// held monitor reaches, directly or through other objects' slots;
+    /// returns the objects it collected.
+    fn collect(&mut self, roots: &[Value]) -> Vec<ObjRef> {
+        let mut reached = vec![false; self.objects.len()];
+        let mut work: Vec<usize> = roots
+            .iter()
+            .filter_map(|v| match v {
+                Value::Ref(r) => Some(r.index()),
+                _ => None,
+            })
+            .chain((0..self.objects.len()).filter(|&i| self.locks[i] > 0))
+            .collect();
+        while let Some(i) = work.pop() {
+            if reached[i] || matches!(self.objects[i], ModelObject::Collected) {
+                continue;
+            }
+            reached[i] = true;
+            work.extend(self.objects[i].slots().iter().filter_map(|v| match v {
+                Value::Ref(r) => Some(r.index()),
+                _ => None,
+            }));
+        }
+        let mut collected = Vec::new();
+        for (i, object) in self.objects.iter_mut().enumerate() {
+            if !reached[i] && !matches!(object, ModelObject::Collected) {
+                *object = ModelObject::Collected;
+                collected.push(ObjRef::from_index(i));
+            }
+        }
+        collected
+    }
+}
+
+/// Every accessor of the heap on `r`, each reduced to whether it
+/// succeeded; the ones that write write what is already there or nothing.
+fn accesses(heap: &mut Heap, fx: &Fixture, r: ObjRef) -> Vec<Result<(), VmError>> {
+    let p = &fx.program;
+    let (base, field) = (fx.classes[0], fx.fields[0]);
+    vec![
+        heap.class_of(r).map(drop),
+        heap.slots_of(r).map(drop),
+        heap.lock_count(r).map(drop),
+        heap.get_field(p, r, field).map(drop),
+        heap.get_field_at(p, r, base, 0, field).map(drop),
+        heap.put_field(p, r, field, Value::Int(1)),
+        heap.put_field_at(p, r, base, 0, field, Value::Int(1)),
+        heap.array_get(r, 0).map(drop),
+        heap.array_set(r, 0, Value::Int(1)),
+        heap.array_length(r).map(drop),
+        heap.init_slot(r, 0, Value::Int(1)),
+        heap.init_slots(r, []),
+        heap.init_slots(r, [Value::Int(1)]),
+        heap.try_monitor_enter(r),
+        heap.monitor_exit(r),
+    ]
 }
 
 /// A value to store: an int, null, or a reference to the object the index
@@ -140,6 +208,8 @@ enum Op {
     InitSlots(u8, Vec<Stored>),
     Enter(u8),
     Exit(u8),
+    /// A collection whose roots are these values.
+    Collect(Vec<Stored>),
 }
 
 fn stored() -> impl Strategy<Value = Stored> {
@@ -178,6 +248,7 @@ fn op() -> impl Strategy<Value = Op> {
             .prop_map(|(o, vs)| Op::InitSlots(o, vs)),
         any::<u8>().prop_map(Op::Enter),
         any::<u8>().prop_map(Op::Exit),
+        prop::collection::vec(stored(), 0..6).prop_map(Op::Collect),
     ]
 }
 
@@ -259,6 +330,7 @@ proptest! {
                 Op::ArrayLength(o) => {
                     let Some(r) = pick(&model, o) else { continue };
                     let expected = match &model.objects[r.index()] {
+                        ModelObject::Collected => Err(VmError::Collected(r)),
                         ModelObject::Array { elems } => Ok(elems.len() as i64),
                         ModelObject::Instance { .. } => Err(VmError::TypeMismatch {
                             expected: "array",
@@ -270,27 +342,38 @@ proptest! {
                 Op::InitSlots(o, values) => {
                     let Some(r) = pick(&model, o) else { continue };
                     let values: Vec<Value> = values.iter().map(|&s| value(&model, s)).collect();
+                    let got = heap.init_slots(r, values.iter().copied());
                     let slots = match &mut model.objects[r.index()] {
                         ModelObject::Instance { fields, .. } => fields,
                         ModelObject::Array { elems } => elems,
+                        ModelObject::Collected => {
+                            prop_assert_eq!(got, Err(VmError::Collected(r)));
+                            continue;
+                        }
                     };
                     let fits = values.len() <= slots.len();
                     for (slot, v) in slots.iter_mut().zip(&values) {
                         *slot = *v;
                     }
-                    let got = heap.init_slots(r, values);
                     prop_assert_eq!(got.is_ok(), fits);
                     prop_assert!(fits || matches!(got, Err(VmError::Internal(_))));
                 }
                 Op::Enter(o) => {
                     let Some(r) = pick(&model, o) else { continue };
-                    heap.monitor_enter(r);
-                    model.locks[r.index()] += 1;
-                    model.stats.monitor_enters += 1;
+                    let expected = if matches!(model.objects[r.index()], ModelObject::Collected) {
+                        Err(VmError::Collected(r))
+                    } else {
+                        model.locks[r.index()] += 1;
+                        model.stats.monitor_enters += 1;
+                        Ok(())
+                    };
+                    prop_assert_eq!(heap.try_monitor_enter(r), expected);
                 }
                 Op::Exit(o) => {
                     let Some(r) = pick(&model, o) else { continue };
-                    let expected = if model.locks[r.index()] == 0 {
+                    let expected = if matches!(model.objects[r.index()], ModelObject::Collected) {
+                        Err(VmError::Collected(r))
+                    } else if model.locks[r.index()] == 0 {
                         Err(VmError::IllegalMonitorState)
                     } else {
                         model.locks[r.index()] -= 1;
@@ -298,6 +381,20 @@ proptest! {
                         Ok(())
                     };
                     prop_assert_eq!(heap.monitor_exit(r), expected);
+                }
+                Op::Collect(roots) => {
+                    let roots: Vec<Value> = roots.iter().map(|&s| value(&model, s)).collect();
+                    let stats = heap.stats;
+                    heap.collect(&[&roots]);
+                    prop_assert_eq!(heap.stats, stats, "a collection changes no count");
+                    prop_assert_eq!(heap.len(), model.objects.len());
+                    for r in model.collect(&roots) {
+                        let refused = Err(VmError::Collected(r));
+                        for got in accesses(&mut heap, &fx, r) {
+                            prop_assert_eq!(got, refused.clone());
+                        }
+                        prop_assert_eq!(heap.stats, stats, "a refused access counts nothing");
+                    }
                 }
             }
         }
@@ -309,13 +406,19 @@ proptest! {
         prop_assert_eq!(heap.total_lock_holds(), holds);
         for (i, object) in model.objects.iter().enumerate() {
             let r = ObjRef::from_index(i);
-            prop_assert_eq!(heap.lock_count(r), model.locks[i]);
-            prop_assert_eq!(heap.slots_of(r), object.slots());
+            if let ModelObject::Collected = object {
+                prop_assert_eq!(heap.class_of(r), Err(VmError::Collected(r)));
+                prop_assert_eq!(heap.lock_count(r), Err(VmError::Collected(r)));
+                prop_assert_eq!(heap.slots_of(r), Err(VmError::Collected(r)));
+                continue;
+            }
+            prop_assert_eq!(heap.lock_count(r), Ok(model.locks[i]));
+            prop_assert_eq!(heap.slots_of(r), Ok(object.slots()));
             match object {
                 ModelObject::Instance { class, .. } => {
                     prop_assert_eq!(heap.class_of(r), Ok(fx.classes[*class]));
                 }
-                ModelObject::Array { .. } => prop_assert!(heap.class_of(r).is_err()),
+                _ => prop_assert!(heap.class_of(r).is_err()),
             }
         }
     }

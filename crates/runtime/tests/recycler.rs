@@ -18,7 +18,7 @@ const FILLING: i64 = HEAP_SEGMENT_SLOTS as i64 - 1;
 fn buffers(heap: &Heap, arrays: &[ObjRef]) -> BTreeSet<usize> {
     arrays
         .iter()
-        .map(|&r| heap.slots_of(r).as_ptr() as usize)
+        .map(|&r| heap.slots_of(r).unwrap().as_ptr() as usize)
         .collect()
 }
 
@@ -49,14 +49,21 @@ fn dropped_segments_come_back_cleared_and_capped() {
     let objects: Vec<ObjRef> = (0..3)
         .map(|_| {
             let array = new.alloc_array(ValueKind::Int, FILLING).unwrap();
-            assert!(new.slots_of(array).iter().all(|&v| v == Value::Int(0)));
+            assert!(new
+                .slots_of(array)
+                .unwrap()
+                .iter()
+                .all(|&v| v == Value::Int(0)));
             array
         })
         .collect();
     assert_eq!(buffers(&new, &objects), dropped);
     assert_eq!(Heap::recycled_segments(), 0);
     let instance = new.alloc_instance(&program, class);
-    assert_eq!(new.slots_of(instance), [Value::Int(0), Value::Null]);
+    assert_eq!(
+        new.slots_of(instance).unwrap(),
+        [Value::Int(0), Value::Null]
+    );
     drop(new);
 
     // The instance started a fourth segment.

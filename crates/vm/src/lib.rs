@@ -236,6 +236,15 @@ impl VmShared {
     fn new_mutator(self: &Arc<VmShared>, mut options: VmOptions) -> Mutator {
         let statics = Statics::new(&self.program.statics);
         let mut heap = Heap::new();
+        // The graph oracle keeps values in host frames no root scan sees.
+        if options.exec_mode == ExecMode::Linear {
+            heap.enable_collection();
+        }
+        // Safepoints test the heap's flag alone; background installs, and
+        // under `gc-stress` the collections, are due at every one.
+        if options.jit_mode == JitMode::Background || cfg!(feature = "gc-stress") {
+            heap.poll_always();
+        }
         if options.metrics.is_enabled() {
             let classes = self.program.classes.iter().map(|c| c.name.as_str());
             heap.set_metrics(HeapRecorder::new(&options.metrics, classes));
@@ -262,6 +271,7 @@ impl VmShared {
             stack: Vec::with_capacity(VALUE_STACK_RESERVE),
             activations: Vec::with_capacity(MAX_CALL_DEPTH),
             registers: RegisterStack::default(),
+            returned: Value::Null,
             pinned: vec![None; methods],
             bailed_out: vec![false; methods],
             deopt_counts: vec![0; methods],
@@ -304,6 +314,10 @@ pub struct Mutator {
     /// compiled callers suspended while the linear tier's loop runs their
     /// callees.
     registers: RegisterStack,
+    /// What the last [`Mutator::call_entry`] returned (null after an
+    /// error or a void call): a root, so that a harness may pass it into
+    /// the next call.
+    returned: Value,
     // Per-method tiering state, indexed by `MethodId`.
     /// The dispatch hot path: compiled methods this mutator installed.
     /// Thread-private — a compiled call performs no lock acquisition and
@@ -648,18 +662,24 @@ impl Mutator {
         if result.is_err() {
             self.dump_flight();
         }
+        self.returned = match &result {
+            Ok(Some(v)) => *v,
+            _ => Value::Null,
+        };
         result
     }
 
     /// Converts an in-flight exception object that escaped the entry call
     /// into its structural [`VmError::UncaughtException`] identity.
     fn uncaught(&self, obj: ObjRef) -> VmError {
-        match self.heap.class_of(obj) {
-            Ok(class) => VmError::UncaughtException {
+        let heap = &self.heap;
+        match heap
+            .class_of(obj)
+            .and_then(|c| Ok((c, heap.slots_of(obj)?)))
+        {
+            Ok((class, slots)) => VmError::UncaughtException {
                 class: self.shared.program.class(class).name.clone(),
-                fields: self
-                    .heap
-                    .slots_of(obj)
+                fields: slots
                     .iter()
                     .filter_map(|v| match v {
                         Value::Int(i) => Some(*i),
@@ -667,7 +687,8 @@ impl Mutator {
                     })
                     .collect(),
             },
-            Err(_) => VmError::Internal("thrown array".into()),
+            Err(VmError::TypeMismatch { .. }) => VmError::Internal("thrown array".into()),
+            Err(e) => e,
         }
     }
 
@@ -718,7 +739,7 @@ impl Mutator {
     /// with, or `None` to interpret it.
     #[inline(always)]
     fn tier(&mut self, program: &Program, method: MethodId) -> Option<Arc<CompiledMethod>> {
-        self.poll_entry(program, method);
+        self.poll_entry(program, method, None);
         // A call that switches tier pays the `Arc` clone (~10 ns): it keeps
         // the artifact alive while it runs, since a recursive activation
         // may evict or replace this entry, and holding a borrow of
@@ -727,16 +748,23 @@ impl Mutator {
         self.pinned[method.index()].clone()
     }
 
-    /// The method-entry half of a call's tier decision: the background
-    /// safepoint, and [`Mutator::promote`] for a method past the compile
-    /// threshold. Afterwards `pinned` holds the code to run the method
-    /// with, if any — a thread-private table: no locks, no shared loads.
+    /// The method-entry half of a call's tier decision: the safepoint
+    /// (background installs, a due collection, with `registers` the
+    /// linear tier's register stack when the host does not hold it), and
+    /// [`Mutator::promote`] for a method past the compile threshold.
+    /// Afterwards `pinned` holds the code to run the method with, if any —
+    /// a thread-private table: no locks, no shared loads.
     #[inline(always)]
-    fn poll_entry(&mut self, program: &Program, method: MethodId) {
+    fn poll_entry(
+        &mut self,
+        program: &Program,
+        method: MethodId,
+        registers: Option<&RegisterStack>,
+    ) {
         // Method-entry safepoint: install anything the background
-        // compilers finished since the last poll.
-        if self.options.jit_mode == JitMode::Background {
-            self.drain_background();
+        // compilers finished since the last poll, and collect if due.
+        if self.heap.safepoint_due() {
+            self.poll_safepoint(registers);
         }
         let m = method.index();
         if self.pinned[m].is_none()
@@ -1099,6 +1127,57 @@ impl Mutator {
         }
     }
 
+    /// A method-entry or interpreter safepoint whose heap flag is set:
+    /// [`Self::safepoint_work`], then the collection if one is due.
+    #[inline(never)]
+    fn poll_safepoint(&mut self, registers: Option<&RegisterStack>) {
+        if self.safepoint_work() {
+            self.collect(registers);
+        }
+    }
+
+    /// What every safepoint whose heap flag is set does first: installs
+    /// finished background compilations. Returns whether a collection is
+    /// due, which the caller makes with the roots it holds.
+    #[inline(never)]
+    fn safepoint_work(&mut self) -> bool {
+        if self.options.jit_mode == JitMode::Background {
+            self.drain_background();
+        }
+        self.collection_due()
+    }
+
+    /// Whether this safepoint collects: when the heap says a collection
+    /// is due, and under the `gc-stress` feature at every safepoint of a
+    /// collecting mutator.
+    #[inline(always)]
+    fn collection_due(&self) -> bool {
+        if cfg!(feature = "gc-stress") {
+            self.heap.collects()
+        } else {
+            self.heap.collection_due()
+        }
+    }
+
+    /// Collects the heap at a safepoint. The roots are the interpreter's
+    /// value stack, every register of the linear tier's register stack
+    /// (`registers`, or the one the mutator holds), the statics, the held
+    /// monitors (the heap's own) and the last value
+    /// [`Mutator::call_entry`] returned. Every reference the mutator holds
+    /// at a safepoint is in one of them: the tiers keep none in host
+    /// frames across one. Nothing is charged.
+    #[cold]
+    #[inline(never)]
+    fn collect(&mut self, registers: Option<&RegisterStack>) {
+        let registers = registers.unwrap_or(&self.registers);
+        self.heap.collect(&[
+            &self.stack,
+            registers.values(),
+            self.statics.values(),
+            std::slice::from_ref(&self.returned),
+        ]);
+    }
+
     fn charge_cycles(&mut self, cycles: u64) -> Result<(), VmError> {
         self.profile.charge(cycles);
         self.heap.stats.cycles += cycles;
@@ -1267,9 +1346,10 @@ impl InterpEnv for Mutator {
     }
     fn safepoint(&mut self) {
         // Loop back-edge: install finished background compilations so a
-        // long-running interpreted loop still picks up compiled callees.
-        if self.options.jit_mode == JitMode::Background {
-            self.drain_background();
+        // long-running interpreted loop still picks up compiled callees,
+        // and collect if due.
+        if self.heap.safepoint_due() {
+            self.poll_safepoint(None);
         }
     }
     fn metrics(&self) -> &MetricsHub {
@@ -1314,7 +1394,7 @@ impl EvalEnv for Mutator {
             self.depth -= 1;
             return Err(VmError::StackOverflow);
         }
-        self.poll_entry(program, method);
+        self.poll_entry(program, method, Some(stack));
         if self.pinned[method.index()].is_none() {
             let args = ArgBuffer::copy(stack.args(argc));
             std::mem::swap(&mut self.registers, stack);
@@ -1348,17 +1428,19 @@ impl EvalEnv for Mutator {
     fn has_fuel_limit(&self) -> bool {
         self.options.fuel.is_some()
     }
-    fn safepoint(&mut self) {
+    fn safepoint(&mut self) -> bool {
         if let Some(m) = self.options.metrics.on() {
             m.vm.safepoint_polls.inc();
         }
         // Compiled-loop back-edge: install anything the background
         // compilers finished, so compiled-only phases (hot caller with
-        // inlined or compiled callees) cannot starve installs. In sync
-        // mode the poll is only counted.
-        if self.options.jit_mode == JitMode::Background {
-            self.drain_background();
-        }
+        // inlined or compiled callees) cannot starve installs, and ask for
+        // the register stack if a collection is due. In sync mode with no
+        // collection due the poll is only counted.
+        self.heap.safepoint_due() && self.safepoint_work()
+    }
+    fn collect(&mut self, stack: &RegisterStack) {
+        Mutator::collect(self, Some(stack));
     }
     fn profiler(&self) -> &ProfileRecorder {
         &self.profile

@@ -317,7 +317,7 @@ fn observe(vm: &Vm) -> Vec<String> {
         if !seen.insert(r) {
             continue;
         }
-        reachable_locks += u64::from(vm.heap().lock_count(r));
+        reachable_locks += u64::from(vm.heap().lock_count(r).expect("reachable object"));
         if let Ok(class) = vm.heap().class_of(r) {
             for &f in program.instance_fields(class) {
                 if let Ok(Value::Ref(child)) = vm.heap().get_field(program, r, f) {

@@ -312,3 +312,63 @@ fn devirt_guard_failure_orders_deopt_taken_before_deopt() {
         }
     }
 }
+
+/// `boom` throws on its 301st call; `f`'s handler reads local 2, which the
+/// code after the call overwrites, so local 2 is dead after the call and
+/// live only for the handler. `boom` is past the inliner's size limit.
+fn caught_after_call() -> String {
+    let pad = "load 0 const 1 add store 0 ".repeat(20);
+    format!(
+        "
+        class E {{ field c int }}
+        static n int
+        method boom 1 {{
+            getstatic n const 1 add putstatic n
+            getstatic n const 301 ifcmp ne Lok
+            new E athrow
+        Lok:
+            {pad}
+            ret
+        }}
+        method f 1 returns {{
+            try Lcall Lafter Lcatch *
+            load 0 const 62 add store 2
+            const 1 store 1
+            const 9 store 3
+        Lcall:
+            load 1 invokestatic boom
+        Lafter:
+            load 3 store 2
+            load 2 retv
+        Lcatch:
+            pop load 2 retv
+        }}"
+    )
+}
+
+/// A compiled call whose callee throws keeps every local a covering
+/// handler reads: the call's after-state clears locals by liveness at the
+/// call itself. Interpreted, compiled (linear) and under the graph oracle,
+/// the 301st call is caught and returns local 2's 67.
+#[test]
+fn caught_call_keeps_the_locals_its_handler_reads() {
+    let linear = VmOptions::with_opt_level(OptLevel::Pea);
+    let graph = VmOptions {
+        exec_mode: pea::vm::ExecMode::Graph,
+        ..VmOptions::with_opt_level(OptLevel::Pea)
+    };
+    for (name, options) in [
+        ("interp", VmOptions::interpreter_only()),
+        ("linear", linear),
+        ("graph", graph),
+    ] {
+        let mut vm = Vm::new(program(&caught_after_call()), options);
+        for call in 1..=310 {
+            let want = if call == 301 { 67 } else { 9 };
+            let got = vm.call_entry("f", &[Value::Int(5)]);
+            assert_eq!(got, Ok(Some(Value::Int(want))), "{name}, call {call}");
+        }
+        let compiled = vm.compiled_method_count();
+        assert_eq!(compiled, if name == "interp" { 0 } else { 2 }, "{name}");
+    }
+}
