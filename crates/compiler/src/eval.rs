@@ -502,9 +502,10 @@ fn evaluate_inner(
                     // Group materialization: allocate all objects first so
                     // cyclic field references resolve, then fill fields and
                     // re-enter monitors (paper §4 "materialization"). The
-                    // group is numbered from `first` in allocation order,
-                    // and the commit's value is its first member.
-                    let first = env.heap().len();
+                    // heap queues the members' handles first; the commit's
+                    // value is its first member, and each `AllocatedObject`
+                    // of it takes its member's handle here.
+                    let group = env.heap().group(objects.len())?;
                     for obj in objects {
                         match obj.shape {
                             AllocShape::Instance { class } => {
@@ -520,7 +521,12 @@ fn evaluate_inner(
                         }
                         env.profiler().record_alloc();
                     }
-                    let member = |i: usize| ObjRef::from_index(first + i);
+                    let member = |env: &mut dyn EvalEnv, i: usize| env.heap().member(group, i);
+                    for u in graph.raw_uses(n) {
+                        if let NodeKind::AllocatedObject { index } = *graph.kind(u) {
+                            set(values, u, Value::Ref(member(env, index)));
+                        }
+                    }
                     let mut input_pos = 0usize;
                     for (oi, obj) in objects.iter().enumerate() {
                         // The object is exactly its template's shape: one
@@ -536,25 +542,25 @@ fn evaluate_inner(
                                 NodeKind::AllocatedObject { index }
                                     if graph.node(input).inputs()[0] == n =>
                                 {
-                                    Value::Ref(member(*index))
+                                    Value::Ref(member(env, *index))
                                 }
                                 _ => val(values, input)?,
                             };
-                            env.heap().init_slot(member(oi), slot, v)?;
+                            let r = member(env, oi);
+                            env.heap().init_slot(r, slot, v)?;
                         }
                         for _ in 0..obj.lock_count {
                             env.charge(cost::MONITOR_OP)?;
-                            env.heap().try_monitor_enter(member(oi))?;
+                            let r = member(env, oi);
+                            env.heap().try_monitor_enter(r)?;
                         }
                     }
-                    set(values, n, Value::Ref(member(0)));
+                    set(values, n, Value::Ref(member(env, 0)));
                 }
-                NodeKind::AllocatedObject { index } => {
-                    let first = val(values, inputs[0])
-                        .map_err(|_| VmError::Internal("allocated object before commit".into()))?
-                        .as_ref()?;
-                    let r = ObjRef::from_index(first.index() + index);
-                    set(values, n, Value::Ref(r));
+                NodeKind::AllocatedObject { .. } => {
+                    // Its commit set it.
+                    val(values, n)
+                        .map_err(|_| VmError::Internal("allocated object before commit".into()))?;
                 }
                 NodeKind::Guard { reason, negated } => {
                     env.charge(cost::BRANCH_OP)?;

@@ -36,7 +36,7 @@ use crate::pipeline::CompiledMethod;
 use pea_bytecode::{ClassId, FieldId, MethodId, Program, StaticId};
 use pea_ir::AllocShape;
 use pea_runtime::cost;
-use pea_runtime::{FrameChain, Heap, ObjRef, Value, VmError};
+use pea_runtime::{FrameChain, Heap, ObjRef, SlotInit, Value, VmError};
 use std::sync::Arc;
 
 /// The registers of a host's compiled activations: one window per
@@ -942,11 +942,11 @@ fn compare(code: u32, a: i64, b: i64) -> bool {
 }
 
 /// Group materialization (paper §4): allocates each object of the
-/// template already filled, then re-enters monitors. Objects are numbered
-/// in allocation order and nothing else allocates in between, so member
-/// `i` will be `first + i` and a cyclic reference can name a member before
-/// it exists. An instance is filled as it is allocated, one write per
-/// field; an array is allocated with default elements and then filled.
+/// template already filled, then re-enters monitors. The heap queues the
+/// members' handles first ([`Heap::group`]) and nothing else allocates in
+/// between, so a cyclic reference can name a member before it exists. An
+/// instance is filled as it is allocated, one write per field; an array
+/// is allocated with default elements and then filled.
 /// Out of line: what a commit costs is its work per object, not the
 /// call, and a fast path inlined into the dispatch loop grew it and
 /// slowed the arms that do not commit.
@@ -966,18 +966,16 @@ fn commit<E: EvalEnv + ?Sized, const EXACT: bool>(
             Ok(())
         }
     };
-    let first = env.heap().len();
+    let group = env.heap().group(t.objects.len())?;
     for o in &t.objects {
         charge(env, o.alloc_cycles)?;
         // The object is exactly its template's shape, so the template's
         // field order is its slot order.
         let values = o.fields.iter().map(|src| match *src {
-            super::CommitFieldSrc::Reg(rg) => regs[rg as usize],
-            super::CommitFieldSrc::Int(v) => Value::Int(v),
-            super::CommitFieldSrc::Null => Value::Null,
-            super::CommitFieldSrc::SameCommit(j) => {
-                Value::Ref(ObjRef::from_index(first + j as usize))
-            }
+            super::CommitFieldSrc::Reg(rg) => SlotInit::from(regs[rg as usize]),
+            super::CommitFieldSrc::Int(v) => SlotInit::from(Value::Int(v)),
+            super::CommitFieldSrc::Null => SlotInit::from(Value::Null),
+            super::CommitFieldSrc::SameCommit(j) => group.member(j as usize),
         });
         let heap = env.heap();
         let r = match o.shape {
@@ -999,8 +997,8 @@ fn commit<E: EvalEnv + ?Sized, const EXACT: bool>(
     for (i, o) in t.objects.iter().enumerate() {
         for _ in 0..o.lock_count {
             charge(env, cost::MONITOR_OP)?;
-            env.heap()
-                .try_monitor_enter(ObjRef::from_index(first + i))?;
+            let heap = env.heap();
+            heap.try_monitor_enter(heap.member(group, i))?;
         }
     }
     Ok(())

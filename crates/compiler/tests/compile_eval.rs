@@ -1235,7 +1235,7 @@ fn heap_after(
     };
     (
         format!("{out:?}"),
-        env.heap.len(),
+        env.heap.handle_table_len(),
         env.heap.stats.alloc_count,
     )
 }
@@ -1254,6 +1254,93 @@ fn commits_of_every_shape_agree_at_every_fuel_budget() {
             for fuel in 0..=full.cycles {
                 let (_, len, count) = heap_after(&program, &code, true, &args, fuel);
                 assert_eq!(len as u64, count, "{name} {x} with fuel {fuel}");
+            }
+        }
+    }
+}
+
+/// A heap whose last collection left its handles queued out of order:
+/// of eight `N`s it kept every other one, so the next handles are 1, 3, 5
+/// and 7, and no two members of a group get consecutive numbers.
+fn env_with_collected_handles(program: &Program) -> (TestEnv, Vec<Value>) {
+    let n = program.class_by_name("N").unwrap();
+    let mut env = TestEnv::new(program);
+    let objects: Vec<Value> = (0..8)
+        .map(|_| Value::Ref(env.heap.alloc_instance(program, n)))
+        .collect();
+    let kept: Vec<Value> = objects.iter().copied().step_by(2).collect();
+    env.heap.collect(&[&kept]);
+    (env, kept)
+}
+
+/// Every commit shape runs into handles a collection queued, on both
+/// tiers at every fuel budget: they agree, the kept objects keep their
+/// handles, and each member reads back its own fields and its partner.
+#[test]
+fn commits_into_collected_handles_read_back_at_every_fuel_budget() {
+    let program = parse_program(COMMIT_SRC).unwrap();
+    let n = program.class_by_name("N").unwrap();
+    let field = |name| program.field_by_name(n, name).unwrap();
+    let (v, k, next) = (field("v"), field("k"), field("next"));
+    let g = program.static_by_name("g").unwrap();
+    let x = 7;
+    let args = [Value::Int(x)];
+    for name in COMMIT_SHAPES {
+        let code = compiled(&program, name);
+        let run = |linear: bool, fuel: Option<u64>| {
+            let (mut env, kept) = env_with_collected_handles(&program);
+            env.fuel = fuel;
+            let out = if linear {
+                execute(&program, &mut env, &code, &args)
+            } else {
+                evaluate(&program, &mut env, &code, &args)
+            };
+            for &r in &kept {
+                let r = r.as_ref().unwrap();
+                assert_eq!(env.heap.class_of(r), Ok(n), "{name}: {r} was kept");
+            }
+            (format!("{out:?}"), env)
+        };
+        let (_, full) = run(true, None);
+        for fuel in (0..=full.heap.stats.cycles).map(Some).chain([None]) {
+            let (out, env) = run(true, fuel);
+            let (oracle_out, oracle) = run(false, fuel);
+            assert_eq!(
+                (&out, env.heap.stats),
+                (&oracle_out, oracle.heap.stats),
+                "{name} with fuel {fuel:?}"
+            );
+            if !out.starts_with("Ok") {
+                continue;
+            }
+            for env in [env, oracle] {
+                let heap = &env.heap;
+                let object = env.statics.get(g).as_ref().unwrap();
+                assert_eq!(object.index() % 2, 1, "{name}: a collected handle");
+                if name == "array" {
+                    assert_eq!(heap.slots_of(object), Ok(&[0, x, 0].map(Value::Int)[..]));
+                    continue;
+                }
+                assert_eq!(heap.get_field(&program, object, v), Ok(Value::Int(x)));
+                assert_eq!(heap.lock_count(object), Ok(0), "{name}");
+                match name {
+                    "single" => {
+                        assert_eq!(heap.get_field(&program, object, k), Ok(Value::Int(5)));
+                        assert_eq!(heap.get_field(&program, object, next), Ok(Value::Null));
+                    }
+                    "cycle" => {
+                        let partner = heap.get_field(&program, object, next).unwrap();
+                        let partner = partner.as_ref().unwrap();
+                        assert_ne!(partner, object);
+                        assert_eq!(partner.index() % 2, 1, "a collected handle");
+                        assert_eq!(heap.get_field(&program, partner, v), Ok(Value::Int(0)));
+                        assert_eq!(
+                            heap.get_field(&program, partner, next),
+                            Ok(Value::Ref(object))
+                        );
+                    }
+                    _ => {}
+                }
             }
         }
     }

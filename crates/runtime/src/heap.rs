@@ -36,9 +36,44 @@ impl fmt::Display for ObjRef {
     }
 }
 
-/// Most objects one heap holds. With [`MAX_HEAP_SLOTS`] this bounds the
-/// host memory behind a heap (12 bytes per handle, 16 per slot) at about
-/// 5.5 GiB; past either, allocation fails with [`VmError::OutOfMemory`].
+/// Where the handles of a group of allocations made back to back wait in
+/// the heap's queue ([`Heap::group`]).
+#[derive(Clone, Copy, Debug)]
+pub struct AllocGroup(usize);
+
+impl AllocGroup {
+    /// A slot value naming member `j` of the group, the group's `j`th
+    /// allocation, which may not exist yet.
+    #[inline]
+    pub fn member(self, j: usize) -> SlotInit {
+        SlotInit(Init::Member(self.0 + j))
+    }
+}
+
+/// What an allocation writes into a slot: a value, or a member of the
+/// group being allocated ([`AllocGroup::member`]).
+#[derive(Clone, Copy, Debug)]
+pub struct SlotInit(Init);
+
+#[derive(Clone, Copy, Debug)]
+enum Init {
+    Value(Value),
+    /// The handle at this position of the heap's queue.
+    Member(usize),
+}
+
+impl From<Value> for SlotInit {
+    #[inline(always)]
+    fn from(v: Value) -> Self {
+        SlotInit(Init::Value(v))
+    }
+}
+
+/// Most handles one heap's table holds: the objects alive at once plus
+/// those a collection has not reclaimed yet (a collected handle is handed
+/// out again). With [`MAX_HEAP_SLOTS`] this bounds the host memory behind
+/// a heap (16 bytes per handle with its queue entry, 16 per slot) at about
+/// 6 GiB; past either, allocation fails with [`VmError::OutOfMemory`].
 pub const MAX_HEAP_OBJECTS: usize = 1 << 27;
 
 /// Most field and element slots one heap holds.
@@ -73,6 +108,15 @@ const _: () = assert!(MAX_HEAP_OBJECTS <= u32::MAX as usize);
 /// heap holds about this many segments beyond its survivors.
 pub const COLLECT_AFTER_SEGMENTS: usize = 4;
 
+/// Handles a collecting heap hands out before a collection is due, as many
+/// as [`COLLECT_AFTER_SEGMENTS`] segments hold slots: objects without slots
+/// take no segment, and bound the handle table this way instead.
+const COLLECT_AFTER_HANDLES: usize = COLLECT_AFTER_SEGMENTS * HEAP_SEGMENT_SLOTS;
+
+/// Fresh handle numbers the table grows by when no collected handle is
+/// left to hand out (12 KiB of table).
+const HANDLE_BATCH: usize = 1 << 10;
+
 /// Monitors [`Heap::reserve`] makes room for: more than any program here
 /// holds at once.
 const MONITOR_RESERVE: usize = 16;
@@ -82,9 +126,17 @@ const MONITOR_RESERVE: usize = 16;
 type Kind = u32;
 const INT_ARRAY: Kind = u32::MAX;
 const REF_ARRAY: Kind = u32::MAX - 1;
-/// A handle whose object a collection reclaimed: neither an instance nor
-/// an array, so every accessor refuses it ([`VmError::Collected`]).
+/// A handle whose object a collection reclaimed, or that was never handed
+/// out: neither an instance nor an array, so every accessor refuses it
+/// ([`VmError::Collected`]) until it is handed out again.
 const COLLECTED: Kind = u32::MAX - 2;
+
+/// What a collected or not yet handed out handle holds.
+const DEAD: Handle = Handle {
+    kind: COLLECTED,
+    start: 0,
+    len: 0,
+};
 
 /// A collection's mark in [`Handle::len`]: the object was reached and its
 /// slots are in place for the collection's scan. Lengths stay below
@@ -218,32 +270,46 @@ impl Statics {
     }
 }
 
-/// The managed heap: a table of one handle per object, in allocation
-/// order, and fixed-capacity slot segments holding every object's slots.
-/// Neither is ever copied as it grows: segments never grow, the table is
-/// reserved large enough to be remapped rather than copied, and pages no
-/// object reached are never committed. Allocation bumps both and touches
-/// no host allocator until one is full.
+/// The managed heap: a table of one handle per object and fixed-capacity
+/// slot segments holding every object's slots. Neither is ever copied as
+/// it grows: segments never grow, the table is reserved large enough to
+/// be remapped rather than copied, and pages no object reached are never
+/// committed. Allocation takes the next handle of a queue and bumps the
+/// current segment, and touches no host allocator until one runs out.
 ///
 /// A heap whose owner can enumerate its roots
 /// ([`Heap::enable_collection`]) is collected at the owner's safepoints
-/// once [`COLLECT_AFTER_SEGMENTS`] segments have been taken
-/// ([`Heap::collection_due`], [`Heap::collect`]): survivors' slots move
-/// into fresh segments, the handles of the dead refuse every access, and
-/// emptied segments go to the recycler. Handles are never reused, so an
-/// [`ObjRef`] stays its object's allocation ordinal. A dropped heap's
-/// table and standard segments are left to the next heap (see
-/// [`Heap::recycled_segments`]). Every allocation and monitor operation
-/// updates [`Stats`], which is what the paper's Table 1 measures; a
-/// collection changes no count there.
+/// once [`COLLECT_AFTER_SEGMENTS`] segments have been taken, or as many
+/// handles handed out as those hold slots ([`Heap::collection_due`],
+/// [`Heap::collect`]): survivors' slots move into fresh segments, the
+/// handles of the dead refuse every access until the queue hands them out
+/// again, and emptied segments go to the recycler. The table so holds the
+/// live set and what died since the last collection, not every object
+/// ever made; an [`ObjRef`] names an object only while it lives. A
+/// dropped heap's table, queue and standard segments are left to the next
+/// heap (see [`Heap::recycled_segments`]). Every allocation and monitor
+/// operation updates [`Stats`], which is what the paper's Table 1
+/// measures; a collection changes no count there.
+///
+/// The queue hands out, first, the handles the last collection found dead,
+/// in this order: those handed out since the collection before it, in the
+/// order they were handed out; then those still queued from then; then
+/// the survivors of that collection, in the order it reached them; then
+/// the rest, lowest number first. When it runs dry the table grows by
+/// fresh numbers, lowest first.
 #[derive(Debug, Default)]
 pub struct Heap {
     /// Handle `i` is `handles[i]`: one contiguous table, so finding an
     /// object's handle is a single load.
     handles: Vec<Handle>,
-    /// Objects allocated before anything but a bump is due: the table's
-    /// capacity or the heap's capacity.
-    handle_limit: usize,
+    /// The handle queue: the numbers of the handles the last collection
+    /// found dead (the first `reused`), then fresh numbers at the table's
+    /// end, consecutive. Entries before `next_handle` were handed out.
+    free: Vec<u32>,
+    /// Where in `free` the next allocation takes its handle.
+    next_handle: usize,
+    /// Entries of `free` the last collection left.
+    reused: usize,
     /// Slot segments by number; a number a collection emptied holds an
     /// unallocated `Vec` until a claim reuses it.
     slots: Vec<Vec<Value>>,
@@ -266,13 +332,16 @@ pub struct Heap {
     /// Execution statistics, updated by allocation and monitor operations.
     pub stats: Stats,
     recorder: HeapRecorder,
-    /// Whether taking segments makes collections due.
+    /// Whether taking segments or handing out handles makes collections
+    /// due.
     collects: bool,
-    /// Segments taken since the last collection.
+    /// Segments taken since the last collection, or
+    /// [`COLLECT_AFTER_SEGMENTS`] once [`COLLECT_AFTER_HANDLES`] handles
+    /// were handed out.
     taken: usize,
     /// What the owner's safepoints test, one flag for all their work: set
-    /// once [`COLLECT_AFTER_SEGMENTS`] segments were taken and cleared by
-    /// the collection, or set for good by [`Heap::poll_always`].
+    /// once a collection is due and cleared by the collection, or set for
+    /// good by [`Heap::poll_always`].
     poll: bool,
     always: bool,
     /// Segments holding slots now, and the most that ever did.
@@ -282,8 +351,9 @@ pub struct Heap {
     survivors: Vec<u32>,
     /// The next collection's work list: the objects it reaches.
     reached: Vec<u32>,
-    /// Handles below this existed at the last collection: the ones above
-    /// are the next collection's to sweep besides `survivors`.
+    /// The table's length at the last collection: the fresh numbers
+    /// handed out since, from here up, are the next collection's to sweep
+    /// besides `survivors` and the queue's handed-out entries.
     swept: usize,
     /// Per segment number, during a collection: whether a survivor's
     /// slots lie there.
@@ -297,6 +367,10 @@ pub const MAX_RECYCLED_SEGMENTS: usize = 128;
 /// mutator threads.
 const MAX_RECYCLED_TABLES: usize = 8;
 
+/// A dropped heap's handle table, handle queue and the emptied list its
+/// segments were kept in, all cleared with their capacity.
+type Table = (Vec<Handle>, Vec<u32>, Vec<Vec<Value>>);
+
 /// The standard slot segments and handle tables of dropped heaps, cleared
 /// but with their pages still committed. A new heap takes from here
 /// before it asks the host, so a VM built after another one reuses its
@@ -304,9 +378,7 @@ const MAX_RECYCLED_TABLES: usize = 8;
 /// grows, so nothing here is more than was once live at the same time.
 struct Recycler {
     segments: Vec<Vec<Value>>,
-    /// Handle tables, each with the emptied list its heap kept its
-    /// segments in.
-    tables: Vec<(Vec<Handle>, Vec<Vec<Value>>)>,
+    tables: Vec<Table>,
 }
 
 static RECYCLER: Mutex<Recycler> = Mutex::new(Recycler {
@@ -360,22 +432,29 @@ impl Heap {
         self.recorder.flush();
     }
 
-    /// Number of handles: every allocation since creation, collected
-    /// ones included (handles are not reused), so the next object is
-    /// `ObjRef::from_index(len())`.
+    /// Number of objects allocated since creation, collected ones
+    /// included: [`Stats::alloc_count`]. Handles are reused, so this is
+    /// not the size of the handle table ([`Self::handle_table_len`]).
     pub fn len(&self) -> usize {
-        self.handles.len()
+        self.stats.alloc_count as usize
     }
 
     /// Whether the heap has no allocations.
     pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
+        self.stats.alloc_count == 0
+    }
+
+    /// Handles ever handed out, each counted once however often it was
+    /// reused: at most the survivors of a collection plus the handles
+    /// handed out until the next one, at its largest so far.
+    pub fn handle_table_len(&self) -> usize {
+        self.handed_out().1
     }
 
     /// Makes room for `objects` more objects holding `slots` more slots
     /// between them (one spare slot segment covers the tails objects
-    /// leave), so that many allocations and a few monitors held at once
-    /// reach no host allocator.
+    /// leave), so that many allocations, a group of up to a batch of
+    /// them and a few monitors held at once reach no host allocator.
     ///
     /// # Errors
     ///
@@ -383,11 +462,17 @@ impl Heap {
     /// a spare segment.
     pub fn reserve(&mut self, objects: usize, slots: usize) -> Result<(), VmError> {
         self.adopt_table();
+        // The table runs ahead of the handles handed out by at most one
+        // batch; the queue holds what the last collection left, a batch,
+        // and what a group needs beyond it.
         let len = self.handles.len();
         self.handles
-            .try_reserve_exact((len + objects).max(HANDLE_RESERVE) - len)
+            .try_reserve_exact((len + objects + HANDLE_BATCH).max(HANDLE_RESERVE) - len)
             .map_err(|_| VmError::OutOfMemory)?;
-        self.refresh_limits();
+        let queue = self.reused + 2 * HANDLE_BATCH;
+        self.free
+            .try_reserve_exact(queue.saturating_sub(self.free.len()))
+            .map_err(|_| VmError::OutOfMemory)?;
         let spares = slots.div_ceil(HEAP_SEGMENT_SLOTS) + 1;
         while self.spares.len() < spares {
             self.spares.push(segment(HEAP_SEGMENT_SLOTS)?);
@@ -417,7 +502,8 @@ impl Heap {
     /// Allocates a class instance whose fields are `values`, in layout
     /// order: one write per slot, where [`Self::try_alloc_instance`]
     /// followed by [`Self::init_slots`] writes a default and then
-    /// overwrites it. No kind is checked.
+    /// overwrites it. A value may name a member of the group being
+    /// allocated ([`AllocGroup::member`]). No kind is checked.
     ///
     /// # Errors
     ///
@@ -432,7 +518,8 @@ impl Heap {
         values: I,
     ) -> Result<ObjRef, VmError>
     where
-        I: IntoIterator<Item = Value>,
+        I: IntoIterator,
+        I::Item: Into<SlotInit>,
         I::IntoIter: ExactSizeIterator,
     {
         let values = values.into_iter();
@@ -446,7 +533,7 @@ impl Heap {
         let slots = &mut self.slots[segment];
         let end = slots.len() + len;
         for value in values {
-            slots.push(value);
+            slots.push(Self::resolve(&self.free, value.into()));
         }
         // The handle's slots must be exactly the ones pushed.
         assert_eq!(slots.len(), end, "an iterator misreported its length");
@@ -498,18 +585,21 @@ impl Heap {
         Ok(r)
     }
 
-    /// Appends the handle of an object whose `len` slots the caller pushes
-    /// onto the returned segment next; refuses before anything grows.
+    /// Hands out the next handle, for an object whose `len` slots the
+    /// caller pushes onto the returned segment next; refuses before
+    /// anything grows.
     #[inline]
     fn push(&mut self, kind: Kind, len: usize) -> Result<(ObjRef, usize), VmError> {
-        // One branch decides the common case: a handle is free and the
+        // One branch decides the common case: a handle is queued and the
         // object fits the current segment with room to spare (so `next`
         // never points past it).
-        if self.handles.len() >= self.handle_limit || len >= self.room {
-            return self.push_slow(kind, len);
+        match self.free.get(self.next_handle) {
+            Some(&i) if len < self.room => {
+                let start = self.bump(len);
+                Ok((self.put_handle(i, kind, start, len), self.current))
+            }
+            _ => self.push_slow(kind, len),
         }
-        let start = self.bump(len);
-        Ok((self.put_handle(kind, start, len), self.current))
     }
 
     #[inline]
@@ -520,67 +610,143 @@ impl Heap {
         start
     }
 
-    /// Writes the next handle. Objects are numbered in allocation order: a
-    /// group allocated back to back can name its later members before they
-    /// exist. The narrowing casts are checked against the capacities.
+    /// Writes handle `i`, the queue's next. The narrowing casts are
+    /// checked against the capacities.
     #[inline]
-    fn put_handle(&mut self, kind: Kind, start: u32, len: usize) -> ObjRef {
-        let i = self.handles.len();
-        self.handles.push(Handle {
+    fn put_handle(&mut self, i: u32, kind: Kind, start: u32, len: usize) -> ObjRef {
+        self.handles[i as usize] = Handle {
             kind,
             start,
             len: len as u32,
-        });
+        };
+        self.next_handle += 1;
         self.used += len;
-        ObjRef(i as u32)
+        ObjRef(i)
     }
 
     /// [`Self::push`] when something besides a bump is due: a capacity
-    /// error, a larger handle table or a new slot segment.
+    /// error, more handles in the queue or a new slot segment.
     #[cold]
     fn push_slow(&mut self, kind: Kind, len: usize) -> Result<(ObjRef, usize), VmError> {
-        let objects = self.handles.len();
-        if objects >= MAX_HEAP_OBJECTS || len > MAX_HEAP_SLOTS - self.used {
+        if len > MAX_HEAP_SLOTS - self.used {
             return Err(VmError::OutOfMemory);
         }
-        if objects == 0 {
-            self.adopt_table();
-        }
-        if objects == self.handles.capacity() {
-            // Double, from a reservation large enough to be mapped, up to
-            // the capacity.
-            let more = objects.max(HANDLE_RESERVE).min(MAX_HEAP_OBJECTS - objects);
-            self.handles
-                .try_reserve_exact(more)
-                .map_err(|_| VmError::OutOfMemory)?;
+        if self.next_handle == self.free.len() {
+            self.queue(1)?;
         }
         let (start, segment) = if len < self.room {
             (self.bump(len), self.current)
         } else {
             self.claim(len)?
         };
-        let r = self.put_handle(kind, start, len);
+        let r = self.put_handle(self.free[self.next_handle], kind, start, len);
         self.refresh_limits();
         Ok((r, segment))
     }
 
-    /// Takes a dropped heap's handle table and segment list if this heap
-    /// has no table yet (and so no object and no segment).
+    /// Grows the table by fresh numbers, at least a batch, until `count`
+    /// handles are queued; makes a collection due once
+    /// [`COLLECT_AFTER_HANDLES`] were handed out since the last one.
+    #[cold]
+    fn queue(&mut self, count: usize) -> Result<(), VmError> {
+        self.adopt_table();
+        // Fresh numbers handed out are the table's from `swept` up: the
+        // next sweep needs no queue entry for them.
+        if self.next_handle > self.reused {
+            self.free.drain(self.reused..self.next_handle);
+            self.next_handle = self.reused;
+        }
+        let (reused, fresh_end) = self.handed_out();
+        if self.collects && reused + fresh_end - self.swept >= COLLECT_AFTER_HANDLES {
+            self.taken = self.taken.max(COLLECT_AFTER_SEGMENTS);
+            self.poll = true;
+        }
+        let queued = self.free.len() - self.next_handle;
+        let len = self.handles.len();
+        let more = HANDLE_BATCH
+            .max(count.saturating_sub(queued))
+            .min(MAX_HEAP_OBJECTS - len);
+        if queued + more < count {
+            return Err(VmError::OutOfMemory);
+        }
+        if len + more > self.handles.capacity() {
+            // Double, from a reservation large enough to be mapped, up to
+            // the capacity.
+            let grow = len.max(HANDLE_RESERVE).min(MAX_HEAP_OBJECTS - len);
+            self.handles
+                .try_reserve_exact(grow.max(more))
+                .map_err(|_| VmError::OutOfMemory)?;
+        }
+        self.free
+            .try_reserve(more)
+            .map_err(|_| VmError::OutOfMemory)?;
+        self.handles.resize(len + more, DEAD);
+        self.free.extend(len as u32..(len + more) as u32);
+        Ok(())
+    }
+
+    /// What was handed out since the last collection: the queue's first
+    /// entries up to the first returned, and the table's numbers from
+    /// `swept` up to the second.
+    fn handed_out(&self) -> (usize, usize) {
+        let fresh_end = match self.free.get(self.next_handle.max(self.reused)) {
+            Some(&i) => i as usize,
+            None => self.handles.len(),
+        };
+        (self.next_handle.min(self.reused), fresh_end)
+    }
+
+    /// Takes a dropped heap's handle table, queue and segment list if this
+    /// heap has no table yet (and so no object and no segment).
     fn adopt_table(&mut self) {
         if self.handles.capacity() == 0 {
-            if let Some((handles, slots)) = recycler().tables.pop() {
+            if let Some((handles, free, slots)) = recycler().tables.pop() {
                 debug_assert!(self.slots.is_empty());
                 self.handles = handles;
+                self.free = free;
                 self.slots = slots;
             }
         }
     }
 
-    /// Re-derives the fast path's bounds from the handle table, the current
-    /// segment and the capacities.
+    /// Re-derives the fast path's bound on the current segment from the
+    /// heap's slot capacity.
     fn refresh_limits(&mut self) {
-        self.handle_limit = self.handles.capacity().min(MAX_HEAP_OBJECTS);
         self.room = self.room.min(MAX_HEAP_SLOTS + 1 - self.used);
+    }
+
+    /// Queues the handles of the next `members` allocations, which the
+    /// caller makes back to back with nothing else allocating in between,
+    /// so that a member can name a later one before it exists
+    /// ([`AllocGroup::member`], [`Self::member`]).
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::OutOfMemory`] when the table cannot hold that many more
+    /// handles; before anything is allocated.
+    #[inline]
+    pub fn group(&mut self, members: usize) -> Result<AllocGroup, VmError> {
+        if self.free.len() - self.next_handle < members {
+            self.queue(members)?;
+        }
+        Ok(AllocGroup(self.next_handle))
+    }
+
+    /// The handle of member `j` of `group`, from [`Self::group`] until
+    /// something allocates after the group's last member or the heap is
+    /// collected.
+    #[inline]
+    pub fn member(&self, group: AllocGroup, j: usize) -> ObjRef {
+        ObjRef(self.free[group.0 + j])
+    }
+
+    /// The value a [`SlotInit`] stands for.
+    #[inline(always)]
+    fn resolve(free: &[u32], init: SlotInit) -> Value {
+        match init.0 {
+            Init::Value(v) => v,
+            Init::Member(at) => Value::Ref(ObjRef(free[at])),
+        }
     }
 
     /// Starts a segment for an object of `len` slots that does not fit the
@@ -802,17 +968,18 @@ impl Heap {
     /// Fills the leading slots of an object the caller has just allocated
     /// from a template of its exact shape (an array of a commit group)
     /// with `values`: fields in layout order, or elements in index order.
-    /// No class or kind is looked up.
+    /// A value may name a member of the group being allocated
+    /// ([`AllocGroup::member`]). No class or kind is looked up.
     ///
     /// # Errors
     ///
     /// [`VmError::Internal`] if the template has more values than the
     /// object has slots, [`VmError::Collected`] if it was collected.
     #[inline]
-    pub fn init_slots(
+    pub fn init_slots<T: Into<SlotInit>>(
         &mut self,
         r: ObjRef,
-        values: impl IntoIterator<Item = Value>,
+        values: impl IntoIterator<Item = T>,
     ) -> Result<(), VmError> {
         let h = self.live(r)?;
         let mut values = values.into_iter();
@@ -822,7 +989,7 @@ impl Heap {
             .iter_mut()
             .zip(&mut values)
         {
-            *slot = value;
+            *slot = Self::resolve(&self.free, value.into());
         }
         match values.next() {
             None => Ok(()),
@@ -994,7 +1161,9 @@ impl Heap {
     }
 
     /// Whether [`COLLECT_AFTER_SEGMENTS`] segments were taken since the
-    /// last collection: the owner's next safepoint collects.
+    /// last collection, or the handles handed out since reached as many
+    /// as those hold slots (checked each time the queue runs dry): the
+    /// owner's next safepoint collects.
     #[inline]
     pub fn collection_due(&self) -> bool {
         self.taken >= COLLECT_AFTER_SEGMENTS
@@ -1010,14 +1179,18 @@ impl Heap {
     /// `roots` or from a held monitor survives with its slots, its class
     /// and its lock count; its slots move into fresh segments (only its
     /// handle's start changes, so no reference is rewritten). Every other
-    /// handle is poisoned: any later access through it is
-    /// [`VmError::Collected`]. Segments left empty go to the recycler.
+    /// handle is poisoned and queued: any access through it is
+    /// [`VmError::Collected`] until an allocation takes it, and then it
+    /// names the new object. Segments left empty go to the recycler.
     ///
-    /// Nothing in [`Stats`] changes. Once the work lists have grown to the
-    /// live set, a collection allocates nothing beyond the segments
-    /// survivors move into, and those come from the spares and the
-    /// recycler first. A survivor whose segment the host refuses stays
-    /// where it is, and so does its segment.
+    /// The sweep visits the last collection's survivors and the handles
+    /// handed out since, not the whole table. Nothing in [`Stats`]
+    /// changes. Once the work lists have grown to the live set and the
+    /// queue to the most handles that died at once, a collection
+    /// allocates nothing beyond the segments survivors move into, and
+    /// those come from the spares and the recycler first. A survivor
+    /// whose segment the host refuses stays where it is, and so does its
+    /// segment.
     pub fn collect(&mut self, roots: &[&[Value]]) {
         let mut reached = std::mem::take(&mut self.reached);
         reached.clear();
@@ -1049,32 +1222,58 @@ impl Heap {
             }
         }
         self.release_segments(&reached);
-        let mut reclaimed = 0;
-        let mut sweep = |h: &mut Handle| {
-            if h.len & MARKED == 0 {
-                *h = Handle {
-                    kind: COLLECTED,
-                    start: 0,
-                    len: 0,
-                };
-                reclaimed += 1;
+        // The queue's order (see `Heap`): the dead of its handed-out
+        // entries, in place, then the entries not handed out, then the
+        // dead among the survivors and the fresh numbers. Fresh numbers
+        // never handed out leave the table.
+        let (reused, fresh_end) = self.handed_out();
+        self.handles.truncate(fresh_end);
+        self.free.truncate(self.reused);
+        let mut queued = 0;
+        for k in 0..reused {
+            let i = self.free[k];
+            if self.poison(i) {
+                self.free[queued] = i;
+                queued += 1;
             }
-        };
-        for &i in &self.survivors {
-            sweep(&mut self.handles[i as usize]);
         }
-        for h in &mut self.handles[self.swept..] {
-            sweep(h);
+        self.free.copy_within(reused..self.reused, queued);
+        let waiting = self.reused - reused;
+        self.free.truncate(queued + waiting);
+        for k in 0..self.survivors.len() {
+            let i = self.survivors[k];
+            if self.poison(i) {
+                self.free.push(i);
+            }
         }
+        for i in self.swept as u32..fresh_end as u32 {
+            if self.poison(i) {
+                self.free.push(i);
+            }
+        }
+        let reclaimed = (self.free.len() - waiting) as u64;
         for &i in &reached {
             self.handles[i as usize].len &= !MARKED;
         }
         self.reached = std::mem::replace(&mut self.survivors, reached);
-        self.swept = self.handles.len();
+        self.swept = fresh_end;
+        self.reused = self.free.len();
+        self.next_handle = 0;
         self.taken = 0;
         self.poll = self.always;
         self.refresh_limits();
         self.recorder.record_collection(reclaimed, copied);
+    }
+
+    /// Poisons handle `i` unless the collection reached it; whether it did.
+    #[inline]
+    fn poison(&mut self, i: u32) -> bool {
+        let h = &mut self.handles[i as usize];
+        let dead = h.len & MARKED == 0;
+        if dead {
+            *h = DEAD;
+        }
+        dead
     }
 
     /// Marks `r` reached, the first time, and moves its slots to the tail
@@ -1161,8 +1360,8 @@ impl Heap {
     }
 }
 
-/// Hands the standard slot segments (spares included) and the handle
-/// table to the recycler, up to its caps. They are cleared, not zeroed:
+/// Hands the standard slot segments (spares included), the handle table
+/// and its queue to the recycler, up to its caps. They are cleared, not zeroed:
 /// every slot is written when its object is allocated, so no stale value
 /// is ever read. Own-size array segments go back to the host.
 impl Drop for Heap {
@@ -1178,8 +1377,10 @@ impl Drop for Heap {
         }
         if self.handles.capacity() != 0 && recycler.tables.len() < MAX_RECYCLED_TABLES {
             self.handles.clear();
+            self.free.clear();
             let table = (
                 std::mem::take(&mut self.handles),
+                std::mem::take(&mut self.free),
                 std::mem::take(&mut self.slots),
             );
             recycler.tables.push(table);

@@ -24,8 +24,8 @@ mod value;
 pub use error::{VmError, MAX_CALL_DEPTH};
 pub use frames::{FrameChain, FrameHeader};
 pub use heap::{
-    Heap, ObjRef, Statics, COLLECT_AFTER_SEGMENTS, HEAP_SEGMENT_SLOTS, MAX_HEAP_OBJECTS,
-    MAX_HEAP_SLOTS, MAX_RECYCLED_SEGMENTS,
+    AllocGroup, Heap, ObjRef, SlotInit, Statics, COLLECT_AFTER_SEGMENTS, HEAP_SEGMENT_SLOTS,
+    MAX_HEAP_OBJECTS, MAX_HEAP_SLOTS, MAX_RECYCLED_SEGMENTS,
 };
 pub use stats::Stats;
 pub use value::Value;

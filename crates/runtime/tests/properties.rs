@@ -1,12 +1,17 @@
 //! Model-based property test for the managed heap: random operation
 //! sequences run against [`Heap`] and against a naive model (one `Vec` of
-//! values per object, field layouts written out by hand, reachability
-//! computed afresh at each collection), and every returned value, every
-//! [`VmError`] and the final counters must agree.
+//! values per handle, field layouts written out by hand, reachability
+//! computed afresh at each collection, collected handles handed out again
+//! in the order `Heap` documents), and every returned value, every
+//! [`VmError`], the handle table's length and the final counters must
+//! agree.
 
 use pea_bytecode::{ClassId, FieldId, Program, ProgramBuilder, ValueKind};
-use pea_runtime::{Heap, ObjRef, Stats, Value, VmError, HEAP_SEGMENT_SLOTS, MAX_HEAP_SLOTS};
+use pea_runtime::{
+    Heap, ObjRef, SlotInit, Stats, Value, VmError, HEAP_SEGMENT_SLOTS, MAX_HEAP_SLOTS,
+};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 /// `Base { a int, r ref }`, `Derived extends Base { b int }`,
 /// `Other { z int }`.
@@ -66,20 +71,75 @@ impl ModelObject {
     }
 }
 
+/// The model of the heap: one entry per handle ever handed out, and the
+/// bookkeeping that orders the queue of collected handles.
 #[derive(Default)]
 struct Model {
     objects: Vec<ModelObject>,
     locks: Vec<u32>,
+    /// Monitors held, in the order they were first entered.
+    held: Vec<usize>,
     stats: Stats,
+    /// Collected handles not handed out again yet, next first.
+    queue: VecDeque<usize>,
+    /// Collected handles handed out again since the last collection, in
+    /// the order they were.
+    reused: Vec<usize>,
+    /// What the last collection kept, in the order it reached it.
+    survivors: Vec<usize>,
+    /// Handles that existed at the last collection.
+    swept: usize,
+    /// The most handles the survivors of a collection and the handles
+    /// handed out after it ever came to: what the table may hold.
+    peak: usize,
 }
 
 impl Model {
+    /// The handle the `k`th allocation from now takes.
+    fn upcoming(&self, k: usize) -> ObjRef {
+        let i = match self.queue.get(k) {
+            Some(&i) => i,
+            None => self.objects.len() + k - self.queue.len(),
+        };
+        ObjRef::from_index(i)
+    }
+
     fn push(&mut self, object: ModelObject) -> ObjRef {
         self.stats.alloc_count += 1;
         self.stats.alloc_bytes += 16 + 8 * object.slots().len() as u64;
-        self.objects.push(object);
-        self.locks.push(0);
-        ObjRef::from_index(self.objects.len() - 1)
+        let i = match self.queue.pop_front() {
+            Some(i) => {
+                self.reused.push(i);
+                self.objects[i] = object;
+                i
+            }
+            None => {
+                self.objects.push(object);
+                self.locks.push(0);
+                self.objects.len() - 1
+            }
+        };
+        let handed = self.reused.len() + self.objects.len() - self.swept;
+        self.peak = self.peak.max(self.survivors.len() + handed);
+        ObjRef::from_index(i)
+    }
+
+    fn is_collected(&self, r: ObjRef) -> bool {
+        matches!(self.objects[r.index()], ModelObject::Collected)
+    }
+
+    fn enter(&mut self, r: ObjRef) {
+        if self.locks[r.index()] == 0 {
+            self.held.push(r.index());
+        }
+        self.locks[r.index()] += 1;
+    }
+
+    fn exit(&mut self, r: ObjRef) {
+        self.locks[r.index()] -= 1;
+        if self.locks[r.index()] == 0 {
+            self.held.retain(|&i| i != r.index());
+        }
     }
 
     fn alloc_array(&mut self, kind: ValueKind, len: i64) -> Result<ObjRef, VmError> {
@@ -128,36 +188,56 @@ impl Model {
     }
 
     /// Collects every object that neither a reference in `roots` nor a
-    /// held monitor reaches, directly or through other objects' slots;
-    /// returns the objects it collected.
+    /// held monitor reaches, directly or through other objects' slots, and
+    /// queues its handle; returns the objects it collected.
+    ///
+    /// Objects are reached breadth first: the roots in order, then the
+    /// held monitors, then each reached object's slots in order. The queue
+    /// keeps its order (see `Heap`): the dead among the handles it handed
+    /// out since the last collection, then the rest of it, then the dead
+    /// among that collection's survivors, then among the fresh handles.
     fn collect(&mut self, roots: &[Value]) -> Vec<ObjRef> {
         let mut reached = vec![false; self.objects.len()];
-        let mut work: Vec<usize> = roots
-            .iter()
-            .filter_map(|v| match v {
-                Value::Ref(r) => Some(r.index()),
-                _ => None,
-            })
-            .chain((0..self.objects.len()).filter(|&i| self.locks[i] > 0))
-            .collect();
-        while let Some(i) = work.pop() {
-            if reached[i] || matches!(self.objects[i], ModelObject::Collected) {
-                continue;
+        let mut order = Vec::new();
+        let refs = |values: &[Value]| -> Vec<usize> {
+            values
+                .iter()
+                .filter_map(|v| match v {
+                    Value::Ref(r) => Some(r.index()),
+                    _ => None,
+                })
+                .collect()
+        };
+        let mut visit = |i: usize, order: &mut Vec<usize>| {
+            if !reached[i] && !matches!(self.objects[i], ModelObject::Collected) {
+                reached[i] = true;
+                order.push(i);
             }
-            reached[i] = true;
-            work.extend(self.objects[i].slots().iter().filter_map(|v| match v {
-                Value::Ref(r) => Some(r.index()),
-                _ => None,
-            }));
+        };
+        for i in refs(roots).into_iter().chain(self.held.iter().copied()) {
+            visit(i, &mut order);
         }
-        let mut collected = Vec::new();
-        for (i, object) in self.objects.iter_mut().enumerate() {
-            if !reached[i] && !matches!(object, ModelObject::Collected) {
-                *object = ModelObject::Collected;
-                collected.push(ObjRef::from_index(i));
+        let mut scanned = 0;
+        while let Some(&i) = order.get(scanned) {
+            scanned += 1;
+            for j in refs(self.objects[i].slots()) {
+                visit(j, &mut order);
             }
         }
-        collected
+        let dead = |i: &usize| !reached[*i] && !matches!(self.objects[*i], ModelObject::Collected);
+        let collected: Vec<usize> = (0..self.objects.len()).filter(dead).collect();
+        let mut queue: Vec<usize> = self.reused.iter().copied().filter(dead).collect();
+        queue.extend(self.queue.iter().copied());
+        queue.extend(self.survivors.iter().copied().filter(dead));
+        queue.extend((self.swept..self.objects.len()).filter(dead));
+        for &i in &collected {
+            self.objects[i] = ModelObject::Collected;
+        }
+        self.queue = queue.into();
+        self.reused.clear();
+        self.survivors = order;
+        self.swept = self.objects.len();
+        collected.into_iter().map(ObjRef::from_index).collect()
     }
 }
 
@@ -178,7 +258,7 @@ fn accesses(heap: &mut Heap, fx: &Fixture, r: ObjRef) -> Vec<Result<(), VmError>
         heap.array_set(r, 0, Value::Int(1)),
         heap.array_length(r).map(drop),
         heap.init_slot(r, 0, Value::Int(1)),
-        heap.init_slots(r, []),
+        heap.init_slots(r, [Value::Null; 0]),
         heap.init_slots(r, [Value::Int(1)]),
         heap.try_monitor_enter(r),
         heap.monitor_exit(r),
@@ -210,6 +290,9 @@ enum Op {
     Exit(u8),
     /// A collection whose roots are these values.
     Collect(Vec<Stored>),
+    /// A group of this many `Base` instances allocated back to back, each
+    /// naming the next (the last the first) before it exists.
+    Group(u8),
 }
 
 fn stored() -> impl Strategy<Value = Stored> {
@@ -249,6 +332,7 @@ fn op() -> impl Strategy<Value = Op> {
         any::<u8>().prop_map(Op::Enter),
         any::<u8>().prop_map(Op::Exit),
         prop::collection::vec(stored(), 0..6).prop_map(Op::Collect),
+        (1u8..5).prop_map(Op::Group),
     ]
 }
 
@@ -278,6 +362,13 @@ proptest! {
             match op {
                 Op::AllocInstance(c) => {
                     let c = c as usize;
+                    // A collected handle refuses access until it is
+                    // handed out again.
+                    let next = model.upcoming(0);
+                    if next.index() < model.objects.len() {
+                        prop_assert!(model.is_collected(next));
+                        prop_assert_eq!(heap.class_of(next), Err(VmError::Collected(next)));
+                    }
                     let expected = model.push(ModelObject::Instance {
                         class: c,
                         fields: CLASS_DEFAULTS[c].to_vec(),
@@ -360,10 +451,10 @@ proptest! {
                 }
                 Op::Enter(o) => {
                     let Some(r) = pick(&model, o) else { continue };
-                    let expected = if matches!(model.objects[r.index()], ModelObject::Collected) {
+                    let expected = if model.is_collected(r) {
                         Err(VmError::Collected(r))
                     } else {
-                        model.locks[r.index()] += 1;
+                        model.enter(r);
                         model.stats.monitor_enters += 1;
                         Ok(())
                     };
@@ -371,12 +462,12 @@ proptest! {
                 }
                 Op::Exit(o) => {
                     let Some(r) = pick(&model, o) else { continue };
-                    let expected = if matches!(model.objects[r.index()], ModelObject::Collected) {
+                    let expected = if model.is_collected(r) {
                         Err(VmError::Collected(r))
                     } else if model.locks[r.index()] == 0 {
                         Err(VmError::IllegalMonitorState)
                     } else {
-                        model.locks[r.index()] -= 1;
+                        model.exit(r);
                         model.stats.monitor_exits += 1;
                         Ok(())
                     };
@@ -387,7 +478,6 @@ proptest! {
                     let stats = heap.stats;
                     heap.collect(&[&roots]);
                     prop_assert_eq!(heap.stats, stats, "a collection changes no count");
-                    prop_assert_eq!(heap.len(), model.objects.len());
                     for r in model.collect(&roots) {
                         let refused = Err(VmError::Collected(r));
                         for got in accesses(&mut heap, &fx, r) {
@@ -396,11 +486,36 @@ proptest! {
                         prop_assert_eq!(heap.stats, stats, "a refused access counts nothing");
                     }
                 }
+                Op::Group(members) => {
+                    let members = members as usize;
+                    let group = heap.group(members).unwrap();
+                    let handles: Vec<ObjRef> = (0..members).map(|i| model.upcoming(i)).collect();
+                    for (i, &r) in handles.iter().enumerate() {
+                        prop_assert_eq!(heap.member(group, i), r);
+                    }
+                    for i in 0..members {
+                        let next = (i + 1) % members;
+                        let fields = vec![Value::Int(i as i64), Value::Ref(handles[next])];
+                        let expected = model.push(ModelObject::Instance { class: 0, fields });
+                        let values = [SlotInit::from(Value::Int(i as i64)), group.member(next)];
+                        let got = heap.try_alloc_instance_with(p, fx.classes[0], values);
+                        prop_assert_eq!(got, Ok(expected));
+                        prop_assert_eq!(heap.member(group, i), expected);
+                    }
+                    // The last member names the first, allocated before it.
+                    let last = heap.member(group, members - 1);
+                    let first = Ok(Value::Ref(handles[0]));
+                    prop_assert_eq!(heap.get_field(p, last, fx.fields[1]), first);
+                }
             }
+            // The table holds what the model's does: never more than the
+            // survivors of a collection and the handles handed out after.
+            prop_assert_eq!(heap.handle_table_len(), model.objects.len());
+            prop_assert!(model.objects.len() <= model.peak);
+            prop_assert_eq!(heap.len() as u64, model.stats.alloc_count);
         }
 
-        prop_assert_eq!(heap.len(), model.objects.len());
-        prop_assert_eq!(heap.is_empty(), model.objects.is_empty());
+        prop_assert_eq!(heap.is_empty(), model.stats.alloc_count == 0);
         prop_assert_eq!(heap.stats, model.stats);
         let holds: u64 = model.locks.iter().map(|&c| u64::from(c)).sum();
         prop_assert_eq!(heap.total_lock_holds(), holds);

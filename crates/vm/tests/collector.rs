@@ -1,14 +1,14 @@
 //! The collector at the VM's safepoints: what a mutator holds survives
 //! with its contents, and a loop that makes garbage runs in a bounded
-//! number of slot segments.
+//! number of slot segments and handles.
 //!
-//! Each test makes its collections due by taking slot segments: an int
+//! Most tests make their collections due by taking slot segments: an int
 //! array of [`BIG`] elements takes a segment of its own, so four of them
 //! make a collection due at the next safepoint. Every test checks through
 //! the metrics hub that collections really ran.
 
 use pea_bytecode::asm::parse_program;
-use pea_runtime::{Value, COLLECT_AFTER_SEGMENTS, HEAP_SEGMENT_SLOTS};
+use pea_runtime::{Value, COLLECT_AFTER_SEGMENTS, HEAP_SEGMENT_SLOTS, MAX_HEAP_OBJECTS};
 use pea_vm::{MetricsHub, OptLevel, Vm, VmOptions};
 
 /// Elements of an int array that takes a slot segment of its own.
@@ -131,7 +131,8 @@ fn configurations() -> [(&'static str, VmOptions); 3] {
 
 /// 2 M short-lived objects while a static keeps a 100-node list: the heap
 /// never holds more than the segments taken between two collections plus
-/// the list's segment and its copy, and the list reads back unchanged.
+/// the list's segment and its copy, its handle table no more than the
+/// handles of one interval, and the list reads back unchanged.
 #[test]
 fn garbage_loop_stays_within_the_segment_budget() {
     let expected_walk = (0..100).fold(0i64, |acc, v| acc.wrapping_mul(1000).wrapping_add(v));
@@ -157,6 +158,13 @@ fn garbage_loop_stays_within_the_segment_budget() {
             "{name}: every object allocated"
         );
         assert!(collections(&mut vm) > 0, "{name}: collections ran");
+        // The two-slot boxes of one interval fill its segments, at half a
+        // segment's handles each; the list and the frames add a few.
+        let table = vm.heap().handle_table_len();
+        assert!(
+            table <= COLLECT_AFTER_SEGMENTS * HEAP_SEGMENT_SLOTS / 2 + 1_000,
+            "{name}: {table} handles"
+        );
         let live = 1;
         assert!(
             vm.heap().peak_segments() <= COLLECT_AFTER_SEGMENTS + 2 * live,
@@ -243,4 +251,49 @@ fn collections_change_no_count() {
     let (uncollected, none) = run(graph);
     assert_eq!(none, 0, "the graph oracle never collects");
     assert_eq!(collected, uncollected);
+}
+
+/// More short-lived objects than a heap's table can hold at once, in one
+/// VM: collected handles are handed out again, so allocation never runs
+/// out. The objects have no fields and take no segment, so only the
+/// handles handed out make collections due.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "about 5 s in a release build")]
+fn more_objects_than_the_handle_capacity_reuse_their_handles() {
+    let program = parse_program(
+        "class E { }
+         method churn 1 returns {
+             const 0 store 1
+         Lloop:
+             load 1 load 0 ifcmp ge Ldone
+             new E store 2
+             load 1 const 1 add store 1
+             goto Lloop
+         Ldone:
+             load 1 retv
+         }",
+    )
+    .unwrap();
+    let mut vm = Vm::new(
+        program,
+        VmOptions {
+            metrics: MetricsHub::enabled(),
+            ..VmOptions::with_opt_level(OptLevel::None)
+        },
+    );
+    let calls = MAX_HEAP_OBJECTS / 1_000_000 + 2;
+    for _ in 0..calls {
+        let got = vm.call_entry("churn", &[Value::Int(1_000_000)]);
+        assert_eq!(got, Ok(Some(Value::Int(1_000_000))));
+    }
+    assert!(vm.heap().len() > MAX_HEAP_OBJECTS);
+    assert!(
+        collections(&mut vm)
+            >= (MAX_HEAP_OBJECTS / (COLLECT_AFTER_SEGMENTS * HEAP_SEGMENT_SLOTS)) as u64
+    );
+    let table = vm.heap().handle_table_len();
+    assert!(
+        table <= COLLECT_AFTER_SEGMENTS * HEAP_SEGMENT_SLOTS + 2_000,
+        "{table} handles"
+    );
 }
